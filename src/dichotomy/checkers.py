@@ -40,7 +40,7 @@ from .errors import (
     OutOfRangeError,
     ScheduleOutOfRangeError,
 )
-from .logscalar import LogMag, LogScalar, ladd, lfloat, lsub
+from .logscalar import LogMag, LogScalar, ladd, lfloat, lsub, mixes_as_float, rounding_scale
 from .system import (
     DEFAULT_TOL_COMPAT,
     ProjectionFamily,
@@ -52,6 +52,12 @@ from .system import (
 
 DEFAULT_LOG_TOL = 1e-9
 _TIE_BAND = 1e-12
+# How far the per-pair formula and the running-maximum form of one pair's
+# slack can disagree, per unit of |alpha| m_max + max |pre| + max |weight|,
+# when all of them are floats: the roundings of the two forms add up to at
+# most 12 (eps/2) times that sum. Exact operands that ``ladd`` converts to
+# float (``rounding_scale``) at most double it.
+_ROUNDING_BOUND = 8 * 2.0**-52
 
 
 def _slack(rhs_log: LogMag, lhs_log: LogMag) -> float:
@@ -111,6 +117,119 @@ class _PairExtremes:
         return ext.direction_p, ext.direction_q
 
 
+class _DiagonalScan:
+    """Worst pair of every row or column of a diagonal window, in O(W * dim).
+
+    Coordinate i's factor over (n, m] has log-magnitude pre_i[m] - pre_i[n]
+    (the prefix log-sums) unless a zero factor a_i(k), n < k <= m,
+    annihilates it. The P-side excess alpha (m - n) + pre_i[m] - pre_i[n]
+    of a pair splits into a term in m and a term in n, so the worst m of
+    row n is a suffix maximum of alpha m + pre_i[m] that a zero factor
+    restarts; on the Q side a crossed zero factor makes the minimal gain 0
+    and the excess +inf. Masks are read once per row. Pairs with m = n are
+    left out (their excess is 0 on every nonempty range); callers account
+    for them.
+    """
+
+    def __init__(self, sys: SystemDescription, proj: ProjectionFamily, window: WindowSpec):
+        self.lo, self.hi = window.n_min, window.m_max
+        self.pre, self.zeros = sys.diag_prefix(self.hi)
+        self.masks = [proj.mask(n) for n in range(self.lo, self.hi + 1)]
+
+    def p_rows(self, alpha: float, hi: int) -> list[LogMag]:
+        """Row n = lo..hi: max over i in P(n) and n < m <= hi, with no zero
+        factor of i in (n, m], of alpha (m - n) + pre_i[m] - pre_i[n];
+        -inf when there is no such pair."""
+        lo, masks = self.lo, self.masks
+        out: list[LogMag] = [-math.inf] * (hi - lo + 1)
+        for i, (pre, zeros) in enumerate(zip(self.pre, self.zeros)):
+            run: LogMag = -math.inf
+            for n in range(hi - 1, lo - 1, -1):
+                if zeros[n + 1] != zeros[n]:
+                    run = -math.inf
+                else:
+                    cand = ladd(alpha * (n + 1), pre[n + 1])
+                    if cand > run:
+                        run = cand
+                if run != -math.inf and masks[n - lo][i]:
+                    v = lsub(lsub(run, alpha * n), pre[n])
+                    if v > out[n - lo]:
+                        out[n - lo] = v
+        return out
+
+    def q_rows(self, alpha: float, weights: Sequence[LogMag]) -> list[LogMag]:
+        """Row n = lo..hi: max over j in Q(n) and n < m <= hi of
+        alpha (m - n) - weights[m - lo] - (pre_j[m] - pre_j[n]); +inf when a
+        zero factor of j lies in (n, hi]; -inf when there is no such pair."""
+        lo, hi, masks = self.lo, self.hi, self.masks
+        out: list[LogMag] = [-math.inf] * (hi - lo + 1)
+        for j, (pre, zeros) in enumerate(zip(self.pre, self.zeros)):
+            run: LogMag = -math.inf
+            for n in range(hi - 1, lo - 1, -1):
+                if zeros[n + 1] != zeros[n]:
+                    run = math.inf
+                elif run != math.inf:
+                    cand = lsub(lsub(alpha * (n + 1), pre[n + 1]), weights[n + 1 - lo])
+                    if cand > run:
+                        run = cand
+                if run != -math.inf and not masks[n - lo][j]:
+                    v = ladd(lsub(run, alpha * n), pre[n])
+                    if v > out[n - lo]:
+                        out[n - lo] = v
+        return out
+
+    def q_cols(self, alpha: float) -> list[LogMag]:
+        """Column m = lo..hi: max over j and lo <= n < m with j in Q(n) of
+        alpha (m - n) - (pre_j[m] - pre_j[n]); +inf once such a pair crosses
+        a zero factor of j; -inf when there is no such pair."""
+        lo, hi, masks = self.lo, self.hi, self.masks
+        out: list[LogMag] = [-math.inf] * (hi - lo + 1)
+        for j, (pre, zeros) in enumerate(zip(self.pre, self.zeros)):
+            run: LogMag = -math.inf
+            for m in range(lo + 1, hi + 1):
+                n = m - 1
+                if run != math.inf and not masks[n - lo][j]:
+                    cand = lsub(pre[n], alpha * n)
+                    if cand > run:
+                        run = cand
+                if run != -math.inf and zeros[m] != zeros[n]:
+                    run = math.inf
+                if run != -math.inf:
+                    v = lsub(ladd(run, alpha * m), pre[m])
+                    if v > out[m - lo]:
+                        out[m - lo] = v
+        return out
+
+    def rows_to_scan(self, cert: DichotomyCertificate, tol: float) -> tuple[set[int], float]:
+        """Rows whose pairs m > n may violate the certificate, and the least
+        slack over the pairs m > n of every other row.
+
+        The running maxima associate the additions differently from the
+        per-pair formula, so a row is returned whenever its worst excess
+        lies within a rounding bound of ``tol``; the caller rescans those
+        rows pair by pair and reaches the pair scan's verdict and witness.
+        """
+        lo, hi, alpha = self.lo, self.hi, cert.alpha
+        r_p = [cert.r_p_log(n) for n in range(lo, hi + 1)]
+        r_q = [cert.r_q_log(m) for m in range(lo, hi + 1)]
+        pre = [v for coord in self.pre for v in coord[lo:hi + 1]]
+        weights = r_p + r_q
+        scale = abs(alpha) * (hi + 1) + max(map(rounding_scale, pre))
+        scale += max(map(rounding_scale, weights))
+        if not all(isinstance(v, float) or v == 0 for v in pre + weights):
+            scale *= 2
+        cutoff = tol - _ROUNDING_BOUND * scale
+        rows: set[int] = set()
+        least = math.inf
+        for k, (g, q) in enumerate(zip(self.p_rows(alpha, hi), self.q_rows(alpha, r_q))):
+            worst = max(lsub(g, r_p[k]) if g != -math.inf else -math.inf, q)
+            if worst > cutoff:
+                rows.add(lo + k)
+            else:
+                least = min(least, -lfloat(worst))
+        return rows, least
+
+
 def verify_certificate(
     sys: SystemDescription,
     proj: ProjectionFamily,
@@ -123,44 +242,53 @@ def verify_certificate(
 
     A pair violates when its log-domain slack drops below -tol. The
     reported witness carries the extremal direction and the exact minimal
-    constant that would repair the inequality at that pair.
+    constant that would repair the inequality at that pair. Diagonal
+    systems check the pairs m > n of a row pair by pair only when the
+    row's running maxima say it may violate; the verdict, witness and
+    count are those of the full pair scan.
     """
     cert.validate(window)
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
     ext = _PairExtremes(sys, proj)
     alpha = cert.alpha
     min_slack = math.inf
-    pairs = 0
-    for n, m in window.pairs():
-        pairs += 1
-        gap = alpha * (m - n)
-        g, h = ext.logs(n, m)
-        slack_p = _slack(cert.r_p_log(n), ladd(gap, g) if g != -math.inf else -math.inf)
-        if slack_p < min_slack:
-            min_slack = slack_p
-        if slack_p < -tol:
-            dir_p, _ = ext.directions(n, m)
-            required = lsub(ladd(gap, g), cert.scale_offset_p(n))
-            return VerificationOutcome(
-                False,
-                Witness(m, n, dir_p or (), LogScalar.from_log(required), side="P"),
-                pairs,
-                slack_p,
-            )
-        rhs_q = ladd(cert.r_q_log(m), h) if h != math.inf else math.inf
-        slack_q = _slack(rhs_q, gap)
-        if slack_q < min_slack:
-            min_slack = slack_q
-        if slack_q < -tol:
-            _, dir_q = ext.directions(n, m)
-            required = lsub(lsub(gap, cert.scale_offset_q(m)), h)
-            return VerificationOutcome(
-                False,
-                Witness(m, n, dir_q or (), LogScalar.from_log(required), side="Q"),
-                pairs,
-                slack_q,
-            )
-    return VerificationOutcome(True, None, pairs, min_slack)
+    full_rows = None  # None: every row is scanned pair by pair
+    if sys.is_diagonal:
+        full_rows, min_slack = _DiagonalScan(sys, proj, window).rows_to_scan(cert, tol)
+    done = 0  # pairs in the rows before n
+    for n in range(window.n_min, window.m_max + 1):
+        last = window.m_max if full_rows is None or n in full_rows else n
+        for m in range(n, last + 1):
+            pairs = done + m - n + 1
+            gap = alpha * (m - n)
+            g, h = ext.logs(n, m)
+            slack_p = _slack(cert.r_p_log(n), ladd(gap, g) if g != -math.inf else -math.inf)
+            if slack_p < min_slack:
+                min_slack = slack_p
+            if slack_p < -tol:
+                dir_p, _ = ext.directions(n, m)
+                required = lsub(ladd(gap, g), cert.scale_offset_p(n))
+                return VerificationOutcome(
+                    False,
+                    Witness(m, n, dir_p or (), LogScalar.from_log(required), side="P"),
+                    pairs,
+                    slack_p,
+                )
+            rhs_q = ladd(cert.r_q_log(m), h) if h != math.inf else math.inf
+            slack_q = _slack(rhs_q, gap)
+            if slack_q < min_slack:
+                min_slack = slack_q
+            if slack_q < -tol:
+                _, dir_q = ext.directions(n, m)
+                required = lsub(lsub(gap, cert.scale_offset_q(m)), h)
+                return VerificationOutcome(
+                    False,
+                    Witness(m, n, dir_q or (), LogScalar.from_log(required), side="Q"),
+                    pairs,
+                    slack_q,
+                )
+        done += window.m_max - n + 1
+    return VerificationOutcome(True, None, done, min_slack)
 
 
 def verify_triplet_form(
@@ -179,12 +307,22 @@ def verify_triplet_form(
     cert.validate(window)
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
     alpha = cert.alpha
-    memo: dict[tuple[int, int, int], tuple[LogMag, LogMag]] = {}
+    memo: dict[tuple, tuple[LogMag, LogMag]] = {}
+    zeros = sys.diag_prefix(window.m_max)[1] if sys.is_diagonal else None
+    seed_at, seed = None, None
     min_slack = math.inf
     checked = 0
     for p, n, m in window.triplets():
         checked += 1
-        key = (p, n, m) if not sys.is_diagonal else (0, n, m)
+        if zeros is None:
+            key = (p, n, m)
+        else:
+            # a diagonal ratio depends on p only through the mask at p and
+            # the coordinates that no zero factor annihilates on (p, n]
+            if seed_at != (p, n):
+                seed_at = (p, n)
+                seed = (proj.mask(p), tuple(z[n] == z[p] for z in zeros))
+            key = (n, m, seed)
         got = memo.get(key)
         if got is None:
             rat = restricted_ratio_extremes(sys, proj, m, n, p)
@@ -247,8 +385,14 @@ def optimal_N_for_alpha(
     if not alpha > 0:
         raise InvalidCertificateError(f"alpha must be positive, got {alpha}")
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
-    ext = _PairExtremes(sys, proj)
     best: LogMag = 0
+    if sys.is_diagonal:
+        scan = _DiagonalScan(sys, proj, window)
+        for cand in scan.p_rows(alpha, window.m_max) + scan.q_cols(alpha):
+            if cand > best:
+                best = cand
+        return LogScalar.from_log(best)
+    ext = _PairExtremes(sys, proj)
     for n, m in window.pairs():
         gap = alpha * (m - n)
         g, h = ext.logs(n, m)
@@ -290,7 +434,7 @@ class ExponentialEstimate:
 
 
 class _PairTable:
-    """Flat per-pair arrays for grid sweeps (float64; estimation only)."""
+    """Flat per-pair arrays for grid sweeps of dense systems (float64)."""
 
     def __init__(self, sys, proj, window: WindowSpec):
         ext = _PairExtremes(sys, proj)
@@ -309,7 +453,8 @@ class _PairTable:
         half_m = window.half().m_max
         self.half_mask = self.m <= half_m
 
-    def min_log_n(self, alpha: float, beta: float, mask=None) -> float:
+    def min_log_n(self, alpha: float, beta: float, half: bool = False) -> float:
+        mask = self.half_mask if half else None
         g = self.g if mask is None else self.g[mask]
         h = self.h if mask is None else self.h[mask]
         d = self.d if mask is None else self.d[mask]
@@ -324,6 +469,98 @@ class _PairTable:
         if p_side.size:
             best = max(best, float(np.max(p_side)), float(np.max(q_side)))
         return best
+
+
+class _DiagonalTable:
+    """Grid sweeps of a diagonal system from the running maxima of each rate.
+
+    The row and column maxima depend on alpha alone; beta only shifts row n
+    by -beta n and column m by -beta m, so one scan serves every beta of a
+    rate. Pairs with m = n are left out: they demand at most 0, the floor of
+    every constant. When every prefix log-sum mixes with floats as a float
+    (``mixes_as_float``), ``ladd`` is plain float arithmetic and numpy
+    repeats the scan's operations in the same order; larger exact logs keep
+    the scan's exact arithmetic, since float differences of them cancel.
+    """
+
+    def __init__(self, sys, proj, window: WindowSpec):
+        self.scan = scan = _DiagonalScan(sys, proj, window)
+        self.mid = window.half().m_max
+        self.index = np.arange(scan.lo, scan.hi + 1, dtype=float)
+        self.alpha = None
+        self.coords = None
+        window_pre = [pre[scan.lo:scan.hi + 1] for pre in scan.pre]
+        if all(mixes_as_float(v) for pre in window_pre for v in pre):
+            in_p = np.array(scan.masks, dtype=bool)
+            self.coords = [
+                (np.array(pre, dtype=float), np.array(zeros[scan.lo:scan.hi + 1]), in_p[:, i])
+                for i, (pre, zeros) in enumerate(zip(window_pre, scan.zeros))
+            ]
+
+    def min_log_n(self, alpha: float, beta: float, half: bool = False) -> float:
+        scan = self.scan
+        if alpha != self.alpha:
+            self.alpha = alpha
+            if self.coords is None:
+                self.rows = np.array([lfloat(v) for v in scan.p_rows(alpha, scan.hi)])
+                self.rows_half = np.array([lfloat(v) for v in scan.p_rows(alpha, self.mid)])
+                self.cols = np.array([lfloat(v) for v in scan.q_cols(alpha)])
+            else:
+                self.rows = self._p_rows(alpha, len(self.index))
+                self.rows_half = self._p_rows(alpha, self.mid - scan.lo + 1)
+                self.cols = self._q_cols(alpha)
+        size = self.mid - scan.lo + 1 if half else len(self.index)
+        index = self.index[:size]
+        rows = self.rows_half if half else self.rows
+        return max(
+            0.0,
+            float(np.max(rows - beta * index)),
+            float(np.max(self.cols[:size] - beta * index)),
+        )
+
+    def _p_rows(self, alpha: float, size: int) -> np.ndarray:
+        """``_DiagonalScan.p_rows`` on the first ``size`` indices, in numpy."""
+        ax = alpha * self.index[:size]
+        out = np.full(size, -np.inf)
+        for pre, zeros, in_p in self.coords:
+            pre, zeros = pre[:size], zeros[:size]
+            suffix = _segmented_max(ax + pre, zeros, reverse=True)
+            strict = np.full(size, -np.inf)
+            strict[:-1] = np.where(zeros[1:] == zeros[:-1], suffix[1:], -np.inf)
+            out = np.maximum(out, np.where(in_p[:size], (strict - ax) - pre, -np.inf))
+        return out
+
+    def _q_cols(self, alpha: float) -> np.ndarray:
+        """``_DiagonalScan.q_cols`` in numpy."""
+        ax = alpha * self.index
+        out = np.full(len(ax), -np.inf)
+        for pre, zeros, in_p in self.coords:
+            prefix = _segmented_max(np.where(in_p, -np.inf, pre - ax), zeros, reverse=False)
+            before = np.full(len(ax), -np.inf)
+            before[1:] = np.where(zeros[1:] == zeros[:-1], prefix[:-1], -np.inf)
+            cols = (before + ax) - pre
+            starts = np.flatnonzero(~in_p)
+            if starts.size:
+                # a pair from the first Q start across a zero factor: gain 0
+                cols[zeros > zeros[starts[0]]] = np.inf
+            out = np.maximum(out, cols)
+        return out
+
+
+def _segmented_max(values: np.ndarray, zeros: np.ndarray, reverse: bool) -> np.ndarray:
+    """Running maximum of ``values`` that restarts wherever ``zeros`` changes."""
+    out = np.empty_like(values)
+    bounds = [0, *(np.flatnonzero(np.diff(zeros)) + 1), len(values)]
+    for s, e in zip(bounds, bounds[1:]):
+        if reverse:
+            out[s:e] = np.maximum.accumulate(values[s:e][::-1])[::-1]
+        else:
+            out[s:e] = np.maximum.accumulate(values[s:e])
+    return out
+
+
+def _grid_table(sys, proj, window: WindowSpec):
+    return (_DiagonalTable if sys.is_diagonal else _PairTable)(sys, proj, window)
 
 
 def estimate_ued(
@@ -342,14 +579,14 @@ def estimate_ued(
     if not alpha_grid:
         raise ValueError("alpha grid must be nonempty")
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
-    table = _PairTable(sys, proj, window)
+    table = _grid_table(sys, proj, window)
     rows = []
     best_row = None
     for alpha in sorted(alpha_grid):
         if alpha <= 0:
             raise InvalidCertificateError("alpha grid entries must be positive")
         full = table.min_log_n(alpha, 0.0)
-        half = table.min_log_n(alpha, 0.0, table.half_mask)
+        half = table.min_log_n(alpha, 0.0, half=True)
         stable = full <= half + DEFAULT_LOG_TOL
         row = GridPoint(alpha, None, full, half, stable)
         rows.append(row)
@@ -391,14 +628,14 @@ def estimate_ed(
     ]
     if not pairs:
         raise EmptyFeasibleSetError("no grid pair satisfies beta < alpha")
-    table = _PairTable(sys, proj, window)
+    table = _grid_table(sys, proj, window)
     rows = []
     best_row = None
     for alpha, beta in pairs:
         if alpha <= 0:
             raise InvalidCertificateError("alpha grid entries must be positive")
         full = table.min_log_n(alpha, beta)
-        half = table.min_log_n(alpha, beta, table.half_mask)
+        half = table.min_log_n(alpha, beta, half=True)
         stable = full <= half + DEFAULT_LOG_TOL
         row = GridPoint(alpha, beta, full, half, stable)
         rows.append(row)
@@ -433,20 +670,27 @@ def minimal_ned_profile(
     if not alpha > 0:
         raise InvalidCertificateError(f"alpha must be positive, got {alpha}")
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
-    ext = _PairExtremes(sys, proj)
     base = window.n_min
     raw: list[LogMag] = [0 for _ in range(window.m_max - base + 1)]
-    for n, m in window.pairs():
-        gap = alpha * (m - n)
-        g, h = ext.logs(n, m)
-        if g != -math.inf:
-            need_n = ladd(gap, g)
-            if need_n > raw[n - base]:
-                raw[n - base] = need_n
-        if h != math.inf:
-            need_m = lsub(gap, h) if h != -math.inf else math.inf
-            if need_m > raw[m - base]:
-                raw[m - base] = need_m
+    if sys.is_diagonal:
+        scan = _DiagonalScan(sys, proj, window)
+        for k, needs in enumerate(zip(scan.p_rows(alpha, window.m_max), scan.q_cols(alpha))):
+            for need in needs:
+                if need > raw[k]:
+                    raw[k] = need
+    else:
+        ext = _PairExtremes(sys, proj)
+        for n, m in window.pairs():
+            gap = alpha * (m - n)
+            g, h = ext.logs(n, m)
+            if g != -math.inf:
+                need_n = ladd(gap, g)
+                if need_n > raw[n - base]:
+                    raw[n - base] = need_n
+            if h != math.inf:
+                need_m = lsub(gap, h) if h != -math.inf else math.inf
+                if need_m > raw[m - base]:
+                    raw[m - base] = need_m
     running: LogMag = -math.inf
     values = []
     for v in raw:

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import DichotomyCertificate, Kind, Profile, ScaledProfile, WindowSpec
+from .checkers import _slack
 from .errors import (
     DecayGapError,
+    DenseOverflowError,
     IndexOrderError,
     InvalidConstantsError,
     NoDecayCertificateError,
@@ -173,9 +175,13 @@ def _traj_lognorms(sys, vec, coord, seed: int, upto: int) -> list[LogMag]:
     out = []
     for j in range(seed, upto + 1):
         if j > seed:
-            y = sys.coefficient(j) @ y
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = sys.coefficient(j) @ y
             if not np.all(np.isfinite(y)):
-                raise OverflowError("dense trajectory overflow; use diagonal closed form")
+                raise DenseOverflowError(
+                    f"trajectory from {seed} overflows doubles at {j}; "
+                    "declare the system in diagonal closed form"
+                )
         nrm = float(np.linalg.norm(y))
         out.append(math.log(nrm) if nrm > 0 else -math.inf)
     return out
@@ -528,18 +534,6 @@ def _q_side_report(sys, window, tol, form, d, w_q, c, direction, coord):
         checked=checked,
         max_tail_rhs_log=-math.inf,
     )
-
-
-def _slack(rhs_log: LogMag, lhs_log: LogMag) -> float:
-    if isinstance(lhs_log, float) and lhs_log == -math.inf:
-        return math.inf
-    if isinstance(rhs_log, float) and rhs_log == math.inf:
-        return math.inf
-    if isinstance(rhs_log, float) and rhs_log == -math.inf:
-        return -math.inf
-    if isinstance(lhs_log, float) and lhs_log == math.inf:
-        return -math.inf
-    return lfloat(lsub(rhs_log, lhs_log))
 
 
 def _tail_rhs_log(tail_log: LogMag, rhs_log: LogMag) -> float:

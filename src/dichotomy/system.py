@@ -149,6 +149,15 @@ class SystemDescription:
                     negs.append(negs[-1] + (1 if a.sign < 0 else 0))
                     zeros.append(zeros[-1])
 
+    def diag_prefix(self, upto: int) -> tuple[list[list[LogMag]], list[list[int]]]:
+        """Per-coordinate prefix log-sums and zero-factor counts on 0..upto.
+
+        The lists are the live cache (valid at least through ``upto``);
+        callers must not modify them.
+        """
+        self._ensure_prefix(upto)
+        return self._prefix_mag, self._prefix_zero
+
     def diag_factor(self, i: int, m: int, n: int) -> LogScalar:
         """Coordinate i of the evolution product over (n, m]."""
         self._ensure_prefix(m)
@@ -190,21 +199,23 @@ def evolution(sys: SystemDescription, m: int, n: int) -> EvolutionOperator:
 
 
 def _dense_product(sys: SystemDescription, m: int, n: int) -> np.ndarray:
-    # memoized left extension: product(m, n) = A(m) @ product(m-1, n)
+    # memoized left extension: product(k, n) = A(k) @ product(k-1, n), swept
+    # forward from the largest cached horizon so long windows never recurse
     if m == n:
         return np.eye(sys.dim)
     cache = sys._dense_cache
-    key = (m, n)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = sys.coefficient(m) @ _dense_product(sys, m - 1, n)
-    if not np.all(np.isfinite(result)):
-        raise DenseOverflowError(
-            f"product over ({n}, {m}] overflows doubles; declare the system in diagonal closed form"
-        )
-    cache[key] = result
+    start = m
+    while start > n and (start, n) not in cache:
+        start -= 1
+    result = cache[(start, n)] if start > n else np.eye(sys.dim)
+    for k in range(start + 1, m + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = sys.coefficient(k) @ result
+        if not np.all(np.isfinite(result)):
+            raise DenseOverflowError(
+                f"product over ({n}, {k}] overflows doubles; declare the system in diagonal closed form"
+            )
+        cache[(k, n)] = result
     return result
 
 

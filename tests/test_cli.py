@@ -1,14 +1,24 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import dichotomy
 from dichotomy import serialize
 
 BASE = [sys.executable, "-m", "dichotomy"]
+# the child runs the same package this process imported, installed or not
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(dichotomy.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 
 def run_cli(*args, check=None):
-    proc = subprocess.run(BASE + list(args), capture_output=True, text=True)
+    proc = subprocess.run(BASE + list(args), capture_output=True, text=True, env=ENV)
     if check is not None:
         assert proc.returncode == check, proc.stderr or proc.stdout
     return proc
@@ -284,3 +294,31 @@ def test_numerical_error_is_named_in_report(tmp_path):
     assert proc.returncode == 2
     report = json.loads((tmp_path / "e.json").read_text())
     assert report["error"]["type"] == "InvalidCertificateError"
+
+
+def test_dense_trajectory_overflow_is_reported(tmp_path):
+    path = tmp_path / "blowup.cfg"
+    path.write_text(
+        """
+[system]
+dim = 2
+source = explicit
+A0 = 1,0; 0,1
+A1 = 1e200,0; 0,1
+A2 = 1e200,0; 0,1
+A3 = 1e200,0; 0,1
+
+[projection]
+matrix = 1,0; 0,0
+""",
+        encoding="utf-8",
+    )
+    proc = run_cli(
+        "datko", "--system", str(path), "--window", "0..1", "--d", "0.1",
+        "--form", "ued", "--D", "2", "--m-trunc", "3",
+        "--report", str(tmp_path / "d.json"),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    report = json.loads((tmp_path / "d.json").read_text())
+    assert report["error"]["type"] == "DenseOverflowError"

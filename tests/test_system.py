@@ -245,6 +245,20 @@ def test_dense_products_detect_overflow():
         evolution(sys_, 2, 0)
 
 
+def test_long_dense_products_do_not_recurse():
+    # a rotation keeps every product finite; a fresh system has no memo to
+    # shorten the sweep, so all 2500 steps are taken at once
+    c, s = math.cos(0.01), math.sin(0.01)
+    sys_ = SystemDescription(2, ExplicitSequence([np.array([[c, -s], [s, c]])] * 2501))
+    got = evolution(sys_, 2500, 0).to_dense()
+    c, s = math.cos(25.0), math.sin(25.0)
+    assert np.allclose(got, [[c, -s], [s, c]], atol=1e-9)
+    # extending a cached product reuses it
+    assert np.allclose(evolution(sys_, 2500, 1).to_dense(), got @ np.linalg.inv(
+        np.array([[math.cos(0.01), -math.sin(0.01)], [math.sin(0.01), math.cos(0.01)]])
+    ), atol=1e-9)
+
+
 def test_empty_p_range_gives_zero_growth():
     entry = make_example("ued_example")
     nothing = ProjectionFamily(2, mask=(False, False))
