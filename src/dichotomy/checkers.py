@@ -477,10 +477,11 @@ class _DiagonalTable:
     The row and column maxima depend on alpha alone; beta only shifts row n
     by -beta n and column m by -beta m, so one scan serves every beta of a
     rate. Pairs with m = n are left out: they demand at most 0, the floor of
-    every constant. When every prefix log-sum mixes with floats as a float
-    (``mixes_as_float``), ``ladd`` is plain float arithmetic and numpy
-    repeats the scan's operations in the same order; larger exact logs keep
-    the scan's exact arithmetic, since float differences of them cancel.
+    every constant, since ``estimate_ed`` admits only beta >= 0. When every
+    prefix log-sum mixes with floats as a float (``mixes_as_float``),
+    ``ladd`` is plain float arithmetic and numpy repeats the scan's
+    operations in the same order; larger exact logs keep the scan's exact
+    arithmetic, since float differences of them cancel.
     """
 
     def __init__(self, sys, proj, window: WindowSpec):
@@ -620,6 +621,8 @@ def estimate_ed(
         beta_grid = default_beta_grid(max(alpha_grid))
     if not alpha_grid or not beta_grid:
         raise ValueError("grids must be nonempty")
+    if any(b < 0 for b in beta_grid):
+        raise InvalidCertificateError("beta grid entries must satisfy beta >= 0")
     pairs = [
         (a, b)
         for a in sorted(alpha_grid)

@@ -322,6 +322,17 @@ def test_estimate_exponential_strong_gate():
         )
 
 
+def test_estimate_exponential_rejects_negative_beta():
+    # a certificate needs beta >= 0; the grids follow the same rule, on
+    # diagonal and dense systems alike
+    entry = make_example("ued_example")
+    dense = SystemDescription(2, ExplicitSequence([np.diag([0.5, 2.0])] * 6))
+    dense_proj = ProjectionFamily(2, mask=(True, False))
+    for sys_, proj in ((entry.system, entry.projection), (dense, dense_proj)):
+        with pytest.raises(InvalidCertificateError):
+            estimate_ed(sys_, proj, WindowSpec(0, 5), [1.0], [0.0, -0.5])
+
+
 def test_profile_validation_rejects_decreasing():
     from dichotomy import LogScalar
 
