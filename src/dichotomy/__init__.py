@@ -57,6 +57,7 @@ from .errors import (
     IndexOrderError,
     InvalidCertificateError,
     InvalidConstantsError,
+    InvalidProjectionError,
     NoDecayCertificateError,
     OutOfRangeError,
     ParamOutOfRangeError,

@@ -45,6 +45,8 @@ from .system import (
     DEFAULT_TOL_COMPAT,
     ProjectionFamily,
     SystemDescription,
+    _DenseSweeps,
+    _overflow,
     check_compatibility,
     restricted_extremes,
     restricted_ratio_extremes,
@@ -74,46 +76,56 @@ def _slack(rhs_log: LogMag, lhs_log: LogMag) -> float:
 
 
 class _PairExtremes:
-    """Memoized growth/min-gain log-magnitudes per pair (n, m)."""
+    """Growth/min-gain log-magnitudes per pair (n, m): memoized per pair for
+    diagonal systems; dense systems keep one kernel row of the window."""
 
-    def __init__(self, sys: SystemDescription, proj: ProjectionFamily):
+    def __init__(self, sys: SystemDescription, proj: ProjectionFamily,
+                 window: WindowSpec | None = None):
         self.sys = sys
         self.proj = proj
         self._cache: dict[tuple[int, int], tuple[LogMag, LogMag]] = {}
+        if not sys.is_diagonal:
+            self._sweeps = _DenseSweeps(sys, proj, window.n_min, window.m_max)
+        self._row = None
+
+    def _dense_row(self, n: int):
+        if self._row is None or self._row.n != n:
+            self._row = self._sweeps.row(n)
+        return self._row
 
     def logs(self, n: int, m: int) -> tuple[LogMag, LogMag]:
         """(log growth_P, log min_gain_Q); -inf / +inf mark trivial ranges."""
+        if not self.sys.is_diagonal:
+            return self._dense_row(n).logs(m)
         key = (n, m)
         got = self._cache.get(key)
         if got is not None:
             return got
-        if self.sys.is_diagonal:
-            mask = self.proj.mask(n)
-            g: LogMag = -math.inf
-            for i in range(self.sys.dim):
-                if not mask[i]:
-                    continue
-                v = self.sys.diag_factor(i, m, n)
-                cand = v.logmag if v.sign != 0 else -math.inf
-                if g == -math.inf or cand > g:
-                    g = cand
-            h: LogMag = math.inf
-            for i in range(self.sys.dim):
-                if mask[i]:
-                    continue
-                v = self.sys.diag_factor(i, m, n)
-                cand = v.logmag if v.sign != 0 else -math.inf
-                if h == math.inf or cand < h:
-                    h = cand
-        else:
-            ext = restricted_extremes(self.sys, self.proj, m, n)
-            g = ext.growth_p.logmag if ext.growth_p.sign != 0 else -math.inf
-            h = ext.min_gain_q.logmag
+        mask = self.proj.mask(n)
+        g: LogMag = -math.inf
+        for i in range(self.sys.dim):
+            if not mask[i]:
+                continue
+            v = self.sys.diag_factor(i, m, n)
+            cand = v.logmag if v.sign != 0 else -math.inf
+            if g == -math.inf or cand > g:
+                g = cand
+        h: LogMag = math.inf
+        for i in range(self.sys.dim):
+            if mask[i]:
+                continue
+            v = self.sys.diag_factor(i, m, n)
+            cand = v.logmag if v.sign != 0 else -math.inf
+            if h == math.inf or cand < h:
+                h = cand
         self._cache[key] = (g, h)
         return g, h
 
     def directions(self, n: int, m: int) -> tuple[tuple[float, ...] | None, tuple[float, ...] | None]:
-        ext = restricted_extremes(self.sys, self.proj, m, n)
+        if self.sys.is_diagonal:
+            ext = restricted_extremes(self.sys, self.proj, m, n)
+        else:
+            ext = self._dense_row(n).extremes(m)
         return ext.direction_p, ext.direction_q
 
 
@@ -249,7 +261,7 @@ def verify_certificate(
     """
     cert.validate(window)
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
-    ext = _PairExtremes(sys, proj)
+    ext = _PairExtremes(sys, proj, window)
     alpha = cert.alpha
     min_slack = math.inf
     full_rows = None  # None: every row is scanned pair by pair
@@ -309,13 +321,18 @@ def verify_triplet_form(
     alpha = cert.alpha
     memo: dict[tuple, tuple[LogMag, LogMag]] = {}
     zeros = sys.diag_prefix(window.m_max)[1] if sys.is_diagonal else None
+    # dense systems: one kernel row per p, the outer loop
+    sweeps = None if sys.is_diagonal else _DenseSweeps(sys, proj, window.n_min, window.m_max)
+    row = None
     seed_at, seed = None, None
     min_slack = math.inf
     checked = 0
     for p, n, m in window.triplets():
         checked += 1
-        if zeros is None:
-            key = (p, n, m)
+        if sweeps is not None:
+            if row is None or row.n != p:
+                row = sweeps.row(p)
+            rp, rq = _ratio_logs(row.ratios(m, n))
         else:
             # a diagonal ratio depends on p only through the mask at p and
             # the coordinates that no zero factor annihilates on (p, n]
@@ -323,14 +340,10 @@ def verify_triplet_form(
                 seed_at = (p, n)
                 seed = (proj.mask(p), tuple(z[n] == z[p] for z in zeros))
             key = (n, m, seed)
-        got = memo.get(key)
-        if got is None:
-            rat = restricted_ratio_extremes(sys, proj, m, n, p)
-            rp = rat.ratio_p.logmag if rat.ratio_p.sign != 0 else -math.inf
-            rq = rat.ratio_q.logmag if rat.ratio_q.sign != 0 else -math.inf
-            got = (rp, rq)
-            memo[key] = got
-        rp, rq = got
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = _ratio_logs(restricted_ratio_extremes(sys, proj, m, n, p))
+            rp, rq = got
         gap = alpha * (m - n)
         slack_p = _slack(cert.r_p_log(n), ladd(gap, rp) if rp != -math.inf else -math.inf)
         slack_q = _slack(cert.r_q_log(m), ladd(gap, rq) if rq != -math.inf else -math.inf)
@@ -342,7 +355,11 @@ def verify_triplet_form(
             bad = rp if side == "P" else rq
             offset = cert.scale_offset_p(n) if side == "P" else cert.scale_offset_q(m)
             required = lsub(ladd(gap, bad), offset)
-            direction = _triplet_direction(sys, proj, m, n, p, side)
+            if row is None:
+                direction = _triplet_direction(sys, proj, m, n, p, side)
+            else:
+                ext = row.extremes(m if side == "P" else n)
+                direction = (ext.direction_p if side == "P" else ext.direction_q) or ()
             return VerificationOutcome(
                 False,
                 Witness(m, n, direction, LogScalar.from_log(required), side=side),
@@ -352,25 +369,26 @@ def verify_triplet_form(
     return VerificationOutcome(True, None, checked, min_slack)
 
 
+def _ratio_logs(rat) -> tuple[LogMag, LogMag]:
+    return tuple(r.logmag if r.sign != 0 else -math.inf for r in (rat.ratio_p, rat.ratio_q))
+
+
 def _triplet_direction(sys, proj, m, n, p, side) -> tuple[float, ...]:
-    if sys.is_diagonal:
-        mask = proj.mask(p)
-        best, best_idx = None, None
-        for i in range(sys.dim):
-            if mask[i] != (side == "P"):
-                continue
-            num = abs(sys.diag_factor(i, m, p) if side == "P" else sys.diag_factor(i, n, p))
-            den = abs(sys.diag_factor(i, n, p) if side == "P" else sys.diag_factor(i, m, p))
-            if den.is_zero:
-                continue
-            r = num / den
-            if best is None or r > best:
-                best, best_idx = r, i
-        if best_idx is None:
-            return ()
-        return tuple(1.0 if j == best_idx else 0.0 for j in range(sys.dim))
-    ext = restricted_extremes(sys, proj, m if side == "P" else n, p)
-    return (ext.direction_p if side == "P" else ext.direction_q) or ()
+    mask = proj.mask(p)
+    best, best_idx = None, None
+    for i in range(sys.dim):
+        if mask[i] != (side == "P"):
+            continue
+        num = abs(sys.diag_factor(i, m, p) if side == "P" else sys.diag_factor(i, n, p))
+        den = abs(sys.diag_factor(i, n, p) if side == "P" else sys.diag_factor(i, m, p))
+        if den.is_zero:
+            continue
+        r = num / den
+        if best is None or r > best:
+            best, best_idx = r, i
+    if best_idx is None:
+        return ()
+    return tuple(1.0 if j == best_idx else 0.0 for j in range(sys.dim))
 
 
 def optimal_N_for_alpha(
@@ -392,7 +410,7 @@ def optimal_N_for_alpha(
             if cand > best:
                 best = cand
         return LogScalar.from_log(best)
-    ext = _PairExtremes(sys, proj)
+    ext = _PairExtremes(sys, proj, window)
     for n, m in window.pairs():
         gap = alpha * (m - n)
         g, h = ext.logs(n, m)
@@ -437,7 +455,7 @@ class _PairTable:
     """Flat per-pair arrays for grid sweeps of dense systems (float64)."""
 
     def __init__(self, sys, proj, window: WindowSpec):
-        ext = _PairExtremes(sys, proj)
+        ext = _PairExtremes(sys, proj, window)
         ns, ms, gs, hs = [], [], [], []
         for n, m in window.pairs():
             g, h = ext.logs(n, m)
@@ -682,7 +700,7 @@ def minimal_ned_profile(
                 if need > raw[k]:
                     raw[k] = need
     else:
-        ext = _PairExtremes(sys, proj)
+        ext = _PairExtremes(sys, proj, window)
         for n, m in window.pairs():
             gap = alpha * (m - n)
             g, h = ext.logs(n, m)
@@ -750,18 +768,16 @@ def _vector_parts(sys, proj, m, n, x):
                 qx = max(qx, xi)
                 aq = max(aq, lam)
         return ap, qx, px, aq
-    from .system import _dense_product  # local import to keep the surface small
-
-    xv = np.asarray(x, dtype=float)
-    p = proj.matrix(n)
-    q = proj.complement_matrix(n)
-    evo = _dense_product(sys, m, n)
-    return (
-        LogScalar.from_float(float(np.linalg.norm(evo @ (p @ xv)))),
-        LogScalar.from_float(float(np.linalg.norm(q @ xv))),
-        LogScalar.from_float(float(np.linalg.norm(p @ xv))),
-        LogScalar.from_float(float(np.linalg.norm(evo @ (q @ xv)))),
-    )
+    sweeps = _DenseSweeps(sys, proj, n, m)
+    norms = []
+    for part, mat in (("P", proj.matrix(n)), ("Q", proj.complement_matrix(n))):
+        start = mat @ np.asarray(x, dtype=float)
+        images = sweeps.sweep(part, start[:, None], n)
+        if len(images) <= m - n:
+            raise _overflow(n, n + len(images))
+        norms.append((float(np.linalg.norm(start)), float(np.linalg.norm(images[-1]))))
+    (px, ap), (qx, aq) = norms
+    return tuple(LogScalar.from_float(v) for v in (ap, qx, px, aq))
 
 
 def falsify(
@@ -865,9 +881,11 @@ def default_alpha_grid(
     count: int = 32,
 ) -> list[float]:
     """Log-spaced decay rates up to a one-pair spectral-gap estimate."""
-    ext = _PairExtremes(sys, proj)
+    ends = {window.m_max, max(window.n_min + 1, window.m_max - 1)}
+    # a one-index window still reads the pair (n_min + 1, n_min)
+    ext = _PairExtremes(sys, proj, WindowSpec(window.n_min, max(ends)))
     alpha_max = 0.0
-    for m in {window.m_max, max(window.n_min + 1, window.m_max - 1)}:
+    for m in ends:
         if m <= window.n_min:
             continue
         g, h = ext.logs(window.n_min, m)

@@ -10,6 +10,7 @@ Exit status: 0 verdict holds / claims reproduced / estimate stable,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -424,9 +425,15 @@ def _run_gallery_claims(args) -> int:
     return 0 if all_ok else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: every default is immutable and the gallery
+    # names are fixed, so parsing leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     runner = {
         "verify": _run_verify,
         "estimate": _run_estimate,

@@ -54,18 +54,22 @@ _FRACTION = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
 def parse_number(token: str, line: int | None = None, field: str | None = None) -> float:
     """Parse a plain float, a fraction p/q, or an exponential e^x."""
     text = token.strip()
-    if text.startswith("e^"):
-        inner = text[2:].strip()
-        if inner.startswith("{") and inner.endswith("}"):
-            inner = inner[1:-1].strip()
-        return math.exp(parse_number(inner, line, field))
-    got = _FRACTION.match(text)
-    if got:
-        return float(Fraction(int(got.group(1)), int(got.group(2))))
     try:
-        return float(text)
+        return float(text)  # the common spelling; float() rejects the other two
     except ValueError:
-        raise ConfigError(f"cannot parse number {token!r}", line, field) from None
+        pass
+    try:
+        if text.startswith("e^"):
+            inner = text[2:].strip()
+            if inner.startswith("{") and inner.endswith("}"):
+                inner = inner[1:-1].strip()
+            return math.exp(parse_number(inner, line, field))
+        got = _FRACTION.match(text)
+        if got:
+            return float(Fraction(int(got.group(1)), int(got.group(2))))
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"cannot parse number {token!r}", line, field) from None
 
 
 def parse_window(text: str) -> WindowSpec:

@@ -41,8 +41,10 @@ from .system import (
     DEFAULT_TOL_COMPAT,
     ProjectionFamily,
     SystemDescription,
-    check_compatibility,
+    _DenseSweeps,
+    _log_values,
     _range_basis,
+    check_compatibility,
 )
 
 DEFAULT_LOG_TOL = 1e-9
@@ -153,8 +155,9 @@ def _seed_directions(sys, proj, part: str, ref_index: int):
     return [(tuple(float(v) for v in basis[:, j]), None) for j in range(basis.shape[1])]
 
 
-def _traj_lognorms(sys, vec, coord, seed: int, upto: int) -> list[LogMag]:
-    """log |A(j, seed) x| for j = seed..upto (index j - seed in the list)."""
+def _traj_lognorms(sys, proj, part, vec, coord, seed: int, upto: int) -> list[LogMag]:
+    """log |A(j, seed) x| for j = seed..upto (index j - seed in the list);
+    a dense x must lie in range P(seed) (part "P") or Q(seed) (part "Q")."""
     if sys.is_diagonal:
         active = [
             (i, math.log(abs(vec[i]))) for i in range(sys.dim) if vec[i] != 0.0
@@ -171,20 +174,43 @@ def _traj_lognorms(sys, vec, coord, seed: int, upto: int) -> list[LogMag]:
                     best = cand
             out.append(best)
         return out
-    y = np.asarray(vec, dtype=float)
-    out = []
-    for j in range(seed, upto + 1):
-        if j > seed:
-            with np.errstate(over="ignore", invalid="ignore"):
-                y = sys.coefficient(j) @ y
-            if not np.all(np.isfinite(y)):
-                raise DenseOverflowError(
-                    f"trajectory from {seed} overflows doubles at {j}; "
-                    "declare the system in diagonal closed form"
-                )
-        nrm = float(np.linalg.norm(y))
-        out.append(math.log(nrm) if nrm > 0 else -math.inf)
-    return out
+    block = np.asarray(vec, dtype=float)[:, None]
+    return _dense_lognorms(_DenseSweeps(sys, proj, seed, upto), part, block, seed)[0]
+
+
+def _dense_lognorms(sweeps, part: str, block, seed: int) -> list[list[LogMag]]:
+    """Per column of ``block``: log |A(j, seed) column| for j = seed..hi of
+    ``sweeps``, from one kernel sweep of the whole block."""
+    images = sweeps.sweep(part, block, seed)
+    if len(images) <= sweeps.hi - seed:
+        raise DenseOverflowError(
+            f"trajectory from {seed} overflows doubles at {seed + len(images)}; "
+            "declare the system in diagonal closed form"
+        )
+    return [_log_values(col) for col in np.linalg.norm(images, axis=1).T]
+
+
+def _trajectories(sys, proj, part: str, window: WindowSpec, upto: int):
+    """(direction, seed -> log-norm trajectory up to ``upto``) for each seed
+    direction of the range; on a dense system one sweep of the whole range
+    basis per seed serves every direction."""
+    directions = _seed_directions(sys, proj, part, window.n_min)
+    if sys.is_diagonal:
+        return [
+            (direction, lambda seed, direction=direction, coord=coord:
+                _traj_lognorms(sys, proj, part, direction, coord, seed, upto))
+            for direction, coord in directions
+        ]
+    sweeps = _DenseSweeps(sys, proj, window.n_min, upto)
+    block = np.array([direction for direction, _ in directions]).reshape(-1, sys.dim).T
+    norms = {
+        seed: _dense_lognorms(sweeps, part, block, seed)
+        for seed in range(window.n_min, window.m_max + 1)
+    }
+    return [
+        (direction, lambda seed, j=j: norms[seed][j])
+        for j, (direction, _) in enumerate(directions)
+    ]
 
 
 def _suffix_weighted(traj: list[LogMag], d: float) -> list[LogMag]:
@@ -219,10 +245,9 @@ def projected_sum(
     if sys.is_diagonal:
         mask = proj.mask(seed_time)
         px = [v if mask[i] else 0.0 for i, v in enumerate(vec)]
-        traj = _traj_lognorms(sys, px, None, seed_time, stop)
     else:
         px = proj.matrix(seed_time) @ np.asarray(vec, dtype=float)
-        traj = _traj_lognorms(sys, px, None, seed_time, stop)
+    traj = _traj_lognorms(sys, proj, "P", px, None, seed_time, stop)
     terms = [
         ladd(traj[j - seed_time], d * (j - weight_origin)) for j in range(start, stop + 1)
     ]
@@ -272,7 +297,7 @@ def datko_lhs(
         tail = LogScalar.zero()
     else:
         tail_log = ladd(
-            ladd(_majorant_log(cert, n), anchor.logmag),
+            ladd(cert.r_p_log(n), anchor.logmag),
             (d - cert.alpha) * (m_trunc + 1 - n) + log_geom,
         )
         tail = LogScalar.from_log(tail_log)
@@ -282,19 +307,11 @@ def datko_lhs(
         qx = [v if not mask[i] else 0.0 for i, v in enumerate(vec)]
     else:
         qx = proj.complement_matrix(n) @ np.asarray(vec, dtype=float)
-    q_traj = _traj_lognorms(sys, qx, None, n, m)
+    q_traj = _traj_lognorms(sys, proj, "Q", qx, None, n, m)
     acc: LogMag = -math.inf
     for k in range(n, m + 1):
         acc = logaddexp_mag(acc, ladd(q_traj[k - n], d * (m - k)))
     return p_sum, LogScalar.from_log(acc), tail
-
-
-def _majorant_log(cert: DichotomyCertificate, n: int) -> LogMag:
-    if cert.kind is Kind.NED:
-        return cert.profile.log_at(n)
-    if cert.kind is Kind.UED:
-        return cert.log_n()
-    return cert.log_n() + cert.beta * n
 
 
 # -- the three verifiers -----------------------------------------------------
@@ -405,23 +422,21 @@ def _run_summation(
         -math.log1p(-math.exp(d - cert.alpha)) if cert is not None else None
     )
     reports = []
-    for direction, coord in _seed_directions(sys, proj, "P", window.n_min):
+    for direction, traj in _trajectories(sys, proj, "P", window, m_trunc):
         reports.append(
             _p_side_report(
-                sys, proj, window, m_trunc, cert, tol, form, d, w_p,
-                p_sum_from_m, c, direction, coord, log_geom,
+                window, m_trunc, cert, tol, form, d, w_p,
+                p_sum_from_m, c, direction, traj, log_geom,
             )
         )
-    for direction, coord in _seed_directions(sys, proj, "Q", window.n_min):
-        reports.append(
-            _q_side_report(sys, window, tol, form, d, w_q, c, direction, coord)
-        )
+    for direction, traj in _trajectories(sys, proj, "Q", window, window.m_max):
+        reports.append(_q_side_report(window, tol, form, d, w_q, c, direction, traj))
     return reports
 
 
 def _p_side_report(
-    sys, proj, window, m_trunc, cert, tol, form, d, w_p,
-    p_sum_from_m, c, direction, coord, log_geom,
+    window, m_trunc, cert, tol, form, d, w_p,
+    p_sum_from_m, c, direction, trajectory, log_geom,
 ):
     worst_slack = math.inf
     worst = None
@@ -431,7 +446,7 @@ def _p_side_report(
     any_violated = False
     any_inconclusive = False
     for seed in range(window.n_min, window.m_max + 1):
-        traj = _traj_lognorms(sys, list(direction), coord, seed, m_trunc)
+        traj = trajectory(seed)
         suffix = _suffix_weighted(traj, d)
 
         def point(check_at: int, triple: tuple[int, int, int]):
@@ -444,7 +459,7 @@ def _p_side_report(
             rhs = ladd(w_p(check_at), anchor) if anchor != -math.inf else -math.inf
             if cert is not None and anchor != -math.inf:
                 tail_log = ladd(
-                    ladd(_majorant_log(cert, check_at), anchor),
+                    ladd(cert.r_p_log(check_at), anchor),
                     (d - cert.alpha) * (m_trunc + 1 - check_at) + log_geom,
                 )
             elif anchor == -math.inf:
@@ -495,14 +510,14 @@ def _p_side_report(
     )
 
 
-def _q_side_report(sys, window, tol, form, d, w_q, c, direction, coord):
+def _q_side_report(window, tol, form, d, w_q, c, direction, trajectory):
     worst_slack = math.inf
     worst = None
     worst_vals = None
     checked = 0
     any_violated = False
     for n in range(window.n_min, window.m_max + 1):
-        traj = _traj_lognorms(sys, list(direction), coord, n, window.m_max)
+        traj = trajectory(n)
         acc: LogMag = -math.inf
         for m in range(n, window.m_max + 1):
             rel = m - n

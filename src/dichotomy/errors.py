@@ -21,6 +21,10 @@ class DenseOverflowError(DichotomyError):
     """
 
 
+class InvalidProjectionError(DichotomyError):
+    """A projection matrix has a non-finite entry."""
+
+
 class IncompatibleProjectionError(DichotomyError):
     """The projection family does not commute with the dynamics on the window."""
 

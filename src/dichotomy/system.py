@@ -29,6 +29,7 @@ from .errors import (
     DenseOverflowError,
     IncompatibleProjectionError,
     IndexOrderError,
+    InvalidProjectionError,
     OutOfRangeError,
 )
 from .logscalar import LogMag, LogScalar, ladd, lsub
@@ -91,11 +92,10 @@ class SystemDescription:
         if not self.is_diagonal and norm != "spectral":
             raise ValueError("dense systems use the spectral norm")
         self.norm = norm
-        # per-coordinate prefix data (diagonal) or product memo (dense)
+        # per-coordinate prefix data (diagonal systems)
         self._prefix_mag: list[list[LogMag]] | None = None
         self._prefix_neg: list[list[int]] | None = None
         self._prefix_zero: list[list[int]] | None = None
-        self._dense_cache: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def is_diagonal(self) -> bool:
@@ -199,24 +199,19 @@ def evolution(sys: SystemDescription, m: int, n: int) -> EvolutionOperator:
 
 
 def _dense_product(sys: SystemDescription, m: int, n: int) -> np.ndarray:
-    # memoized left extension: product(k, n) = A(k) @ product(k-1, n), swept
-    # forward from the largest cached horizon so long windows never recurse
-    if m == n:
-        return np.eye(sys.dim)
-    cache = sys._dense_cache
-    start = m
-    while start > n and (start, n) not in cache:
-        start -= 1
-    result = cache[(start, n)] if start > n else np.eye(sys.dim)
-    for k in range(start + 1, m + 1):
+    result = np.eye(sys.dim)
+    for k in range(n + 1, m + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             result = sys.coefficient(k) @ result
         if not np.all(np.isfinite(result)):
-            raise DenseOverflowError(
-                f"product over ({n}, {k}] overflows doubles; declare the system in diagonal closed form"
-            )
-        cache[(k, n)] = result
+            raise _overflow(n, k)
     return result
+
+
+def _overflow(n: int, k: int) -> DenseOverflowError:
+    return DenseOverflowError(
+        f"product over ({n}, {k}] overflows doubles; declare the system in diagonal closed form"
+    )
 
 
 class ProjectionFamily:
@@ -245,7 +240,7 @@ class ProjectionFamily:
             if callable(matrix):
                 self._matrix = matrix
             else:
-                fixed_m = np.asarray(matrix, dtype=float)
+                fixed_m = _finite(np.asarray(matrix, dtype=float))
                 if fixed_m.shape != (dim, dim):
                     raise ValueError("projection matrix must be dim x dim")
                 self._matrix = lambda n: fixed_m
@@ -265,7 +260,7 @@ class ProjectionFamily:
     def matrix(self, n: int) -> np.ndarray:
         if self._mask is not None:
             return np.diag([1.0 if b else 0.0 for b in self.mask(n)])
-        return np.asarray(self._matrix(n), dtype=float)
+        return _finite(np.asarray(self._matrix(n), dtype=float))
 
     def complement_matrix(self, n: int) -> np.ndarray:
         return np.eye(self.dim) - self.matrix(n)
@@ -281,6 +276,12 @@ class ProjectionFamily:
             d = self.idempotence_defect(n)
             if d > tol:
                 raise ValueError(f"projection at n={n} fails idempotence by {d:.3e}")
+
+
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(matrix)):
+        raise InvalidProjectionError("non-finite entry in a projection matrix")
+    return matrix
 
 
 def _require_mask_for_diagonal(sys: SystemDescription, proj: ProjectionFamily) -> None:
@@ -392,7 +393,9 @@ def restricted_extremes(
     """Extreme restricted magnitudes of the evolution operator at (m, n).
 
     With ``strict=True`` a trivial Q range raises DegenerateRangeError
-    instead of signalling through the +inf convention.
+    instead of signalling through the +inf convention. Dense systems are
+    swept with re-projection, which assumes the family is compatible with
+    the dynamics on [n, m] (``check_compatibility``).
     """
     sys.check_pair(m, n)
     if sys.is_diagonal:
@@ -416,23 +419,10 @@ def restricted_extremes(
                 gain, dir_q = mag, _unit(sys.dim, i)
         return RestrictedExtremes(growth, gain, dir_p, dir_q)
 
-    evo = _dense_product(sys, m, n)
-    bp = _range_basis(proj.matrix(n))
-    bq = _range_basis(proj.complement_matrix(n))
-    if strict and bq.shape[1] == 0:
+    sweeps = _DenseSweeps(sys, proj, n, m)
+    if strict and sweeps.bases(n)[1].shape[1] == 0:
         raise DegenerateRangeError("Q range is trivial at this index")
-    growth, dir_p = LogScalar.zero(), None
-    if bp.shape[1] > 0:
-        _, s, vt = np.linalg.svd(evo @ bp)
-        growth = LogScalar.from_float(float(s[0]))
-        dir_p = tuple(float(x) for x in bp @ vt[0])
-    gain, dir_q = LogScalar.positive_infinity(), None
-    if bq.shape[1] > 0:
-        _, s, vt = np.linalg.svd(evo @ bq)
-        k = bq.shape[1]
-        gain = LogScalar.from_float(float(s[k - 1]))
-        dir_q = tuple(float(x) for x in bq @ vt[k - 1])
-    return RestrictedExtremes(growth, gain, dir_p, dir_q)
+    return sweeps.row(n).extremes(m)
 
 
 def _unit(dim: int, i: int) -> tuple[float, ...]:
@@ -454,6 +444,8 @@ class RatioExtremes:
 def restricted_ratio_extremes(
     sys: SystemDescription, proj: ProjectionFamily, m: int, n: int, p: int
 ) -> RatioExtremes:
+    """Ratio extremes seeded at p; dense systems assume compatibility on
+    [p, m], as in ``restricted_extremes``."""
     if not (m >= n >= p >= 0):
         raise IndexOrderError(f"need m >= n >= p >= 0, got ({m}, {n}, {p})")
     sys.check_pair(m, p)
@@ -481,13 +473,7 @@ def restricted_ratio_extremes(
             ratio_q = max(ratio_q, num / den)
         return RatioExtremes(ratio_p, ratio_q)
 
-    bp = _range_basis(proj.matrix(p))
-    bq = _range_basis(proj.complement_matrix(p))
-    evo_m = _dense_product(sys, m, p)
-    evo_n = _dense_product(sys, n, p)
-    ratio_p = _sup_ratio(evo_m @ bp, evo_n @ bp) if bp.shape[1] else LogScalar.zero()
-    ratio_q = _sup_ratio(evo_n @ bq, evo_m @ bq) if bq.shape[1] else LogScalar.zero()
-    return RatioExtremes(ratio_p, ratio_q)
+    return _DenseSweeps(sys, proj, p, m).row(p).ratios(m, n)
 
 
 def _sup_ratio(num: np.ndarray, den: np.ndarray) -> LogScalar:
@@ -506,3 +492,114 @@ def _sup_ratio(num: np.ndarray, den: np.ndarray) -> LogScalar:
     eigs = np.linalg.eigvalsh(0.5 * (pencil + pencil.T))
     top = max(0.0, float(eigs[-1]))
     return LogScalar.from_float(math.sqrt(top))
+
+
+class _DenseSweeps:
+    """The dense pair-extreme kernel: restricted images swept forward.
+
+    Under compatibility A(m, n) P(n) = P(m) A(m) P(m-1) ... A(n+1) P(n), so
+    the image of range P(n) at time k is X_k = P(k) A(k) X_{k-1}, started
+    from a basis X_n of range P(n); likewise for Q. The re-projection
+    changes nothing in exact arithmetic. In doubles it keeps the rounding
+    that leaks into the other range from growing with that range's dynamics,
+    which would otherwise swamp a contracting P side next to an expanding Q
+    side. The projected coefficients of [lo, hi] are formed once, and the
+    range bases once per distinct projection matrix.
+    """
+
+    def __init__(self, sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):
+        sys.check_pair(hi, lo)
+        self.lo, self.hi = lo, hi
+        self.projections = np.array([proj.matrix(k) for k in range(lo, hi + 1)])
+        coeffs = np.array([sys.coefficient(k) for k in range(lo, hi + 1)])
+        pa = self.projections @ coeffs
+        self.steps = {"P": pa, "Q": coeffs - pa}
+        self._bases: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def bases(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal bases of ranges P(n) and Q(n)."""
+        p = self.projections[n - self.lo]
+        key = p.tobytes()
+        if key not in self._bases:
+            self._bases[key] = (_range_basis(p), _range_basis(np.eye(len(p)) - p))
+        return self._bases[key]
+
+    def sweep(self, part: str, start: np.ndarray, n: int) -> np.ndarray:
+        """Images of the columns of ``start`` (a block in range P(n) or Q(n),
+        ``part`` "P" or "Q") at k = n..hi, entry k - n of one stack, cut
+        before the first index whose image is not finite."""
+        steps, lo = self.steps[part], self.lo
+        out = np.empty((self.hi - n + 1, *start.shape))
+        out[0] = start
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n + 1, self.hi + 1):
+                np.matmul(steps[k - lo], out[k - n - 1], out=out[k - n])
+        finite = np.isfinite(out).all(axis=(1, 2))
+        return out if finite.all() else out[: int(np.argmin(finite))]
+
+    def row(self, n: int) -> "_DenseRow":
+        return _DenseRow(self, n)
+
+
+class _DenseRow:
+    """Restricted images of ranges P(n) and Q(n) from n up to ``end``, the
+    last index at which both are finite; an overflow ends the row, and only
+    a request beyond its end raises."""
+
+    def __init__(self, sweeps: _DenseSweeps, n: int):
+        self.n = n
+        self.bp, self.bq = sweeps.bases(n)
+        xs = sweeps.sweep("P", self.bp, n)
+        ys = sweeps.sweep("Q", self.bq, n)
+        size = min(len(xs), len(ys))
+        self.xs, self.ys = xs[:size], ys[:size]
+        self.end = n + size - 1
+        self._logs: tuple[list[float], list[float]] | None = None
+
+    def _at(self, m: int) -> int:
+        if m > self.end:
+            raise _overflow(self.n, self.end + 1)
+        return m - self.n
+
+    def logs(self, m: int) -> tuple[float, float]:
+        """(log growth_P, log min_gain_Q) at (m, n); -inf / +inf mark trivial
+        ranges. The first request takes the singular values of the whole row
+        in one batched call per side."""
+        i = self._at(m)
+        if self._logs is None:
+            size = len(self.xs)
+            growth = [-math.inf] * size
+            gain = [math.inf] * size
+            if self.bp.shape[1]:
+                growth = _log_values(np.linalg.svd(self.xs, compute_uv=False)[:, 0])
+            if self.bq.shape[1]:
+                gain = _log_values(np.linalg.svd(self.ys, compute_uv=False)[:, -1])
+            self._logs = growth, gain
+        return self._logs[0][i], self._logs[1][i]
+
+    def extremes(self, m: int) -> RestrictedExtremes:
+        """Restricted extremes at (m, n) with their extremal directions."""
+        i = self._at(m)
+        growth, dir_p = LogScalar.zero(), None
+        if self.bp.shape[1]:
+            _, s, vt = np.linalg.svd(self.xs[i])
+            growth = LogScalar.from_float(float(s[0]))
+            dir_p = tuple(float(x) for x in self.bp @ vt[0])
+        gain, dir_q = LogScalar.positive_infinity(), None
+        if self.bq.shape[1]:
+            _, s, vt = np.linalg.svd(self.ys[i])
+            k = self.bq.shape[1]
+            gain = LogScalar.from_float(float(s[k - 1]))
+            dir_q = tuple(float(x) for x in self.bq @ vt[k - 1])
+        return RestrictedExtremes(growth, gain, dir_p, dir_q)
+
+    def ratios(self, m: int, k: int) -> RatioExtremes:
+        """Ratio extremes between horizons k <= m, seeded at n."""
+        i, j = self._at(m), k - self.n
+        ratio_p = _sup_ratio(self.xs[i], self.xs[j]) if self.bp.shape[1] else LogScalar.zero()
+        ratio_q = _sup_ratio(self.ys[j], self.ys[i]) if self.bq.shape[1] else LogScalar.zero()
+        return RatioExtremes(ratio_p, ratio_q)
+
+
+def _log_values(values: np.ndarray) -> list[float]:
+    return [math.log(v) if v > 0 else -math.inf for v in values.tolist()]

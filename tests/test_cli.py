@@ -322,3 +322,46 @@ matrix = 1,0; 0,0
     assert "Traceback" not in proc.stderr
     report = json.loads((tmp_path / "d.json").read_text())
     assert report["error"]["type"] == "DenseOverflowError"
+
+
+def test_non_finite_projection_is_reported(tmp_path):
+    for entry in ("nan", "inf"):
+        path = tmp_path / f"{entry}.cfg"
+        path.write_text(
+            f"""
+[system]
+dim = 2
+source = explicit
+A0 = 1,0; 0,1
+A1 = 2,0; 0,1
+
+[projection]
+matrix = {entry},0; 0,0
+""",
+            encoding="utf-8",
+        )
+        for command in (
+            ["verify", "--cert", "UED:N=1,alpha=0.1"],
+            ["estimate", "--kind", "ued"],
+        ):
+            report = tmp_path / f"{entry}-{command[0]}.json"
+            proc = run_cli(
+                *command, "--system", str(path), "--window", "0..1", "--report", str(report)
+            )
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            error = json.loads(report.read_text())["error"]
+            assert error["type"] == "InvalidProjectionError"
+
+
+def test_repeated_in_process_runs_do_not_share_arguments(tmp_path, capsys):
+    from dichotomy.cli import main
+
+    argv = ["verify", "--gallery", "ued_example", "--cert", "UED:N=1,alpha=0.5",
+            "--window", "0..4"]
+    assert main(argv + ["--triplet"]) == 0
+    triplet = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    pair = json.loads(capsys.readouterr().out)
+    assert triplet["window"]["triplet"] and not pair["window"]["triplet"]
+    assert pair["result"]["pairs_checked"] == 15

@@ -13,18 +13,23 @@ from dichotomy.config import (
 
 
 def test_number_grammar():
+    # every documented spelling, to the bit
     assert parse_number("0.5") == 0.5
     assert parse_number("-2") == -2.0
+    assert parse_number("1e-3") == 0.001
     assert parse_number("1/2") == 0.5
     assert parse_number("-3/2") == -1.5
-    assert parse_number("e^1") == pytest.approx(math.e)
-    assert parse_number("e^-4") == pytest.approx(math.exp(-4))
-    assert parse_number("e^{-3/2}") == pytest.approx(math.exp(-1.5))
-    assert parse_number("e^0.25") == pytest.approx(math.exp(0.25))
-    with pytest.raises(ConfigError):
-        parse_number("two")
-    with pytest.raises(ConfigError):
-        parse_number("e^wat")
+    assert parse_number("e^1") == math.exp(1)
+    assert parse_number("e^-4") == math.exp(-4)
+    assert parse_number("e^{-3/2}") == math.exp(-1.5)
+    assert parse_number("e^0.25") == math.exp(0.25)
+    assert parse_number("  0.5 ") == 0.5
+    assert parse_number(" 1 / 2 ") == 0.5
+    assert parse_number(" e^ { -3/2 } ") == math.exp(-1.5)
+    # junk, a zero denominator and an overflowing exponential are errors
+    for bad in ("two", "e^wat", "", "1/2/3", "1/0", "e^1000"):
+        with pytest.raises(ConfigError):
+            parse_number(bad)
 
 
 def test_window_grammar():

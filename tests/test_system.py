@@ -246,14 +246,14 @@ def test_dense_products_detect_overflow():
 
 
 def test_long_dense_products_do_not_recurse():
-    # a rotation keeps every product finite; a fresh system has no memo to
-    # shorten the sweep, so all 2500 steps are taken at once
+    # a rotation keeps every product finite; all 2500 steps are taken in one
+    # forward loop
     c, s = math.cos(0.01), math.sin(0.01)
     sys_ = SystemDescription(2, ExplicitSequence([np.array([[c, -s], [s, c]])] * 2501))
     got = evolution(sys_, 2500, 0).to_dense()
     c, s = math.cos(25.0), math.sin(25.0)
     assert np.allclose(got, [[c, -s], [s, c]], atol=1e-9)
-    # extending a cached product reuses it
+    # the product from 1 is the one from 0 without its first factor
     assert np.allclose(evolution(sys_, 2500, 1).to_dense(), got @ np.linalg.inv(
         np.array([[math.cos(0.01), -math.sin(0.01)], [math.sin(0.01), math.cos(0.01)]])
     ), atol=1e-9)
