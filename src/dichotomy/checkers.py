@@ -45,11 +45,8 @@ from .system import (
     DEFAULT_TOL_COMPAT,
     ProjectionFamily,
     SystemDescription,
-    _DenseSweeps,
-    _overflow,
+    _sweeps,
     check_compatibility,
-    restricted_extremes,
-    restricted_ratio_extremes,
 )
 
 DEFAULT_LOG_TOL = 1e-9
@@ -76,56 +73,24 @@ def _slack(rhs_log: LogMag, lhs_log: LogMag) -> float:
 
 
 class _PairExtremes:
-    """Growth/min-gain log-magnitudes per pair (n, m): memoized per pair for
-    diagonal systems; dense systems keep one kernel row of the window."""
+    """Growth/min-gain log-magnitudes per pair (n, m) of a window, from the
+    system's kernel one row at a time."""
 
-    def __init__(self, sys: SystemDescription, proj: ProjectionFamily,
-                 window: WindowSpec | None = None):
-        self.sys = sys
-        self.proj = proj
-        self._cache: dict[tuple[int, int], tuple[LogMag, LogMag]] = {}
-        if not sys.is_diagonal:
-            self._sweeps = _DenseSweeps(sys, proj, window.n_min, window.m_max)
+    def __init__(self, sys: SystemDescription, proj: ProjectionFamily, window: WindowSpec):
+        self._sweeps = _sweeps(sys, proj, window.n_min, window.m_max)
         self._row = None
 
-    def _dense_row(self, n: int):
+    def _at(self, n: int):
         if self._row is None or self._row.n != n:
             self._row = self._sweeps.row(n)
         return self._row
 
     def logs(self, n: int, m: int) -> tuple[LogMag, LogMag]:
         """(log growth_P, log min_gain_Q); -inf / +inf mark trivial ranges."""
-        if not self.sys.is_diagonal:
-            return self._dense_row(n).logs(m)
-        key = (n, m)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        mask = self.proj.mask(n)
-        g: LogMag = -math.inf
-        for i in range(self.sys.dim):
-            if not mask[i]:
-                continue
-            v = self.sys.diag_factor(i, m, n)
-            cand = v.logmag if v.sign != 0 else -math.inf
-            if g == -math.inf or cand > g:
-                g = cand
-        h: LogMag = math.inf
-        for i in range(self.sys.dim):
-            if mask[i]:
-                continue
-            v = self.sys.diag_factor(i, m, n)
-            cand = v.logmag if v.sign != 0 else -math.inf
-            if h == math.inf or cand < h:
-                h = cand
-        self._cache[key] = (g, h)
-        return g, h
+        return self._at(n).logs(m)
 
     def directions(self, n: int, m: int) -> tuple[tuple[float, ...] | None, tuple[float, ...] | None]:
-        if self.sys.is_diagonal:
-            ext = restricted_extremes(self.sys, self.proj, m, n)
-        else:
-            ext = self._dense_row(n).extremes(m)
+        ext = self._at(n).extremes(m)
         return ext.direction_p, ext.direction_q
 
 
@@ -319,31 +284,16 @@ def verify_triplet_form(
     cert.validate(window)
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
     alpha = cert.alpha
-    memo: dict[tuple, tuple[LogMag, LogMag]] = {}
-    zeros = sys.diag_prefix(window.m_max)[1] if sys.is_diagonal else None
-    # dense systems: one kernel row per p, the outer loop
-    sweeps = None if sys.is_diagonal else _DenseSweeps(sys, proj, window.n_min, window.m_max)
+    # one kernel row per p, the outer loop
+    kernel = _sweeps(sys, proj, window.n_min, window.m_max)
     row = None
-    seed_at, seed = None, None
     min_slack = math.inf
     checked = 0
     for p, n, m in window.triplets():
         checked += 1
-        if sweeps is not None:
-            if row is None or row.n != p:
-                row = sweeps.row(p)
-            rp, rq = _ratio_logs(row.ratios(m, n))
-        else:
-            # a diagonal ratio depends on p only through the mask at p and
-            # the coordinates that no zero factor annihilates on (p, n]
-            if seed_at != (p, n):
-                seed_at = (p, n)
-                seed = (proj.mask(p), tuple(z[n] == z[p] for z in zeros))
-            key = (n, m, seed)
-            got = memo.get(key)
-            if got is None:
-                got = memo[key] = _ratio_logs(restricted_ratio_extremes(sys, proj, m, n, p))
-            rp, rq = got
+        if row is None or row.n != p:
+            row = kernel.row(p)
+        rp, rq = _ratio_logs(row.ratios(m, n))
         gap = alpha * (m - n)
         slack_p = _slack(cert.r_p_log(n), ladd(gap, rp) if rp != -math.inf else -math.inf)
         slack_q = _slack(cert.r_q_log(m), ladd(gap, rq) if rq != -math.inf else -math.inf)
@@ -355,14 +305,10 @@ def verify_triplet_form(
             bad = rp if side == "P" else rq
             offset = cert.scale_offset_p(n) if side == "P" else cert.scale_offset_q(m)
             required = lsub(ladd(gap, bad), offset)
-            if row is None:
-                direction = _triplet_direction(sys, proj, m, n, p, side)
-            else:
-                ext = row.extremes(m if side == "P" else n)
-                direction = (ext.direction_p if side == "P" else ext.direction_q) or ()
             return VerificationOutcome(
                 False,
-                Witness(m, n, direction, LogScalar.from_log(required), side=side),
+                Witness(m, n, row.triplet_direction(m, n, side), LogScalar.from_log(required),
+                        side=side),
                 checked,
                 worse,
             )
@@ -371,24 +317,6 @@ def verify_triplet_form(
 
 def _ratio_logs(rat) -> tuple[LogMag, LogMag]:
     return tuple(r.logmag if r.sign != 0 else -math.inf for r in (rat.ratio_p, rat.ratio_q))
-
-
-def _triplet_direction(sys, proj, m, n, p, side) -> tuple[float, ...]:
-    mask = proj.mask(p)
-    best, best_idx = None, None
-    for i in range(sys.dim):
-        if mask[i] != (side == "P"):
-            continue
-        num = abs(sys.diag_factor(i, m, p) if side == "P" else sys.diag_factor(i, n, p))
-        den = abs(sys.diag_factor(i, n, p) if side == "P" else sys.diag_factor(i, m, p))
-        if den.is_zero:
-            continue
-        r = num / den
-        if best is None or r > best:
-            best, best_idx = r, i
-    if best_idx is None:
-        return ()
-    return tuple(1.0 if j == best_idx else 0.0 for j in range(sys.dim))
 
 
 def optimal_N_for_alpha(
@@ -750,34 +678,13 @@ class WitnessSchedule:
 
 def _vector_parts(sys, proj, m, n, x):
     """(|A_P x|, |Q x|, |P x|, |A_Q x|) at the pair, as LogScalars."""
-    if sys.is_diagonal:
-        mask = proj.mask(n)
-        ap = LogScalar.zero()
-        qx = LogScalar.zero()
-        px = LogScalar.zero()
-        aq = LogScalar.zero()
-        for i in range(sys.dim):
-            xi = abs(LogScalar.from_float(x[i]))
-            if xi.is_zero:
-                continue
-            lam = abs(sys.diag_factor(i, m, n)) * xi
-            if mask[i]:
-                ap = max(ap, lam)
-                px = max(px, xi)
-            else:
-                qx = max(qx, xi)
-                aq = max(aq, lam)
-        return ap, qx, px, aq
-    sweeps = _DenseSweeps(sys, proj, n, m)
+    kernel = _sweeps(sys, proj, n, m)
     norms = []
-    for part, mat in (("P", proj.matrix(n)), ("Q", proj.complement_matrix(n))):
-        start = mat @ np.asarray(x, dtype=float)
-        images = sweeps.sweep(part, start[:, None], n)
-        if len(images) <= m - n:
-            raise _overflow(n, n + len(images))
-        norms.append((float(np.linalg.norm(start)), float(np.linalg.norm(images[-1]))))
+    for part, start in zip("PQ", proj.split(n, x)):
+        logs = kernel.lognorms(part, start[:, None], n, at=(n, m))[0]
+        norms.append([LogScalar.from_log(v) for v in logs])
     (px, ap), (qx, aq) = norms
-    return tuple(LogScalar.from_float(v) for v in (ap, qx, px, aq))
+    return ap, qx, px, aq
 
 
 def falsify(

@@ -31,7 +31,6 @@ from .certificates import DichotomyCertificate, Kind, Profile, ScaledProfile, Wi
 from .checkers import _slack
 from .errors import (
     DecayGapError,
-    DenseOverflowError,
     IndexOrderError,
     InvalidConstantsError,
     NoDecayCertificateError,
@@ -41,9 +40,8 @@ from .system import (
     DEFAULT_TOL_COMPAT,
     ProjectionFamily,
     SystemDescription,
-    _DenseSweeps,
-    _log_values,
     _range_basis,
+    _sweeps,
     check_compatibility,
 )
 
@@ -142,74 +140,38 @@ def _constant_mask_or_matrix(sys, proj, n_lo, n_hi):
     return base
 
 
-def _seed_directions(sys, proj, part: str, ref_index: int):
+def _seed_directions(sys, proj, part: str, ref_index: int) -> list[tuple[float, ...]]:
     """Unit directions spanning the requested range (coordinates or basis)."""
     if sys.is_diagonal:
         mask = proj.mask(ref_index)
         coords = [i for i in range(sys.dim) if mask[i] == (part == "P")]
-        return [
-            (tuple(1.0 if j == i else 0.0 for j in range(sys.dim)), i) for i in coords
-        ]
+        return [tuple(1.0 if j == i else 0.0 for j in range(sys.dim)) for i in coords]
     mat = proj.matrix(ref_index) if part == "P" else proj.complement_matrix(ref_index)
     basis = _range_basis(mat)
-    return [(tuple(float(v) for v in basis[:, j]), None) for j in range(basis.shape[1])]
+    return [tuple(float(v) for v in basis[:, j]) for j in range(basis.shape[1])]
 
 
-def _traj_lognorms(sys, proj, part, vec, coord, seed: int, upto: int) -> list[LogMag]:
+def _traj_lognorms(sys, proj, part, vec, seed: int, upto: int) -> list[LogMag]:
     """log |A(j, seed) x| for j = seed..upto (index j - seed in the list);
-    a dense x must lie in range P(seed) (part "P") or Q(seed) (part "Q")."""
-    if sys.is_diagonal:
-        active = [
-            (i, math.log(abs(vec[i]))) for i in range(sys.dim) if vec[i] != 0.0
-        ] if coord is None else [(coord, 0.0)]
-        out: list[LogMag] = []
-        for j in range(seed, upto + 1):
-            best: LogMag = -math.inf
-            for i, off in active:
-                f = sys.diag_factor(i, j, seed)
-                if f.sign == 0:
-                    continue
-                cand = ladd(f.logmag, off) if off != 0.0 else f.logmag
-                if best == -math.inf or cand > best:
-                    best = cand
-            out.append(best)
-        return out
+    x must lie in range P(seed) (part "P") or Q(seed) (part "Q")."""
     block = np.asarray(vec, dtype=float)[:, None]
-    return _dense_lognorms(_DenseSweeps(sys, proj, seed, upto), part, block, seed)[0]
-
-
-def _dense_lognorms(sweeps, part: str, block, seed: int) -> list[list[LogMag]]:
-    """Per column of ``block``: log |A(j, seed) column| for j = seed..hi of
-    ``sweeps``, from one kernel sweep of the whole block."""
-    images = sweeps.sweep(part, block, seed)
-    if len(images) <= sweeps.hi - seed:
-        raise DenseOverflowError(
-            f"trajectory from {seed} overflows doubles at {seed + len(images)}; "
-            "declare the system in diagonal closed form"
-        )
-    return [_log_values(col) for col in np.linalg.norm(images, axis=1).T]
+    return _sweeps(sys, proj, seed, upto).lognorms(part, block, seed)[0]
 
 
 def _trajectories(sys, proj, part: str, window: WindowSpec, upto: int):
     """(direction, seed -> log-norm trajectory up to ``upto``) for each seed
-    direction of the range; on a dense system one sweep of the whole range
-    basis per seed serves every direction."""
+    direction of the range; one kernel pass over the whole block of
+    directions per seed serves every direction."""
     directions = _seed_directions(sys, proj, part, window.n_min)
-    if sys.is_diagonal:
-        return [
-            (direction, lambda seed, direction=direction, coord=coord:
-                _traj_lognorms(sys, proj, part, direction, coord, seed, upto))
-            for direction, coord in directions
-        ]
-    sweeps = _DenseSweeps(sys, proj, window.n_min, upto)
-    block = np.array([direction for direction, _ in directions]).reshape(-1, sys.dim).T
+    kernel = _sweeps(sys, proj, window.n_min, upto)
+    block = np.array(directions).reshape(-1, sys.dim).T
     norms = {
-        seed: _dense_lognorms(sweeps, part, block, seed)
+        seed: kernel.lognorms(part, block, seed)
         for seed in range(window.n_min, window.m_max + 1)
     }
     return [
-        (direction, lambda seed, j=j: norms[seed][j])
-        for j, (direction, _) in enumerate(directions)
+        (direction, {seed: rows[j] for seed, rows in norms.items()})
+        for j, direction in enumerate(directions)
     ]
 
 
@@ -241,13 +203,8 @@ def projected_sum(
     """
     if not (stop >= start >= seed_time >= 0):
         raise IndexOrderError("need stop >= start >= seed_time >= 0")
-    vec = list(x)
-    if sys.is_diagonal:
-        mask = proj.mask(seed_time)
-        px = [v if mask[i] else 0.0 for i, v in enumerate(vec)]
-    else:
-        px = proj.matrix(seed_time) @ np.asarray(vec, dtype=float)
-    traj = _traj_lognorms(sys, proj, "P", px, None, seed_time, stop)
+    px, _ = proj.split(seed_time, list(x))
+    traj = _traj_lognorms(sys, proj, "P", px, seed_time, stop)
     terms = [
         ladd(traj[j - seed_time], d * (j - weight_origin)) for j in range(start, stop + 1)
     ]
@@ -302,12 +259,8 @@ def datko_lhs(
         )
         tail = LogScalar.from_log(tail_log)
     # exact Q part
-    if sys.is_diagonal:
-        mask = proj.mask(n)
-        qx = [v if not mask[i] else 0.0 for i, v in enumerate(vec)]
-    else:
-        qx = proj.complement_matrix(n) @ np.asarray(vec, dtype=float)
-    q_traj = _traj_lognorms(sys, proj, "Q", qx, None, n, m)
+    _, qx = proj.split(n, vec)
+    q_traj = _traj_lognorms(sys, proj, "Q", qx, n, m)
     acc: LogMag = -math.inf
     for k in range(n, m + 1):
         acc = logaddexp_mag(acc, ladd(q_traj[k - n], d * (m - k)))
@@ -446,7 +399,7 @@ def _p_side_report(
     any_violated = False
     any_inconclusive = False
     for seed in range(window.n_min, window.m_max + 1):
-        traj = trajectory(seed)
+        traj = trajectory[seed]
         suffix = _suffix_weighted(traj, d)
 
         def point(check_at: int, triple: tuple[int, int, int]):
@@ -517,7 +470,7 @@ def _q_side_report(window, tol, form, d, w_q, c, direction, trajectory):
     checked = 0
     any_violated = False
     for n in range(window.n_min, window.m_max + 1):
-        traj = trajectory(n)
+        traj = trajectory[n]
         acc: LogMag = -math.inf
         for m in range(n, window.m_max + 1):
             rel = m - n

@@ -265,6 +265,14 @@ class ProjectionFamily:
     def complement_matrix(self, n: int) -> np.ndarray:
         return np.eye(self.dim) - self.matrix(n)
 
+    def split(self, n: int, x) -> tuple[np.ndarray, np.ndarray]:
+        """(P(n) x, Q(n) x); a mask copies the entries of x into the parts."""
+        x = np.asarray(x, dtype=float)
+        if self._mask is not None:
+            mask = self.mask(n)
+            return np.where(mask, x, 0.0), np.where(mask, 0.0, x)
+        return self.matrix(n) @ x, self.complement_matrix(n) @ x
+
     def idempotence_defect(self, n: int) -> float:
         if self._mask is not None:
             return 0.0
@@ -398,31 +406,10 @@ def restricted_extremes(
     the dynamics on [n, m] (``check_compatibility``).
     """
     sys.check_pair(m, n)
-    if sys.is_diagonal:
-        _require_mask_for_diagonal(sys, proj)
-        mask = proj.mask(n)
-        p_coords = [i for i in range(sys.dim) if mask[i]]
-        q_coords = [i for i in range(sys.dim) if not mask[i]]
-        if strict and not q_coords:
-            raise DegenerateRangeError("Q range is trivial at this index")
-        growth = LogScalar.zero()
-        dir_p = None
-        for i in p_coords:
-            mag = abs(sys.diag_factor(i, m, n))
-            if mag > growth or dir_p is None:
-                growth, dir_p = mag, _unit(sys.dim, i)
-        gain = LogScalar.positive_infinity()
-        dir_q = None
-        for i in q_coords:
-            mag = abs(sys.diag_factor(i, m, n))
-            if mag < gain or dir_q is None:
-                gain, dir_q = mag, _unit(sys.dim, i)
-        return RestrictedExtremes(growth, gain, dir_p, dir_q)
-
-    sweeps = _DenseSweeps(sys, proj, n, m)
-    if strict and sweeps.bases(n)[1].shape[1] == 0:
+    ext = _sweeps(sys, proj, n, m).row(n).extremes(m)
+    if strict and ext.direction_q is None:
         raise DegenerateRangeError("Q range is trivial at this index")
-    return sweeps.row(n).extremes(m)
+    return ext
 
 
 def _unit(dim: int, i: int) -> tuple[float, ...]:
@@ -449,31 +436,7 @@ def restricted_ratio_extremes(
     if not (m >= n >= p >= 0):
         raise IndexOrderError(f"need m >= n >= p >= 0, got ({m}, {n}, {p})")
     sys.check_pair(m, p)
-    if sys.is_diagonal:
-        _require_mask_for_diagonal(sys, proj)
-        mask = proj.mask(p)
-        ratio_p = LogScalar.zero()
-        for i in range(sys.dim):
-            if not mask[i]:
-                continue
-            num = abs(sys.diag_factor(i, m, p))
-            den = abs(sys.diag_factor(i, n, p))
-            if den.is_zero:
-                continue  # the direction is annihilated before n
-            ratio_p = max(ratio_p, num / den)
-        ratio_q = LogScalar.zero()
-        for i in range(sys.dim):
-            if mask[i]:
-                continue
-            num = abs(sys.diag_factor(i, n, p))
-            den = abs(sys.diag_factor(i, m, p))
-            if den.is_zero:
-                ratio_q = LogScalar.positive_infinity() if not num.is_zero else ratio_q
-                continue
-            ratio_q = max(ratio_q, num / den)
-        return RatioExtremes(ratio_p, ratio_q)
-
-    return _DenseSweeps(sys, proj, p, m).row(p).ratios(m, n)
+    return _sweeps(sys, proj, p, m).row(p).ratios(m, n)
 
 
 def _sup_ratio(num: np.ndarray, den: np.ndarray) -> LogScalar:
@@ -540,6 +503,18 @@ class _DenseSweeps:
     def row(self, n: int) -> "_DenseRow":
         return _DenseRow(self, n)
 
+    def lognorms(self, part: str, block: np.ndarray, seed: int, at=None) -> list[list[LogMag]]:
+        """Per column of ``block`` (a block in range P(seed) or Q(seed), as in
+        ``sweep``): log |A(j, seed) column| for j in ``at``, by default
+        seed..hi, from one sweep of the whole block."""
+        images = self.sweep(part, block, seed)
+        if len(images) <= self.hi - seed:
+            raise _overflow(seed, seed + len(images))
+        norms = np.linalg.norm(images, axis=1)
+        if at is not None:
+            norms = norms[[j - seed for j in at]]
+        return [_log_values(col) for col in norms.T]
+
 
 class _DenseRow:
     """Restricted images of ranges P(n) and Q(n) from n up to ``end``, the
@@ -600,6 +575,157 @@ class _DenseRow:
         ratio_q = _sup_ratio(self.ys[j], self.ys[i]) if self.bq.shape[1] else LogScalar.zero()
         return RatioExtremes(ratio_p, ratio_q)
 
+    def triplet_direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
+        """Witness direction of a triplet: the extremal direction of the
+        restricted extremes at (m, n) for side "P", at (k, n) for side "Q"."""
+        if side == "P":
+            return self.extremes(m).direction_p or ()
+        return self.extremes(k).direction_q or ()
+
 
 def _log_values(values: np.ndarray) -> list[float]:
     return [math.log(v) if v > 0 else -math.inf for v in values.tolist()]
+
+
+class _DiagonalSweeps:
+    """The diagonal pair-extreme kernel, read off the prefix log-sums.
+
+    Under the max norm the evolution over (n, m] acts on coordinate i by a
+    factor of log-magnitude pre_i[m] - pre_i[n], or annihilates it when a
+    zero factor a_i(k), n < k <= m, lies in between; every restricted
+    extreme, ratio and trajectory is a maximum or minimum of these over a
+    set of coordinates. Entries cost O(dim) whatever m - n is, and rows
+    are built only when asked for. The surface is that of ``_DenseSweeps``.
+    """
+
+    def __init__(self, sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):
+        sys.check_pair(hi, lo)
+        _require_mask_for_diagonal(sys, proj)
+        self.dim, self.proj, self.lo, self.hi = sys.dim, proj, lo, hi
+        self.pre, self.zeros = sys.diag_prefix(hi)
+        # triplet ratios: (k, m, mask at n, coordinates alive on (n, k]) ->
+        # the ratios of the first row n with that key
+        self.ratio_memo: dict[tuple, RatioExtremes] = {}
+
+    def factor_log(self, i: int, m: int, n: int) -> LogMag:
+        """log |a_i(m) ... a_i(n+1)|; -inf once a zero factor is crossed."""
+        if self.zeros[i][m] != self.zeros[i][n]:
+            return -math.inf
+        return lsub(self.pre[i][m], self.pre[i][n])
+
+    def row(self, n: int) -> "_DiagonalRow":
+        return _DiagonalRow(self, n)
+
+    def lognorms(self, part: str, block: np.ndarray, seed: int, at=None) -> list[list[LogMag]]:
+        """Per column x of ``block``: log |A(j, seed) x| for j in ``at``, by
+        default seed..hi. The columns are taken as given (``part`` is not
+        applied); an exact factor log stays exact for a unit entry."""
+        out = []
+        for col in np.asarray(block, dtype=float).T.tolist():
+            active = [
+                (self.pre[i], self.zeros[i], math.log(abs(v))) for i, v in enumerate(col) if v != 0.0
+            ]
+            traj: list[LogMag] = []
+            for j in range(seed, self.hi + 1) if at is None else at:
+                best: LogMag = -math.inf
+                for pre, zeros, off in active:
+                    if zeros[j] != zeros[seed]:
+                        continue
+                    f = lsub(pre[j], pre[seed])
+                    cand = ladd(f, off) if off != 0.0 else f
+                    if best == -math.inf or cand > best:
+                        best = cand
+                traj.append(best)
+            out.append(traj)
+        return out
+
+
+class _DiagonalRow:
+    """Factor logs from the start index n, with the coordinates of P(n) and
+    Q(n); ties go to the first extremal coordinate."""
+
+    def __init__(self, sweeps: _DiagonalSweeps, n: int):
+        self.sweeps, self.n = sweeps, n
+        self.mask = sweeps.proj.mask(n)
+        self.p_coords = [i for i, b in enumerate(self.mask) if b]
+        self.q_coords = [i for i, b in enumerate(self.mask) if not b]
+        self._seed_at, self._seed = None, None
+
+    def _extremes(self, m: int) -> tuple[LogMag, int | None, LogMag, int | None]:
+        """(log growth_P, its coordinate, log min_gain_Q, its coordinate)."""
+        factor, n = self.sweeps.factor_log, self.n
+        g, gi = -math.inf, None
+        for i in self.p_coords:
+            v = factor(i, m, n)
+            if gi is None or v > g:
+                g, gi = v, i
+        h, hi = math.inf, None
+        for i in self.q_coords:
+            v = factor(i, m, n)
+            if hi is None or v < h:
+                h, hi = v, i
+        return g, gi, h, hi
+
+    def logs(self, m: int) -> tuple[LogMag, LogMag]:
+        """(log growth_P, log min_gain_Q) at (m, n); -inf / +inf mark trivial
+        ranges."""
+        g, _, h, _ = self._extremes(m)
+        return g, h
+
+    def extremes(self, m: int) -> RestrictedExtremes:
+        """Restricted extremes at (m, n) with their extremal directions."""
+        g, gi, h, hi = self._extremes(m)
+        dim = self.sweeps.dim
+        return RestrictedExtremes(
+            LogScalar.from_log(g),
+            LogScalar.from_log(h),
+            None if gi is None else _unit(dim, gi),
+            None if hi is None else _unit(dim, hi),
+        )
+
+    def _sup_ratio(self, m: int, k: int, side: str) -> tuple[LogMag, int | None]:
+        """Largest ratio log over the coordinates of ``side`` (|A(m, n) e_i|
+        over |A(k, n) e_i| on P, the reverse on Q) and the first coordinate
+        attaining it among those with a nonzero denominator. A coordinate
+        alive at k but annihilated by m makes the Q ratio +inf."""
+        factor, n = self.sweeps.factor_log, self.n
+        best, best_i, unbounded = -math.inf, None, False
+        for i in self.p_coords if side == "P" else self.q_coords:
+            num, den = factor(i, m, n), factor(i, k, n)
+            if side == "Q":
+                num, den = den, num
+            if den == -math.inf:
+                unbounded = unbounded or num != -math.inf
+                continue
+            r = lsub(num, den) if num != -math.inf else -math.inf
+            if best_i is None or r > best:
+                best, best_i = r, i
+        return (math.inf if unbounded else best), best_i
+
+    def ratios(self, m: int, k: int) -> RatioExtremes:
+        """Ratio extremes between horizons k <= m, seeded at n. A ratio
+        depends on n only through the mask at n and the coordinates alive on
+        (n, k], so the kernel keeps the first row's value for each."""
+        if self._seed_at != k:
+            zeros, n = self.sweeps.zeros, self.n
+            self._seed_at = k
+            self._seed = (self.mask, tuple(z[k] == z[n] for z in zeros))
+        key = (k, m, self._seed)
+        memo = self.sweeps.ratio_memo
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = RatioExtremes(
+                *(LogScalar.from_log(self._sup_ratio(m, k, side)[0]) for side in "PQ")
+            )
+        return got
+
+    def triplet_direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
+        """Witness direction of a triplet: the first coordinate of the largest
+        ratio of the side among those with a nonzero denominator."""
+        i = self._sup_ratio(m, k, side)[1]
+        return () if i is None else _unit(self.sweeps.dim, i)
+
+
+def _sweeps(sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):
+    """The pair-extreme kernel of the system's representation on [lo, hi]."""
+    return (_DiagonalSweeps if sys.is_diagonal else _DenseSweeps)(sys, proj, lo, hi)

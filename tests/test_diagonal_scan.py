@@ -1,8 +1,11 @@
-"""The linear-time diagonal scans against the brute-force O(W^2) pair scan.
+"""The linear-time diagonal scans against the brute-force O(W^2) pair scan,
+and the diagonal kernel against the per-pair formulas.
 
 The oracle functions below are the pair loops the checkers ran for diagonal
-systems before the running-maximum kernel replaced them; they evaluate every
-pair (n, m) of the window from ``diag_factor`` directly.
+systems before the running-maximum kernel replaced them, and the per-pair
+formulas for extremes, ratios, witness directions and trajectories that the
+diagonal kernel replaced; they evaluate each pair (n, m) or triplet from
+``diag_factor`` directly.
 
 Exact equality is required wherever both sides do exact arithmetic: the
 systems with exact logs use dyadic logs and dyadic rates, so every float
@@ -32,10 +35,10 @@ from dichotomy import (
     verify_certificate,
     verify_triplet_form,
 )
-from dichotomy import checkers
-from dichotomy.checkers import _PairTable, _slack
+from dichotomy import checkers, system
+from dichotomy.checkers import _PairTable, _slack, _vector_parts
 from dichotomy.logscalar import ladd, lsub
-from dichotomy.system import DiagonalClosedForm
+from dichotomy.system import DiagonalClosedForm, _sweeps
 
 # -- brute-force oracle ----------------------------------------------------------
 
@@ -102,6 +105,77 @@ def brute_needs(sys, proj, alpha, window):
         running = max(running, v)
         profile.append(running)
     return profile, best
+
+
+def brute_extremes(sys, proj, m, n):
+    """(growth_P, min_gain_Q, P coordinate, Q coordinate) at one pair; the
+    first extremal coordinate wins ties."""
+    mask = proj.mask(n)
+    growth, gain = LogScalar.zero(), LogScalar.positive_infinity()
+    dir_p = dir_q = None
+    for i in range(sys.dim):
+        mag = abs(sys.diag_factor(i, m, n))
+        if mask[i]:
+            if dir_p is None or mag > growth:
+                growth, dir_p = mag, i
+        elif dir_q is None or mag < gain:
+            gain, dir_q = mag, i
+    return growth, gain, dir_p, dir_q
+
+
+def brute_ratios(sys, proj, m, n, p):
+    """(ratio_P, ratio_Q, P witness coordinate, Q witness coordinate) of the
+    triplet: the witness is the first coordinate of the largest ratio among
+    those with a nonzero denominator."""
+    mask = proj.mask(p)
+    ratio = {"P": LogScalar.zero(), "Q": LogScalar.zero()}
+    best = {"P": (None, None), "Q": (None, None)}
+    for i in range(sys.dim):
+        side = "P" if mask[i] else "Q"
+        num = abs(sys.diag_factor(i, m if side == "P" else n, p))
+        den = abs(sys.diag_factor(i, n if side == "P" else m, p))
+        if den.is_zero:
+            if side == "Q" and not num.is_zero:
+                ratio["Q"] = LogScalar.positive_infinity()
+            continue
+        r = num / den
+        ratio[side] = max(ratio[side], r)
+        if best[side][0] is None or r > best[side][0]:
+            best[side] = (r, i)
+    return ratio["P"], ratio["Q"], best["P"][1], best["Q"][1]
+
+
+def brute_trajectory(sys, vec, seed, upto):
+    """log |A(j, seed) x| for j = seed..upto."""
+    active = [(i, math.log(abs(vec[i]))) for i in range(sys.dim) if vec[i] != 0.0]
+    out = []
+    for j in range(seed, upto + 1):
+        best = -math.inf
+        for i, off in active:
+            f = sys.diag_factor(i, j, seed)
+            if f.sign == 0:
+                continue
+            cand = ladd(f.logmag, off) if off != 0.0 else f.logmag
+            if best == -math.inf or cand > best:
+                best = cand
+        out.append(best)
+    return out
+
+
+def brute_vector_parts(sys, proj, m, n, x):
+    """(|A_P x|, |Q x|, |P x|, |A_Q x|) at one pair."""
+    mask = proj.mask(n)
+    ap = qx = px = aq = LogScalar.zero()
+    for i in range(sys.dim):
+        xi = abs(LogScalar.from_float(x[i]))
+        if xi.is_zero:
+            continue
+        lam = abs(sys.diag_factor(i, m, n)) * xi
+        if mask[i]:
+            ap, px = max(ap, lam), max(px, xi)
+        else:
+            qx, aq = max(qx, xi), max(aq, lam)
+    return ap, qx, px, aq
 
 
 def brute_grid_row(sys, proj, window, alpha, beta):
@@ -217,7 +291,7 @@ def test_verify_matches_pair_scan(case, data):
         got = out.witness
         assert (got.m, got.n, got.side) == (m, n, side)
         assert got.required_constant.logmag == required
-        want_dir = checkers._PairExtremes(sys_, proj).directions(n, m)[0 if side == "P" else 1]
+        want_dir = checkers._PairExtremes(sys_, proj, window).directions(n, m)[0 if side == "P" else 1]
         assert got.direction == (want_dir or ())
         assert out.min_slack == min_slack
 
@@ -338,3 +412,86 @@ def test_triplet_form_agrees_with_pair_form_across_a_zero_factor():
     assert (pair.witness.m, pair.witness.n, pair.witness.side) == (2, 1, "P")
     assert not trip.holds
     assert (trip.witness.m, trip.witness.n, trip.witness.side) == (2, 1, "P")
+
+
+def same(got, want):
+    """Equal values of the same type (a report prints an int and a float
+    differently); LogScalars field by field."""
+    if isinstance(want, LogScalar):
+        return same(got.sign, want.sign) and same(got.logmag, want.logmag)
+    return type(got) is type(want) and got == want
+
+
+def unit(dim, i):
+    return None if i is None else tuple(1.0 if j == i else 0.0 for j in range(dim))
+
+
+@PROPERTY
+@given(diagonal_cases(), st.data())
+def test_kernel_matches_per_pair_formulas(case, data):
+    _, sys_, proj, window, _ = case
+    lo, hi, dim = window.n_min, window.m_max, sys_.dim
+    kernel = _sweeps(sys_, proj, lo, hi)
+    for n in range(lo, hi + 1):
+        row = kernel.row(n)
+        for m in range(n, hi + 1):
+            g, h = brute_logs(sys_, proj, n, m)
+            got_g, got_h = row.logs(m)
+            assert same(got_g, g) and same(got_h, h)
+            growth, gain, dir_p, dir_q = brute_extremes(sys_, proj, m, n)
+            ext = row.extremes(m)
+            assert same(ext.growth_p, growth) and same(ext.min_gain_q, gain)
+            assert (ext.direction_p, ext.direction_q) == (unit(dim, dir_p), unit(dim, dir_q))
+    # one kernel per seed p: the ratio memo then never serves a second row
+    for p in range(lo, hi + 1):
+        row = _sweeps(sys_, proj, p, hi).row(p)
+        for n in range(p, hi + 1):
+            for m in range(n, hi + 1):
+                ratio_p, ratio_q, wit_p, wit_q = brute_ratios(sys_, proj, m, n, p)
+                got = row.ratios(m, n)
+                assert same(got.ratio_p, ratio_p) and same(got.ratio_q, ratio_q)
+                assert row.triplet_direction(m, n, "P") == (unit(dim, wit_p) or ())
+                assert row.triplet_direction(m, n, "Q") == (unit(dim, wit_q) or ())
+    entries = st.sampled_from([0.0, 1.0, -1.0, 0.5, -3.25])
+    vectors = [tuple(1.0 if j == i else 0.0 for j in range(dim)) for i in range(dim)]
+    vectors += data.draw(st.lists(st.tuples(*[entries] * dim), min_size=1, max_size=3))
+    block = [[v[i] for v in vectors] for i in range(dim)]
+    for seed in range(lo, hi + 1):
+        got = kernel.lognorms("P", block, seed)
+        for vec, traj in zip(vectors, got):
+            want = brute_trajectory(sys_, vec, seed, hi)
+            assert len(traj) == len(want)
+            assert all(same(a, b) for a, b in zip(traj, want))
+        for vec in vectors:
+            for m in range(seed, hi + 1):
+                assert _vector_parts(sys_, proj, m, seed, vec) == brute_vector_parts(
+                    sys_, proj, m, seed, vec
+                )
+
+
+def test_single_pairs_read_few_prefix_entries(monkeypatch):
+    class Counted(list):
+        reads = 0
+
+        def __getitem__(self, k):
+            Counted.reads += 1
+            return super().__getitem__(k)
+
+    entry = make_example("ned_not_ed_example")
+    sys_, proj = entry.system, entry.projection
+    pre, zeros = sys_.diag_prefix(402)
+    counted = ([Counted(c) for c in pre], [Counted(c) for c in zeros])
+    monkeypatch.setattr(sys_, "diag_prefix", lambda upto: counted)
+    calls = [
+        lambda: system.restricted_extremes(sys_, proj, 400, 2),
+        lambda: system.restricted_ratio_extremes(sys_, proj, 400, 200, 2),
+        lambda: _vector_parts(sys_, proj, 400, 2, (1.0, 1.0)),
+    ]
+    for call in calls:
+        Counted.reads = 0
+        call()
+        assert 0 < Counted.reads <= 12 * sys_.dim
+    Counted.reads = 0
+    rep = checkers.falsify(sys_, proj, Kind.ED, entry.schedule("tower_expanding"), range(200))
+    assert len(rep.witnesses) == 200
+    assert Counted.reads <= 12 * sys_.dim * 200
