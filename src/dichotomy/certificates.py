@@ -166,8 +166,9 @@ class DichotomyCertificate:
     profile: Profile | None = None
 
     def validate(self, window: WindowSpec | None = None) -> None:
-        if not self.alpha > 0:
-            raise InvalidCertificateError(f"alpha must be positive, got {self.alpha}")
+        # comparisons that NaN fails, so NaN and infinite constants are rejected
+        if not 0 < self.alpha < math.inf:
+            raise InvalidCertificateError(f"alpha must be positive and finite, got {self.alpha}")
         if self.kind is Kind.NED:
             if self.profile is None:
                 raise InvalidCertificateError("nonuniform certificate needs a profile")
@@ -179,12 +180,12 @@ class DichotomyCertificate:
                         raise InvalidCertificateError(f"profile decreases at n={n}")
                     prev = cur
             return
-        if self.n_const is None or self.n_const < 1:
-            raise InvalidCertificateError("constant N must satisfy N >= 1")
+        if self.n_const is None or not 1 <= self.n_const < math.inf:
+            raise InvalidCertificateError("constant N must be finite and satisfy N >= 1")
         if self.kind is Kind.UED:
             return
-        if self.beta is None or self.beta < 0:
-            raise InvalidCertificateError("beta must satisfy beta >= 0")
+        if self.beta is None or not 0 <= self.beta < math.inf:
+            raise InvalidCertificateError("beta must be finite and satisfy beta >= 0")
         if self.kind is Kind.SED and not self.beta < self.alpha:
             raise InvalidCertificateError(
                 f"strong certificate needs beta < alpha, got beta={self.beta}, alpha={self.alpha}"
@@ -193,34 +194,20 @@ class DichotomyCertificate:
     def log_n(self) -> float:
         return math.log(self.n_const) if self.n_const is not None else 0.0
 
-    def r_p_log(self, n: int) -> LogMag:
-        """log R_P(n), the weight multiplying |P(n) x|."""
+    def r_log(self, k: int) -> LogMag:
+        """log of the weight at index k: R_P(n) = r(n) multiplies |P(n) x|
+        and R_Q(m) = r(m) multiplies |A_Q(m,n) x|."""
         if self.kind is Kind.NED:
-            return self.profile.log_at(n)
+            return self.profile.log_at(k)
         if self.kind is Kind.UED:
             return self.log_n()
-        return self.log_n() + self.beta * n
+        return self.log_n() + self.beta * k
 
-    def r_q_log(self, m: int) -> LogMag:
-        """log R_Q(m), the weight multiplying |A_Q(m,n) x|."""
-        if self.kind is Kind.NED:
-            return self.profile.log_at(m)
-        if self.kind is Kind.UED:
-            return self.log_n()
-        return self.log_n() + self.beta * m
-
-    def scale_offset_p(self, n: int) -> LogMag:
-        """log(R_P(n) / N): the profile part of the P-side weight."""
-        if self.kind is Kind.NED:
-            return 0
-        if self.kind is Kind.UED:
-            return 0
-        return self.beta * n
-
-    def scale_offset_q(self, m: int) -> LogMag:
+    def scale_offset(self, k: int) -> LogMag:
+        """log(r(k) / N): the profile part of the weight at index k."""
         if self.kind in (Kind.NED, Kind.UED):
             return 0
-        return self.beta * m
+        return self.beta * k
 
 
 # -- witnesses ----------------------------------------------------------------

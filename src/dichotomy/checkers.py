@@ -187,10 +187,8 @@ class _DiagonalScan:
         rows pair by pair and reaches the pair scan's verdict and witness.
         """
         lo, hi, alpha = self.lo, self.hi, cert.alpha
-        r_p = [cert.r_p_log(n) for n in range(lo, hi + 1)]
-        r_q = [cert.r_q_log(m) for m in range(lo, hi + 1)]
+        weights = [cert.r_log(k) for k in range(lo, hi + 1)]
         pre = [v for coord in self.pre for v in coord[lo:hi + 1]]
-        weights = r_p + r_q
         scale = abs(alpha) * (hi + 1) + max(map(rounding_scale, pre))
         scale += max(map(rounding_scale, weights))
         if not all(isinstance(v, float) or v == 0 for v in pre + weights):
@@ -198,13 +196,19 @@ class _DiagonalScan:
         cutoff = tol - _ROUNDING_BOUND * scale
         rows: set[int] = set()
         least = math.inf
-        for k, (g, q) in enumerate(zip(self.p_rows(alpha, hi), self.q_rows(alpha, r_q))):
-            worst = max(lsub(g, r_p[k]) if g != -math.inf else -math.inf, q)
+        for k, (g, q) in enumerate(zip(self.p_rows(alpha, hi), self.q_rows(alpha, weights))):
+            worst = max(lsub(g, weights[k]) if g != -math.inf else -math.inf, q)
             if worst > cutoff:
                 rows.add(lo + k)
             else:
                 least = min(least, -lfloat(worst))
         return rows, least
+
+
+def _validate(cert: DichotomyCertificate, window: WindowSpec, tol: float) -> None:
+    cert.validate(window)
+    if not math.isfinite(tol):
+        raise InvalidCertificateError(f"tolerance must be finite, got {tol}")
 
 
 def verify_certificate(
@@ -224,7 +228,7 @@ def verify_certificate(
     row's running maxima say it may violate; the verdict, witness and
     count are those of the full pair scan.
     """
-    cert.validate(window)
+    _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
     ext = _PairExtremes(sys, proj, window)
     alpha = cert.alpha
@@ -239,25 +243,25 @@ def verify_certificate(
             pairs = done + m - n + 1
             gap = alpha * (m - n)
             g, h = ext.logs(n, m)
-            slack_p = _slack(cert.r_p_log(n), ladd(gap, g) if g != -math.inf else -math.inf)
+            slack_p = _slack(cert.r_log(n), ladd(gap, g) if g != -math.inf else -math.inf)
             if slack_p < min_slack:
                 min_slack = slack_p
             if slack_p < -tol:
                 dir_p, _ = ext.directions(n, m)
-                required = lsub(ladd(gap, g), cert.scale_offset_p(n))
+                required = lsub(ladd(gap, g), cert.scale_offset(n))
                 return VerificationOutcome(
                     False,
                     Witness(m, n, dir_p or (), LogScalar.from_log(required), side="P"),
                     pairs,
                     slack_p,
                 )
-            rhs_q = ladd(cert.r_q_log(m), h) if h != math.inf else math.inf
+            rhs_q = ladd(cert.r_log(m), h) if h != math.inf else math.inf
             slack_q = _slack(rhs_q, gap)
             if slack_q < min_slack:
                 min_slack = slack_q
             if slack_q < -tol:
                 _, dir_q = ext.directions(n, m)
-                required = lsub(lsub(gap, cert.scale_offset_q(m)), h)
+                required = lsub(lsub(gap, cert.scale_offset(m)), h)
                 return VerificationOutcome(
                     False,
                     Witness(m, n, dir_q or (), LogScalar.from_log(required), side="Q"),
@@ -281,7 +285,7 @@ def verify_triplet_form(
     Equivalent to the pair form on the induced window (the pair form is the
     p = n slice); kept separate so the equivalence itself can be tested.
     """
-    cert.validate(window)
+    _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
     alpha = cert.alpha
     # one kernel row per p, the outer loop
@@ -295,15 +299,15 @@ def verify_triplet_form(
             row = kernel.row(p)
         rp, rq = _ratio_logs(row.ratios(m, n))
         gap = alpha * (m - n)
-        slack_p = _slack(cert.r_p_log(n), ladd(gap, rp) if rp != -math.inf else -math.inf)
-        slack_q = _slack(cert.r_q_log(m), ladd(gap, rq) if rq != -math.inf else -math.inf)
+        slack_p = _slack(cert.r_log(n), ladd(gap, rp) if rp != -math.inf else -math.inf)
+        slack_q = _slack(cert.r_log(m), ladd(gap, rq) if rq != -math.inf else -math.inf)
         worse = min(slack_p, slack_q)
         if worse < min_slack:
             min_slack = worse
         if worse < -tol:
             side = "P" if slack_p <= slack_q else "Q"
             bad = rp if side == "P" else rq
-            offset = cert.scale_offset_p(n) if side == "P" else cert.scale_offset_q(m)
+            offset = cert.scale_offset(n) if side == "P" else cert.scale_offset(m)
             required = lsub(ladd(gap, bad), offset)
             return VerificationOutcome(
                 False,
@@ -524,7 +528,7 @@ def estimate_ued(
     falsification rather than certification.
     """
     if not alpha_grid:
-        raise ValueError("alpha grid must be nonempty")
+        raise EmptyFeasibleSetError("alpha grid must be nonempty")
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
     table = _grid_table(sys, proj, window)
     rows = []
@@ -563,10 +567,12 @@ def estimate_ed(
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(sys, proj, window)
+    if not alpha_grid:
+        raise EmptyFeasibleSetError("alpha grid must be nonempty")
     if beta_grid is None:
         beta_grid = default_beta_grid(max(alpha_grid))
-    if not alpha_grid or not beta_grid:
-        raise ValueError("grids must be nonempty")
+    if not beta_grid:
+        raise EmptyFeasibleSetError("beta grid must be nonempty")
     if any(b < 0 for b in beta_grid):
         raise InvalidCertificateError("beta grid entries must satisfy beta >= 0")
     pairs = [
@@ -672,7 +678,15 @@ class WitnessSchedule:
 
     def direction_vector(self, dim: int) -> tuple[float, ...]:
         if isinstance(self.direction, int):
+            if not 0 <= self.direction < dim:
+                raise ScheduleOutOfRangeError(
+                    f"probe coordinate {self.direction} outside 0..{dim - 1}"
+                )
             return tuple(1.0 if j == self.direction else 0.0 for j in range(dim))
+        if len(self.direction) != dim:
+            raise ScheduleOutOfRangeError(
+                f"probe vector has {len(self.direction)} entries, the system {dim}"
+            )
         return tuple(float(v) for v in self.direction)
 
 
@@ -788,6 +802,8 @@ def default_alpha_grid(
     count: int = 32,
 ) -> list[float]:
     """Log-spaced decay rates up to a one-pair spectral-gap estimate."""
+    if count < 1:
+        raise EmptyFeasibleSetError(f"alpha grid needs at least one point, got {count}")
     ends = {window.m_max, max(window.n_min + 1, window.m_max - 1)}
     # a one-index window still reads the pair (n_min + 1, n_min)
     ext = _PairExtremes(sys, proj, WindowSpec(window.n_min, max(ends)))
@@ -812,4 +828,6 @@ def default_alpha_grid(
 
 
 def default_beta_grid(alpha_max: float, count: int = 16) -> list[float]:
+    if count < 1:
+        raise EmptyFeasibleSetError(f"beta grid needs at least one point, got {count}")
     return list(np.linspace(0.0, 2.0 * alpha_max, count))

@@ -258,7 +258,7 @@ def _run_estimate(args) -> int:
         _emit(args, report)
         return 0 if est.stable else 1
     betas = _parse_grid(args.betas, "betas")
-    if betas is None:
+    if betas is None and alphas:  # estimate_ed reports an empty alpha grid
         betas = default_beta_grid(max(alphas), args.beta_points)
     est = estimate_ed(system, projection, window, alphas, betas, strong=args.strong)
     report["result"] = serialize.exponential_estimate_to_json(est)

@@ -254,7 +254,7 @@ def datko_lhs(
         tail = LogScalar.zero()
     else:
         tail_log = ladd(
-            ladd(cert.r_p_log(n), anchor.logmag),
+            ladd(cert.r_log(n), anchor.logmag),
             (d - cert.alpha) * (m_trunc + 1 - n) + log_geom,
         )
         tail = LogScalar.from_log(tail_log)
@@ -282,8 +282,8 @@ def verify_datko_ned(
     tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> list[DatkoReport]:
     """Nonuniform summation criterion over the triplet window."""
-    if not d > 0:
-        raise InvalidConstantsError(f"need d > 0, got {d}")
+    if not 0 < d < math.inf:
+        raise InvalidConstantsError(f"need finite d > 0, got {d}")
     return _run_summation(
         sys, proj, window, m_trunc, cert, tol, tol_compat,
         form="nonuniform", d=d,
@@ -310,10 +310,10 @@ def verify_datko_ued(
     variant. This index origin is load-bearing: starting the uniform sum at
     n adds strictly positive terms and breaks the constant D.
     """
-    if d < 0:
-        raise InvalidConstantsError(f"need d >= 0, got {d}")
-    if big_d < 1:
-        raise InvalidConstantsError(f"need D >= 1, got {big_d}")
+    if not 0 <= d < math.inf:
+        raise InvalidConstantsError(f"need finite d >= 0, got {d}")
+    if not 1 <= big_d < math.inf:
+        raise InvalidConstantsError(f"need finite D >= 1, got {big_d}")
     log_d = math.log(big_d)
     return _run_summation(
         sys, proj, window, m_trunc, cert, tol, tol_compat,
@@ -338,12 +338,12 @@ def verify_datko_ed(
     tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> list[DatkoReport]:
     """Exponential summation criterion; ``strong`` tightens the gate to c < d."""
-    if not d > 0:
-        raise InvalidConstantsError(f"need d > 0, got {d}")
-    if c < 0:
-        raise InvalidConstantsError(f"need c >= 0, got {c}")
-    if big_d < 1:
-        raise InvalidConstantsError(f"need D >= 1, got {big_d}")
+    if not 0 < d < math.inf:
+        raise InvalidConstantsError(f"need finite d > 0, got {d}")
+    if not 0 <= c < math.inf:
+        raise InvalidConstantsError(f"need finite c >= 0, got {c}")
+    if not 1 <= big_d < math.inf:
+        raise InvalidConstantsError(f"need finite D >= 1, got {big_d}")
     if strong and not c < d:
         raise InvalidConstantsError(f"strong gate needs c < d, got c={c}, d={d}")
     log_d = math.log(big_d)
@@ -412,7 +412,7 @@ def _p_side_report(
             rhs = ladd(w_p(check_at), anchor) if anchor != -math.inf else -math.inf
             if cert is not None and anchor != -math.inf:
                 tail_log = ladd(
-                    ladd(cert.r_p_log(check_at), anchor),
+                    ladd(cert.r_log(check_at), anchor),
                     (d - cert.alpha) * (m_trunc + 1 - check_at) + log_geom,
                 )
             elif anchor == -math.inf:

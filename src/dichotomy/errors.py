@@ -22,7 +22,7 @@ class DenseOverflowError(DichotomyError):
 
 
 class InvalidProjectionError(DichotomyError):
-    """A projection matrix has a non-finite entry."""
+    """A projection matrix has a non-finite entry or is not idempotent."""
 
 
 class IncompatibleProjectionError(DichotomyError):

@@ -78,7 +78,8 @@ def gallery_names() -> tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def _resolve_params(name, defaults: dict[str, float], params: Mapping | None, kw) -> dict:
+def _resolve_params(name, params: Mapping | None, kw) -> dict:
+    defaults = _DEFAULTS[name]
     merged = dict(defaults)
     given = dict(params or {})
     given.update(kw)
@@ -107,7 +108,7 @@ def closed_form_amn(name: str, params: Mapping | None, m: int, n: int) -> LogSca
         raise IndexOrderError(f"need m >= n, got ({m}, {n})")
     if name not in _BUILDERS:
         raise UnknownExampleError(f"unknown example {name!r}")
-    entry_params = _resolve_params(name, _DEFAULTS[name], params, {})
+    entry_params = _resolve_params(name, params, {})
     if m == n:
         return LogScalar.one()
     return LogScalar.from_log(_CLOSED_FORMS[name](entry_params, m, n))
@@ -117,7 +118,7 @@ def raw_factor_log(name: str, params: Mapping | None, n: int) -> LogMag:
     """log a_n of the entry's shared scalar sequence."""
     if name not in _BUILDERS:
         raise UnknownExampleError(f"unknown example {name!r}")
-    entry_params = _resolve_params(name, _DEFAULTS[name], params, {})
+    entry_params = _resolve_params(name, params, {})
     return _RAW_LOGS[name](entry_params, n)
 
 
@@ -144,7 +145,7 @@ def _ued_closed(params, m, n) -> LogMag:
 
 
 def _build_ued(params, kw) -> GalleryEntry:
-    _resolve_params("ued_example", {}, params, kw)
+    _resolve_params("ued_example", params, kw)
     system = _diag_system([lambda n: -(n + 0.5), lambda n: n + 0.5])
     claims = (
         CertificateClaim(DichotomyCertificate(Kind.UED, alpha=0.5, n_const=1.0), 200),
@@ -189,7 +190,7 @@ def _ned_closed(params, m, n) -> LogMag:
 
 
 def _build_ned(params, kw) -> GalleryEntry:
-    merged = _resolve_params("ned_example", {"b": 0.5, "c": 1.0}, params, kw)
+    merged = _resolve_params("ned_example", params, kw)
     b, c = merged["b"], merged["c"]
     if not 0 < b < 1:
         raise ParamOutOfRangeError(f"ned_example needs b in (0, 1), got {b}")
@@ -242,8 +243,8 @@ def _sed_closed(params, m, n) -> LogMag:
     return m - n
 
 
-def _build_sed_family(name, defaults, claims_fn, params, kw) -> GalleryEntry:
-    merged = _resolve_params(name, defaults, params, kw)
+def _build_sed_family(name, claims_fn, params, kw) -> GalleryEntry:
+    merged = _resolve_params(name, params, kw)
     c1, c2 = merged["c1"], merged["c2"]
     if not c1 > 0 or not c2 > 0:
         raise ParamOutOfRangeError(f"{name} needs c1 > 0 and c2 > 0")
@@ -281,9 +282,7 @@ def _build_sed(params, kw) -> GalleryEntry:
             FalsificationClaim(Kind.UED, "odd_after_even", k_max=50, alpha=1.0),
         )
 
-    return _build_sed_family(
-        "sed_example", {"c1": math.exp(-4.0), "c2": math.exp(2.0)}, claims, params, kw
-    )
+    return _build_sed_family("sed_example", claims, params, kw)
 
 
 def _build_ed(params, kw) -> GalleryEntry:
@@ -295,9 +294,7 @@ def _build_ed(params, kw) -> GalleryEntry:
             StrongInstabilityClaim(window_m_max=120),
         )
 
-    return _build_sed_family(
-        "ed_example", {"c1": math.exp(-1.5), "c2": math.exp(0.5)}, claims, params, kw
-    )
+    return _build_sed_family("ed_example", claims, params, kw)
 
 
 # -- tower-exponent split: exact integer log-magnitudes --------------------------
@@ -320,7 +317,7 @@ def _tower_closed(params, m, n) -> LogMag:
 
 
 def _build_tower(params, kw) -> GalleryEntry:
-    merged = _resolve_params("ned_not_ed_example", {"c": 1.0 / math.e}, params, kw)
+    merged = _resolve_params("ned_not_ed_example", params, kw)
     c = merged["c"]
     if not c > 0:
         raise ParamOutOfRangeError(f"ned_not_ed_example needs c > 0, got {c}")

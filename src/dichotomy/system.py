@@ -177,11 +177,6 @@ class EvolutionOperator:
     diag: tuple[LogScalar, ...] | None = None
     dense: np.ndarray | None = None
 
-    def entry(self, i: int, j: int) -> LogScalar:
-        if self.diag is not None:
-            return self.diag[i] if i == j else LogScalar.zero()
-        return LogScalar.from_float(float(self.dense[i, j]))
-
     def to_dense(self) -> np.ndarray:
         if self.dense is not None:
             return self.dense
@@ -280,10 +275,19 @@ class ProjectionFamily:
         return float(np.linalg.norm(p @ p - p, 2))
 
     def validate(self, n_lo: int, n_hi: int, tol: float = DEFAULT_TOL_PROJ) -> None:
+        """Raise unless P(n) is idempotent for n_lo <= n <= n_hi; each
+        distinct matrix is checked once."""
+        if self._mask is not None:
+            return
+        seen = set()
         for n in range(n_lo, n_hi + 1):
+            key = self.matrix(n).tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
             d = self.idempotence_defect(n)
-            if d > tol:
-                raise ValueError(f"projection at n={n} fails idempotence by {d:.3e}")
+            if not d <= tol:
+                raise InvalidProjectionError(f"projection at n={n} fails idempotence by {d:.3e}")
 
 
 def _finite(matrix: np.ndarray) -> np.ndarray:
@@ -325,7 +329,9 @@ def check_compatibility(
     m_hi: int,
     tol: float = DEFAULT_TOL_COMPAT,
 ) -> None:
-    """Raise unless the family commutes with the dynamics on [n_lo, m_hi]."""
+    """Raise unless the family is idempotent and commutes with the dynamics
+    on [n_lo, m_hi]."""
+    proj.validate(n_lo, m_hi)
     if sys.is_diagonal and proj.is_mask:
         ref = proj.mask(n_lo)
         constant = all(proj.mask(k) == ref for k in range(n_lo, m_hi + 1))

@@ -299,6 +299,16 @@ def test_falsify_schedule_out_of_range():
         falsify(sys_, proj, Kind.UED, sched, range(5), alpha=0.1)
 
 
+@pytest.mark.parametrize("direction", [2, -1, (1.0, 0.0, 0.0)])
+def test_falsify_probe_direction_outside_the_system(direction):
+    from dichotomy import WitnessSchedule
+
+    entry = make_example("ued_example")
+    sched = WitnessSchedule("adjacent", lambda k: (k + 1, k), direction)
+    with pytest.raises(ScheduleOutOfRangeError):
+        falsify(entry.system, entry.projection, Kind.UED, sched, range(3), alpha=0.1)
+
+
 def test_estimate_exponential_point_values():
     # at (alpha, beta) = (2, 1) every pair of the default alternating system
     # leaves log-slack >= 1 under the constant e, so the minimal constant is 1

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dichotomy
 from dichotomy import serialize
 
@@ -365,3 +367,67 @@ def test_repeated_in_process_runs_do_not_share_arguments(tmp_path, capsys):
     pair = json.loads(capsys.readouterr().out)
     assert triplet["window"]["triplet"] and not pair["window"]["triplet"]
     assert pair["result"]["pairs_checked"] == 15
+
+
+NON_IDEMPOTENT = """
+[system]
+dim = 2
+source = explicit
+A0 = 1,0; 0,1
+A1 = 2,0; 0,3
+
+[projection]
+matrix = 2,0; 0,0
+"""
+
+
+def _error_report(tmp_path, argv):
+    from dichotomy.cli import main
+
+    report = tmp_path / "error.json"
+    assert main([*argv, "--report", str(report)]) == 2
+    return json.loads(report.read_text())["error"]["type"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # non-finite certificate constants and tolerances
+        (["verify", "--cert", "UED:N=nan,alpha=0.5"], "InvalidCertificateError"),
+        (["verify", "--cert", "UED:N=inf,alpha=0.5"], "InvalidCertificateError"),
+        (["verify", "--cert", "ED:N=1,alpha=0.5,beta=inf"], "InvalidCertificateError"),
+        (["verify", "--cert", "UED:N=1,alpha=inf"], "InvalidCertificateError"),
+        (["verify", "--cert", "UED:N=1,alpha=2", "--tol", "nan"], "InvalidCertificateError"),
+        (["verify", "--cert", "UED:N=1,alpha=2", "--tol", "inf", "--triplet"],
+         "InvalidCertificateError"),
+        # non-finite summation constants
+        (["datko", "--form", "ued", "--D", "nan", "--d", "0.1"], "InvalidConstantsError"),
+        (["datko", "--form", "ued", "--D", "inf", "--d", "0.1"], "InvalidConstantsError"),
+        (["datko", "--form", "ed", "--D", "2", "--c-weight", "nan", "--d", "0.1"],
+         "InvalidConstantsError"),
+        (["datko", "--form", "ued", "--D", "2", "--d", "nan"], "InvalidConstantsError"),
+        # empty estimate grids
+        (["estimate", "--kind", "ued", "--alphas", ","], "EmptyFeasibleSetError"),
+        (["estimate", "--kind", "ed", "--alphas", ","], "EmptyFeasibleSetError"),
+        (["estimate", "--kind", "ed", "--betas", ","], "EmptyFeasibleSetError"),
+        (["estimate", "--kind", "ed", "--beta-points", "0"], "EmptyFeasibleSetError"),
+        (["estimate", "--kind", "ued", "--alpha-points", "0"], "EmptyFeasibleSetError"),
+        # a probe coordinate outside the system
+        (["falsify", "--concept", "UED", "--schedule", "odd_after_even", "--coord", "5"],
+         "ScheduleOutOfRangeError"),
+        (["falsify", "--concept", "UED", "--schedule", "odd_after_even", "--coord", "-1"],
+         "ScheduleOutOfRangeError"),
+    ],
+)
+def test_invalid_inputs_are_reported(tmp_path, argv, error):
+    source = ["--gallery", "ued_example"]
+    if argv[0] != "falsify":
+        source += ["--window", "0..10"]
+    assert _error_report(tmp_path, [*argv, *source]) == error
+
+
+def test_non_idempotent_projection_is_reported(tmp_path):
+    path = tmp_path / "p.cfg"
+    path.write_text(NON_IDEMPOTENT, encoding="utf-8")
+    argv = ["verify", "--system", str(path), "--cert", "UED:N=10,alpha=0.1", "--window", "0..1"]
+    assert _error_report(tmp_path, argv) == "InvalidProjectionError"

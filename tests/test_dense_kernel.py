@@ -68,8 +68,8 @@ def brute_slacks(logs, cert, window):
     for n, m in window.pairs():
         gap = cert.alpha * (m - n)
         g, h = logs(n, m)
-        slack_p = _slack(cert.r_p_log(n), ladd(gap, g) if g != -math.inf else -math.inf)
-        rhs_q = ladd(cert.r_q_log(m), h) if h != math.inf else math.inf
+        slack_p = _slack(cert.r_log(n), ladd(gap, g) if g != -math.inf else -math.inf)
+        rhs_q = ladd(cert.r_log(m), h) if h != math.inf else math.inf
         out.append((n, m, slack_p, _slack(rhs_q, gap)))
     return out
 

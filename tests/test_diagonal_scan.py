@@ -68,16 +68,16 @@ def brute_verify(sys, proj, cert, window, tol):
         pairs += 1
         gap = alpha * (m - n)
         g, h = brute_logs(sys, proj, n, m)
-        slack_p = _slack(cert.r_p_log(n), ladd(gap, g) if g != -math.inf else -math.inf)
+        slack_p = _slack(cert.r_log(n), ladd(gap, g) if g != -math.inf else -math.inf)
         min_slack = min(min_slack, slack_p)
         if slack_p < -tol:
-            required = lsub(ladd(gap, g), cert.scale_offset_p(n))
+            required = lsub(ladd(gap, g), cert.scale_offset(n))
             return False, (m, n, "P", required), pairs, slack_p
-        rhs_q = ladd(cert.r_q_log(m), h) if h != math.inf else math.inf
+        rhs_q = ladd(cert.r_log(m), h) if h != math.inf else math.inf
         slack_q = _slack(rhs_q, gap)
         min_slack = min(min_slack, slack_q)
         if slack_q < -tol:
-            required = lsub(lsub(gap, cert.scale_offset_q(m)), h)
+            required = lsub(lsub(gap, cert.scale_offset(m)), h)
             return False, (m, n, "Q", required), pairs, slack_q
     return True, None, pairs, min_slack
 

@@ -9,6 +9,7 @@ from dichotomy import (
     ExplicitSequence,
     IncompatibleProjectionError,
     IndexOrderError,
+    InvalidProjectionError,
     LogScalar,
     OutOfRangeError,
     ProjectionFamily,
@@ -232,7 +233,7 @@ def test_projection_validation():
     good = ProjectionFamily(2, matrix=[[1.0, 1.0], [0.0, 0.0]])  # oblique, idempotent
     good.validate(0, 5)
     bad = ProjectionFamily(2, matrix=[[1.0, 0.0], [0.0, 0.5]])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidProjectionError):
         bad.validate(0, 0)
 
 
