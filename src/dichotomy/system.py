@@ -628,16 +628,14 @@ class _DiagonalSweeps:
         applied); an exact factor log stays exact for a unit entry."""
         out = []
         for col in np.asarray(block, dtype=float).T.tolist():
-            active = [
-                (self.pre[i], self.zeros[i], math.log(abs(v))) for i, v in enumerate(col) if v != 0.0
-            ]
+            active = [(i, math.log(abs(v))) for i, v in enumerate(col) if v != 0.0]
             traj: list[LogMag] = []
             for j in range(seed, self.hi + 1) if at is None else at:
                 best: LogMag = -math.inf
-                for pre, zeros, off in active:
-                    if zeros[j] != zeros[seed]:
+                for i, off in active:
+                    f = self.factor_log(i, j, seed)
+                    if f == -math.inf:
                         continue
-                    f = lsub(pre[j], pre[seed])
                     cand = ladd(f, off) if off != 0.0 else f
                     if best == -math.inf or cand > best:
                         best = cand
