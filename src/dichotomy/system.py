@@ -607,7 +607,7 @@ class _DiagonalSweeps:
     def __init__(self, sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):
         sys.check_pair(hi, lo)
         _require_mask_for_diagonal(sys, proj)
-        self.dim, self.proj, self.lo, self.hi = sys.dim, proj, lo, hi
+        self.dim, self.proj, self.hi = sys.dim, proj, hi
         self.pre, self.zeros = sys.diag_prefix(hi)
         # triplet ratios: (k, m, mask at n, coordinates alive on (n, k]) ->
         # the ratios of the first row n with that key
