@@ -446,21 +446,17 @@ def restricted_ratio_extremes(
 
 
 def _sup_ratio(num: np.ndarray, den: np.ndarray) -> LogScalar:
-    """sup over z of |num z| / |den z| via the definite pencil."""
-    g = num.T @ num
-    h = den.T @ den
-    try:
-        chol = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
+    """sup over z of |num z| / |den z|: with den = U S V^T this is the top
+    singular value of num V S^-1. Unlike the pencil of the normal equations,
+    whose error grows with cond(den)^2, the rounding grows with cond(den)."""
+    _, s, vt = np.linalg.svd(den, full_matrices=False)
+    if s[-1] <= s[0] * max(den.shape) * np.finfo(float).eps:
         # den kills some direction; the ratio is unbounded unless num does too
         if float(np.linalg.norm(num, 2)) == 0.0:
             return LogScalar.zero()
         return LogScalar.positive_infinity()
-    half = np.linalg.solve(chol, g)
-    pencil = np.linalg.solve(chol, half.T).T
-    eigs = np.linalg.eigvalsh(0.5 * (pencil + pencil.T))
-    top = max(0.0, float(eigs[-1]))
-    return LogScalar.from_float(math.sqrt(top))
+    top = np.linalg.svd((num @ vt.T) / s, compute_uv=False)[0]
+    return LogScalar.from_float(float(top))
 
 
 class _DenseSweeps:
