@@ -47,6 +47,16 @@ CASES = {
     "ned-falsify": (
         ["falsify", "--gallery", "ned_example", "--concept", "UED",
          "--schedule", "odd_after_even", "--k-max", "12", "--alpha", "0.25"], 1, True),
+    # generic schedules: touching ranges, and one start index for every pair
+    "ned-falsify-adjacent": (
+        ["falsify", "--gallery", "ned_example", "--concept", "UED",
+         "--schedule", "adjacent", "--k-max", "12", "--alpha", "0.25"], 0, True),
+    "ned-falsify-from-start": (
+        ["falsify", "--gallery", "ned_example", "--concept", "UED",
+         "--schedule", "from_start", "--k-max", "12"], 0, True),
+    "tower-falsify-contracting": (
+        ["falsify", "--gallery", "ned_not_ed_example", "--concept", "ED",
+         "--schedule", "tower_contracting", "--k-max", "12"], 1, True),
     "ued-datko": (
         ["datko", "--gallery", "ued_example", "--window", "0..15", "--d", "0.1",
          "--from-cert", "UED:N=1,alpha=0.5", "--m-trunc", "40"], 0, False),
