@@ -40,13 +40,23 @@ from .errors import (
     OutOfRangeError,
     ScheduleOutOfRangeError,
 )
-from .logscalar import LogMag, LogScalar, ladd, lfloat, lsub, mixes_as_float, rounding_scale
+from .logscalar import (
+    LogMag,
+    LogScalar,
+    ladd,
+    lfloat,
+    logaddexp_mag,
+    lsub,
+    mixes_as_float,
+    rounding_scale,
+)
 from .system import (
     DEFAULT_TOL_COMPAT,
     ProjectionFamily,
     SystemDescription,
     _sweeps,
     check_compatibility,
+    check_pairs_compatibility,
 )
 
 DEFAULT_LOG_TOL = 1e-9
@@ -690,15 +700,25 @@ class WitnessSchedule:
         return tuple(float(v) for v in self.direction)
 
 
-def _vector_parts(sys, proj, m, n, x):
-    """(|A_P x|, |Q x|, |P x|, |A_Q x|) at the pair, as LogScalars."""
-    kernel = _sweeps(sys, proj, n, m)
-    norms = []
-    for part, start in zip("PQ", proj.split(n, x)):
-        logs = kernel.lognorms(part, start[:, None], n, at=(n, m))[0]
-        norms.append([LogScalar.from_log(v) for v in logs])
-    (px, ap), (qx, aq) = norms
-    return ap, qx, px, aq
+def _family_norms(sys, proj, pairs, x):
+    """Log-magnitudes (|A_P x|, |Q x|, |P x|, |A_Q x|) of every pair (m, n),
+    keyed by the pair; -inf marks a zero. One kernel spans the family, and
+    each start index n takes one trajectory per side up to its last horizon."""
+    kernel = _sweeps(sys, proj, min(n for _, n in pairs), max(m for m, _ in pairs))
+    horizons: dict[int, set[int]] = {}
+    for m, n in pairs:
+        horizons.setdefault(n, set()).add(m)
+    fixed_parts = proj.split(pairs[0][1], x) if proj.constant else None
+    norms = {}
+    for n, ms in horizons.items():
+        ms = sorted(ms)
+        (px, *aps), (qx, *aqs) = (
+            kernel.lognorms(part, start[:, None], n, at=(n, *ms))[0]
+            for part, start in zip("PQ", fixed_parts or proj.split(n, x))
+        )
+        for m, ap, aq in zip(ms, aps, aqs):
+            norms[m, n] = ap, qx, px, aq
+    return norms
 
 
 def falsify(
@@ -718,48 +738,61 @@ def falsify(
     monotonically across at least five consecutive family members with a
     positive least-squares slope of their logs; a certified system can only
     produce ``bounded`` reports.
+
+    The family is evaluated as one batch: every pair is checked first, then
+    compatibility once per index the pairs cover, and the norms come from
+    one kernel over the family's span.
     """
     alpha = schedule.default_alpha if alpha is None else alpha
     if not alpha > 0:
         raise InvalidCertificateError("trial alpha must be positive")
+    if not alpha < math.inf:
+        raise InvalidCertificateError("trial alpha must be finite")
     if concept in (Kind.ED, Kind.SED):
         beta = schedule.default_beta if beta is None else beta
         if beta < 0:
             raise InvalidCertificateError("trial beta must be nonnegative")
+        if not beta < math.inf:
+            raise InvalidCertificateError("trial beta must be finite")
     elif concept is Kind.NED and profile is None:
         raise InvalidCertificateError("falsifying the nonuniform concept needs a trial profile")
     ks = sorted(set(int(k) for k in k_values))
     if not ks:
         raise ScheduleOutOfRangeError("empty family parameter range")
-    witnesses = []
-    logs: list[LogMag] = []
-    for k in ks:
-        m, n = schedule.pair_at(k)
+    pairs = [schedule.pair_at(k) for k in ks]
+    for m, n in pairs:
         if m < n or n < 0:
             raise ScheduleOutOfRangeError(f"schedule produced invalid pair (m, n) = ({m}, {n})")
         try:
             sys.check_pair(m, n)
         except (OutOfRangeError, IndexOrderError) as exc:
             raise ScheduleOutOfRangeError(str(exc)) from exc
-        check_compatibility(sys, proj, n, m, tol_compat)
-        x = schedule.direction_vector(sys.dim)
-        ap, qx, px, aq = _vector_parts(sys, proj, m, n, x)
-        gap = LogScalar.from_log(alpha * (m - n))
-        numerator = gap * (ap + qx)
+    check_pairs_compatibility(sys, proj, pairs, tol_compat)
+    x = schedule.direction_vector(sys.dim)
+    norms = _family_norms(sys, proj, pairs, x)
+    witnesses = []
+    logs: list[LogMag] = []
+    for m, n in pairs:
+        ap, qx, px, aq = norms[m, n]
+        # the LogScalar arithmetic of exp(alpha (m-n)) (|A_P x| + |Q x|) over
+        # w_P |P x| + w_Q |A_Q x|, on log-magnitudes with -inf for zero
+        s = logaddexp_mag(ap, qx)
+        numerator = ladd(alpha * (m - n), s) if s != -math.inf else -math.inf
         if concept is Kind.UED:
-            w_p, w_q = LogScalar.one(), LogScalar.one()
+            w_p, w_q = 0, 0
         elif concept is Kind.NED:
-            w_p, w_q = profile.at(n), profile.at(m)
+            w_p, w_q = profile.at(n).logmag, profile.at(m).logmag
         else:
-            w_p = LogScalar.from_log(beta * n)
-            w_q = LogScalar.from_log(beta * m)
-        denominator = w_p * px + w_q * aq
-        if denominator.is_zero:
-            required = LogScalar.positive_infinity()
+            w_p, w_q = beta * n, beta * m
+        denominator = logaddexp_mag(_log_product(w_p, px), _log_product(w_q, aq))
+        if denominator == -math.inf:
+            required = math.inf
+        elif numerator == -math.inf:
+            required = -math.inf
         else:
-            required = numerator / denominator
-        witnesses.append(Witness(m, n, x, required, side="family"))
-        logs.append(required.logmag if required.sign != 0 else -math.inf)
+            required = lsub(numerator, denominator)
+        witnesses.append(Witness(m, n, x, LogScalar.from_log(required), side="family"))
+        logs.append(required)
     trend, slope = _classify_trend(ks, logs)
     return WitnessReport(
         concept=concept,
@@ -770,6 +803,11 @@ def falsify(
         trial_alpha=alpha,
         trial_beta=beta if concept in (Kind.ED, Kind.SED) else None,
     )
+
+
+def _log_product(a: LogMag, b: LogMag) -> LogMag:
+    """log(exp(a) exp(b)) of two magnitudes, -inf when either is zero."""
+    return -math.inf if a == -math.inf or b == -math.inf else ladd(a, b)
 
 
 def _classify_trend(ks: Sequence[int], logs: Sequence[LogMag]) -> tuple[str, float]:

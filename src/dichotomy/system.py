@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -214,7 +214,9 @@ class ProjectionFamily:
 
     Two forms: a coordinate mask (constant tuple of bools, or a function
     of n), which is the only form accepted for diagonal systems, or
-    explicit projection matrices (constant or per index).
+    explicit projection matrices (constant or per index). A family given
+    by a fixed mask or matrix is ``constant``: it is checked once, when it
+    is built.
     """
 
     def __init__(self, dim: int, mask=None, matrix=None):
@@ -223,6 +225,7 @@ class ProjectionFamily:
         self.dim = dim
         self._mask = None
         self._matrix = None
+        self.constant = not callable(mask if matrix is None else matrix)
         if mask is not None:
             if callable(mask):
                 self._mask = mask
@@ -247,6 +250,8 @@ class ProjectionFamily:
     def mask(self, n: int) -> tuple[bool, ...]:
         if self._mask is None:
             raise TypeError("matrix-specified projection has no coordinate mask")
+        if self.constant:
+            return self._mask(n)
         got = tuple(bool(b) for b in self._mask(n))
         if len(got) != self.dim:
             raise ValueError("mask length must equal dim")
@@ -255,6 +260,8 @@ class ProjectionFamily:
     def matrix(self, n: int) -> np.ndarray:
         if self._mask is not None:
             return np.diag([1.0 if b else 0.0 for b in self.mask(n)])
+        if self.constant:
+            return self._matrix(n)
         return _finite(np.asarray(self._matrix(n), dtype=float))
 
     def complement_matrix(self, n: int) -> np.ndarray:
@@ -288,6 +295,8 @@ class ProjectionFamily:
             d = self.idempotence_defect(n)
             if not d <= tol:
                 raise InvalidProjectionError(f"projection at n={n} fails idempotence by {d:.3e}")
+            if self.constant:
+                return
 
 
 def _finite(matrix: np.ndarray) -> np.ndarray:
@@ -331,18 +340,44 @@ def check_compatibility(
 ) -> None:
     """Raise unless the family is idempotent and commutes with the dynamics
     on [n_lo, m_hi]."""
-    proj.validate(n_lo, m_hi)
-    if sys.is_diagonal and proj.is_mask:
-        ref = proj.mask(n_lo)
-        constant = all(proj.mask(k) == ref for k in range(n_lo, m_hi + 1))
-        if constant:
-            return
-    for k in range(n_lo, m_hi):
-        d = compatibility_defect(sys, proj, k)
-        if d > tol:
-            raise IncompatibleProjectionError(
-                f"compatibility defect {d:.3e} at n={k} exceeds tolerance {tol:.1e}"
-            )
+    check_pairs_compatibility(sys, proj, [(m_hi, n_lo)], tol)
+
+
+def check_pairs_compatibility(
+    sys: SystemDescription,
+    proj: ProjectionFamily,
+    pairs: Sequence[tuple[int, int]],
+    tol: float = DEFAULT_TOL_COMPAT,
+) -> None:
+    """Raise unless the family is idempotent at every index of the ranges
+    [n, m] of the pairs (m, n) and commutes with the dynamics at every index
+    of their ranges [n, m). Each index is checked once, and none that lies
+    between the ranges; a diagonal system with a constant mask commutes
+    everywhere."""
+    for lo, hi in _merged((n, m) for m, n in pairs):
+        proj.validate(lo, hi)
+    if sys.is_diagonal and proj.is_mask and proj.constant:
+        return
+    for lo, hi in _merged((n, m - 1) for m, n in pairs):
+        for k in range(lo, hi + 1):
+            d = compatibility_defect(sys, proj, k)
+            if d > tol:
+                raise IncompatibleProjectionError(
+                    f"compatibility defect {d:.3e} at n={k} exceeds tolerance {tol:.1e}"
+                )
+
+
+def _merged(ranges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The union of the integer ranges [lo, hi] as sorted disjoint ranges;
+    an empty range (hi < lo) adds nothing."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in sorted(r for r in ranges if r[0] <= r[1]):
+        if out and lo <= out[-1][1] + 1:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
 
 
 def projected_evolution(
@@ -489,15 +524,16 @@ class _DenseSweeps:
             self._bases[key] = (_range_basis(p), _range_basis(np.eye(len(p)) - p))
         return self._bases[key]
 
-    def sweep(self, part: str, start: np.ndarray, n: int) -> np.ndarray:
+    def sweep(self, part: str, start: np.ndarray, n: int, upto: int | None = None) -> np.ndarray:
         """Images of the columns of ``start`` (a block in range P(n) or Q(n),
-        ``part`` "P" or "Q") at k = n..hi, entry k - n of one stack, cut
-        before the first index whose image is not finite."""
+        ``part`` "P" or "Q") at k = n..upto (by default hi), entry k - n of
+        one stack, cut before the first index whose image is not finite."""
         steps, lo = self.steps[part], self.lo
-        out = np.empty((self.hi - n + 1, *start.shape))
+        upto = self.hi if upto is None else upto
+        out = np.empty((upto - n + 1, *start.shape))
         out[0] = start
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n + 1, self.hi + 1):
+            for k in range(n + 1, upto + 1):
                 np.matmul(steps[k - lo], out[k - n - 1], out=out[k - n])
         finite = np.isfinite(out).all(axis=(1, 2))
         return out if finite.all() else out[: int(np.argmin(finite))]
@@ -508,9 +544,10 @@ class _DenseSweeps:
     def lognorms(self, part: str, block: np.ndarray, seed: int, at=None) -> list[list[LogMag]]:
         """Per column of ``block`` (a block in range P(seed) or Q(seed), as in
         ``sweep``): log |A(j, seed) column| for j in ``at``, by default
-        seed..hi, from one sweep of the whole block."""
-        images = self.sweep(part, block, seed)
-        if len(images) <= self.hi - seed:
+        seed..hi, from one sweep of the whole block up to the last of them."""
+        upto = self.hi if at is None else max(at)
+        images = self.sweep(part, block, seed, upto)
+        if len(images) <= upto - seed:
             raise _overflow(seed, seed + len(images))
         norms = np.linalg.norm(images, axis=1)
         if at is not None:

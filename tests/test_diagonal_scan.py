@@ -36,7 +36,7 @@ from dichotomy import (
     verify_triplet_form,
 )
 from dichotomy import checkers, system
-from dichotomy.checkers import _PairTable, _slack, _vector_parts
+from dichotomy.checkers import _PairTable, _family_norms, _slack
 from dichotomy.logscalar import ladd, lsub
 from dichotomy.system import DiagonalClosedForm, _sweeps
 
@@ -464,7 +464,8 @@ def test_kernel_matches_per_pair_formulas(case, data):
             assert all(same(a, b) for a, b in zip(traj, want))
         for vec in vectors:
             for m in range(seed, hi + 1):
-                assert _vector_parts(sys_, proj, m, seed, vec) == brute_vector_parts(
+                got = _family_norms(sys_, proj, [(m, seed)], vec)[m, seed]
+                assert tuple(LogScalar.from_log(v) for v in got) == brute_vector_parts(
                     sys_, proj, m, seed, vec
                 )
 
@@ -485,7 +486,7 @@ def test_single_pairs_read_few_prefix_entries(monkeypatch):
     calls = [
         lambda: system.restricted_extremes(sys_, proj, 400, 2),
         lambda: system.restricted_ratio_extremes(sys_, proj, 400, 200, 2),
-        lambda: _vector_parts(sys_, proj, 400, 2, (1.0, 1.0)),
+        lambda: _family_norms(sys_, proj, [(400, 2)], (1.0, 1.0)),
     ]
     for call in calls:
         Counted.reads = 0
