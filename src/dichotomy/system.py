@@ -524,12 +524,11 @@ class _DenseSweeps:
             self._bases[key] = (_range_basis(p), _range_basis(np.eye(len(p)) - p))
         return self._bases[key]
 
-    def sweep(self, part: str, start: np.ndarray, n: int, upto: int | None = None) -> np.ndarray:
+    def sweep(self, part: str, start: np.ndarray, n: int, upto: int) -> np.ndarray:
         """Images of the columns of ``start`` (a block in range P(n) or Q(n),
-        ``part`` "P" or "Q") at k = n..upto (by default hi), entry k - n of
-        one stack, cut before the first index whose image is not finite."""
+        ``part`` "P" or "Q") at k = n..upto, entry k - n of one stack, cut
+        before the first index whose image is not finite."""
         steps, lo = self.steps[part], self.lo
-        upto = self.hi if upto is None else upto
         out = np.empty((upto - n + 1, *start.shape))
         out[0] = start
         with np.errstate(over="ignore", invalid="ignore"):
@@ -563,8 +562,8 @@ class _DenseRow:
     def __init__(self, sweeps: _DenseSweeps, n: int):
         self.n = n
         self.bp, self.bq = sweeps.bases(n)
-        xs = sweeps.sweep("P", self.bp, n)
-        ys = sweeps.sweep("Q", self.bq, n)
+        xs = sweeps.sweep("P", self.bp, n, sweeps.hi)
+        ys = sweeps.sweep("Q", self.bq, n, sweeps.hi)
         size = min(len(xs), len(ys))
         self.xs, self.ys = xs[:size], ys[:size]
         self.end = n + size - 1

@@ -210,7 +210,7 @@ def test_dense_family_sweeps_stop_at_the_last_horizon(monkeypatch, schedule):
     steps = {"P": 0, "Q": 0}
     sweep = system._DenseSweeps.sweep
 
-    def counted(self, part, start, n, upto=None):
+    def counted(self, part, start, n, upto):
         images = sweep(self, part, start, n, upto)
         steps[part] += len(images) - 1
         return images
