@@ -777,7 +777,7 @@ def falsify(
         # the LogScalar arithmetic of exp(alpha (m-n)) (|A_P x| + |Q x|) over
         # w_P |P x| + w_Q |A_Q x|, on log-magnitudes with -inf for zero
         s = logaddexp_mag(ap, qx)
-        numerator = ladd(alpha * (m - n), s) if s != -math.inf else -math.inf
+        numerator = _log_product(alpha * (m - n), s)
         if concept is Kind.UED:
             w_p, w_q = 0, 0
         elif concept is Kind.NED:
