@@ -39,9 +39,7 @@ from .datko import (
     DatkoReport,
     SummationConstants,
     certificate_to_datko,
-    datko_lhs,
     overall_verdict,
-    projected_sum,
     verify_datko_ed,
     verify_datko_ned,
     verify_datko_ued,
@@ -77,14 +75,11 @@ from .gallery import (
 from .logscalar import LogScalar, log_leq, log_slack
 from .system import (
     DiagonalClosedForm,
-    EvolutionOperator,
     ExplicitSequence,
     ProjectionFamily,
     RestrictedExtremes,
     SystemDescription,
     compatibility_defect,
-    evolution,
-    projected_evolution,
     restricted_extremes,
     restricted_ratio_extremes,
 )

@@ -85,8 +85,10 @@ class ConstantProfile(Profile):
     value: float
 
     def log_at(self, n: int) -> LogMag:
-        if self.value < 0:
-            raise InvalidCertificateError("profile values must be nonnegative")
+        if not self.value >= 0:  # NaN fails the comparison too
+            raise InvalidCertificateError(
+                f"profile values must be nonnegative, got {self.value}"
+            )
         return math.log(self.value) if self.value > 0 else -math.inf
 
     def describe(self) -> dict:
@@ -101,7 +103,15 @@ class ShiftedPowerProfile(Profile):
     power: float
 
     def log_at(self, n: int) -> LogMag:
-        return self.power * math.log(n + self.shift)
+        base = n + self.shift
+        if not base > 0:  # NaN fails the comparison too
+            raise InvalidCertificateError(
+                f"profile base n + shift must be positive, got {base} at n={n}"
+            )
+        log = self.power * math.log(base)
+        if math.isnan(log):
+            raise InvalidCertificateError(f"profile log is NaN at n={n}")
+        return log
 
     def describe(self) -> dict:
         return {"form": "shifted_power", "shift": self.shift, "power": self.power}
@@ -176,6 +186,8 @@ class DichotomyCertificate:
                 prev = None
                 for n in range(window.n_min, window.m_max + 1):
                     cur = self.profile.log_at(n)
+                    if isinstance(cur, float) and math.isnan(cur):
+                        raise InvalidCertificateError(f"profile log is NaN at n={n}")
                     if prev is not None and cur < prev:
                         raise InvalidCertificateError(f"profile decreases at n={n}")
                     prev = cur

@@ -341,30 +341,9 @@ def optimal_N_for_alpha(
     tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> LogScalar:
     """Least N making the uniform inequality hold everywhere on the window:
-    the maximum over pairs of both reduced ratios, floored at 1."""
-    if not alpha > 0:
-        raise InvalidCertificateError(f"alpha must be positive, got {alpha}")
-    check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
-    best: LogMag = 0
-    if sys.is_diagonal:
-        scan = _DiagonalScan(sys, proj, window)
-        for cand in scan.p_rows(alpha, window.m_max) + scan.q_cols(alpha):
-            if cand > best:
-                best = cand
-        return LogScalar.from_log(best)
-    ext = _PairExtremes(sys, proj, window)
-    for n, m in window.pairs():
-        gap = alpha * (m - n)
-        g, h = ext.logs(n, m)
-        if g != -math.inf:
-            cand = ladd(gap, g)
-            if cand > best:
-                best = cand
-        if h != math.inf:
-            cand = lsub(gap, h) if h != -math.inf else math.inf
-            if cand > best:
-                best = cand
-    return LogScalar.from_log(best)
+    the maximum over pairs of both reduced ratios, floored at 1, which is
+    the last value of the minimal nonuniform profile."""
+    return minimal_ned_profile(sys, proj, alpha, window, tol_compat).values[-1]
 
 
 @dataclass(frozen=True)
@@ -393,62 +372,21 @@ class ExponentialEstimate:
     table: tuple[GridPoint, ...]
 
 
-class _PairTable:
-    """Flat per-pair arrays for grid sweeps of dense systems (float64)."""
+class _DiagonalDemands:
+    """Demands of a diagonal window, from the running maxima of
+    ``_DiagonalScan``.
 
-    def __init__(self, sys, proj, window: WindowSpec):
-        ext = _PairExtremes(sys, proj, window)
-        ns, ms, gs, hs = [], [], [], []
-        for n, m in window.pairs():
-            g, h = ext.logs(n, m)
-            ns.append(n)
-            ms.append(m)
-            gs.append(lfloat(g))
-            hs.append(lfloat(h))
-        self.n = np.array(ns, dtype=float)
-        self.m = np.array(ms, dtype=float)
-        self.d = self.m - self.n
-        self.g = np.array(gs, dtype=float)
-        self.h = np.array(hs, dtype=float)
-        half_m = window.half().m_max
-        self.half_mask = self.m <= half_m
-
-    def min_log_n(self, alpha: float, beta: float, half: bool = False) -> float:
-        mask = self.half_mask if half else None
-        g = self.g if mask is None else self.g[mask]
-        h = self.h if mask is None else self.h[mask]
-        d = self.d if mask is None else self.d[mask]
-        n = self.n if mask is None else self.n[mask]
-        m = self.m if mask is None else self.m[mask]
-        with np.errstate(invalid="ignore"):
-            p_side = alpha * d + g - beta * n
-            q_side = alpha * d - h - beta * m
-        p_side = np.where(np.isnan(p_side), -np.inf, p_side)
-        q_side = np.where(np.isnan(q_side), -np.inf, q_side)
-        best = 0.0
-        if p_side.size:
-            best = max(best, float(np.max(p_side)), float(np.max(q_side)))
-        return best
-
-
-class _DiagonalTable:
-    """Grid sweeps of a diagonal system from the running maxima of each rate.
-
-    The row and column maxima depend on alpha alone; beta only shifts row n
-    by -beta n and column m by -beta m, so one scan serves every beta of a
-    rate. Pairs with m = n are left out: they demand at most 0, the floor of
-    every constant, since ``estimate_ed`` admits only beta >= 0. When every
-    prefix log-sum mixes with floats as a float (``mixes_as_float``),
-    ``ladd`` is plain float arithmetic and numpy repeats the scan's
+    Pairs with m = n are left out: they demand at most 0, the floor of every
+    constant, since the estimators admit only beta >= 0. When every prefix
+    log-sum mixes with floats as a float (``mixes_as_float``) and the rate is
+    a float, ``ladd`` is plain float arithmetic and numpy repeats the scan's
     operations in the same order; larger exact logs keep the scan's exact
     arithmetic, since float differences of them cancel.
     """
 
     def __init__(self, sys, proj, window: WindowSpec):
         self.scan = scan = _DiagonalScan(sys, proj, window)
-        self.mid = window.half().m_max
         self.index = np.arange(scan.lo, scan.hi + 1, dtype=float)
-        self.alpha = None
         self.coords = None
         window_pre = [pre[scan.lo:scan.hi + 1] for pre in scan.pre]
         if all(mixes_as_float(v) for pre in window_pre for v in pre):
@@ -458,29 +396,14 @@ class _DiagonalTable:
                 for i, (pre, zeros) in enumerate(zip(window_pre, scan.zeros))
             ]
 
-    def min_log_n(self, alpha: float, beta: float, half: bool = False) -> float:
-        scan = self.scan
-        if alpha != self.alpha:
-            self.alpha = alpha
-            if self.coords is None:
-                self.rows = np.array([lfloat(v) for v in scan.p_rows(alpha, scan.hi)])
-                self.rows_half = np.array([lfloat(v) for v in scan.p_rows(alpha, self.mid)])
-                self.cols = np.array([lfloat(v) for v in scan.q_cols(alpha)])
-            else:
-                self.rows = self._p_rows(alpha, len(self.index))
-                self.rows_half = self._p_rows(alpha, self.mid - scan.lo + 1)
-                self.cols = self._q_cols(alpha)
-        size = self.mid - scan.lo + 1 if half else len(self.index)
-        index = self.index[:size]
-        rows = self.rows_half if half else self.rows
-        return max(
-            0.0,
-            float(np.max(rows - beta * index)),
-            float(np.max(self.cols[:size] - beta * index)),
-        )
+    def _in_numpy(self, alpha) -> bool:
+        return self.coords is not None and isinstance(alpha, float)
 
-    def _p_rows(self, alpha: float, size: int) -> np.ndarray:
-        """``_DiagonalScan.p_rows`` on the first ``size`` indices, in numpy."""
+    def rows(self, alpha: float, hi: int):
+        """``_DiagonalScan.p_rows``."""
+        if not self._in_numpy(alpha):
+            return self.scan.p_rows(alpha, hi)
+        size = hi - self.scan.lo + 1
         ax = alpha * self.index[:size]
         out = np.full(size, -np.inf)
         for pre, zeros, in_p in self.coords:
@@ -491,8 +414,10 @@ class _DiagonalTable:
             out = np.maximum(out, np.where(in_p[:size], (strict - ax) - pre, -np.inf))
         return out
 
-    def _q_cols(self, alpha: float) -> np.ndarray:
-        """``_DiagonalScan.q_cols`` in numpy."""
+    def cols(self, alpha: float):
+        """``_DiagonalScan.q_cols``."""
+        if not self._in_numpy(alpha):
+            return self.scan.q_cols(alpha)
         ax = alpha * self.index
         out = np.full(len(ax), -np.inf)
         for pre, zeros, in_p in self.coords:
@@ -520,8 +445,85 @@ def _segmented_max(values: np.ndarray, zeros: np.ndarray, reverse: bool) -> np.n
     return out
 
 
-def _grid_table(sys, proj, window: WindowSpec):
-    return (_DiagonalTable if sys.is_diagonal else _PairTable)(sys, proj, window)
+class _DenseDemands:
+    """Demands of a dense window from one (n, m) table of the pair extremes,
+    filled once; the entries with m < n are -inf on the P side and +inf on
+    the Q side, so they demand nothing."""
+
+    def __init__(self, sys, proj, window: WindowSpec):
+        ext = _PairExtremes(sys, proj, window)
+        self.lo = lo = window.n_min
+        size = window.m_max - lo + 1
+        self.growth = np.full((size, size), -np.inf)
+        self.gain = np.full((size, size), np.inf)
+        for n, m in window.pairs():
+            self.growth[n - lo, m - lo], self.gain[n - lo, m - lo] = ext.logs(n, m)
+        steps = np.arange(size, dtype=float)
+        self.gap = steps - steps[:, None]  # m - n
+
+    def rows(self, alpha: float, hi: int) -> np.ndarray:
+        size = hi - self.lo + 1
+        return np.max(alpha * self.gap[:size, :size] + self.growth[:size, :size], axis=1)
+
+    def cols(self, alpha: float) -> np.ndarray:
+        return np.max(alpha * self.gap - self.gain, axis=0)
+
+
+def _demands(sys, proj, window: WindowSpec):
+    """The per-index demands of the system's representation on the window.
+
+    ``rows(alpha, hi)`` gives, for each start index n up to ``hi``, the
+    largest alpha (m - n) + log growth_P(m, n) over n <= m <= hi, a lower
+    bound on log R_P(n); ``cols(alpha)`` gives, for each end index m, the
+    largest alpha (m - n) - log min_gain_Q(m, n), a lower bound on
+    log R_Q(m). Either is a list of log-magnitudes or a float array, and
+    may leave out the pairs m = n, whose demand is at most 0.
+    """
+    return (_DiagonalDemands if sys.is_diagonal else _DenseDemands)(sys, proj, window)
+
+
+class _GridTable:
+    """Least log N of the weighted inequality at each (alpha, beta) point.
+
+    beta only shifts row n by -beta n and column m by -beta m, so the
+    demands of one rate serve every beta of it.
+    """
+
+    def __init__(self, sys, proj, window: WindowSpec):
+        self.demands = _demands(sys, proj, window)
+        self.hi, self.mid = window.m_max, window.half().m_max
+        self.index = np.arange(window.n_min, window.m_max + 1, dtype=float)
+        self.alpha = None
+
+    def min_log_n(self, alpha: float, beta: float, half: bool = False) -> float:
+        if alpha != self.alpha:
+            self.alpha = alpha
+            self.rows = _floats(self.demands.rows(alpha, self.hi))
+            self.rows_half = _floats(self.demands.rows(alpha, self.mid))
+            self.cols = _floats(self.demands.cols(alpha))
+        rows = self.rows_half if half else self.rows
+        index = self.index[:len(rows)]
+        return max(
+            0.0,
+            float(np.max(rows - beta * index)),
+            float(np.max(self.cols[:len(rows)] - beta * index)),
+        )
+
+
+def _floats(demands) -> np.ndarray:
+    if isinstance(demands, np.ndarray):
+        return demands
+    return np.array([lfloat(v) for v in demands], dtype=float)
+
+
+def _logs(demands) -> list[LogMag]:
+    return demands.tolist() if isinstance(demands, np.ndarray) else demands
+
+
+def _check_alphas(alpha_grid: Sequence[float]) -> None:
+    # comparisons that NaN fails, so NaN and infinite entries are rejected
+    if not all(0 < a < math.inf for a in alpha_grid):
+        raise InvalidCertificateError("alpha grid entries must be positive and finite")
 
 
 def estimate_ued(
@@ -540,12 +542,11 @@ def estimate_ued(
     if not alpha_grid:
         raise EmptyFeasibleSetError("alpha grid must be nonempty")
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
-    table = _grid_table(sys, proj, window)
+    _check_alphas(alpha_grid)
+    table = _GridTable(sys, proj, window)
     rows = []
     best_row = None
     for alpha in sorted(alpha_grid):
-        if alpha <= 0:
-            raise InvalidCertificateError("alpha grid entries must be positive")
         full = table.min_log_n(alpha, 0.0)
         half = table.min_log_n(alpha, 0.0, half=True)
         stable = full <= half + DEFAULT_LOG_TOL
@@ -579,12 +580,14 @@ def estimate_ed(
         alpha_grid = default_alpha_grid(sys, proj, window)
     if not alpha_grid:
         raise EmptyFeasibleSetError("alpha grid must be nonempty")
+    _check_alphas(alpha_grid)
     if beta_grid is None:
         beta_grid = default_beta_grid(max(alpha_grid))
     if not beta_grid:
         raise EmptyFeasibleSetError("beta grid must be nonempty")
-    if any(b < 0 for b in beta_grid):
-        raise InvalidCertificateError("beta grid entries must satisfy beta >= 0")
+    # comparisons that NaN fails, so NaN and infinite entries are rejected
+    if not all(0 <= b < math.inf for b in beta_grid):
+        raise InvalidCertificateError("beta grid entries must be finite and satisfy beta >= 0")
     pairs = [
         (a, b)
         for a in sorted(alpha_grid)
@@ -593,12 +596,10 @@ def estimate_ed(
     ]
     if not pairs:
         raise EmptyFeasibleSetError("no grid pair satisfies beta < alpha")
-    table = _grid_table(sys, proj, window)
+    table = _GridTable(sys, proj, window)
     rows = []
     best_row = None
     for alpha, beta in pairs:
-        if alpha <= 0:
-            raise InvalidCertificateError("alpha grid entries must be positive")
         full = table.min_log_n(alpha, beta)
         half = table.min_log_n(alpha, beta, half=True)
         stable = full <= half + DEFAULT_LOG_TOL
@@ -632,37 +633,16 @@ def minimal_ned_profile(
     by a running maximum give the least admissible profile (floored at 1,
     which every index with nontrivial ranges forces at m = n anyway).
     """
-    if not alpha > 0:
-        raise InvalidCertificateError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise InvalidCertificateError(f"alpha must be positive and finite, got {alpha}")
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
-    base = window.n_min
-    raw: list[LogMag] = [0 for _ in range(window.m_max - base + 1)]
-    if sys.is_diagonal:
-        scan = _DiagonalScan(sys, proj, window)
-        for k, needs in enumerate(zip(scan.p_rows(alpha, window.m_max), scan.q_cols(alpha))):
-            for need in needs:
-                if need > raw[k]:
-                    raw[k] = need
-    else:
-        ext = _PairExtremes(sys, proj, window)
-        for n, m in window.pairs():
-            gap = alpha * (m - n)
-            g, h = ext.logs(n, m)
-            if g != -math.inf:
-                need_n = ladd(gap, g)
-                if need_n > raw[n - base]:
-                    raw[n - base] = need_n
-            if h != math.inf:
-                need_m = lsub(gap, h) if h != -math.inf else math.inf
-                if need_m > raw[m - base]:
-                    raw[m - base] = need_m
-    running: LogMag = -math.inf
+    demands = _demands(sys, proj, window)
+    running: LogMag = 0
     values = []
-    for v in raw:
-        if running == -math.inf or v > running:
-            running = v
+    for row, col in zip(_logs(demands.rows(alpha, window.m_max)), _logs(demands.cols(alpha))):
+        running = max(running, row, col)
         values.append(LogScalar.from_log(running))
-    return TabulatedProfile(base, tuple(values))
+    return TabulatedProfile(window.n_min, tuple(values))
 
 
 # -- falsification -------------------------------------------------------------
@@ -868,4 +848,5 @@ def default_alpha_grid(
 def default_beta_grid(alpha_max: float, count: int = 16) -> list[float]:
     if count < 1:
         raise EmptyFeasibleSetError(f"beta grid needs at least one point, got {count}")
+    _check_alphas([alpha_max])
     return list(np.linspace(0.0, 2.0 * alpha_max, count))

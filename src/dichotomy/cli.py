@@ -25,7 +25,6 @@ from .checkers import (
     estimate_ued,
     falsify,
     minimal_ned_profile,
-    optimal_N_for_alpha,
     verify_certificate,
     verify_triplet_form,
 )
@@ -245,8 +244,8 @@ def _run_estimate(args) -> int:
         profile = minimal_ned_profile(system, projection, alpha, window)
         report["alpha"] = alpha
         report["profile"] = serialize.profile_series_to_json(profile)
-        optimal = optimal_N_for_alpha(system, projection, alpha, window)
-        report["optimal_uniform_N"] = serialize.logscalar_to_json(optimal)
+        # the least uniform N is the profile's last value
+        report["optimal_uniform_N"] = serialize.logscalar_to_json(profile.values[-1])
         _emit(args, report)
         return 0
     alphas = _parse_grid(args.alphas, "alphas")

@@ -121,23 +121,16 @@ def certificate_to_datko(cert: DichotomyCertificate, d: float) -> SummationConst
 # -- trajectories ----------------------------------------------------------------
 
 
-def _constant_mask_or_matrix(sys, proj, n_lo, n_hi):
-    """Summation scans assume a constant projection; verify and return it."""
-    if sys.is_diagonal:
-        mask = proj.mask(n_lo)
-        for k in range(n_lo, n_hi + 1):
-            if proj.mask(k) != mask:
-                raise InvalidConstantsError(
-                    "summation checks require a constant projection family"
-                )
-        return mask
+def _require_constant_projection(proj, n_lo, n_hi) -> None:
+    """Summation scans assume a constant projection; raise unless it is."""
+    if proj.constant:
+        return
     base = proj.matrix(n_lo)
     for k in range(n_lo, n_hi + 1):
         if not np.allclose(proj.matrix(k), base, atol=1e-12):
             raise InvalidConstantsError(
                 "summation checks require a constant projection family"
             )
-    return base
 
 
 def _seed_directions(sys, proj, part: str, ref_index: int) -> list[tuple[float, ...]]:
@@ -149,13 +142,6 @@ def _seed_directions(sys, proj, part: str, ref_index: int) -> list[tuple[float, 
     mat = proj.matrix(ref_index) if part == "P" else proj.complement_matrix(ref_index)
     basis = _range_basis(mat)
     return [tuple(float(v) for v in basis[:, j]) for j in range(basis.shape[1])]
-
-
-def _traj_lognorms(sys, proj, part, vec, seed: int, upto: int) -> list[LogMag]:
-    """log |A(j, seed) x| for j = seed..upto (index j - seed in the list);
-    x must lie in range P(seed) (part "P") or Q(seed) (part "Q")."""
-    block = np.asarray(vec, dtype=float)[:, None]
-    return _sweeps(sys, proj, seed, upto).lognorms(part, block, seed)[0]
 
 
 def _trajectories(sys, proj, part: str, window: WindowSpec, upto: int):
@@ -184,87 +170,6 @@ def _suffix_weighted(traj: list[LogMag], d: float) -> list[LogMag]:
         out.append(acc)
     out.reverse()
     return out
-
-
-def projected_sum(
-    sys: SystemDescription,
-    proj: ProjectionFamily,
-    d: float,
-    x,
-    seed_time: int,
-    start: int,
-    stop: int,
-    weight_origin: int,
-) -> LogScalar:
-    """sum_{j=start}^{stop} e^{d (j - weight_origin)} |A_P(j, seed_time) x|.
-
-    Direct summation; exists mainly as an independent oracle for the
-    verifier fast paths and for index-origin experiments.
-    """
-    if not (stop >= start >= seed_time >= 0):
-        raise IndexOrderError("need stop >= start >= seed_time >= 0")
-    px, _ = proj.split(seed_time, list(x))
-    traj = _traj_lognorms(sys, proj, "P", px, seed_time, stop)
-    terms = [
-        ladd(traj[j - seed_time], d * (j - weight_origin)) for j in range(start, stop + 1)
-    ]
-    acc: LogMag = -math.inf
-    for t in terms:
-        acc = logaddexp_mag(acc, t)
-    return LogScalar.from_log(acc)
-
-
-def datko_lhs(
-    sys: SystemDescription,
-    proj: ProjectionFamily,
-    d: float,
-    m: int,
-    n: int,
-    p: int,
-    x,
-    m_trunc: int,
-    cert: DichotomyCertificate,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
-) -> tuple[LogScalar, LogScalar, LogScalar]:
-    """Truncated left side of the nonuniform criterion at (m, n, p, x).
-
-    Returns (P_sum truncated at m_trunc, exact Q_sum, geometric tail bound).
-    The tail needs a decay certificate with alpha > d.
-    """
-    if not (m >= n >= p >= 0):
-        raise IndexOrderError(f"need m >= n >= p >= 0, got ({m}, {n}, {p})")
-    if m_trunc < m:
-        raise IndexOrderError(f"truncation {m_trunc} below m = {m}")
-    if cert is None:
-        raise NoDecayCertificateError("tail accounting needs a decay certificate")
-    cert.validate()
-    if d >= cert.alpha:
-        raise NoDecayCertificateError(
-            f"certificate decay alpha={cert.alpha} does not dominate d={d}"
-        )
-    check_compatibility(sys, proj, p, m_trunc, tol_compat)
-    _constant_mask_or_matrix(sys, proj, p, m_trunc)
-    vec = list(x)
-    p_sum = projected_sum(sys, proj, d, vec, p, n, m_trunc, n)
-    # tail: sum_{j > m_trunc} e^{d(j-n)} |A_P(j,p)x| <= majorant(n) |A_P(n,p)x| *
-    #       e^{(d-alpha)(m_trunc+1-n)} / (1 - e^{d-alpha})
-    anchor = projected_sum(sys, proj, 0.0, vec, p, n, n, n)  # |A_P(n,p) x|
-    log_geom = -math.log1p(-math.exp(d - cert.alpha))
-    if anchor.sign == 0:
-        tail = LogScalar.zero()
-    else:
-        tail_log = ladd(
-            ladd(cert.r_log(n), anchor.logmag),
-            (d - cert.alpha) * (m_trunc + 1 - n) + log_geom,
-        )
-        tail = LogScalar.from_log(tail_log)
-    # exact Q part
-    _, qx = proj.split(n, vec)
-    q_traj = _traj_lognorms(sys, proj, "Q", qx, n, m)
-    acc: LogMag = -math.inf
-    for k in range(n, m + 1):
-        acc = logaddexp_mag(acc, ladd(q_traj[k - n], d * (m - k)))
-    return p_sum, LogScalar.from_log(acc), tail
 
 
 # -- the three verifiers -----------------------------------------------------
@@ -370,7 +275,7 @@ def _run_summation(
                 f"certificate decay alpha={cert.alpha} does not dominate d={d}"
             )
     check_compatibility(sys, proj, window.n_min, m_trunc, tol_compat)
-    _constant_mask_or_matrix(sys, proj, window.n_min, m_trunc)
+    _require_constant_projection(proj, window.n_min, m_trunc)
     log_geom = (
         -math.log1p(-math.exp(d - cert.alpha)) if cert is not None else None
     )

@@ -167,42 +167,6 @@ class SystemDescription:
         return LogScalar(sign, lsub(self._prefix_mag[i][m], self._prefix_mag[i][n]))
 
 
-@dataclass(frozen=True)
-class EvolutionOperator:
-    """The product A(m) * ... * A(n+1); identity at m = n."""
-
-    m: int
-    n: int
-    dim: int
-    diag: tuple[LogScalar, ...] | None = None
-    dense: np.ndarray | None = None
-
-    def to_dense(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        return np.diag([d.to_float() for d in self.diag])
-
-
-def evolution(sys: SystemDescription, m: int, n: int) -> EvolutionOperator:
-    """Evolution operator from time n to time m (left-ordered product)."""
-    sys.check_pair(m, n)
-    if sys.is_diagonal:
-        return EvolutionOperator(
-            m, n, sys.dim, diag=tuple(sys.diag_factor(i, m, n) for i in range(sys.dim))
-        )
-    return EvolutionOperator(m, n, sys.dim, dense=_dense_product(sys, m, n))
-
-
-def _dense_product(sys: SystemDescription, m: int, n: int) -> np.ndarray:
-    result = np.eye(sys.dim)
-    for k in range(n + 1, m + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = sys.coefficient(k) @ result
-        if not np.all(np.isfinite(result)):
-            raise _overflow(n, k)
-    return result
-
-
 def _overflow(n: int, k: int) -> DenseOverflowError:
     return DenseOverflowError(
         f"product over ({n}, {k}] overflows doubles; declare the system in diagonal closed form"
@@ -378,33 +342,6 @@ def _merged(ranges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         else:
             out.append((lo, hi))
     return out
-
-
-def projected_evolution(
-    sys: SystemDescription,
-    proj: ProjectionFamily,
-    m: int,
-    n: int,
-    part: str,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
-) -> EvolutionOperator:
-    """Evolution product composed with P(n) (part="P") or Q(n) (part="Q")."""
-    if part not in ("P", "Q"):
-        raise ValueError("part must be 'P' or 'Q'")
-    sys.check_pair(m, n)
-    check_compatibility(sys, proj, n, m, tol_compat)
-    if sys.is_diagonal:
-        _require_mask_for_diagonal(sys, proj)
-        mask = proj.mask(n)
-        keep = [b if part == "P" else not b for b in mask]
-        entries = tuple(
-            sys.diag_factor(i, m, n) if keep[i] else LogScalar.zero() for i in range(sys.dim)
-        )
-        return EvolutionOperator(m, n, sys.dim, diag=entries)
-    base = proj.matrix(n) if part == "P" else proj.complement_matrix(n)
-    if m == n:
-        return EvolutionOperator(m, n, sys.dim, dense=base)
-    return EvolutionOperator(m, n, sys.dim, dense=_dense_product(sys, m, n) @ base)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from dichotomy import (
     certificate_to_datko,
     closed_form_amn,
     estimate_ed,
-    evolution,
     falsify,
     make_example,
     optimal_N_for_alpha,
@@ -37,6 +36,8 @@ from dichotomy import (
 )
 from dichotomy.logscalar import LogScalar, lfloat, lsub
 from dichotomy.system import DiagonalClosedForm
+
+from oracles import evolution
 
 LN2 = math.log(2.0)
 LOG_TOL = 1e-9

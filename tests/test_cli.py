@@ -417,6 +417,19 @@ def _error_report(tmp_path, argv):
          "ScheduleOutOfRangeError"),
         (["falsify", "--concept", "UED", "--schedule", "odd_after_even", "--coord", "-1"],
          "ScheduleOutOfRangeError"),
+        # non-finite estimate grids and rates
+        (["estimate", "--kind", "ued", "--alphas", "inf"], "InvalidCertificateError"),
+        (["estimate", "--kind", "ued", "--alphas", "nan"], "InvalidCertificateError"),
+        (["estimate", "--kind", "ed", "--betas", "inf"], "InvalidCertificateError"),
+        (["estimate", "--kind", "ned", "--alpha", "inf"], "InvalidCertificateError"),
+        # profiles without a real log at some index of the window
+        (["verify", "--cert", "NED:alpha=0.5,profile=power:2:nan"], "InvalidCertificateError"),
+        (["verify", "--cert", "NED:alpha=0.5,profile=const:nan"], "InvalidCertificateError"),
+        (["verify", "--cert", "NED:alpha=0.5,profile=power:-1:1"], "InvalidCertificateError"),
+        (["falsify", "--concept", "NED", "--schedule", "from_start", "--profile", "power:-1:1"],
+         "InvalidCertificateError"),
+        (["datko", "--form", "ned", "--s-profile", "power:-1:1", "--d", "0.1"],
+         "InvalidCertificateError"),
     ],
 )
 def test_invalid_inputs_are_reported(tmp_path, argv, error):

@@ -4,24 +4,28 @@ import pytest
 
 from dichotomy import (
     ConstantProfile,
+    DiagonalClosedForm,
     DecayGapError,
     DichotomyCertificate,
     InvalidConstantsError,
     Kind,
+    LogScalar,
     NoDecayCertificateError,
+    ProjectionFamily,
     ShiftedPowerProfile,
+    SystemDescription,
     TowerExponentProfile,
     WindowSpec,
     certificate_to_datko,
-    datko_lhs,
     make_example,
     overall_verdict,
-    projected_sum,
     verify_datko_ed,
     verify_datko_ned,
     verify_datko_ued,
 )
 from dichotomy.logscalar import lfloat
+
+from oracles import datko_lhs, projected_sum
 
 LN2 = math.log(2.0)
 
@@ -206,6 +210,21 @@ def test_sufficiency_direction_term_bounds():
             assert d * (m - n) + lfloat(lam_p.logmag) <= lfloat(s_log(n)) + 1e-9
             lam_q = entry.system.diag_factor(1, m, n)
             assert d * (m - n) <= lfloat(s_log(m)) + lfloat(lam_q.logmag) + 1e-9
+
+
+def test_summation_needs_a_constant_projection():
+    # coordinate 0 dies at step 3, where it leaves the P range; the family is
+    # compatible with the dynamics but not constant
+    sys_ = SystemDescription(2, DiagonalClosedForm([
+        lambda n: LogScalar.zero() if n == 3 else LogScalar.from_log(-0.5),
+        lambda n: LogScalar.from_log(0.5),
+    ]))
+    moving = ProjectionFamily(2, mask=lambda n: (n < 3, False))
+    with pytest.raises(InvalidConstantsError):
+        verify_datko_ued(sys_, moving, 0.1, 2.0, WindowSpec(0, 5), 10)
+    # a mask function that never changes passes the check
+    fixed = ProjectionFamily(2, mask=lambda n: (True, False))
+    assert verify_datko_ued(sys_, fixed, 0.1, 2.0, WindowSpec(0, 5), 10)
 
 
 def test_strong_gate():

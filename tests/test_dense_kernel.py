@@ -29,7 +29,6 @@ from dichotomy import (
     WindowSpec,
     estimate_ed,
     estimate_ued,
-    evolution,
     minimal_ned_profile,
     optimal_N_for_alpha,
     restricted_extremes,
@@ -40,6 +39,8 @@ from dichotomy import (
 from dichotomy.checkers import _slack
 from dichotomy.logscalar import ladd
 from dichotomy.system import DiagonalClosedForm, _range_basis
+
+from oracles import evolution
 
 TOL = 1e-9
 MARGIN = 1e-6  # every pair's slack stays this far from -tol, so rounding cannot decide

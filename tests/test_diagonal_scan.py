@@ -16,6 +16,7 @@ to 1e-12.
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +37,8 @@ from dichotomy import (
     verify_triplet_form,
 )
 from dichotomy import checkers, system
-from dichotomy.checkers import _PairTable, _family_norms, _slack
-from dichotomy.logscalar import ladd, lsub
+from dichotomy.checkers import _family_norms, _slack
+from dichotomy.logscalar import ladd, lfloat, lsub
 from dichotomy.system import DiagonalClosedForm, _sweeps
 
 # -- brute-force oracle ----------------------------------------------------------
@@ -179,10 +180,17 @@ def brute_vector_parts(sys, proj, m, n, x):
 
 
 def brute_grid_row(sys, proj, window, alpha, beta):
-    table = _PairTable(sys, proj, window)
-    full = table.min_log_n(alpha, beta)
-    half = table.min_log_n(alpha, beta, half=True)
-    return full, half
+    """Least log N of the weighted inequality on the window and on its half,
+    pair by pair in floats."""
+
+    def least(win):
+        best = 0.0
+        for n, m in win.pairs():
+            g, h = (lfloat(v) for v in brute_logs(sys, proj, n, m))
+            best = max(best, alpha * (m - n) + g - beta * n, alpha * (m - n) - h - beta * m)
+        return best
+
+    return least(window), least(window.half())
 
 
 # -- random diagonal systems -------------------------------------------------------
@@ -362,17 +370,30 @@ def test_estimate_grid_rows_match_pair_scan(case, strong):
 @given(diagonal_cases())
 def test_numpy_grid_scan_repeats_the_scan_bit_for_bit(case):
     kind, sys_, proj, window, alpha = case
-    table = checkers._DiagonalTable(sys_, proj, window)
-    if table.coords is None:
+    demands = checkers._DiagonalDemands(sys_, proj, window)
+    if demands.coords is None:
         assert kind == "bigint"
         return
-    scan = table.scan
-    half = table.mid - window.n_min + 1
-    assert list(table._p_rows(alpha, len(table.index))) == [
-        float(v) for v in scan.p_rows(alpha, window.m_max)
-    ]
-    assert list(table._p_rows(alpha, half)) == [float(v) for v in scan.p_rows(alpha, table.mid)]
-    assert list(table._q_cols(alpha)) == [float(v) for v in scan.q_cols(alpha)]
+    scan = demands.scan
+    for hi in (window.m_max, window.half().m_max):
+        rows = demands.rows(alpha, hi)
+        assert isinstance(rows, np.ndarray)
+        assert rows.tolist() == [float(v) for v in scan.p_rows(alpha, hi)]
+    cols = demands.cols(alpha)
+    assert isinstance(cols, np.ndarray)
+    assert cols.tolist() == [float(v) for v in scan.q_cols(alpha)]
+
+
+def test_exact_rate_keeps_exact_profile_logs():
+    # integer logs and an integer rate: the scan's arithmetic stays in int,
+    # which the float-array form of the demands would turn into float
+    sys_ = SystemDescription(2, DiagonalClosedForm([
+        lambda n: LogScalar.from_log(-1), lambda n: LogScalar.from_log(3),
+    ]))
+    proj = ProjectionFamily(2, mask=(True, False))
+    prof = minimal_ned_profile(sys_, proj, 2, WindowSpec(0, 4))
+    assert [type(v.logmag) for v in prof.values] == [int] * 5
+    assert [v.logmag for v in prof.values] == [4] * 5
 
 
 def test_verify_rescans_only_rows_that_may_violate(monkeypatch):

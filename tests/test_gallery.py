@@ -11,12 +11,13 @@ from dichotomy import (
     UnknownExampleError,
     closed_form_amn,
     compatibility_defect,
-    evolution,
     gallery_names,
     make_example,
     raw_factor_log,
 )
 from dichotomy.logscalar import lfloat, lsub
+
+from oracles import evolution
 
 ALL = gallery_names()
 

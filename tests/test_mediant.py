@@ -13,9 +13,10 @@ from dichotomy import (
     ExplicitSequence,
     ProjectionFamily,
     SystemDescription,
-    evolution,
     restricted_extremes,
 )
+
+from oracles import evolution
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 

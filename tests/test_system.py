@@ -15,13 +15,13 @@ from dichotomy import (
     ProjectionFamily,
     SystemDescription,
     compatibility_defect,
-    evolution,
     make_example,
-    projected_evolution,
     restricted_extremes,
     restricted_ratio_extremes,
 )
 from dichotomy.logscalar import lfloat, lsub
+
+from oracles import evolution, projected_evolution
 
 
 def two_factor_system():
