@@ -56,6 +56,7 @@ from .errors import (
     InvalidCertificateError,
     InvalidConstantsError,
     InvalidProjectionError,
+    LogOverflowError,
     NoDecayCertificateError,
     OutOfRangeError,
     ParamOutOfRangeError,
@@ -72,7 +73,7 @@ from .gallery import (
     make_example,
     raw_factor_log,
 )
-from .logscalar import LogScalar, log_leq, log_slack
+from .logscalar import LogScalar
 from .system import (
     DiagonalClosedForm,
     ExplicitSequence,

@@ -104,6 +104,10 @@ class _PairExtremes:
         return ext.direction_p, ext.direction_q
 
 
+_LADD = np.frompyfunc(ladd, 2, 1)
+_LSUB = np.frompyfunc(lsub, 2, 1)
+
+
 class _DiagonalScan:
     """Worst pair of every row or column of a diagonal window, in O(W * dim).
 
@@ -113,78 +117,94 @@ class _DiagonalScan:
     of a pair splits into a term in m and a term in n, so the worst m of
     row n is a suffix maximum of alpha m + pre_i[m] that a zero factor
     restarts; on the Q side a crossed zero factor makes the minimal gain 0
-    and the excess +inf. Masks are read once per row. Pairs with m = n are
-    left out (their excess is 0 on every nonempty range); callers account
+    and the excess +inf. Pairs with m = n are left out (their excess is 0
+    on every nonempty range, the floor of every constant); callers account
     for them.
+
+    Each running maximum is one array pass per coordinate. When every
+    prefix log-sum of the window and every weight mixes with floats as a
+    float (``mixes_as_float``) and the rate is a float, ``ladd`` is plain
+    float arithmetic and the arrays are float64; otherwise they are object
+    arrays combined by ``ladd``/``lsub`` in the same order, so ``int`` and
+    ``Fraction`` logs stay exact (float differences of large ones cancel).
     """
 
     def __init__(self, sys: SystemDescription, proj: ProjectionFamily, window: WindowSpec):
-        self.lo, self.hi = window.n_min, window.m_max
-        self.pre, self.zeros = sys.diag_prefix(self.hi)
-        self.masks = [proj.mask(n) for n in range(self.lo, self.hi + 1)]
+        self.lo, self.hi = lo, hi = window.n_min, window.m_max
+        pre, zeros = sys.diag_prefix(hi)
+        self.pre = [coord[lo:hi + 1] for coord in pre]
+        self.mixes = all(mixes_as_float(v) for coord in self.pre for v in coord)
+        self._forms = {}
+        self.in_p = np.array([proj.mask(n) for n in range(lo, hi + 1)], dtype=bool).T
+        # per coordinate: the first index of each stretch between zero
+        # factors, and the first column that a pair from the first Q start
+        # reaches only across a zero factor (gain 0)
+        size = hi - lo + 1
+        self.bounds = [[0, *(np.flatnonzero(np.diff(coord[lo:hi + 1])) + 1).tolist(), size]
+                       for coord in zeros]
+        first_q = [np.append(np.flatnonzero(~in_p), size)[0] for in_p in self.in_p]
+        self.crossed = [min((b for b in bounds if b > first), default=size)
+                        for bounds, first in zip(self.bounds, first_q)]
 
-    def p_rows(self, alpha: float, hi: int) -> list[LogMag]:
+    def _form(self, alpha: LogMag, weights: Sequence[LogMag] = ()):
+        """(indices, prefix sums, add, subtract) of the window, float64 with
+        numpy's arithmetic or object arrays with ``ladd``/``lsub``."""
+        floats = self.mixes and isinstance(alpha, float) and all(map(mixes_as_float, weights))
+        if floats not in self._forms:
+            dtype = float if floats else object
+            self._forms[floats] = (
+                np.arange(self.lo, self.hi + 1).astype(dtype),
+                np.array(self.pre, dtype=dtype),
+                *((np.add, np.subtract) if floats else (_LADD, _LSUB)),
+            )
+        return self._forms[floats]
+
+    def rows(self, alpha: LogMag, hi: int) -> np.ndarray:
         """Row n = lo..hi: max over i in P(n) and n < m <= hi, with no zero
         factor of i in (n, m], of alpha (m - n) + pre_i[m] - pre_i[n];
         -inf when there is no such pair."""
-        lo, masks = self.lo, self.masks
-        out: list[LogMag] = [-math.inf] * (hi - lo + 1)
-        for i, (pre, zeros) in enumerate(zip(self.pre, self.zeros)):
-            run: LogMag = -math.inf
-            for n in range(hi - 1, lo - 1, -1):
-                if zeros[n + 1] != zeros[n]:
-                    run = -math.inf
-                else:
-                    cand = ladd(alpha * (n + 1), pre[n + 1])
-                    if cand > run:
-                        run = cand
-                if run != -math.inf and masks[n - lo][i]:
-                    v = lsub(lsub(run, alpha * n), pre[n])
-                    if v > out[n - lo]:
-                        out[n - lo] = v
+        index, pre, add, sub = self._form(alpha)
+        size = hi - self.lo + 1
+        ax = alpha * index[:size]
+        out = np.full(size, -math.inf, dtype=pre.dtype)
+        for pre_i, bounds, in_p in zip(pre[:, :size], self.bounds, self.in_p):
+            if not in_p[:size].any():
+                continue
+            strict = _segmented_max(add(ax, pre_i), bounds, reverse=True)
+            out = np.maximum(out, np.where(in_p[:size], sub(sub(strict, ax), pre_i), -math.inf))
         return out
 
-    def q_rows(self, alpha: float, weights: Sequence[LogMag]) -> list[LogMag]:
+    def q_rows(self, alpha: LogMag, weights: Sequence[LogMag]) -> np.ndarray:
         """Row n = lo..hi: max over j in Q(n) and n < m <= hi of
         alpha (m - n) - weights[m - lo] - (pre_j[m] - pre_j[n]); +inf when a
         zero factor of j lies in (n, hi]; -inf when there is no such pair."""
-        lo, hi, masks = self.lo, self.hi, self.masks
-        out: list[LogMag] = [-math.inf] * (hi - lo + 1)
-        for j, (pre, zeros) in enumerate(zip(self.pre, self.zeros)):
-            run: LogMag = -math.inf
-            for n in range(hi - 1, lo - 1, -1):
-                if zeros[n + 1] != zeros[n]:
-                    run = math.inf
-                elif run != math.inf:
-                    cand = lsub(lsub(alpha * (n + 1), pre[n + 1]), weights[n + 1 - lo])
-                    if cand > run:
-                        run = cand
-                if run != -math.inf and not masks[n - lo][j]:
-                    v = ladd(lsub(run, alpha * n), pre[n])
-                    if v > out[n - lo]:
-                        out[n - lo] = v
+        index, pre, add, sub = self._form(alpha, weights)
+        ax = alpha * index
+        w = np.array(weights, dtype=pre.dtype)
+        out = np.full(len(ax), -math.inf, dtype=pre.dtype)
+        for pre_i, bounds, in_p in zip(pre, self.bounds, self.in_p):
+            if in_p.all():
+                continue
+            run = _segmented_max(sub(sub(ax, pre_i), w), bounds[-2:], reverse=True)
+            run[:bounds[-2]] = math.inf  # rows before the last stretch cross a zero factor
+            out = np.maximum(out, np.where(in_p, -math.inf, add(sub(run, ax), pre_i)))
         return out
 
-    def q_cols(self, alpha: float) -> list[LogMag]:
+    def cols(self, alpha: LogMag) -> np.ndarray:
         """Column m = lo..hi: max over j and lo <= n < m with j in Q(n) of
         alpha (m - n) - (pre_j[m] - pre_j[n]); +inf once such a pair crosses
         a zero factor of j; -inf when there is no such pair."""
-        lo, hi, masks = self.lo, self.hi, self.masks
-        out: list[LogMag] = [-math.inf] * (hi - lo + 1)
-        for j, (pre, zeros) in enumerate(zip(self.pre, self.zeros)):
-            run: LogMag = -math.inf
-            for m in range(lo + 1, hi + 1):
-                n = m - 1
-                if run != math.inf and not masks[n - lo][j]:
-                    cand = lsub(pre[n], alpha * n)
-                    if cand > run:
-                        run = cand
-                if run != -math.inf and zeros[m] != zeros[n]:
-                    run = math.inf
-                if run != -math.inf:
-                    v = lsub(ladd(run, alpha * m), pre[m])
-                    if v > out[m - lo]:
-                        out[m - lo] = v
+        index, pre, add, sub = self._form(alpha)
+        ax = alpha * index
+        out = np.full(len(ax), -math.inf, dtype=pre.dtype)
+        for pre_i, bounds, in_p, crossed in zip(pre, self.bounds, self.in_p, self.crossed):
+            if in_p.all():
+                continue
+            starts = np.where(in_p, -math.inf, sub(pre_i, ax))
+            before = _segmented_max(starts, bounds, reverse=False)
+            col = sub(add(before, ax), pre_i)
+            col[crossed:] = math.inf
+            out = np.maximum(out, col)
         return out
 
     def rows_to_scan(self, cert: DichotomyCertificate, tol: float) -> tuple[set[int], float]:
@@ -198,21 +218,20 @@ class _DiagonalScan:
         """
         lo, hi, alpha = self.lo, self.hi, cert.alpha
         weights = [cert.r_log(k) for k in range(lo, hi + 1)]
-        pre = [v for coord in self.pre for v in coord[lo:hi + 1]]
+        pre = [v for coord in self.pre for v in coord]
         scale = abs(alpha) * (hi + 1) + max(map(rounding_scale, pre))
         scale += max(map(rounding_scale, weights))
         if not all(isinstance(v, float) or v == 0 for v in pre + weights):
             scale *= 2
         cutoff = tol - _ROUNDING_BOUND * scale
-        rows: set[int] = set()
-        least = math.inf
-        for k, (g, q) in enumerate(zip(self.p_rows(alpha, hi), self.q_rows(alpha, weights))):
-            worst = max(lsub(g, weights[k]) if g != -math.inf else -math.inf, q)
-            if worst > cutoff:
-                rows.add(lo + k)
-            else:
-                least = min(least, -lfloat(worst))
-        return rows, least
+        *_, sub = self._form(alpha, weights)
+        g, q = self.rows(alpha, hi), self.q_rows(alpha, weights)
+        live = g != -math.inf
+        worst = np.maximum(sub(g, np.where(live, np.array(weights, dtype=q.dtype), 0)), q)
+        over = worst > cutoff
+        rest = _floats(worst[~over])
+        least = -float(rest.max()) if rest.size else math.inf
+        return set((lo + np.flatnonzero(over)).tolist()), least
 
 
 def _validate(cert: DichotomyCertificate, window: WindowSpec, tol: float) -> None:
@@ -372,76 +391,17 @@ class ExponentialEstimate:
     table: tuple[GridPoint, ...]
 
 
-class _DiagonalDemands:
-    """Demands of a diagonal window, from the running maxima of
-    ``_DiagonalScan``.
-
-    Pairs with m = n are left out: they demand at most 0, the floor of every
-    constant, since the estimators admit only beta >= 0. When every prefix
-    log-sum mixes with floats as a float (``mixes_as_float``) and the rate is
-    a float, ``ladd`` is plain float arithmetic and numpy repeats the scan's
-    operations in the same order; larger exact logs keep the scan's exact
-    arithmetic, since float differences of them cancel.
-    """
-
-    def __init__(self, sys, proj, window: WindowSpec):
-        self.scan = scan = _DiagonalScan(sys, proj, window)
-        self.index = np.arange(scan.lo, scan.hi + 1, dtype=float)
-        self.coords = None
-        window_pre = [pre[scan.lo:scan.hi + 1] for pre in scan.pre]
-        if all(mixes_as_float(v) for pre in window_pre for v in pre):
-            in_p = np.array(scan.masks, dtype=bool)
-            self.coords = [
-                (np.array(pre, dtype=float), np.array(zeros[scan.lo:scan.hi + 1]), in_p[:, i])
-                for i, (pre, zeros) in enumerate(zip(window_pre, scan.zeros))
-            ]
-
-    def _in_numpy(self, alpha) -> bool:
-        return self.coords is not None and isinstance(alpha, float)
-
-    def rows(self, alpha: float, hi: int):
-        """``_DiagonalScan.p_rows``."""
-        if not self._in_numpy(alpha):
-            return self.scan.p_rows(alpha, hi)
-        size = hi - self.scan.lo + 1
-        ax = alpha * self.index[:size]
-        out = np.full(size, -np.inf)
-        for pre, zeros, in_p in self.coords:
-            pre, zeros = pre[:size], zeros[:size]
-            suffix = _segmented_max(ax + pre, zeros, reverse=True)
-            strict = np.full(size, -np.inf)
-            strict[:-1] = np.where(zeros[1:] == zeros[:-1], suffix[1:], -np.inf)
-            out = np.maximum(out, np.where(in_p[:size], (strict - ax) - pre, -np.inf))
-        return out
-
-    def cols(self, alpha: float):
-        """``_DiagonalScan.q_cols``."""
-        if not self._in_numpy(alpha):
-            return self.scan.q_cols(alpha)
-        ax = alpha * self.index
-        out = np.full(len(ax), -np.inf)
-        for pre, zeros, in_p in self.coords:
-            prefix = _segmented_max(np.where(in_p, -np.inf, pre - ax), zeros, reverse=False)
-            before = np.full(len(ax), -np.inf)
-            before[1:] = np.where(zeros[1:] == zeros[:-1], prefix[:-1], -np.inf)
-            cols = (before + ax) - pre
-            starts = np.flatnonzero(~in_p)
-            if starts.size:
-                # a pair from the first Q start across a zero factor: gain 0
-                cols[zeros > zeros[starts[0]]] = np.inf
-            out = np.maximum(out, cols)
-        return out
-
-
-def _segmented_max(values: np.ndarray, zeros: np.ndarray, reverse: bool) -> np.ndarray:
-    """Running maximum of ``values`` that restarts wherever ``zeros`` changes."""
-    out = np.empty_like(values)
-    bounds = [0, *(np.flatnonzero(np.diff(zeros)) + 1), len(values)]
+def _segmented_max(values: np.ndarray, bounds: list[int], reverse: bool) -> np.ndarray:
+    """Per index, the maximum of ``values`` strictly after it (``reverse``)
+    or strictly before it within its stretch of ``bounds``; -inf when there
+    is none, and for indices before ``bounds[0]``."""
+    out = np.full_like(values, -math.inf)
     for s, e in zip(bounds, bounds[1:]):
+        e = min(e, len(values))
         if reverse:
-            out[s:e] = np.maximum.accumulate(values[s:e][::-1])[::-1]
+            out[s:e - 1] = np.maximum.accumulate(values[s + 1:e][::-1])[::-1]
         else:
-            out[s:e] = np.maximum.accumulate(values[s:e])
+            out[s + 1:e] = np.maximum.accumulate(values[s:e - 1])
     return out
 
 
@@ -476,10 +436,11 @@ def _demands(sys, proj, window: WindowSpec):
     largest alpha (m - n) + log growth_P(m, n) over n <= m <= hi, a lower
     bound on log R_P(n); ``cols(alpha)`` gives, for each end index m, the
     largest alpha (m - n) - log min_gain_Q(m, n), a lower bound on
-    log R_Q(m). Either is a list of log-magnitudes or a float array, and
-    may leave out the pairs m = n, whose demand is at most 0.
+    log R_Q(m). Either is a float array or, for exact diagonal logs, an
+    object array of log-magnitudes, and may leave out the pairs m = n,
+    whose demand is at most 0.
     """
-    return (_DiagonalDemands if sys.is_diagonal else _DenseDemands)(sys, proj, window)
+    return (_DiagonalScan if sys.is_diagonal else _DenseDemands)(sys, proj, window)
 
 
 class _GridTable:
@@ -510,20 +471,42 @@ class _GridTable:
         )
 
 
-def _floats(demands) -> np.ndarray:
-    if isinstance(demands, np.ndarray):
-        return demands
-    return np.array([lfloat(v) for v in demands], dtype=float)
-
-
-def _logs(demands) -> list[LogMag]:
-    return demands.tolist() if isinstance(demands, np.ndarray) else demands
+def _floats(demands: np.ndarray) -> np.ndarray:
+    if demands.dtype == object:
+        return np.array([lfloat(v) for v in demands], dtype=float)
+    return demands
 
 
 def _check_alphas(alpha_grid: Sequence[float]) -> None:
     # comparisons that NaN fails, so NaN and infinite entries are rejected
     if not all(0 < a < math.inf for a in alpha_grid):
         raise InvalidCertificateError("alpha grid entries must be positive and finite")
+
+
+def _grid_search(sys, proj, window: WindowSpec, points) -> tuple[GridPoint, tuple[GridPoint, ...]]:
+    """The grid row of every (alpha, beta) point (beta None: the uniform
+    inequality) and the best row: the least full-window constant, ties to
+    the larger alpha, then to the smaller beta.
+
+    The flag compares the minimal N on the half window against the full
+    window: growth under window doubling marks the candidate for
+    falsification rather than certification.
+    """
+    table = _GridTable(sys, proj, window)
+    rows = []
+    best = None
+    for alpha, beta in points:
+        full = table.min_log_n(alpha, beta or 0.0)
+        half = table.min_log_n(alpha, beta or 0.0, half=True)
+        row = GridPoint(alpha, beta, full, half, full <= half + DEFAULT_LOG_TOL)
+        rows.append(row)
+        if best is None or full < best.log_n_full - _TIE_BAND:
+            best = row
+        elif abs(full - best.log_n_full) <= _TIE_BAND and (
+            alpha > best.alpha or (alpha == best.alpha and beta is not None and beta < best.beta)
+        ):
+            best = row
+    return best, tuple(rows)
 
 
 def estimate_ued(
@@ -533,32 +516,14 @@ def estimate_ued(
     alpha_grid: Sequence[float],
     tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> UniformEstimate:
-    """Grid search for the least uniform constant; flags window stability.
-
-    The flag compares the minimal N on the half window against the full
-    window: growth under window doubling marks the candidate for
-    falsification rather than certification.
-    """
+    """Grid search for the least uniform constant; flags window stability
+    (``_grid_search``)."""
     if not alpha_grid:
         raise EmptyFeasibleSetError("alpha grid must be nonempty")
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
     _check_alphas(alpha_grid)
-    table = _GridTable(sys, proj, window)
-    rows = []
-    best_row = None
-    for alpha in sorted(alpha_grid):
-        full = table.min_log_n(alpha, 0.0)
-        half = table.min_log_n(alpha, 0.0, half=True)
-        stable = full <= half + DEFAULT_LOG_TOL
-        row = GridPoint(alpha, None, full, half, stable)
-        rows.append(row)
-        if best_row is None or full < best_row.log_n_full - _TIE_BAND:
-            best_row = row
-        elif abs(full - best_row.log_n_full) <= _TIE_BAND and alpha > best_row.alpha:
-            best_row = row
-    return UniformEstimate(
-        best_row.alpha, LogScalar.from_log(best_row.log_n_full), best_row.stable, tuple(rows)
-    )
+    best, table = _grid_search(sys, proj, window, [(a, None) for a in sorted(alpha_grid)])
+    return UniformEstimate(best.alpha, LogScalar.from_log(best.log_n_full), best.stable, table)
 
 
 def estimate_ed(
@@ -596,26 +561,9 @@ def estimate_ed(
     ]
     if not pairs:
         raise EmptyFeasibleSetError("no grid pair satisfies beta < alpha")
-    table = _GridTable(sys, proj, window)
-    rows = []
-    best_row = None
-    for alpha, beta in pairs:
-        full = table.min_log_n(alpha, beta)
-        half = table.min_log_n(alpha, beta, half=True)
-        stable = full <= half + DEFAULT_LOG_TOL
-        row = GridPoint(alpha, beta, full, half, stable)
-        rows.append(row)
-        if best_row is None or full < best_row.log_n_full - _TIE_BAND:
-            best_row = row
-        elif abs(full - best_row.log_n_full) <= _TIE_BAND:
-            if alpha > best_row.alpha or (alpha == best_row.alpha and beta < best_row.beta):
-                best_row = row
+    best, table = _grid_search(sys, proj, window, pairs)
     return ExponentialEstimate(
-        best_row.alpha,
-        best_row.beta,
-        LogScalar.from_log(best_row.log_n_full),
-        best_row.stable,
-        tuple(rows),
+        best.alpha, best.beta, LogScalar.from_log(best.log_n_full), best.stable, table
     )
 
 
@@ -639,7 +587,7 @@ def minimal_ned_profile(
     demands = _demands(sys, proj, window)
     running: LogMag = 0
     values = []
-    for row, col in zip(_logs(demands.rows(alpha, window.m_max)), _logs(demands.cols(alpha))):
+    for row, col in zip(demands.rows(alpha, window.m_max).tolist(), demands.cols(alpha).tolist()):
         running = max(running, row, col)
         values.append(LogScalar.from_log(running))
     return TabulatedProfile(window.n_min, tuple(values))

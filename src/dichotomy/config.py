@@ -193,7 +193,9 @@ def _parse_diag_form(value: str, lineno: int, field: str):
             key, eq, val = item.partition("=")
             if not eq:
                 raise ConfigError(f"expected key=value, got {item!r}", lineno, field)
-            args[key.strip()] = parse_number(val, lineno, field)
+            args[key.strip()] = number = parse_number(val, lineno, field)
+            if not math.isfinite(number):
+                raise ConfigError(f"{key.strip()} must be finite, got {number}", lineno, field)
     if form == "const":
         value_ = args.get("value")
         if value_ is None:
@@ -242,6 +244,8 @@ def parse_system_file(text: str) -> tuple[SystemDescription, ProjectionFamily, G
             dim = int(dim_text)
         except ValueError:
             raise ConfigError(f"dim must be an integer, got {dim_text!r}", lineno, "dim") from None
+        if dim <= 0:
+            raise ConfigError(f"dim must be positive, got {dim}", lineno, "dim")
         if source == "explicit":
             mats: dict[int, list[list[float]]] = {}
             for lineno, key, value in sys_items:
@@ -266,6 +270,8 @@ def parse_system_file(text: str) -> tuple[SystemDescription, ProjectionFamily, G
                 got = re.fullmatch(r"coord(\d+)", key)
                 if not got:
                     raise ConfigError(f"unexpected key {key!r} in diagonal system", lineno, key)
+                if int(got.group(1)) >= dim:
+                    raise ConfigError(f"coordinate outside 0..{dim - 1}", lineno, key)
                 coords[int(got.group(1))] = _parse_diag_form(value, lineno, key)
             missing = [i for i in range(dim) if i not in coords]
             if missing:
@@ -283,31 +289,21 @@ def parse_system_file(text: str) -> tuple[SystemDescription, ProjectionFamily, G
 
 
 def _build_projection(items, dim: int) -> ProjectionFamily:
-    default_mask = None
-    mask_overrides: dict[int, tuple[bool, ...]] = {}
-    default_matrix = None
-    matrix_overrides: dict[int, list[list[float]]] = {}
+    forms: dict[str, dict] = {"mask": {}, "matrix": {}}  # index (None: default) -> value
     for lineno, key, value in items:
-        if key == "mask":
-            default_mask = _parse_mask(value, dim, lineno, key)
-        elif key.startswith("mask@"):
-            mask_overrides[int(key[5:])] = _parse_mask(value, dim, lineno, key)
-        elif key == "matrix":
-            default_matrix = _parse_matrix(value, dim, lineno, key)
-        elif key.startswith("matrix@"):
-            matrix_overrides[int(key[7:])] = _parse_matrix(value, dim, lineno, key)
-        else:
+        got = re.fullmatch(r"(mask|matrix)(?:@(\d+))?", key)
+        if not got:
             raise ConfigError(f"unexpected projection key {key!r}", lineno, key)
-    if default_mask is not None and default_matrix is not None:
+        form, index = got.groups()
+        parse = _parse_mask if form == "mask" else _parse_matrix
+        forms[form][None if index is None else int(index)] = parse(value, dim, lineno, key)
+    if forms["mask"] and forms["matrix"]:
         raise ConfigError("projection takes either masks or matrices, not both")
-    if default_mask is not None:
-        if mask_overrides:
-            base, overrides = default_mask, dict(mask_overrides)
-            return ProjectionFamily(dim, mask=lambda n: overrides.get(n, base))
-        return ProjectionFamily(dim, mask=default_mask)
-    if default_matrix is not None:
-        if matrix_overrides:
-            base_m, overrides_m = default_matrix, dict(matrix_overrides)
-            return ProjectionFamily(dim, matrix=lambda n: overrides_m.get(n, base_m))
-        return ProjectionFamily(dim, matrix=default_matrix)
-    raise ConfigError("projection section needs mask = ... or matrix = ...")
+    form = "mask" if forms["mask"] else "matrix"
+    overrides = forms[form]
+    if None not in overrides:
+        raise ConfigError("projection section needs mask = ... or matrix = ...")
+    base = overrides.pop(None)
+    if overrides:
+        return ProjectionFamily(dim, **{form: lambda n: overrides.get(n, base)})
+    return ProjectionFamily(dim, **{form: base})

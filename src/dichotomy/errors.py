@@ -21,6 +21,10 @@ class DenseOverflowError(DichotomyError):
     """
 
 
+class LogOverflowError(DichotomyError):
+    """A log-magnitude of a diagonal product left the double-precision range."""
+
+
 class InvalidProjectionError(DichotomyError):
     """A projection matrix has a non-finite entry or is not idempotent."""
 

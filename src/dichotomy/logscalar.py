@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 LogMag = Union[int, float, Fraction]
 
@@ -26,10 +26,6 @@ LogMag = Union[int, float, Fraction]
 # the absolute rounding error stays below 2**16 * 2**-52 ~ 1.5e-11 per
 # operation, far inside the 1e-9 comparison tolerances used by the checkers.
 _FLOAT_SAFE = 2**16
-
-
-def _is_exact(x: LogMag) -> bool:
-    return not isinstance(x, float)
 
 
 def ladd(a: LogMag, b: LogMag) -> LogMag:
@@ -117,19 +113,6 @@ def logsubexp_mag(a: LogMag, b: LogMag) -> LogMag:
     return ladd(a, math.log1p(-q))
 
 
-def logsumexp_mags(mags: Iterable[LogMag]) -> LogMag:
-    items = list(mags)
-    if not items:
-        return -math.inf
-    top = max(items)
-    if isinstance(top, float) and top == -math.inf:
-        return -math.inf
-    total = 0.0
-    for x in items:
-        total += math.exp(lfloat(lsub(x, top)))
-    return ladd(top, math.log(total))
-
-
 @dataclass(frozen=True)
 class LogScalar:
     """A real number stored as ``sign * exp(logmag)``.
@@ -180,10 +163,6 @@ class LogScalar:
     @property
     def is_zero(self) -> bool:
         return self.sign == 0
-
-    @property
-    def is_finite(self) -> bool:
-        return not (isinstance(self.logmag, float) and math.isinf(self.logmag) and self.sign != 0)
 
     def to_float(self) -> float:
         if self.sign == 0:
@@ -236,27 +215,6 @@ class LogScalar:
             return LogScalar(1, self.logmag)
         return self
 
-    def __pow__(self, power: Union[int, float]) -> "LogScalar":
-        if power == 0:
-            return LogScalar.one()
-        if self.sign == 0:
-            if power < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return LogScalar.zero()
-        if self.sign == -1:
-            if isinstance(power, float) and not power.is_integer():
-                raise ValueError("fractional power of a negative LogScalar")
-            sign = -1 if int(power) % 2 else 1
-        else:
-            sign = 1
-        if isinstance(power, int) or power.is_integer():
-            mag = self.logmag * int(power)
-        elif _is_exact(self.logmag):
-            mag = self.logmag * Fraction(power)
-        else:
-            mag = self.logmag * power
-        return LogScalar(sign, mag)
-
     def magnitude_geq(self, other: "LogScalar") -> bool:
         if other.sign == 0:
             return True
@@ -295,27 +253,3 @@ class LogScalar:
             return "LogScalar(0)"
         s = "-" if self.sign < 0 else "+"
         return f"LogScalar({s}exp({self.logmag!r}))"
-
-
-def log_leq(lhs: LogScalar, rhs: LogScalar, tol: float = 0.0) -> bool:
-    """``lhs <= rhs * exp(tol)`` for nonnegative scalars.
-
-    The comparison happens purely on log-magnitudes, so it is meaningful at
-    any scale the operands can represent.
-    """
-    if lhs.sign == 0:
-        return True
-    if rhs.sign == 0:
-        return False
-    if lhs.sign < 0 or rhs.sign < 0:
-        raise ValueError("log_leq compares nonnegative scalars")
-    return lhs.logmag <= ladd(rhs.logmag, tol) if tol else lhs.logmag <= rhs.logmag
-
-
-def log_slack(lhs: LogScalar, rhs: LogScalar) -> float:
-    """Float value of log(rhs) - log(lhs); +inf when lhs is 0."""
-    if lhs.sign == 0:
-        return math.inf
-    if rhs.sign == 0:
-        return -math.inf
-    return lfloat(lsub(rhs.logmag, lhs.logmag))

@@ -30,6 +30,7 @@ from .errors import (
     IncompatibleProjectionError,
     IndexOrderError,
     InvalidProjectionError,
+    LogOverflowError,
     OutOfRangeError,
 )
 from .logscalar import LogMag, LogScalar, ladd, lsub
@@ -145,7 +146,13 @@ class SystemDescription:
                     negs.append(negs[-1])
                     zeros.append(zeros[-1] + 1)
                 else:
-                    mags.append(ladd(mags[-1], a.logmag))
+                    mag = ladd(mags[-1], a.logmag)
+                    if isinstance(mag, float) and not math.isfinite(mag):
+                        raise LogOverflowError(
+                            f"coordinate {i}: the log-magnitude of the product of factors "
+                            f"1..{k} is not a finite double"
+                        )
+                    mags.append(mag)
                     negs.append(negs[-1] + (1 if a.sign < 0 else 0))
                     zeros.append(zeros[-1])
 
@@ -271,7 +278,7 @@ def _finite(matrix: np.ndarray) -> np.ndarray:
 
 def _require_mask_for_diagonal(sys: SystemDescription, proj: ProjectionFamily) -> None:
     if sys.is_diagonal and not proj.is_mask:
-        raise TypeError("diagonal systems require coordinate-mask projections")
+        raise InvalidProjectionError("diagonal systems require coordinate-mask projections")
 
 
 def compatibility_defect(sys: SystemDescription, proj: ProjectionFamily, n: int) -> float:

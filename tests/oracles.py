@@ -3,8 +3,9 @@
 Evolution products are formed factor by factor, from the per-coordinate
 factors of a diagonal system or by multiplying the dense coefficients, and
 the Datko left side is summed term by term along one kernel trajectory, in
-place of the verifiers' suffix sums. None of this is on a path of the
-package.
+place of the verifiers' suffix sums. The diagonal running maxima are
+computed one coordinate and one index at a time with ``ladd``/``lsub``, in
+place of the scan's arrays. None of this is on a path of the package.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from dichotomy import DichotomyCertificate, LogScalar, ProjectionFamily, SystemDescription
 from dichotomy.datko import _require_constant_projection
 from dichotomy.errors import IndexOrderError, NoDecayCertificateError
-from dichotomy.logscalar import LogMag, ladd, logaddexp_mag
+from dichotomy.logscalar import LogMag, ladd, logaddexp_mag, lsub
 from dichotomy.system import (
     DEFAULT_TOL_COMPAT,
     _overflow,
@@ -176,3 +177,75 @@ def datko_lhs(
     for k in range(n, m + 1):
         acc = logaddexp_mag(acc, ladd(q_traj[k - n], d * (m - k)))
     return p_sum, LogScalar.from_log(acc), tail
+
+
+def _diagonal_window(sys, proj, lo, hi):
+    pre, zeros = sys.diag_prefix(hi)
+    return pre, zeros, [proj.mask(n) for n in range(lo, hi + 1)]
+
+
+def running_p_rows(sys, proj, lo, hi, alpha) -> list[LogMag]:
+    """Row n = lo..hi: max over i in P(n) and n < m <= hi, with no zero
+    factor of i in (n, m], of alpha (m - n) + pre_i[m] - pre_i[n];
+    -inf when there is no such pair."""
+    pres, zeross, masks = _diagonal_window(sys, proj, lo, hi)
+    out: list[LogMag] = [-math.inf] * (hi - lo + 1)
+    for i, (pre, zeros) in enumerate(zip(pres, zeross)):
+        run: LogMag = -math.inf
+        for n in range(hi - 1, lo - 1, -1):
+            if zeros[n + 1] != zeros[n]:
+                run = -math.inf
+            else:
+                cand = ladd(alpha * (n + 1), pre[n + 1])
+                if cand > run:
+                    run = cand
+            if run != -math.inf and masks[n - lo][i]:
+                v = lsub(lsub(run, alpha * n), pre[n])
+                if v > out[n - lo]:
+                    out[n - lo] = v
+    return out
+
+
+def running_q_rows(sys, proj, lo, hi, alpha, weights) -> list[LogMag]:
+    """Row n = lo..hi: max over j in Q(n) and n < m <= hi of
+    alpha (m - n) - weights[m - lo] - (pre_j[m] - pre_j[n]); +inf when a
+    zero factor of j lies in (n, hi]; -inf when there is no such pair."""
+    pres, zeross, masks = _diagonal_window(sys, proj, lo, hi)
+    out: list[LogMag] = [-math.inf] * (hi - lo + 1)
+    for j, (pre, zeros) in enumerate(zip(pres, zeross)):
+        run: LogMag = -math.inf
+        for n in range(hi - 1, lo - 1, -1):
+            if zeros[n + 1] != zeros[n]:
+                run = math.inf
+            elif run != math.inf:
+                cand = lsub(lsub(alpha * (n + 1), pre[n + 1]), weights[n + 1 - lo])
+                if cand > run:
+                    run = cand
+            if run != -math.inf and not masks[n - lo][j]:
+                v = ladd(lsub(run, alpha * n), pre[n])
+                if v > out[n - lo]:
+                    out[n - lo] = v
+    return out
+
+
+def running_q_cols(sys, proj, lo, hi, alpha) -> list[LogMag]:
+    """Column m = lo..hi: max over j and lo <= n < m with j in Q(n) of
+    alpha (m - n) - (pre_j[m] - pre_j[n]); +inf once such a pair crosses
+    a zero factor of j; -inf when there is no such pair."""
+    pres, zeross, masks = _diagonal_window(sys, proj, lo, hi)
+    out: list[LogMag] = [-math.inf] * (hi - lo + 1)
+    for j, (pre, zeros) in enumerate(zip(pres, zeross)):
+        run: LogMag = -math.inf
+        for m in range(lo + 1, hi + 1):
+            n = m - 1
+            if run != math.inf and not masks[n - lo][j]:
+                cand = lsub(pre[n], alpha * n)
+                if cand > run:
+                    run = cand
+            if run != -math.inf and zeros[m] != zeros[n]:
+                run = math.inf
+            if run != -math.inf:
+                v = lsub(ladd(run, alpha * m), pre[m])
+                if v > out[m - lo]:
+                    out[m - lo] = v
+    return out

@@ -8,6 +8,7 @@ import pytest
 
 import dichotomy
 from dichotomy import serialize
+from test_config import DIAGONAL, MALFORMED_FILES, system_file
 
 BASE = [sys.executable, "-m", "dichotomy"]
 # the child runs the same package this process imported, installed or not
@@ -430,13 +431,34 @@ def _error_report(tmp_path, argv):
          "InvalidCertificateError"),
         (["datko", "--form", "ned", "--s-profile", "power:-1:1", "--d", "0.1"],
          "InvalidCertificateError"),
+        # system files: "--system" is followed by the file's text
+        *((["verify", "--cert", "UED:N=1,alpha=0.5", "--system", text], "ConfigError")
+          for text in MALFORMED_FILES),
+        (["verify", "--cert", "UED:N=1,alpha=0.5", "--system",
+          system_file(DIAGONAL, "matrix = 1,0; 0,0")], "InvalidProjectionError"),
+        *(([*cmd, "--system", system_file(DIAGONAL.replace(
+            "const: value=0.5", "linear_exponent: sigma=1e308, tau=1e308"))], "LogOverflowError")
+          for cmd in (["verify", "--cert", "UED:N=1,alpha=0.5"],
+                      ["falsify", "--concept", "UED", "--schedule", "odd_after_even"])),
     ],
 )
-def test_invalid_inputs_are_reported(tmp_path, argv, error):
+def test_invalid_inputs_are_reported(tmp_path, capsys, argv, error):
+    from dichotomy.cli import main
+
     source = ["--gallery", "ued_example"]
+    if "--system" in argv:
+        at = argv.index("--system") + 1
+        path = tmp_path / "system.cfg"
+        path.write_text(argv[at], encoding="utf-8")
+        argv, source = [*argv[:at], str(path), *argv[at + 1:]], []
     if argv[0] != "falsify":
         source += ["--window", "0..10"]
-    assert _error_report(tmp_path, [*argv, *source]) == error
+    if error == "ConfigError":
+        # a configuration error is reported on stderr, before any report
+        assert main([*argv, *source]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+    else:
+        assert _error_report(tmp_path, [*argv, *source]) == error
 
 
 def test_non_idempotent_projection_is_reported(tmp_path):

@@ -63,6 +63,28 @@ def test_profile_grammar():
         parse_profile_spec("power:2")  # needs both shift and power
 
 
+def system_file(system: str, projection: str = "mask = 1,0") -> str:
+    return f"[system]\n{system}\n\n[projection]\n{projection}\n"
+
+
+DIAGONAL = "dim = 2\nsource = diagonal\ncoord0 = const: value=0.5\ncoord1 = const: value=2"
+EXPLICIT = "dim = 2\nsource = explicit\nA0 = 1,0; 0,1\nA1 = 2,0; 0,3"
+
+# files that parse at no index: each would crash or drop a line without a check
+MALFORMED_FILES = [
+    system_file(DIAGONAL, "mask = 1,0\nmask@abc = 0,1"),
+    system_file(EXPLICIT, "matrix = 1,0; 0,0\nmatrix@x = 0,0; 0,1"),
+    system_file(DIAGONAL, "mask = 1,0\nmatrix@3 = 0,0; 0,1"),
+    system_file(EXPLICIT, "matrix = 1,0; 0,0\nmask@1 = 0,1"),
+    system_file(DIAGONAL.replace("dim = 2", "dim = 0")),
+    system_file(DIAGONAL.replace("dim = 2", "dim = -1")),
+    system_file(DIAGONAL + "\ncoord5 = const: value=1"),
+    system_file(DIAGONAL.replace("value=0.5", "value=nan")),
+    system_file(DIAGONAL.replace("const: value=0.5", "parity: even=inf, odd=1")),
+    system_file(DIAGONAL.replace("const: value=0.5", "linear_exponent: sigma=nan")),
+]
+
+
 def test_system_file_requires_sections():
     with pytest.raises(ConfigError):
         parse_system_file("dim = 2\n")
@@ -73,6 +95,9 @@ def test_system_file_requires_sections():
             "[system]\nsource = explicit\ndim = 2\nA0 = 1,0; 0,1\nA2 = 1,0; 0,1\n"
             "[projection]\nmask = 1,0\n"
         )  # gap at A1
+    for text in MALFORMED_FILES:
+        with pytest.raises(ConfigError):
+            parse_system_file(text)
 
 
 def test_system_file_mask_overrides():

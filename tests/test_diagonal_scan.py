@@ -38,8 +38,9 @@ from dichotomy import (
 )
 from dichotomy import checkers, system
 from dichotomy.checkers import _family_norms, _slack
-from dichotomy.logscalar import ladd, lfloat, lsub
+from dichotomy.logscalar import ladd, lfloat, lsub, mixes_as_float
 from dichotomy.system import DiagonalClosedForm, _sweeps
+from oracles import running_p_rows, running_q_cols, running_q_rows
 
 # -- brute-force oracle ----------------------------------------------------------
 
@@ -366,22 +367,65 @@ def test_estimate_grid_rows_match_pair_scan(case, strong):
                 assert row.stable == (full <= half + 1e-9)
 
 
+@st.composite
+def rates(draw, alpha):
+    """The case's rate as a float, an int or a Fraction."""
+    form = draw(st.sampled_from(["float", "int", "fraction"]))
+    if form == "int":
+        return draw(st.integers(1, 3))
+    return Fraction(alpha) if form == "fraction" else alpha
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
 @PROPERTY
-@given(diagonal_cases())
-def test_numpy_grid_scan_repeats_the_scan_bit_for_bit(case):
+@given(diagonal_cases(), st.data())
+def test_array_scan_matches_the_running_maximum_loops(case, data):
     kind, sys_, proj, window, alpha = case
-    demands = checkers._DiagonalDemands(sys_, proj, window)
-    if demands.coords is None:
-        assert kind == "bigint"
-        return
-    scan = demands.scan
-    for hi in (window.m_max, window.half().m_max):
-        rows = demands.rows(alpha, hi)
-        assert isinstance(rows, np.ndarray)
-        assert rows.tolist() == [float(v) for v in scan.p_rows(alpha, hi)]
-    cols = demands.cols(alpha)
-    assert isinstance(cols, np.ndarray)
-    assert cols.tolist() == [float(v) for v in scan.q_cols(alpha)]
+    alpha = data.draw(rates(alpha))
+    lo, hi = window.n_min, window.m_max
+    weight = st.one_of(log_values("bigint" if kind == "bigint" else "float"),
+                       st.just(-math.inf))
+    weights = data.draw(st.lists(weight, min_size=hi - lo + 1, max_size=hi - lo + 1))
+    scan = checkers._DiagonalScan(sys_, proj, window)
+    exact = checkers._DiagonalScan(sys_, proj, window)
+    exact.mixes = False  # the object arrays, whatever the logs
+    for hi_ in (hi, window.half().m_max):
+        want = running_p_rows(sys_, proj, lo, hi_, alpha)
+        assert typed(scan.rows(alpha, hi_).tolist()) == typed(want)
+        assert typed(exact.rows(alpha, hi_).tolist()) == typed(want)
+    want = running_q_cols(sys_, proj, lo, hi, alpha)
+    assert typed(scan.cols(alpha).tolist()) == typed(want)
+    assert typed(exact.cols(alpha).tolist()) == typed(want)
+    want = running_q_rows(sys_, proj, lo, hi, alpha, weights)
+    assert typed(scan.q_rows(alpha, weights).tolist()) == typed(want)
+    assert typed(exact.q_rows(alpha, weights).tolist()) == typed(want)
+    pre, _ = sys_.diag_prefix(hi)
+    floats = isinstance(alpha, float) and all(mixes_as_float(v) for c in pre for v in c[lo:hi + 1])
+    assert (scan.rows(alpha, hi).dtype == float) == floats
+    assert (scan.cols(alpha).dtype == float) == floats
+    floats_q = floats and all(map(mixes_as_float, weights))
+    assert (scan.q_rows(alpha, weights).dtype == float) == floats_q
+    # float64 arrays repeat the exact arithmetic bit for bit, signed zeros included
+    for got, ref in ((scan.rows(alpha, hi), exact.rows(alpha, hi)),
+                     (scan.cols(alpha), exact.cols(alpha)),
+                     (scan.q_rows(alpha, weights), exact.q_rows(alpha, weights))):
+        if got.dtype == float:
+            assert got.tobytes() == ref.astype(float).tobytes()
+
+
+def test_gallery_scan_takes_the_float_form():
+    # the ned_example claim at W = 150 must not fall back to object arrays
+    entry = make_example("ned_example")
+    cert = entry.claims[0].cert
+    window = WindowSpec(0, 150)
+    scan = checkers._DiagonalScan(entry.system, entry.projection, window)
+    weights = [cert.r_log(k) for k in range(151)]
+    assert scan.rows(cert.alpha, 150).dtype == np.float64
+    assert scan.cols(cert.alpha).dtype == np.float64
+    assert scan.q_rows(cert.alpha, weights).dtype == np.float64
 
 
 def test_exact_rate_keeps_exact_profile_logs():

@@ -225,7 +225,7 @@ def test_ratio_extremes_dense_matches_brute_force():
 def test_diagonal_requires_mask_projection():
     entry = make_example("ued_example")
     dense_proj = ProjectionFamily(2, matrix=[[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(TypeError):
+    with pytest.raises(InvalidProjectionError):
         restricted_extremes(entry.system, dense_proj, 2, 0)
 
 
