@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ from .errors import (
     OutOfRangeError,
     ScheduleOutOfRangeError,
 )
+from .logarray import EXACT_FORM, FLOAT_FORM
 from .logscalar import (
     LogMag,
     LogScalar,
@@ -104,10 +106,6 @@ class _PairExtremes:
         return ext.direction_p, ext.direction_q
 
 
-_LADD = np.frompyfunc(ladd, 2, 1)
-_LSUB = np.frompyfunc(lsub, 2, 1)
-
-
 class _DiagonalScan:
     """Worst pair of every row or column of a diagonal window, in O(W * dim).
 
@@ -124,18 +122,28 @@ class _DiagonalScan:
     Each running maximum is one array pass per coordinate. When every
     prefix log-sum of the window and every weight mixes with floats as a
     float (``mixes_as_float``) and the rate is a float, ``ladd`` is plain
-    float arithmetic and the arrays are float64; otherwise they are object
-    arrays combined by ``ladd``/``lsub`` in the same order, so ``int`` and
-    ``Fraction`` logs stay exact (float differences of large ones cancel).
+    float arithmetic and the arrays take ``FLOAT_FORM``; otherwise they take
+    ``EXACT_FORM``, which combines the same terms in the same order through
+    ``ladd``/``lsub``, so ``int`` and ``Fraction`` logs stay exact (float
+    differences of large ones cancel).
     """
 
     def __init__(self, sys: SystemDescription, proj: ProjectionFamily, window: WindowSpec):
         self.lo, self.hi = lo, hi = window.n_min, window.m_max
         pre, zeros = sys.diag_prefix(hi)
         self.pre = [coord[lo:hi + 1] for coord in pre]
-        self.mixes = all(mixes_as_float(v) for coord in self.pre for v in coord)
+        # one pass over the prefix sums: the form, and for ``scale`` the
+        # largest ``rounding_scale`` and whether an exact entry is nonzero
+        exact = _exact(chain.from_iterable(self.pre))
+        self.mixes = all(map(mixes_as_float, exact))
+        self.exact_nonzero = any(v != 0 for v in exact)
         self._forms = {}
-        self.in_p = np.array([proj.mask(n) for n in range(lo, hi + 1)], dtype=bool).T
+        if self.mixes:
+            self.pre_scale = float(np.abs(self._form(0.0)[1]).max())
+        else:
+            self.pre_scale = max(rounding_scale(v) for coord in self.pre for v in coord)
+        masks = [proj.mask(lo)] if proj.constant else [proj.mask(n) for n in range(lo, hi + 1)]
+        self.in_p = np.broadcast_to(np.array(masks, dtype=bool).T, (sys.dim, hi - lo + 1))
         # per coordinate: the first index of each stretch between zero
         # factors, and the first column that a pair from the first Q start
         # reaches only across a zero factor (gain 0)
@@ -147,15 +155,17 @@ class _DiagonalScan:
                         for bounds, first in zip(self.bounds, first_q)]
 
     def _form(self, alpha: LogMag, weights: Sequence[LogMag] = ()):
-        """(indices, prefix sums, add, subtract) of the window, float64 with
-        numpy's arithmetic or object arrays with ``ladd``/``lsub``."""
-        floats = self.mixes and isinstance(alpha, float) and all(map(mixes_as_float, weights))
+        """(indices, prefix sums, add, subtract) of the window in the form
+        that the rate and the weights allow."""
+        floats = (self.mixes and isinstance(alpha, float)
+                  and all(map(mixes_as_float, _exact(weights))))
         if floats not in self._forms:
-            dtype = float if floats else object
+            form = FLOAT_FORM if floats else EXACT_FORM
             self._forms[floats] = (
-                np.arange(self.lo, self.hi + 1).astype(dtype),
-                np.array(self.pre, dtype=dtype),
-                *((np.add, np.subtract) if floats else (_LADD, _LSUB)),
+                np.arange(self.lo, self.hi + 1).astype(form.dtype),
+                np.array(self.pre, dtype=form.dtype),
+                form.add,
+                form.sub,
             )
         return self._forms[floats]
 
@@ -218,12 +228,7 @@ class _DiagonalScan:
         """
         lo, hi, alpha = self.lo, self.hi, cert.alpha
         weights = [cert.r_log(k) for k in range(lo, hi + 1)]
-        pre = [v for coord in self.pre for v in coord]
-        scale = abs(alpha) * (hi + 1) + max(map(rounding_scale, pre))
-        scale += max(map(rounding_scale, weights))
-        if not all(isinstance(v, float) or v == 0 for v in pre + weights):
-            scale *= 2
-        cutoff = tol - _ROUNDING_BOUND * scale
+        cutoff = tol - _ROUNDING_BOUND * self.scale(alpha, weights)
         *_, sub = self._form(alpha, weights)
         g, q = self.rows(alpha, hi), self.q_rows(alpha, weights)
         live = g != -math.inf
@@ -232,6 +237,24 @@ class _DiagonalScan:
         rest = _floats(worst[~over])
         least = -float(rest.max()) if rest.size else math.inf
         return set((lo + np.flatnonzero(over)).tolist()), least
+
+    def scale(self, alpha: LogMag, weights: Sequence[LogMag]) -> float:
+        """The factor of ``_ROUNDING_BOUND`` in the cutoff of ``rows_to_scan``:
+        |alpha| (hi + 1) plus the largest ``rounding_scale`` of a prefix sum
+        and of a weight, doubled when any of them is exact and nonzero."""
+        exact = _exact(weights)
+        if all(map(mixes_as_float, exact)):
+            w = np.array(weights, dtype=float)
+            w_scale = float(np.abs(w[np.isfinite(w)]).max(initial=0.0))
+        else:
+            w_scale = max(map(rounding_scale, weights))
+        scale = abs(alpha) * (self.hi + 1) + self.pre_scale + w_scale
+        return 2 * scale if self.exact_nonzero or any(v != 0 for v in exact) else scale
+
+
+def _exact(values: Iterable[LogMag]) -> list[LogMag]:
+    """The values that are not floats."""
+    return [v for v in values if not isinstance(v, float)]
 
 
 def _validate(cert: DichotomyCertificate, window: WindowSpec, tol: float) -> None:
@@ -629,24 +652,23 @@ class WitnessSchedule:
 
 
 def _family_norms(sys, proj, pairs, x):
-    """Log-magnitudes (|A_P x|, |Q x|, |P x|, |A_Q x|) of every pair (m, n),
-    keyed by the pair; -inf marks a zero. One kernel spans the family, and
-    each start index n takes one trajectory per side up to its last horizon."""
-    kernel = _sweeps(sys, proj, min(n for _, n in pairs), max(m for m, _ in pairs))
-    horizons: dict[int, set[int]] = {}
-    for m, n in pairs:
-        horizons.setdefault(n, set()).add(m)
-    fixed_parts = proj.split(pairs[0][1], x) if proj.constant else None
-    norms = {}
-    for n, ms in horizons.items():
-        ms = sorted(ms)
-        (px, *aps), (qx, *aqs) = (
-            kernel.lognorms(part, start[:, None], n, at=(n, *ms))[0]
-            for part, start in zip("PQ", fixed_parts or proj.split(n, x))
-        )
-        for m, ap, aq in zip(ms, aps, aqs):
-            norms[m, n] = ap, qx, px, aq
-    return norms
+    """Log-magnitudes |A_P x|, |Q x|, |P x| and |A_Q x| of the pairs (m, n),
+    as four lists in the order of the pairs; -inf marks a zero. One kernel
+    spans the family and gives every pair in one call per side: the row of
+    pair (m, n) starts from the part of x at n (one split per start index, or
+    one for a fixed projection) and is read at n and m."""
+    at = np.array(pairs)[:, ::-1]  # (n, m)
+    ns = at[:, 0]
+    kernel = _sweeps(sys, proj, int(ns.min()), int(at.max()))
+    if proj.constant:
+        parts = [np.broadcast_to(v, (len(ns), sys.dim)) for v in proj.split(pairs[0][1], x)]
+    else:
+        split = {n: proj.split(n, x) for n in set(ns.tolist())}
+        parts = [np.array([split[n][k] for n in ns.tolist()]) for k in (0, 1)]
+    (px, ap), (qx, aq) = (
+        kernel.trajectories(part, xs, ns, at).T.tolist() for part, xs in zip("PQ", parts)
+    )
+    return ap, qx, px, aq
 
 
 def falsify(
@@ -697,11 +719,9 @@ def falsify(
             raise ScheduleOutOfRangeError(str(exc)) from exc
     check_pairs_compatibility(sys, proj, pairs, tol_compat)
     x = schedule.direction_vector(sys.dim)
-    norms = _family_norms(sys, proj, pairs, x)
     witnesses = []
     logs: list[LogMag] = []
-    for m, n in pairs:
-        ap, qx, px, aq = norms[m, n]
+    for (m, n), ap, qx, px, aq in zip(pairs, *_family_norms(sys, proj, pairs, x)):
         # the LogScalar arithmetic of exp(alpha (m-n)) (|A_P x| + |Q x|) over
         # w_P |P x| + w_Q |A_Q x|, on log-magnitudes with -inf for zero
         s = logaddexp_mag(ap, qx)

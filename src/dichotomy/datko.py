@@ -35,6 +35,7 @@ from .errors import (
     InvalidConstantsError,
     NoDecayCertificateError,
 )
+from .logarray import LogTable
 from .logscalar import LogMag, LogScalar, ladd, lfloat, logaddexp_mag, lsub
 from .system import (
     DEFAULT_TOL_COMPAT,
@@ -145,31 +146,44 @@ def _seed_directions(sys, proj, part: str, ref_index: int) -> list[tuple[float, 
 
 
 def _trajectories(sys, proj, part: str, window: WindowSpec, upto: int):
-    """(direction, seed -> log-norm trajectory up to ``upto``) for each seed
-    direction of the range; one kernel pass over the whole block of
-    directions per seed serves every direction."""
+    """The seed directions of the range and one table of their log-norm
+    trajectories: a row per direction and seed s = n_min..m_max (direction
+    major), a column per index j = n_min..upto, -inf before the seed."""
     directions = _seed_directions(sys, proj, part, window.n_min)
+    seeds = list(range(window.n_min, window.m_max + 1))
+    xs = np.array([x for x in directions for _ in seeds]).reshape(-1, sys.dim)
     kernel = _sweeps(sys, proj, window.n_min, upto)
-    block = np.array(directions).reshape(-1, sys.dim).T
-    norms = {
-        seed: kernel.lognorms(part, block, seed)
-        for seed in range(window.n_min, window.m_max + 1)
-    }
-    return [
-        (direction, {seed: rows[j] for seed, rows in norms.items()})
-        for j, direction in enumerate(directions)
-    ]
+    table = kernel.trajectories(
+        part, xs, seeds * len(directions), np.arange(window.n_min, upto + 1)
+    )
+    return directions, table
 
 
-def _suffix_weighted(traj: list[LogMag], d: float) -> list[LogMag]:
-    """R[t] = log sum_{s >= t} exp(d (s - t)) exp(traj[s]) (same indexing)."""
-    out: list[LogMag] = []
-    acc: LogMag = -math.inf
-    for t in reversed(traj):
-        acc = logaddexp_mag(t, ladd(acc, d))
-        out.append(acc)
-    out.reverse()
-    return out
+def _weighted_sums(table: LogTable, d: float, reverse: bool) -> LogTable:
+    """Per row, acc[j] = log(exp(row[j]) + exp(d + acc[j +- 1])): taken over
+    the columns in reverse, log sum_{t >= j} e^{d (t - j)} e^{row[t]}; in
+    order, log sum_{t <= j} e^{d (j - t)} e^{row[t]}. All rows advance in
+    lockstep. A row's first finite term passes through unchanged, so an int
+    stays an int."""
+    values, form = table.values, table.form
+    if not len(values):
+        return table
+    out = np.empty_like(values)
+    acc = np.full(len(values), -math.inf, dtype=values.dtype)
+    step = -1 if reverse else 1
+    with np.errstate(over="ignore"):
+        for col, dst in zip(values.T[::step], out.T[::step]):
+            acc = form.logaddexp(col, form.add(acc, d), out=dst)
+    ints = table.ints
+    if ints is not None:
+        # an int entry stays one where the sum of the columns before it is -inf
+        rows, cols = np.nonzero(ints)
+        before = cols - step
+        inside = (before >= 0) & (before < values.shape[1])
+        ints = np.zeros_like(ints)
+        ints[rows, cols] = ~inside
+        ints[rows[inside], cols[inside]] = out[rows[inside], before[inside]] == -math.inf
+    return LogTable(out, ints)
 
 
 # -- the three verifiers -----------------------------------------------------
@@ -280,22 +294,35 @@ def _run_summation(
         -math.log1p(-math.exp(d - cert.alpha)) if cert is not None else None
     )
     reports = []
-    for direction, traj in _trajectories(sys, proj, "P", window, m_trunc):
+    size = window.m_max - window.n_min + 1
+    directions, table = _trajectories(sys, proj, "P", window, m_trunc)
+    trajs = table.tolist(size)
+    suffixes = _weighted_sums(table, d, reverse=True).tolist(size)
+    for k, direction in enumerate(directions):
+        rows = slice(k * size, (k + 1) * size)
         reports.append(
             _p_side_report(
                 window, m_trunc, cert, tol, form, d, w_p,
-                p_sum_from_m, c, direction, traj, log_geom,
+                p_sum_from_m, c, direction, trajs[rows], suffixes[rows], log_geom,
             )
         )
-    for direction, traj in _trajectories(sys, proj, "Q", window, window.m_max):
-        reports.append(_q_side_report(window, tol, form, d, w_q, c, direction, traj))
+    directions, table = _trajectories(sys, proj, "Q", window, window.m_max)
+    trajs = table.tolist()
+    sums = _weighted_sums(table, d, reverse=False).tolist()
+    for k, direction in enumerate(directions):
+        rows = slice(k * size, (k + 1) * size)
+        reports.append(
+            _q_side_report(window, tol, form, d, w_q, c, direction, trajs[rows], sums[rows])
+        )
     return reports
 
 
 def _p_side_report(
     window, m_trunc, cert, tol, form, d, w_p,
-    p_sum_from_m, c, direction, trajectory, log_geom,
+    p_sum_from_m, c, direction, trajs, suffixes, log_geom,
 ):
+    """The P-side report of one direction from its trajectories and suffix
+    sums, row s - n_min and column j - n_min."""
     worst_slack = math.inf
     worst = None
     worst_vals = None
@@ -304,16 +331,15 @@ def _p_side_report(
     any_violated = False
     any_inconclusive = False
     for seed in range(window.n_min, window.m_max + 1):
-        traj = trajectory[seed]
-        suffix = _suffix_weighted(traj, d)
+        traj, suffix = trajs[seed - window.n_min], suffixes[seed - window.n_min]
 
         def point(check_at: int, triple: tuple[int, int, int]):
             nonlocal worst_slack, worst, worst_vals, max_tail_rhs
             nonlocal checked, any_violated, any_inconclusive
             checked += 1
-            rel = check_at - seed
-            lhs = suffix[rel]
-            anchor = traj[rel]
+            col = check_at - window.n_min
+            lhs = suffix[col]
+            anchor = traj[col]
             rhs = ladd(w_p(check_at), anchor) if anchor != -math.inf else -math.inf
             if cert is not None and anchor != -math.inf:
                 tail_log = ladd(
@@ -368,20 +394,21 @@ def _p_side_report(
     )
 
 
-def _q_side_report(window, tol, form, d, w_q, c, direction, trajectory):
+def _q_side_report(window, tol, form, d, w_q, c, direction, trajs, sums):
+    """The Q-side report of one direction from its trajectories and forward
+    sums, row n - n_min and column m - n_min."""
     worst_slack = math.inf
     worst = None
     worst_vals = None
     checked = 0
     any_violated = False
     for n in range(window.n_min, window.m_max + 1):
-        traj = trajectory[n]
-        acc: LogMag = -math.inf
+        traj, acc_row = trajs[n - window.n_min], sums[n - window.n_min]
         for m in range(n, window.m_max + 1):
-            rel = m - n
-            acc = logaddexp_mag(traj[rel], ladd(acc, d))
+            col = m - window.n_min
+            acc = acc_row[col]
             checked += 1
-            anchor = traj[rel]
+            anchor = traj[col]
             rhs = ladd(w_q(m), anchor) if anchor != -math.inf else -math.inf
             slack = _slack(rhs, acc)
             if slack < -tol:

@@ -33,7 +33,8 @@ from .errors import (
     LogOverflowError,
     OutOfRangeError,
 )
-from .logscalar import LogMag, LogScalar, ladd, lsub
+from .logarray import EXACT_FORM, FLOAT_FORM, LogTable
+from .logscalar import _FLOAT_SAFE, LogMag, LogScalar, ladd, lsub
 
 DEFAULT_TOL_PROJ = 1e-9
 DEFAULT_TOL_COMPAT = 1e-9
@@ -484,18 +485,32 @@ class _DenseSweeps:
     def row(self, n: int) -> "_DenseRow":
         return _DenseRow(self, n)
 
-    def lognorms(self, part: str, block: np.ndarray, seed: int, at=None) -> list[list[LogMag]]:
-        """Per column of ``block`` (a block in range P(seed) or Q(seed), as in
-        ``sweep``): log |A(j, seed) column| for j in ``at``, by default
-        seed..hi, from one sweep of the whole block up to the last of them."""
-        upto = self.hi if at is None else max(at)
-        images = self.sweep(part, block, seed, upto)
-        if len(images) <= upto - seed:
-            raise _overflow(seed, seed + len(images))
-        norms = np.linalg.norm(images, axis=1)
-        if at is not None:
-            norms = norms[[j - seed for j in at]]
-        return [_log_values(col) for col in norms.T]
+    def trajectories(self, part: str, xs, seeds, at) -> LogTable:
+        """log |A(j, s) x| as in ``_DiagonalSweeps.trajectories``, for rows x
+        in range P(s) or Q(s) (``part`` "P" or "Q"): one sweep per seed of
+        its distinct rows, up to their last horizon."""
+        xs, seeds = np.asarray(xs, dtype=float), np.asarray(seeds)
+        at = np.broadcast_to(at, (len(xs), np.shape(at)[-1]))
+        out = np.full(at.shape, -math.inf)
+        for seed in dict.fromkeys(seeds.tolist()):
+            rows = np.flatnonzero(seeds == seed)
+            upto = int(at[rows].max())
+            if upto < seed:
+                continue
+            # one column per distinct row, in order of first appearance
+            keys = [xs[r].tobytes() for r in rows.tolist()]
+            first = {}
+            for r, k in zip(rows.tolist(), keys):
+                first.setdefault(k, r)
+            column = {k: c for c, k in enumerate(first)}
+            images = self.sweep(part, xs[list(first.values())].T, seed, upto)
+            if len(images) <= upto - seed:
+                raise _overflow(seed, seed + len(images))
+            logs = np.array([_log_values(c) for c in np.linalg.norm(images, axis=1).T])
+            steps = at[rows] - seed
+            picked = logs[[[column[k]] for k in keys], np.maximum(steps, 0)]
+            out[rows] = np.where(steps >= 0, picked, -math.inf)
+        return LogTable(out)
 
 
 class _DenseRow:
@@ -598,26 +613,59 @@ class _DiagonalSweeps:
     def row(self, n: int) -> "_DiagonalRow":
         return _DiagonalRow(self, n)
 
-    def lognorms(self, part: str, block: np.ndarray, seed: int, at=None) -> list[list[LogMag]]:
-        """Per column x of ``block``: log |A(j, seed) x| for j in ``at``, by
-        default seed..hi. The columns are taken as given (``part`` is not
-        applied); an exact factor log stays exact for a unit entry."""
-        out = []
-        for col in np.asarray(block, dtype=float).T.tolist():
-            active = [(i, math.log(abs(v))) for i, v in enumerate(col) if v != 0.0]
-            traj: list[LogMag] = []
-            for j in range(seed, self.hi + 1) if at is None else at:
-                best: LogMag = -math.inf
-                for i, off in active:
-                    f = self.factor_log(i, j, seed)
-                    if f == -math.inf:
-                        continue
-                    cand = ladd(f, off) if off != 0.0 else f
-                    if best == -math.inf or cand > best:
-                        best = cand
-                traj.append(best)
-            out.append(traj)
-        return out
+    def trajectories(self, part: str, xs, seeds, at) -> LogTable:
+        """log |A(j, s) x| for each row x of ``xs`` and its seed s = seeds[k],
+        at each horizon j of row k of ``at`` (shape (rows, J), or (J,) for
+        every row); -inf where j < s. The rows are taken as given (``part``
+        is not applied).
+
+        Coordinate i contributes pre_i[j] - pre_i[s] + log |x_i|, one
+        broadcast over the table, unless x_i = 0 or a zero factor lies in
+        (s, j]; a unit entry adds nothing, so an exact difference stays
+        exact. Each entry is the first largest contribution. Only the prefix
+        entries at the seeds and horizons are read. The table is float64 when
+        each of them is a float or an int within ``_FLOAT_SAFE`` (a
+        difference of two such ints is exact in floats; ``ints`` marks the
+        entries that stay ints), otherwise it is an object table.
+        """
+        xs, seeds, at = np.asarray(xs, dtype=float), np.asarray(seeds), np.asarray(at)
+        shape = (len(xs), at.shape[-1])
+        coords = [i for i in range(self.dim) if xs[:, i].any()]
+        if not coords:
+            return LogTable(np.full(shape, -math.inf))
+        index = sorted({*seeds.tolist(), *at.ravel().tolist()})
+        where = np.zeros(index[-1] + 1, dtype=int)
+        where[index] = range(len(index))
+        s_at, j_at = where[seeds][:, None], where[at]
+        pres = [[self.pre[i][k] for k in index] for i in coords]
+        floats = all(
+            isinstance(v, float) or (isinstance(v, int) and -_FLOAT_SAFE <= v <= _FLOAT_SAFE)
+            for pre in pres for v in pre
+        )
+        form = FLOAT_FORM if floats else EXACT_FORM
+        flat = np.abs(xs).ravel().tolist()
+        logs = {v: math.log(v) for v in set(flat) if v}
+        offs = np.array([logs.get(v, -math.inf) for v in flat]).reshape(xs.shape)
+        best = np.full(shape, -math.inf, dtype=form.dtype)
+        ints = np.zeros(shape, dtype=bool)
+        with np.errstate(over="ignore"):
+            for i, pre in zip(coords, pres):
+                zeros = np.array([self.zeros[i][k] for k in index])
+                if floats:
+                    flags = np.array([not isinstance(v, float) for v in pre])
+                pre = np.array(pre, dtype=form.dtype)
+                cand = form.sub(pre[j_at], pre[s_at])
+                off = offs[:, i:i + 1]
+                scaled = np.flatnonzero(np.isfinite(off) & (off != 0.0))
+                if scaled.size:
+                    cand[scaled] = form.add(cand[scaled], off[scaled])
+                better = (off > -math.inf) & (j_at >= s_at) & (zeros[j_at] == zeros[s_at])
+                if i != coords[0]:  # the first coordinate only meets -inf
+                    better &= cand > best
+                np.copyto(best, cand, where=better)
+                if floats:
+                    np.copyto(ints, flags[j_at] & flags[s_at] & (off == 0.0), where=better)
+        return LogTable(best, ints if floats else None)
 
 
 class _DiagonalRow:

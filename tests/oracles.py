@@ -5,7 +5,10 @@ factors of a diagonal system or by multiplying the dense coefficients, and
 the Datko left side is summed term by term along one kernel trajectory, in
 place of the verifiers' suffix sums. The diagonal running maxima are
 computed one coordinate and one index at a time with ``ladd``/``lsub``, in
-place of the scan's arrays. None of this is on a path of the package.
+place of the scan's arrays. Diagonal trajectories are read one coordinate
+and one index at a time, and the Datko suffix and forward sums are
+accumulated one term at a time, in place of the kernel's table and the
+verifiers' lockstep sums. None of this is on a path of the package.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from dichotomy import DichotomyCertificate, LogScalar, ProjectionFamily, SystemDescription
 from dichotomy.datko import _require_constant_projection
 from dichotomy.errors import IndexOrderError, NoDecayCertificateError
-from dichotomy.logscalar import LogMag, ladd, logaddexp_mag, lsub
+from dichotomy.logscalar import LogMag, ladd, logaddexp_mag, lsub, rounding_scale
 from dichotomy.system import (
     DEFAULT_TOL_COMPAT,
     _overflow,
@@ -94,8 +97,52 @@ def projected_evolution(
 def _traj_lognorms(sys, proj, part, vec, seed: int, upto: int) -> list[LogMag]:
     """log |A(j, seed) x| for j = seed..upto (index j - seed in the list);
     x must lie in range P(seed) (part "P") or Q(seed) (part "Q")."""
-    block = np.asarray(vec, dtype=float)[:, None]
-    return _sweeps(sys, proj, seed, upto).lognorms(part, block, seed)[0]
+    kernel = _sweeps(sys, proj, seed, upto)
+    return kernel.trajectories(part, [vec], [seed], np.arange(seed, upto + 1)).tolist()[0]
+
+
+def diagonal_lognorms(kernel, block, seed: int, at) -> list[list[LogMag]]:
+    """Per column x of ``block``: log |A(j, seed) x| for j in ``at``, one
+    coordinate and one index at a time from the diagonal kernel's factor
+    logs; the first largest coordinate wins, and a unit entry adds nothing,
+    so an exact factor log stays exact."""
+    out = []
+    for col in np.asarray(block, dtype=float).T.tolist():
+        active = [(i, math.log(abs(v))) for i, v in enumerate(col) if v != 0.0]
+        traj: list[LogMag] = []
+        for j in at:
+            best: LogMag = -math.inf
+            for i, off in active:
+                f = kernel.factor_log(i, j, seed) if j >= seed else -math.inf
+                if f == -math.inf:
+                    continue
+                cand = ladd(f, off) if off != 0.0 else f
+                if best == -math.inf or cand > best:
+                    best = cand
+            traj.append(best)
+        out.append(traj)
+    return out
+
+
+def suffix_weighted(traj: list[LogMag], d: float) -> list[LogMag]:
+    """R[t] = log sum_{s >= t} exp(d (s - t)) exp(traj[s]) (same indexing)."""
+    out: list[LogMag] = []
+    acc: LogMag = -math.inf
+    for t in reversed(traj):
+        acc = logaddexp_mag(t, ladd(acc, d))
+        out.append(acc)
+    out.reverse()
+    return out
+
+
+def prefix_weighted(traj: list[LogMag], d: float) -> list[LogMag]:
+    """S[t] = log sum_{s <= t} exp(d (t - s)) exp(traj[s]) (same indexing)."""
+    out: list[LogMag] = []
+    acc: LogMag = -math.inf
+    for t in traj:
+        acc = logaddexp_mag(t, ladd(acc, d))
+        out.append(acc)
+    return out
 
 
 def projected_sum(
@@ -249,3 +296,17 @@ def running_q_cols(sys, proj, lo, hi, alpha) -> list[LogMag]:
                 if v > out[m - lo]:
                     out[m - lo] = v
     return out
+
+
+def rounding_scale_of(sys, lo, hi, alpha, weights) -> float:
+    """The factor of the rounding bound in ``_DiagonalScan.rows_to_scan``:
+    |alpha| (hi + 1) plus the largest ``rounding_scale`` of a prefix sum of
+    the window and of a weight, doubled when any of them is exact and
+    nonzero; one value at a time."""
+    pres, _ = sys.diag_prefix(hi)
+    pre = [v for coord in pres for v in coord[lo:hi + 1]]
+    scale = abs(alpha) * (hi + 1) + max(map(rounding_scale, pre))
+    scale += max(map(rounding_scale, weights))
+    if not all(isinstance(v, float) or v == 0 for v in pre + list(weights)):
+        scale *= 2
+    return scale

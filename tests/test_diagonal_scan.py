@@ -40,7 +40,7 @@ from dichotomy import checkers, system
 from dichotomy.checkers import _family_norms, _slack
 from dichotomy.logscalar import ladd, lfloat, lsub, mixes_as_float
 from dichotomy.system import DiagonalClosedForm, _sweeps
-from oracles import running_p_rows, running_q_cols, running_q_rows
+from oracles import rounding_scale_of, running_p_rows, running_q_cols, running_q_rows
 
 # -- brute-force oracle ----------------------------------------------------------
 
@@ -416,6 +416,20 @@ def test_array_scan_matches_the_running_maximum_loops(case, data):
             assert got.tobytes() == ref.astype(float).tobytes()
 
 
+@PROPERTY
+@given(diagonal_cases(), st.data())
+def test_rounding_scale_matches_the_per_value_formula(case, data):
+    kind, sys_, proj, window, alpha = case
+    alpha = data.draw(rates(alpha))
+    size = window.m_max - window.n_min + 1
+    weight = st.one_of(log_values("bigint" if kind == "bigint" else "float"),
+                       st.integers(-3, 3), st.just(-math.inf))
+    weights = data.draw(st.lists(weight, min_size=size, max_size=size))
+    scan = checkers._DiagonalScan(sys_, proj, window)
+    want = rounding_scale_of(sys_, window.n_min, window.m_max, alpha, weights)
+    assert scan.scale(alpha, weights) == want
+
+
 def test_gallery_scan_takes_the_float_form():
     # the ned_example claim at W = 150 must not fall back to object arrays
     entry = make_example("ned_example")
@@ -520,16 +534,16 @@ def test_kernel_matches_per_pair_formulas(case, data):
     entries = st.sampled_from([0.0, 1.0, -1.0, 0.5, -3.25])
     vectors = [tuple(1.0 if j == i else 0.0 for j in range(dim)) for i in range(dim)]
     vectors += data.draw(st.lists(st.tuples(*[entries] * dim), min_size=1, max_size=3))
-    block = [[v[i] for v in vectors] for i in range(dim)]
     for seed in range(lo, hi + 1):
-        got = kernel.lognorms("P", block, seed)
+        got = kernel.trajectories("P", vectors, [seed] * len(vectors),
+                                  np.arange(seed, hi + 1)).tolist()
         for vec, traj in zip(vectors, got):
             want = brute_trajectory(sys_, vec, seed, hi)
             assert len(traj) == len(want)
             assert all(same(a, b) for a, b in zip(traj, want))
         for vec in vectors:
             for m in range(seed, hi + 1):
-                got = _family_norms(sys_, proj, [(m, seed)], vec)[m, seed]
+                got = [v for v, in _family_norms(sys_, proj, [(m, seed)], vec)]
                 assert tuple(LogScalar.from_log(v) for v in got) == brute_vector_parts(
                     sys_, proj, m, seed, vec
                 )

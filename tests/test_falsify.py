@@ -44,7 +44,7 @@ def per_pair_vector_parts(sys, proj, m, n, x):
     kernel = _sweeps(sys, proj, n, m)
     norms = []
     for part, start in zip("PQ", proj.split(n, x)):
-        logs = kernel.lognorms(part, start[:, None], n, at=(n, m))[0]
+        logs = kernel.trajectories(part, [start], [n], [n, m]).tolist()[0]
         norms.append([LogScalar.from_log(v) for v in logs])
     (px, ap), (qx, aq) = norms
     return ap, qx, px, aq

@@ -63,6 +63,10 @@ CASES = {
     "ned-datko": (
         ["datko", "--gallery", "ned_example", "--window", "0..15", "--d", "0.1",
          "--from-cert", "NED:alpha=0.6,profile=power:2:1", "--m-trunc", "40"], 0, False),
+    # exact tower logs: the Q report at (0, 0, 0) prints the int log 0
+    "tower-datko": (
+        ["datko", "--gallery", "ned_not_ed_example", "--window", "0..10", "--d", "0.5",
+         "--from-cert", "NED:alpha=1,profile=tower", "--m-trunc", "30"], 0, False),
     "ed-claims": (
         ["gallery-claims", "--name", "ed_example", "--window", "0..40"], 0, False),
     "ned-verify-violated": (
