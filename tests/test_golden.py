@@ -67,6 +67,18 @@ CASES = {
     "tower-datko": (
         ["datko", "--gallery", "ned_not_ed_example", "--window", "0..10", "--d", "0.5",
          "--from-cert", "NED:alpha=1,profile=tower", "--m-trunc", "30"], 0, False),
+    # no certificate: the P tail is unknown, so a passing check is inconclusive
+    "ued-datko-inconclusive": (
+        ["datko", "--gallery", "ued_example", "--form", "ued", "--D", "4", "--d", "0",
+         "--window", "0..10", "--m-trunc", "30"], 3, False),
+    # violated exponential forms: the P side reports (n, n, p), the Q side (m, n, n)
+    "sed-datko-violated": (
+        ["datko", "--gallery", "sed_example", "--form", "ed", "--D", "3", "--c-weight", "0.5",
+         "--d", "0.25", "--window", "0..20", "--m-trunc", "100"], 1, False),
+    # exact tower logs: prints the int log 0
+    "tower-datko-ed-violated": (
+        ["datko", "--gallery", "ned_not_ed_example", "--form", "ed", "--D", "2",
+         "--c-weight", "0.5", "--d", "0.25", "--window", "0..10", "--m-trunc", "20"], 1, False),
     "ed-claims": (
         ["gallery-claims", "--name", "ed_example", "--window", "0..40"], 0, False),
     "ned-verify-violated": (
