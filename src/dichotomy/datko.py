@@ -24,19 +24,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .certificates import DichotomyCertificate, Kind, Profile, ScaledProfile, WindowSpec
-from .checkers import _slack
 from .errors import (
     DecayGapError,
     IndexOrderError,
     InvalidConstantsError,
     NoDecayCertificateError,
 )
-from .logarray import LogTable
-from .logscalar import LogMag, LogScalar, ladd, lfloat, logaddexp_mag, lsub
+from .logarray import EXACT_FORM, FLOAT_FORM, LogTable
+from .logscalar import _FLOAT_SAFE, LogScalar, lfloat
 from .system import (
     DEFAULT_TOL_COMPAT,
     ProjectionFamily,
@@ -203,13 +203,8 @@ def verify_datko_ned(
     """Nonuniform summation criterion over the triplet window."""
     if not 0 < d < math.inf:
         raise InvalidConstantsError(f"need finite d > 0, got {d}")
-    return _run_summation(
-        sys, proj, window, m_trunc, cert, tol, tol_compat,
-        form="nonuniform", d=d,
-        w_p=lambda n: s_profile.log_at(n),
-        w_q=lambda m: s_profile.log_at(m),
-        p_sum_from_m=False,
-    )
+    return _run_summation(sys, proj, window, m_trunc, cert, tol, tol_compat,
+                          "nonuniform", d, s_profile.log_at, restart=False)
 
 
 def verify_datko_ued(
@@ -234,13 +229,8 @@ def verify_datko_ued(
     if not 1 <= big_d < math.inf:
         raise InvalidConstantsError(f"need finite D >= 1, got {big_d}")
     log_d = math.log(big_d)
-    return _run_summation(
-        sys, proj, window, m_trunc, cert, tol, tol_compat,
-        form="uniform", d=d,
-        w_p=lambda n: log_d,
-        w_q=lambda m: log_d,
-        p_sum_from_m=True,
-    )
+    return _run_summation(sys, proj, window, m_trunc, cert, tol, tol_compat,
+                          "uniform", d, lambda j: log_d, restart=True)
 
 
 def verify_datko_ed(
@@ -266,19 +256,12 @@ def verify_datko_ed(
     if strong and not c < d:
         raise InvalidConstantsError(f"strong gate needs c < d, got c={c}, d={d}")
     log_d = math.log(big_d)
-    return _run_summation(
-        sys, proj, window, m_trunc, cert, tol, tol_compat,
-        form="exponential", d=d,
-        w_p=lambda n: log_d + c * n,
-        w_q=lambda m: log_d + c * m,
-        p_sum_from_m=False,
-        c=c,
-    )
+    return _run_summation(sys, proj, window, m_trunc, cert, tol, tol_compat,
+                          "exponential", d, lambda j: log_d + c * j, restart=False, c=c)
 
 
 def _run_summation(
-    sys, proj, window, m_trunc, cert, tol, tol_compat,
-    form, d, w_p, w_q, p_sum_from_m, c=None,
+    sys, proj, window, m_trunc, cert, tol, tol_compat, form, d, weight, restart, c=None,
 ) -> list[DatkoReport]:
     if m_trunc < window.m_max:
         raise IndexOrderError(f"truncation {m_trunc} below window end {window.m_max}")
@@ -290,157 +273,124 @@ def _run_summation(
             )
     check_compatibility(sys, proj, window.n_min, m_trunc, tol_compat)
     _require_constant_projection(proj, window.n_min, m_trunc)
-    log_geom = (
-        -math.log1p(-math.exp(d - cert.alpha)) if cert is not None else None
-    )
-    reports = []
-    size = window.m_max - window.n_min + 1
+    tail = math.inf
+    if cert is not None:
+        log_geom = -math.log1p(-math.exp(d - cert.alpha))
+
+        def tail(j):
+            return cert.r_log(j), (d - cert.alpha) * (m_trunc + 1 - j) + log_geom
+
+    fields = dict(form=form, d=d, c=c)
     directions, table = _trajectories(sys, proj, "P", window, m_trunc)
-    trajs = table.tolist(size)
-    suffixes = _weighted_sums(table, d, reverse=True).tolist(size)
-    for k, direction in enumerate(directions):
-        rows = slice(k * size, (k + 1) * size)
-        reports.append(
-            _p_side_report(
-                window, m_trunc, cert, tol, form, d, w_p,
-                p_sum_from_m, c, direction, trajs[rows], suffixes[rows], log_geom,
-            )
-        )
+    reports = _side_reports(
+        "P", directions, table, _weighted_sums(table, d, reverse=True),
+        weight, tail, window, tol, restart, **fields,
+    )
     directions, table = _trajectories(sys, proj, "Q", window, window.m_max)
-    trajs = table.tolist()
-    sums = _weighted_sums(table, d, reverse=False).tolist()
-    for k, direction in enumerate(directions):
-        rows = slice(k * size, (k + 1) * size)
-        reports.append(
-            _q_side_report(window, tol, form, d, w_q, c, direction, trajs[rows], sums[rows])
-        )
+    return reports + _side_reports(
+        "Q", directions, table, _weighted_sums(table, d, reverse=False),
+        weight, -math.inf, window, tol, True, **fields,
+    )
+
+
+_LFLOAT = np.frompyfunc(lfloat, 1, 1)
+
+
+def _side_reports(
+    side, directions, table, sums, weight, tail, window, tol, restart, **fields
+) -> list[DatkoReport]:
+    """One report per direction of a side, every point in one array pass.
+
+    Row (direction, seed s) and column j - n_min of ``table`` and ``sums``
+    hold a point's trajectory and weighted sum, for s <= j <= m_max; its
+    triple is (j, s, s) if ``restart``, else (j, j, s). The right side is
+    weight(j) + traj; where traj is finite the tail is r(j) + traj +
+    offset(j) from ``tail(j)``, or else the constant log ``tail`` (+inf
+    when unknown, -inf for none).
+    """
+    if not directions:
+        return []
+    size = window.m_max - window.n_min + 1
+    weights = [weight(j) for j in range(window.n_min, window.m_max + 1)]
+    terms = [tail(j) for j in range(window.n_min, window.m_max + 1)] if callable(tail) else []
+    if all(isinstance(v, float) for v in chain(weights, *terms)) and all(
+        map(_float_safe, (table, sums))
+    ):
+        form = FLOAT_FORM
+    else:
+        form = EXACT_FORM
+        table, sums = (LogTable(np.array(t.tolist(size), dtype=object)) for t in (table, sums))
+    rows, cols = np.triu_indices(size)
+    anchor, lhs, ints = (
+        None if v is None else v[:, :size].reshape(-1, size, size)[:, rows, cols]
+        for v in (table.values, sums.values, sums.ints)
+    )
+    live = anchor != -math.inf
+
+    def at_live(column_values):
+        values = np.array(column_values, dtype=form.dtype)[cols]
+        return np.broadcast_to(values, anchor.shape)[live]
+
+    rhs, tails = (np.full(anchor.shape, -math.inf, dtype=form.dtype) for _ in range(2))
+    with np.errstate(over="ignore"):
+        rhs[live] = form.add(at_live(weights), anchor[live])
+        if callable(tail):
+            r, offset = zip(*terms)
+            tails[live] = form.add(form.add(at_live(r), anchor[live]), at_live(offset))
+        else:
+            tails[live] = tail
+        trunc = _slacks(rhs, lhs, form)
+        total = _slacks(rhs, form.logaddexp(lhs, tails), form)
+        tail_rhs = _difference(tails, rhs, form, [
+            (tails == -math.inf, -math.inf), (tails == math.inf, math.inf),
+            (rhs == math.inf, -math.inf), (rhs == -math.inf, math.inf),
+        ])
+    violated = (trunc < -tol).any(axis=1)
+    inconclusive = (total < -tol).any(axis=1)
+    worst = np.where(np.isfinite(total), total, trunc).argmin(axis=1)
+    lhs, zero = LogTable(lhs, ints), LogScalar.zero()
+    reports = []
+    for k, w in enumerate(worst.tolist()):
+        seed, j = window.n_min + rows.item(w), window.n_min + cols.item(w)
+        total_sum = LogScalar.from_log(lhs.item(k, w))
+        reports.append(DatkoReport(
+            side=side,
+            direction=directions[k],
+            verdict=VIOLATED if violated[k] else INCONCLUSIVE if inconclusive[k] else HOLDS,
+            worst=(j, seed, seed) if restart else (j, j, seed),
+            lhs_p_sum=total_sum if side == "P" else zero,
+            lhs_q_sum=zero if side == "P" else total_sum,
+            tail_bound=LogScalar.from_log(tails.item(k, w)),
+            rhs=LogScalar.from_log(rhs.item(k, w)),
+            checked=len(rows),
+            max_tail_rhs_log=tail_rhs[k].max().item(),
+            **fields,
+        ))
     return reports
 
 
-def _p_side_report(
-    window, m_trunc, cert, tol, form, d, w_p,
-    p_sum_from_m, c, direction, trajs, suffixes, log_geom,
-):
-    """The P-side report of one direction from its trajectories and suffix
-    sums, row s - n_min and column j - n_min."""
-    worst_slack = math.inf
-    worst = None
-    worst_vals = None
-    max_tail_rhs = -math.inf
-    checked = 0
-    any_violated = False
-    any_inconclusive = False
-    for seed in range(window.n_min, window.m_max + 1):
-        traj, suffix = trajs[seed - window.n_min], suffixes[seed - window.n_min]
-
-        def point(check_at: int, triple: tuple[int, int, int]):
-            nonlocal worst_slack, worst, worst_vals, max_tail_rhs
-            nonlocal checked, any_violated, any_inconclusive
-            checked += 1
-            col = check_at - window.n_min
-            lhs = suffix[col]
-            anchor = traj[col]
-            rhs = ladd(w_p(check_at), anchor) if anchor != -math.inf else -math.inf
-            if cert is not None and anchor != -math.inf:
-                tail_log = ladd(
-                    ladd(cert.r_log(check_at), anchor),
-                    (d - cert.alpha) * (m_trunc + 1 - check_at) + log_geom,
-                )
-            elif anchor == -math.inf:
-                tail_log = -math.inf
-            else:
-                tail_log = math.inf
-            combined = math.inf if tail_log == math.inf else logaddexp_mag(lhs, tail_log)
-            trunc_slack = _slack(rhs, lhs)
-            total_slack = _slack(rhs, combined)
-            if trunc_slack < -tol:
-                any_violated = True
-            elif total_slack < -tol:
-                any_inconclusive = True
-            track = total_slack if math.isfinite(total_slack) else trunc_slack
-            if worst is None or track < worst_slack:
-                worst_slack = track
-                worst = triple
-                worst_vals = (lhs, tail_log, rhs)
-            tr = _tail_rhs_log(tail_log, rhs)
-            if tr > max_tail_rhs:
-                max_tail_rhs = tr
-
-        if p_sum_from_m:
-            n = seed
-            for m in range(n, window.m_max + 1):
-                point(m, (m, n, n))
-        else:
-            p = seed
-            for n in range(p, window.m_max + 1):
-                point(n, (n, n, p))
-    verdict = VIOLATED if any_violated else (INCONCLUSIVE if any_inconclusive else HOLDS)
-    lhs, tail_log, rhs = worst_vals
-    return DatkoReport(
-        form=form,
-        side="P",
-        direction=direction,
-        d=d,
-        c=c,
-        verdict=verdict,
-        worst=worst,
-        lhs_p_sum=LogScalar.from_log(lhs),
-        lhs_q_sum=LogScalar.zero(),
-        tail_bound=LogScalar.from_log(tail_log) if tail_log != math.inf
-        else LogScalar.positive_infinity(),
-        rhs=LogScalar.from_log(rhs),
-        checked=checked,
-        max_tail_rhs_log=max_tail_rhs,
+def _float_safe(table: LogTable) -> bool:
+    """Whether ``ladd`` mixes every entry with a float as a float."""
+    return table.values.dtype == float and (
+        table.ints is None or bool((np.abs(table.values[table.ints]) <= _FLOAT_SAFE).all())
     )
 
 
-def _q_side_report(window, tol, form, d, w_q, c, direction, trajs, sums):
-    """The Q-side report of one direction from its trajectories and forward
-    sums, row n - n_min and column m - n_min."""
-    worst_slack = math.inf
-    worst = None
-    worst_vals = None
-    checked = 0
-    any_violated = False
-    for n in range(window.n_min, window.m_max + 1):
-        traj, acc_row = trajs[n - window.n_min], sums[n - window.n_min]
-        for m in range(n, window.m_max + 1):
-            col = m - window.n_min
-            acc = acc_row[col]
-            checked += 1
-            anchor = traj[col]
-            rhs = ladd(w_q(m), anchor) if anchor != -math.inf else -math.inf
-            slack = _slack(rhs, acc)
-            if slack < -tol:
-                any_violated = True
-            if worst is None or slack < worst_slack:
-                worst_slack = slack
-                worst = (m, n, n)
-                worst_vals = (acc, rhs)
-    verdict = VIOLATED if any_violated else HOLDS
-    lhs, rhs = worst_vals
-    return DatkoReport(
-        form=form,
-        side="Q",
-        direction=direction,
-        d=d,
-        c=c,
-        verdict=verdict,
-        worst=worst,
-        lhs_p_sum=LogScalar.zero(),
-        lhs_q_sum=LogScalar.from_log(lhs),
-        tail_bound=LogScalar.zero(),
-        rhs=LogScalar.from_log(rhs),
-        checked=checked,
-        max_tail_rhs_log=-math.inf,
-    )
+def _slacks(rhs, lhs, form) -> np.ndarray:
+    """``checkers._slack`` elementwise: a zero left side decides first."""
+    return _difference(rhs, lhs, form, [
+        (lhs == -math.inf, math.inf), (rhs == math.inf, math.inf),
+        (rhs == -math.inf, -math.inf), (lhs == math.inf, -math.inf),
+    ])
 
 
-def _tail_rhs_log(tail_log: LogMag, rhs_log: LogMag) -> float:
-    if isinstance(tail_log, float) and tail_log == -math.inf:
-        return -math.inf
-    if isinstance(tail_log, float) and tail_log == math.inf:
-        return math.inf
-    if isinstance(rhs_log, float) and math.isinf(rhs_log):
-        return -math.inf if rhs_log > 0 else math.inf
-    return lfloat(lsub(tail_log, rhs_log))
+def _difference(a, b, form, rules) -> np.ndarray:
+    """lfloat(lsub(a, b)) elementwise as float64, unless one of the (mask,
+    value) ``rules`` holds, the first one deciding; every entry with an
+    infinite operand meets a rule."""
+    masks, values = zip(*rules)
+    out = np.zeros(np.shape(a))
+    open_ = ~np.logical_or.reduce(masks)
+    diff = form.sub(a[open_], b[open_])
+    out[open_] = _LFLOAT(diff) if form is EXACT_FORM else diff
+    return np.select(masks, values, out)

@@ -69,3 +69,8 @@ class LogTable(NamedTuple):
             for r, c in zip(*np.nonzero(self.ints[:, :stop])):
                 rows[r][c] = int(rows[r][c])
         return rows
+
+    def item(self, *index) -> LogMag:
+        """One entry as a Python number, an int where ``ints`` marks one."""
+        value = self.values.item(*index)
+        return int(value) if self.ints is not None and self.ints.item(*index) else value

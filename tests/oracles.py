@@ -8,7 +8,9 @@ computed one coordinate and one index at a time with ``ladd``/``lsub``, in
 place of the scan's arrays. Diagonal trajectories are read one coordinate
 and one index at a time, and the Datko suffix and forward sums are
 accumulated one term at a time, in place of the kernel's table and the
-verifiers' lockstep sums. None of this is on a path of the package.
+verifiers' lockstep sums. The Datko side reports are evaluated one point at
+a time, in place of the verifiers' array pass. None of this is on a path of
+the package.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from dichotomy import DichotomyCertificate, LogScalar, ProjectionFamily, SystemDescription
-from dichotomy.datko import _require_constant_projection
+from dichotomy.checkers import _slack
+from dichotomy.datko import HOLDS, INCONCLUSIVE, VIOLATED, DatkoReport, _require_constant_projection
 from dichotomy.errors import IndexOrderError, NoDecayCertificateError
-from dichotomy.logscalar import LogMag, ladd, logaddexp_mag, lsub, rounding_scale
+from dichotomy.logscalar import LogMag, ladd, lfloat, logaddexp_mag, lsub, rounding_scale
 from dichotomy.system import (
     DEFAULT_TOL_COMPAT,
     _overflow,
@@ -224,6 +227,135 @@ def datko_lhs(
     for k in range(n, m + 1):
         acc = logaddexp_mag(acc, ladd(q_traj[k - n], d * (m - k)))
     return p_sum, LogScalar.from_log(acc), tail
+
+
+def side_reports_loop(
+    side, directions, table, sums, weight, tail, window, tol, restart, **fields
+) -> list[DatkoReport]:
+    """``datko._side_reports`` one point at a time: the loops the verifiers
+    ran before the array pass."""
+    size = window.m_max - window.n_min + 1
+    trajs, sums = table.tolist(size), sums.tolist(size)
+    reports = []
+    for k, direction in enumerate(directions):
+        rows = slice(k * size, (k + 1) * size)
+        if side == "P":
+            reports.append(_p_side_report(
+                window, tol, weight, tail, restart, direction, trajs[rows], sums[rows], fields
+            ))
+        else:
+            reports.append(_q_side_report(
+                window, tol, weight, direction, trajs[rows], sums[rows], fields
+            ))
+    return reports
+
+
+def _p_side_report(window, tol, weight, tail, restart, direction, trajs, suffixes, fields):
+    """The P-side report of one direction from its trajectories and suffix
+    sums, row s - n_min and column j - n_min."""
+    worst_slack = math.inf
+    worst = None
+    worst_vals = None
+    max_tail_rhs = -math.inf
+    checked = 0
+    any_violated = False
+    any_inconclusive = False
+    for seed in range(window.n_min, window.m_max + 1):
+        traj, suffix = trajs[seed - window.n_min], suffixes[seed - window.n_min]
+        for check_at in range(seed, window.m_max + 1):
+            triple = (check_at, seed, seed) if restart else (check_at, check_at, seed)
+            checked += 1
+            col = check_at - window.n_min
+            lhs = suffix[col]
+            anchor = traj[col]
+            rhs = ladd(weight(check_at), anchor) if anchor != -math.inf else -math.inf
+            if anchor == -math.inf:
+                tail_log = -math.inf
+            elif callable(tail):
+                r, offset = tail(check_at)
+                tail_log = ladd(ladd(r, anchor), offset)
+            else:
+                tail_log = tail
+            combined = math.inf if tail_log == math.inf else logaddexp_mag(lhs, tail_log)
+            trunc_slack = _slack(rhs, lhs)
+            total_slack = _slack(rhs, combined)
+            if trunc_slack < -tol:
+                any_violated = True
+            elif total_slack < -tol:
+                any_inconclusive = True
+            track = total_slack if math.isfinite(total_slack) else trunc_slack
+            if worst is None or track < worst_slack:
+                worst_slack = track
+                worst = triple
+                worst_vals = (lhs, tail_log, rhs)
+            tr = _tail_rhs_log(tail_log, rhs)
+            if tr > max_tail_rhs:
+                max_tail_rhs = tr
+    verdict = VIOLATED if any_violated else (INCONCLUSIVE if any_inconclusive else HOLDS)
+    lhs, tail_log, rhs = worst_vals
+    return DatkoReport(
+        side="P",
+        direction=direction,
+        verdict=verdict,
+        worst=worst,
+        lhs_p_sum=LogScalar.from_log(lhs),
+        lhs_q_sum=LogScalar.zero(),
+        tail_bound=LogScalar.from_log(tail_log) if tail_log != math.inf
+        else LogScalar.positive_infinity(),
+        rhs=LogScalar.from_log(rhs),
+        checked=checked,
+        max_tail_rhs_log=max_tail_rhs,
+        **fields,
+    )
+
+
+def _q_side_report(window, tol, weight, direction, trajs, sums, fields):
+    """The Q-side report of one direction from its trajectories and forward
+    sums, row n - n_min and column m - n_min."""
+    worst_slack = math.inf
+    worst = None
+    worst_vals = None
+    checked = 0
+    any_violated = False
+    for n in range(window.n_min, window.m_max + 1):
+        traj, acc_row = trajs[n - window.n_min], sums[n - window.n_min]
+        for m in range(n, window.m_max + 1):
+            col = m - window.n_min
+            acc = acc_row[col]
+            checked += 1
+            anchor = traj[col]
+            rhs = ladd(weight(m), anchor) if anchor != -math.inf else -math.inf
+            slack = _slack(rhs, acc)
+            if slack < -tol:
+                any_violated = True
+            if worst is None or slack < worst_slack:
+                worst_slack = slack
+                worst = (m, n, n)
+                worst_vals = (acc, rhs)
+    lhs, rhs = worst_vals
+    return DatkoReport(
+        side="Q",
+        direction=direction,
+        verdict=VIOLATED if any_violated else HOLDS,
+        worst=worst,
+        lhs_p_sum=LogScalar.zero(),
+        lhs_q_sum=LogScalar.from_log(lhs),
+        tail_bound=LogScalar.zero(),
+        rhs=LogScalar.from_log(rhs),
+        checked=checked,
+        max_tail_rhs_log=-math.inf,
+        **fields,
+    )
+
+
+def _tail_rhs_log(tail_log: LogMag, rhs_log: LogMag) -> float:
+    if isinstance(tail_log, float) and tail_log == -math.inf:
+        return -math.inf
+    if isinstance(tail_log, float) and tail_log == math.inf:
+        return math.inf
+    if isinstance(rhs_log, float) and math.isinf(rhs_log):
+        return -math.inf if rhs_log > 0 else math.inf
+    return lfloat(lsub(tail_log, rhs_log))
 
 
 def _diagonal_window(sys, proj, lo, hi):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dichotomy import (
@@ -7,6 +8,7 @@ from dichotomy import (
     DiagonalClosedForm,
     DecayGapError,
     DichotomyCertificate,
+    ExplicitSequence,
     InvalidConstantsError,
     Kind,
     LogScalar,
@@ -23,9 +25,10 @@ from dichotomy import (
     verify_datko_ned,
     verify_datko_ued,
 )
+from dichotomy import datko
 from dichotomy.logscalar import lfloat
 
-from oracles import datko_lhs, projected_sum
+from oracles import datko_lhs, projected_sum, side_reports_loop
 
 LN2 = math.log(2.0)
 
@@ -259,3 +262,47 @@ def test_roundtrip_tower_nonuniform_exact():
         cert=cert,
     )
     assert overall_verdict(reports) == "holds"
+
+
+def loop_reports(run):
+    """A verifier run with the per-point reference loops in place of the
+    array pass over the side tables."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datko, "_side_reports", side_reports_loop)
+        return run()
+
+
+def test_dense_reports_match_the_loop_reference():
+    # P contracts by 1/2 and Q expands by 2 at each step, in a rotated frame
+    c, s = math.cos(0.3), math.sin(0.3)
+    frame = np.array([[c, -s], [s, c]])
+    sys_ = SystemDescription(2, ExplicitSequence([frame @ np.diag([0.5, 2.0]) @ frame.T] * 31))
+    proj = ProjectionFamily(2, matrix=frame @ np.diag([1.0, 0.0]) @ frame.T)
+    cert = DichotomyCertificate(Kind.UED, alpha=0.6, n_const=1.0)
+    runs = {
+        "violated": lambda: verify_datko_ued(sys_, proj, 0.25, 1.5, WindowSpec(0, 8), 30,
+                                             cert=cert),
+        "holds": lambda: verify_datko_ued(sys_, proj, 0.25, 8.0, WindowSpec(0, 8), 30,
+                                          cert=cert),
+        "inconclusive-tail": lambda: verify_datko_ed(sys_, proj, 0.25, 0.1, 3.0,
+                                                     WindowSpec(0, 8), 30),
+    }
+    for verdict, run in runs.items():
+        reports = run()
+        assert overall_verdict(reports) == verdict
+        assert repr(reports) == repr(loop_reports(run))
+
+
+def test_int_trajectory_logs_beyond_the_float_safe_range():
+    # every prefix log-sum is an int within 2^16, so the trajectory table is
+    # float64, but A(2, 1) has the int log 120000: ``ladd`` adds it to a float
+    # weight in Fraction arithmetic, and the array pass must too
+    logs = [0, -60000, 120000, -1]
+    sys_ = SystemDescription(1, DiagonalClosedForm([lambda n: LogScalar(1, logs[n])]))
+    proj = ProjectionFamily(1, mask=(True,))
+    cert = DichotomyCertificate(Kind.UED, alpha=0.3, n_const=2.0)
+
+    def run():
+        return verify_datko_ued(sys_, proj, 0.1, 4.0, WindowSpec(1, 2), 3, cert=cert)
+
+    assert repr(run()) == repr(loop_reports(run))

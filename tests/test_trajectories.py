@@ -2,9 +2,10 @@
 
 The diagonal kernel gives a whole table of trajectory log-norms in one call,
 the witness families read every pair of a family from it, and the Datko
-verifiers accumulate their weighted sums for all seeds in lockstep. The
-references in ``oracles`` are the per-element loops: one coordinate and one
-index at a time, one term at a time. Values and Python types must agree
+verifiers accumulate their weighted sums for all seeds in lockstep and check
+every point of a side in one array pass. The references in ``oracles`` are
+the per-element loops: one coordinate and one index at a time, one term at a
+time, one point at a time. Values and Python types must agree
 exactly (``same``), because a report prints an int 0 and a float 0.0
 differently.
 """
@@ -15,14 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import diagonal_lognorms, prefix_weighted, suffix_weighted
+from oracles import diagonal_lognorms, prefix_weighted, side_reports_loop, suffix_weighted
 from test_diagonal_scan import PROPERTY, diagonal_cases, same
 
 from dichotomy import (
     ConstantProfile,
     DichotomyCertificate,
     Kind,
+    LogScalar,
     ProjectionFamily,
+    TabulatedProfile,
     WindowSpec,
     verify_datko_ed,
     verify_datko_ned,
@@ -135,7 +138,11 @@ def loop_sums(table, d, reverse):
 @given(diagonal_cases(), st.data())
 def test_datko_reports_match_the_loop_reference(case, data):
     _, sys_, proj, window, alpha = case
-    proj = ProjectionFamily(sys_.dim, mask=proj.mask(window.n_min))
+    mask = data.draw(st.sampled_from(["case", "P only", "Q only"]))
+    if mask == "case":
+        proj = ProjectionFamily(sys_.dim, mask=proj.mask(window.n_min))
+    else:
+        proj = ProjectionFamily(sys_.dim, mask=(mask == "P only",) * sys_.dim)
     # the case's factors end at m_max: truncate there, scan up to it
     m_trunc = window.m_max
     window = WindowSpec(window.n_min, data.draw(st.integers(window.n_min, m_trunc)))
@@ -153,13 +160,19 @@ def test_datko_reports_match_the_loop_reference(case, data):
         def run():
             return verify_datko_ed(sys_, proj, d, 0.25, 2.0, window, m_trunc, cert=cert)
     else:
+        # a float weight, or int weights that send float tables to exact arithmetic
+        profile = data.draw(st.sampled_from([
+            ConstantProfile(3.0),
+            TabulatedProfile(0, tuple(LogScalar.from_log(k) for k in range(m_trunc + 1))),
+        ]))
+
         def run():
-            return verify_datko_ned(sys_, proj, d, ConstantProfile(3.0), window, m_trunc,
-                                    cert=cert)
+            return verify_datko_ned(sys_, proj, d, profile, window, m_trunc, cert=cert)
     got = repr(run())
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(datko, "_trajectories", loop_trajectories)
         patch.setattr(datko, "_weighted_sums", loop_sums)
+        patch.setattr(datko, "_side_reports", side_reports_loop)
         want = repr(run())
     assert got == want
 
