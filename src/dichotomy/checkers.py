@@ -259,8 +259,20 @@ def _exact(values: Iterable[LogMag]) -> list[LogMag]:
 
 def _validate(cert: DichotomyCertificate, window: WindowSpec, tol: float) -> None:
     cert.validate(window)
+    _check_rates(window, cert.alpha, cert.beta or 0.0)
     if not math.isfinite(tol):
         raise InvalidCertificateError(f"tolerance must be finite, got {tol}")
+
+
+def _check_rates(window: WindowSpec, *rates: LogMag) -> None:
+    """Reject a float rate whose product with m_max + 1 is not a finite
+    double: the scans form rate * index, where inf - inf would be NaN."""
+    for rate in rates:
+        if isinstance(rate, float) and not math.isfinite(rate * (window.m_max + 1)):
+            raise InvalidCertificateError(
+                f"rate {rate} overflows: rate * (m_max + 1) at m_max = {window.m_max} "
+                "is not a finite double"
+            )
 
 
 def verify_certificate(
@@ -545,6 +557,7 @@ def estimate_ued(
         raise EmptyFeasibleSetError("alpha grid must be nonempty")
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
     _check_alphas(alpha_grid)
+    _check_rates(window, *alpha_grid)
     best, table = _grid_search(sys, proj, window, [(a, None) for a in sorted(alpha_grid)])
     return UniformEstimate(best.alpha, LogScalar.from_log(best.log_n_full), best.stable, table)
 
@@ -569,6 +582,7 @@ def estimate_ed(
     if not alpha_grid:
         raise EmptyFeasibleSetError("alpha grid must be nonempty")
     _check_alphas(alpha_grid)
+    _check_rates(window, *alpha_grid)
     if beta_grid is None:
         beta_grid = default_beta_grid(max(alpha_grid))
     if not beta_grid:
@@ -576,6 +590,7 @@ def estimate_ed(
     # comparisons that NaN fails, so NaN and infinite entries are rejected
     if not all(0 <= b < math.inf for b in beta_grid):
         raise InvalidCertificateError("beta grid entries must be finite and satisfy beta >= 0")
+    _check_rates(window, *beta_grid)
     pairs = [
         (a, b)
         for a in sorted(alpha_grid)
@@ -606,6 +621,7 @@ def minimal_ned_profile(
     """
     if not 0 < alpha < math.inf:
         raise InvalidCertificateError(f"alpha must be positive and finite, got {alpha}")
+    _check_rates(window, alpha)
     check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
     demands = _demands(sys, proj, window)
     running: LogMag = 0
@@ -758,17 +774,26 @@ def _log_product(a: LogMag, b: LogMag) -> LogMag:
     return -math.inf if a == -math.inf or b == -math.inf else ladd(a, b)
 
 
+def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Least-squares slope of ys over xs; 0 when the xs do not vary."""
+    xbar, ybar = xs.mean(), ys.mean()
+    denom = float(np.sum((xs - xbar) ** 2))
+    return float(np.sum((xs - xbar) * (ys - ybar)) / denom) if denom else 0.0
+
+
 def _classify_trend(ks: Sequence[int], logs: Sequence[LogMag]) -> tuple[str, float]:
     floats = [lfloat(v) for v in logs]
     finite = [(k, v) for k, v in zip(ks, floats) if math.isfinite(v)]
+    slope = 0.0
     if len(finite) >= 2:
         xs = np.array([k for k, _ in finite], dtype=float)
         ys = np.array([v for _, v in finite], dtype=float)
-        xbar, ybar = xs.mean(), ys.mean()
-        denom = float(np.sum((xs - xbar) ** 2))
-        slope = float(np.sum((xs - xbar) * (ys - ybar)) / denom) if denom else 0.0
-    else:
-        slope = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = _fit_slope(xs, ys)
+            if not math.isfinite(slope):
+                # the sums overflowed: fit the logs scaled by their largest magnitude
+                scale = float(np.abs(ys).max())
+                slope = _fit_slope(xs, ys / scale) * scale
     if len(logs) < 5:
         return "bounded", slope
     nondecreasing = all(logs[i + 1] >= logs[i] for i in range(len(logs) - 1))

@@ -311,8 +311,9 @@ def _side_reports(
     if not directions:
         return []
     size = window.m_max - window.n_min + 1
-    weights = [weight(j) for j in range(window.n_min, window.m_max + 1)]
-    terms = [tail(j) for j in range(window.n_min, window.m_max + 1)] if callable(tail) else []
+    at = range(window.n_min, window.m_max + 1)
+    weights = [weight(j) for j in at]
+    terms = [tail(j) for j in at] if callable(tail) else []
     if all(isinstance(v, float) for v in chain(weights, *terms)) and all(
         map(_float_safe, (table, sums))
     ):
@@ -341,6 +342,7 @@ def _side_reports(
             tails[live] = tail
         trunc = _slacks(rhs, lhs, form)
         total = _slacks(rhs, form.logaddexp(lhs, tails), form)
+        # the tail/right ratio: a zero tail decides first
         tail_rhs = _difference(tails, rhs, form, [
             (tails == -math.inf, -math.inf), (tails == math.inf, math.inf),
             (rhs == math.inf, -math.inf), (rhs == -math.inf, math.inf),

@@ -22,7 +22,13 @@ import numpy as np
 
 from dichotomy import DichotomyCertificate, LogScalar, ProjectionFamily, SystemDescription
 from dichotomy.checkers import _slack
-from dichotomy.datko import HOLDS, INCONCLUSIVE, VIOLATED, DatkoReport, _require_constant_projection
+from dichotomy.datko import (
+    HOLDS,
+    INCONCLUSIVE,
+    VIOLATED,
+    DatkoReport,
+    _require_constant_projection,
+)
 from dichotomy.errors import IndexOrderError, NoDecayCertificateError
 from dichotomy.logscalar import LogMag, ladd, lfloat, logaddexp_mag, lsub, rounding_scale
 from dichotomy.system import (

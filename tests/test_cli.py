@@ -382,6 +382,21 @@ matrix = 2,0; 0,0
 """
 
 
+# a dense split system on the window 0..10 of the invalid-input rows
+DENSE = system_file(
+    "dim = 2\nsource = explicit\n" + "\n".join(f"A{k} = 0.5,0; 0,2" for k in range(11)),
+    "matrix = 1,0; 0,0",
+)
+OVERFLOWING_RATES = [
+    ["verify", "--cert", "ED:N=1,alpha=1e308,beta=1e308"],
+    ["verify", "--cert", "ED:N=1,alpha=1e308,beta=1e308", "--triplet"],
+    ["verify", "--cert", "ED:N=1,alpha=0.5,beta=1e308"],
+    ["estimate", "--kind", "ued", "--alphas", "1e308"],
+    ["estimate", "--kind", "ed", "--alphas", "0.5", "--betas", "1e308"],
+    ["estimate", "--kind", "ned", "--alpha", "1e308"],
+]
+
+
 def _error_report(tmp_path, argv):
     from dichotomy.cli import main
 
@@ -440,6 +455,9 @@ def _error_report(tmp_path, argv):
             "const: value=0.5", "linear_exponent: sigma=1e308, tau=1e308"))], "LogOverflowError")
           for cmd in (["verify", "--cert", "UED:N=1,alpha=0.5"],
                       ["falsify", "--concept", "UED", "--schedule", "odd_after_even"])),
+        # rates whose product with m_max + 1 overflows, diagonal and dense
+        *(([*cmd, *source], "InvalidCertificateError")
+          for cmd in OVERFLOWING_RATES for source in ([], ["--system", DENSE])),
     ],
 )
 def test_invalid_inputs_are_reported(tmp_path, capsys, argv, error):
@@ -459,6 +477,24 @@ def test_invalid_inputs_are_reported(tmp_path, capsys, argv, error):
         assert capsys.readouterr().err.startswith("configuration error: ")
     else:
         assert _error_report(tmp_path, [*argv, *source]) == error
+
+
+def test_overflowing_rates_leave_no_nan(tmp_path, capsys):
+    from dichotomy.cli import main
+
+    # rate * index overflows: verify rejects the rate, falsify refits the
+    # slope on scaled logs; neither prints a numpy warning
+    verify = ["verify", "--gallery", "ued_example", "--cert", "ED:N=1,alpha=1e308,beta=1e308",
+              "--window", "0..5"]
+    assert _error_report(tmp_path, verify) == "InvalidCertificateError"
+    assert "Warning" not in capsys.readouterr().err
+    report = tmp_path / "falsify.json"
+    assert main(["falsify", "--gallery", "ued_example", "--concept", "UED", "--schedule",
+                 "odd_after_even", "--alpha", "1e308", "--k-max", "5",
+                 "--report", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "NaN" not in report.read_text()
+    assert json.loads(report.read_text())["result"]["log_slope"] == 0.0
 
 
 def test_non_idempotent_projection_is_reported(tmp_path):

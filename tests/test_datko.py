@@ -306,3 +306,15 @@ def test_int_trajectory_logs_beyond_the_float_safe_range():
         return verify_datko_ued(sys_, proj, 0.1, 4.0, WindowSpec(1, 2), 3, cert=cert)
 
     assert repr(run()) == repr(loop_reports(run))
+
+
+def test_overflowing_weight_matches_the_loop_reference():
+    # c j overflows to +inf from j = 2 on, so the right side is +inf at
+    # points whose tail bound is finite
+    entry = make_example("ued_example")
+
+    def run():
+        return verify_datko_ed(entry.system, entry.projection, 0.25, 1e308, 2.0,
+                               WindowSpec(0, 6), 20, cert=UED_QUAD)
+
+    assert repr(run()) == repr(loop_reports(run))
