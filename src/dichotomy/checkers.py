@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -41,19 +40,9 @@ from .errors import (
     OutOfRangeError,
     ScheduleOutOfRangeError,
 )
-from .logarray import EXACT_FORM, FLOAT_FORM
-from .logscalar import (
-    LogMag,
-    LogScalar,
-    ladd,
-    lfloat,
-    logaddexp_mag,
-    lsub,
-    mixes_as_float,
-    rounding_scale,
-)
+from .logarray import as_floats
+from .logscalar import LogMag, LogScalar, ladd, lfloat, logaddexp_mag, lsub
 from .system import (
-    DEFAULT_TOL_COMPAT,
     ProjectionFamily,
     SystemDescription,
     _sweeps,
@@ -63,12 +52,6 @@ from .system import (
 
 DEFAULT_LOG_TOL = 1e-9
 _TIE_BAND = 1e-12
-# How far the per-pair formula and the running-maximum form of one pair's
-# slack can disagree, per unit of |alpha| m_max + max |pre| + max |weight|,
-# when all of them are floats: the roundings of the two forms add up to at
-# most 12 (eps/2) times that sum. Exact operands that ``ladd`` converts to
-# float (``rounding_scale``) at most double it.
-_ROUNDING_BOUND = 8 * 2.0**-52
 
 
 def _slack(rhs_log: LogMag, lhs_log: LogMag) -> float:
@@ -85,16 +68,16 @@ def _slack(rhs_log: LogMag, lhs_log: LogMag) -> float:
 
 
 class _PairExtremes:
-    """Growth/min-gain log-magnitudes per pair (n, m) of a window, from the
-    system's kernel one row at a time."""
+    """Growth/min-gain log-magnitudes per pair (n, m), from a kernel one row
+    at a time."""
 
-    def __init__(self, sys: SystemDescription, proj: ProjectionFamily, window: WindowSpec):
-        self._sweeps = _sweeps(sys, proj, window.n_min, window.m_max)
+    def __init__(self, kernel):
+        self._kernel = kernel
         self._row = None
 
     def _at(self, n: int):
         if self._row is None or self._row.n != n:
-            self._row = self._sweeps.row(n)
+            self._row = self._kernel.row(n)
         return self._row
 
     def logs(self, n: int, m: int) -> tuple[LogMag, LogMag]:
@@ -104,157 +87,6 @@ class _PairExtremes:
     def directions(self, n: int, m: int) -> tuple[tuple[float, ...] | None, tuple[float, ...] | None]:
         ext = self._at(n).extremes(m)
         return ext.direction_p, ext.direction_q
-
-
-class _DiagonalScan:
-    """Worst pair of every row or column of a diagonal window, in O(W * dim).
-
-    Coordinate i's factor over (n, m] has log-magnitude pre_i[m] - pre_i[n]
-    (the prefix log-sums) unless a zero factor a_i(k), n < k <= m,
-    annihilates it. The P-side excess alpha (m - n) + pre_i[m] - pre_i[n]
-    of a pair splits into a term in m and a term in n, so the worst m of
-    row n is a suffix maximum of alpha m + pre_i[m] that a zero factor
-    restarts; on the Q side a crossed zero factor makes the minimal gain 0
-    and the excess +inf. Pairs with m = n are left out (their excess is 0
-    on every nonempty range, the floor of every constant); callers account
-    for them.
-
-    Each running maximum is one array pass per coordinate. When every
-    prefix log-sum of the window and every weight mixes with floats as a
-    float (``mixes_as_float``) and the rate is a float, ``ladd`` is plain
-    float arithmetic and the arrays take ``FLOAT_FORM``; otherwise they take
-    ``EXACT_FORM``, which combines the same terms in the same order through
-    ``ladd``/``lsub``, so ``int`` and ``Fraction`` logs stay exact (float
-    differences of large ones cancel).
-    """
-
-    def __init__(self, sys: SystemDescription, proj: ProjectionFamily, window: WindowSpec):
-        self.lo, self.hi = lo, hi = window.n_min, window.m_max
-        pre, zeros = sys.diag_prefix(hi)
-        self.pre = [coord[lo:hi + 1] for coord in pre]
-        # one pass over the prefix sums: the form, and for ``scale`` the
-        # largest ``rounding_scale`` and whether an exact entry is nonzero
-        exact = _exact(chain.from_iterable(self.pre))
-        self.mixes = all(map(mixes_as_float, exact))
-        self.exact_nonzero = any(v != 0 for v in exact)
-        self._forms = {}
-        if self.mixes:
-            self.pre_scale = float(np.abs(self._form(0.0)[1]).max())
-        else:
-            self.pre_scale = max(rounding_scale(v) for coord in self.pre for v in coord)
-        masks = [proj.mask(lo)] if proj.constant else [proj.mask(n) for n in range(lo, hi + 1)]
-        self.in_p = np.broadcast_to(np.array(masks, dtype=bool).T, (sys.dim, hi - lo + 1))
-        # per coordinate: the first index of each stretch between zero
-        # factors, and the first column that a pair from the first Q start
-        # reaches only across a zero factor (gain 0)
-        size = hi - lo + 1
-        self.bounds = [[0, *(np.flatnonzero(np.diff(coord[lo:hi + 1])) + 1).tolist(), size]
-                       for coord in zeros]
-        first_q = [np.append(np.flatnonzero(~in_p), size)[0] for in_p in self.in_p]
-        self.crossed = [min((b for b in bounds if b > first), default=size)
-                        for bounds, first in zip(self.bounds, first_q)]
-
-    def _form(self, alpha: LogMag, weights: Sequence[LogMag] = ()):
-        """(indices, prefix sums, add, subtract) of the window in the form
-        that the rate and the weights allow."""
-        floats = (self.mixes and isinstance(alpha, float)
-                  and all(map(mixes_as_float, _exact(weights))))
-        if floats not in self._forms:
-            form = FLOAT_FORM if floats else EXACT_FORM
-            self._forms[floats] = (
-                np.arange(self.lo, self.hi + 1).astype(form.dtype),
-                np.array(self.pre, dtype=form.dtype),
-                form.add,
-                form.sub,
-            )
-        return self._forms[floats]
-
-    def rows(self, alpha: LogMag, hi: int) -> np.ndarray:
-        """Row n = lo..hi: max over i in P(n) and n < m <= hi, with no zero
-        factor of i in (n, m], of alpha (m - n) + pre_i[m] - pre_i[n];
-        -inf when there is no such pair."""
-        index, pre, add, sub = self._form(alpha)
-        size = hi - self.lo + 1
-        ax = alpha * index[:size]
-        out = np.full(size, -math.inf, dtype=pre.dtype)
-        for pre_i, bounds, in_p in zip(pre[:, :size], self.bounds, self.in_p):
-            if not in_p[:size].any():
-                continue
-            strict = _segmented_max(add(ax, pre_i), bounds, reverse=True)
-            out = np.maximum(out, np.where(in_p[:size], sub(sub(strict, ax), pre_i), -math.inf))
-        return out
-
-    def q_rows(self, alpha: LogMag, weights: Sequence[LogMag]) -> np.ndarray:
-        """Row n = lo..hi: max over j in Q(n) and n < m <= hi of
-        alpha (m - n) - weights[m - lo] - (pre_j[m] - pre_j[n]); +inf when a
-        zero factor of j lies in (n, hi]; -inf when there is no such pair."""
-        index, pre, add, sub = self._form(alpha, weights)
-        ax = alpha * index
-        w = np.array(weights, dtype=pre.dtype)
-        out = np.full(len(ax), -math.inf, dtype=pre.dtype)
-        for pre_i, bounds, in_p in zip(pre, self.bounds, self.in_p):
-            if in_p.all():
-                continue
-            run = _segmented_max(sub(sub(ax, pre_i), w), bounds[-2:], reverse=True)
-            run[:bounds[-2]] = math.inf  # rows before the last stretch cross a zero factor
-            out = np.maximum(out, np.where(in_p, -math.inf, add(sub(run, ax), pre_i)))
-        return out
-
-    def cols(self, alpha: LogMag) -> np.ndarray:
-        """Column m = lo..hi: max over j and lo <= n < m with j in Q(n) of
-        alpha (m - n) - (pre_j[m] - pre_j[n]); +inf once such a pair crosses
-        a zero factor of j; -inf when there is no such pair."""
-        index, pre, add, sub = self._form(alpha)
-        ax = alpha * index
-        out = np.full(len(ax), -math.inf, dtype=pre.dtype)
-        for pre_i, bounds, in_p, crossed in zip(pre, self.bounds, self.in_p, self.crossed):
-            if in_p.all():
-                continue
-            starts = np.where(in_p, -math.inf, sub(pre_i, ax))
-            before = _segmented_max(starts, bounds, reverse=False)
-            col = sub(add(before, ax), pre_i)
-            col[crossed:] = math.inf
-            out = np.maximum(out, col)
-        return out
-
-    def rows_to_scan(self, cert: DichotomyCertificate, tol: float) -> tuple[set[int], float]:
-        """Rows whose pairs m > n may violate the certificate, and the least
-        slack over the pairs m > n of every other row.
-
-        The running maxima associate the additions differently from the
-        per-pair formula, so a row is returned whenever its worst excess
-        lies within a rounding bound of ``tol``; the caller rescans those
-        rows pair by pair and reaches the pair scan's verdict and witness.
-        """
-        lo, hi, alpha = self.lo, self.hi, cert.alpha
-        weights = [cert.r_log(k) for k in range(lo, hi + 1)]
-        cutoff = tol - _ROUNDING_BOUND * self.scale(alpha, weights)
-        *_, sub = self._form(alpha, weights)
-        g, q = self.rows(alpha, hi), self.q_rows(alpha, weights)
-        live = g != -math.inf
-        worst = np.maximum(sub(g, np.where(live, np.array(weights, dtype=q.dtype), 0)), q)
-        over = worst > cutoff
-        rest = _floats(worst[~over])
-        least = -float(rest.max()) if rest.size else math.inf
-        return set((lo + np.flatnonzero(over)).tolist()), least
-
-    def scale(self, alpha: LogMag, weights: Sequence[LogMag]) -> float:
-        """The factor of ``_ROUNDING_BOUND`` in the cutoff of ``rows_to_scan``:
-        |alpha| (hi + 1) plus the largest ``rounding_scale`` of a prefix sum
-        and of a weight, doubled when any of them is exact and nonzero."""
-        exact = _exact(weights)
-        if all(map(mixes_as_float, exact)):
-            w = np.array(weights, dtype=float)
-            w_scale = float(np.abs(w[np.isfinite(w)]).max(initial=0.0))
-        else:
-            w_scale = max(map(rounding_scale, weights))
-        scale = abs(alpha) * (self.hi + 1) + self.pre_scale + w_scale
-        return 2 * scale if self.exact_nonzero or any(v != 0 for v in exact) else scale
-
-
-def _exact(values: Iterable[LogMag]) -> list[LogMag]:
-    """The values that are not floats."""
-    return [v for v in values if not isinstance(v, float)]
 
 
 def _validate(cert: DichotomyCertificate, window: WindowSpec, tol: float) -> None:
@@ -281,28 +113,25 @@ def verify_certificate(
     cert: DichotomyCertificate,
     window: WindowSpec,
     tol: float = DEFAULT_LOG_TOL,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> VerificationOutcome:
     """Scan the pair window; return holds, or the first violating witness.
 
     A pair violates when its log-domain slack drops below -tol. The
     reported witness carries the extremal direction and the exact minimal
-    constant that would repair the inequality at that pair. Diagonal
-    systems check the pairs m > n of a row pair by pair only when the
-    row's running maxima say it may violate; the verdict, witness and
+    constant that would repair the inequality at that pair. The pairs
+    m > n of a row are checked pair by pair only when the kernel's
+    ``rows_to_scan`` says the row may violate; the verdict, witness and
     count are those of the full pair scan.
     """
     _validate(cert, window, tol)
-    check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
-    ext = _PairExtremes(sys, proj, window)
+    check_compatibility(sys, proj, window.n_min, window.m_max)
+    kernel = _sweeps(sys, proj, window.n_min, window.m_max)
+    ext = _PairExtremes(kernel)
     alpha = cert.alpha
-    min_slack = math.inf
-    full_rows = None  # None: every row is scanned pair by pair
-    if sys.is_diagonal:
-        full_rows, min_slack = _DiagonalScan(sys, proj, window).rows_to_scan(cert, tol)
+    full_rows, min_slack = kernel.rows_to_scan(cert, tol)
     done = 0  # pairs in the rows before n
     for n in range(window.n_min, window.m_max + 1):
-        last = window.m_max if full_rows is None or n in full_rows else n
+        last = window.m_max if n in full_rows else n
         for m in range(n, last + 1):
             pairs = done + m - n + 1
             gap = alpha * (m - n)
@@ -342,7 +171,6 @@ def verify_triplet_form(
     cert: DichotomyCertificate,
     window: WindowSpec,
     tol: float = DEFAULT_LOG_TOL,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> VerificationOutcome:
     """Three-index variant: directions are seeded at time p <= n.
 
@@ -350,7 +178,7 @@ def verify_triplet_form(
     p = n slice); kept separate so the equivalence itself can be tested.
     """
     _validate(cert, window, tol)
-    check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
+    check_compatibility(sys, proj, window.n_min, window.m_max)
     alpha = cert.alpha
     # one kernel row per p, the outer loop
     kernel = _sweeps(sys, proj, window.n_min, window.m_max)
@@ -392,12 +220,11 @@ def optimal_N_for_alpha(
     proj: ProjectionFamily,
     alpha: float,
     window: WindowSpec,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> LogScalar:
     """Least N making the uniform inequality hold everywhere on the window:
     the maximum over pairs of both reduced ratios, floored at 1, which is
     the last value of the minimal nonuniform profile."""
-    return minimal_ned_profile(sys, proj, alpha, window, tol_compat).values[-1]
+    return minimal_ned_profile(sys, proj, alpha, window).values[-1]
 
 
 @dataclass(frozen=True)
@@ -426,58 +253,6 @@ class ExponentialEstimate:
     table: tuple[GridPoint, ...]
 
 
-def _segmented_max(values: np.ndarray, bounds: list[int], reverse: bool) -> np.ndarray:
-    """Per index, the maximum of ``values`` strictly after it (``reverse``)
-    or strictly before it within its stretch of ``bounds``; -inf when there
-    is none, and for indices before ``bounds[0]``."""
-    out = np.full_like(values, -math.inf)
-    for s, e in zip(bounds, bounds[1:]):
-        e = min(e, len(values))
-        if reverse:
-            out[s:e - 1] = np.maximum.accumulate(values[s + 1:e][::-1])[::-1]
-        else:
-            out[s + 1:e] = np.maximum.accumulate(values[s:e - 1])
-    return out
-
-
-class _DenseDemands:
-    """Demands of a dense window from one (n, m) table of the pair extremes,
-    filled once; the entries with m < n are -inf on the P side and +inf on
-    the Q side, so they demand nothing."""
-
-    def __init__(self, sys, proj, window: WindowSpec):
-        ext = _PairExtremes(sys, proj, window)
-        self.lo = lo = window.n_min
-        size = window.m_max - lo + 1
-        self.growth = np.full((size, size), -np.inf)
-        self.gain = np.full((size, size), np.inf)
-        for n, m in window.pairs():
-            self.growth[n - lo, m - lo], self.gain[n - lo, m - lo] = ext.logs(n, m)
-        steps = np.arange(size, dtype=float)
-        self.gap = steps - steps[:, None]  # m - n
-
-    def rows(self, alpha: float, hi: int) -> np.ndarray:
-        size = hi - self.lo + 1
-        return np.max(alpha * self.gap[:size, :size] + self.growth[:size, :size], axis=1)
-
-    def cols(self, alpha: float) -> np.ndarray:
-        return np.max(alpha * self.gap - self.gain, axis=0)
-
-
-def _demands(sys, proj, window: WindowSpec):
-    """The per-index demands of the system's representation on the window.
-
-    ``rows(alpha, hi)`` gives, for each start index n up to ``hi``, the
-    largest alpha (m - n) + log growth_P(m, n) over n <= m <= hi, a lower
-    bound on log R_P(n); ``cols(alpha)`` gives, for each end index m, the
-    largest alpha (m - n) - log min_gain_Q(m, n), a lower bound on
-    log R_Q(m). Either is a float array or, for exact diagonal logs, an
-    object array of log-magnitudes, and may leave out the pairs m = n,
-    whose demand is at most 0.
-    """
-    return (_DiagonalScan if sys.is_diagonal else _DenseDemands)(sys, proj, window)
-
-
 class _GridTable:
     """Least log N of the weighted inequality at each (alpha, beta) point.
 
@@ -486,7 +261,7 @@ class _GridTable:
     """
 
     def __init__(self, sys, proj, window: WindowSpec):
-        self.demands = _demands(sys, proj, window)
+        self.kernel = _sweeps(sys, proj, window.n_min, window.m_max)
         self.hi, self.mid = window.m_max, window.half().m_max
         self.index = np.arange(window.n_min, window.m_max + 1, dtype=float)
         self.alpha = None
@@ -494,9 +269,9 @@ class _GridTable:
     def min_log_n(self, alpha: float, beta: float, half: bool = False) -> float:
         if alpha != self.alpha:
             self.alpha = alpha
-            self.rows = _floats(self.demands.rows(alpha, self.hi))
-            self.rows_half = _floats(self.demands.rows(alpha, self.mid))
-            self.cols = _floats(self.demands.cols(alpha))
+            self.rows = as_floats(self.kernel.rows(alpha, self.hi))
+            self.rows_half = as_floats(self.kernel.rows(alpha, self.mid))
+            self.cols = as_floats(self.kernel.cols(alpha))
         rows = self.rows_half if half else self.rows
         index = self.index[:len(rows)]
         return max(
@@ -504,12 +279,6 @@ class _GridTable:
             float(np.max(rows - beta * index)),
             float(np.max(self.cols[:len(rows)] - beta * index)),
         )
-
-
-def _floats(demands: np.ndarray) -> np.ndarray:
-    if demands.dtype == object:
-        return np.array([lfloat(v) for v in demands], dtype=float)
-    return demands
 
 
 def _check_alphas(alpha_grid: Sequence[float]) -> None:
@@ -549,13 +318,12 @@ def estimate_ued(
     proj: ProjectionFamily,
     window: WindowSpec,
     alpha_grid: Sequence[float],
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> UniformEstimate:
     """Grid search for the least uniform constant; flags window stability
     (``_grid_search``)."""
     if not alpha_grid:
         raise EmptyFeasibleSetError("alpha grid must be nonempty")
-    check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
+    check_compatibility(sys, proj, window.n_min, window.m_max)
     _check_alphas(alpha_grid)
     _check_rates(window, *alpha_grid)
     best, table = _grid_search(sys, proj, window, [(a, None) for a in sorted(alpha_grid)])
@@ -569,14 +337,13 @@ def estimate_ed(
     alpha_grid: Sequence[float] | None = None,
     beta_grid: Sequence[float] | None = None,
     strong: bool = False,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> ExponentialEstimate:
     """Grid search over (alpha, beta) for the least weighted constant.
 
     With ``strong`` set, only pairs with beta < alpha are admissible and an
     empty admissible set is an error.
     """
-    check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
+    check_compatibility(sys, proj, window.n_min, window.m_max)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(sys, proj, window)
     if not alpha_grid:
@@ -610,7 +377,6 @@ def minimal_ned_profile(
     proj: ProjectionFamily,
     alpha: float,
     window: WindowSpec,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> TabulatedProfile:
     """Pointwise-minimal nondecreasing profile for the nonuniform inequality.
 
@@ -622,11 +388,11 @@ def minimal_ned_profile(
     if not 0 < alpha < math.inf:
         raise InvalidCertificateError(f"alpha must be positive and finite, got {alpha}")
     _check_rates(window, alpha)
-    check_compatibility(sys, proj, window.n_min, window.m_max, tol_compat)
-    demands = _demands(sys, proj, window)
+    check_compatibility(sys, proj, window.n_min, window.m_max)
+    kernel = _sweeps(sys, proj, window.n_min, window.m_max)
     running: LogMag = 0
     values = []
-    for row, col in zip(demands.rows(alpha, window.m_max).tolist(), demands.cols(alpha).tolist()):
+    for row, col in zip(kernel.rows(alpha, window.m_max).tolist(), kernel.cols(alpha).tolist()):
         running = max(running, row, col)
         values.append(LogScalar.from_log(running))
     return TabulatedProfile(window.n_min, tuple(values))
@@ -696,7 +462,6 @@ def falsify(
     alpha: float | None = None,
     beta: float | None = None,
     profile: Profile | None = None,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> WitnessReport:
     """Track the minimal constant along a witness family.
 
@@ -733,7 +498,7 @@ def falsify(
             sys.check_pair(m, n)
         except (OutOfRangeError, IndexOrderError) as exc:
             raise ScheduleOutOfRangeError(str(exc)) from exc
-    check_pairs_compatibility(sys, proj, pairs, tol_compat)
+    check_pairs_compatibility(sys, proj, pairs)
     x = schedule.direction_vector(sys.dim)
     witnesses = []
     logs: list[LogMag] = []
@@ -815,14 +580,15 @@ def default_alpha_grid(
     """Log-spaced decay rates up to a one-pair spectral-gap estimate."""
     if count < 1:
         raise EmptyFeasibleSetError(f"alpha grid needs at least one point, got {count}")
-    ends = {window.m_max, max(window.n_min + 1, window.m_max - 1)}
-    # a one-index window still reads the pair (n_min + 1, n_min)
-    ext = _PairExtremes(sys, proj, WindowSpec(window.n_min, max(ends)))
+    top = window.m_max
+    if top == window.n_min and (sys.n_max is None or top < sys.n_max):
+        top += 1  # a one-index window reads (n_min + 1, n_min) where the system declares it
+    ends = [m for m in {top, top - 1} if m > window.n_min]
+    if ends:
+        row = _sweeps(sys, proj, window.n_min, max(ends)).row(window.n_min)
     alpha_max = 0.0
     for m in ends:
-        if m <= window.n_min:
-            continue
-        g, h = ext.logs(window.n_min, m)
+        g, h = row.logs(m)
         span = m - window.n_min
         cands = []
         if g != -math.inf:

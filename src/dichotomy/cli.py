@@ -362,8 +362,7 @@ def _run_gallery_claims(args) -> int:
     all_ok = True
     for claim in entry.claims:
         if isinstance(claim, CertificateClaim):
-            m_max = override.m_max if override else claim.window_m_max
-            window = WindowSpec(0, m_max)
+            window = override or WindowSpec(0, claim.window_m_max)
             outcome = verify_certificate(entry.system, entry.projection, claim.cert, window)
             ok = outcome.holds
             results.append(
@@ -392,8 +391,7 @@ def _run_gallery_claims(args) -> int:
                 }
             )
         elif isinstance(claim, StrongInstabilityClaim):
-            m_max = override.m_max if override else claim.window_m_max
-            window = WindowSpec(0, m_max)
+            window = override or WindowSpec(0, claim.window_m_max)
             alphas = default_alpha_grid(entry.system, entry.projection, window,
                                         claim.alpha_points)
             betas = default_beta_grid(max(alphas), claim.beta_points)
@@ -442,7 +440,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return runner(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
+        # unreadable inputs and unwritable outputs are configuration errors
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DichotomyError as exc:
@@ -452,7 +451,10 @@ def main(argv=None) -> int:
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        _emit(args, report, csv_text="index,value_logmag,value_sign\n")
+        try:
+            _emit(args, report, csv_text="index,value_logmag,value_sign\n")
+        except OSError as emit_exc:
+            print(f"configuration error: {emit_exc}", file=sys.stderr)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

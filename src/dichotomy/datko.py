@@ -29,24 +29,16 @@ from itertools import chain
 import numpy as np
 
 from .certificates import DichotomyCertificate, Kind, Profile, ScaledProfile, WindowSpec
+from .checkers import DEFAULT_LOG_TOL
 from .errors import (
     DecayGapError,
     IndexOrderError,
     InvalidConstantsError,
     NoDecayCertificateError,
 )
-from .logarray import EXACT_FORM, FLOAT_FORM, LogTable
-from .logscalar import _FLOAT_SAFE, LogScalar, lfloat
-from .system import (
-    DEFAULT_TOL_COMPAT,
-    ProjectionFamily,
-    SystemDescription,
-    _range_basis,
-    _sweeps,
-    check_compatibility,
-)
-
-DEFAULT_LOG_TOL = 1e-9
+from .logarray import EXACT_FORM, FLOAT_FORM, LogTable, as_floats
+from .logscalar import _FLOAT_SAFE, LogScalar
+from .system import ProjectionFamily, SystemDescription, _sweeps, check_compatibility
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -134,25 +126,14 @@ def _require_constant_projection(proj, n_lo, n_hi) -> None:
             )
 
 
-def _seed_directions(sys, proj, part: str, ref_index: int) -> list[tuple[float, ...]]:
-    """Unit directions spanning the requested range (coordinates or basis)."""
-    if sys.is_diagonal:
-        mask = proj.mask(ref_index)
-        coords = [i for i in range(sys.dim) if mask[i] == (part == "P")]
-        return [tuple(1.0 if j == i else 0.0 for j in range(sys.dim)) for i in coords]
-    mat = proj.matrix(ref_index) if part == "P" else proj.complement_matrix(ref_index)
-    basis = _range_basis(mat)
-    return [tuple(float(v) for v in basis[:, j]) for j in range(basis.shape[1])]
-
-
 def _trajectories(sys, proj, part: str, window: WindowSpec, upto: int):
     """The seed directions of the range and one table of their log-norm
     trajectories: a row per direction and seed s = n_min..m_max (direction
     major), a column per index j = n_min..upto, -inf before the seed."""
-    directions = _seed_directions(sys, proj, part, window.n_min)
+    kernel = _sweeps(sys, proj, window.n_min, upto)
+    directions = kernel.seed_directions(part, window.n_min)
     seeds = list(range(window.n_min, window.m_max + 1))
     xs = np.array([x for x in directions for _ in seeds]).reshape(-1, sys.dim)
-    kernel = _sweeps(sys, proj, window.n_min, upto)
     table = kernel.trajectories(
         part, xs, seeds * len(directions), np.arange(window.n_min, upto + 1)
     )
@@ -197,13 +178,11 @@ def verify_datko_ned(
     window: WindowSpec,
     m_trunc: int,
     cert: DichotomyCertificate | None = None,
-    tol: float = DEFAULT_LOG_TOL,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> list[DatkoReport]:
     """Nonuniform summation criterion over the triplet window."""
     if not 0 < d < math.inf:
         raise InvalidConstantsError(f"need finite d > 0, got {d}")
-    return _run_summation(sys, proj, window, m_trunc, cert, tol, tol_compat,
+    return _run_summation(sys, proj, window, m_trunc, cert,
                           "nonuniform", d, s_profile.log_at, restart=False)
 
 
@@ -215,8 +194,6 @@ def verify_datko_ued(
     window: WindowSpec,
     m_trunc: int,
     cert: DichotomyCertificate | None = None,
-    tol: float = DEFAULT_LOG_TOL,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> list[DatkoReport]:
     """Uniform summation criterion over the pair window.
 
@@ -229,7 +206,7 @@ def verify_datko_ued(
     if not 1 <= big_d < math.inf:
         raise InvalidConstantsError(f"need finite D >= 1, got {big_d}")
     log_d = math.log(big_d)
-    return _run_summation(sys, proj, window, m_trunc, cert, tol, tol_compat,
+    return _run_summation(sys, proj, window, m_trunc, cert,
                           "uniform", d, lambda j: log_d, restart=True)
 
 
@@ -243,8 +220,6 @@ def verify_datko_ed(
     m_trunc: int,
     cert: DichotomyCertificate | None = None,
     strong: bool = False,
-    tol: float = DEFAULT_LOG_TOL,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> list[DatkoReport]:
     """Exponential summation criterion; ``strong`` tightens the gate to c < d."""
     if not 0 < d < math.inf:
@@ -256,12 +231,12 @@ def verify_datko_ed(
     if strong and not c < d:
         raise InvalidConstantsError(f"strong gate needs c < d, got c={c}, d={d}")
     log_d = math.log(big_d)
-    return _run_summation(sys, proj, window, m_trunc, cert, tol, tol_compat,
+    return _run_summation(sys, proj, window, m_trunc, cert,
                           "exponential", d, lambda j: log_d + c * j, restart=False, c=c)
 
 
 def _run_summation(
-    sys, proj, window, m_trunc, cert, tol, tol_compat, form, d, weight, restart, c=None,
+    sys, proj, window, m_trunc, cert, form, d, weight, restart, c=None,
 ) -> list[DatkoReport]:
     if m_trunc < window.m_max:
         raise IndexOrderError(f"truncation {m_trunc} below window end {window.m_max}")
@@ -271,7 +246,7 @@ def _run_summation(
             raise NoDecayCertificateError(
                 f"certificate decay alpha={cert.alpha} does not dominate d={d}"
             )
-    check_compatibility(sys, proj, window.n_min, m_trunc, tol_compat)
+    check_compatibility(sys, proj, window.n_min, m_trunc)
     _require_constant_projection(proj, window.n_min, m_trunc)
     tail = math.inf
     if cert is not None:
@@ -284,20 +259,17 @@ def _run_summation(
     directions, table = _trajectories(sys, proj, "P", window, m_trunc)
     reports = _side_reports(
         "P", directions, table, _weighted_sums(table, d, reverse=True),
-        weight, tail, window, tol, restart, **fields,
+        weight, tail, window, restart, **fields,
     )
     directions, table = _trajectories(sys, proj, "Q", window, window.m_max)
     return reports + _side_reports(
         "Q", directions, table, _weighted_sums(table, d, reverse=False),
-        weight, -math.inf, window, tol, True, **fields,
+        weight, -math.inf, window, True, **fields,
     )
 
 
-_LFLOAT = np.frompyfunc(lfloat, 1, 1)
-
-
 def _side_reports(
-    side, directions, table, sums, weight, tail, window, tol, restart, **fields
+    side, directions, table, sums, weight, tail, window, restart, **fields
 ) -> list[DatkoReport]:
     """One report per direction of a side, every point in one array pass.
 
@@ -347,8 +319,8 @@ def _side_reports(
             (tails == -math.inf, -math.inf), (tails == math.inf, math.inf),
             (rhs == math.inf, -math.inf), (rhs == -math.inf, math.inf),
         ])
-    violated = (trunc < -tol).any(axis=1)
-    inconclusive = (total < -tol).any(axis=1)
+    violated = (trunc < -DEFAULT_LOG_TOL).any(axis=1)
+    inconclusive = (total < -DEFAULT_LOG_TOL).any(axis=1)
     worst = np.where(np.isfinite(total), total, trunc).argmin(axis=1)
     lhs, zero = LogTable(lhs, ints), LogScalar.zero()
     reports = []
@@ -394,5 +366,5 @@ def _difference(a, b, form, rules) -> np.ndarray:
     out = np.zeros(np.shape(a))
     open_ = ~np.logical_or.reduce(masks)
     diff = form.sub(a[open_], b[open_])
-    out[open_] = _LFLOAT(diff) if form is EXACT_FORM else diff
+    out[open_] = as_floats(diff)
     return np.select(masks, values, out)

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logscalar import LogMag, ladd, logaddexp_mag, lsub
+from .logscalar import LogMag, ladd, lfloat, logaddexp_mag, lsub
 
 
 class ArrayForm(NamedTuple):
@@ -74,3 +74,10 @@ class LogTable(NamedTuple):
         """One entry as a Python number, an int where ``ints`` marks one."""
         value = self.values.item(*index)
         return int(value) if self.ints is not None and self.ints.item(*index) else value
+
+
+def as_floats(values: np.ndarray) -> np.ndarray:
+    """A float64 array of log-magnitudes; an object array goes through ``lfloat``."""
+    if values.dtype == object:
+        return np.array([lfloat(v) for v in values], dtype=float)
+    return values

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -33,8 +35,17 @@ from .errors import (
     LogOverflowError,
     OutOfRangeError,
 )
-from .logarray import EXACT_FORM, FLOAT_FORM, LogTable
-from .logscalar import _FLOAT_SAFE, LogMag, LogScalar, ladd, lsub
+from .certificates import DichotomyCertificate
+from .logarray import EXACT_FORM, FLOAT_FORM, LogTable, as_floats
+from .logscalar import (
+    _FLOAT_SAFE,
+    LogMag,
+    LogScalar,
+    ladd,
+    lsub,
+    mixes_as_float,
+    rounding_scale,
+)
 
 DEFAULT_TOL_PROJ = 1e-9
 DEFAULT_TOL_COMPAT = 1e-9
@@ -78,22 +89,17 @@ class ExplicitSequence:
 
 
 class SystemDescription:
-    """A coefficient sequence plus its ambient dimension and norm choice."""
+    """A coefficient sequence plus its ambient dimension and the norm its
+    representation uses."""
 
-    def __init__(self, dim: int, coefficients, norm: str = "auto"):
+    def __init__(self, dim: int, coefficients):
         if dim <= 0:
             raise ValueError("dimension must be positive")
         if coefficients.dim != dim:
             raise ValueError("coefficient dimension does not match dim")
         self.dim = dim
         self.coefficients = coefficients
-        if norm == "auto":
-            norm = "max" if self.is_diagonal else "spectral"
-        if self.is_diagonal and norm != "max":
-            raise ValueError("diagonal systems use the max norm")
-        if not self.is_diagonal and norm != "spectral":
-            raise ValueError("dense systems use the spectral norm")
-        self.norm = norm
+        self.norm = "max" if self.is_diagonal else "spectral"
         # per-coordinate prefix data (diagonal systems)
         self._prefix_mag: list[list[LogMag]] | None = None
         self._prefix_neg: list[list[int]] | None = None
@@ -485,6 +491,44 @@ class _DenseSweeps:
     def row(self, n: int) -> "_DenseRow":
         return _DenseRow(self, n)
 
+    def seed_directions(self, part: str, n: int) -> list[tuple[float, ...]]:
+        """Unit directions spanning range P(n) or Q(n) (``part`` "P" or "Q"):
+        the columns of its basis."""
+        return [tuple(x) for x in self.bases(n)[part == "Q"].T.tolist()]
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log growth_P, log min_gain_Q, m - n) of every pair as (n, m)
+        tables over [lo, hi], filled one row at a time; the entries with
+        m < n are -inf and +inf, so they demand nothing."""
+        lo, size = self.lo, self.hi - self.lo + 1
+        growth = np.full((size, size), -np.inf)
+        gain = np.full((size, size), np.inf)
+        for k in range(size):
+            row = self.row(lo + k)
+            row.logs(self.hi)  # an overflowed row raises at its first pair beyond its end
+            growth[k, k:], gain[k, k:] = row.row_logs
+        steps = np.arange(size, dtype=float)
+        return growth, gain, steps - steps[:, None]
+
+    def rows(self, alpha: float, hi: int) -> np.ndarray:
+        """Row n = lo..hi: the largest alpha (m - n) + log growth_P(m, n)
+        over n <= m <= hi; a lower bound on log R_P(n)."""
+        growth, _, gap = self._pairs
+        size = hi - self.lo + 1
+        return np.max(alpha * gap[:size, :size] + growth[:size, :size], axis=1)
+
+    def cols(self, alpha: float) -> np.ndarray:
+        """Column m = lo..hi: the largest alpha (m - n) - log min_gain_Q(m, n)
+        over lo <= n <= m; a lower bound on log R_Q(m)."""
+        _, gain, gap = self._pairs
+        return np.max(alpha * gap - gain, axis=0)
+
+    def rows_to_scan(self, cert: DichotomyCertificate, tol: float) -> tuple[range, float]:
+        """Every row, and no least slack: the dense kernel keeps no running
+        maxima that could clear a row without its pairs."""
+        return range(self.lo, self.hi + 1), math.inf
+
     def trajectories(self, part: str, xs, seeds, at) -> LogTable:
         """log |A(j, s) x| as in ``_DiagonalSweeps.trajectories``, for rows x
         in range P(s) or Q(s) (``part`` "P" or "Q"): one sweep per seed of
@@ -526,28 +570,31 @@ class _DenseRow:
         size = min(len(xs), len(ys))
         self.xs, self.ys = xs[:size], ys[:size]
         self.end = n + size - 1
-        self._logs: tuple[list[float], list[float]] | None = None
 
     def _at(self, m: int) -> int:
         if m > self.end:
             raise _overflow(self.n, self.end + 1)
         return m - self.n
 
+    @cached_property
+    def row_logs(self) -> tuple[list[float], list[float]]:
+        """(log growth_P, log min_gain_Q) at m = n..end, from the singular
+        values of the whole row in one batched call per side."""
+        size = len(self.xs)
+        growth = [-math.inf] * size
+        gain = [math.inf] * size
+        if self.bp.shape[1]:
+            growth = _log_values(np.linalg.svd(self.xs, compute_uv=False)[:, 0])
+        if self.bq.shape[1]:
+            gain = _log_values(np.linalg.svd(self.ys, compute_uv=False)[:, -1])
+        return growth, gain
+
     def logs(self, m: int) -> tuple[float, float]:
         """(log growth_P, log min_gain_Q) at (m, n); -inf / +inf mark trivial
-        ranges. The first request takes the singular values of the whole row
-        in one batched call per side."""
+        ranges."""
         i = self._at(m)
-        if self._logs is None:
-            size = len(self.xs)
-            growth = [-math.inf] * size
-            gain = [math.inf] * size
-            if self.bp.shape[1]:
-                growth = _log_values(np.linalg.svd(self.xs, compute_uv=False)[:, 0])
-            if self.bq.shape[1]:
-                gain = _log_values(np.linalg.svd(self.ys, compute_uv=False)[:, -1])
-            self._logs = growth, gain
-        return self._logs[0][i], self._logs[1][i]
+        growth, gain = self.row_logs
+        return growth[i], gain[i]
 
     def extremes(self, m: int) -> RestrictedExtremes:
         """Restricted extremes at (m, n) with their extremal directions."""
@@ -593,16 +640,34 @@ class _DiagonalSweeps:
     extreme, ratio and trajectory is a maximum or minimum of these over a
     set of coordinates. Entries cost O(dim) whatever m - n is, and rows
     are built only when asked for. The surface is that of ``_DenseSweeps``.
+
+    The worst pair of every row or column of the window comes from running
+    maxima, in O(W * dim). The P-side excess alpha (m - n) + pre_i[m] -
+    pre_i[n] of a pair splits into a term in m and a term in n, so the worst
+    m of row n is a suffix maximum of alpha m + pre_i[m] that a zero factor
+    restarts; on the Q side a crossed zero factor makes the minimal gain 0
+    and the excess +inf. Pairs with m = n are left out (their excess is 0
+    on every nonempty range, the floor of every constant); callers account
+    for them. Each running maximum is one array pass per coordinate. When
+    every prefix log-sum of the window and every weight mixes with floats
+    as a float (``mixes_as_float``) and the rate is a float, ``ladd`` is
+    plain float arithmetic and the arrays take ``FLOAT_FORM``; otherwise
+    they take ``EXACT_FORM``, which combines the same terms in the same
+    order through ``ladd``/``lsub``, so ``int`` and ``Fraction`` logs stay
+    exact (float differences of large ones cancel). The window tables of
+    the running maxima are built on the first scan, so kernels that never
+    scan do not pay for them.
     """
 
     def __init__(self, sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):
         sys.check_pair(hi, lo)
         _require_mask_for_diagonal(sys, proj)
-        self.dim, self.proj, self.hi = sys.dim, proj, hi
+        self.dim, self.proj, self.lo, self.hi = sys.dim, proj, lo, hi
         self.pre, self.zeros = sys.diag_prefix(hi)
         # triplet ratios: (k, m, mask at n, coordinates alive on (n, k]) ->
         # the ratios of the first row n with that key
         self.ratio_memo: dict[tuple, RatioExtremes] = {}
+        self._forms: dict[bool, tuple] = {}
 
     def factor_log(self, i: int, m: int, n: int) -> LogMag:
         """log |a_i(m) ... a_i(n+1)|; -inf once a zero factor is crossed."""
@@ -612,6 +677,158 @@ class _DiagonalSweeps:
 
     def row(self, n: int) -> "_DiagonalRow":
         return _DiagonalRow(self, n)
+
+    def seed_directions(self, part: str, n: int) -> list[tuple[float, ...]]:
+        """Unit directions spanning range P(n) or Q(n) (``part`` "P" or "Q"):
+        the unit vectors of its coordinates."""
+        row = self.row(n)
+        return [_unit(self.dim, i) for i in (row.p_coords if part == "P" else row.q_coords)]
+
+    # -- running maxima over the window ----------------------------------------
+
+    @cached_property
+    def window_pre(self) -> list[list[LogMag]]:
+        """The prefix log-sums of lo..hi, per coordinate."""
+        return [coord[self.lo:self.hi + 1] for coord in self.pre]
+
+    @cached_property
+    def _exact_pre(self) -> list[LogMag]:
+        return _exact(chain.from_iterable(self.window_pre))
+
+    @cached_property
+    def mixes(self) -> bool:
+        """Whether every prefix log-sum of the window mixes with floats as a float."""
+        return all(map(mixes_as_float, self._exact_pre))
+
+    @cached_property
+    def pre_scale(self) -> float:
+        """The largest ``rounding_scale`` of a prefix log-sum of the window."""
+        if self.mixes:
+            return float(np.abs(self._form(0.0)[1]).max())
+        return max(rounding_scale(v) for coord in self.window_pre for v in coord)
+
+    @cached_property
+    def in_p(self) -> np.ndarray:
+        """(dim, window) flags: coordinate i lies in P(n)."""
+        lo, hi, proj = self.lo, self.hi, self.proj
+        masks = [proj.mask(lo)] if proj.constant else [proj.mask(n) for n in range(lo, hi + 1)]
+        return np.broadcast_to(np.array(masks, dtype=bool).T, (self.dim, hi - lo + 1))
+
+    @cached_property
+    def bounds(self) -> list[list[int]]:
+        """Per coordinate, the first index of each stretch between zero
+        factors, and the window size."""
+        lo, hi = self.lo, self.hi
+        return [[0, *(np.flatnonzero(np.diff(coord[lo:hi + 1])) + 1).tolist(), hi - lo + 1]
+                for coord in self.zeros]
+
+    @cached_property
+    def crossed(self) -> list[int]:
+        """Per coordinate, the first column that a pair from the first Q
+        start reaches only across a zero factor (gain 0)."""
+        size = self.hi - self.lo + 1
+        first_q = [np.append(np.flatnonzero(~in_p), size)[0] for in_p in self.in_p]
+        return [min((b for b in bounds if b > first), default=size)
+                for bounds, first in zip(self.bounds, first_q)]
+
+    def _form(self, alpha: LogMag, weights: Sequence[LogMag] = ()):
+        """(indices, prefix sums, add, subtract) of the window in the form
+        that the rate and the weights allow."""
+        floats = (self.mixes and isinstance(alpha, float)
+                  and all(map(mixes_as_float, _exact(weights))))
+        if floats not in self._forms:
+            form = FLOAT_FORM if floats else EXACT_FORM
+            self._forms[floats] = (
+                np.arange(self.lo, self.hi + 1).astype(form.dtype),
+                np.array(self.window_pre, dtype=form.dtype),
+                form.add,
+                form.sub,
+            )
+        return self._forms[floats]
+
+    def rows(self, alpha: LogMag, hi: int) -> np.ndarray:
+        """Row n = lo..hi: max over i in P(n) and n < m <= hi, with no zero
+        factor of i in (n, m], of alpha (m - n) + pre_i[m] - pre_i[n];
+        -inf when there is no such pair. A lower bound on log R_P(n)."""
+        index, pre, add, sub = self._form(alpha)
+        size = hi - self.lo + 1
+        ax = alpha * index[:size]
+        out = np.full(size, -math.inf, dtype=pre.dtype)
+        for pre_i, bounds, in_p in zip(pre[:, :size], self.bounds, self.in_p):
+            if not in_p[:size].any():
+                continue
+            strict = _segmented_max(add(ax, pre_i), bounds, reverse=True)
+            out = np.maximum(out, np.where(in_p[:size], sub(sub(strict, ax), pre_i), -math.inf))
+        return out
+
+    def q_rows(self, alpha: LogMag, weights: Sequence[LogMag]) -> np.ndarray:
+        """Row n = lo..hi: max over j in Q(n) and n < m <= hi of
+        alpha (m - n) - weights[m - lo] - (pre_j[m] - pre_j[n]); +inf when a
+        zero factor of j lies in (n, hi]; -inf when there is no such pair."""
+        index, pre, add, sub = self._form(alpha, weights)
+        ax = alpha * index
+        w = np.array(weights, dtype=pre.dtype)
+        out = np.full(len(ax), -math.inf, dtype=pre.dtype)
+        for pre_i, bounds, in_p in zip(pre, self.bounds, self.in_p):
+            if in_p.all():
+                continue
+            run = _segmented_max(sub(sub(ax, pre_i), w), bounds[-2:], reverse=True)
+            run[:bounds[-2]] = math.inf  # rows before the last stretch cross a zero factor
+            out = np.maximum(out, np.where(in_p, -math.inf, add(sub(run, ax), pre_i)))
+        return out
+
+    def cols(self, alpha: LogMag) -> np.ndarray:
+        """Column m = lo..hi: max over j and lo <= n < m with j in Q(n) of
+        alpha (m - n) - (pre_j[m] - pre_j[n]); +inf once such a pair crosses
+        a zero factor of j; -inf when there is no such pair. A lower bound
+        on log R_Q(m)."""
+        index, pre, add, sub = self._form(alpha)
+        ax = alpha * index
+        out = np.full(len(ax), -math.inf, dtype=pre.dtype)
+        for pre_i, bounds, in_p, crossed in zip(pre, self.bounds, self.in_p, self.crossed):
+            if in_p.all():
+                continue
+            starts = np.where(in_p, -math.inf, sub(pre_i, ax))
+            before = _segmented_max(starts, bounds, reverse=False)
+            col = sub(add(before, ax), pre_i)
+            col[crossed:] = math.inf
+            out = np.maximum(out, col)
+        return out
+
+    def rows_to_scan(self, cert: DichotomyCertificate, tol: float) -> tuple[set[int], float]:
+        """Rows whose pairs m > n may violate the certificate, and the least
+        slack over the pairs m > n of every other row.
+
+        The running maxima associate the additions differently from the
+        per-pair formula, so a row is returned whenever its worst excess
+        lies within a rounding bound of ``tol``; the caller rescans those
+        rows pair by pair and reaches the pair scan's verdict and witness.
+        """
+        lo, hi, alpha = self.lo, self.hi, cert.alpha
+        weights = [cert.r_log(k) for k in range(lo, hi + 1)]
+        cutoff = tol - _ROUNDING_BOUND * self.scale(alpha, weights)
+        *_, sub = self._form(alpha, weights)
+        g, q = self.rows(alpha, hi), self.q_rows(alpha, weights)
+        live = g != -math.inf
+        worst = np.maximum(sub(g, np.where(live, np.array(weights, dtype=q.dtype), 0)), q)
+        over = worst > cutoff
+        rest = as_floats(worst[~over])
+        least = -float(rest.max()) if rest.size else math.inf
+        return set((lo + np.flatnonzero(over)).tolist()), least
+
+    def scale(self, alpha: LogMag, weights: Sequence[LogMag]) -> float:
+        """The factor of ``_ROUNDING_BOUND`` in the cutoff of ``rows_to_scan``:
+        |alpha| (hi + 1) plus the largest ``rounding_scale`` of a prefix sum
+        and of a weight, doubled when any of them is exact and nonzero."""
+        exact = _exact(weights)
+        if all(map(mixes_as_float, exact)):
+            w = np.array(weights, dtype=float)
+            w_scale = float(np.abs(w[np.isfinite(w)]).max(initial=0.0))
+        else:
+            w_scale = max(map(rounding_scale, weights))
+        scale = abs(alpha) * (self.hi + 1) + self.pre_scale + w_scale
+        exact_nonzero = any(v != 0 for v in self._exact_pre) or any(v != 0 for v in exact)
+        return 2 * scale if exact_nonzero else scale
 
     def trajectories(self, part: str, xs, seeds, at) -> LogTable:
         """log |A(j, s) x| for each row x of ``xs`` and its seed s = seeds[k],
@@ -752,6 +969,33 @@ class _DiagonalRow:
         ratio of the side among those with a nonzero denominator."""
         i = self._sup_ratio(m, k, side)[1]
         return () if i is None else _unit(self.sweeps.dim, i)
+
+
+# How far the per-pair formula and the running-maximum form of one pair's
+# slack can disagree, per unit of |alpha| m_max + max |pre| + max |weight|,
+# when all of them are floats: the roundings of the two forms add up to at
+# most 12 (eps/2) times that sum. Exact operands that ``ladd`` converts to
+# float (``rounding_scale``) at most double it.
+_ROUNDING_BOUND = 8 * 2.0**-52
+
+
+def _exact(values: Iterable[LogMag]) -> list[LogMag]:
+    """The values that are not floats."""
+    return [v for v in values if not isinstance(v, float)]
+
+
+def _segmented_max(values: np.ndarray, bounds: list[int], reverse: bool) -> np.ndarray:
+    """Per index, the maximum of ``values`` strictly after it (``reverse``)
+    or strictly before it within its stretch of ``bounds``; -inf when there
+    is none, and for indices before ``bounds[0]``."""
+    out = np.full_like(values, -math.inf)
+    for s, e in zip(bounds, bounds[1:]):
+        e = min(e, len(values))
+        if reverse:
+            out[s:e - 1] = np.maximum.accumulate(values[s + 1:e][::-1])[::-1]
+        else:
+            out[s + 1:e] = np.maximum.accumulate(values[s:e - 1])
+    return out
 
 
 def _sweeps(sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):

@@ -5,7 +5,8 @@ factors of a diagonal system or by multiplying the dense coefficients, and
 the Datko left side is summed term by term along one kernel trajectory, in
 place of the verifiers' suffix sums. The diagonal running maxima are
 computed one coordinate and one index at a time with ``ladd``/``lsub``, in
-place of the scan's arrays. Diagonal trajectories are read one coordinate
+place of the arrays of the diagonal kernel (``_DiagonalSweeps.rows``,
+``q_rows``, ``cols``, and the rounding scale of its ``rows_to_scan``). Diagonal trajectories are read one coordinate
 and one index at a time, and the Datko suffix and forward sums are
 accumulated one term at a time, in place of the kernel's table and the
 verifiers' lockstep sums. The Datko side reports are evaluated one point at
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dichotomy import DichotomyCertificate, LogScalar, ProjectionFamily, SystemDescription
-from dichotomy.checkers import _slack
+from dichotomy.checkers import DEFAULT_LOG_TOL, _slack
 from dichotomy.datko import (
     HOLDS,
     INCONCLUSIVE,
@@ -236,10 +237,11 @@ def datko_lhs(
 
 
 def side_reports_loop(
-    side, directions, table, sums, weight, tail, window, tol, restart, **fields
+    side, directions, table, sums, weight, tail, window, restart, **fields
 ) -> list[DatkoReport]:
     """``datko._side_reports`` one point at a time: the loops the verifiers
     ran before the array pass."""
+    tol = DEFAULT_LOG_TOL
     size = window.m_max - window.n_min + 1
     trajs, sums = table.tolist(size), sums.tolist(size)
     reports = []
@@ -437,7 +439,7 @@ def running_q_cols(sys, proj, lo, hi, alpha) -> list[LogMag]:
 
 
 def rounding_scale_of(sys, lo, hi, alpha, weights) -> float:
-    """The factor of the rounding bound in ``_DiagonalScan.rows_to_scan``:
+    """The factor of the rounding bound in ``_DiagonalSweeps.rows_to_scan``:
     |alpha| (hi + 1) plus the largest ``rounding_scale`` of a prefix sum of
     the window and of a weight, doubled when any of them is exact and
     nonzero; one value at a time."""

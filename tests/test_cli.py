@@ -8,7 +8,7 @@ import pytest
 
 import dichotomy
 from dichotomy import serialize
-from test_config import DIAGONAL, MALFORMED_FILES, system_file
+from test_config import DIAGONAL, EXPLICIT, MALFORMED_FILES, system_file
 
 BASE = [sys.executable, "-m", "dichotomy"]
 # the child runs the same package this process imported, installed or not
@@ -111,6 +111,28 @@ def test_gallery_claims_exponent_notation_params():
     )
     report = json.loads(proc.stdout)
     assert report["all_reproduced"] is True
+
+
+def test_gallery_claims_window_override_keeps_its_start(capsys):
+    from dichotomy.cli import main
+
+    # ed_example holds a certificate claim and a strong-instability claim
+    assert main(["gallery-claims", "--name", "ed_example", "--window", "5..30"]) == 0
+    claims = json.loads(capsys.readouterr().out)["claims"]
+    windows = [c["window"] for c in claims if "window" in c]
+    assert windows == [{"n_min": 5, "m_max": 30, "triplet": False}] * 2
+
+
+@pytest.mark.parametrize("kind", ["ued", "ed"])
+def test_default_alpha_grid_stays_in_the_declared_range(tmp_path, capsys, kind):
+    from dichotomy.cli import main
+
+    # A0 and A1 only: a one-index window at 1 has no pair (2, 1) to read
+    path = tmp_path / "two.cfg"
+    path.write_text(system_file(EXPLICIT), encoding="utf-8")
+    argv = ["estimate", "--system", str(path), "--kind", kind, "--window", "1..1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["alpha"] == 1.0
 
 
 def test_datko_exit_codes():
@@ -251,6 +273,17 @@ def test_report_roundtrip_reparses_identically(tmp_path):
     assert serialize.outcome_to_json(parsed3) == report3["result"]
     parsed_cert = serialize.certificate_from_json(report3["cert"])
     assert serialize.certificate_to_json(parsed_cert) == report3["cert"]
+    parsed_window = serialize.window_from_json(report3["window"])
+    assert serialize.window_to_json(parsed_window) == report3["window"]
+
+    proc4 = run_cli(
+        "estimate", "--gallery", "ned_not_ed_example", "--kind", "ned", "--alpha", "1",
+        "--window", "0..12", check=0,
+    )
+    report4 = json.loads(proc4.stdout)
+    parsed4 = serialize.profile_series_from_json(report4["profile"])
+    assert serialize.profile_series_to_json(parsed4) == report4["profile"]
+    assert json.dumps(serialize.profile_series_to_json(parsed4)) == json.dumps(report4["profile"])
 
 
 def test_estimate_grid_report(tmp_path):
@@ -477,6 +510,36 @@ def test_invalid_inputs_are_reported(tmp_path, capsys, argv, error):
         assert capsys.readouterr().err.startswith("configuration error: ")
     else:
         assert _error_report(tmp_path, [*argv, *source]) == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # outputs that cannot be written
+        ["--report", "{dir}"],
+        ["--csv", "{dir}"],
+        # a failing analysis whose error report cannot be written
+        ["--cert", "UED:N=1,alpha=1e308", "--report", "{dir}/missing/x.json"],
+        # inputs that cannot be read
+        ["--system", "{dir}"],
+        ["--system", "{latin1}"],
+    ],
+)
+def test_unusable_paths_are_configuration_errors(tmp_path, capsys, argv):
+    # a PermissionError takes the same path, but cannot be provoked as root
+    from dichotomy.cli import main
+
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(system_file(DIAGONAL + "\n# \xe9").encode("latin-1"))
+    argv = [a.format(dir=tmp_path, latin1=latin1) for a in argv]
+    source = [] if "--system" in argv else ["--gallery", "ued_example"]
+    cert = [] if "--cert" in argv else ["--cert", "UED:N=1,alpha=0.5"]
+    assert main(["verify", *source, *cert, "--window", "0..5", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+    if "missing" in argv[-1]:
+        assert err.splitlines()[-1].startswith("error: InvalidCertificateError: ")
 
 
 def test_overflowing_rates_leave_no_nan(tmp_path, capsys):

@@ -300,7 +300,8 @@ def test_verify_matches_pair_scan(case, data):
         got = out.witness
         assert (got.m, got.n, got.side) == (m, n, side)
         assert got.required_constant.logmag == required
-        want_dir = checkers._PairExtremes(sys_, proj, window).directions(n, m)[0 if side == "P" else 1]
+        kernel = _sweeps(sys_, proj, window.n_min, window.m_max)
+        want_dir = checkers._PairExtremes(kernel).directions(n, m)[0 if side == "P" else 1]
         assert got.direction == (want_dir or ())
         assert out.min_slack == min_slack
 
@@ -389,9 +390,9 @@ def test_array_scan_matches_the_running_maximum_loops(case, data):
     weight = st.one_of(log_values("bigint" if kind == "bigint" else "float"),
                        st.just(-math.inf))
     weights = data.draw(st.lists(weight, min_size=hi - lo + 1, max_size=hi - lo + 1))
-    scan = checkers._DiagonalScan(sys_, proj, window)
-    exact = checkers._DiagonalScan(sys_, proj, window)
-    exact.mixes = False  # the object arrays, whatever the logs
+    scan = _sweeps(sys_, proj, lo, hi)
+    exact = _sweeps(sys_, proj, lo, hi)
+    exact.mixes = False  # before the first scan: the object arrays, whatever the logs
     for hi_ in (hi, window.half().m_max):
         want = running_p_rows(sys_, proj, lo, hi_, alpha)
         assert typed(scan.rows(alpha, hi_).tolist()) == typed(want)
@@ -425,7 +426,7 @@ def test_rounding_scale_matches_the_per_value_formula(case, data):
     weight = st.one_of(log_values("bigint" if kind == "bigint" else "float"),
                        st.integers(-3, 3), st.just(-math.inf))
     weights = data.draw(st.lists(weight, min_size=size, max_size=size))
-    scan = checkers._DiagonalScan(sys_, proj, window)
+    scan = _sweeps(sys_, proj, window.n_min, window.m_max)
     want = rounding_scale_of(sys_, window.n_min, window.m_max, alpha, weights)
     assert scan.scale(alpha, weights) == want
 
@@ -435,7 +436,7 @@ def test_gallery_scan_takes_the_float_form():
     entry = make_example("ned_example")
     cert = entry.claims[0].cert
     window = WindowSpec(0, 150)
-    scan = checkers._DiagonalScan(entry.system, entry.projection, window)
+    scan = _sweeps(entry.system, entry.projection, window.n_min, window.m_max)
     weights = [cert.r_log(k) for k in range(151)]
     assert scan.rows(cert.alpha, 150).dtype == np.float64
     assert scan.cols(cert.alpha).dtype == np.float64
@@ -471,6 +472,22 @@ def test_verify_rescans_only_rows_that_may_violate(monkeypatch):
     assert out.pairs_checked == (w + 1) * (w + 2) // 2
     assert out.min_slack == 0.0
     assert len(calls) == w + 1  # the pairs m = n only
+
+
+def test_diagonal_verify_reads_the_prefix_sums_once(monkeypatch):
+    # one kernel serves the running maxima and the rescanned rows
+    reads = []
+    prefix = SystemDescription.diag_prefix
+
+    def counted(self, upto):
+        reads.append(upto)
+        return prefix(self, upto)
+
+    monkeypatch.setattr(SystemDescription, "diag_prefix", counted)
+    entry = make_example("ued_example")
+    cert = DichotomyCertificate(Kind.UED, alpha=0.5, n_const=1.0)
+    assert verify_certificate(entry.system, entry.projection, cert, WindowSpec(0, 50)).holds
+    assert reads == [50]
 
 
 def test_triplet_form_agrees_with_pair_form_across_a_zero_factor():

@@ -119,8 +119,8 @@ def test_lockstep_sums_match_the_loops(case, data):
 
 def loop_trajectories(sys_, proj, part, window, upto):
     """``datko._trajectories`` through the per-element loop, as an object table."""
-    directions = datko._seed_directions(sys_, proj, part, window.n_min)
     kernel = _sweeps(sys_, proj, window.n_min, upto)
+    directions = kernel.seed_directions(part, window.n_min)
     at = list(range(window.n_min, upto + 1))
     rows = [diagonal_lognorms(kernel, np.array(x)[:, None], s, at)[0]
             for x in directions for s in range(window.n_min, window.m_max + 1)]
