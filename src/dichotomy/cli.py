@@ -12,7 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from . import serialize
@@ -149,8 +153,145 @@ def _resolve_system(args):
     raise ConfigError("a system is required: --gallery NAME or --system FILE")
 
 
+# -- report text -------------------------------------------------------------------
+# With an indent, ``json.dumps`` runs json's pure-Python encoder, a few
+# generator steps per value. A list of records that share the first record's
+# shape (the same keys in the same order, lists of the same lengths, scalars
+# in the same places) is encoded by column instead: each scalar column in one
+# pass of a C-level function, then the record template's literal pieces and
+# the columns interleaved in one ``str.join``. The rest of the report goes
+# through ``json.dumps`` with a placeholder string for each such list, and the
+# lists are spliced in, so the text is that of ``json.dumps(report, indent=2)``.
+
+_INDENT = "  "
+# marks a scalar's place in a record template; the literal pieces are JSON
+# punctuation, indentation and ASCII-escaped keys, which never hold it
+_SLOT = "\x00"
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_NAMED = {None: "null", True: "true", False: "false"}
+
+
+def _dumps(report) -> str:
+    """``json.dumps(report, indent=2)``, with uniform lists of records encoded
+    by column."""
+    lists: list[str] = []
+    text = json.dumps(_cut(report, 0, lists), indent=2)
+    marks = [encode_basestring_ascii(_placeholder(j)) for j in range(len(lists))]
+    if any(text.count(mark) != 1 for mark in marks):
+        return json.dumps(report, indent=2)
+    pieces = []
+    for mark, encoded in zip(marks, lists):
+        head, found, text = text.partition(mark)
+        if not found:
+            return json.dumps(report, indent=2)
+        pieces += (head, encoded)
+    pieces.append(text)
+    return "".join(pieces)
+
+
+def _placeholder(j: int) -> str:
+    return f"\x00{j}"
+
+
+def _cut(value, depth: int, lists: list[str]):
+    """A copy of ``value`` (at nesting ``depth``) in which each uniform list
+    of records is a placeholder string; the lists' text goes to ``lists``."""
+    if isinstance(value, dict):
+        return {k: _cut(v, depth + 1, lists) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        encoded = _records(value, depth)
+        if encoded is None:
+            return [_cut(v, depth + 1, lists) for v in value]
+        lists.append(encoded)
+        return _placeholder(len(lists) - 1)
+    return value
+
+
+def _records(items, depth: int) -> str | None:
+    """The text of a list of records that share the first one's shape, or
+    None for any other list."""
+    if not items or type(items[0]) is not dict:
+        return None
+    columns: list[list[str]] = []
+    template = _template(items[0], list(items), depth + 1, columns)
+    if template is None:
+        return None
+    sep = ",\n" + _INDENT * (depth + 1)
+    pieces = template.split(_SLOT)
+    pieces[-1] += sep
+    # per record: literal piece, column entry, literal piece, ..., last piece
+    parts = [repeat(pieces[0])]
+    for column, piece in zip(columns, pieces[1:]):
+        parts += (column, repeat(piece))
+    body = "".join(chain.from_iterable(zip(*parts))) if columns else pieces[0] * len(items)
+    return "[" + sep[1:] + body[:-len(sep)] + "\n" + _INDENT * depth + "]"
+
+
+def _template(proto, col: list, depth: int, columns: list[list[str]]) -> str | None:
+    """The text of the values ``col`` at nesting ``depth``, shaped as
+    ``proto``, with ``_SLOT`` at each scalar place, whose encoded column goes
+    to ``columns``. None when a value has another shape."""
+    kinds = set(map(type, col))
+    if type(proto) in _SCALARS:
+        if not kinds <= _SCALARS:
+            return None
+        columns.append(_encode_scalars(col))
+        return _SLOT
+    if type(proto) is dict:
+        keys = tuple(proto)
+        if kinds != {dict} or not all(type(k) is str for k in keys) or not all(
+            map(keys.__eq__, map(tuple, col))
+        ):
+            return None
+        names = [encode_basestring_ascii(k) + ": " for k in keys]
+        open_, close = "{", "}"
+    elif type(proto) in (list, tuple):
+        keys = range(len(proto))
+        if not kinds <= {list, tuple} or set(map(len, col)) != {len(proto)}:
+            return None
+        names = [""] * len(proto)
+        open_, close = "[", "]"
+    else:
+        return None
+    if not keys:
+        return open_ + close
+    inner = "\n" + _INDENT * (depth + 1)
+    parts = []
+    for key, name in zip(keys, names):
+        sub = _template(proto[key], list(map(itemgetter(key), col)), depth + 1, columns)
+        if sub is None:
+            return None
+        parts.append(inner + name + sub)
+    return open_ + ",".join(parts) + "\n" + _INDENT * depth + close
+
+
+def _encode_scalars(values: list) -> list[str]:
+    """json's text of each scalar, a whole column per C-level call where it
+    holds one type."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    return [_encode_scalar(v) for v in values]
+
+
+def _encode_scalar(value) -> str:
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    return _NAMED[value]
+
+
 def _emit(args, report: dict, csv_text: str | None = None) -> None:
-    payload = json.dumps(report, indent=2) + "\n"
+    payload = _dumps(report) + "\n"
     if args.report:
         Path(args.report).write_text(payload, encoding="utf-8")
     else:

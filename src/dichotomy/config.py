@@ -34,6 +34,8 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
+
 from .certificates import (
     ConstantProfile,
     DichotomyCertificate,
@@ -46,7 +48,13 @@ from .certificates import (
 from .errors import ConfigError
 from .gallery import GalleryEntry, gallery_names, make_example
 from .logscalar import LogScalar
-from .system import DiagonalClosedForm, ExplicitSequence, ProjectionFamily, SystemDescription
+from .system import (
+    DiagonalClosedForm,
+    ExplicitSequence,
+    ProjectionFamily,
+    SystemDescription,
+    positive_factors,
+)
 
 _FRACTION = re.compile(r"^([+-]?\d+)\s*/\s*(\d+)$")
 
@@ -200,16 +208,33 @@ def _parse_diag_form(value: str, lineno: int, field: str):
         value_ = args.get("value")
         if value_ is None:
             raise ConfigError("const form needs value=", lineno, field)
-        return lambda n: LogScalar.from_float(value_)
+        return _by_parity(value_, value_)
     if form == "linear_exponent":
         sigma = args.get("sigma", 0.0)
         tau = args.get("tau", 0.0)
-        return lambda n: LogScalar.from_log(sigma * n + tau)
+        return lambda lo, hi: positive_factors(_linear(sigma, tau, lo, hi))
     even = args.get("even")
     odd = args.get("odd")
     if even is None or odd is None:
         raise ConfigError("parity form needs even= and odd=", lineno, field)
-    return lambda n: LogScalar.from_float(even if n % 2 == 0 else odd)
+    return _by_parity(even, odd)
+
+
+def _linear(sigma: float, tau: float, lo: int, hi: int) -> np.ndarray:
+    """sigma n + tau for n = lo..hi; an overflow gives +-inf, as in floats."""
+    with np.errstate(over="ignore"):
+        return sigma * np.arange(lo, hi + 1) + tau
+
+
+def _by_parity(even: float, odd: float):
+    """The range function of the factors ``even`` at even n, ``odd`` at odd n."""
+    a, b = LogScalar.from_float(even), LogScalar.from_float(odd)
+
+    def factors(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        is_odd = np.arange(lo, hi + 1) % 2 == 1
+        return np.where(is_odd, b.logmag, a.logmag), np.where(is_odd, b.sign, a.sign)
+
+    return factors
 
 
 def parse_system_file(text: str) -> tuple[SystemDescription, ProjectionFamily, GalleryEntry | None]:
@@ -276,7 +301,9 @@ def parse_system_file(text: str) -> tuple[SystemDescription, ProjectionFamily, G
             missing = [i for i in range(dim) if i not in coords]
             if missing:
                 raise ConfigError(f"diagonal source needs coord{missing[0]} = <form>")
-            system = SystemDescription(dim, DiagonalClosedForm([coords[i] for i in range(dim)]))
+            system = SystemDescription(
+                dim, DiagonalClosedForm.from_ranges([coords[i] for i in range(dim)])
+            )
     else:
         raise ConfigError(f"unknown source {source!r}; expected gallery, explicit or diagonal")
 

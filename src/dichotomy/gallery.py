@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .certificates import (
     DichotomyCertificate,
     Kind,
@@ -23,8 +25,9 @@ from .certificates import (
 )
 from .checkers import WitnessSchedule
 from .errors import IndexOrderError, ParamOutOfRangeError, UnknownExampleError
-from .logscalar import LogMag, LogScalar, ladd
-from .system import DiagonalClosedForm, ProjectionFamily, SystemDescription
+from .logarray import EXACT_FORM
+from .logscalar import _FLOAT_SAFE, LogMag, LogScalar
+from .system import DiagonalClosedForm, ProjectionFamily, SystemDescription, positive_factors
 
 FIRST_COORDINATE = (True, False)
 
@@ -119,14 +122,26 @@ def raw_factor_log(name: str, params: Mapping | None, n: int) -> LogMag:
     if name not in _BUILDERS:
         raise UnknownExampleError(f"unknown example {name!r}")
     entry_params = _resolve_params(name, params, {})
-    return _RAW_LOGS[name](entry_params, n)
+    return _RAW_LOGS[name](entry_params, n, n).tolist()[0]
 
 
-def _diag_system(entry_logs: list[Callable[[int], LogMag]]) -> SystemDescription:
-    coords = tuple(
-        (lambda f: (lambda n: LogScalar.from_log(f(n))))(f) for f in entry_logs
-    )
-    return SystemDescription(len(coords), DiagonalClosedForm(coords))
+def _diag_system(coord_logs: list[Callable[[int, int], np.ndarray]]) -> SystemDescription:
+    """The diagonal system whose coordinate i has the positive factors
+    exp(coord_logs[i](lo, hi)) on lo..hi."""
+    coords = [(lambda f: (lambda lo, hi: positive_factors(f(lo, hi))))(f) for f in coord_logs]
+    return SystemDescription(len(coords), DiagonalClosedForm.from_ranges(coords))
+
+
+def _shifted(shift: float, raw: np.ndarray) -> np.ndarray:
+    """ladd(shift, r) for every raw log r: float64 where ``ladd`` adds in
+    floats (float logs, ints within ``_FLOAT_SAFE``), else an object array."""
+    if raw.dtype == np.float64 or (raw.dtype != object and np.all(np.abs(raw) <= _FLOAT_SAFE)):
+        return shift + raw
+    return EXACT_FORM.add(shift, raw.astype(object))
+
+
+def _constant(log: float) -> Callable[[int, int], np.ndarray]:
+    return lambda lo, hi: np.full(hi - lo + 1, log)
 
 
 def _projection(dim: int = 2) -> ProjectionFamily:
@@ -136,8 +151,8 @@ def _projection(dim: int = 2) -> ProjectionFamily:
 # -- contracting/expanding split with quadratic envelope ------------------------
 
 
-def _ued_raw(params, n) -> LogMag:
-    return n + 0.5
+def _ued_raw(params, lo, hi) -> np.ndarray:
+    return np.arange(lo, hi + 1) + 0.5
 
 
 def _ued_closed(params, m, n) -> LogMag:
@@ -146,7 +161,9 @@ def _ued_closed(params, m, n) -> LogMag:
 
 def _build_ued(params, kw) -> GalleryEntry:
     _resolve_params("ued_example", params, kw)
-    system = _diag_system([lambda n: -(n + 0.5), lambda n: n + 0.5])
+    system = _diag_system(
+        [lambda lo, hi: -_ued_raw(None, lo, hi), lambda lo, hi: _ued_raw(None, lo, hi)]
+    )
     claims = (
         CertificateClaim(DichotomyCertificate(Kind.UED, alpha=0.5, n_const=1.0), 200),
     )
@@ -171,11 +188,13 @@ def _build_ued(params, kw) -> GalleryEntry:
 # -- polynomially nonuniform split ----------------------------------------------
 
 
-def _ned_raw(params, n) -> LogMag:
+def _ned_raw(params, lo, hi) -> np.ndarray:
     c = params["c"]
-    if n % 2 == 0:
-        return -c * math.log(n + 2)
-    return c * math.log(n + 1)
+    n = np.arange(lo, hi + 1)
+    # log(n + 1) for n = lo..hi+1, by math.log: numpy's log rounds a few
+    # integers differently
+    logs = np.fromiter(map(math.log, range(lo + 1, hi + 3)), float, hi - lo + 2)
+    return np.where(n % 2 == 0, -c * logs[1:], c * logs[:-1])
 
 
 def _ned_closed(params, m, n) -> LogMag:
@@ -198,7 +217,7 @@ def _build_ned(params, kw) -> GalleryEntry:
         raise ParamOutOfRangeError(f"ned_example needs c > 0, got {c}")
     log_b = math.log(b)
     system = _diag_system(
-        [lambda n: ladd(log_b, _ned_raw(merged, n)), lambda n: -log_b]
+        [lambda lo, hi: _shifted(log_b, _ned_raw(merged, lo, hi)), _constant(-log_b)]
     )
     alpha = -log_b
     claims = (
@@ -229,8 +248,9 @@ def _build_ned(params, kw) -> GalleryEntry:
 # -- alternating split, both coordinates driven by the same sequence -------------
 
 
-def _sed_raw(params, n) -> LogMag:
-    return -n if n % 2 == 0 else n + 1
+def _sed_raw(params, lo, hi) -> np.ndarray:
+    n = np.arange(lo, hi + 1)
+    return np.where(n % 2 == 0, -n, n + 1)
 
 
 def _sed_closed(params, m, n) -> LogMag:
@@ -251,8 +271,8 @@ def _build_sed_family(name, claims_fn, params, kw) -> GalleryEntry:
     log_c1, log_c2 = math.log(c1), math.log(c2)
     system = _diag_system(
         [
-            lambda n: ladd(log_c1, _sed_raw(merged, n)),
-            lambda n: ladd(log_c2, _sed_raw(merged, n)),
+            lambda lo, hi: _shifted(log_c1, _sed_raw(merged, lo, hi)),
+            lambda lo, hi: _shifted(log_c2, _sed_raw(merged, lo, hi)),
         ]
     )
     schedules = {
@@ -300,10 +320,9 @@ def _build_ed(params, kw) -> GalleryEntry:
 # -- tower-exponent split: exact integer log-magnitudes --------------------------
 
 
-def _tower_raw(params, n) -> LogMag:
-    if n % 2 == 0:
-        return n * (1 + 2**n)
-    return -(n + 1) * (1 + 2 ** (n + 1))
+def _tower_raw(params, lo, hi) -> np.ndarray:
+    n = np.arange(lo, hi + 1, dtype=object)  # Python ints: the logs outgrow int64
+    return np.where(n % 2 == 0, n * (1 + 2**n), -(n + 1) * (1 + 2 ** (n + 1)))
 
 
 def _tower_closed(params, m, n) -> LogMag:
@@ -324,7 +343,7 @@ def _build_tower(params, kw) -> GalleryEntry:
     log_c = math.log(c)
     alpha = -log_c
     system = _diag_system(
-        [lambda n: ladd(log_c, _tower_raw(merged, n)), lambda n: -log_c]
+        [lambda lo, hi: _shifted(log_c, _tower_raw(merged, lo, hi)), _constant(-log_c)]
     )
     claims = [
         CertificateClaim(

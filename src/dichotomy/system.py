@@ -6,8 +6,10 @@ index 0 never enters a product. Two coefficient representations coexist:
 
 * ``ExplicitSequence``: dense real matrices stored as doubles, valid on a
   declared index range, with overflow detection on products.
-* ``DiagonalClosedForm``: one log-domain function per coordinate, valid for
-  every index, so magnitudes like exp(n * 2**n) remain exactly computable.
+* ``DiagonalClosedForm``: one range function per coordinate, valid for
+  every index, that gives the factors of a stretch of indices as arrays of
+  log-magnitudes and signs, so magnitudes like exp(n * 2**n) remain exactly
+  computable and the prefix log-sums are built one array pass per stretch.
 
 Norms: dense systems use the Euclidean vector norm and the spectral
 operator norm; diagonal systems use the max norm, under which restriction
@@ -41,7 +43,6 @@ from .logscalar import (
     _FLOAT_SAFE,
     LogMag,
     LogScalar,
-    ladd,
     lsub,
     mixes_as_float,
     rounding_scale,
@@ -51,17 +52,56 @@ DEFAULT_TOL_PROJ = 1e-9
 DEFAULT_TOL_COMPAT = 1e-9
 
 
+FactorRange = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+
+
 class DiagonalClosedForm:
-    """Per-coordinate coefficient functions n -> LogScalar."""
+    """One range function per coordinate: ``factors[i](lo, hi)`` gives the
+    factors a_i(lo), ..., a_i(hi) as two arrays, their log-magnitudes and
+    their signs (-1, 0 or +1; 0 for a zero factor, whose log is ignored).
+
+    The logs are a float64 array, or an object array holding ``int``,
+    ``Fraction`` or ``float`` logs where they must stay exact (``ladd``
+    types). The constructor takes per-index functions n -> LogScalar and
+    wraps each one; ``from_ranges`` takes range functions.
+    """
 
     def __init__(self, entries: Sequence[Callable[[int], LogScalar]]):
-        if not entries:
-            raise ValueError("need at least one coordinate function")
-        self.entries = tuple(entries)
+        self.factors = _nonempty([_per_index(entry) for entry in entries])
+
+    @classmethod
+    def from_ranges(cls, factors: Sequence[FactorRange]) -> "DiagonalClosedForm":
+        form = cls.__new__(cls)
+        form.factors = _nonempty(factors)
+        return form
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.factors)
+
+
+def _nonempty(factors: Sequence[FactorRange]) -> tuple[FactorRange, ...]:
+    if not factors:
+        raise ValueError("need at least one coordinate function")
+    return tuple(factors)
+
+
+def _per_index(entry: Callable[[int], LogScalar]) -> FactorRange:
+    """The range function of a per-index coefficient function; its logs are
+    float64 when every one is a float."""
+
+    def factors(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        values = [entry(n) for n in range(lo, hi + 1)]
+        logs = [v.logmag for v in values]
+        dtype = float if all(isinstance(x, float) for x in logs) else object
+        return np.array(logs, dtype=dtype), np.array([v.sign for v in values])
+
+    return factors
+
+
+def positive_factors(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors exp(logs): positive, and zero where a log is -inf."""
+    return logs, (logs != -math.inf).astype(np.int8)
 
 
 class ExplicitSequence:
@@ -131,9 +171,6 @@ class SystemDescription:
             raise OutOfRangeError(f"coefficient index {n} outside 0..{self.coefficients.n_max}")
         return self.coefficients.matrices[n]
 
-    def diag_entry(self, i: int, n: int) -> LogScalar:
-        return self.coefficients.entries[i](n)
-
     # -- diagonal prefix sums ------------------------------------------------
     # pre[i][t] = sum_{k=1..t} log|a_i(k)|, so a product over (n, m] has
     # log-magnitude pre[i][m] - pre[i][n]; exact log-magnitude types survive.
@@ -143,25 +180,32 @@ class SystemDescription:
             self._prefix_mag = [[0] for _ in range(self.dim)]
             self._prefix_neg = [[0] for _ in range(self.dim)]
             self._prefix_zero = [[0] for _ in range(self.dim)]
-        for i in range(self.dim):
+        for i, factors in enumerate(self.coefficients.factors):
             mags, negs, zeros = self._prefix_mag[i], self._prefix_neg[i], self._prefix_zero[i]
-            while len(mags) <= upto:
-                k = len(mags)
-                a = self.diag_entry(i, k)
-                if a.sign == 0:
-                    mags.append(mags[-1])
-                    negs.append(negs[-1])
-                    zeros.append(zeros[-1] + 1)
-                else:
-                    mag = ladd(mags[-1], a.logmag)
-                    if isinstance(mag, float) and not math.isfinite(mag):
-                        raise LogOverflowError(
-                            f"coordinate {i}: the log-magnitude of the product of factors "
-                            f"1..{k} is not a finite double"
-                        )
-                    mags.append(mag)
-                    negs.append(negs[-1] + (1 if a.sign < 0 else 0))
-                    zeros.append(zeros[-1])
+            lo = len(mags)
+            if upto < lo:
+                continue
+            logs, signs = factors(lo, upto)
+            nonzero = signs != 0
+            # steps[j]: the nonzero factors among lo..lo+j; a zero factor
+            # leaves the log-sum as it was
+            steps = np.cumsum(nonzero)
+            sums = _log_sums(mags[-1], logs[nonzero])
+            bad = _first_nonfinite(sums)
+            if bad is not None:
+                k = lo + int(np.flatnonzero(nonzero)[bad - 1])
+                raise LogOverflowError(
+                    f"coordinate {i}: the log-magnitude of the product of factors "
+                    f"1..{k} is not a finite double"
+                )
+            chunk = sums[steps].tolist()
+            # before the first nonzero factor the log-sum is the cached value
+            # itself, which may be an int (the float sums hold float(it))
+            head = int(np.searchsorted(steps, 1))
+            chunk[:head] = [mags[-1]] * head
+            mags.extend(chunk)
+            negs.extend((negs[-1] + np.cumsum(signs < 0)).tolist())
+            zeros.extend((zeros[-1] + np.cumsum(~nonzero)).tolist())
 
     def diag_prefix(self, upto: int) -> tuple[list[list[LogMag]], list[list[int]]]:
         """Per-coordinate prefix log-sums and zero-factor counts on 0..upto.
@@ -179,6 +223,33 @@ class SystemDescription:
             return LogScalar.zero()
         sign = -1 if (self._prefix_neg[i][m] - self._prefix_neg[i][n]) % 2 else 1
         return LogScalar(sign, lsub(self._prefix_mag[i][m], self._prefix_mag[i][n]))
+
+
+def _log_sums(seed: LogMag, logs: np.ndarray) -> np.ndarray:
+    """seed and its running sums with logs, as ``ladd`` forms them in order.
+
+    Float64 logs added to a seed that mixes as a float take ``np.add``
+    (``ladd`` is then plain float addition, and ``accumulate`` adds in
+    order); any other logs an object array through ``ladd``, so exact logs
+    keep their types. Entry 0 is the seed, as a float in the float form.
+    """
+    if logs.dtype == np.float64 and mixes_as_float(seed):
+        sums = np.empty(logs.size + 1)
+        sums[0], sums[1:] = seed, logs
+        with np.errstate(over="ignore", invalid="ignore"):
+            return FLOAT_FORM.add.accumulate(sums)
+    sums = np.empty(logs.size + 1, dtype=object)
+    sums[0], sums[1:] = seed, logs
+    return EXACT_FORM.add.accumulate(sums)
+
+
+def _first_nonfinite(sums: np.ndarray) -> int | None:
+    """The first position of a non-finite float in ``sums``, if any."""
+    if sums.dtype == object:
+        bad = [j for j, x in enumerate(sums) if isinstance(x, float) and not math.isfinite(x)]
+    else:
+        bad = np.flatnonzero(~np.isfinite(sums))
+    return int(bad[0]) if len(bad) else None
 
 
 def _overflow(n: int, k: int) -> DenseOverflowError:
@@ -300,9 +371,11 @@ def compatibility_defect(sys: SystemDescription, proj: ProjectionFamily, n: int)
         if before == after:
             return 0.0
         worst = 0.0
-        for i in range(sys.dim):
+        for i, factors in enumerate(sys.coefficients.factors):
             if before[i] != after[i]:
-                worst = max(worst, abs(sys.diag_entry(i, n + 1)).to_float())
+                logs, signs = factors(n + 1, n + 1)
+                if signs[0]:
+                    worst = max(worst, LogScalar(1, logs.tolist()[0]).to_float())
         return worst
     a = sys.coefficient(n + 1)
     gap = a @ proj.matrix(n) - proj.matrix(n + 1) @ a

@@ -10,8 +10,10 @@ place of the arrays of the diagonal kernel (``_DiagonalSweeps.rows``,
 and one index at a time, and the Datko suffix and forward sums are
 accumulated one term at a time, in place of the kernel's table and the
 verifiers' lockstep sums. The Datko side reports are evaluated one point at
-a time, in place of the verifiers' array pass. None of this is on a path of
-the package.
+a time, in place of the verifiers' array pass. The diagonal prefix sums are
+built one factor at a time with ``ladd``, in place of the array build of
+``SystemDescription._ensure_prefix``. None of this is on a path of the
+package.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dichotomy.datko import (
     DatkoReport,
     _require_constant_projection,
 )
-from dichotomy.errors import IndexOrderError, NoDecayCertificateError
+from dichotomy.errors import IndexOrderError, LogOverflowError, NoDecayCertificateError
 from dichotomy.logscalar import LogMag, ladd, lfloat, logaddexp_mag, lsub, rounding_scale
 from dichotomy.system import (
     DEFAULT_TOL_COMPAT,
@@ -39,6 +41,34 @@ from dichotomy.system import (
     _sweeps,
     check_compatibility,
 )
+
+
+def prefix_loop(sys: SystemDescription, upto: int):
+    """Per coordinate, the prefix log-sums, negative-factor counts and
+    zero-factor counts on 0..upto, one factor at a time; each factor is read
+    from the coordinate's range function as a ``LogScalar``."""
+    out = []
+    for i, factors in enumerate(sys.coefficients.factors):
+        logs, signs = factors(1, upto)
+        mags, negs, zeros = [0], [0], [0]
+        for k, (log, sign) in enumerate(zip(logs.tolist(), signs.tolist()), start=1):
+            a = LogScalar(sign, log)
+            if a.sign == 0:
+                mags.append(mags[-1])
+                negs.append(negs[-1])
+                zeros.append(zeros[-1] + 1)
+            else:
+                mag = ladd(mags[-1], a.logmag)
+                if isinstance(mag, float) and not math.isfinite(mag):
+                    raise LogOverflowError(
+                        f"coordinate {i}: the log-magnitude of the product of factors "
+                        f"1..{k} is not a finite double"
+                    )
+                mags.append(mag)
+                negs.append(negs[-1] + (1 if a.sign < 0 else 0))
+                zeros.append(zeros[-1])
+        out.append((mags, negs, zeros))
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,154 @@
+"""Report text: the column encoding of record lists against ``json.dumps``.
+
+``cli._emit`` writes ``json.dumps(report, indent=2) + "\\n"``, but encodes
+each list of records that share the first record's shape by column and
+sends only the rest of the report through ``json.dumps`` (through the
+module attribute ``cli.json``, which the benchmark's tracing replaces). The
+bytes must not change, for any report tree: record lists whose keys differ
+or come in another order fall back to ``json.dumps``.
+"""
+
+import json
+import math
+import types
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dichotomy import cli
+from dichotomy.cli import _dumps, _records, main
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-(2**200), 2**200),
+    st.floats(),  # NaN and +-inf included
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, 5e-324]),
+    st.text(max_size=6),  # non-ASCII and control characters included
+)
+keys = st.text(max_size=4)
+
+
+@st.composite
+def uniform_records(draw, children):
+    """Records of one shape: scalars, lists of a fixed length, or a nested
+    record at each key."""
+    names = draw(st.lists(keys, max_size=4, unique=True))
+    shape = {k: draw(st.sampled_from(["scalar", "list", "record"])) for k in names}
+    width = {k: draw(st.integers(0, 3)) for k in names}
+    inner = draw(st.lists(keys, max_size=3, unique=True))
+
+    def value(k):
+        if shape[k] == "scalar":
+            return draw(scalars)
+        if shape[k] == "list":
+            return draw(st.lists(scalars, min_size=width[k], max_size=width[k]))
+        return {j: draw(scalars) for j in inner}
+
+    return [{k: value(k) for k in names} for _ in range(draw(st.integers(1, 5)))]
+
+
+@st.composite
+def record_lists(draw, children):
+    """Uniform records, or uniform records with one record changed so that
+    its shape differs."""
+    records = draw(uniform_records(children))
+    change = draw(st.sampled_from(["none", "reorder", "extra", "drop", "length", "child"]))
+    target = records[draw(st.integers(0, len(records) - 1))]
+    items = list(target.items())
+    if change == "reorder" and len(items) > 1:
+        target.clear()
+        target.update(reversed(items))
+    elif change == "extra":
+        target[draw(keys) + "+"] = draw(scalars)
+    elif change == "drop" and items:
+        del target[items[0][0]]
+    elif change == "length":
+        for k, v in items:
+            if isinstance(v, list):
+                v.append(draw(scalars))
+    elif change == "child" and items:
+        target[items[-1][0]] = draw(children)
+    return records
+
+
+trees = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(keys, children, max_size=4),
+        record_lists(children),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees)
+@example([])
+@example({})
+@example([{}, {}])
+@example({"a": [{"b": [], "c": {}}, {"b": [], "c": {}}]})
+@example([{"x": True}, {"x": 1}, {"x": 1.0}, {"x": None}])
+@example([{"d": [1.0, 0.0]}, {"d": [0.0]}, {"d": [0.0, 1.0, 2.0]}])
+@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
+@example([{"{}": "\x00", "ké\n": "☃\t"}, {"{}": "\x001", "ké\n": ""}])
+@example({"\x000": [{"a": 1}], "b": "\x000"})
+def test_column_encoding_equals_json_dumps(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(uniform_records(st.nothing()), st.integers(0, 3))
+def test_uniform_records_take_the_column_path(records, depth):
+    text = _records(records, depth)
+    assert text is not None
+    assert _dumps(records) == json.dumps(records, indent=2)
+
+
+def _falsify_ned(tmp_path, monkeypatch, k_max):
+    """Run ``falsify`` on ned_example; return (report dict, report text, CSV)."""
+    seen = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, report, csv_text=None: (
+        seen.append(report), emit(args, report, csv_text)))
+    report, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    rc = main(["falsify", "--gallery", "ned_example", "--concept", "UED",
+               "--schedule", "odd_after_even", "--k-max", str(k_max), "--alpha", "0.25",
+               "--report", str(report), "--csv", str(csv)])
+    assert rc == 1
+    return seen[0], report.read_text(encoding="utf-8"), csv.read_text(encoding="utf-8")
+
+
+def test_long_falsify_report_is_json_dumps(tmp_path, monkeypatch):
+    """The golden reports stop at k_max 20; the benchmark's runs at 5000."""
+    report, text, csv = _falsify_ned(tmp_path, monkeypatch, 5000)
+    assert len(report["result"]["witnesses"]) == 5001
+    assert text == json.dumps(report, indent=2) + "\n"
+    # the CSV rows the per-witness loop wrote
+    rows = ["index,value_logmag,value_sign"]
+    for w in report["result"]["witnesses"]:
+        req = w["required_constant"]
+        value = repr(req["logmag"]) if isinstance(req["logmag"], float) else str(req["logmag"])
+        rows.append(f"{w['m'] - w['n']},{value},{req['sign']}")
+    assert csv == "\n".join(rows) + "\n"
+
+
+def test_emit_calls_dumps_through_cli_json(tmp_path, monkeypatch):
+    """Tracing swaps ``cli.json`` for a shim whose ``dumps`` it times, so
+    emission must reach ``dumps`` through that attribute."""
+    calls = []
+    shim = types.SimpleNamespace(**vars(json))
+    shim.dumps = lambda *args, **kwargs: (calls.append(args[0]), json.dumps(*args, **kwargs))[1]
+    monkeypatch.setattr(cli, "json", shim)
+    report, text, _ = _falsify_ned(tmp_path, monkeypatch, 30)
+    assert len(calls) == 1
+    assert calls[0]["result"]["witnesses"] != report["result"]["witnesses"]  # the placeholder
+    assert text == json.dumps(report, indent=2) + "\n"
+    # a list that cannot be spliced back falls back to json.dumps, also through the shim
+    calls.clear()
+    assert _dumps({"a": [{"b": 1}], "c": "\x000"}) == json.dumps(
+        {"a": [{"b": 1}], "c": "\x000"}, indent=2)
+    assert len(calls) == 2
+
