@@ -73,9 +73,6 @@ class Profile:
     def log_at(self, n: int) -> LogMag:
         raise NotImplementedError
 
-    def at(self, n: int) -> LogScalar:
-        return LogScalar.from_log(self.log_at(n))
-
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -85,9 +82,9 @@ class ConstantProfile(Profile):
     value: float
 
     def log_at(self, n: int) -> LogMag:
-        if not self.value >= 0:  # NaN fails the comparison too
+        if not 0 <= self.value < math.inf:  # NaN fails the comparison too
             raise InvalidCertificateError(
-                f"profile values must be nonnegative, got {self.value}"
+                f"profile values must be finite and nonnegative, got {self.value}"
             )
         return math.log(self.value) if self.value > 0 else -math.inf
 
@@ -109,8 +106,8 @@ class ShiftedPowerProfile(Profile):
                 f"profile base n + shift must be positive, got {base} at n={n}"
             )
         log = self.power * math.log(base)
-        if math.isnan(log):
-            raise InvalidCertificateError(f"profile log is NaN at n={n}")
+        if not log < math.inf:  # NaN fails the comparison too
+            raise InvalidCertificateError(f"profile log is {log} at n={n}")
         return log
 
     def describe(self) -> dict:
@@ -186,8 +183,8 @@ class DichotomyCertificate:
                 prev = None
                 for n in range(window.n_min, window.m_max + 1):
                     cur = self.profile.log_at(n)
-                    if isinstance(cur, float) and math.isnan(cur):
-                        raise InvalidCertificateError(f"profile log is NaN at n={n}")
+                    if isinstance(cur, float) and not cur < math.inf:  # NaN fails it too
+                        raise InvalidCertificateError(f"profile log is {cur} at n={n}")
                     if prev is not None and cur < prev:
                         raise InvalidCertificateError(f"profile decreases at n={n}")
                     prev = cur

@@ -92,19 +92,22 @@ class _PairExtremes:
 def _validate(cert: DichotomyCertificate, window: WindowSpec, tol: float) -> None:
     cert.validate(window)
     _check_rates(window, cert.alpha, cert.beta or 0.0)
-    if not math.isfinite(tol):
-        raise InvalidCertificateError(f"tolerance must be finite, got {tol}")
+    if not 0 <= tol < math.inf:  # NaN fails the comparison too
+        raise InvalidCertificateError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
 def _check_rates(window: WindowSpec, *rates: LogMag) -> None:
     """Reject a float rate whose product with m_max + 1 is not a finite
     double: the scans form rate * index, where inf - inf would be NaN."""
     for rate in rates:
-        if isinstance(rate, float) and not math.isfinite(rate * (window.m_max + 1)):
-            raise InvalidCertificateError(
-                f"rate {rate} overflows: rate * (m_max + 1) at m_max = {window.m_max} "
-                "is not a finite double"
-            )
+        _check_product(rate, window.m_max + 1, f"(m_max + 1) at m_max = {window.m_max}")
+
+
+def _check_product(rate: LogMag, factor: int, what: str) -> None:
+    if isinstance(rate, float) and not math.isfinite(rate * factor):
+        raise InvalidCertificateError(
+            f"rate {rate} overflows: rate * {what} is not a finite double"
+        )
 
 
 def verify_certificate(
@@ -189,7 +192,7 @@ def verify_triplet_form(
         checked += 1
         if row is None or row.n != p:
             row = kernel.row(p)
-        rp, rq = _ratio_logs(row.ratios(m, n))
+        rp, rq = row.ratios(m, n)
         gap = alpha * (m - n)
         slack_p = _slack(cert.r_log(n), ladd(gap, rp) if rp != -math.inf else -math.inf)
         slack_q = _slack(cert.r_log(m), ladd(gap, rq) if rq != -math.inf else -math.inf)
@@ -209,10 +212,6 @@ def verify_triplet_form(
                 worse,
             )
     return VerificationOutcome(True, None, checked, min_slack)
-
-
-def _ratio_logs(rat) -> tuple[LogMag, LogMag]:
-    return tuple(r.logmag if r.sign != 0 else -math.inf for r in (rat.ratio_p, rat.ratio_q))
 
 
 def optimal_N_for_alpha(
@@ -498,6 +497,13 @@ def falsify(
             sys.check_pair(m, n)
         except (OutOfRangeError, IndexOrderError) as exc:
             raise ScheduleOutOfRangeError(str(exc)) from exc
+    # the family forms alpha (m - n) and beta m; float overflow must not
+    # decide a required constant
+    m, n = max(pairs, key=lambda mn: mn[0] - mn[1])
+    _check_product(alpha, m - n, f"(m - n) at (m, n) = ({m}, {n})")
+    if concept in (Kind.ED, Kind.SED):
+        top = max(m for m, _ in pairs)
+        _check_product(beta, top, f"m at m = {top}")
     check_pairs_compatibility(sys, proj, pairs)
     x = schedule.direction_vector(sys.dim)
     witnesses = []
@@ -510,7 +516,7 @@ def falsify(
         if concept is Kind.UED:
             w_p, w_q = 0, 0
         elif concept is Kind.NED:
-            w_p, w_q = profile.at(n).logmag, profile.at(m).logmag
+            w_p, w_q = profile.log_at(n), profile.log_at(m)
         else:
             w_p, w_q = beta * n, beta * m
         denominator = logaddexp_mag(_log_product(w_p, px), _log_product(w_q, aq))

@@ -1,8 +1,12 @@
-"""Sign and log-magnitude arithmetic for quantities far beyond double range.
+"""Log-magnitude arithmetic for quantities far beyond double range.
 
-A :class:`LogScalar` represents ``sign * exp(logmag)``. Multiplication adds
-log-magnitudes, addition goes through the log-sum-exp identity, so products
-such as ``exp((n+1) * (1 + 2**(n+1)))`` never overflow.
+A quantity is kept as its log-magnitude, so products such as
+``exp((n+1) * (1 + 2**(n+1)))`` become sums that never overflow. The
+arithmetic is the functions below: ``ladd``/``lsub`` multiply and divide,
+``logaddexp_mag`` adds magnitudes, ``lfloat`` collapses a log to float; the
+array forms live in ``logarray``. A :class:`LogScalar` is the record that
+reports, witnesses, profiles and signed diagonal inputs carry: a sign and a
+log-magnitude, with no arithmetic of its own.
 
 Log-magnitudes are plain Python numbers and may be ``int``, ``Fraction`` or
 ``float``. Exact types are preserved through arithmetic: whenever an exact
@@ -100,19 +104,6 @@ def logaddexp_mag(a: LogMag, b: LogMag) -> LogMag:
     return ladd(a, math.log1p(math.exp(lfloat(lsub(b, a)))))
 
 
-def logsubexp_mag(a: LogMag, b: LogMag) -> LogMag:
-    """log(exp(a) - exp(b)) for a >= b; returns -inf when the terms cancel."""
-    if isinstance(b, float) and b == -math.inf:
-        return a
-    diff = lfloat(lsub(b, a))
-    if diff > 0:
-        raise ValueError("logsubexp_mag requires a >= b")
-    q = math.exp(diff)
-    if q >= 1.0:
-        return -math.inf
-    return ladd(a, math.log1p(-q))
-
-
 @dataclass(frozen=True)
 class LogScalar:
     """A real number stored as ``sign * exp(logmag)``.
@@ -143,8 +134,8 @@ class LogScalar:
         return cls(1 if value > 0 else -1, math.log(abs(value)))
 
     @classmethod
-    def from_log(cls, logmag: LogMag, sign: int = 1) -> "LogScalar":
-        return cls(sign, logmag)
+    def from_log(cls, logmag: LogMag) -> "LogScalar":
+        return cls(1, logmag)
 
     @classmethod
     def zero(cls) -> "LogScalar":
@@ -174,79 +165,6 @@ class LogScalar:
             return self.sign * math.exp(mag)
         except OverflowError:
             return math.inf * self.sign
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        if self.sign == 0 or other.sign == 0:
-            return LogScalar.zero()
-        return LogScalar(self.sign * other.sign, ladd(self.logmag, other.logmag))
-
-    def __truediv__(self, other: "LogScalar") -> "LogScalar":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by LogScalar zero")
-        if self.sign == 0:
-            return LogScalar.zero()
-        return LogScalar(self.sign * other.sign, lsub(self.logmag, other.logmag))
-
-    def __add__(self, other: "LogScalar") -> "LogScalar":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        if self.sign == other.sign:
-            return LogScalar(self.sign, logaddexp_mag(self.logmag, other.logmag))
-        big, small = (self, other) if self.magnitude_geq(other) else (other, self)
-        mag = logsubexp_mag(big.logmag, small.logmag)
-        if isinstance(mag, float) and mag == -math.inf:
-            return LogScalar.zero()
-        return LogScalar(big.sign, mag)
-
-    def __sub__(self, other: "LogScalar") -> "LogScalar":
-        return self + (-other)
-
-    def __neg__(self) -> "LogScalar":
-        if self.sign == 0:
-            return self
-        return LogScalar(-self.sign, self.logmag)
-
-    def __abs__(self) -> "LogScalar":
-        if self.sign == -1:
-            return LogScalar(1, self.logmag)
-        return self
-
-    def magnitude_geq(self, other: "LogScalar") -> bool:
-        if other.sign == 0:
-            return True
-        if self.sign == 0:
-            return False
-        return self.logmag >= other.logmag
-
-    # -- total order by represented value ----------------------------------
-
-    def _cmp(self, other: "LogScalar") -> int:
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign == 0:
-            return 0
-        if self.logmag == other.logmag:
-            return 0
-        bigger_mag = self.logmag > other.logmag
-        if self.sign > 0:
-            return 1 if bigger_mag else -1
-        return -1 if bigger_mag else 1
-
-    def __lt__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "LogScalar") -> bool:
-        return self._cmp(other) >= 0
 
     def __repr__(self) -> str:
         if self.sign == 0:

@@ -501,21 +501,20 @@ def restricted_ratio_extremes(
     if not (m >= n >= p >= 0):
         raise IndexOrderError(f"need m >= n >= p >= 0, got ({m}, {n}, {p})")
     sys.check_pair(m, p)
-    return _sweeps(sys, proj, p, m).row(p).ratios(m, n)
+    logs = _sweeps(sys, proj, p, m).row(p).ratios(m, n)
+    return RatioExtremes(*map(LogScalar.from_log, logs))
 
 
-def _sup_ratio(num: np.ndarray, den: np.ndarray) -> LogScalar:
-    """sup over z of |num z| / |den z|: with den = U S V^T this is the top
+def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """log sup over z of |num z| / |den z|: with den = U S V^T this is the top
     singular value of num V S^-1. Unlike the pencil of the normal equations,
     whose error grows with cond(den)^2, the rounding grows with cond(den)."""
     _, s, vt = np.linalg.svd(den, full_matrices=False)
     if s[-1] <= s[0] * max(den.shape) * np.finfo(float).eps:
         # den kills some direction; the ratio is unbounded unless num does too
-        if float(np.linalg.norm(num, 2)) == 0.0:
-            return LogScalar.zero()
-        return LogScalar.positive_infinity()
-    top = np.linalg.svd((num @ vt.T) / s, compute_uv=False)[0]
-    return LogScalar.from_float(float(top))
+        return -math.inf if float(np.linalg.norm(num, 2)) == 0.0 else math.inf
+    top = float(np.linalg.svd((num @ vt.T) / s, compute_uv=False)[0])
+    return math.log(top) if top > 0 else -math.inf
 
 
 class _DenseSweeps:
@@ -685,12 +684,13 @@ class _DenseRow:
             dir_q = tuple(float(x) for x in self.bq @ vt[k - 1])
         return RestrictedExtremes(growth, gain, dir_p, dir_q)
 
-    def ratios(self, m: int, k: int) -> RatioExtremes:
-        """Ratio extremes between horizons k <= m, seeded at n."""
+    def ratios(self, m: int, k: int) -> tuple[float, float]:
+        """(log ratio_P, log ratio_Q) between horizons k <= m, seeded at n;
+        -inf marks a trivial range."""
         i, j = self._at(m), k - self.n
-        ratio_p = _sup_ratio(self.xs[i], self.xs[j]) if self.bp.shape[1] else LogScalar.zero()
-        ratio_q = _sup_ratio(self.ys[j], self.ys[i]) if self.bq.shape[1] else LogScalar.zero()
-        return RatioExtremes(ratio_p, ratio_q)
+        ratio_p = _sup_ratio(self.xs[i], self.xs[j]) if self.bp.shape[1] else -math.inf
+        ratio_q = _sup_ratio(self.ys[j], self.ys[i]) if self.bq.shape[1] else -math.inf
+        return ratio_p, ratio_q
 
     def triplet_direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
         """Witness direction of a triplet: the extremal direction of the
@@ -738,8 +738,8 @@ class _DiagonalSweeps:
         self.dim, self.proj, self.lo, self.hi = sys.dim, proj, lo, hi
         self.pre, self.zeros = sys.diag_prefix(hi)
         # triplet ratios: (k, m, mask at n, coordinates alive on (n, k]) ->
-        # the ratios of the first row n with that key
-        self.ratio_memo: dict[tuple, RatioExtremes] = {}
+        # the ratio logs of the first row n with that key
+        self.ratio_memo: dict[tuple, tuple[LogMag, LogMag]] = {}
         self._forms: dict[bool, tuple] = {}
 
     def factor_log(self, i: int, m: int, n: int) -> LogMag:
@@ -1020,10 +1020,11 @@ class _DiagonalRow:
                 best, best_i = r, i
         return (math.inf if unbounded else best), best_i
 
-    def ratios(self, m: int, k: int) -> RatioExtremes:
-        """Ratio extremes between horizons k <= m, seeded at n. A ratio
-        depends on n only through the mask at n and the coordinates alive on
-        (n, k], so the kernel keeps the first row's value for each."""
+    def ratios(self, m: int, k: int) -> tuple[LogMag, LogMag]:
+        """(log ratio_P, log ratio_Q) between horizons k <= m, seeded at n;
+        -inf marks a trivial range. A ratio depends on n only through the
+        mask at n and the coordinates alive on (n, k], so the kernel keeps
+        the first row's value for each."""
         if self._seed_at != k:
             zeros, n = self.sweeps.zeros, self.n
             self._seed_at = k
@@ -1032,9 +1033,7 @@ class _DiagonalRow:
         memo = self.sweeps.ratio_memo
         got = memo.get(key)
         if got is None:
-            got = memo[key] = RatioExtremes(
-                *(LogScalar.from_log(self._sup_ratio(m, k, side)[0]) for side in "PQ")
-            )
+            got = memo[key] = tuple(self._sup_ratio(m, k, side)[0] for side in "PQ")
         return got
 
     def triplet_direction(self, m: int, k: int, side: str) -> tuple[float, ...]:

@@ -12,8 +12,10 @@ accumulated one term at a time, in place of the kernel's table and the
 verifiers' lockstep sums. The Datko side reports are evaluated one point at
 a time, in place of the verifiers' array pass. The diagonal prefix sums are
 built one factor at a time with ``ladd``, in place of the array build of
-``SystemDescription._ensure_prefix``. None of this is on a path of the
-package.
+``SystemDescription._ensure_prefix``. Signed quantities are multiplied,
+divided, added and ordered by the functions of the first section, over the
+(sign, logmag) fields of a ``LogScalar`` record, which has no arithmetic of
+its own. None of this is on a path of the package.
 """
 
 from __future__ import annotations
@@ -41,6 +43,91 @@ from dichotomy.system import (
     _sweeps,
     check_compatibility,
 )
+
+
+# -- signed log-magnitude arithmetic ---------------------------------------------
+#
+# A LogScalar represents sign * exp(logmag): a product adds the logs, a sum
+# goes through the log-sum-exp identity, and the order is that of the
+# represented values.
+
+
+def smul(a: LogScalar, b: LogScalar) -> LogScalar:
+    if a.sign == 0 or b.sign == 0:
+        return LogScalar.zero()
+    return LogScalar(a.sign * b.sign, ladd(a.logmag, b.logmag))
+
+
+def sdiv(a: LogScalar, b: LogScalar) -> LogScalar:
+    if b.sign == 0:
+        raise ZeroDivisionError("division by LogScalar zero")
+    if a.sign == 0:
+        return LogScalar.zero()
+    return LogScalar(a.sign * b.sign, lsub(a.logmag, b.logmag))
+
+
+def logsubexp_mag(a: LogMag, b: LogMag) -> LogMag:
+    """log(exp(a) - exp(b)) for a >= b; returns -inf when the terms cancel."""
+    if isinstance(b, float) and b == -math.inf:
+        return a
+    diff = lfloat(lsub(b, a))
+    if diff > 0:
+        raise ValueError("logsubexp_mag requires a >= b")
+    q = math.exp(diff)
+    if q >= 1.0:
+        return -math.inf
+    return ladd(a, math.log1p(-q))
+
+
+def sadd(a: LogScalar, b: LogScalar) -> LogScalar:
+    if a.sign == 0:
+        return b
+    if b.sign == 0:
+        return a
+    if a.sign == b.sign:
+        return LogScalar(a.sign, logaddexp_mag(a.logmag, b.logmag))
+    big, small = (a, b) if magnitude_geq(a, b) else (b, a)
+    mag = logsubexp_mag(big.logmag, small.logmag)
+    if isinstance(mag, float) and mag == -math.inf:
+        return LogScalar.zero()
+    return LogScalar(big.sign, mag)
+
+
+def sneg(a: LogScalar) -> LogScalar:
+    return a if a.sign == 0 else LogScalar(-a.sign, a.logmag)
+
+
+def ssub(a: LogScalar, b: LogScalar) -> LogScalar:
+    return sadd(a, sneg(b))
+
+
+def sabs(a: LogScalar) -> LogScalar:
+    return LogScalar(1, a.logmag) if a.sign == -1 else a
+
+
+def magnitude_geq(a: LogScalar, b: LogScalar) -> bool:
+    if b.sign == 0:
+        return True
+    if a.sign == 0:
+        return False
+    return a.logmag >= b.logmag
+
+
+def scmp(a: LogScalar, b: LogScalar) -> int:
+    """-1, 0 or 1 as the value of a is below, equal to or above that of b."""
+    if a.sign != b.sign:
+        return -1 if a.sign < b.sign else 1
+    if a.sign == 0 or a.logmag == b.logmag:
+        return 0
+    bigger_mag = a.logmag > b.logmag
+    if a.sign > 0:
+        return 1 if bigger_mag else -1
+    return -1 if bigger_mag else 1
+
+
+def smax(a: LogScalar, b: LogScalar) -> LogScalar:
+    """The larger value; the first on a tie, as ``max`` keeps it."""
+    return b if scmp(b, a) > 0 else a
 
 
 def prefix_loop(sys: SystemDescription, upto: int):

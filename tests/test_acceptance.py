@@ -37,7 +37,7 @@ from dichotomy import (
 from dichotomy.logscalar import LogScalar, lfloat, lsub
 from dichotomy.system import DiagonalClosedForm
 
-from oracles import evolution
+from oracles import evolution, smul
 
 LN2 = math.log(2.0)
 LOG_TOL = 1e-9
@@ -329,9 +329,9 @@ def test_criterion_10_cocycle_property():
                 for n in range(p, 13):
                     for m in range(n, 13):
                         for i in range(dim):
-                            combined = (
-                                evolution(sys_, m, n).diag[i]
-                                * evolution(sys_, n, p).diag[i]
+                            combined = smul(
+                                evolution(sys_, m, n).diag[i],
+                                evolution(sys_, n, p).diag[i],
                             )
                             direct = evolution(sys_, m, p).diag[i]
                             worst = max(

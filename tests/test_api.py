@@ -46,8 +46,6 @@ def test_logscalar_surface():
 
     assert [f.name for f in dataclasses.fields(LogScalar)] == ["sign", "logmag"]
     assert sorted(set(vars(LogScalar)) - set(vars(Bare))) == [
-        "__abs__", "__add__", "__ge__", "__gt__", "__le__", "__lt__",
-        "__mul__", "__neg__", "__post_init__", "__sub__", "__truediv__",
-        "_cmp", "from_float", "from_log", "is_zero", "magnitude_geq", "one",
+        "__post_init__", "from_float", "from_log", "is_zero", "one",
         "positive_infinity", "to_float", "zero",
     ]

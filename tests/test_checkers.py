@@ -27,6 +27,8 @@ from dichotomy import (
 )
 from dichotomy.logscalar import lfloat
 
+from oracles import scmp, smul
+
 LN2 = math.log(2.0)
 
 
@@ -101,7 +103,7 @@ def test_optimal_constant_grows_without_uniformity():
     entry = make_example("sed_example")
     short = optimal_N_for_alpha(entry.system, entry.projection, 1.0, WindowSpec(0, 20))
     long = optimal_N_for_alpha(entry.system, entry.projection, 1.0, WindowSpec(0, 40))
-    assert long > short
+    assert scmp(long, short) > 0
     # binding family: expansion-side pairs (2k, 2k-1) demand log N = 2k - 1,
     # beating the contraction-side demand 1 + log(c1) + (2k + 2) = 2k - 1 - 2
     assert lfloat(short.logmag) == pytest.approx(19.0)
@@ -170,7 +172,7 @@ def test_minimal_profile_values_are_tight():
 
     for j in range(len(prof.values)):
         dented = list(prof.values)
-        dented[j] = dented[j] * LogScalar.from_float(0.999)
+        dented[j] = smul(dented[j], LogScalar.from_float(0.999))
         candidate = TabulatedProfile(prof.n_min, tuple(dented))
         cert = DichotomyCertificate(Kind.NED, alpha=LN2, profile=candidate)
         try:
@@ -350,4 +352,15 @@ def test_profile_validation_rejects_decreasing():
     bad = TabulatedProfile(0, (LogScalar.from_float(2.0), LogScalar.from_float(1.0)))
     cert = DichotomyCertificate(Kind.NED, alpha=0.5, profile=bad)
     with pytest.raises(InvalidCertificateError):
+        verify_certificate(entry.system, entry.projection, cert, WindowSpec(0, 1))
+
+
+def test_profile_validation_rejects_infinite_log():
+    # an infinite weight would satisfy every pair of its index
+    from dichotomy import LogScalar
+
+    entry = make_example("ned_example")
+    bad = TabulatedProfile(0, (LogScalar.one(), LogScalar.positive_infinity()))
+    cert = DichotomyCertificate(Kind.NED, alpha=0.5, profile=bad)
+    with pytest.raises(InvalidCertificateError, match="profile log is inf at n=1"):
         verify_certificate(entry.system, entry.projection, cert, WindowSpec(0, 1))

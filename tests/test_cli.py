@@ -491,6 +491,24 @@ def _error_report(tmp_path, argv):
         # rates whose product with m_max + 1 overflows, diagonal and dense
         *(([*cmd, *source], "InvalidCertificateError")
           for cmd in OVERFLOWING_RATES for source in ([], ["--system", DENSE])),
+        # negative tolerances, which would report a holding certificate violated
+        (["verify", "--cert", "UED:N=1,alpha=0.5", "--tol", "-1"], "InvalidCertificateError"),
+        (["verify", "--cert", "UED:N=1,alpha=0.5", "--tol=-1e-12", "--triplet"],
+         "InvalidCertificateError"),
+        # profiles whose log is +inf at some index, which every pair satisfies
+        (["verify", "--cert", "NED:alpha=0.5,profile=const:inf"], "InvalidCertificateError"),
+        (["verify", "--cert", "NED:alpha=0.5,profile=power:2:1e308"], "InvalidCertificateError"),
+        (["falsify", "--concept", "NED", "--schedule", "odd_after_even", "--profile", "const:inf"],
+         "InvalidCertificateError"),
+        (["datko", "--form", "ned", "--s-profile", "const:inf", "--d", "0.1"],
+         "InvalidCertificateError"),
+        (["datko", "--form", "ned", "--s-profile", "power:2:1e308", "--d", "0.1"],
+         "InvalidCertificateError"),
+        # falsify trial rates whose product with a gap or an index overflows
+        (["falsify", "--concept", "UED", "--schedule", "from_start", "--alpha", "1e308",
+          "--k-max", "5"], "InvalidCertificateError"),
+        (["falsify", "--concept", "ED", "--schedule", "odd_after_even", "--beta", "1e308",
+          "--k-max", "3"], "InvalidCertificateError"),
     ],
 )
 def test_invalid_inputs_are_reported(tmp_path, capsys, argv, error):

@@ -28,7 +28,7 @@ from dichotomy import (
 from dichotomy import datko
 from dichotomy.logscalar import lfloat
 
-from oracles import datko_lhs, projected_sum, side_reports_loop
+from oracles import datko_lhs, projected_sum, sadd, scmp, side_reports_loop
 
 LN2 = math.log(2.0)
 
@@ -92,8 +92,8 @@ def test_lhs_truncation_agreement_within_tail():
     args = (entry.system, entry.projection, 0.25, 5, 2, 0, (1.0, 0.0))
     p_short, _, tail_short = datko_lhs(*args, 60, UED_QUAD)
     p_long, _, _ = datko_lhs(*args, 200, UED_QUAD)
-    assert p_short <= p_long
-    assert p_long <= p_short + tail_short
+    assert scmp(p_short, p_long) <= 0
+    assert scmp(p_long, sadd(p_short, tail_short)) <= 0
 
 
 def test_lhs_requires_dominating_certificate():
@@ -111,7 +111,7 @@ def test_index_origin_discipline():
     d, m, n = 0.25, 5, 2
     from_n = projected_sum(entry.system, entry.projection, d, (1.0, 0.0), n, n, 60, n)
     from_m = projected_sum(entry.system, entry.projection, d, (1.0, 0.0), n, m, 60, m)
-    assert from_m < from_n
+    assert scmp(from_m, from_n) < 0
     same = projected_sum(entry.system, entry.projection, d, (1.0, 0.0), n, n, 60, n)
     assert same == from_n
 

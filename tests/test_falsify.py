@@ -35,6 +35,7 @@ from dichotomy.certificates import Witness
 from dichotomy.checkers import WitnessSchedule, _classify_trend, falsify
 from dichotomy.cli import main
 from dichotomy.system import _sweeps, check_compatibility
+from oracles import sadd, sdiv, smul
 
 # -- per-pair oracle -----------------------------------------------------------
 
@@ -60,18 +61,18 @@ def per_pair_falsify(sys, proj, concept, schedule, k_values, alpha, beta=None, p
         x = schedule.direction_vector(sys.dim)
         ap, qx, px, aq = per_pair_vector_parts(sys, proj, m, n, x)
         gap = LogScalar.from_log(alpha * (m - n))
-        numerator = gap * (ap + qx)
+        numerator = smul(gap, sadd(ap, qx))
         if concept is Kind.UED:
             w_p, w_q = LogScalar.one(), LogScalar.one()
         elif concept is Kind.NED:
-            w_p, w_q = profile.at(n), profile.at(m)
+            w_p, w_q = (LogScalar.from_log(profile.log_at(k)) for k in (n, m))
         else:
             w_p, w_q = LogScalar.from_log(beta * n), LogScalar.from_log(beta * m)
-        denominator = w_p * px + w_q * aq
+        denominator = sadd(smul(w_p, px), smul(w_q, aq))
         if denominator.is_zero:
             required = LogScalar.positive_infinity()
         else:
-            required = numerator / denominator
+            required = sdiv(numerator, denominator)
         witnesses.append(Witness(m, n, x, required, side="family"))
         logs.append(required.logmag if required.sign != 0 else -math.inf)
     trend, slope = _classify_trend(ks, logs)

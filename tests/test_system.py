@@ -21,7 +21,7 @@ from dichotomy import (
 )
 from dichotomy.logscalar import lfloat, lsub
 
-from oracles import evolution, projected_evolution
+from oracles import evolution, projected_evolution, smul
 
 
 def two_factor_system():
@@ -185,7 +185,7 @@ def test_cocycle_property_diagonal_exact():
     sys_ = entry.system
     for p, n, m in [(0, 2, 5), (1, 4, 9), (3, 3, 12)]:
         for i in range(sys_.dim):
-            combined = evolution(sys_, m, n).diag[i] * evolution(sys_, n, p).diag[i]
+            combined = smul(evolution(sys_, m, n).diag[i], evolution(sys_, n, p).diag[i])
             direct = evolution(sys_, m, p).diag[i]
             assert combined.sign == direct.sign
             assert lsub(combined.logmag, direct.logmag) == 0
