@@ -81,6 +81,14 @@ CASES = {
          "--c-weight", "0.5", "--d", "0.25", "--window", "0..10", "--m-trunc", "20"], 1, False),
     "ed-claims": (
         ["gallery-claims", "--name", "ed_example", "--window", "0..40"], 0, False),
+    "ued-claims": (
+        ["gallery-claims", "--name", "ued_example", "--window", "0..30"], 0, False),
+    "ned-claims": (
+        ["gallery-claims", "--name", "ned_example", "--window", "0..30"], 0, False),
+    "sed-claims": (
+        ["gallery-claims", "--name", "sed_example", "--window", "0..30"], 0, False),
+    "tower-claims": (
+        ["gallery-claims", "--name", "ned_not_ed_example", "--window", "0..30"], 0, False),
     "ned-verify-violated": (
         ["verify", "--gallery", "ned_example", "--cert", "UED:N=10,alpha=0.3",
          "--window", "0..20"], 1, True),
