@@ -10,6 +10,7 @@ Exit status: 0 verdict holds / claims reproduced / estimate stable,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -42,13 +43,14 @@ from .datko import (
 )
 from .errors import ConfigError, DichotomyError
 from .gallery import (
+    _EXAMPLES,
     CertificateClaim,
     FalsificationClaim,
     StrongInstabilityClaim,
     gallery_names,
     make_example,
 )
-_GALLERY_PARAM_FLAGS = ("b", "c", "c1", "c2")
+_GALLERY_PARAM_FLAGS = tuple(dict.fromkeys(k for ex in _EXAMPLES.values() for k in ex.defaults))
 
 _GENERIC_SCHEDULES = {
     "odd_after_even": lambda: WitnessSchedule(
@@ -420,10 +422,7 @@ def _run_falsify(args) -> int:
     else:
         raise ConfigError(f"unknown schedule {args.schedule!r}")
     if args.coord is not None:
-        schedule = WitnessSchedule(
-            schedule.name, schedule.pair_fn, args.coord,
-            schedule.default_alpha, schedule.default_beta, schedule.description,
-        )
+        schedule = dataclasses.replace(schedule, direction=args.coord)
     alpha = parse_number(args.alpha, field="alpha") if args.alpha else None
     beta = parse_number(args.beta, field="beta") if args.beta else None
     profile = parse_profile_spec(args.profile) if args.profile else None

@@ -11,6 +11,7 @@ evolution machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -77,52 +78,63 @@ class GalleryEntry:
         return self.schedules[name]
 
 
+@dataclass(frozen=True)
+class _Example:
+    """One gallery entry: default parameters, log a_n on lo..hi, log a_{mn}
+    for m > n, and ``build(name, params)``, which returns the GalleryEntry
+    fields that differ between entries."""
+
+    defaults: dict[str, float]
+    raw: Callable[[Mapping, int, int], np.ndarray]
+    closed: Callable[[Mapping, int, int], LogMag]
+    build: Callable[[str, dict], dict]
+
+
 def gallery_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(_EXAMPLES)
 
 
-def _resolve_params(name, params: Mapping | None, kw) -> dict:
-    defaults = _DEFAULTS[name]
-    merged = dict(defaults)
-    given = dict(params or {})
-    given.update(kw)
-    for key, value in given.items():
-        if key not in defaults:
+def _resolve_params(name, params: Mapping | None, kw) -> tuple[_Example, dict]:
+    """The entry's table record and its defaults merged with the overrides."""
+    try:
+        example = _EXAMPLES[name]
+    except KeyError:
+        known = ", ".join(_EXAMPLES)
+        raise UnknownExampleError(f"unknown example {name!r}; known: {known}") from None
+    merged = dict(example.defaults)
+    for key, value in {**(params or {}), **kw}.items():
+        if key not in example.defaults:
             raise ParamOutOfRangeError(f"{name} has no parameter {key!r}")
         if value is not None:
             merged[key] = float(value)
-    return merged
+    return example, merged
 
 
 def make_example(name: str, params: Mapping | None = None, **kw) -> GalleryEntry:
     """Construct a built-in example by name, with optional parameter overrides."""
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise UnknownExampleError(
-            f"unknown example {name!r}; known: {', '.join(_BUILDERS)}"
-        ) from None
-    return builder(params, kw)
+    example, merged = _resolve_params(name, params, kw)
+    return GalleryEntry(
+        name=name,
+        params=merged,
+        projection=ProjectionFamily(2, mask=FIRST_COORDINATE),
+        **example.build(name, merged),
+    )
 
 
 def closed_form_amn(name: str, params: Mapping | None, m: int, n: int) -> LogScalar:
     """Tabulated closed form of the scalar product a_{n+1} * ... * a_m."""
     if m < n:
         raise IndexOrderError(f"need m >= n, got ({m}, {n})")
-    if name not in _BUILDERS:
-        raise UnknownExampleError(f"unknown example {name!r}")
-    entry_params = _resolve_params(name, params, {})
+    example, merged = _resolve_params(name, params, {})
     if m == n:
         return LogScalar.one()
-    return LogScalar.from_log(_CLOSED_FORMS[name](entry_params, m, n))
+    return LogScalar.from_log(example.closed(merged, m, n))
 
 
 def raw_factor_log(name: str, params: Mapping | None, n: int) -> LogMag:
     """log a_n of the entry's shared scalar sequence."""
-    if name not in _BUILDERS:
-        raise UnknownExampleError(f"unknown example {name!r}")
-    entry_params = _resolve_params(name, params, {})
-    return _RAW_LOGS[name](entry_params, n, n).tolist()[0]
+    example, merged = _resolve_params(name, params, {})
+    return example.raw(merged, n, n).tolist()[0]
 
 
 def _diag_system(coord_logs: list[Callable[[int, int], np.ndarray]]) -> SystemDescription:
@@ -140,12 +152,23 @@ def _shifted(shift: float, raw: np.ndarray) -> np.ndarray:
     return EXACT_FORM.add(shift, raw.astype(object))
 
 
+def _scaled(shift: float, raw, params) -> Callable[[int, int], np.ndarray]:
+    """lo, hi -> the entry's raw logs on lo..hi, each shifted by ``shift``."""
+    return lambda lo, hi: _shifted(shift, raw(params, lo, hi))
+
+
 def _constant(log: float) -> Callable[[int, int], np.ndarray]:
     return lambda lo, hi: np.full(hi - lo + 1, log)
 
 
-def _projection(dim: int = 2) -> ProjectionFamily:
-    return ProjectionFamily(dim, mask=FIRST_COORDINATE[:dim])
+def _odd_after_even(rate: float, description: str) -> dict[str, WitnessSchedule]:
+    """The schedule of pairs (2k+1, 2k) along the first coordinate."""
+    return {
+        "odd_after_even": WitnessSchedule(
+            "odd_after_even", lambda k: (2 * k + 1, 2 * k), 0, default_alpha=rate,
+            description=description,
+        )
+    }
 
 
 # -- contracting/expanding split with quadratic envelope ------------------------
@@ -159,27 +182,14 @@ def _ued_closed(params, m, n) -> LogMag:
     return ((m + 1) ** 2 - (n + 1) ** 2) / 2
 
 
-def _build_ued(params, kw) -> GalleryEntry:
-    _resolve_params("ued_example", params, kw)
-    system = _diag_system(
-        [lambda lo, hi: -_ued_raw(None, lo, hi), lambda lo, hi: _ued_raw(None, lo, hi)]
-    )
-    claims = (
-        CertificateClaim(DichotomyCertificate(Kind.UED, alpha=0.5, n_const=1.0), 200),
-    )
-    schedules = {
-        "odd_after_even": WitnessSchedule(
-            "odd_after_even", lambda k: (2 * k + 1, 2 * k), 0, default_alpha=0.5,
-            description="pairs (2k+1, 2k) probed along the first coordinate",
-        )
-    }
-    return GalleryEntry(
-        name="ued_example",
-        params={},
-        system=system,
-        projection=_projection(),
-        claims=claims,
-        schedules=schedules,
+def _build_ued(name, p) -> dict:
+    raw = functools.partial(_ued_raw, p)
+    return dict(
+        system=_diag_system([lambda lo, hi: -raw(lo, hi), raw]),
+        claims=(
+            CertificateClaim(DichotomyCertificate(Kind.UED, alpha=0.5, n_const=1.0), 200),
+        ),
+        schedules=_odd_after_even(0.5, "pairs (2k+1, 2k) probed along the first coordinate"),
         description="first coordinate contracts by e^(n+1/2) per step, second expands",
         verify_m_max=10**6,
     )
@@ -208,38 +218,23 @@ def _ned_closed(params, m, n) -> LogMag:
     return -c * math.log(m + 2)
 
 
-def _build_ned(params, kw) -> GalleryEntry:
-    merged = _resolve_params("ned_example", params, kw)
-    b, c = merged["b"], merged["c"]
+def _build_ned(name, p) -> dict:
+    b, c = p["b"], p["c"]
     if not 0 < b < 1:
-        raise ParamOutOfRangeError(f"ned_example needs b in (0, 1), got {b}")
+        raise ParamOutOfRangeError(f"{name} needs b in (0, 1), got {b}")
     if not c > 0:
-        raise ParamOutOfRangeError(f"ned_example needs c > 0, got {c}")
+        raise ParamOutOfRangeError(f"{name} needs c > 0, got {c}")
     log_b = math.log(b)
-    system = _diag_system(
-        [lambda lo, hi: _shifted(log_b, _ned_raw(merged, lo, hi)), _constant(-log_b)]
-    )
-    alpha = -log_b
-    claims = (
-        CertificateClaim(
-            DichotomyCertificate(Kind.NED, alpha=alpha, profile=ShiftedPowerProfile(2.0, c)),
-            200,
+    return dict(
+        system=_diag_system([_scaled(log_b, _ned_raw, p), _constant(-log_b)]),
+        claims=(
+            CertificateClaim(
+                DichotomyCertificate(Kind.NED, alpha=-log_b, profile=ShiftedPowerProfile(2.0, c)),
+                200,
+            ),
+            FalsificationClaim(Kind.UED, "odd_after_even", k_max=50, alpha=0.25),
         ),
-        FalsificationClaim(Kind.UED, "odd_after_even", k_max=50, alpha=0.25),
-    )
-    schedules = {
-        "odd_after_even": WitnessSchedule(
-            "odd_after_even", lambda k: (2 * k + 1, 2 * k), 0, default_alpha=0.25,
-            description="pairs (2q+1, 2q) along the first coordinate",
-        )
-    }
-    return GalleryEntry(
-        name="ned_example",
-        params=merged,
-        system=system,
-        projection=_projection(),
-        claims=claims,
-        schedules=schedules,
+        schedules=_odd_after_even(0.25, "pairs (2q+1, 2q) along the first coordinate"),
         description="per-step contraction b with polynomial parity ripple (n+2)^c",
         verify_m_max=10**5,
     )
@@ -263,58 +258,24 @@ def _sed_closed(params, m, n) -> LogMag:
     return m - n
 
 
-def _build_sed_family(name, claims_fn, params, kw) -> GalleryEntry:
-    merged = _resolve_params(name, params, kw)
-    c1, c2 = merged["c1"], merged["c2"]
-    if not c1 > 0 or not c2 > 0:
-        raise ParamOutOfRangeError(f"{name} needs c1 > 0 and c2 > 0")
-    log_c1, log_c2 = math.log(c1), math.log(c2)
-    system = _diag_system(
-        [
-            lambda lo, hi: _shifted(log_c1, _sed_raw(merged, lo, hi)),
-            lambda lo, hi: _shifted(log_c2, _sed_raw(merged, lo, hi)),
-        ]
-    )
-    schedules = {
-        "odd_after_even": WitnessSchedule(
-            "odd_after_even", lambda k: (2 * k + 1, 2 * k), 0, default_alpha=1.0,
-            description="pairs (2k+1, 2k) along the first coordinate",
-        )
-    }
-    return GalleryEntry(
-        name=name,
-        params=merged,
-        system=system,
-        projection=_projection(),
-        claims=claims_fn(merged),
-        schedules=schedules,
-        description="both coordinates share an alternating step, scaled by c1 and c2",
-        verify_m_max=10**5,
-    )
+def _sed_family(claims: tuple) -> Callable[[str, dict], dict]:
+    """Builder of an entry whose two coordinates scale the alternating
+    sequence by c1 and c2; only the claims differ between entries."""
 
-
-def _build_sed(params, kw) -> GalleryEntry:
-    def claims(merged):
-        return (
-            CertificateClaim(
-                DichotomyCertificate(Kind.SED, alpha=2.0, n_const=math.e, beta=1.0), 200
-            ),
-            FalsificationClaim(Kind.UED, "odd_after_even", k_max=50, alpha=1.0),
+    def build(name, p) -> dict:
+        c1, c2 = p["c1"], p["c2"]
+        if not c1 > 0 or not c2 > 0:
+            raise ParamOutOfRangeError(f"{name} needs c1 > 0 and c2 > 0")
+        log_c1, log_c2 = math.log(c1), math.log(c2)
+        return dict(
+            system=_diag_system([_scaled(log_c1, _sed_raw, p), _scaled(log_c2, _sed_raw, p)]),
+            claims=claims,
+            schedules=_odd_after_even(1.0, "pairs (2k+1, 2k) along the first coordinate"),
+            description="both coordinates share an alternating step, scaled by c1 and c2",
+            verify_m_max=10**5,
         )
 
-    return _build_sed_family("sed_example", claims, params, kw)
-
-
-def _build_ed(params, kw) -> GalleryEntry:
-    def claims(merged):
-        return (
-            CertificateClaim(
-                DichotomyCertificate(Kind.ED, alpha=0.5, n_const=math.e, beta=1.0), 200
-            ),
-            StrongInstabilityClaim(window_m_max=120),
-        )
-
-    return _build_sed_family("ed_example", claims, params, kw)
+    return build
 
 
 # -- tower-exponent split: exact integer log-magnitudes --------------------------
@@ -335,22 +296,12 @@ def _tower_closed(params, m, n) -> LogMag:
     return (n + 1) * (1 + 2 ** (n + 1)) - (m + 1) * (1 + 2 ** (m + 1))
 
 
-def _build_tower(params, kw) -> GalleryEntry:
-    merged = _resolve_params("ned_not_ed_example", params, kw)
-    c = merged["c"]
+def _build_tower(name, p) -> dict:
+    c = p["c"]
     if not c > 0:
-        raise ParamOutOfRangeError(f"ned_not_ed_example needs c > 0, got {c}")
+        raise ParamOutOfRangeError(f"{name} needs c > 0, got {c}")
     log_c = math.log(c)
     alpha = -log_c
-    system = _diag_system(
-        [lambda lo, hi: _shifted(log_c, _tower_raw(merged, lo, hi)), _constant(-log_c)]
-    )
-    claims = [
-        CertificateClaim(
-            DichotomyCertificate(Kind.NED, alpha=alpha, profile=TowerExponentProfile()),
-            25,
-        )
-    ]
     schedules = {
         # the three regimes of e^alpha * c: balanced (= 1), above 1, below 1
         "tower_balanced": WitnessSchedule(
@@ -369,19 +320,18 @@ def _build_tower(params, kw) -> GalleryEntry:
             description="adjacent pairs at odd start, trial rate below the drift",
         ),
     }
-    for sched in schedules.values():
-        claims.append(
-            FalsificationClaim(
-                Kind.ED, sched.name, k_max=8,
-                alpha=sched.default_alpha, beta=sched.default_beta,
-            )
-        )
-    return GalleryEntry(
-        name="ned_not_ed_example",
-        params=merged,
-        system=system,
-        projection=_projection(),
-        claims=tuple(claims),
+    return dict(
+        system=_diag_system([_scaled(log_c, _tower_raw, p), _constant(-log_c)]),
+        claims=(
+            CertificateClaim(
+                DichotomyCertificate(Kind.NED, alpha=alpha, profile=TowerExponentProfile()),
+                25,
+            ),
+            *(
+                FalsificationClaim(Kind.ED, s.name, 8, s.default_alpha, s.default_beta)
+                for s in schedules.values()
+            ),
+        ),
         schedules=schedules,
         description="first coordinate rides a 2^n-sized seesaw; only a tower-size "
         "profile covers it",
@@ -389,34 +339,26 @@ def _build_tower(params, kw) -> GalleryEntry:
     )
 
 
-_BUILDERS = {
-    "ued_example": _build_ued,
-    "ned_example": _build_ned,
-    "sed_example": _build_sed,
-    "ed_example": _build_ed,
-    "ned_not_ed_example": _build_tower,
-}
-
-_DEFAULTS = {
-    "ued_example": {},
-    "ned_example": {"b": 0.5, "c": 1.0},
-    "sed_example": {"c1": math.exp(-4.0), "c2": math.exp(2.0)},
-    "ed_example": {"c1": math.exp(-1.5), "c2": math.exp(0.5)},
-    "ned_not_ed_example": {"c": 1.0 / math.e},
-}
-
-_RAW_LOGS = {
-    "ued_example": _ued_raw,
-    "ned_example": _ned_raw,
-    "sed_example": _sed_raw,
-    "ed_example": _sed_raw,
-    "ned_not_ed_example": _tower_raw,
-}
-
-_CLOSED_FORMS = {
-    "ued_example": _ued_closed,
-    "ned_example": _ned_closed,
-    "sed_example": _sed_closed,
-    "ed_example": _sed_closed,
-    "ned_not_ed_example": _tower_closed,
+_EXAMPLES = {
+    "ued_example": _Example({}, _ued_raw, _ued_closed, _build_ued),
+    "ned_example": _Example({"b": 0.5, "c": 1.0}, _ned_raw, _ned_closed, _build_ned),
+    "sed_example": _Example(
+        {"c1": math.exp(-4.0), "c2": math.exp(2.0)}, _sed_raw, _sed_closed,
+        _sed_family((
+            CertificateClaim(
+                DichotomyCertificate(Kind.SED, alpha=2.0, n_const=math.e, beta=1.0), 200
+            ),
+            FalsificationClaim(Kind.UED, "odd_after_even", k_max=50, alpha=1.0),
+        )),
+    ),
+    "ed_example": _Example(
+        {"c1": math.exp(-1.5), "c2": math.exp(0.5)}, _sed_raw, _sed_closed,
+        _sed_family((
+            CertificateClaim(
+                DichotomyCertificate(Kind.ED, alpha=0.5, n_const=math.e, beta=1.0), 200
+            ),
+            StrongInstabilityClaim(window_m_max=120),
+        )),
+    ),
+    "ned_not_ed_example": _Example({"c": 1.0 / math.e}, _tower_raw, _tower_closed, _build_tower),
 }
