@@ -107,6 +107,8 @@ def _resolve_params(name, params: Mapping | None, kw) -> tuple[_Example, dict]:
             raise ParamOutOfRangeError(f"{name} has no parameter {key!r}")
         if value is not None:
             merged[key] = float(value)
+            if not math.isfinite(merged[key]):
+                raise ParamOutOfRangeError(f"{name} parameter {key} must be finite, got {value}")
     return example, merged
 
 

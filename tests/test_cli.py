@@ -225,6 +225,35 @@ c = 1
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gallery-claims", "--name", "ned_not_ed_example", "--c", "inf", "--window", "0..5"],
+        ["gallery-claims", "--name", "sed_example", "--c1", "inf", "--window", "0..5"],
+        ["verify", "--gallery", "ned_example", "--c", "inf", "--cert", "UED:N=1,alpha=0.1",
+         "--window", "0..5"],
+        ["datko", "--gallery", "sed_example", "--c2", "inf", "--form", "ued", "--D", "2",
+         "--d", "0.1", "--window", "0..5", "--m-trunc", "10"],
+        ["verify", "--system", "[system]\nsource = gallery\nname = ned_example\nc = inf\n",
+         "--cert", "UED:N=1,alpha=0.1", "--window", "0..5"],
+    ],
+)
+def test_non_finite_gallery_parameter_is_reported(tmp_path, argv):
+    # reported as the parameter, not as a certificate or an overflow it causes
+    from dichotomy.cli import main
+
+    if "--system" in argv:
+        at = argv.index("--system") + 1
+        path = tmp_path / "g.cfg"
+        path.write_text(argv[at], encoding="utf-8")
+        argv = [*argv[:at], str(path), *argv[at + 1:]]
+    report = tmp_path / "error.json"
+    assert main([*argv, "--report", str(report)]) == 2
+    error = json.loads(report.read_text())["error"]
+    assert error["type"] == "ParamOutOfRangeError"
+    assert "must be finite" in error["message"]
+
+
 def test_config_errors_carry_line_context(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(

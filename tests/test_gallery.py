@@ -88,6 +88,22 @@ def test_make_example_errors():
         make_example("ued_example", b=0.5)  # entry takes no parameters
 
 
+@pytest.mark.parametrize(
+    "name, key", [("ned_example", "b"), ("ned_example", "c"), ("sed_example", "c1"),
+                  ("ed_example", "c2"), ("ned_not_ed_example", "c")],
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_are_rejected_by_name(name, key, value):
+    # the range checks let +inf through; every entry point names the parameter
+    for call in (
+        lambda: make_example(name, {key: value}),
+        lambda: closed_form_amn(name, {key: value}, 3, 0),
+        lambda: raw_factor_log(name, {key: value}, 1),
+    ):
+        with pytest.raises(ParamOutOfRangeError, match=f"parameter {key} must be finite"):
+            call()
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_projections_commute_everywhere(name):
     entry = make_example(name)
