@@ -161,6 +161,15 @@ class TabulatedProfile(Profile):
         }
 
 
+def _profile_log(profile: Profile, n: int) -> LogMag:
+    """``profile.log_at(n)``, rejected when it is +inf or NaN: a weight of
+    +inf satisfies every inequality. -inf, a zero value, stays valid."""
+    log = profile.log_at(n)
+    if isinstance(log, float) and not log < math.inf:  # NaN fails it too
+        raise InvalidCertificateError(f"profile log is {log} at n={n}")
+    return log
+
+
 # -- certificates -------------------------------------------------------------
 
 
@@ -182,9 +191,7 @@ class DichotomyCertificate:
             if window is not None:
                 prev = None
                 for n in range(window.n_min, window.m_max + 1):
-                    cur = self.profile.log_at(n)
-                    if isinstance(cur, float) and not cur < math.inf:  # NaN fails it too
-                        raise InvalidCertificateError(f"profile log is {cur} at n={n}")
+                    cur = _profile_log(self.profile, n)
                     if prev is not None and cur < prev:
                         raise InvalidCertificateError(f"profile decreases at n={n}")
                     prev = cur

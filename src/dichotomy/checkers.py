@@ -32,6 +32,7 @@ from .certificates import (
     WindowSpec,
     Witness,
     WitnessReport,
+    _profile_log,
 )
 from .errors import (
     EmptyFeasibleSetError,
@@ -516,7 +517,7 @@ def falsify(
         if concept is Kind.UED:
             w_p, w_q = 0, 0
         elif concept is Kind.NED:
-            w_p, w_q = profile.log_at(n), profile.log_at(m)
+            w_p, w_q = _profile_log(profile, n), _profile_log(profile, m)
         else:
             w_p, w_q = beta * n, beta * m
         denominator = logaddexp_mag(_log_product(w_p, px), _log_product(w_q, aq))

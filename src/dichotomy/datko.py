@@ -28,7 +28,14 @@ from itertools import chain
 
 import numpy as np
 
-from .certificates import DichotomyCertificate, Kind, Profile, ScaledProfile, WindowSpec
+from .certificates import (
+    DichotomyCertificate,
+    Kind,
+    Profile,
+    ScaledProfile,
+    WindowSpec,
+    _profile_log,
+)
 from .checkers import DEFAULT_LOG_TOL
 from .errors import (
     DecayGapError,
@@ -183,7 +190,7 @@ def verify_datko_ned(
     if not 0 < d < math.inf:
         raise InvalidConstantsError(f"need finite d > 0, got {d}")
     return _run_summation(sys, proj, window, m_trunc, cert,
-                          "nonuniform", d, s_profile.log_at, restart=False)
+                          "nonuniform", d, lambda j: _profile_log(s_profile, j), restart=False)
 
 
 def verify_datko_ued(

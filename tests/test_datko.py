@@ -9,6 +9,7 @@ from dichotomy import (
     DecayGapError,
     DichotomyCertificate,
     ExplicitSequence,
+    InvalidCertificateError,
     InvalidConstantsError,
     Kind,
     LogScalar,
@@ -29,6 +30,7 @@ from dichotomy import datko
 from dichotomy.logscalar import lfloat
 
 from oracles import datko_lhs, projected_sum, sadd, scmp, side_reports_loop
+from test_falsify import BAD_PROFILES
 
 LN2 = math.log(2.0)
 
@@ -318,3 +320,12 @@ def test_overflowing_weight_matches_the_loop_reference():
                                WindowSpec(0, 6), 20, cert=UED_QUAD)
 
     assert repr(run()) == repr(loop_reports(run))
+
+
+@pytest.mark.parametrize("profile", BAD_PROFILES)
+def test_nonuniform_right_side_must_stay_below_infinity(profile):
+    # a +inf right side holds at every point; with no certificate the check
+    # must not report "holds" for it
+    entry = make_example("ned_example")
+    with pytest.raises(InvalidCertificateError, match=r"profile log is (inf|nan) at n="):
+        verify_datko_ned(entry.system, entry.projection, 0.3, profile, WindowSpec(0, 10), 30)

@@ -23,9 +23,11 @@ from dichotomy import (
     ConstantProfile,
     ExplicitSequence,
     IncompatibleProjectionError,
+    InvalidCertificateError,
     Kind,
     LogScalar,
     ProjectionFamily,
+    ScaledProfile,
     SystemDescription,
     TabulatedProfile,
     make_example,
@@ -238,3 +240,21 @@ def test_non_finite_trial_rates_are_reported(tmp_path, rates):
             *rates, "--report", str(report)]
     assert main(argv) == 2
     assert json.loads(report.read_text())["error"]["type"] == "InvalidCertificateError"
+
+
+# trial weights that are +inf or NaN at some index, which falsify and the
+# nonuniform Datko check reject
+BAD_PROFILES = [
+    TabulatedProfile(0, (LogScalar.positive_infinity(),) * 40),
+    ScaledProfile(ConstantProfile(1.0), math.inf),
+    ScaledProfile(ConstantProfile(1.0), math.nan),
+]
+
+
+@pytest.mark.parametrize("profile", BAD_PROFILES)
+def test_nonuniform_trial_profile_must_stay_below_infinity(profile):
+    # a +inf weight makes every required constant 0 and the trend bounded
+    entry = make_example("ned_example")
+    with pytest.raises(InvalidCertificateError, match=r"profile log is (inf|nan) at n="):
+        falsify(entry.system, entry.projection, Kind.NED, entry.schedule("odd_after_even"),
+                range(20), profile=profile)
