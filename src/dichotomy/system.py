@@ -50,6 +50,7 @@ from .logscalar import (
 
 DEFAULT_TOL_PROJ = 1e-9
 DEFAULT_TOL_COMPAT = 1e-9
+_RANK_TOL = 1e-9  # projection rank: singular values above this share of the largest
 
 
 FactorRange = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
@@ -330,7 +331,7 @@ class ProjectionFamily:
         p = self.matrix(n)
         return float(np.linalg.norm(p @ p - p, 2))
 
-    def validate(self, n_lo: int, n_hi: int, tol: float = DEFAULT_TOL_PROJ) -> None:
+    def validate(self, n_lo: int, n_hi: int) -> None:
         """Raise unless P(n) is idempotent for n_lo <= n <= n_hi; each
         distinct matrix is checked once."""
         if self._mask is not None:
@@ -342,7 +343,7 @@ class ProjectionFamily:
                 continue
             seen.add(key)
             d = self.idempotence_defect(n)
-            if not d <= tol:
+            if not d <= DEFAULT_TOL_PROJ:
                 raise InvalidProjectionError(f"projection at n={n} fails idempotence by {d:.3e}")
             if self.constant:
                 return
@@ -383,22 +384,17 @@ def compatibility_defect(sys: SystemDescription, proj: ProjectionFamily, n: int)
 
 
 def check_compatibility(
-    sys: SystemDescription,
-    proj: ProjectionFamily,
-    n_lo: int,
-    m_hi: int,
-    tol: float = DEFAULT_TOL_COMPAT,
+    sys: SystemDescription, proj: ProjectionFamily, n_lo: int, m_hi: int
 ) -> None:
     """Raise unless the family is idempotent and commutes with the dynamics
     on [n_lo, m_hi]."""
-    check_pairs_compatibility(sys, proj, [(m_hi, n_lo)], tol)
+    check_pairs_compatibility(sys, proj, [(m_hi, n_lo)])
 
 
 def check_pairs_compatibility(
     sys: SystemDescription,
     proj: ProjectionFamily,
     pairs: Sequence[tuple[int, int]],
-    tol: float = DEFAULT_TOL_COMPAT,
 ) -> None:
     """Raise unless the family is idempotent at every index of the ranges
     [n, m] of the pairs (m, n) and commutes with the dynamics at every index
@@ -412,9 +408,10 @@ def check_pairs_compatibility(
     for lo, hi in _merged((n, m - 1) for m, n in pairs):
         for k in range(lo, hi + 1):
             d = compatibility_defect(sys, proj, k)
-            if d > tol:
+            if d > DEFAULT_TOL_COMPAT:
                 raise IncompatibleProjectionError(
-                    f"compatibility defect {d:.3e} at n={k} exceeds tolerance {tol:.1e}"
+                    f"compatibility defect {d:.3e} at n={k} exceeds tolerance "
+                    f"{DEFAULT_TOL_COMPAT:.1e}"
                 )
 
 
@@ -448,11 +445,11 @@ class RestrictedExtremes:
     direction_q: tuple[float, ...] | None = None
 
 
-def _range_basis(p_matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _range_basis(p_matrix: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(p_matrix)
-    if s.size == 0 or s[0] <= tol:
+    if s.size == 0 or s[0] <= _RANK_TOL:
         return u[:, :0]
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > _RANK_TOL * s[0]))
     return u[:, :rank]
 
 

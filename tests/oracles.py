@@ -37,7 +37,6 @@ from dichotomy.datko import (
 from dichotomy.errors import IndexOrderError, LogOverflowError, NoDecayCertificateError
 from dichotomy.logscalar import LogMag, ladd, lfloat, logaddexp_mag, lsub, rounding_scale
 from dichotomy.system import (
-    DEFAULT_TOL_COMPAT,
     _overflow,
     _require_mask_for_diagonal,
     _sweeps,
@@ -200,13 +199,12 @@ def projected_evolution(
     m: int,
     n: int,
     part: str,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> EvolutionOperator:
     """Evolution product composed with P(n) (part="P") or Q(n) (part="Q")."""
     if part not in ("P", "Q"):
         raise ValueError("part must be 'P' or 'Q'")
     sys.check_pair(m, n)
-    check_compatibility(sys, proj, n, m, tol_compat)
+    check_compatibility(sys, proj, n, m)
     if sys.is_diagonal:
         _require_mask_for_diagonal(sys, proj)
         mask = proj.mask(n)
@@ -310,7 +308,6 @@ def datko_lhs(
     x,
     m_trunc: int,
     cert: DichotomyCertificate,
-    tol_compat: float = DEFAULT_TOL_COMPAT,
 ) -> tuple[LogScalar, LogScalar, LogScalar]:
     """Truncated left side of the nonuniform criterion at (m, n, p, x).
 
@@ -328,7 +325,7 @@ def datko_lhs(
         raise NoDecayCertificateError(
             f"certificate decay alpha={cert.alpha} does not dominate d={d}"
         )
-    check_compatibility(sys, proj, p, m_trunc, tol_compat)
+    check_compatibility(sys, proj, p, m_trunc)
     _require_constant_projection(proj, p, m_trunc)
     vec = list(x)
     p_sum = projected_sum(sys, proj, d, vec, p, n, m_trunc, n)
