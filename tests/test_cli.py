@@ -234,19 +234,12 @@ c = 1
          "--window", "0..5"],
         ["datko", "--gallery", "sed_example", "--c2", "inf", "--form", "ued", "--D", "2",
          "--d", "0.1", "--window", "0..5", "--m-trunc", "10"],
-        ["verify", "--system", "[system]\nsource = gallery\nname = ned_example\nc = inf\n",
-         "--cert", "UED:N=1,alpha=0.1", "--window", "0..5"],
     ],
 )
 def test_non_finite_gallery_parameter_is_reported(tmp_path, argv):
     # reported as the parameter, not as a certificate or an overflow it causes
     from dichotomy.cli import main
 
-    if "--system" in argv:
-        at = argv.index("--system") + 1
-        path = tmp_path / "g.cfg"
-        path.write_text(argv[at], encoding="utf-8")
-        argv = [*argv[:at], str(path), *argv[at + 1:]]
     report = tmp_path / "error.json"
     assert main([*argv, "--report", str(report)]) == 2
     error = json.loads(report.read_text())["error"]
@@ -538,6 +531,9 @@ def _error_report(tmp_path, argv):
           "--k-max", "5"], "InvalidCertificateError"),
         (["falsify", "--concept", "ED", "--schedule", "odd_after_even", "--beta", "1e308",
           "--k-max", "3"], "InvalidCertificateError"),
+        # a gallery parameter that is not finite
+        (["verify", "--cert", "UED:N=1,alpha=0.5", "--system",
+          "[system]\nsource = gallery\nname = ned_example\nc = inf\n"], "ParamOutOfRangeError"),
     ],
 )
 def test_invalid_inputs_are_reported(tmp_path, capsys, argv, error):
