@@ -41,8 +41,8 @@ from .errors import (
     OutOfRangeError,
     ScheduleOutOfRangeError,
 )
-from .logarray import as_floats
-from .logscalar import LogMag, LogScalar, ladd, lfloat, logaddexp_mag, lsub
+from .logarray import EXACT_FORM, FLOAT_FORM, LogTable, as_floats
+from .logscalar import _FLOAT_SAFE, LogMag, LogScalar, ladd, lfloat, lsub, mixes_as_float
 from .system import (
     ProjectionFamily,
     SystemDescription,
@@ -66,6 +66,26 @@ def _slack(rhs_log: LogMag, lhs_log: LogMag) -> float:
     if isinstance(lhs_log, float) and lhs_log == math.inf:
         return -math.inf
     return lfloat(lsub(rhs_log, lhs_log))
+
+
+def _slacks(rhs, lhs, form) -> np.ndarray:
+    """``_slack`` elementwise: a zero left side decides first."""
+    return _difference(rhs, lhs, form, [
+        (lhs == -math.inf, math.inf), (rhs == math.inf, math.inf),
+        (rhs == -math.inf, -math.inf), (lhs == math.inf, -math.inf),
+    ])
+
+
+def _difference(a, b, form, rules) -> np.ndarray:
+    """lfloat(lsub(a, b)) elementwise as float64, unless one of the (mask,
+    value) ``rules`` holds, the first one deciding; every entry with an
+    infinite operand meets a rule."""
+    masks, values = zip(*rules)
+    out = np.zeros(np.shape(a))
+    open_ = ~np.logical_or.reduce(masks)
+    diff = form.sub(a[open_], b[open_])
+    out[open_] = as_floats(diff)
+    return np.select(masks, values, out)
 
 
 class _PairExtremes:
@@ -180,39 +200,61 @@ def verify_triplet_form(
 
     Equivalent to the pair form on the induced window (the pair form is the
     p = n slice); kept separate so the equivalence itself can be tested.
+    The triplets (p, n, m) of a seed p are checked as one array, and only in
+    the rows n that the kernel's ``triplet_rows_to_scan`` returns; the
+    verdict, witness and count are those of the loop over every triplet in
+    lexicographic (p, n, m) order.
     """
     _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
-    alpha = cert.alpha
-    # one kernel row per p, the outer loop
-    kernel = _sweeps(sys, proj, window.n_min, window.m_max)
-    row = None
-    min_slack = math.inf
-    checked = 0
-    for p, n, m in window.triplets():
-        checked += 1
-        if row is None or row.n != p:
-            row = kernel.row(p)
-        rp, rq = row.ratios(m, n)
-        gap = alpha * (m - n)
-        slack_p = _slack(cert.r_log(n), ladd(gap, rp) if rp != -math.inf else -math.inf)
-        slack_q = _slack(cert.r_log(m), ladd(gap, rq) if rq != -math.inf else -math.inf)
-        worse = min(slack_p, slack_q)
-        if worse < min_slack:
-            min_slack = worse
-        if worse < -tol:
-            side = "P" if slack_p <= slack_q else "Q"
-            bad = rp if side == "P" else rq
+    lo, hi, alpha = window.n_min, window.m_max, cert.alpha
+    weights = [cert.r_log(k) for k in range(lo, hi + 1)]
+    floats = isinstance(alpha, float) and all(isinstance(w, float) for w in weights)
+    kernel = _sweeps(sys, proj, lo, hi)
+    to_scan, min_slack = kernel.triplet_rows_to_scan(cert, tol)
+    for p, ns in to_scan:
+        row = kernel.row(p)
+        k_of, m_of, rp, rq = row.triplet_ratios(ns)
+        # the per-triplet formula, in float64 when every operand is a float
+        form = FLOAT_FORM if floats and isinstance(rp, np.ndarray) else EXACT_FORM
+        w = np.array(weights, dtype=form.dtype)
+        gap = alpha * (m_of - k_of).astype(form.dtype)
+        rp, rq = (np.asarray(r, dtype=form.dtype) for r in (rp, rq))
+        with np.errstate(over="ignore"):
+            slack_p = _slacks(w[k_of - lo], form.add(gap, rp), form)
+            slack_q = _slacks(w[m_of - lo], form.add(gap, rq), form)
+        # min(slack_p, slack_q), the first of two equal ones
+        worse = np.where(slack_q < slack_p, slack_q, slack_p)
+        bad = np.flatnonzero(worse < -tol)
+        if bad.size:
+            t = int(bad[0])
+            n, m = int(k_of[t]), int(m_of[t])
+            side = "P" if slack_p[t] <= slack_q[t] else "Q"
+            ratio = (rp if side == "P" else rq).tolist()[t]
             offset = cert.scale_offset(n) if side == "P" else cert.scale_offset(m)
-            required = lsub(ladd(gap, bad), offset)
+            required = lsub(ladd(alpha * (m - n), ratio), offset)
             return VerificationOutcome(
                 False,
                 Witness(m, n, row.triplet_direction(m, n, side), LogScalar.from_log(required),
                         side=side),
-                checked,
-                worse,
+                _triplets_before(lo, hi, p, n) + m - n + 1,
+                float(worse[t]),
             )
-    return VerificationOutcome(True, None, checked, min_slack)
+        if worse.size:
+            min_slack = min(min_slack, float(worse[np.argmin(worse)]))
+        if len(worse) < sum(hi + 1 - n for n in ns):
+            row.logs(hi)  # the row overflows before hi: raises
+    return VerificationOutcome(True, None, _triplets_before(lo, hi, hi + 1, hi + 1), min_slack)
+
+
+def _triplets_before(lo: int, hi: int, p: int, n: int) -> int:
+    """The triplets lo <= p' <= n' <= m' <= hi before row (p, n) in
+    lexicographic order; (hi + 1, hi + 1) counts them all."""
+    def tetra(k):  # the triplets of a window of k indices
+        return k * (k + 1) * (k + 2) // 6
+
+    a, c = hi - p + 1, hi - n + 1  # the rows of seed p; the pairs of row n
+    return tetra(hi - lo + 1) - tetra(a) + (a * (a + 1) - c * (c + 1)) // 2
 
 
 def optimal_N_for_alpha(
@@ -433,12 +475,12 @@ class WitnessSchedule:
         return tuple(float(v) for v in self.direction)
 
 
-def _family_norms(sys, proj, pairs, x):
-    """Log-magnitudes |A_P x|, |Q x|, |P x| and |A_Q x| of the pairs (m, n),
-    as four lists in the order of the pairs; -inf marks a zero. One kernel
-    spans the family and gives every pair in one call per side: the row of
-    pair (m, n) starts from the part of x at n (one split per start index, or
-    one for a fixed projection) and is read at n and m."""
+def _family_norms(sys, proj, pairs, x) -> tuple[LogTable, LogTable]:
+    """Log-magnitudes of the pairs (m, n) as two tables with one row per pair
+    in order: (|P x|, |A_P x|) and (|Q x|, |A_Q x|); -inf marks a zero. One
+    kernel spans the family and gives every pair in one call per side: the
+    row of pair (m, n) starts from the part of x at n (one split per start
+    index, or one for a fixed projection) and is read at n and m."""
     at = np.array(pairs)[:, ::-1]  # (n, m)
     ns = at[:, 0]
     kernel = _sweeps(sys, proj, int(ns.min()), int(at.max()))
@@ -447,10 +489,8 @@ def _family_norms(sys, proj, pairs, x):
     else:
         split = {n: proj.split(n, x) for n in set(ns.tolist())}
         parts = [np.array([split[n][k] for n in ns.tolist()]) for k in (0, 1)]
-    (px, ap), (qx, aq) = (
-        kernel.trajectories(part, xs, ns, at).T.tolist() for part, xs in zip("PQ", parts)
-    )
-    return ap, qx, px, aq
+    p_norms, q_norms = (kernel.trajectories(part, xs, ns, at) for part, xs in zip("PQ", parts))
+    return p_norms, q_norms
 
 
 def falsify(
@@ -507,28 +547,17 @@ def falsify(
         _check_product(beta, top, f"m at m = {top}")
     check_pairs_compatibility(sys, proj, pairs)
     x = schedule.direction_vector(sys.dim)
-    witnesses = []
-    logs: list[LogMag] = []
-    for (m, n), ap, qx, px, aq in zip(pairs, *_family_norms(sys, proj, pairs, x)):
-        # the LogScalar arithmetic of exp(alpha (m-n)) (|A_P x| + |Q x|) over
-        # w_P |P x| + w_Q |A_Q x|, on log-magnitudes with -inf for zero
-        s = logaddexp_mag(ap, qx)
-        numerator = _log_product(alpha * (m - n), s)
-        if concept is Kind.UED:
-            w_p, w_q = 0, 0
-        elif concept is Kind.NED:
-            w_p, w_q = _profile_log(profile, n), _profile_log(profile, m)
-        else:
-            w_p, w_q = beta * n, beta * m
-        denominator = logaddexp_mag(_log_product(w_p, px), _log_product(w_q, aq))
-        if denominator == -math.inf:
-            required = math.inf
-        elif numerator == -math.inf:
-            required = -math.inf
-        else:
-            required = lsub(numerator, denominator)
-        witnesses.append(Witness(m, n, x, LogScalar.from_log(required), side="family"))
-        logs.append(required)
+    p_norms, q_norms = _family_norms(sys, proj, pairs, x)
+    if concept is Kind.UED:
+        w_p = w_q = [0] * len(pairs)
+    elif concept is Kind.NED:
+        w_p, w_q = zip(*[(_profile_log(profile, n), _profile_log(profile, m)) for m, n in pairs])
+    else:
+        w_p, w_q = [beta * n for _, n in pairs], [beta * m for m, _ in pairs]
+    logs = _required_logs(alpha, pairs, w_p, w_q, p_norms, q_norms)
+    witnesses = [
+        Witness(m, n, x, LogScalar.from_log(log), side="family") for (m, n), log in zip(pairs, logs)
+    ]
     trend, slope = _classify_trend(ks, logs)
     return WitnessReport(
         concept=concept,
@@ -541,9 +570,61 @@ def falsify(
     )
 
 
-def _log_product(a: LogMag, b: LogMag) -> LogMag:
-    """log(exp(a) exp(b)) of two magnitudes, -inf when either is zero."""
-    return -math.inf if a == -math.inf or b == -math.inf else ladd(a, b)
+def _required_logs(alpha, pairs, w_p, w_q, p_norms: LogTable, q_norms: LogTable) -> list[LogMag]:
+    """Per pair (m, n) of a family, the log of the least constant:
+    exp(alpha (m-n)) (|A_P x| + |Q x|) over w_P |P x| + w_Q |A_Q x|, from
+    the weights' logs and the norm tables of ``_family_norms``; +inf where
+    the denominator is zero, else -inf where the numerator is.
+
+    One array pass per form, in the order of the scalar formula. A pair whose
+    rate and norms are floats, and whose weights mix with a float as a float
+    (``mixes_as_float``), takes the float form: each ``ladd`` of its formula
+    has a float operand and adds in floats. Every other pair takes the exact
+    form, which keeps the types."""
+    floats = (
+        isinstance(alpha, float) & _float_rows(p_norms) & _float_rows(q_norms)
+        & _mixing(w_p) & _mixing(w_q)
+    )
+    ms, ns = np.array(pairs).reshape(-1, 2).T
+    w_p, w_q = np.array(w_p, dtype=object), np.array(w_q, dtype=object)
+    out = np.empty(len(pairs), dtype=object)
+    for form, rows in ((FLOAT_FORM, np.flatnonzero(floats)), (EXACT_FORM, np.flatnonzero(~floats))):
+        if not rows.size:
+            continue
+        gap = alpha * (ms[rows] - ns[rows]).astype(form.dtype)
+        u, v = w_p[rows].astype(form.dtype), w_q[rows].astype(form.dtype)
+        (c, a), (b, d) = (
+            (t.values[rows].astype(float) if form is FLOAT_FORM else np.array(
+                [[t.item(r, 0), t.item(r, 1)] for r in rows.tolist()], dtype=object)).T
+            for t in (p_norms, q_norms)
+        )
+        # no log is +inf, so ladd with a -inf operand gives -inf, as the
+        # product of the magnitudes does
+        with np.errstate(over="ignore"):
+            numerator = form.add(gap, form.logaddexp(a, b))
+            denominator = form.logaddexp(form.add(u, c), form.add(v, d))
+            zero = denominator == -math.inf
+            required = form.sub(numerator, np.where(zero, 0.0, denominator))
+            out[rows] = np.where(zero, math.inf, required)
+    return out.tolist()
+
+
+def _mixing(values) -> np.ndarray:
+    """``mixes_as_float`` of each value, one array pass for floats or ints."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return np.ones(len(values), dtype=bool)
+    if kinds == {int}:
+        return np.abs(np.array(values, dtype=object)) <= _FLOAT_SAFE
+    return np.fromiter(map(mixes_as_float, values), bool, len(values))
+
+
+def _float_rows(table: LogTable) -> np.ndarray:
+    """Per row, whether every entry is a float (none an int or a Fraction)."""
+    if table.values.dtype == object:
+        return np.array([all(type(v) is float for v in row) for row in table.values.tolist()],
+                        dtype=bool)
+    return np.ones(len(table.values), dtype=bool) if table.ints is None else ~table.ints.any(axis=1)
 
 
 def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -310,6 +310,14 @@ def _fmt_num(value) -> str:
     return str(value)
 
 
+def _csv_rows(indices, values: list[dict]) -> list[str]:
+    """One line ``index,logmag,sign`` per value record; the ``_fmt_num`` of a
+    column of floats is one C-level call."""
+    logmags = [v["logmag"] for v in values]
+    fmt = float.__repr__ if set(map(type, logmags)) == {float} else _fmt_num
+    return [f"{i},{mag},{v['sign']}" for i, mag, v in zip(indices, map(fmt, logmags), values)]
+
+
 def emit_series(report: dict) -> str:
     """Plot-ready CSV: fixed columns (index, value-logmag, value-sign).
 
@@ -320,15 +328,12 @@ def emit_series(report: dict) -> str:
     lines = ["index,value_logmag,value_sign"]
     command = report.get("command")
     if command == "falsify":
-        for w in report["result"]["witnesses"]:
-            req = w["required_constant"]
-            lines.append(
-                f"{w['m'] - w['n']},{_fmt_num(req['logmag'])},{req['sign']}"
-            )
+        witnesses = report["result"]["witnesses"]
+        lines += _csv_rows([w["m"] - w["n"] for w in witnesses],
+                           [w["required_constant"] for w in witnesses])
     elif command == "estimate" and report.get("kind") == "ned":
         profile = report["profile"]
-        for i, v in enumerate(profile["values"]):
-            lines.append(f"{profile['n_min'] + i},{_fmt_num(v['logmag'])},{v['sign']}")
+        lines += _csv_rows(count(profile["n_min"]), profile["values"])
     elif command == "estimate":
         for i, point in enumerate(report["result"]["grid"]):
             lines.append(f"{i},{_fmt_num(point['log_n_full'])},1")

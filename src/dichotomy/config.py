@@ -168,10 +168,13 @@ def _parse_matrix(value: str, dim: int, lineno: int, field: str) -> list[list[fl
         raise ConfigError(f"expected {dim} rows, got {len(rows)}", lineno, field)
     out = []
     for row in rows:
-        entries = [e for e in row.split(",")]
+        entries = row.split(",")
         if len(entries) != dim:
             raise ConfigError(f"expected {dim} entries per row", lineno, field)
-        out.append([parse_number(e, lineno, field) for e in entries])
+        try:  # the plain floats of a row in one pass: parse_number tries float() first
+            out.append(list(map(float, entries)))
+        except ValueError:
+            out.append([parse_number(e, lineno, field) for e in entries])
     return out
 
 

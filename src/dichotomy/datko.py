@@ -36,14 +36,14 @@ from .certificates import (
     WindowSpec,
     _profile_log,
 )
-from .checkers import DEFAULT_LOG_TOL
+from .checkers import DEFAULT_LOG_TOL, _difference, _slacks
 from .errors import (
     DecayGapError,
     IndexOrderError,
     InvalidConstantsError,
     NoDecayCertificateError,
 )
-from .logarray import EXACT_FORM, FLOAT_FORM, LogTable, as_floats
+from .logarray import EXACT_FORM, FLOAT_FORM, LogTable
 from .logscalar import _FLOAT_SAFE, LogScalar
 from .system import ProjectionFamily, SystemDescription, _sweeps, check_compatibility
 
@@ -355,23 +355,3 @@ def _float_safe(table: LogTable) -> bool:
     return table.values.dtype == float and (
         table.ints is None or bool((np.abs(table.values[table.ints]) <= _FLOAT_SAFE).all())
     )
-
-
-def _slacks(rhs, lhs, form) -> np.ndarray:
-    """``checkers._slack`` elementwise: a zero left side decides first."""
-    return _difference(rhs, lhs, form, [
-        (lhs == -math.inf, math.inf), (rhs == math.inf, math.inf),
-        (rhs == -math.inf, -math.inf), (lhs == math.inf, -math.inf),
-    ])
-
-
-def _difference(a, b, form, rules) -> np.ndarray:
-    """lfloat(lsub(a, b)) elementwise as float64, unless one of the (mask,
-    value) ``rules`` holds, the first one deciding; every entry with an
-    infinite operand meets a rule."""
-    masks, values = zip(*rules)
-    out = np.zeros(np.shape(a))
-    open_ = ~np.logical_or.reduce(masks)
-    diff = form.sub(a[open_], b[open_])
-    out[open_] = as_floats(diff)
-    return np.select(masks, values, out)

@@ -81,13 +81,15 @@ class GalleryEntry:
 @dataclass(frozen=True)
 class _Example:
     """One gallery entry: default parameters, log a_n on lo..hi, log a_{mn}
-    for m > n, and ``build(name, params)``, which returns the GalleryEntry
-    fields that differ between entries."""
+    for m > n, ``build(name, params)``, which returns the GalleryEntry
+    fields that differ between entries, and ``check(name, params)``, which
+    raises ParamOutOfRangeError for parameters outside the entry's range."""
 
     defaults: dict[str, float]
     raw: Callable[[Mapping, int, int], np.ndarray]
     closed: Callable[[Mapping, int, int], LogMag]
     build: Callable[[str, dict], dict]
+    check: Callable[[str, dict], None] = lambda name, params: None
 
 
 def gallery_names() -> tuple[str, ...]:
@@ -95,7 +97,8 @@ def gallery_names() -> tuple[str, ...]:
 
 
 def _resolve_params(name, params: Mapping | None, kw) -> tuple[_Example, dict]:
-    """The entry's table record and its defaults merged with the overrides."""
+    """The entry's table record and its defaults merged with the overrides,
+    checked against the entry's range."""
     try:
         example = _EXAMPLES[name]
     except KeyError:
@@ -109,6 +112,7 @@ def _resolve_params(name, params: Mapping | None, kw) -> tuple[_Example, dict]:
             merged[key] = float(value)
             if not math.isfinite(merged[key]):
                 raise ParamOutOfRangeError(f"{name} parameter {key} must be finite, got {value}")
+    example.check(name, merged)
     return example, merged
 
 
@@ -220,12 +224,16 @@ def _ned_closed(params, m, n) -> LogMag:
     return -c * math.log(m + 2)
 
 
-def _build_ned(name, p) -> dict:
+def _check_ned(name, p) -> None:
     b, c = p["b"], p["c"]
     if not 0 < b < 1:
         raise ParamOutOfRangeError(f"{name} needs b in (0, 1), got {b}")
     if not c > 0:
         raise ParamOutOfRangeError(f"{name} needs c > 0, got {c}")
+
+
+def _build_ned(name, p) -> dict:
+    b, c = p["b"], p["c"]
     log_b = math.log(b)
     return dict(
         system=_diag_system([_scaled(log_b, _ned_raw, p), _constant(-log_b)]),
@@ -260,15 +268,17 @@ def _sed_closed(params, m, n) -> LogMag:
     return m - n
 
 
+def _check_sed(name, p) -> None:
+    if not p["c1"] > 0 or not p["c2"] > 0:
+        raise ParamOutOfRangeError(f"{name} needs c1 > 0 and c2 > 0")
+
+
 def _sed_family(claims: tuple) -> Callable[[str, dict], dict]:
     """Builder of an entry whose two coordinates scale the alternating
     sequence by c1 and c2; only the claims differ between entries."""
 
     def build(name, p) -> dict:
-        c1, c2 = p["c1"], p["c2"]
-        if not c1 > 0 or not c2 > 0:
-            raise ParamOutOfRangeError(f"{name} needs c1 > 0 and c2 > 0")
-        log_c1, log_c2 = math.log(c1), math.log(c2)
+        log_c1, log_c2 = math.log(p["c1"]), math.log(p["c2"])
         return dict(
             system=_diag_system([_scaled(log_c1, _sed_raw, p), _scaled(log_c2, _sed_raw, p)]),
             claims=claims,
@@ -298,11 +308,13 @@ def _tower_closed(params, m, n) -> LogMag:
     return (n + 1) * (1 + 2 ** (n + 1)) - (m + 1) * (1 + 2 ** (m + 1))
 
 
+def _check_tower(name, p) -> None:
+    if not p["c"] > 0:
+        raise ParamOutOfRangeError(f"{name} needs c > 0, got {p['c']}")
+
+
 def _build_tower(name, p) -> dict:
-    c = p["c"]
-    if not c > 0:
-        raise ParamOutOfRangeError(f"{name} needs c > 0, got {c}")
-    log_c = math.log(c)
+    log_c = math.log(p["c"])
     alpha = -log_c
     schedules = {
         # the three regimes of e^alpha * c: balanced (= 1), above 1, below 1
@@ -343,7 +355,7 @@ def _build_tower(name, p) -> dict:
 
 _EXAMPLES = {
     "ued_example": _Example({}, _ued_raw, _ued_closed, _build_ued),
-    "ned_example": _Example({"b": 0.5, "c": 1.0}, _ned_raw, _ned_closed, _build_ned),
+    "ned_example": _Example({"b": 0.5, "c": 1.0}, _ned_raw, _ned_closed, _build_ned, _check_ned),
     "sed_example": _Example(
         {"c1": math.exp(-4.0), "c2": math.exp(2.0)}, _sed_raw, _sed_closed,
         _sed_family((
@@ -352,6 +364,7 @@ _EXAMPLES = {
             ),
             FalsificationClaim(Kind.UED, "odd_after_even", k_max=50, alpha=1.0),
         )),
+        _check_sed,
     ),
     "ed_example": _Example(
         {"c1": math.exp(-1.5), "c2": math.exp(0.5)}, _sed_raw, _sed_closed,
@@ -361,6 +374,9 @@ _EXAMPLES = {
             ),
             StrongInstabilityClaim(window_m_max=120),
         )),
+        _check_sed,
     ),
-    "ned_not_ed_example": _Example({"c": 1.0 / math.e}, _tower_raw, _tower_closed, _build_tower),
+    "ned_not_ed_example": _Example(
+        {"c": 1.0 / math.e}, _tower_raw, _tower_closed, _build_tower, _check_tower
+    ),
 }

@@ -21,6 +21,7 @@ choice is recorded in the ``norm`` field.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -43,6 +44,7 @@ from .logscalar import (
     _FLOAT_SAFE,
     LogMag,
     LogScalar,
+    lfloat,
     lsub,
     mixes_as_float,
     rounding_scale,
@@ -507,11 +509,32 @@ def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
     singular value of num V S^-1. Unlike the pencil of the normal equations,
     whose error grows with cond(den)^2, the rounding grows with cond(den)."""
     _, s, vt = np.linalg.svd(den, full_matrices=False)
-    if s[-1] <= s[0] * max(den.shape) * np.finfo(float).eps:
+    if _degenerate(s[None], den.shape)[0]:
         # den kills some direction; the ratio is unbounded unless num does too
         return -math.inf if float(np.linalg.norm(num, 2)) == 0.0 else math.inf
     top = float(np.linalg.svd((num @ vt.T) / s, compute_uv=False)[0])
     return math.log(top) if top > 0 else -math.inf
+
+
+def _degenerate(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Per row of singular values (largest first) of a matrix of ``shape``:
+    whether the matrix kills some direction, to rounding."""
+    return s[:, -1] <= s[:, 0] * max(shape) * np.finfo(float).eps
+
+
+def _sup_ratios(out: np.ndarray, images: np.ndarray, svd, num: np.ndarray, den: np.ndarray):
+    """``_sup_ratio(images[num[t]], images[den[t]])`` into ``out[t]`` for
+    every t, in one batched call; ``svd`` is the reduced SVD of every image."""
+    _, s, vt = svd
+    bad = _degenerate(s, images.shape[1:])[den]
+    if bad.any():
+        empty = np.linalg.norm(images, 2, axis=(1, 2))[num[bad]] == 0.0
+        out[bad] = np.where(empty, -math.inf, math.inf)
+    ok = np.flatnonzero(~bad)
+    if ok.size:
+        a, b = num[ok], den[ok]
+        stack = (images[a] @ vt[b].transpose(0, 2, 1)) / s[b][:, None, :]
+        out[ok] = _log_values(np.linalg.svd(stack, compute_uv=False)[:, 0])
 
 
 class _DenseSweeps:
@@ -598,6 +621,13 @@ class _DenseSweeps:
         maxima that could clear a row without its pairs."""
         return range(self.lo, self.hi + 1), math.inf
 
+    def triplet_rows_to_scan(
+        self, cert: DichotomyCertificate, tol: float
+    ) -> tuple[list[tuple[int, range]], float]:
+        """Every row of every seed, and no least slack, as ``rows_to_scan``."""
+        hi = self.hi
+        return [(p, range(p, hi + 1)) for p in range(self.lo, hi + 1)], math.inf
+
     def trajectories(self, part: str, xs, seeds, at) -> LogTable:
         """log |A(j, s) x| as in ``_DiagonalSweeps.trajectories``, for rows x
         in range P(s) or Q(s) (``part`` "P" or "Q"): one sweep per seed of
@@ -638,7 +668,7 @@ class _DenseRow:
         ys = sweeps.sweep("Q", self.bq, n, sweeps.hi)
         size = min(len(xs), len(ys))
         self.xs, self.ys = xs[:size], ys[:size]
-        self.end = n + size - 1
+        self.end, self.hi = n + size - 1, sweeps.hi
 
     def _at(self, m: int) -> int:
         if m > self.end:
@@ -689,6 +719,37 @@ class _DenseRow:
         ratio_q = _sup_ratio(self.ys[j], self.ys[i]) if self.bq.shape[1] else -math.inf
         return ratio_p, ratio_q
 
+    def triplet_ratios(self, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``ratios(m, k)`` for each k of ``ks`` (ascending, from n) and
+        m = k..hi in that order, as flat arrays (k, m, log ratio_P,
+        log ratio_Q), cut before the first m beyond ``end``.
+
+        ``_sup_ratio``'s rule, batched: one SVD of the row per side, taken on
+        the first call, gives every denominator (X_k on the P side, Y_m on
+        the Q side), and one call gives the top singular values of all the
+        X_m V S^-1 and Y_k V S^-1."""
+        ks = np.asarray(ks, dtype=int)
+        counts = self.hi - ks + 1
+        if self.end < self.hi:  # the row overflows: the list ends in row ks[0]
+            ks, counts = ks[:1], np.clip(self.end - ks[:1] + 1, 0, None)
+        k_of = np.repeat(ks, counts)
+        m_of = k_of + np.arange(len(k_of)) - np.repeat(np.cumsum(counts) - counts, counts)
+        j, i = k_of - self.n, m_of - self.n
+        ratio_p, ratio_q = np.full(len(j), -math.inf), np.full(len(j), -math.inf)
+        if self.bp.shape[1]:
+            _sup_ratios(ratio_p, self.xs, self._svd_p, i, j)
+        if self.bq.shape[1]:
+            _sup_ratios(ratio_q, self.ys, self._svd_q, j, i)
+        return k_of, m_of, ratio_p, ratio_q
+
+    @cached_property
+    def _svd_p(self):
+        return np.linalg.svd(self.xs, full_matrices=False)
+
+    @cached_property
+    def _svd_q(self):
+        return np.linalg.svd(self.ys, full_matrices=False)
+
     def triplet_direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
         """Witness direction of a triplet: the extremal direction of the
         restricted extremes at (m, n) for side "P", at (k, n) for side "Q"."""
@@ -734,9 +795,6 @@ class _DiagonalSweeps:
         _require_mask_for_diagonal(sys, proj)
         self.dim, self.proj, self.lo, self.hi = sys.dim, proj, lo, hi
         self.pre, self.zeros = sys.diag_prefix(hi)
-        # triplet ratios: (k, m, mask at n, coordinates alive on (n, k]) ->
-        # the ratio logs of the first row n with that key
-        self.ratio_memo: dict[tuple, tuple[LogMag, LogMag]] = {}
         self._forms: dict[bool, tuple] = {}
 
     def factor_log(self, i: int, m: int, n: int) -> LogMag:
@@ -816,30 +874,35 @@ class _DiagonalSweeps:
             )
         return self._forms[floats]
 
-    def rows(self, alpha: LogMag, hi: int) -> np.ndarray:
+    def rows(self, alpha: LogMag, hi: int, in_p: np.ndarray | None = None) -> np.ndarray:
         """Row n = lo..hi: max over i in P(n) and n < m <= hi, with no zero
         factor of i in (n, m], of alpha (m - n) + pre_i[m] - pre_i[n];
-        -inf when there is no such pair. A lower bound on log R_P(n)."""
+        -inf when there is no such pair. A lower bound on log R_P(n).
+        ``in_p`` replaces the flags of ``self.in_p``."""
         index, pre, add, sub = self._form(alpha)
         size = hi - self.lo + 1
         ax = alpha * index[:size]
         out = np.full(size, -math.inf, dtype=pre.dtype)
-        for pre_i, bounds, in_p in zip(pre[:, :size], self.bounds, self.in_p):
+        flags = self.in_p if in_p is None else in_p
+        for pre_i, bounds, in_p in zip(pre[:, :size], self.bounds, flags):
             if not in_p[:size].any():
                 continue
             strict = _segmented_max(add(ax, pre_i), bounds, reverse=True)
             out = np.maximum(out, np.where(in_p[:size], sub(sub(strict, ax), pre_i), -math.inf))
         return out
 
-    def q_rows(self, alpha: LogMag, weights: Sequence[LogMag]) -> np.ndarray:
+    def q_rows(self, alpha: LogMag, weights: Sequence[LogMag],
+               in_p: np.ndarray | None = None) -> np.ndarray:
         """Row n = lo..hi: max over j in Q(n) and n < m <= hi of
         alpha (m - n) - weights[m - lo] - (pre_j[m] - pre_j[n]); +inf when a
-        zero factor of j lies in (n, hi]; -inf when there is no such pair."""
+        zero factor of j lies in (n, hi]; -inf when there is no such pair.
+        ``in_p`` replaces the flags of ``self.in_p``."""
         index, pre, add, sub = self._form(alpha, weights)
         ax = alpha * index
         w = np.array(weights, dtype=pre.dtype)
         out = np.full(len(ax), -math.inf, dtype=pre.dtype)
-        for pre_i, bounds, in_p in zip(pre, self.bounds, self.in_p):
+        flags = self.in_p if in_p is None else in_p
+        for pre_i, bounds, in_p in zip(pre, self.bounds, flags):
             if in_p.all():
                 continue
             run = _segmented_max(sub(sub(ax, pre_i), w), bounds[-2:], reverse=True)
@@ -877,14 +940,73 @@ class _DiagonalSweeps:
         lo, hi, alpha = self.lo, self.hi, cert.alpha
         weights = [cert.r_log(k) for k in range(lo, hi + 1)]
         cutoff = tol - _ROUNDING_BOUND * self.scale(alpha, weights)
-        *_, sub = self._form(alpha, weights)
-        g, q = self.rows(alpha, hi), self.q_rows(alpha, weights)
-        live = g != -math.inf
-        worst = np.maximum(sub(g, np.where(live, np.array(weights, dtype=q.dtype), 0)), q)
+        worst = self._worst(alpha, weights)
         over = worst > cutoff
         rest = as_floats(worst[~over])
         least = -float(rest.max()) if rest.size else math.inf
         return set((lo + np.flatnonzero(over)).tolist()), least
+
+    def _worst(self, alpha: LogMag, weights: Sequence[LogMag], p_flags=None, q_flags=None):
+        """Row n = lo..hi: the largest excess of a pair m > n over its weighted
+        extreme, on the P side (``rows`` with the flags ``p_flags``, less the
+        weight at n) and on the Q side (``q_rows`` with the flags ``q_flags``)."""
+        *_, sub = self._form(alpha, weights)
+        g, q = self.rows(alpha, self.hi, p_flags), self.q_rows(alpha, weights, q_flags)
+        live = g != -math.inf
+        return np.maximum(sub(g, np.where(live, np.array(weights, dtype=q.dtype), 0)), q)
+
+    def triplet_rows_to_scan(
+        self, cert: DichotomyCertificate, tol: float
+    ) -> tuple[list[tuple[int, list[int]]], float]:
+        """Per seed p in order, the rows n whose triplets (p, n, m) may
+        violate the certificate, and the least slack over the triplets of
+        every other row.
+
+        Seeded at p, the triplet ratios at (n, m) are the pair extremes of
+        (n, m) taken over the class of (p, n): the coordinates of P(p) and of
+        Q(p) with no zero factor in (p, n]. Each distinct class takes one
+        ``rows``/``q_rows`` scan restricted to its coordinates and serves
+        every (p, n) where it holds; the triplet (p, n, n) of a nonempty class
+        has slack r(n). A row is returned whenever its worst excess lies
+        within a rounding bound of ``tol``, as in ``rows_to_scan``.
+        """
+        lo, hi, alpha = self.lo, self.hi, cert.alpha
+        weights = [cert.r_log(k) for k in range(lo, hi + 1)]
+        cutoff = tol - _TRIPLET_ROUNDING_BOUND * self.scale(alpha, weights)
+        diagonal = -np.array([lfloat(w) for w in weights])
+        classes: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        out, least = [], math.inf
+        for p in range(lo, hi + 1):
+            rows = []
+            for key, a, b in self._classes(p - lo):
+                if key not in classes:
+                    state = np.array(key)[:, None]
+                    shape = (self.dim, hi - lo + 1)
+                    worst = self._worst(alpha, weights, np.broadcast_to(state == 1, shape),
+                                        np.broadcast_to(state != 0, shape))
+                    over = (worst > cutoff) | (diagonal > cutoff)
+                    classes[key] = over, np.maximum(as_floats(worst), diagonal)
+                over, excess = classes[key]
+                rows += (lo + a + np.flatnonzero(over[a:b])).tolist()
+                rest = excess[a:b][~over[a:b]]
+                if rest.size:  # 0.0 - x: a zero slack is +0.0, as a triplet's
+                    least = min(least, 0.0 - float(rest.max()))
+            if rows:
+                out.append((p, rows))
+        return out, least
+
+    def _classes(self, t: int) -> list[tuple[tuple[int, ...], int, int]]:
+        """The classes of the rows of the seed at window index t, as (key,
+        a, b): rows a..b-1 (window indices) have the class whose key gives
+        each coordinate as 1 (in P), 0 (in Q) or -1 (a zero factor lies
+        between). Rows where every coordinate is annihilated are left out."""
+        ends = [bounds[bisect_right(bounds, t)] for bounds in self.bounds]
+        mask = self.in_p[:, t].tolist()
+        out, a = [], t
+        for b in sorted(set(ends)):
+            out.append((tuple(int(f) if e >= b else -1 for f, e in zip(mask, ends)), a, b))
+            a = b
+        return out
 
     def scale(self, alpha: LogMag, weights: Sequence[LogMag]) -> float:
         """The factor of ``_ROUNDING_BOUND`` in the cutoff of ``rows_to_scan``:
@@ -964,7 +1086,6 @@ class _DiagonalRow:
         self.mask = sweeps.proj.mask(n)
         self.p_coords = [i for i, b in enumerate(self.mask) if b]
         self.q_coords = [i for i, b in enumerate(self.mask) if not b]
-        self._seed_at, self._seed = None, None
 
     def _extremes(self, m: int) -> tuple[LogMag, int | None, LogMag, int | None]:
         """(log growth_P, its coordinate, log min_gain_Q, its coordinate)."""
@@ -1019,19 +1140,17 @@ class _DiagonalRow:
 
     def ratios(self, m: int, k: int) -> tuple[LogMag, LogMag]:
         """(log ratio_P, log ratio_Q) between horizons k <= m, seeded at n;
-        -inf marks a trivial range. A ratio depends on n only through the
-        mask at n and the coordinates alive on (n, k], so the kernel keeps
-        the first row's value for each."""
-        if self._seed_at != k:
-            zeros, n = self.sweeps.zeros, self.n
-            self._seed_at = k
-            self._seed = (self.mask, tuple(z[k] == z[n] for z in zeros))
-        key = (k, m, self._seed)
-        memo = self.sweeps.ratio_memo
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = tuple(self._sup_ratio(m, k, side)[0] for side in "PQ")
-        return got
+        -inf marks a trivial range."""
+        return self._sup_ratio(m, k, "P")[0], self._sup_ratio(m, k, "Q")[0]
+
+    def triplet_ratios(self, ks) -> tuple[np.ndarray, np.ndarray, list[LogMag], list[LogMag]]:
+        """``ratios(m, k)`` for each k of ``ks`` and m = k..hi in that order:
+        arrays of k and m, and one list of ratio logs per side."""
+        hi = self.sweeps.hi
+        ms = [(k, m) for k in ks for m in range(k, hi + 1)]
+        pairs = [self.ratios(m, k) for k, m in ms]
+        k_of, m_of = np.array(ms, dtype=int).reshape(-1, 2).T
+        return k_of, m_of, [r for r, _ in pairs], [r for _, r in pairs]
 
     def triplet_direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
         """Witness direction of a triplet: the first coordinate of the largest
@@ -1046,6 +1165,11 @@ class _DiagonalRow:
 # most 12 (eps/2) times that sum. Exact operands that ``ladd`` converts to
 # float (``rounding_scale``) at most double it.
 _ROUNDING_BOUND = 8 * 2.0**-52
+# The same for one triplet's slack: the per-triplet formula rounds two more
+# differences of prefix sums (each factor is taken from the seed p), which
+# brings the two forms to at most 16 (eps/2) times that sum; the bound
+# leaves a quarter of headroom over that.
+_TRIPLET_ROUNDING_BOUND = 10 * 2.0**-52
 
 
 def _exact(values: Iterable[LogMag]) -> list[LogMag]:

@@ -25,8 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dichotomy import DichotomyCertificate, LogScalar, ProjectionFamily, SystemDescription
-from dichotomy.checkers import DEFAULT_LOG_TOL, _slack
+from dichotomy import (
+    DichotomyCertificate,
+    LogScalar,
+    ProjectionFamily,
+    SystemDescription,
+    VerificationOutcome,
+    WindowSpec,
+    Witness,
+)
+from dichotomy.checkers import DEFAULT_LOG_TOL, _slack, _validate
 from dichotomy.datko import (
     HOLDS,
     INCONCLUSIVE,
@@ -564,3 +572,76 @@ def rounding_scale_of(sys, lo, hi, alpha, weights) -> float:
     if not all(isinstance(v, float) or v == 0 for v in pre + list(weights)):
         scale *= 2
     return scale
+
+
+# -- the triplet form, one triplet at a time ----------------------------------------
+
+
+def triplet_loop(
+    sys: SystemDescription,
+    proj: ProjectionFamily,
+    cert: DichotomyCertificate,
+    window: WindowSpec,
+    tol: float = DEFAULT_LOG_TOL,
+) -> VerificationOutcome:
+    """``verify_triplet_form`` as the loop over every triplet (p, n, m) in
+    lexicographic order: one kernel row per seed p, one ``ratios`` call and
+    two ``_slack`` calls per triplet."""
+    _validate(cert, window, tol)
+    check_compatibility(sys, proj, window.n_min, window.m_max)
+    alpha = cert.alpha
+    kernel = _sweeps(sys, proj, window.n_min, window.m_max)
+    row = None
+    min_slack = math.inf
+    checked = 0
+    for p, n, m in window.triplets():
+        checked += 1
+        if row is None or row.n != p:
+            row = kernel.row(p)
+        rp, rq = row.ratios(m, n)
+        gap = alpha * (m - n)
+        slack_p = _slack(cert.r_log(n), ladd(gap, rp) if rp != -math.inf else -math.inf)
+        slack_q = _slack(cert.r_log(m), ladd(gap, rq) if rq != -math.inf else -math.inf)
+        worse = min(slack_p, slack_q)
+        if worse < min_slack:
+            min_slack = worse
+        if worse < -tol:
+            side = "P" if slack_p <= slack_q else "Q"
+            bad = rp if side == "P" else rq
+            offset = cert.scale_offset(n) if side == "P" else cert.scale_offset(m)
+            required = lsub(ladd(gap, bad), offset)
+            return VerificationOutcome(
+                False,
+                Witness(m, n, row.triplet_direction(m, n, side), LogScalar.from_log(required),
+                        side=side),
+                checked,
+                worse,
+            )
+    return VerificationOutcome(True, None, checked, min_slack)
+
+
+# -- falsify, one family member at a time ---------------------------------------------
+
+
+def _log_product(a: LogMag, b: LogMag) -> LogMag:
+    """log(exp(a) exp(b)) of two magnitudes, -inf when either is zero."""
+    return -math.inf if a == -math.inf or b == -math.inf else ladd(a, b)
+
+
+def required_logs_loop(alpha, pairs, w_p, w_q, p_norms, q_norms) -> list[LogMag]:
+    """``checkers._required_logs`` one member at a time: the scalar formula
+    exp(alpha (m-n)) (|A_P x| + |Q x|) over w_P |P x| + w_Q |A_Q x| through
+    ``ladd``, ``lsub`` and ``logaddexp_mag``."""
+    logs = []
+    for (m, n), u, v, (px, ap), (qx, aq) in zip(pairs, w_p, w_q, p_norms.tolist(),
+                                                 q_norms.tolist()):
+        numerator = _log_product(alpha * (m - n), logaddexp_mag(ap, qx))
+        denominator = logaddexp_mag(_log_product(u, px), _log_product(v, aq))
+        if denominator == -math.inf:
+            required = math.inf
+        elif numerator == -math.inf:
+            required = -math.inf
+        else:
+            required = lsub(numerator, denominator)
+        logs.append(required)
+    return logs

@@ -100,6 +100,32 @@ def test_system_file_requires_sections():
             parse_system_file(text)
 
 
+def test_matrix_rows_parse_every_spelling():
+    # a row of plain floats takes one pass; a row with another spelling
+    # falls back to parse_number entry by entry
+    system, projection, _ = parse_system_file(system_file(
+        "dim = 2\nsource = explicit\nA0 = 1, -2.5e-1; 0 ,1\nA1 = e^{-1/2}, 1/4; 1e3, 7",
+        "matrix = 1,0; 0,0",
+    ))
+    assert system.coefficient(0).tolist() == [[1.0, -0.25], [0.0, 1.0]]
+    assert system.coefficient(1).tolist() == [[math.exp(-0.5), 0.25], [1000.0, 7.0]]
+    assert projection.matrix(0).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("entry, message", [
+    (" two", "line 5: field 'A1': cannot parse number ' two'"),
+    ("1/0", "line 5: field 'A1': cannot parse number '1/0'"),
+    ("e^1000", "line 5: field 'A1': cannot parse number 'e^1000'"),
+    (" ", "line 5: field 'A1': cannot parse number ' '"),
+])
+def test_malformed_matrix_entries_keep_line_field_and_wording(entry, message):
+    text = system_file(f"dim = 2\nsource = explicit\nA0 = 1,0; 0,1\nA1 = 2,{entry}; 0,3")
+    with pytest.raises(ConfigError) as exc:
+        parse_system_file(text)
+    assert str(exc.value) == message
+    assert (exc.value.line, exc.value.field) == (5, "A1")
+
+
 def test_system_file_mask_overrides():
     system, projection, entry = parse_system_file(
         """

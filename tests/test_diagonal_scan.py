@@ -548,7 +548,7 @@ def test_kernel_matches_per_pair_formulas(case, data):
             ext = row.extremes(m)
             assert same(ext.growth_p, growth) and same(ext.min_gain_q, gain)
             assert (ext.direction_p, ext.direction_q) == (unit(dim, dir_p), unit(dim, dir_q))
-    # one kernel per seed p: the ratio memo then never serves a second row
+    # the triplet ratios and witness directions of every seed p
     for p in range(lo, hi + 1):
         row = _sweeps(sys_, proj, p, hi).row(p)
         for n in range(p, hi + 1):
@@ -570,7 +570,9 @@ def test_kernel_matches_per_pair_formulas(case, data):
             assert all(same(a, b) for a, b in zip(traj, want))
         for vec in vectors:
             for m in range(seed, hi + 1):
-                got = [v for v, in _family_norms(sys_, proj, [(m, seed)], vec)]
+                p_norms, q_norms = _family_norms(sys_, proj, [(m, seed)], vec)
+                ((px, ap),), ((qx, aq),) = p_norms.tolist(), q_norms.tolist()
+                got = ap, qx, px, aq
                 assert tuple(LogScalar.from_log(v) for v in got) == brute_vector_parts(
                     sys_, proj, m, seed, vec
                 )

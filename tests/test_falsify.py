@@ -11,6 +11,7 @@ trend and slope must agree bit for bit.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from test_diagonal_scan import PROPERTY, diagonal_cases, same
 
 from dichotomy import (
     ConstantProfile,
+    DiagonalClosedForm,
     ExplicitSequence,
     IncompatibleProjectionError,
     InvalidCertificateError,
@@ -34,10 +36,16 @@ from dichotomy import (
 )
 from dichotomy import system
 from dichotomy.certificates import Witness
-from dichotomy.checkers import WitnessSchedule, _classify_trend, falsify
+from dichotomy.checkers import (
+    WitnessSchedule,
+    _classify_trend,
+    _family_norms,
+    _required_logs,
+    falsify,
+)
 from dichotomy.cli import main
 from dichotomy.system import _sweeps, check_compatibility
-from oracles import sadd, sdiv, smul
+from oracles import required_logs_loop, sadd, sdiv, smul
 
 # -- per-pair oracle -----------------------------------------------------------
 
@@ -156,6 +164,56 @@ def test_dense_families_match_per_pair_loop(seed, dim, data):
     direction = data.draw(st.integers(0, dim - 1)
                           | st.tuples(*[st.floats(-2.0, 2.0)] * dim))
     check_family(sys_, proj, pairs, direction, data.draw(trials(8)))
+
+
+@st.composite
+def norm_tables(draw):
+    """A family and the norm tables of ``_family_norms``: on a diagonal
+    system with int, Fraction or bigint logs, or on a dense one, whose norms
+    are all floats."""
+    if draw(st.booleans()):
+        _, sys_, proj, window, alpha = draw(diagonal_cases())
+        lo, hi = window.n_min, window.m_max
+    else:
+        dim = draw(st.integers(2, 4))
+        sys_, proj = commuting_system(draw(st.integers(0, 2**32 - 1)), dim,
+                                      draw(st.integers(0, dim)), 8)
+        lo, hi, alpha = 0, 8, draw(st.floats(0.01, 3.0))
+    pairs = draw(families(lo, hi))
+    x = draw(st.tuples(*[DIRECTIONS] * sys_.dim))
+    return alpha, pairs, _family_norms(sys_, proj, pairs, x)
+
+
+@PROPERTY
+@given(norm_tables(), st.data())
+def test_required_constants_match_the_member_loop(case, data):
+    # the array pass of each form against the scalar formula member by
+    # member, on float, int, Fraction and bigint norms, exact and float
+    # rates, and weights that do and do not mix with floats as floats
+    alpha, pairs, tables = case
+    alpha = data.draw(st.sampled_from([alpha, 2, Fraction(3, 4)]))
+    weight = st.sampled_from([0, 3, -math.inf, 2**20, Fraction(1, 3), 0.5, -1.25])
+    w_p, w_q = (data.draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
+                for _ in "PQ")
+    got = _required_logs(alpha, pairs, w_p, w_q, *tables)
+    want = required_logs_loop(alpha, pairs, w_p, w_q, *tables)
+    assert len(got) == len(want)
+    assert all(same(a, b) for a, b in zip(got, want))
+
+
+def test_int_norms_whose_sums_leave_the_float_safe_range_stay_exact():
+    # the float64 norm table holds the int logs 0 and 40000; with the int
+    # profile log 30000 the denominator is the int 70000, beyond the range
+    # in which ladd mixes with floats, so the required constant is exact
+    logs = [LogScalar.one(), LogScalar.from_log(40000)]
+    sys_ = SystemDescription(1, DiagonalClosedForm([lambda n: logs[n]]))
+    proj = ProjectionFamily(1, mask=(False,))
+    profile = TabulatedProfile(0, (LogScalar.from_log(30000),) * 2)
+    schedule = WitnessSchedule("one", lambda k: (1, 0), 0)
+    want, _, _ = per_pair_falsify(sys_, proj, Kind.NED, schedule, [0], 0.5, profile=profile)
+    rep = falsify(sys_, proj, Kind.NED, schedule, [0], alpha=0.5, profile=profile)
+    assert same(rep.witnesses[0].required_constant, want[0].required_constant)
+    assert rep.witnesses[0].required_constant.logmag == Fraction(-139999, 2)
 
 
 # -- compatibility and cost --------------------------------------------------------

@@ -104,6 +104,27 @@ def test_non_finite_parameters_are_rejected_by_name(name, key, value):
             call()
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [("ned_example", {"b": 5.0, "c": -1.0}, "ned_example needs b in (0, 1), got 5.0"),
+     ("ned_example", {"c": 0.0}, "ned_example needs c > 0, got 0.0"),
+     ("sed_example", {"c1": -1.0}, "sed_example needs c1 > 0 and c2 > 0"),
+     ("ed_example", {"c2": 0.0}, "ed_example needs c1 > 0 and c2 > 0"),
+     ("ned_not_ed_example", {"c": -2.0}, "ned_not_ed_example needs c > 0, got -2.0")],
+)
+@pytest.mark.parametrize("call", ["make_example", "closed_form_amn", "raw_factor_log"])
+def test_out_of_range_parameters_are_rejected_by_every_entry_point(name, params, message, call):
+    # the closed form and the raw sequence share the builders' range checks
+    calls = {
+        "make_example": lambda: make_example(name, params),
+        "closed_form_amn": lambda: closed_form_amn(name, params, 3, 0),
+        "raw_factor_log": lambda: raw_factor_log(name, params, 2),
+    }
+    with pytest.raises(ParamOutOfRangeError) as exc:
+        calls[call]()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_projections_commute_everywhere(name):
     entry = make_example(name)

@@ -84,7 +84,9 @@ def test_pair_batch_matches_the_loop(case, data):
         starts.flatmap(lambda n: st.tuples(st.integers(n, hi), st.just(n))), min_size=1,
         max_size=8))
     x = data.draw(vectors(dim))[0]
-    for (m, n), *got in zip(pairs, *_family_norms(sys_, proj, pairs, x)):
+    p_norms, q_norms = _family_norms(sys_, proj, pairs, x)
+    for (m, n), (px, ap), (qx, aq) in zip(pairs, p_norms.tolist(), q_norms.tolist()):
+        got = ap, qx, px, aq
         kernel = _sweeps(sys_, proj, n, m)
         want = []
         for part in proj.split(n, x):

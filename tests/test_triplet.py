@@ -1,0 +1,197 @@
+"""The triplet form against the loop over every triplet.
+
+``verify_triplet_form`` checks one array of triplets per seed p: the dense
+kernel batches ``_sup_ratio`` over a seed's rows, and the diagonal kernel
+clears whole rows with one running-maximum scan per coordinate class and
+rescans triplet by triplet only the rows that may violate. The oracle,
+``oracles.triplet_loop``, visits every triplet (p, n, m) in lexicographic
+order with one ``ratios`` call each. Verdict, witness and count must agree
+exactly; the least slack of a holding run exactly where the logs, the rate
+and the weights are exact or dyadic, so that neither form rounds, and to
+1e-12 otherwise.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_dense_kernel import certificates as dense_certificates
+from test_dense_kernel import dense_cases
+from test_diagonal_scan import PROPERTY, certificates, diagonal_cases, same
+
+from dichotomy import (
+    DenseOverflowError,
+    DichotomyCertificate,
+    ExplicitSequence,
+    Kind,
+    LogScalar,
+    ProjectionFamily,
+    SystemDescription,
+    WindowSpec,
+    make_example,
+    verify_triplet_form,
+)
+from dichotomy import system
+from dichotomy.system import DiagonalClosedForm, _sweeps
+from oracles import triplet_loop
+
+
+def run(check, *args, **kw):
+    """The outcome of a check, or the type and text of what it raised."""
+    try:
+        return check(*args, **kw)
+    except DenseOverflowError as exc:
+        return type(exc), str(exc)
+
+
+def assert_agrees(sys_, proj, cert, window, tol, exact):
+    window = WindowSpec(window.n_min, window.m_max, triplet=True)
+    got = run(verify_triplet_form, sys_, proj, cert, window, tol=tol)
+    want = run(triplet_loop, sys_, proj, cert, window, tol=tol)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert (got.holds, got.pairs_checked) == (want.holds, want.pairs_checked)
+    if want.witness is None:
+        assert got.witness is None
+        if exact:
+            assert same(got.min_slack, want.min_slack)
+        else:
+            assert math.isclose(got.min_slack, want.min_slack, rel_tol=1e-12, abs_tol=1e-12)
+        return
+    g, w = got.witness, want.witness
+    assert (g.m, g.n, g.side, g.direction) == (w.m, w.n, w.side, w.direction)
+    assert same(g.required_constant, w.required_constant)
+    assert same(got.min_slack, want.min_slack)
+
+
+@PROPERTY
+@given(diagonal_cases(), st.data())
+def test_diagonal_triplet_form_matches_the_loop(case, data):
+    # zero factors in P and Q, masks that change across them, empty P or Q
+    # ranges, one-index windows, float, int, Fraction and bigint logs
+    kind, sys_, proj, window, alpha = case
+    cert = data.draw(certificates(kind, alpha, window))
+    tol = data.draw(st.sampled_from([1e-9, 0.0]))
+    # exact logs with dyadic rates and weights (log N = 0) round nowhere
+    assert_agrees(sys_, proj, cert, window, tol, exact=kind != "float" and cert.log_n() == 0)
+
+
+@PROPERTY
+@given(st.floats(0.01, 3.0), st.integers(1, 3), st.integers(0, 12),
+       st.sampled_from([0.0, 1e-16, 1e-15, 1e-9]))
+def test_diagonal_triplet_form_matches_the_loop_on_tight_certificates(alpha, dim, w, tol):
+    # every triplet's slack is 0 up to rounding, so rows lie within the
+    # rounding bound of tol and are rescanned triplet by triplet
+    mask = tuple(i % 2 == 0 for i in range(dim))
+    entries = [
+        (lambda s: (lambda n: LogScalar.from_log(s * alpha)))(-1.0 if p else 1.0) for p in mask
+    ]
+    sys_ = SystemDescription(dim, DiagonalClosedForm(entries))
+    proj = ProjectionFamily(dim, mask=mask)
+    cert = DichotomyCertificate(Kind.UED, alpha=alpha, n_const=1.0)
+    assert_agrees(sys_, proj, cert, WindowSpec(0, w), tol, exact=False)
+
+
+@PROPERTY
+@given(dense_cases(), st.data())
+def test_dense_triplet_form_matches_the_loop(case, data):
+    # oblique projections, and rank 0 or dim for an empty P or Q range
+    sys_, proj, window = case
+    cert = data.draw(dense_certificates(window))
+    assert_agrees(sys_, proj, cert, window, 1e-9, exact=False)
+
+
+@st.composite
+def singular_cases(draw):
+    """``commuting_system``s in which some coefficients kill directions of
+    range P or Q (one column of a block, or the whole block), so the swept
+    images lose rank and the denominators of the ratios are singular."""
+    sys_, proj, window = draw(dense_cases())
+    dim, mats = sys_.dim, list(sys_.coefficients.matrices)
+    p = proj.matrix(0)
+    basis = np.column_stack([system._range_basis(p), system._range_basis(np.eye(dim) - p)])
+    rank = system._range_basis(p).shape[1]
+    for k in draw(st.lists(st.integers(1, len(mats) - 1), max_size=2)) if len(mats) > 1 else []:
+        side = np.arange(rank) if draw(st.booleans()) else np.arange(rank, dim)
+        if side.size and not draw(st.booleans()):
+            side = side[draw(st.integers(0, side.size - 1)):][:1]
+        # A(k) composed with the oblique projection that drops the basis
+        # vectors of ``side``: it still commutes with P, and kills them
+        keep = np.ones(dim)
+        keep[side] = 0.0
+        mats[k] = mats[k] @ basis @ np.diag(keep) @ np.linalg.inv(basis)
+    return SystemDescription(dim, ExplicitSequence(mats)), proj, window
+
+
+@PROPERTY
+@given(singular_cases(), st.data())
+def test_dense_triplet_form_matches_the_loop_with_singular_denominators(case, data):
+    sys_, proj, window = case
+    cert = data.draw(dense_certificates(window))
+    assert_agrees(sys_, proj, cert, window, 1e-9, exact=False)
+
+
+@PROPERTY
+@given(st.one_of(dense_cases(), singular_cases()))
+def test_dense_batched_ratios_repeat_the_single_ratios_bit_for_bit(case):
+    sys_, proj, window = case
+    lo, hi = window.n_min, window.m_max
+    kernel = _sweeps(sys_, proj, lo, hi)
+    for p in range(lo, hi + 1):
+        row = kernel.row(p)
+        k_of, m_of, rp, rq = row.triplet_ratios(range(p, hi + 1))
+        want = [row.ratios(m, k) for k, m in zip(k_of.tolist(), m_of.tolist())]
+        assert [(k, m) for k in range(p, hi + 1) for m in range(k, hi + 1)] == list(
+            zip(k_of.tolist(), m_of.tolist())
+        )
+        assert np.array(want).reshape(-1, 2).tobytes() == np.column_stack([rp, rq]).tobytes()
+
+
+@pytest.mark.parametrize("p_scale, q_scales, n_const", [
+    (0.5, [1e200, 1e200, 1e200], 2.0),  # the row of seed 0 overflows at m = 2
+    (0.5, [1e-200, 1e200, 1e200], 1e250),  # seed 0 holds; the row of seed 1 overflows
+    (1e200, [1e200, 1e200, 1e200], 2.0),  # the violation at (0, 0, 1) comes first
+])
+def test_dense_overflow_matches_the_loop(p_scale, q_scales, n_const):
+    # the loop raises at the first triplet beyond a row's end, unless it
+    # meets a violation first
+    mats = [np.eye(2)] + [np.diag([p_scale, q]) for q in q_scales]
+    sys_ = SystemDescription(2, ExplicitSequence(mats))
+    proj = ProjectionFamily(2, matrix=[[1.0, 0.0], [0.0, 0.0]])
+    cert = DichotomyCertificate(Kind.UED, alpha=0.1, n_const=n_const)
+    window = WindowSpec(0, 3, triplet=True)
+    got = run(verify_triplet_form, sys_, proj, cert, window)
+    assert got == run(triplet_loop, sys_, proj, cert, window)
+
+
+def test_diagonal_triplet_form_makes_no_per_triplet_ratio_call(monkeypatch):
+    calls = []
+    ratios = system._DiagonalRow.ratios
+
+    def counted(self, m, k):
+        calls.append((self.n, k, m))
+        return ratios(self, m, k)
+
+    monkeypatch.setattr(system._DiagonalRow, "ratios", counted)
+    cases = [(make_example(name), w)
+             for name, w in (("ued_example", 200), ("ned_example", 60), ("ned_not_ed_example", 24))]
+    for entry, w in cases:
+        out = verify_triplet_form(entry.system, entry.projection, entry.claims[0].cert,
+                                  WindowSpec(0, w, triplet=True))
+        assert out.holds
+        assert out.pairs_checked == (w + 1) * (w + 2) * (w + 3) // 6
+    assert calls == []
+    # with a zero factor no class takes the annihilated coordinate, on
+    # either side, so no row comes near the tolerance either
+    p_coord = [LogScalar.from_log(-1.0)] * 21
+    p_coord[3] = LogScalar.zero()
+    sys_ = SystemDescription(2, DiagonalClosedForm(
+        [lambda n: p_coord[n], lambda n: LogScalar.from_log(1.0)]
+    ))
+    proj = ProjectionFamily(2, mask=(True, False))
+    cert = DichotomyCertificate(Kind.UED, alpha=0.5, n_const=1.0)
+    assert verify_triplet_form(sys_, proj, cert, WindowSpec(0, 20, triplet=True)).holds
+    assert calls == []
