@@ -142,25 +142,23 @@ def verify_certificate(
 
     A pair violates when its log-domain slack drops below -tol. The
     reported witness carries the extremal direction and the exact minimal
-    constant that would repair the inequality at that pair. The pairs
-    m > n of a row are checked pair by pair only when the kernel's
-    ``rows_to_scan`` says the row may violate; the verdict, witness and
-    count are those of the full pair scan.
+    constant that would repair the inequality at that pair. The pairs of a
+    row are checked pair by pair only when the kernel's ``rows_to_scan``
+    says the row may violate; the verdict, witness and count are those of
+    the full pair scan.
     """
     _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
-    kernel = _sweeps(sys, proj, window.n_min, window.m_max)
+    lo, hi, alpha = window.n_min, window.m_max, cert.alpha
+    weights = [cert.r_log(k) for k in range(lo, hi + 1)]
+    kernel = _sweeps(sys, proj, lo, hi)
     ext = _PairExtremes(kernel)
-    alpha = cert.alpha
-    full_rows, min_slack = kernel.rows_to_scan(cert, tol)
-    done = 0  # pairs in the rows before n
-    for n in range(window.n_min, window.m_max + 1):
-        last = window.m_max if n in full_rows else n
-        for m in range(n, last + 1):
-            pairs = done + m - n + 1
+    rows, min_slack = kernel.rows_to_scan(alpha, weights, tol)
+    for n in rows:
+        for m in range(n, hi + 1):
             gap = alpha * (m - n)
             g, h = ext.logs(n, m)
-            slack_p = _slack(cert.r_log(n), ladd(gap, g) if g != -math.inf else -math.inf)
+            slack_p = _slack(weights[n - lo], ladd(gap, g) if g != -math.inf else -math.inf)
             if slack_p < min_slack:
                 min_slack = slack_p
             if slack_p < -tol:
@@ -169,10 +167,10 @@ def verify_certificate(
                 return VerificationOutcome(
                     False,
                     Witness(m, n, dir_p or (), LogScalar.from_log(required), side="P"),
-                    pairs,
+                    _pairs_before(lo, hi, n) + m - n + 1,
                     slack_p,
                 )
-            rhs_q = ladd(cert.r_log(m), h) if h != math.inf else math.inf
+            rhs_q = ladd(weights[m - lo], h) if h != math.inf else math.inf
             slack_q = _slack(rhs_q, gap)
             if slack_q < min_slack:
                 min_slack = slack_q
@@ -182,11 +180,10 @@ def verify_certificate(
                 return VerificationOutcome(
                     False,
                     Witness(m, n, dir_q or (), LogScalar.from_log(required), side="Q"),
-                    pairs,
+                    _pairs_before(lo, hi, n) + m - n + 1,
                     slack_q,
                 )
-        done += window.m_max - n + 1
-    return VerificationOutcome(True, None, done, min_slack)
+    return VerificationOutcome(True, None, _pairs_before(lo, hi, hi + 1), min_slack)
 
 
 def verify_triplet_form(
@@ -211,7 +208,7 @@ def verify_triplet_form(
     weights = [cert.r_log(k) for k in range(lo, hi + 1)]
     floats = isinstance(alpha, float) and all(isinstance(w, float) for w in weights)
     kernel = _sweeps(sys, proj, lo, hi)
-    to_scan, min_slack = kernel.triplet_rows_to_scan(cert, tol)
+    to_scan, min_slack = kernel.triplet_rows_to_scan(alpha, weights, tol)
     for p, ns in to_scan:
         row = kernel.row(p)
         k_of, m_of, rp, rq = row.triplet_ratios(ns)
@@ -247,14 +244,22 @@ def verify_triplet_form(
     return VerificationOutcome(True, None, _triplets_before(lo, hi, hi + 1, hi + 1), min_slack)
 
 
+def _pairs_before(lo: int, hi: int, n: int) -> int:
+    """The pairs lo <= n' <= m' <= hi before row n in lexicographic order;
+    hi + 1 counts them all."""
+    def tri(k):  # the pairs of a window of k indices
+        return k * (k + 1) // 2
+
+    return tri(hi - lo + 1) - tri(hi - n + 1)
+
+
 def _triplets_before(lo: int, hi: int, p: int, n: int) -> int:
     """The triplets lo <= p' <= n' <= m' <= hi before row (p, n) in
     lexicographic order; (hi + 1, hi + 1) counts them all."""
     def tetra(k):  # the triplets of a window of k indices
         return k * (k + 1) * (k + 2) // 6
 
-    a, c = hi - p + 1, hi - n + 1  # the rows of seed p; the pairs of row n
-    return tetra(hi - lo + 1) - tetra(a) + (a * (a + 1) - c * (c + 1)) // 2
+    return tetra(hi - lo + 1) - tetra(hi - p + 1) + _pairs_before(p, hi, n)
 
 
 def optimal_N_for_alpha(

@@ -38,13 +38,11 @@ from .errors import (
     LogOverflowError,
     OutOfRangeError,
 )
-from .certificates import DichotomyCertificate
 from .logarray import EXACT_FORM, FLOAT_FORM, LogTable, as_floats
 from .logscalar import (
     _FLOAT_SAFE,
     LogMag,
     LogScalar,
-    lfloat,
     lsub,
     mixes_as_float,
     rounding_scale,
@@ -504,18 +502,6 @@ def restricted_ratio_extremes(
     return RatioExtremes(*map(LogScalar.from_log, logs))
 
 
-def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
-    """log sup over z of |num z| / |den z|: with den = U S V^T this is the top
-    singular value of num V S^-1. Unlike the pencil of the normal equations,
-    whose error grows with cond(den)^2, the rounding grows with cond(den)."""
-    _, s, vt = np.linalg.svd(den, full_matrices=False)
-    if _degenerate(s[None], den.shape)[0]:
-        # den kills some direction; the ratio is unbounded unless num does too
-        return -math.inf if float(np.linalg.norm(num, 2)) == 0.0 else math.inf
-    top = float(np.linalg.svd((num @ vt.T) / s, compute_uv=False)[0])
-    return math.log(top) if top > 0 else -math.inf
-
-
 def _degenerate(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Per row of singular values (largest first) of a matrix of ``shape``:
     whether the matrix kills some direction, to rounding."""
@@ -523,8 +509,12 @@ def _degenerate(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _sup_ratios(out: np.ndarray, images: np.ndarray, svd, num: np.ndarray, den: np.ndarray):
-    """``_sup_ratio(images[num[t]], images[den[t]])`` into ``out[t]`` for
-    every t, in one batched call; ``svd`` is the reduced SVD of every image."""
+    """log sup over z of |images[num[t]] z| / |images[den[t]] z| into
+    ``out[t]`` for every t, in one batched call; ``svd`` is the reduced SVD
+    of every image. With den = U S V^T the ratio is the top singular value
+    of num V S^-1. Unlike the pencil of the normal equations, whose error
+    grows with cond(den)^2, the rounding grows with cond(den). Where den
+    kills some direction the ratio is unbounded, unless num is zero."""
     _, s, vt = svd
     bad = _degenerate(s, images.shape[1:])[den]
     if bad.any():
@@ -616,13 +606,15 @@ class _DenseSweeps:
         _, gain, gap = self._pairs
         return np.max(alpha * gap - gain, axis=0)
 
-    def rows_to_scan(self, cert: DichotomyCertificate, tol: float) -> tuple[range, float]:
+    def rows_to_scan(
+        self, alpha: float, weights: Sequence[LogMag], tol: float
+    ) -> tuple[range, float]:
         """Every row, and no least slack: the dense kernel keeps no running
         maxima that could clear a row without its pairs."""
         return range(self.lo, self.hi + 1), math.inf
 
     def triplet_rows_to_scan(
-        self, cert: DichotomyCertificate, tol: float
+        self, alpha: float, weights: Sequence[LogMag], tol: float
     ) -> tuple[list[tuple[int, range]], float]:
         """Every row of every seed, and no least slack, as ``rows_to_scan``."""
         hi = self.hi
@@ -714,33 +706,33 @@ class _DenseRow:
     def ratios(self, m: int, k: int) -> tuple[float, float]:
         """(log ratio_P, log ratio_Q) between horizons k <= m, seeded at n;
         -inf marks a trivial range."""
-        i, j = self._at(m), k - self.n
-        ratio_p = _sup_ratio(self.xs[i], self.xs[j]) if self.bp.shape[1] else -math.inf
-        ratio_q = _sup_ratio(self.ys[j], self.ys[i]) if self.bq.shape[1] else -math.inf
-        return ratio_p, ratio_q
+        ratio_p, ratio_q = self._ratios(np.array([self._at(m)]), np.array([k - self.n]))
+        return float(ratio_p[0]), float(ratio_q[0])
 
     def triplet_ratios(self, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``ratios(m, k)`` for each k of ``ks`` (ascending, from n) and
         m = k..hi in that order, as flat arrays (k, m, log ratio_P,
         log ratio_Q), cut before the first m beyond ``end``.
 
-        ``_sup_ratio``'s rule, batched: one SVD of the row per side, taken on
-        the first call, gives every denominator (X_k on the P side, Y_m on
-        the Q side), and one call gives the top singular values of all the
-        X_m V S^-1 and Y_k V S^-1."""
+        One SVD of the row per side, taken on the first call, gives every
+        denominator (X_k on the P side, Y_m on the Q side), and one call
+        gives the top singular values of all the X_m V S^-1 and Y_k V S^-1."""
         ks = np.asarray(ks, dtype=int)
         counts = self.hi - ks + 1
         if self.end < self.hi:  # the row overflows: the list ends in row ks[0]
             ks, counts = ks[:1], np.clip(self.end - ks[:1] + 1, 0, None)
         k_of = np.repeat(ks, counts)
         m_of = k_of + np.arange(len(k_of)) - np.repeat(np.cumsum(counts) - counts, counts)
-        j, i = k_of - self.n, m_of - self.n
+        return k_of, m_of, *self._ratios(m_of - self.n, k_of - self.n)
+
+    def _ratios(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``ratios`` at the horizons (n + i[t], n + j[t]) for every t."""
         ratio_p, ratio_q = np.full(len(j), -math.inf), np.full(len(j), -math.inf)
         if self.bp.shape[1]:
             _sup_ratios(ratio_p, self.xs, self._svd_p, i, j)
         if self.bq.shape[1]:
             _sup_ratios(ratio_q, self.ys, self._svd_q, j, i)
-        return k_of, m_of, ratio_p, ratio_q
+        return ratio_p, ratio_q
 
     @cached_property
     def _svd_p(self):
@@ -928,35 +920,37 @@ class _DiagonalSweeps:
             out = np.maximum(out, col)
         return out
 
-    def rows_to_scan(self, cert: DichotomyCertificate, tol: float) -> tuple[set[int], float]:
-        """Rows whose pairs m > n may violate the certificate, and the least
-        slack over the pairs m > n of every other row.
-
-        The running maxima associate the additions differently from the
-        per-pair formula, so a row is returned whenever its worst excess
-        lies within a rounding bound of ``tol``; the caller rescans those
-        rows pair by pair and reaches the pair scan's verdict and witness.
-        """
-        lo, hi, alpha = self.lo, self.hi, cert.alpha
-        weights = [cert.r_log(k) for k in range(lo, hi + 1)]
+    def rows_to_scan(
+        self, alpha: LogMag, weights: Sequence[LogMag], tol: float
+    ) -> tuple[list[int], float]:
+        """The rows lo..hi whose pairs may violate the certificate with the
+        weights r(lo..hi), in order, and the least slack over the pairs of
+        every other row (``_plan``); the caller rescans those rows pair by
+        pair and reaches the pair scan's verdict and witness."""
         cutoff = tol - _ROUNDING_BOUND * self.scale(alpha, weights)
-        worst = self._worst(alpha, weights)
-        over = worst > cutoff
-        rest = as_floats(worst[~over])
-        least = -float(rest.max()) if rest.size else math.inf
-        return set((lo + np.flatnonzero(over)).tolist()), least
+        over, excess = self._plan(alpha, weights, cutoff, tol)
+        return (self.lo + np.flatnonzero(over)).tolist(), _least(excess[~over])
 
-    def _worst(self, alpha: LogMag, weights: Sequence[LogMag], p_flags=None, q_flags=None):
-        """Row n = lo..hi: the largest excess of a pair m > n over its weighted
-        extreme, on the P side (``rows`` with the flags ``p_flags``, less the
-        weight at n) and on the Q side (``q_rows`` with the flags ``q_flags``)."""
+    def _plan(self, alpha: LogMag, weights: Sequence[LogMag], cutoff: float, tol: float,
+              p_flags=None, q_flags=None) -> tuple[np.ndarray, np.ndarray]:
+        """Row n = lo..hi: whether to rescan it, and the largest excess of its
+        pairs over their weighted extremes, as floats.
+
+        The pairs m > n come from the running maxima, on the P side (``rows``
+        with the flags ``p_flags``, less the weight at n) and on the Q side
+        (``q_rows`` with the flags ``q_flags``). These associate the additions
+        differently from the per-pair formula, so such an excess is flagged
+        above ``cutoff``, within a rounding bound of ``tol``. The pair (n, n)
+        has excess -r(n) in both, so it is flagged above ``tol`` itself."""
         *_, sub = self._form(alpha, weights)
         g, q = self.rows(alpha, self.hi, p_flags), self.q_rows(alpha, weights, q_flags)
-        live = g != -math.inf
-        return np.maximum(sub(g, np.where(live, np.array(weights, dtype=q.dtype), 0)), q)
+        w = np.array(weights, dtype=q.dtype)
+        worst = np.maximum(sub(g, np.where(g != -math.inf, w, 0)), q)
+        diagonal = -as_floats(w)
+        return (worst > cutoff) | (diagonal > tol), np.maximum(as_floats(worst), diagonal)
 
     def triplet_rows_to_scan(
-        self, cert: DichotomyCertificate, tol: float
+        self, alpha: LogMag, weights: Sequence[LogMag], tol: float
     ) -> tuple[list[tuple[int, list[int]]], float]:
         """Per seed p in order, the rows n whose triplets (p, n, m) may
         violate the certificate, and the least slack over the triplets of
@@ -967,13 +961,11 @@ class _DiagonalSweeps:
         Q(p) with no zero factor in (p, n]. Each distinct class takes one
         ``rows``/``q_rows`` scan restricted to its coordinates and serves
         every (p, n) where it holds; the triplet (p, n, n) of a nonempty class
-        has slack r(n). A row is returned whenever its worst excess lies
-        within a rounding bound of ``tol``, as in ``rows_to_scan``.
+        has slack r(n), as the pair (n, n). The rows are flagged as in
+        ``rows_to_scan``, with the triplet form's rounding bound.
         """
-        lo, hi, alpha = self.lo, self.hi, cert.alpha
-        weights = [cert.r_log(k) for k in range(lo, hi + 1)]
+        lo, hi = self.lo, self.hi
         cutoff = tol - _TRIPLET_ROUNDING_BOUND * self.scale(alpha, weights)
-        diagonal = -np.array([lfloat(w) for w in weights])
         classes: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         out, least = [], math.inf
         for p in range(lo, hi + 1):
@@ -982,15 +974,12 @@ class _DiagonalSweeps:
                 if key not in classes:
                     state = np.array(key)[:, None]
                     shape = (self.dim, hi - lo + 1)
-                    worst = self._worst(alpha, weights, np.broadcast_to(state == 1, shape),
-                                        np.broadcast_to(state != 0, shape))
-                    over = (worst > cutoff) | (diagonal > cutoff)
-                    classes[key] = over, np.maximum(as_floats(worst), diagonal)
+                    classes[key] = self._plan(alpha, weights, cutoff, tol,
+                                              np.broadcast_to(state == 1, shape),
+                                              np.broadcast_to(state != 0, shape))
                 over, excess = classes[key]
                 rows += (lo + a + np.flatnonzero(over[a:b])).tolist()
-                rest = excess[a:b][~over[a:b]]
-                if rest.size:  # 0.0 - x: a zero slack is +0.0, as a triplet's
-                    least = min(least, 0.0 - float(rest.max()))
+                least = min(least, _least(excess[a:b][~over[a:b]]))
             if rows:
                 out.append((p, rows))
         return out, least
@@ -1170,6 +1159,12 @@ _ROUNDING_BOUND = 8 * 2.0**-52
 # brings the two forms to at most 16 (eps/2) times that sum; the bound
 # leaves a quarter of headroom over that.
 _TRIPLET_ROUNDING_BOUND = 10 * 2.0**-52
+
+
+def _least(excess: np.ndarray) -> float:
+    """The least slack of rows with these largest excesses; 0.0 - x, so a
+    zero slack is +0.0, as the per-pair formula gives it."""
+    return 0.0 - float(excess.max()) if excess.size else math.inf
 
 
 def _exact(values: Iterable[LogMag]) -> list[LogMag]:

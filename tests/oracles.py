@@ -12,10 +12,12 @@ accumulated one term at a time, in place of the kernel's table and the
 verifiers' lockstep sums. The Datko side reports are evaluated one point at
 a time, in place of the verifiers' array pass. The diagonal prefix sums are
 built one factor at a time with ``ladd``, in place of the array build of
-``SystemDescription._ensure_prefix``. Signed quantities are multiplied,
-divided, added and ordered by the functions of the first section, over the
-(sign, logmag) fields of a ``LogScalar`` record, which has no arithmetic of
-its own. None of this is on a path of the package.
+``SystemDescription._ensure_prefix``. A dense ratio is taken one pair of
+images at a time (``_sup_ratio``), in place of the dense rows' batched
+call. Signed quantities are multiplied, divided, added and ordered by the
+functions of the first section, over the (sign, logmag) fields of a
+``LogScalar`` record, which has no arithmetic of its own. None of this is
+on a path of the package.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from dichotomy.datko import (
 from dichotomy.errors import IndexOrderError, LogOverflowError, NoDecayCertificateError
 from dichotomy.logscalar import LogMag, ladd, lfloat, logaddexp_mag, lsub, rounding_scale
 from dichotomy.system import (
+    _degenerate,
     _overflow,
     _require_mask_for_diagonal,
     _sweeps,
@@ -618,6 +621,18 @@ def triplet_loop(
                 worse,
             )
     return VerificationOutcome(True, None, checked, min_slack)
+
+
+def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """log sup over z of |num z| / |den z|, one pair of images at a time: the
+    top singular value of num V S^-1, with den = U S V^T, unless den kills
+    some direction (``_degenerate``); then the ratio is unbounded unless num
+    is zero. The dense kernel batches this over a seed's row."""
+    _, s, vt = np.linalg.svd(den, full_matrices=False)
+    if _degenerate(s[None], den.shape)[0]:
+        return -math.inf if float(np.linalg.norm(num, 2)) == 0.0 else math.inf
+    top = float(np.linalg.svd((num @ vt.T) / s, compute_uv=False)[0])
+    return math.log(top) if top > 0 else -math.inf
 
 
 # -- falsify, one family member at a time ---------------------------------------------

@@ -466,14 +466,15 @@ def test_exact_rate_keeps_exact_profile_logs():
 
 
 def test_verify_rescans_only_rows_that_may_violate(monkeypatch):
+    # the plan folds in the pairs (n, n) too, so a holding run with no
+    # flagged row reads no pair
     calls = []
-    logs = checkers._PairExtremes.logs
 
-    def counted(self, n, m):
+    def refuse(self, n, m):
         calls.append((n, m))
-        return logs(self, n, m)
+        raise AssertionError(f"pair-by-pair call at ({n}, {m})")
 
-    monkeypatch.setattr(checkers._PairExtremes, "logs", counted)
+    monkeypatch.setattr(checkers._PairExtremes, "logs", refuse)
     entry = make_example("ued_example")
     w = 5000
     cert = DichotomyCertificate(Kind.UED, alpha=0.5, n_const=1.0)
@@ -481,7 +482,44 @@ def test_verify_rescans_only_rows_that_may_violate(monkeypatch):
     assert out.holds
     assert out.pairs_checked == (w + 1) * (w + 2) // 2
     assert out.min_slack == 0.0
-    assert len(calls) == w + 1  # the pairs m = n only
+    assert calls == []
+
+
+def test_plan_flags_the_row_whose_own_pair_violates():
+    # the pair (k, k) has slack r(k) in the plan and in the per-pair formula
+    # alike, so a weight below -tol flags row k and no other
+    entry = make_example("ued_example")
+    k, hi, tol = 4, 40, 1e-9
+    kernel = _sweeps(entry.system, entry.projection, 0, hi)
+    weights = [0.0] * (hi + 1)
+    weights[k] = -1e-6
+    assert kernel.rows_to_scan(0.5, weights, tol)[0] == [k]
+    # a nondecreasing profile dips below -tol only at the start of its window
+    values = [LogScalar.from_log(-1e-6)] + [LogScalar.one()] * (hi - k)
+    cert = DichotomyCertificate(Kind.NED, alpha=0.5, profile=TabulatedProfile(k, tuple(values)))
+    window = WindowSpec(k, hi)
+    kernel = _sweeps(entry.system, entry.projection, k, hi)
+    assert kernel.rows_to_scan(0.5, [cert.r_log(n) for n in range(k, hi + 1)], tol)[0] == [k]
+    out = verify_certificate(entry.system, entry.projection, cert, window, tol=tol)
+    holds, witness, pairs, min_slack = brute_verify(
+        entry.system, entry.projection, cert, window, tol)
+    assert (out.holds, out.pairs_checked, out.min_slack) == (holds, pairs, min_slack)
+    got = out.witness
+    assert (got.m, got.n, got.side, got.required_constant.logmag) == witness
+    assert (got.m, got.n) == (k, k)
+
+
+def test_a_zero_least_slack_is_positive_zero():
+    # the tightest pair of these holding claims has slack exactly 0, which
+    # the per-pair formula gives as +0.0
+    for name, w in (("ed_example", 40), ("ned_not_ed_example", 30)):
+        entry = make_example(name)
+        out = verify_certificate(entry.system, entry.projection, entry.claims[0].cert,
+                                 WindowSpec(0, w))
+        assert out.holds
+        assert out.min_slack == brute_verify(
+            entry.system, entry.projection, entry.claims[0].cert, WindowSpec(0, w), 1e-9)[3]
+        assert math.copysign(1.0, out.min_slack) == 1.0
 
 
 def test_diagonal_verify_reads_the_prefix_sums_once(monkeypatch):

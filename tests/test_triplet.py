@@ -1,9 +1,9 @@
 """The triplet form against the loop over every triplet.
 
 ``verify_triplet_form`` checks one array of triplets per seed p: the dense
-kernel batches ``_sup_ratio`` over a seed's rows, and the diagonal kernel
-clears whole rows with one running-maximum scan per coordinate class and
-rescans triplet by triplet only the rows that may violate. The oracle,
+kernel batches ``oracles._sup_ratio`` over a seed's rows, and the diagonal
+kernel clears whole rows with one running-maximum scan per coordinate class
+and rescans triplet by triplet only the rows that may violate. The oracle,
 ``oracles.triplet_loop``, visits every triplet (p, n, m) in lexicographic
 order with one ``ratios`` call each. Verdict, witness and count must agree
 exactly; the least slack of a holding run exactly where the logs, the rate
@@ -35,7 +35,7 @@ from dichotomy import (
 )
 from dichotomy import system
 from dichotomy.system import DiagonalClosedForm, _sweeps
-from oracles import triplet_loop
+from oracles import _sup_ratio, triplet_loop
 
 
 def run(check, *args, **kw):
@@ -143,11 +143,17 @@ def test_dense_batched_ratios_repeat_the_single_ratios_bit_for_bit(case):
     for p in range(lo, hi + 1):
         row = kernel.row(p)
         k_of, m_of, rp, rq = row.triplet_ratios(range(p, hi + 1))
-        want = [row.ratios(m, k) for k, m in zip(k_of.tolist(), m_of.tolist())]
+        want = [
+            (_sup_ratio(row.xs[m - p], row.xs[k - p]) if row.bp.shape[1] else -math.inf,
+             _sup_ratio(row.ys[k - p], row.ys[m - p]) if row.bq.shape[1] else -math.inf)
+            for k, m in zip(k_of.tolist(), m_of.tolist())
+        ]
         assert [(k, m) for k in range(p, hi + 1) for m in range(k, hi + 1)] == list(
             zip(k_of.tolist(), m_of.tolist())
         )
         assert np.array(want).reshape(-1, 2).tobytes() == np.column_stack([rp, rq]).tobytes()
+        single = [row.ratios(m, k) for k, m in zip(k_of.tolist(), m_of.tolist())]
+        assert np.array(single).reshape(-1, 2).tobytes() == np.column_stack([rp, rq]).tobytes()
 
 
 @pytest.mark.parametrize("p_scale, q_scales, n_const", [
@@ -168,22 +174,21 @@ def test_dense_overflow_matches_the_loop(p_scale, q_scales, n_const):
 
 
 def test_diagonal_triplet_form_makes_no_per_triplet_ratio_call(monkeypatch):
-    calls = []
-    ratios = system._DiagonalRow.ratios
+    def refuse(self, m, k):
+        raise AssertionError(f"per-triplet ratio call at ({self.n}, {k}, {m})")
 
-    def counted(self, m, k):
-        calls.append((self.n, k, m))
-        return ratios(self, m, k)
-
-    monkeypatch.setattr(system._DiagonalRow, "ratios", counted)
-    cases = [(make_example(name), w)
-             for name, w in (("ued_example", 200), ("ned_example", 60), ("ned_not_ed_example", 24))]
+    monkeypatch.setattr(system._DiagonalRow, "ratios", refuse)
+    # at W = 1000 the rounding bound of the ued claim exceeds tol, so its
+    # triplets (p, n, n), with excess -0.0, must be judged against tol itself
+    cases = [(make_example(name), w) for name, w in (
+        ("ued_example", 200), ("ued_example", 1000), ("ned_example", 60),
+        ("ned_not_ed_example", 24),
+    )]
     for entry, w in cases:
         out = verify_triplet_form(entry.system, entry.projection, entry.claims[0].cert,
                                   WindowSpec(0, w, triplet=True))
         assert out.holds
         assert out.pairs_checked == (w + 1) * (w + 2) * (w + 3) // 6
-    assert calls == []
     # with a zero factor no class takes the annihilated coordinate, on
     # either side, so no row comes near the tolerance either
     p_coord = [LogScalar.from_log(-1.0)] * 21
@@ -194,4 +199,3 @@ def test_diagonal_triplet_form_makes_no_per_triplet_ratio_call(monkeypatch):
     proj = ProjectionFamily(2, mask=(True, False))
     cert = DichotomyCertificate(Kind.UED, alpha=0.5, n_const=1.0)
     assert verify_triplet_form(sys_, proj, cert, WindowSpec(0, 20, triplet=True)).holds
-    assert calls == []
