@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator
 
 from .errors import InvalidCertificateError, OutOfRangeError
@@ -242,11 +243,17 @@ class Witness:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Family of witnesses with the growth trend of the required constants."""
+    """A witness family as columns, with the growth trend of its required
+    constants: member i is the pair (ms[i], ns[i]) probed along
+    ``direction``, and its least constant has log-magnitude
+    ``required_logs[i]`` (-inf for a zero constant)."""
 
     concept: Kind
     schedule: str
-    witnesses: tuple[Witness, ...]
+    ms: tuple[int, ...]
+    ns: tuple[int, ...]
+    direction: tuple[float, ...]
+    required_logs: tuple[LogMag, ...]
     trend: str  # "bounded" | "divergent"
     log_slope: float
     trial_alpha: float
@@ -255,6 +262,15 @@ class WitnessReport:
     @property
     def divergent(self) -> bool:
         return self.trend == "divergent"
+
+    @cached_property
+    def witnesses(self) -> tuple[Witness, ...]:
+        """The members as ``Witness`` records (side "family"), built on the
+        first read."""
+        return tuple(
+            Witness(m, n, self.direction, LogScalar.from_log(log), side="family")
+            for m, n, log in zip(self.ms, self.ns, self.required_logs)
+        )
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ stay exact for closed-form systems with exact logs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -510,14 +511,17 @@ def falsify(
 ) -> WitnessReport:
     """Track the minimal constant along a witness family.
 
-    The report is ``divergent`` when the required constants grow
-    monotonically across at least five consecutive family members with a
-    positive least-squares slope of their logs; a certified system can only
-    produce ``bounded`` reports.
+    The family parameters must be integers (values that ``operator.index``
+    accepts). The report is ``divergent`` when the family has at least five
+    members, its required constants are nondecreasing across the whole
+    family and end above where they start, and the least-squares slope of
+    their finite logs over k exceeds ``_TIE_BAND``; a certified system can
+    only produce ``bounded`` reports.
 
     The family is evaluated as one batch: every pair is checked first, then
     compatibility once per index the pairs cover, and the norms come from
-    one kernel over the family's span.
+    one kernel over the family's span. The report holds the family as
+    columns; it builds no record per member.
     """
     alpha = schedule.default_alpha if alpha is None else alpha
     if not alpha > 0:
@@ -532,47 +536,76 @@ def falsify(
             raise InvalidCertificateError("trial beta must be finite")
     elif concept is Kind.NED and profile is None:
         raise InvalidCertificateError("falsifying the nonuniform concept needs a trial profile")
-    ks = sorted(set(int(k) for k in k_values))
-    if not ks:
-        raise ScheduleOutOfRangeError("empty family parameter range")
-    pairs = [schedule.pair_at(k) for k in ks]
-    for m, n in pairs:
-        if m < n or n < 0:
-            raise ScheduleOutOfRangeError(f"schedule produced invalid pair (m, n) = ({m}, {n})")
-        try:
-            sys.check_pair(m, n)
-        except (OutOfRangeError, IndexOrderError) as exc:
-            raise ScheduleOutOfRangeError(str(exc)) from exc
+    ks = _family_parameters(k_values)
+    pairs = list(map(schedule.pair_at, ks))
+    ms, ns = zip(*pairs)
+    at = np.array((ms, ns)).T
+    _check_pairs(sys, pairs, at)
     # the family forms alpha (m - n) and beta m; float overflow must not
     # decide a required constant
-    m, n = max(pairs, key=lambda mn: mn[0] - mn[1])
+    m, n = pairs[int(np.argmax(at[:, 0] - at[:, 1]))]
     _check_product(alpha, m - n, f"(m - n) at (m, n) = ({m}, {n})")
     if concept in (Kind.ED, Kind.SED):
-        top = max(m for m, _ in pairs)
+        top = pairs[int(np.argmax(at[:, 0]))][0]
         _check_product(beta, top, f"m at m = {top}")
     check_pairs_compatibility(sys, proj, pairs)
     x = schedule.direction_vector(sys.dim)
-    p_norms, q_norms = _family_norms(sys, proj, pairs, x)
+    p_norms, q_norms = _family_norms(sys, proj, at, x)
     if concept is Kind.UED:
         w_p = w_q = [0] * len(pairs)
     elif concept is Kind.NED:
         w_p, w_q = zip(*[(_profile_log(profile, n), _profile_log(profile, m)) for m, n in pairs])
     else:
         w_p, w_q = [beta * n for _, n in pairs], [beta * m for m, _ in pairs]
-    logs = _required_logs(alpha, pairs, w_p, w_q, p_norms, q_norms)
-    witnesses = [
-        Witness(m, n, x, LogScalar.from_log(log), side="family") for (m, n), log in zip(pairs, logs)
-    ]
+    logs = _required_logs(alpha, at, w_p, w_q, p_norms, q_norms)
     trend, slope = _classify_trend(ks, logs)
     return WitnessReport(
         concept=concept,
         schedule=schedule.name,
-        witnesses=tuple(witnesses),
+        ms=ms,
+        ns=ns,
+        direction=x,
+        required_logs=tuple(logs),
         trend=trend,
         log_slope=slope,
         trial_alpha=alpha,
         trial_beta=beta if concept in (Kind.ED, Kind.SED) else None,
     )
+
+
+def _family_parameters(k_values: Iterable[int]) -> list[int]:
+    """The distinct family parameters in increasing order; a value that
+    ``operator.index`` refuses (0.5, say) is named, not truncated."""
+    values = list(k_values)
+    try:
+        ks = sorted(set(map(operator.index, values)))
+    except TypeError:
+        for value in values:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ScheduleOutOfRangeError(
+                    f"family parameter {value!r} is not an integer") from None
+        raise
+    if not ks:
+        raise ScheduleOutOfRangeError("empty family parameter range")
+    return ks
+
+
+def _check_pairs(sys: SystemDescription, pairs: list[tuple[int, int]], at: np.ndarray) -> None:
+    """Find, in one array pass over the rows (m, n) of ``at``, the first pair
+    with m < n, n < 0 or m beyond the system's last index; that pair raises
+    the error that checking the pairs one by one raises."""
+    bad = (at[:, 0] < at[:, 1]) | (at[:, 1] < 0)
+    if sys.n_max is not None:
+        bad |= at[:, 0] > sys.n_max
+    for m, n in (pairs[i] for i in np.flatnonzero(bad)[:1]):
+        if m < n or n < 0:
+            raise ScheduleOutOfRangeError(f"schedule produced invalid pair (m, n) = ({m}, {n})")
+        try:
+            sys.check_pair(m, n)
+        except (OutOfRangeError, IndexOrderError) as exc:
+            raise ScheduleOutOfRangeError(str(exc)) from exc
 
 
 def _required_logs(alpha, pairs, w_p, w_q, p_norms: LogTable, q_norms: LogTable) -> list[LogMag]:
@@ -617,10 +650,12 @@ def _required_logs(alpha, pairs, w_p, w_q, p_norms: LogTable, q_norms: LogTable)
 def _mixing(values) -> np.ndarray:
     """``mixes_as_float`` of each value, one array pass for floats or ints."""
     kinds = set(map(type, values))
+    if kinds == {int}:
+        if -_FLOAT_SAFE <= min(values) and max(values) <= _FLOAT_SAFE:
+            return np.ones(len(values), dtype=bool)
+        return np.abs(np.array(values, dtype=object)) <= _FLOAT_SAFE
     if kinds <= {float}:
         return np.ones(len(values), dtype=bool)
-    if kinds == {int}:
-        return np.abs(np.array(values, dtype=object)) <= _FLOAT_SAFE
     return np.fromiter(map(mixes_as_float, values), bool, len(values))
 
 
@@ -640,23 +675,32 @@ def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def _classify_trend(ks: Sequence[int], logs: Sequence[LogMag]) -> tuple[str, float]:
-    floats = [lfloat(v) for v in logs]
-    finite = [(k, v) for k, v in zip(ks, floats) if math.isfinite(v)]
+    """("divergent" or "bounded", slope) of a family's required logs over its
+    parameters ks. The slope is the least-squares slope of the finite logs
+    (as floats) over their ks, 0 with fewer than two. The family is divergent
+    when it has at least five members, its logs are nondecreasing, the last
+    exceeds the first and the slope exceeds ``_TIE_BAND``.
+
+    Float logs are compared in one float64 pass. A family with an exact log
+    is compared exactly: two distinct ints above 2**53 can round to one
+    double, and a decrease between them must still count."""
+    if set(map(type, logs)) <= {float}:
+        ys = np.array(logs, dtype=float)
+        nondecreasing = bool(np.all(ys[1:] >= ys[:-1]))
+    else:
+        ys = np.array([lfloat(v) for v in logs], dtype=float)
+        nondecreasing = all(map(operator.ge, logs[1:], logs))
+    finite = np.isfinite(ys)
     slope = 0.0
-    if len(finite) >= 2:
-        xs = np.array([k for k, _ in finite], dtype=float)
-        ys = np.array([v for _, v in finite], dtype=float)
+    if np.count_nonzero(finite) >= 2:
+        xs, ys = np.array(ks, dtype=float)[finite], ys[finite]
         with np.errstate(over="ignore", invalid="ignore"):
             slope = _fit_slope(xs, ys)
             if not math.isfinite(slope):
                 # the sums overflowed: fit the logs scaled by their largest magnitude
                 scale = float(np.abs(ys).max())
                 slope = _fit_slope(xs, ys / scale) * scale
-    if len(logs) < 5:
-        return "bounded", slope
-    nondecreasing = all(logs[i + 1] >= logs[i] for i in range(len(logs) - 1))
-    growing = logs[-1] > logs[0]
-    if nondecreasing and growing and slope > _TIE_BAND:
+    if len(logs) >= 5 and nondecreasing and logs[-1] > logs[0] and slope > _TIE_BAND:
         return "divergent", slope
     return "bounded", slope
 

@@ -17,8 +17,9 @@ import math
 import sys
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, sub
 from pathlib import Path
+from typing import Sequence
 
 from . import serialize
 from .certificates import Kind, WindowSpec
@@ -160,14 +161,17 @@ def _resolve_system(args):
 # generator steps per value. A list of records that share the first record's
 # shape (the same keys in the same order, lists of the same lengths, scalars
 # in the same places) is encoded by column instead: each scalar column in one
-# pass of a C-level function, then the record template's literal pieces and
-# the columns interleaved in one ``str.join``. The rest of the report goes
-# through ``json.dumps`` with a placeholder string for each such list, and the
-# lists are spliced in, so the text is that of ``json.dumps(report, indent=2)``.
+# pass of a C-level function, or once when every record has the same text
+# there (a family's probe direction, say), then the record template's literal
+# pieces and the columns interleaved in one ``str.join``. The rest of the
+# report goes through ``json.dumps`` with a placeholder string for each such
+# list, and the lists are spliced in, so the text is that of
+# ``json.dumps(report, indent=2)``.
 
 _INDENT = "  "
 # marks a scalar's place in a record template; the literal pieces are JSON
-# punctuation, indentation and ASCII-escaped keys, which never hold it
+# punctuation, indentation, ASCII-escaped keys and the text of repeated
+# scalars, which never hold it
 _SLOT = "\x00"
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _NAMED = {None: "null", True: "true", False: "false"}
@@ -237,6 +241,8 @@ def _template(proto, col: list, depth: int, columns: list[list[str]]) -> str | N
     if type(proto) in _SCALARS:
         if not kinds <= _SCALARS:
             return None
+        if len(kinds) == 1 and _repeated(col):
+            return _encode_scalar(proto)  # a literal piece of the template
         columns.append(_encode_scalars(col))
         return _SLOT
     if type(proto) is dict:
@@ -267,17 +273,43 @@ def _template(proto, col: list, depth: int, columns: list[list[str]]) -> str | N
     return open_ + ",".join(parts) + "\n" + _INDENT * depth + close
 
 
-def _encode_scalars(values: list) -> list[str]:
+def _repeated(values: list) -> bool:
+    """Whether every value of a one-type column encodes as the first one:
+    equal to it, and for a zero float, of the same sign."""
+    first = values[0]
+    if values[-1] != first or values.count(first) != len(values):
+        return False
+    if type(first) is not float or first != 0.0:
+        return True
+    return len(set(map(math.copysign, repeat(1.0), values))) == 1
+
+
+def _encode_scalars(values: list) -> Sequence[str]:
     """json's text of each scalar, a whole column per C-level call where it
     holds one type."""
     kinds = set(map(type, values))
     if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
+        return _reprs(values)
     if kinds == {int}:
         return list(map(int.__repr__, values))
     if kinds == {str}:
         return list(map(encode_basestring_ascii, values))
     return [_encode_scalar(v) for v in values]
+
+
+def _reprs(values: list[float]) -> Sequence[str]:
+    """``float.__repr__`` of each value of a float column, one C-level call.
+    A column without zeros is looked up in a one-entry memo first: a
+    report's CSV formats the column of logs that its JSON text has just
+    encoded. Equal floats have one text, except 0.0 and -0.0."""
+    if 0.0 in values:
+        return list(map(float.__repr__, values))
+    return _remembered_reprs(tuple(values))
+
+
+@functools.lru_cache(maxsize=1)
+def _remembered_reprs(values: tuple[float, ...]) -> tuple[str, ...]:
+    return tuple(map(float.__repr__, values))
 
 
 def _encode_scalar(value) -> str:
@@ -313,9 +345,9 @@ def _fmt_num(value) -> str:
 def _csv_rows(indices, values: list[dict]) -> list[str]:
     """One line ``index,logmag,sign`` per value record; the ``_fmt_num`` of a
     column of floats is one C-level call."""
-    logmags = [v["logmag"] for v in values]
-    fmt = float.__repr__ if set(map(type, logmags)) == {float} else _fmt_num
-    return [f"{i},{mag},{v['sign']}" for i, mag, v in zip(indices, map(fmt, logmags), values)]
+    logmags = list(map(itemgetter("logmag"), values))
+    mags = _reprs(logmags) if set(map(type, logmags)) == {float} else map(_fmt_num, logmags)
+    return [f"{i},{mag},{v['sign']}" for i, mag, v in zip(indices, mags, values)]
 
 
 def emit_series(report: dict) -> str:
@@ -329,8 +361,8 @@ def emit_series(report: dict) -> str:
     command = report.get("command")
     if command == "falsify":
         witnesses = report["result"]["witnesses"]
-        lines += _csv_rows([w["m"] - w["n"] for w in witnesses],
-                           [w["required_constant"] for w in witnesses])
+        lines += _csv_rows(map(sub, *(map(itemgetter(k), witnesses) for k in "mn")),
+                           list(map(itemgetter("required_constant"), witnesses)))
     elif command == "estimate" and report.get("kind") == "ned":
         profile = report["profile"]
         lines += _csv_rows(count(profile["n_min"]), profile["values"])

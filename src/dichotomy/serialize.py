@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from .certificates import (
     ConstantProfile,
@@ -154,6 +155,16 @@ def outcome_from_json(obj) -> VerificationOutcome:
 
 
 def witness_report_to_json(rep: WitnessReport) -> dict:
+    """The report, with one witness record per family member written
+    straight from the columns; each record has its own direction list."""
+    direction = tuple(map(float, rep.direction))
+    logs = list(rep.required_logs)
+    if set(map(type, logs)) == {float} and all(map(math.isfinite, logs)):
+        signs = repeat(1)
+    else:
+        # LogScalar.from_log: a zero constant (log -inf) has sign 0
+        signs = [0 if v == -math.inf else 1 for v in logs]
+        logs = list(map(_num, logs))
     return {
         "concept": rep.concept.value,
         "schedule": rep.schedule,
@@ -161,15 +172,33 @@ def witness_report_to_json(rep: WitnessReport) -> dict:
         "log_slope": rep.log_slope,
         "trial_alpha": rep.trial_alpha,
         "trial_beta": rep.trial_beta,
-        "witnesses": [witness_to_json(w) for w in rep.witnesses],
+        "witnesses": [
+            {
+                "m": m,
+                "n": n,
+                "direction": vector,
+                "required_constant": {"sign": sign, "logmag": logmag},
+                "side": "family",
+            }
+            for m, n, vector, sign, logmag in zip(
+                rep.ms, rep.ns, map(list, repeat(direction)), signs, logs)
+        ],
     }
 
 
 def witness_report_from_json(obj) -> WitnessReport:
+    witnesses = [witness_from_json(w) for w in obj["witnesses"]]
+    direction = witnesses[0].direction if witnesses else ()
+    for w in witnesses:
+        if (w.side, w.direction) != ("family", direction) or w.required_constant.sign < 0:
+            raise ConfigError(f"witness {w!r} is not a member of one family")
     return WitnessReport(
         concept=Kind(obj["concept"]),
         schedule=str(obj["schedule"]),
-        witnesses=tuple(witness_from_json(w) for w in obj["witnesses"]),
+        ms=tuple(w.m for w in witnesses),
+        ns=tuple(w.n for w in witnesses),
+        direction=direction,
+        required_logs=tuple(w.required_constant.logmag for w in witnesses),
         trend=str(obj["trend"]),
         log_slope=float(obj["log_slope"]),
         trial_alpha=float(obj["trial_alpha"]),

@@ -401,8 +401,9 @@ def check_pairs_compatibility(
     of their ranges [n, m). Each index is checked once, and none that lies
     between the ranges; a diagonal system with a constant mask commutes
     everywhere."""
-    for lo, hi in _merged((n, m) for m, n in pairs):
-        proj.validate(lo, hi)
+    if not proj.is_mask:  # a mask is idempotent
+        for lo, hi in _merged((n, m) for m, n in pairs):
+            proj.validate(lo, hi)
     if sys.is_diagonal and proj.is_mask and proj.constant:
         return
     for lo, hi in _merged((n, m - 1) for m, n in pairs):
@@ -1031,26 +1032,32 @@ class _DiagonalSweeps:
         coords = [i for i in range(self.dim) if xs[:, i].any()]
         if not coords:
             return LogTable(np.full(shape, -math.inf))
-        index = sorted({*seeds.tolist(), *at.ravel().tolist()})
-        where = np.zeros(index[-1] + 1, dtype=int)
-        where[index] = range(len(index))
+        marks = np.concatenate([seeds.ravel(), at.ravel()])
+        read = np.zeros(int(marks.max()) + 1, dtype=bool)
+        read[marks] = True
+        where = np.cumsum(read) - 1  # the position of each read index among them
         s_at, j_at = where[seeds][:, None], where[at]
-        pres = [[self.pre[i][k] for k in index] for i in coords]
-        floats = all(
-            isinstance(v, float) or (isinstance(v, int) and -_FLOAT_SAFE <= v <= _FLOAT_SAFE)
-            for pre in pres for v in pre
+        keys = np.flatnonzero(read).tolist()
+        pres = [list(map(self.pre[i].__getitem__, keys)) for i in coords]
+        kinds = set().union(*(map(type, pre) for pre in pres))
+        floats = all(issubclass(t, (float, int)) for t in kinds) and all(
+            -_FLOAT_SAFE <= v <= _FLOAT_SAFE
+            for pre in pres for v in filter(int.__instancecheck__, pre)
         )
+        mixed = floats and not all(issubclass(t, float) for t in kinds)
         form = FLOAT_FORM if floats else EXACT_FORM
-        flat = np.abs(xs).ravel().tolist()
-        logs = {v: math.log(v) for v in set(flat) if v}
-        offs = np.array([logs.get(v, -math.inf) for v in flat]).reshape(xs.shape)
+        # math.log of each distinct magnitude of the probes, not np.log: the
+        # offsets keep the bits of the scalar formula
+        mags, inverse = np.unique(np.abs(xs).ravel(), return_inverse=True)
+        logs = np.array([math.log(v) if v else -math.inf for v in mags.tolist()])
+        offs = logs[inverse].reshape(xs.shape)
         best = np.full(shape, -math.inf, dtype=form.dtype)
         ints = np.zeros(shape, dtype=bool)
         with np.errstate(over="ignore"):
             for i, pre in zip(coords, pres):
-                zeros = np.array([self.zeros[i][k] for k in index])
-                if floats:
-                    flags = np.array([not isinstance(v, float) for v in pre])
+                zeros = np.array(list(map(self.zeros[i].__getitem__, keys)))
+                if mixed:
+                    flags = np.fromiter(map(int.__instancecheck__, pre), bool, len(pre))
                 pre = np.array(pre, dtype=form.dtype)
                 cand = form.sub(pre[j_at], pre[s_at])
                 off = offs[:, i:i + 1]
@@ -1061,7 +1068,7 @@ class _DiagonalSweeps:
                 if i != coords[0]:  # the first coordinate only meets -inf
                     better &= cand > best
                 np.copyto(best, cand, where=better)
-                if floats:
+                if mixed:
                     np.copyto(ints, flags[j_at] & flags[s_at] & (off == 0.0), where=better)
         return LogTable(best, ints if floats else None)
 

@@ -14,10 +14,12 @@ a time, in place of the verifiers' array pass. The diagonal prefix sums are
 built one factor at a time with ``ladd``, in place of the array build of
 ``SystemDescription._ensure_prefix``. A dense ratio is taken one pair of
 images at a time (``_sup_ratio``), in place of the dense rows' batched
-call. Signed quantities are multiplied, divided, added and ordered by the
-functions of the first section, over the (sign, logmag) fields of a
-``LogScalar`` record, which has no arithmetic of its own. None of this is
-on a path of the package.
+call. A witness family's trend is judged one member at a time
+(``classify_trend_loop``), in place of the array pass of
+``checkers._classify_trend``. Signed quantities are multiplied, divided,
+added and ordered by the functions of the first section, over the (sign,
+logmag) fields of a ``LogScalar`` record, which has no arithmetic of its
+own. None of this is on a path of the package.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dichotomy import (
     WindowSpec,
     Witness,
 )
-from dichotomy.checkers import DEFAULT_LOG_TOL, _slack, _validate
+from dichotomy.checkers import _TIE_BAND, DEFAULT_LOG_TOL, _fit_slope, _slack, _validate
 from dichotomy.datko import (
     HOLDS,
     INCONCLUSIVE,
@@ -660,3 +662,27 @@ def required_logs_loop(alpha, pairs, w_p, w_q, p_norms, q_norms) -> list[LogMag]
             required = lsub(numerator, denominator)
         logs.append(required)
     return logs
+
+
+def classify_trend_loop(ks, logs) -> tuple[str, float]:
+    """``checkers._classify_trend`` one member at a time: the finite logs (as
+    floats) and their ks picked out in Python lists, and the family compared
+    step by step in the logs' own types."""
+    floats = [lfloat(v) for v in logs]
+    finite = [(k, v) for k, v in zip(ks, floats) if math.isfinite(v)]
+    slope = 0.0
+    if len(finite) >= 2:
+        xs = np.array([k for k, _ in finite], dtype=float)
+        ys = np.array([v for _, v in finite], dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = _fit_slope(xs, ys)
+            if not math.isfinite(slope):
+                scale = float(np.abs(ys).max())
+                slope = _fit_slope(xs, ys / scale) * scale
+    if len(logs) < 5:
+        return "bounded", slope
+    nondecreasing = all(logs[i + 1] >= logs[i] for i in range(len(logs) - 1))
+    growing = logs[-1] > logs[0]
+    if nondecreasing and growing and slope > _TIE_BAND:
+        return "divergent", slope
+    return "bounded", slope

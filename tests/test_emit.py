@@ -5,17 +5,33 @@ each list of records that share the first record's shape by column and
 sends only the rest of the report through ``json.dumps`` (through the
 module attribute ``cli.json``, which the benchmark's tracing replaces). The
 bytes must not change, for any report tree: record lists whose keys differ
-or come in another order fall back to ``json.dumps``.
+or come in another order fall back to ``json.dumps``. Witness families,
+whose records are written from the family's columns, are checked with
+logs of every kind (float, int, Fraction, +-inf), and their CSV against
+the rows the per-witness loop wrote.
 """
 
 import json
 import math
 import types
+from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dichotomy import cli
+from dichotomy import (
+    DiagonalClosedForm,
+    Kind,
+    LogScalar,
+    ProjectionFamily,
+    SystemDescription,
+    cli,
+    falsify,
+    make_example,
+    serialize,
+)
+from dichotomy.checkers import WitnessSchedule
 from dichotomy.cli import _dumps, _records, main
 
 scalars = st.one_of(
@@ -95,6 +111,14 @@ trees = st.recursive(
 @example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
 @example([{"{}": "\x00", "ké\n": "☃\t"}, {"{}": "\x001", "ké\n": ""}])
 @example({"\x000": [{"a": 1}], "b": "\x000"})
+# columns of one repeated text, and columns equal in value but not in text
+@example([{"d": [1.0, 0.0], "s": "family"}, {"d": [1.0, 0.0], "s": "family"}])
+@example([{"x": 0.0}, {"x": -0.0}])
+@example([{"x": -0.0}, {"x": -0.0}])
+@example([{"x": 1}, {"x": True}, {"x": 1.0}])
+@example([{"x": math.nan}, {"x": math.nan}])
+@example([{"x": math.inf}, {"x": math.inf}])
+@example([{"x": "\x00"}, {"x": "\x00"}])
 def test_column_encoding_equals_json_dumps(tree):
     assert _dumps(tree) == json.dumps(tree, indent=2)
 
@@ -107,18 +131,34 @@ def test_uniform_records_take_the_column_path(records, depth):
     assert _dumps(records) == json.dumps(records, indent=2)
 
 
-def _falsify_ned(tmp_path, monkeypatch, k_max):
-    """Run ``falsify`` on ned_example; return (report dict, report text, CSV)."""
+def _emitted(tmp_path, monkeypatch, argv, rc):
+    """Run the CLI with --report and --csv; return (report dict, report text,
+    CSV)."""
     seen = []
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda args, report, csv_text=None: (
         seen.append(report), emit(args, report, csv_text)))
     report, csv = tmp_path / "r.json", tmp_path / "r.csv"
-    rc = main(["falsify", "--gallery", "ned_example", "--concept", "UED",
-               "--schedule", "odd_after_even", "--k-max", str(k_max), "--alpha", "0.25",
-               "--report", str(report), "--csv", str(csv)])
-    assert rc == 1
+    assert main([*argv, "--report", str(report), "--csv", str(csv)]) == rc
     return seen[0], report.read_text(encoding="utf-8"), csv.read_text(encoding="utf-8")
+
+
+def _falsify_ned(tmp_path, monkeypatch, k_max):
+    """Run ``falsify`` on ned_example; return (report dict, report text, CSV)."""
+    return _emitted(tmp_path, monkeypatch, [
+        "falsify", "--gallery", "ned_example", "--concept", "UED", "--schedule",
+        "odd_after_even", "--k-max", str(k_max), "--alpha", "0.25"], 1)
+
+
+def _csv_loop(report) -> str:
+    """The CSV rows the per-witness loop wrote: one per witness of a falsify
+    report, none for a gallery-claims report."""
+    rows = ["index,value_logmag,value_sign"]
+    for w in report["result"]["witnesses"] if report["command"] == "falsify" else ():
+        req = w["required_constant"]
+        value = repr(req["logmag"]) if isinstance(req["logmag"], float) else str(req["logmag"])
+        rows.append(f"{w['m'] - w['n']},{value},{req['sign']}")
+    return "\n".join(rows) + "\n"
 
 
 def test_long_falsify_report_is_json_dumps(tmp_path, monkeypatch):
@@ -126,13 +166,103 @@ def test_long_falsify_report_is_json_dumps(tmp_path, monkeypatch):
     report, text, csv = _falsify_ned(tmp_path, monkeypatch, 5000)
     assert len(report["result"]["witnesses"]) == 5001
     assert text == json.dumps(report, indent=2) + "\n"
-    # the CSV rows the per-witness loop wrote
-    rows = ["index,value_logmag,value_sign"]
-    for w in report["result"]["witnesses"]:
-        req = w["required_constant"]
-        value = repr(req["logmag"]) if isinstance(req["logmag"], float) else str(req["logmag"])
-        rows.append(f"{w['m'] - w['n']},{value},{req['sign']}")
-    assert csv == "\n".join(rows) + "\n"
+    assert csv == _csv_loop(report)
+
+
+def system_file(tmp_path, text):
+    path = tmp_path / "system.cfg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+# zero factors at even indices on both sides: the probe of coordinate 0 has a
+# zero numerator (log -inf, sign 0) across one, that of coordinate 1 a zero
+# denominator (log +inf)
+ZERO_FACTORS = """[system]
+dim = 2
+source = diagonal
+coord0 = parity: even=0, odd=1/2
+coord1 = parity: even=0, odd=3
+[projection]
+mask = 1,0
+"""
+# coordinate 0 (always a zero factor) moves to Q(n) at n = 3 and 6 only
+PER_INDEX = """[system]
+dim = 2
+source = diagonal
+coord0 = const: value=0
+coord1 = linear_exponent: sigma=-0.5, tau=0.25
+[projection]
+mask = 1,1
+mask@3 = 0,1
+mask@6 = 0,1
+"""
+DENSE = "[system]\ndim = 2\nsource = explicit\n" + "\n".join(
+    f"A{k} = {0.5 + 0.01 * k},0; 0,{2 + k % 3}" for k in range(32)
+) + "\n[projection]\nmatrix = 1,0; 0,0\n"
+
+
+def _logmags(report) -> set:
+    """The kinds of the families' logmags: a type name, or "inf"/"-inf"."""
+    families = [report["result"]] if report["command"] == "falsify" else [
+        claim["detail"] for claim in report["claims"] if claim["type"] == "falsification"]
+    return {v if isinstance(v, str) else type(v).__name__
+            for family in families for v in (w["required_constant"]["logmag"]
+                                             for w in family["witnesses"])}
+
+
+TOWER = ["falsify", "--gallery", "ned_not_ed_example", "--concept", "ED", "--k-max", "200"]
+ADJACENT = ["--concept", "UED", "--schedule", "adjacent", "--k-max", "30"]
+
+
+@pytest.mark.parametrize("argv, rc, kinds", [
+    # the benchmark's tower family, and one whose exact logs are Fractions
+    ([*TOWER, "--schedule", "tower_expanding"], 1, {"float"}),
+    ([*TOWER, "--schedule", "tower_balanced"], 1, {"float"}),
+    (["falsify", "--system", ZERO_FACTORS, *ADJACENT, "--coord", "0"], 0, {"float", "-inf"}),
+    (["falsify", "--system", ZERO_FACTORS, *ADJACENT, "--coord", "1"], 0, {"float", "inf"}),
+    (["falsify", "--system", PER_INDEX, *ADJACENT], 0, {"inf", "-inf"}),
+    (["falsify", "--system", DENSE, "--concept", "UED", "--schedule", "from_start",
+      "--k-max", "31", "--coord", "1"], 0, {"float"}),
+    (["gallery-claims", "--name", "ned_example"], 0, {"float"}),
+], ids=["tower", "tower-fractions", "zero-numerators", "zero-denominators",
+        "per-index-mask", "dense", "gallery-claims"])
+def test_families_of_every_log_kind_are_json_dumps(tmp_path, monkeypatch, argv, rc, kinds):
+    if "--system" in argv:
+        at = argv.index("--system") + 1
+        argv = [*argv[:at], system_file(tmp_path, argv[at]), *argv[at + 1:]]
+    report, text, csv = _emitted(tmp_path, monkeypatch, argv, rc)
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert csv == _csv_loop(report)
+    assert _logmags(report) == kinds
+
+
+def int_family():
+    # int factor logs, an int rate and a probe inside P(n)
+    sys_ = SystemDescription(2, DiagonalClosedForm([
+        lambda n: LogScalar.from_log(3), lambda n: LogScalar.from_log(-2)]))
+    proj = ProjectionFamily(2, mask=(True, False))
+    return falsify(sys_, proj, Kind.UED, WitnessSchedule("from_start", lambda k: (k, 0), 0),
+                   range(40), alpha=2)
+
+
+def tower_family():
+    entry = make_example("ned_not_ed_example")
+    return falsify(entry.system, entry.projection, Kind.ED, entry.schedule("tower_balanced"),
+                   range(201))
+
+
+@pytest.mark.parametrize("family, logs, kinds", [
+    (int_family, {int}, {"int"}),
+    (tower_family, {float, Fraction}, {"float"}),  # a report holds a Fraction as a float
+])
+def test_exact_log_families_are_json_dumps(family, logs, kinds):
+    rep = family()
+    assert set(map(type, rep.required_logs)) == logs
+    report = {"command": "falsify", "result": serialize.witness_report_to_json(rep)}
+    assert _dumps(report) == json.dumps(report, indent=2)
+    assert cli.emit_series(report) == _csv_loop(report)
+    assert _logmags(report) == kinds
 
 
 def test_emit_calls_dumps_through_cli_json(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from test_dense_kernel import commuting_system
 from test_diagonal_scan import PROPERTY, diagonal_cases, same
@@ -30,6 +30,7 @@ from dichotomy import (
     LogScalar,
     ProjectionFamily,
     ScaledProfile,
+    ScheduleOutOfRangeError,
     SystemDescription,
     TabulatedProfile,
     make_example,
@@ -45,7 +46,7 @@ from dichotomy.checkers import (
 )
 from dichotomy.cli import main
 from dichotomy.system import _sweeps, check_compatibility
-from oracles import required_logs_loop, sadd, sdiv, smul
+from oracles import classify_trend_loop, required_logs_loop, sadd, sdiv, smul
 
 # -- per-pair oracle -----------------------------------------------------------
 
@@ -214,6 +215,82 @@ def test_int_norms_whose_sums_leave_the_float_safe_range_stay_exact():
     rep = falsify(sys_, proj, Kind.NED, schedule, [0], alpha=0.5, profile=profile)
     assert same(rep.witnesses[0].required_constant, want[0].required_constant)
     assert rep.witnesses[0].required_constant.logmag == Fraction(-139999, 2)
+
+
+# -- the family as columns ---------------------------------------------------------
+
+
+def test_falsify_builds_no_record_per_member(monkeypatch):
+    entry = make_example("ned_example")
+    schedule = entry.schedule("odd_after_even")
+    want, trend, slope = per_pair_falsify(entry.system, entry.projection, Kind.UED, schedule,
+                                          range(40), 0.25)
+    built = []
+    for cls in (Witness, LogScalar):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init, **kw: (
+            built.append(type(self)), init(self, *a, **kw))[1])
+    rep = falsify(entry.system, entry.projection, Kind.UED, schedule, range(40), alpha=0.25)
+    assert built == []
+    assert (rep.trend, rep.log_slope) == (trend, slope)
+    # the witnesses are built when first read, and equal the per-pair loop's
+    assert [rep.witnesses[i] for i in range(40)] == want
+    assert built.count(Witness) == 40
+    assert rep.witnesses is rep.witnesses
+
+
+def test_non_integral_family_parameters_are_named():
+    # not truncated to the members k = 0, 1, 2
+    entry = make_example("ned_example")
+    schedule = entry.schedule("odd_after_even")
+    with pytest.raises(ScheduleOutOfRangeError, match=r"family parameter 0\.5 is not an integer"):
+        falsify(entry.system, entry.projection, Kind.UED, schedule, [0, 0.5, 1.9, 2.7])
+    with pytest.raises(ScheduleOutOfRangeError, match="family parameter '3' is not"):
+        falsify(entry.system, entry.projection, Kind.UED, schedule, [1, "3"])
+    # what operator.index takes stays valid
+    rep = falsify(entry.system, entry.projection, Kind.UED, schedule,
+                  [np.int64(2), True, 0, 2])
+    assert rep.ms == (1, 3, 5)
+
+
+FLOAT_LOGS = st.sampled_from([0.0, 1.0, 1.0 + 1e-13, 2.5, -3.0, math.inf, -math.inf,
+                              1e300, -1e300, 1.5e308]) | st.floats(-50.0, 50.0)
+EXACT_LOGS = st.sampled_from([0, 7, -2**70, 2**60, 2**60 + 1, 2**1100,
+                              Fraction(1, 3), Fraction(2**80, 3)]) | FLOAT_LOGS
+
+
+@st.composite
+def trend_families(draw):
+    """(ks, logs): distinct increasing ks, and logs that are all floats or
+    hold exact ones, in drawn or in sorted order."""
+    logs = draw(st.lists(draw(st.sampled_from([FLOAT_LOGS, EXACT_LOGS])), max_size=9))
+    if draw(st.booleans()):
+        logs.sort()
+    ks = sorted(draw(st.sets(st.integers(0, 10**6), min_size=len(logs), max_size=len(logs))))
+    return ks, logs
+
+
+@PROPERTY
+@given(trend_families())
+@example(([0, 1, 2, 3, 4], [0.0, 1.0, 1.0, 2.0, 3.0]))  # a tie
+@example(([0, 1, 2, 3, 4], [-math.inf, 0.0, 1.0, 2.0, math.inf]))
+@example(([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0]))  # fewer than five members
+@example(([0, 10**6, 2 * 10**6, 3 * 10**6, 4 * 10**6],  # the sums overflow: rescaled
+          [1e307, 4e307, 8e307, 1.2e308, 1.6e308]))
+def test_trend_array_pass_matches_the_member_rule(family):
+    # ties, +-inf, sums that overflow (the rescale branch) and fewer than
+    # five members, in all-float families and families with an exact log
+    ks, logs = family
+    assert _classify_trend(ks, logs) == classify_trend_loop(ks, logs)
+
+
+def test_trend_compares_exact_logs_exactly():
+    # 2**60 + 2 and 2**60 + 1 round to one double: in floats the family is
+    # nondecreasing, exactly it decreases
+    logs = [0, 2**60, 2**60 + 2, 2**60 + 1, 2**61]
+    assert _classify_trend(range(5), [float(v) for v in logs])[0] == "divergent"
+    assert _classify_trend(range(5), logs) == classify_trend_loop(range(5), logs)
+    assert _classify_trend(range(5), logs)[0] == "bounded"
 
 
 # -- compatibility and cost --------------------------------------------------------
