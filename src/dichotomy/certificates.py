@@ -74,6 +74,10 @@ class Profile:
     def log_at(self, n: int) -> LogMag:
         raise NotImplementedError
 
+    def logs(self, lo: int, hi: int) -> list[LogMag]:
+        """``log_at(n)`` for n = lo..hi, in one pass."""
+        return [self.log_at(n) for n in range(lo, hi + 1)]
+
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -88,6 +92,9 @@ class ConstantProfile(Profile):
                 f"profile values must be finite and nonnegative, got {self.value}"
             )
         return math.log(self.value) if self.value > 0 else -math.inf
+
+    def logs(self, lo: int, hi: int) -> list[LogMag]:
+        return [self.log_at(lo)] * (hi - lo + 1)
 
     def describe(self) -> dict:
         return {"form": "constant", "value": self.value}
@@ -110,6 +117,15 @@ class ShiftedPowerProfile(Profile):
         if not log < math.inf:  # NaN fails the comparison too
             raise InvalidCertificateError(f"profile log is {log} at n={n}")
         return log
+
+    def logs(self, lo: int, hi: int) -> list[LogMag]:
+        self.log_at(lo)  # the base grows with n: the first index is checked
+        shift, power, log = self.shift, self.power, math.log
+        out = [power * log(n + shift) for n in range(lo, hi + 1)]
+        if not all(map(math.inf.__gt__, out)):  # NaN fails the comparison too
+            for n in range(lo, hi + 1):
+                self.log_at(n)  # raises at the first log that is +inf or NaN
+        return out
 
     def describe(self) -> dict:
         return {"form": "shifted_power", "shift": self.shift, "power": self.power}
@@ -136,6 +152,10 @@ class ScaledProfile(Profile):
     def log_at(self, n: int) -> LogMag:
         return ladd(self.base.log_at(n), self.log_factor)
 
+    def logs(self, lo: int, hi: int) -> list[LogMag]:
+        factor = self.log_factor
+        return [ladd(v, factor) for v in self.base.logs(lo, hi)]
+
     def describe(self) -> dict:
         return {"form": "scaled", "log_factor": self.log_factor, "base": self.base.describe()}
 
@@ -153,6 +173,12 @@ class TabulatedProfile(Profile):
             raise OutOfRangeError(f"profile tabulated on [{self.n_min}, "
                                   f"{self.n_min + len(self.values) - 1}], asked for {n}")
         return self.values[idx].logmag
+
+    def logs(self, lo: int, hi: int) -> list[LogMag]:
+        # the first index outside the table raises, as in the per-index loop
+        self.log_at(lo)
+        self.log_at(min(hi, self.n_min + len(self.values)))
+        return [v.logmag for v in self.values[lo - self.n_min:hi - self.n_min + 1]]
 
     def describe(self) -> dict:
         return {
@@ -219,6 +245,15 @@ class DichotomyCertificate:
         if self.kind is Kind.UED:
             return self.log_n()
         return self.log_n() + self.beta * k
+
+    def r_logs(self, lo: int, hi: int) -> list[LogMag]:
+        """``r_log(k)`` for k = lo..hi, in one pass."""
+        if self.kind is Kind.NED:
+            return self.profile.logs(lo, hi)
+        if self.kind is Kind.UED:
+            return [self.log_n()] * (hi - lo + 1)
+        log_n, beta = self.log_n(), self.beta
+        return [log_n + beta * k for k in range(lo, hi + 1)]
 
     def scale_offset(self, k: int) -> LogMag:
         """log(r(k) / N): the profile part of the weight at index k."""

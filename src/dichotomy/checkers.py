@@ -80,8 +80,19 @@ def _slacks(rhs, lhs, form) -> np.ndarray:
 def _difference(a, b, form, rules) -> np.ndarray:
     """lfloat(lsub(a, b)) elementwise as float64, unless one of the (mask,
     value) ``rules`` holds, the first one deciding; every entry with an
-    infinite operand meets a rule."""
+    infinite operand meets a rule.
+
+    Every caller's rules agree with float subtraction wherever it is not
+    NaN (inf - inf), so the float form subtracts and applies the rules only
+    to the NaN entries."""
     masks, values = zip(*rules)
+    if form is FLOAT_FORM:
+        with np.errstate(invalid="ignore"):
+            out = np.subtract(a, b)
+        nan = np.isnan(out)
+        if nan.any():
+            out[nan] = np.select([mask[nan] for mask in masks], values, out[nan])
+        return out
     out = np.zeros(np.shape(a))
     open_ = ~np.logical_or.reduce(masks)
     diff = form.sub(a[open_], b[open_])
@@ -97,17 +108,18 @@ class _PairExtremes:
         self._kernel = kernel
         self._row = None
 
-    def _at(self, n: int):
+    def row(self, n: int):
+        """The kernel's row n, kept until another row is asked for."""
         if self._row is None or self._row.n != n:
             self._row = self._kernel.row(n)
         return self._row
 
     def logs(self, n: int, m: int) -> tuple[LogMag, LogMag]:
         """(log growth_P, log min_gain_Q); -inf / +inf mark trivial ranges."""
-        return self._at(n).logs(m)
+        return self.row(n).logs(m)
 
     def directions(self, n: int, m: int) -> tuple[tuple[float, ...] | None, tuple[float, ...] | None]:
-        ext = self._at(n).extremes(m)
+        ext = self.row(n).extremes(m)
         return ext.direction_p, ext.direction_q
 
 
@@ -143,47 +155,58 @@ def verify_certificate(
 
     A pair violates when its log-domain slack drops below -tol. The
     reported witness carries the extremal direction and the exact minimal
-    constant that would repair the inequality at that pair. The pairs of a
-    row are checked pair by pair only when the kernel's ``rows_to_scan``
-    says the row may violate; the verdict, witness and count are those of
-    the full pair scan.
+    constant that would repair the inequality at that pair. The pairs (n, m)
+    of a row are checked as one array over the row's logs, and only in the
+    rows that the kernel's ``rows_to_scan`` returns; the verdict, witness,
+    count and least slack are those of the loop over every pair in
+    lexicographic (n, m) order, the P side of a pair before its Q side.
     """
     _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
     lo, hi, alpha = window.n_min, window.m_max, cert.alpha
-    weights = [cert.r_log(k) for k in range(lo, hi + 1)]
+    weights, floats = _weights(cert, lo, hi)
     kernel = _sweeps(sys, proj, lo, hi)
     ext = _PairExtremes(kernel)
     rows, min_slack = kernel.rows_to_scan(alpha, weights, tol)
+    w_of = {}
     for n in rows:
-        for m in range(n, hi + 1):
-            gap = alpha * (m - n)
-            g, h = ext.logs(n, m)
-            slack_p = _slack(weights[n - lo], ladd(gap, g) if g != -math.inf else -math.inf)
-            if slack_p < min_slack:
-                min_slack = slack_p
-            if slack_p < -tol:
-                dir_p, _ = ext.directions(n, m)
+        g, h = ext.row(n).row_logs
+        # the per-pair formula, in float64 when every operand is a float
+        form = FLOAT_FORM if floats and g.dtype != object and h.dtype != object else EXACT_FORM
+        if form.dtype not in w_of:
+            w_of[form.dtype] = np.array(weights, dtype=form.dtype)
+        w = w_of[form.dtype]
+        ms = np.arange(n, n + len(g))
+        gap = alpha * (ms - n).astype(form.dtype)
+        g, h = g.astype(form.dtype), h.astype(form.dtype)
+        rhs_q = np.full(len(h), math.inf, dtype=form.dtype)
+        finite = h != math.inf
+        with np.errstate(over="ignore"):
+            slack_p = _slacks(np.full(len(g), w[n - lo], dtype=form.dtype), form.add(gap, g), form)
+            rhs_q[finite] = form.add(w[ms - lo][finite], h[finite])
+            slack_q = _slacks(rhs_q, gap, form)
+        # min(slack_p, slack_q), the first of two equal ones
+        worse = np.where(slack_q < slack_p, slack_q, slack_p)
+        bad = np.flatnonzero(worse < -tol)
+        if bad.size:
+            m = n + int(bad[0])
+            gap, (g, h) = alpha * (m - n), ext.logs(n, m)
+            if slack_p[m - n] < -tol:
+                side, slack, direction = "P", slack_p[m - n], ext.directions(n, m)[0]
                 required = lsub(ladd(gap, g), cert.scale_offset(n))
-                return VerificationOutcome(
-                    False,
-                    Witness(m, n, dir_p or (), LogScalar.from_log(required), side="P"),
-                    _pairs_before(lo, hi, n) + m - n + 1,
-                    slack_p,
-                )
-            rhs_q = ladd(weights[m - lo], h) if h != math.inf else math.inf
-            slack_q = _slack(rhs_q, gap)
-            if slack_q < min_slack:
-                min_slack = slack_q
-            if slack_q < -tol:
-                _, dir_q = ext.directions(n, m)
+            else:
+                side, slack, direction = "Q", slack_q[m - n], ext.directions(n, m)[1]
                 required = lsub(lsub(gap, cert.scale_offset(m)), h)
-                return VerificationOutcome(
-                    False,
-                    Witness(m, n, dir_q or (), LogScalar.from_log(required), side="Q"),
-                    _pairs_before(lo, hi, n) + m - n + 1,
-                    slack_q,
-                )
+            return VerificationOutcome(
+                False,
+                Witness(m, n, direction or (), LogScalar.from_log(required), side=side),
+                _pairs_before(lo, hi, n) + m - n + 1,
+                float(slack),
+            )
+        if worse.size:
+            min_slack = min(min_slack, float(worse[np.argmin(worse)]))
+        if len(worse) < hi - n + 1:
+            ext.logs(n, hi)  # the row overflows before hi: raises
     return VerificationOutcome(True, None, _pairs_before(lo, hi, hi + 1), min_slack)
 
 
@@ -206,8 +229,7 @@ def verify_triplet_form(
     _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
     lo, hi, alpha = window.n_min, window.m_max, cert.alpha
-    weights = [cert.r_log(k) for k in range(lo, hi + 1)]
-    floats = isinstance(alpha, float) and all(isinstance(w, float) for w in weights)
+    weights, floats = _weights(cert, lo, hi)
     kernel = _sweeps(sys, proj, lo, hi)
     to_scan, min_slack = kernel.triplet_rows_to_scan(alpha, weights, tol)
     for p, ns in to_scan:
@@ -243,6 +265,13 @@ def verify_triplet_form(
         if len(worse) < sum(hi + 1 - n for n in ns):
             row.logs(hi)  # the row overflows before hi: raises
     return VerificationOutcome(True, None, _triplets_before(lo, hi, hi + 1, hi + 1), min_slack)
+
+
+def _weights(cert: DichotomyCertificate, lo: int, hi: int) -> tuple[list[LogMag], bool]:
+    """The weights r(lo..hi) of the certificate, and whether its rate and
+    every weight are floats."""
+    weights = cert.r_logs(lo, hi)
+    return weights, isinstance(cert.alpha, float) and all(isinstance(w, float) for w in weights)
 
 
 def _pairs_before(lo: int, hi: int, n: int) -> int:

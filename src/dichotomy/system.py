@@ -51,6 +51,9 @@ from .logscalar import (
 DEFAULT_TOL_PROJ = 1e-9
 DEFAULT_TOL_COMPAT = 1e-9
 _RANK_TOL = 1e-9  # projection rank: singular values above this share of the largest
+# The images that one block of dense rows holds at most, in bytes: larger
+# blocks take fewer numpy calls per row, and hold more memory at once.
+_BLOCK_BYTES = 2**18
 
 
 FactorRange = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
@@ -407,13 +410,29 @@ def check_pairs_compatibility(
     if sys.is_diagonal and proj.is_mask and proj.constant:
         return
     for lo, hi in _merged((n, m - 1) for m, n in pairs):
-        for k in range(lo, hi + 1):
+        for k in range(lo, hi + 1) if sys.is_diagonal else _unscreened(sys, proj, lo, hi):
             d = compatibility_defect(sys, proj, k)
             if d > DEFAULT_TOL_COMPAT:
                 raise IncompatibleProjectionError(
                     f"compatibility defect {d:.3e} at n={k} exceeds tolerance "
                     f"{DEFAULT_TOL_COMPAT:.1e}"
                 )
+
+
+def _unscreened(sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int) -> list[int]:
+    """The indices k of lo..hi, in order, that a dense compatibility check
+    must still take one at a time: every gap A(k+1) P(k) - P(k+1) A(k+1) is
+    formed by stacked products, and one whose Frobenius norm, an upper bound
+    on its 2-norm, is at most half the tolerance passes; an index outside
+    0..n_max - 1 is kept, so that it raises as before."""
+    first, last = max(lo, 0), min(hi, sys.n_max - 1)
+    passed = np.zeros(hi - lo + 1, dtype=bool)
+    if first <= last:
+        a = np.array(sys.coefficients.matrices[first + 1:last + 2])
+        p = np.array([proj.matrix(k) for k in range(first, last + 2)])
+        gaps = a @ p[:-1] - p[1:] @ a
+        passed[first - lo:last - lo + 1] = np.linalg.norm(gaps, axis=(1, 2)) <= DEFAULT_TOL_COMPAT / 2
+    return (lo + np.flatnonzero(~passed)).tolist()
 
 
 def _merged(ranges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -539,6 +558,14 @@ class _DenseSweeps:
     which would otherwise swamp a contracting P side next to an expanding Q
     side. The projected coefficients of [lo, hi] are formed once, and the
     range bases once per distinct projection matrix.
+
+    Rows are swept in blocks of consecutive start indices whose ranges share
+    their widths, at most ``_BLOCK_BYTES`` of images at a time: one stacked
+    ``matmul`` per step and side advances every row of the block, and one
+    batched singular-value call per side gives the extremes of all its
+    pairs. Each row's images and logs are those of its own sweep, bit for
+    bit. Blocks are built when a row of theirs is first asked for, and only
+    the last one is kept.
     """
 
     def __init__(self, sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):
@@ -549,6 +576,7 @@ class _DenseSweeps:
         pa = self.projections @ coeffs
         self.steps = {"P": pa, "Q": coeffs - pa}
         self._bases: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._block: list[_DenseRow] = []
 
     def bases(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal bases of ranges P(n) and Q(n)."""
@@ -558,21 +586,71 @@ class _DenseSweeps:
             self._bases[key] = (_range_basis(p), _range_basis(np.eye(len(p)) - p))
         return self._bases[key]
 
+    def images(self, part: str, starts: np.ndarray, s: int, upto: int) -> np.ndarray:
+        """Images of each block ``starts[j]`` (in range P(s + j) or Q(s + j),
+        ``part`` "P" or "Q") at k = s + j..upto, entry [k - s, j] of one
+        stack; the entries with k < s + j are not set. Step k advances every
+        row started before it in one ``matmul``."""
+        steps, lo, rows = self.steps[part], self.lo, len(starts)
+        out = np.empty((upto - s + 1, *starts.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(upto - s + 1):
+                live = min(t, rows)
+                if live:
+                    np.matmul(steps[s + t - lo], out[t - 1, :live], out=out[t, :live])
+                if t < rows:
+                    out[t, t] = starts[t]
+        return out
+
     def sweep(self, part: str, start: np.ndarray, n: int, upto: int) -> np.ndarray:
         """Images of the columns of ``start`` (a block in range P(n) or Q(n),
         ``part`` "P" or "Q") at k = n..upto, entry k - n of one stack, cut
         before the first index whose image is not finite."""
-        steps, lo = self.steps[part], self.lo
-        out = np.empty((upto - n + 1, *start.shape))
-        out[0] = start
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n + 1, upto + 1):
-                np.matmul(steps[k - lo], out[k - n - 1], out=out[k - n])
+        out = self.images(part, start[None], n, upto)[:, 0]
         finite = np.isfinite(out).all(axis=(1, 2))
         return out if finite.all() else out[: int(np.argmin(finite))]
 
     def row(self, n: int) -> "_DenseRow":
-        return _DenseRow(self, n)
+        block = self._block
+        if not block or not block[0].n <= n <= block[-1].n:
+            self._block = block = self._sweep_block(n)
+        return block[n - block[0].n]
+
+    def _sweep_block(self, s: int) -> list["_DenseRow"]:
+        """The rows of the block that starts at s: the rows s, s + 1, ...
+        whose ranges have the widths of those at s, at most s - lo + 1 of
+        them and as many as fit in ``_BLOCK_BYTES``. Blocks taken in order
+        thus double in size from one row, so that a scan that stops at row n
+        has swept fewer than 2 (n - lo + 1) rows. Each row ends before the
+        first index at which either image is not finite."""
+        hi, (bp, bq) = self.hi, self.bases(s)
+        shape = (bp.shape[1], bq.shape[1])
+        row_bytes = 8 * len(bp) * sum(shape) * (hi - s + 1)
+        count = min(s - self.lo + 1, max(1, _BLOCK_BYTES // max(row_bytes, 1)))
+        bases = []
+        for n in range(s, min(hi + 1, s + count)):
+            pair = self.bases(n)
+            if (pair[0].shape[1], pair[1].shape[1]) != shape:
+                break
+            bases.append(pair)
+        xs = self.images("P", np.array([p for p, _ in bases]), s, hi)
+        ys = self.images("Q", np.array([q for _, q in bases]), s, hi)
+        finite = np.isfinite(xs).all(axis=(2, 3)) & np.isfinite(ys).all(axis=(2, 3))
+        sizes = []
+        for j in range(len(bases)):
+            col = finite[j:, j]
+            sizes.append(len(col) if col.all() else int(np.argmin(col)))
+        # the pairs (n, m) of the block, row by row: stack entry [m - s, n - s]
+        t = np.arange(hi - s + 1)
+        held = np.array([(t >= j) & (t < j + size) for j, size in enumerate(sizes)])
+        growth = _block_logs(xs, held, shape[0], 0, -math.inf)
+        gain = _block_logs(ys, held, shape[1], -1, math.inf)
+        ends = np.cumsum(sizes)
+        return [
+            _DenseRow(s + j, *basis, xs[j:j + size, j], ys[j:j + size, j],
+                      (growth[end - size:end], gain[end - size:end]), hi)
+            for j, (basis, size, end) in enumerate(zip(bases, sizes, ends.tolist()))
+        ]
 
     def seed_directions(self, part: str, n: int) -> list[tuple[float, ...]]:
         """Unit directions spanning range P(n) or Q(n) (``part`` "P" or "Q"):
@@ -611,7 +689,10 @@ class _DenseSweeps:
         self, alpha: float, weights: Sequence[LogMag], tol: float
     ) -> tuple[range, float]:
         """Every row, and no least slack: the dense kernel keeps no running
-        maxima that could clear a row without its pairs."""
+        maxima that could clear a row without its pairs. The caller checks
+        each row as one array over its ``row_logs``, and the rows come from
+        blocks built in order, so a scan that stops early sweeps few rows
+        beyond it."""
         return range(self.lo, self.hi + 1), math.inf
 
     def triplet_rows_to_scan(
@@ -651,42 +732,28 @@ class _DenseSweeps:
 
 class _DenseRow:
     """Restricted images of ranges P(n) and Q(n) from n up to ``end``, the
-    last index at which both are finite; an overflow ends the row, and only
-    a request beyond its end raises."""
+    last index at which both are finite, and ``row_logs``, the (log
+    growth_P, log min_gain_Q) of the pairs (m, n), m = n..end, as float64
+    arrays (-inf / +inf for a trivial range). An overflow ends the row, and
+    only a request beyond its end raises."""
 
-    def __init__(self, sweeps: _DenseSweeps, n: int):
-        self.n = n
-        self.bp, self.bq = sweeps.bases(n)
-        xs = sweeps.sweep("P", self.bp, n, sweeps.hi)
-        ys = sweeps.sweep("Q", self.bq, n, sweeps.hi)
-        size = min(len(xs), len(ys))
-        self.xs, self.ys = xs[:size], ys[:size]
-        self.end, self.hi = n + size - 1, sweeps.hi
+    def __init__(self, n: int, bp: np.ndarray, bq: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                 row_logs: tuple[np.ndarray, np.ndarray], hi: int):
+        self.n, self.bp, self.bq, self.xs, self.ys = n, bp, bq, xs, ys
+        self.row_logs = row_logs
+        self.end, self.hi = n + len(xs) - 1, hi
 
     def _at(self, m: int) -> int:
         if m > self.end:
             raise _overflow(self.n, self.end + 1)
         return m - self.n
 
-    @cached_property
-    def row_logs(self) -> tuple[list[float], list[float]]:
-        """(log growth_P, log min_gain_Q) at m = n..end, from the singular
-        values of the whole row in one batched call per side."""
-        size = len(self.xs)
-        growth = [-math.inf] * size
-        gain = [math.inf] * size
-        if self.bp.shape[1]:
-            growth = _log_values(np.linalg.svd(self.xs, compute_uv=False)[:, 0])
-        if self.bq.shape[1]:
-            gain = _log_values(np.linalg.svd(self.ys, compute_uv=False)[:, -1])
-        return growth, gain
-
     def logs(self, m: int) -> tuple[float, float]:
         """(log growth_P, log min_gain_Q) at (m, n); -inf / +inf mark trivial
         ranges."""
         i = self._at(m)
         growth, gain = self.row_logs
-        return growth[i], gain[i]
+        return growth.item(i), gain.item(i)
 
     def extremes(self, m: int) -> RestrictedExtremes:
         """Restricted extremes at (m, n) with their extremal directions."""
@@ -749,6 +816,17 @@ class _DenseRow:
         if side == "P":
             return self.extremes(m).direction_p or ()
         return self.extremes(k).direction_q or ()
+
+
+def _block_logs(images: np.ndarray, held: np.ndarray, width: int, which: int,
+                empty: float) -> np.ndarray:
+    """The log of singular value ``which`` (0 the largest, -1 the least) of
+    each image [t, j] of a block with ``held[j, t]``, row j by row j, from one
+    batched call; ``empty`` for each when the range has width 0."""
+    if not width:
+        return np.full(int(held.sum()), empty)
+    s = np.linalg.svd(images.transpose(1, 0, 2, 3)[held], compute_uv=False)
+    return np.array(_log_values(s[:, which]))
 
 
 def _log_values(values: np.ndarray) -> list[float]:
@@ -926,8 +1004,9 @@ class _DiagonalSweeps:
     ) -> tuple[list[int], float]:
         """The rows lo..hi whose pairs may violate the certificate with the
         weights r(lo..hi), in order, and the least slack over the pairs of
-        every other row (``_plan``); the caller rescans those rows pair by
-        pair and reaches the pair scan's verdict and witness."""
+        every other row (``_plan``); the caller rescans those rows, each as
+        one array over its ``row_logs``, and reaches the pair scan's verdict
+        and witness."""
         cutoff = tol - _ROUNDING_BOUND * self.scale(alpha, weights)
         over, excess = self._plan(alpha, weights, cutoff, tol)
         return (self.lo + np.flatnonzero(over)).tolist(), _least(excess[~over])
@@ -1103,6 +1182,34 @@ class _DiagonalRow:
         ranges."""
         g, _, h, _ = self._extremes(m)
         return g, h
+
+    @cached_property
+    def row_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``logs(m)`` at m = n..hi as two arrays: per coordinate, the
+        ``lsub`` of its prefix log-sums at m and n (-inf across a zero
+        factor), one array pass each. They are float64 when every prefix
+        log-sum that the row reads is a float, otherwise object arrays that
+        keep the types of ``logs``."""
+        sweeps, n = self.sweeps, self.n
+        hi = sweeps.hi
+        pres = {i: sweeps.pre[i][n:hi + 1] for i in self.p_coords + self.q_coords}
+        form = FLOAT_FORM if set(map(type, chain.from_iterable(pres.values()))) <= {float} \
+            else EXACT_FORM
+        logs = {}
+        for i, pre in pres.items():
+            pre, zeros = np.array(pre, dtype=form.dtype), np.array(sweeps.zeros[i][n:hi + 1])
+            logs[i] = np.where(zeros != zeros[0], -math.inf, form.sub(pre, pre[0]))
+
+        def first_extreme(coords, empty, better):
+            if not coords:
+                return np.full(hi - n + 1, empty, dtype=form.dtype)
+            out = logs[coords[0]]
+            for i in coords[1:]:
+                out = np.where(better(logs[i], out), logs[i], out)
+            return out
+
+        return (first_extreme(self.p_coords, -math.inf, np.greater),
+                first_extreme(self.q_coords, math.inf, np.less))
 
     def extremes(self, m: int) -> RestrictedExtremes:
         """Restricted extremes at (m, n) with their extremal directions."""

@@ -16,7 +16,9 @@ built one factor at a time with ``ladd``, in place of the array build of
 images at a time (``_sup_ratio``), in place of the dense rows' batched
 call. A witness family's trend is judged one member at a time
 (``classify_trend_loop``), in place of the array pass of
-``checkers._classify_trend``. Signed quantities are multiplied, divided,
+``checkers._classify_trend``, and the pair and triplet forms check one pair
+or triplet at a time (``pair_loop``, ``triplet_loop``), in place of the
+row arrays of the verifiers. Signed quantities are multiplied, divided,
 added and ordered by the functions of the first section, over the (sign,
 logmag) fields of a ``LogScalar`` record, which has no arithmetic of its
 own. None of this is on a path of the package.
@@ -38,7 +40,14 @@ from dichotomy import (
     WindowSpec,
     Witness,
 )
-from dichotomy.checkers import _TIE_BAND, DEFAULT_LOG_TOL, _fit_slope, _slack, _validate
+from dichotomy.checkers import (
+    _TIE_BAND,
+    DEFAULT_LOG_TOL,
+    _fit_slope,
+    _PairExtremes,
+    _slack,
+    _validate,
+)
 from dichotomy.datko import (
     HOLDS,
     INCONCLUSIVE,
@@ -579,7 +588,59 @@ def rounding_scale_of(sys, lo, hi, alpha, weights) -> float:
     return scale
 
 
-# -- the triplet form, one triplet at a time ----------------------------------------
+# -- the pair and triplet forms, one pair or triplet at a time ------------------------
+
+
+def pair_loop(
+    sys: SystemDescription,
+    proj: ProjectionFamily,
+    cert: DichotomyCertificate,
+    window: WindowSpec,
+    tol: float = DEFAULT_LOG_TOL,
+) -> VerificationOutcome:
+    """``verify_certificate`` as the loop over the pairs (n, m) of the rows
+    that the kernel's ``rows_to_scan`` returns, in lexicographic order, the
+    P side before the Q side: one ``logs`` call and two ``_slack`` calls per
+    pair, from the least slack of the rows it clears."""
+    _validate(cert, window, tol)
+    check_compatibility(sys, proj, window.n_min, window.m_max)
+    lo, hi, alpha = window.n_min, window.m_max, cert.alpha
+    weights = [cert.r_log(k) for k in range(lo, hi + 1)]
+    kernel = _sweeps(sys, proj, lo, hi)
+    ext = _PairExtremes(kernel)
+    rows, min_slack = kernel.rows_to_scan(alpha, weights, tol)
+    for n in rows:
+        before = sum(hi - k + 1 for k in range(lo, n))  # the pairs of the rows before n
+        for m in range(n, hi + 1):
+            checked = before + m - n + 1
+            gap = alpha * (m - n)
+            g, h = ext.logs(n, m)
+            slack_p = _slack(weights[n - lo], ladd(gap, g) if g != -math.inf else -math.inf)
+            if slack_p < min_slack:
+                min_slack = slack_p
+            if slack_p < -tol:
+                required = lsub(ladd(gap, g), cert.scale_offset(n))
+                return VerificationOutcome(
+                    False,
+                    Witness(m, n, ext.directions(n, m)[0] or (), LogScalar.from_log(required),
+                            side="P"),
+                    checked,
+                    slack_p,
+                )
+            rhs_q = ladd(weights[m - lo], h) if h != math.inf else math.inf
+            slack_q = _slack(rhs_q, gap)
+            if slack_q < min_slack:
+                min_slack = slack_q
+            if slack_q < -tol:
+                required = lsub(lsub(gap, cert.scale_offset(m)), h)
+                return VerificationOutcome(
+                    False,
+                    Witness(m, n, ext.directions(n, m)[1] or (), LogScalar.from_log(required),
+                            side="Q"),
+                    checked,
+                    slack_q,
+                )
+    return VerificationOutcome(True, None, sum(hi - k + 1 for k in range(lo, hi + 1)), min_slack)
 
 
 def triplet_loop(
