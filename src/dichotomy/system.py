@@ -1102,9 +1102,10 @@ class _DiagonalSweeps:
         (s, j]; a unit entry adds nothing, so an exact difference stays
         exact. Each entry is the first largest contribution. Only the prefix
         entries at the seeds and horizons are read. The table is float64 when
-        each of them is a float or an int within ``_FLOAT_SAFE`` (a
-        difference of two such ints is exact in floats; ``ints`` marks the
-        entries that stay ints), otherwise it is an object table.
+        each of them is a float or an int within half of ``_FLOAT_SAFE``:
+        then every difference of two of them, and every sum of such a
+        difference with a float, is what ``ladd`` forms in floats (``ints``
+        marks the entries that stay ints). Otherwise it is an object table.
         """
         xs, seeds, at = np.asarray(xs, dtype=float), np.asarray(seeds), np.asarray(at)
         shape = (len(xs), at.shape[-1])
@@ -1120,7 +1121,7 @@ class _DiagonalSweeps:
         pres = [list(map(self.pre[i].__getitem__, keys)) for i in coords]
         kinds = set().union(*(map(type, pre) for pre in pres))
         floats = all(issubclass(t, (float, int)) for t in kinds) and all(
-            -_FLOAT_SAFE <= v <= _FLOAT_SAFE
+            -_FLOAT_SAFE // 2 <= v <= _FLOAT_SAFE // 2
             for pre in pres for v in filter(int.__instancecheck__, pre)
         )
         mixed = floats and not all(issubclass(t, float) for t in kinds)

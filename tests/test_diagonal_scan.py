@@ -616,6 +616,24 @@ def test_kernel_matches_per_pair_formulas(case, data):
                 )
 
 
+def test_trajectory_of_a_large_int_difference_stays_exact():
+    # coordinate 0 has the prefix log-sums 0, 0, 1, -65536: each is within
+    # the float-safe bound 2**16, but pre[3] - pre[2] = -65537 is not, so
+    # adding log 0.5 to it must go to Fraction, not to float64
+    coord = [LogScalar.one(), LogScalar(1, 0), LogScalar(1, 1), LogScalar(1, -65537)]
+    sys_ = SystemDescription(2, DiagonalClosedForm([lambda n: coord[n], lambda n: coord[n]]))
+    proj = ProjectionFamily(2, mask=(True, False))
+    assert sys_.diag_prefix(3)[0][0] == [0, 0, 1, -65536]
+    vec = (0.5, 0.0)
+    want = brute_trajectory(sys_, vec, 2, 3)
+    assert want[1] == Fraction(-65537) + Fraction(math.log(0.5))
+    got = _sweeps(sys_, proj, 2, 3).trajectories("P", [vec], [2], np.arange(2, 4)).tolist()[0]
+    assert all(same(a, b) for a, b in zip(got, want))
+    p_norms, _ = _family_norms(sys_, proj, [(3, 2)], vec)
+    ((px, ap),) = p_norms.tolist()
+    assert same(px, want[0]) and same(ap, want[1])
+
+
 def test_single_pairs_read_few_prefix_entries(monkeypatch):
     class Counted(list):
         reads = 0
