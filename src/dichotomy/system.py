@@ -646,6 +646,12 @@ class _DenseSweeps:
         growth = _block_logs(xs, held, shape[0], 0, -math.inf)
         gain = _block_logs(ys, held, shape[1], -1, math.inf)
         ends = np.cumsum(sizes)
+        # the pair (n, n) of a nontrivial range has growth and gain 1 exactly,
+        # as on a diagonal system; the singular values of its orthonormal
+        # basis are 1 only up to rounding
+        for logs, width in ((growth, shape[0]), (gain, shape[1])):
+            if width:
+                logs[ends - sizes] = 0.0
         return [
             _DenseRow(s + j, *basis, xs[j:j + size, j], ys[j:j + size, j],
                       (growth[end - size:end], gain[end - size:end]), hi)
@@ -794,12 +800,16 @@ class _DenseRow:
         return k_of, m_of, *self._ratios(m_of - self.n, k_of - self.n)
 
     def _ratios(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``ratios`` at the horizons (n + i[t], n + j[t]) for every t."""
+        """``ratios`` at the horizons (n + i[t], n + j[t]) for every t. At
+        equal horizons the ratio is 1 exactly, unless the image there is
+        zero, as on a diagonal system."""
         ratio_p, ratio_q = np.full(len(j), -math.inf), np.full(len(j), -math.inf)
         if self.bp.shape[1]:
             _sup_ratios(ratio_p, self.xs, self._svd_p, i, j)
         if self.bq.shape[1]:
             _sup_ratios(ratio_q, self.ys, self._svd_q, j, i)
+        for ratio in (ratio_p, ratio_q):
+            ratio[(i == j) & (ratio != -math.inf)] = 0.0
         return ratio_p, ratio_q
 
     @cached_property

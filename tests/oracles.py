@@ -686,11 +686,14 @@ def triplet_loop(
     return VerificationOutcome(True, None, checked, min_slack)
 
 
-def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
+def _sup_ratio(num: np.ndarray, den: np.ndarray, same_horizon: bool = False) -> float:
     """log sup over z of |num z| / |den z|, one pair of images at a time: the
     top singular value of num V S^-1, with den = U S V^T, unless den kills
     some direction (``_degenerate``); then the ratio is unbounded unless num
-    is zero. The dense kernel batches this over a seed's row."""
+    is zero. Images at the same horizon have the ratio 1, unless they are
+    zero. The dense kernel batches this over a seed's row."""
+    if same_horizon:
+        return -math.inf if float(np.linalg.norm(num, 2)) == 0.0 else 0.0
     _, s, vt = np.linalg.svd(den, full_matrices=False)
     if _degenerate(s[None], den.shape)[0]:
         return -math.inf if float(np.linalg.norm(num, 2)) == 0.0 else math.inf

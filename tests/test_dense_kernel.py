@@ -354,3 +354,34 @@ def test_overflow_after_the_witness_keeps_the_witness():
     # a pair at or beyond the overflow still raises
     with pytest.raises(DenseOverflowError):
         restricted_extremes(sys_, proj, 2, 0)
+
+
+def block_fixture(seed, dim, span, c_range, big_c_range):
+    """A P block contracting by c and a Q block expanding by C, each c or C
+    times an orthogonal matrix, in an orthogonal frame."""
+    rng = np.random.default_rng(seed)
+    half = dim // 2
+    frame = _orthogonal(rng, dim)
+    mats = []
+    for _ in range(span + 1):
+        c, big_c = rng.uniform(*c_range), rng.uniform(*big_c_range)
+        block = np.zeros((dim, dim))
+        block[:half, :half] = c * _orthogonal(rng, half)
+        block[half:, half:] = big_c * _orthogonal(rng, dim - half)
+        mats.append(frame @ block @ frame.T)
+    proj = ProjectionFamily(dim, matrix=frame @ np.diag([1.0] * half + [0.0] * (dim - half))
+                            @ frame.T)
+    return SystemDescription(dim, ExplicitSequence(mats)), proj
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_trivial_pairs_hold_exactly_at_zero_tolerance(seed):
+    # every pair (n, n) and triplet (p, n, n) has slack log N - 0 = 0 exactly;
+    # the singular values of an orthonormal basis, 1 + 2.2e-16 say, used to
+    # report a violation at (0, 0) with tol = 0
+    sys_, proj = block_fixture(seed, 4, 20, (0.80, 0.85), (1.15, 1.20))
+    cert = DichotomyCertificate(Kind.UED, alpha=0.01, n_const=1.0)
+    pair = verify_certificate(sys_, proj, cert, WindowSpec(0, 20), tol=0.0)
+    assert (pair.holds, pair.pairs_checked, pair.min_slack) == (True, 21 * 22 // 2, 0.0)
+    trip = verify_triplet_form(sys_, proj, cert, WindowSpec(0, 20, triplet=True), tol=0.0)
+    assert (trip.holds, trip.pairs_checked, trip.min_slack) == (True, 21 * 22 * 23 // 6, 0.0)

@@ -144,8 +144,8 @@ def test_dense_batched_ratios_repeat_the_single_ratios_bit_for_bit(case):
         row = kernel.row(p)
         k_of, m_of, rp, rq = row.triplet_ratios(range(p, hi + 1))
         want = [
-            (_sup_ratio(row.xs[m - p], row.xs[k - p]) if row.bp.shape[1] else -math.inf,
-             _sup_ratio(row.ys[k - p], row.ys[m - p]) if row.bq.shape[1] else -math.inf)
+            (_sup_ratio(row.xs[m - p], row.xs[k - p], k == m) if row.bp.shape[1] else -math.inf,
+             _sup_ratio(row.ys[k - p], row.ys[m - p], k == m) if row.bq.shape[1] else -math.inf)
             for k, m in zip(k_of.tolist(), m_of.tolist())
         ]
         assert [(k, m) for k in range(p, hi + 1) for m in range(k, hi + 1)] == list(

@@ -186,7 +186,7 @@ def test_tower_verify_matches_the_pair_loop(alpha, tol, w):
 def one_row(kernel, n):
     """(xs, ys, growth logs, gain logs) of row n swept alone: one product per
     step and side, cut before the first index at which either image is not
-    finite, and one singular-value call per side."""
+    finite, and one singular-value call per side, but for the pair (n, n)."""
     out = []
     for part, start in zip("PQ", kernel.bases(n)):
         images = [start]
@@ -201,6 +201,9 @@ def one_row(kernel, n):
         else [-math.inf] * size
     gain = _log_values(np.linalg.svd(ys, compute_uv=False)[:, -1]) if ys.shape[2] \
         else [math.inf] * size
+    # the pair (n, n) of a nontrivial range is exact
+    growth[0] = 0.0 if xs.shape[2] else growth[0]
+    gain[0] = 0.0 if ys.shape[2] else gain[0]
     return xs, ys, growth, gain
 
 
