@@ -56,21 +56,10 @@ DEFAULT_LOG_TOL = 1e-9
 _TIE_BAND = 1e-12
 
 
-def _slack(rhs_log: LogMag, lhs_log: LogMag) -> float:
-    """Float value of log(rhs) - log(lhs) with infinity conventions."""
-    if isinstance(lhs_log, float) and lhs_log == -math.inf:
-        return math.inf
-    if isinstance(rhs_log, float) and rhs_log == math.inf:
-        return math.inf
-    if isinstance(rhs_log, float) and rhs_log == -math.inf:
-        return -math.inf
-    if isinstance(lhs_log, float) and lhs_log == math.inf:
-        return -math.inf
-    return lfloat(lsub(rhs_log, lhs_log))
-
-
 def _slacks(rhs, lhs, form) -> np.ndarray:
-    """``_slack`` elementwise: a zero left side decides first."""
+    """Float values of log(rhs) - log(lhs), elementwise, with infinity
+    conventions: a zero left side decides first, then an infinite right
+    side, then an infinite left side."""
     return _difference(rhs, lhs, form, [
         (lhs == -math.inf, math.inf), (rhs == math.inf, math.inf),
         (rhs == -math.inf, -math.inf), (lhs == math.inf, -math.inf),

@@ -430,8 +430,8 @@ def _unscreened(sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int
     if first <= last:
         a = np.array(sys.coefficients.matrices[first + 1:last + 2])
         p = np.array([proj.matrix(k) for k in range(first, last + 2)])
-        gaps = a @ p[:-1] - p[1:] @ a
-        passed[first - lo:last - lo + 1] = np.linalg.norm(gaps, axis=(1, 2)) <= DEFAULT_TOL_COMPAT / 2
+        frobenius = np.linalg.norm(a @ p[:-1] - p[1:] @ a, axis=(1, 2))
+        passed[first - lo:last - lo + 1] = frobenius <= DEFAULT_TOL_COMPAT / 2
     return (lo + np.flatnonzero(~passed)).tolist()
 
 
@@ -1204,8 +1204,8 @@ class _DiagonalRow:
         sweeps, n = self.sweeps, self.n
         hi = sweeps.hi
         pres = {i: sweeps.pre[i][n:hi + 1] for i in self.p_coords + self.q_coords}
-        form = FLOAT_FORM if set(map(type, chain.from_iterable(pres.values()))) <= {float} \
-            else EXACT_FORM
+        floats = set(map(type, chain.from_iterable(pres.values()))) <= {float}
+        form = FLOAT_FORM if floats else EXACT_FORM
         logs = {}
         for i, pre in pres.items():
             pre, zeros = np.array(pre, dtype=form.dtype), np.array(sweeps.zeros[i][n:hi + 1])

@@ -40,14 +40,7 @@ from dichotomy import (
     WindowSpec,
     Witness,
 )
-from dichotomy.checkers import (
-    _TIE_BAND,
-    DEFAULT_LOG_TOL,
-    _fit_slope,
-    _PairExtremes,
-    _slack,
-    _validate,
-)
+from dichotomy.checkers import _TIE_BAND, DEFAULT_LOG_TOL, _fit_slope, _PairExtremes, _validate
 from dichotomy.datko import (
     HOLDS,
     INCONCLUSIVE,
@@ -149,6 +142,20 @@ def scmp(a: LogScalar, b: LogScalar) -> int:
 def smax(a: LogScalar, b: LogScalar) -> LogScalar:
     """The larger value; the first on a tie, as ``max`` keeps it."""
     return b if scmp(b, a) > 0 else a
+
+
+def _slack(rhs_log: LogMag, lhs_log: LogMag) -> float:
+    """Float value of log(rhs) - log(lhs) with infinity conventions, one
+    pair of logs at a time (``checkers._slacks`` takes arrays)."""
+    if isinstance(lhs_log, float) and lhs_log == -math.inf:
+        return math.inf
+    if isinstance(rhs_log, float) and rhs_log == math.inf:
+        return math.inf
+    if isinstance(rhs_log, float) and rhs_log == -math.inf:
+        return -math.inf
+    if isinstance(lhs_log, float) and lhs_log == math.inf:
+        return -math.inf
+    return lfloat(lsub(rhs_log, lhs_log))
 
 
 def prefix_loop(sys: SystemDescription, upto: int):

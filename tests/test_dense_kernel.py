@@ -36,11 +36,10 @@ from dichotomy import (
     verify_certificate,
     verify_triplet_form,
 )
-from dichotomy.checkers import _slack
 from dichotomy.logscalar import ladd
 from dichotomy.system import DiagonalClosedForm, _range_basis
 
-from oracles import evolution
+from oracles import _slack, evolution
 
 TOL = 1e-9
 MARGIN = 1e-6  # every pair's slack stays this far from -tol, so rounding cannot decide

@@ -37,10 +37,11 @@ from dichotomy import (
     verify_triplet_form,
 )
 from dichotomy import checkers, system
-from dichotomy.checkers import _family_norms, _slack
+from dichotomy.checkers import _family_norms
 from dichotomy.logscalar import ladd, lfloat, lsub, mixes_as_float
 from dichotomy.system import DiagonalClosedForm, _sweeps
 from oracles import (
+    _slack,
     rounding_scale_of,
     running_p_rows,
     running_q_cols,
