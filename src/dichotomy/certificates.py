@@ -152,10 +152,6 @@ class ScaledProfile(Profile):
     def log_at(self, n: int) -> LogMag:
         return ladd(self.base.log_at(n), self.log_factor)
 
-    def logs(self, lo: int, hi: int) -> list[LogMag]:
-        factor = self.log_factor
-        return [ladd(v, factor) for v in self.base.logs(lo, hi)]
-
     def describe(self) -> dict:
         return {"form": "scaled", "log_factor": self.log_factor, "base": self.base.describe()}
 
@@ -173,12 +169,6 @@ class TabulatedProfile(Profile):
             raise OutOfRangeError(f"profile tabulated on [{self.n_min}, "
                                   f"{self.n_min + len(self.values) - 1}], asked for {n}")
         return self.values[idx].logmag
-
-    def logs(self, lo: int, hi: int) -> list[LogMag]:
-        # the first index outside the table raises, as in the per-index loop
-        self.log_at(lo)
-        self.log_at(min(hi, self.n_min + len(self.values)))
-        return [v.logmag for v in self.values[lo - self.n_min:hi - self.n_min + 1]]
 
     def describe(self) -> dict:
         return {
