@@ -159,20 +159,21 @@ def verify_certificate(
     rows, min_slack = kernel.rows_to_scan(alpha, weights, tol)
     w_of = {}
     for n in rows:
-        g, h = ext.row(n).row_logs
+        g, h = ext.row(n).row_logs  # m = n..end, one dtype for both
         # the per-pair formula, in float64 when every operand is a float
-        form = FLOAT_FORM if floats and g.dtype != object and h.dtype != object else EXACT_FORM
+        form = FLOAT_FORM if floats and g.dtype != object else EXACT_FORM
         if form.dtype not in w_of:
             w_of[form.dtype] = np.array(weights, dtype=form.dtype)
         w = w_of[form.dtype]
         ms = np.arange(n, n + len(g))
         gap = alpha * (ms - n).astype(form.dtype)
         g, h = g.astype(form.dtype), h.astype(form.dtype)
+        # a trivial Q range (h = +inf) makes the right side +inf, unadded
         rhs_q = np.full(len(h), math.inf, dtype=form.dtype)
-        finite = h != math.inf
+        live = h != math.inf
         with np.errstate(over="ignore"):
             slack_p = _slacks(np.full(len(g), w[n - lo], dtype=form.dtype), form.add(gap, g), form)
-            rhs_q[finite] = form.add(w[ms - lo][finite], h[finite])
+            rhs_q[live] = form.add(w[ms[live] - lo], h[live])
             slack_q = _slacks(rhs_q, gap, form)
         # min(slack_p, slack_q), the first of two equal ones
         worse = np.where(slack_q < slack_p, slack_q, slack_p)
@@ -192,8 +193,7 @@ def verify_certificate(
                 _pairs_before(lo, hi, n) + m - n + 1,
                 float(slack),
             )
-        if worse.size:
-            min_slack = min(min_slack, float(worse[np.argmin(worse)]))
+        min_slack = min(min_slack, float(worse[np.argmin(worse)]))
         if len(worse) < hi - n + 1:
             ext.logs(n, hi)  # the row overflows before hi: raises
     return VerificationOutcome(True, None, _pairs_before(lo, hi, hi + 1), min_slack)
