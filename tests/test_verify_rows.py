@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_dense_kernel import certificates as dense_certificates
-from test_dense_kernel import commuting_system, dense_cases
+from test_dense_kernel import dense_cases
 from test_diagonal_scan import PROPERTY, certificates, diagonal_cases, same
 
 from dichotomy import (
