@@ -317,23 +317,31 @@ def _orthogonal(rng, d):
     return q * np.sign(np.diag(r))
 
 
+def block_fixture(seed, dim, span, c_range, big_c_range):
+    """A P block contracting by c and a Q block expanding by C, each c or C
+    times an orthogonal matrix, in an orthogonal frame."""
+    rng = np.random.default_rng(seed)
+    half = dim // 2
+    frame = _orthogonal(rng, dim)
+    mats = []
+    for _ in range(span + 1):
+        c, big_c = rng.uniform(*c_range), rng.uniform(*big_c_range)
+        block = np.zeros((dim, dim))
+        block[:half, :half] = c * _orthogonal(rng, half)
+        block[half:, half:] = big_c * _orthogonal(rng, dim - half)
+        mats.append(frame @ block @ frame.T)
+    proj = ProjectionFamily(dim, matrix=frame @ np.diag([1.0] * half + [0.0] * (dim - half))
+                            @ frame.T)
+    return SystemDescription(dim, ExplicitSequence(mats)), proj
+
+
 def test_rounding_probe_holds():
     # P contracts by c in [0.4, 0.6] per step next to a Q side expanding by C
     # in [1.6, 2.4]; UED with N = 1, alpha = 0.4 holds with min_slack 0. The
     # full product restricted to range P(n) afterwards carries eps * prod C
     # of leakage, which reported a violation at (34, 0) with slack -0.89.
-    rng = np.random.default_rng(11)
-    dim, half, w = 4, 2, 40
-    frame = _orthogonal(rng, dim)
-    mats = []
-    for _ in range(w + 1):
-        c, big_c = rng.uniform(0.4, 0.6), rng.uniform(1.6, 2.4)
-        block = np.zeros((dim, dim))
-        block[:half, :half] = c * _orthogonal(rng, half)
-        block[half:, half:] = big_c * _orthogonal(rng, half)
-        mats.append(frame @ block @ frame.T)
-    sys_ = SystemDescription(dim, ExplicitSequence(mats))
-    proj = ProjectionFamily(dim, matrix=frame @ np.diag([1.0, 1.0, 0.0, 0.0]) @ frame.T)
+    w = 40
+    sys_, proj = block_fixture(11, 4, w, (0.4, 0.6), (1.6, 2.4))
     cert = DichotomyCertificate(Kind.UED, alpha=0.4, n_const=1.0)
     out = verify_certificate(sys_, proj, cert, WindowSpec(0, w))
     assert out.holds
@@ -353,24 +361,6 @@ def test_overflow_after_the_witness_keeps_the_witness():
     # a pair at or beyond the overflow still raises
     with pytest.raises(DenseOverflowError):
         restricted_extremes(sys_, proj, 2, 0)
-
-
-def block_fixture(seed, dim, span, c_range, big_c_range):
-    """A P block contracting by c and a Q block expanding by C, each c or C
-    times an orthogonal matrix, in an orthogonal frame."""
-    rng = np.random.default_rng(seed)
-    half = dim // 2
-    frame = _orthogonal(rng, dim)
-    mats = []
-    for _ in range(span + 1):
-        c, big_c = rng.uniform(*c_range), rng.uniform(*big_c_range)
-        block = np.zeros((dim, dim))
-        block[:half, :half] = c * _orthogonal(rng, half)
-        block[half:, half:] = big_c * _orthogonal(rng, dim - half)
-        mats.append(frame @ block @ frame.T)
-    proj = ProjectionFamily(dim, matrix=frame @ np.diag([1.0] * half + [0.0] * (dim - half))
-                            @ frame.T)
-    return SystemDescription(dim, ExplicitSequence(mats)), proj
 
 
 @pytest.mark.parametrize("seed", range(40))
