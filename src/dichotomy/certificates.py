@@ -20,9 +20,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import count
 from typing import Iterator
 
-from .errors import InvalidCertificateError, OutOfRangeError
+from .errors import DichotomyError, InvalidCertificateError, OutOfRangeError
 from .logscalar import LogMag, LogScalar, ladd, lfloat
 
 
@@ -187,6 +188,24 @@ def _profile_log(profile: Profile, n: int) -> LogMag:
     return log
 
 
+def _check_nondecreasing(profile: Profile, lo: int, hi: int) -> None:
+    """Raise at the first n in lo..hi whose log ``_profile_log`` rejects or
+    that falls below the log at n - 1, reading the logs through
+    ``profile.logs`` in one pass."""
+    try:
+        logs = profile.logs(lo, hi)
+    except DichotomyError:
+        # logs() raises at its first faulty index; a fault before it comes first
+        logs = map(profile.log_at, range(lo, hi + 1))
+    prev = -math.inf
+    for n, log in zip(count(lo), logs):
+        if not log < math.inf:  # NaN fails the comparison too
+            raise InvalidCertificateError(f"profile log is {log} at n={n}")
+        if log < prev:
+            raise InvalidCertificateError(f"profile decreases at n={n}")
+        prev = log
+
+
 # -- certificates -------------------------------------------------------------
 
 
@@ -206,12 +225,7 @@ class DichotomyCertificate:
             if self.profile is None:
                 raise InvalidCertificateError("nonuniform certificate needs a profile")
             if window is not None:
-                prev = None
-                for n in range(window.n_min, window.m_max + 1):
-                    cur = _profile_log(self.profile, n)
-                    if prev is not None and cur < prev:
-                        raise InvalidCertificateError(f"profile decreases at n={n}")
-                    prev = cur
+                _check_nondecreasing(self.profile, window.n_min, window.m_max)
             return
         if self.n_const is None or not 1 <= self.n_const < math.inf:
             raise InvalidCertificateError("constant N must be finite and satisfy N >= 1")

@@ -754,7 +754,7 @@ def default_alpha_grid(
             alpha_max = max(alpha_max, min(cands))
     if not math.isfinite(alpha_max) or alpha_max <= 0:
         alpha_max = 1.0
-    grid = list(np.geomspace(alpha_max / 100.0, alpha_max, count))
+    grid = np.geomspace(alpha_max / 100.0, alpha_max, count).tolist()
     grid[-1] = alpha_max
     return grid
 
@@ -763,4 +763,4 @@ def default_beta_grid(alpha_max: float, count: int = 16) -> list[float]:
     if count < 1:
         raise EmptyFeasibleSetError(f"beta grid needs at least one point, got {count}")
     _check_alphas([alpha_max])
-    return list(np.linspace(0.0, 2.0 * alpha_max, count))
+    return np.linspace(0.0, 2.0 * alpha_max, count).tolist()

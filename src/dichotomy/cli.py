@@ -158,38 +158,42 @@ def _resolve_system(args):
 
 # -- report text -------------------------------------------------------------------
 # With an indent, ``json.dumps`` runs json's pure-Python encoder, a few
-# generator steps per value. A list of records that share the first record's
-# shape (the same keys in the same order, lists of the same lengths, scalars
-# in the same places) is encoded by column instead: each scalar column in one
-# pass of a C-level function, or once when every record has the same text
-# there (a family's probe direction, say), then the record template's literal
-# pieces and the columns interleaved in one ``str.join``. The rest of the
-# report goes through ``json.dumps`` with a placeholder string for each such
-# list, and the lists are spliced in, so the text is that of
-# ``json.dumps(report, indent=2)``.
+# generator steps per value. Lists of records are encoded by column instead:
+# a ``serialize.RecordColumns`` (a falsify report's witness family, written
+# straight from the kernel's columns, with no record per member) from its
+# shape, and a list whose records share the first record's shape (the same
+# keys in the same order, lists of the same lengths, scalars in the same
+# places) from the columns read out of its records. Each column's texts take
+# one C-level call (``Column.texts``), or none when every record has the same
+# text there (a family's probe direction, say, a literal of the template);
+# then the template's literal pieces and the columns are interleaved in one
+# ``str.join``. The rest of the report goes through ``json.dumps`` with a
+# placeholder string for each such list, and the lists are spliced in, so the
+# text is that of ``json.dumps(report, indent=2)`` with each
+# ``RecordColumns`` written as its records. A column keeps its texts: a
+# family's CSV reuses those of its log column.
 
 _INDENT = "  "
-# marks a scalar's place in a record template; the literal pieces are JSON
+# marks a column's place in a record template; the literal pieces are JSON
 # punctuation, indentation, ASCII-escaped keys and the text of repeated
 # scalars, which never hold it
 _SLOT = "\x00"
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_NAMED = {None: "null", True: "true", False: "false"}
 
 
 def _dumps(report) -> str:
-    """``json.dumps(report, indent=2)``, with uniform lists of records encoded
-    by column."""
+    """``json.dumps(report, indent=2)``, each ``RecordColumns`` written as its
+    records, with lists of records encoded by column."""
     lists: list[str] = []
     text = json.dumps(_cut(report, 0, lists), indent=2)
     marks = [encode_basestring_ascii(_placeholder(j)) for j in range(len(lists))]
     if any(text.count(mark) != 1 for mark in marks):
-        return json.dumps(report, indent=2)
+        return json.dumps(report, indent=2, default=serialize.RecordColumns.records)
     pieces = []
     for mark, encoded in zip(marks, lists):
         head, found, text = text.partition(mark)
         if not found:
-            return json.dumps(report, indent=2)
+            return json.dumps(report, indent=2, default=serialize.RecordColumns.records)
         pieces += (head, encoded)
     pieces.append(text)
     return "".join(pieces)
@@ -200,17 +204,23 @@ def _placeholder(j: int) -> str:
 
 
 def _cut(value, depth: int, lists: list[str]):
-    """A copy of ``value`` (at nesting ``depth``) in which each uniform list
-    of records is a placeholder string; the lists' text goes to ``lists``."""
+    """A copy of ``value`` (at nesting ``depth``) in which each list of
+    records encoded by column is a placeholder string; the lists' text goes
+    to ``lists``."""
     if isinstance(value, dict):
         return {k: _cut(v, depth + 1, lists) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, serialize.RecordColumns):
+        encoded = _column_text(value.shape, [value.shape], value.size, depth)
+        if encoded is None:  # a value json cannot write: json.dumps names it
+            return [_cut(v, depth + 1, lists) for v in value.records()]
+    elif isinstance(value, (list, tuple)):
         encoded = _records(value, depth)
         if encoded is None:
             return [_cut(v, depth + 1, lists) for v in value]
-        lists.append(encoded)
-        return _placeholder(len(lists) - 1)
-    return value
+    else:
+        return value
+    lists.append(encoded)
+    return _placeholder(len(lists) - 1)
 
 
 def _records(items, depth: int) -> str | None:
@@ -218,8 +228,17 @@ def _records(items, depth: int) -> str | None:
     None for any other list."""
     if not items or type(items[0]) is not dict:
         return None
-    columns: list[list[str]] = []
-    template = _template(items[0], list(items), depth + 1, columns)
+    return _column_text(items[0], list(items), len(items), depth)
+
+
+def _column_text(proto, col: list, size: int, depth: int) -> str | None:
+    """The text of ``size`` records at nesting ``depth``: the records ``col``
+    shaped as ``proto``, or a ``RecordColumns``' shape as ``proto`` and
+    ``[proto]``. None when a value has another shape."""
+    if not size:
+        return "[]"
+    columns: list[Sequence[str]] = []
+    template = _template(proto, col, depth + 1, columns)
     if template is None:
         return None
     sep = ",\n" + _INDENT * (depth + 1)
@@ -229,21 +248,26 @@ def _records(items, depth: int) -> str | None:
     parts = [repeat(pieces[0])]
     for column, piece in zip(columns, pieces[1:]):
         parts += (column, repeat(piece))
-    body = "".join(chain.from_iterable(zip(*parts))) if columns else pieces[0] * len(items)
+    body = "".join(chain.from_iterable(zip(*parts))) if columns else pieces[0] * size
     return "[" + sep[1:] + body[:-len(sep)] + "\n" + _INDENT * depth + "]"
 
 
-def _template(proto, col: list, depth: int, columns: list[list[str]]) -> str | None:
+def _template(proto, col: list, depth: int, columns: list[Sequence[str]]) -> str | None:
     """The text of the values ``col`` at nesting ``depth``, shaped as
-    ``proto``, with ``_SLOT`` at each scalar place, whose encoded column goes
-    to ``columns``. None when a value has another shape."""
-    kinds = set(map(type, col))
+    ``proto``, with ``_SLOT`` at each scalar place whose texts differ between
+    records (they go to ``columns``). A ``Column`` in ``proto`` stands for
+    its values, one per record. None when a value has another shape."""
     if type(proto) in _SCALARS:
+        col = serialize.Column(col)
+    elif type(proto) is serialize.Column:
+        col = proto
+    kinds = set(map(type, col))
+    if type(col) is serialize.Column:
         if not kinds <= _SCALARS:
             return None
         if len(kinds) == 1 and _repeated(col):
-            return _encode_scalar(proto)  # a literal piece of the template
-        columns.append(_encode_scalars(col))
+            return serialize.json_text(col[0])  # a literal piece of the template
+        columns.append(col.texts)
         return _SLOT
     if type(proto) is dict:
         keys = tuple(proto)
@@ -273,55 +297,16 @@ def _template(proto, col: list, depth: int, columns: list[list[str]]) -> str | N
     return open_ + ",".join(parts) + "\n" + _INDENT * depth + close
 
 
-def _repeated(values: list) -> bool:
+def _repeated(values: Sequence) -> bool:
     """Whether every value of a one-type column encodes as the first one:
-    equal to it, and for a zero float, of the same sign."""
-    first = values[0]
-    if values[-1] != first or values.count(first) != len(values):
+    equal to it or it itself (a NaN), and for a zero float, of the same
+    sign. A scalar of a ``RecordColumns`` shape is a column of one value."""
+    first, last = values[0], values[-1]
+    if (last is not first and last != first) or values.count(first) != len(values):
         return False
     if type(first) is not float or first != 0.0:
         return True
     return len(set(map(math.copysign, repeat(1.0), values))) == 1
-
-
-def _encode_scalars(values: list) -> Sequence[str]:
-    """json's text of each scalar, a whole column per C-level call where it
-    holds one type."""
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return _reprs(values)
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    return [_encode_scalar(v) for v in values]
-
-
-def _reprs(values: list[float]) -> Sequence[str]:
-    """``float.__repr__`` of each value of a float column, one C-level call.
-    A column without zeros is looked up in a one-entry memo first: a
-    report's CSV formats the column of logs that its JSON text has just
-    encoded. Equal floats have one text, except 0.0 and -0.0."""
-    if 0.0 in values:
-        return list(map(float.__repr__, values))
-    return _remembered_reprs(tuple(values))
-
-
-@functools.lru_cache(maxsize=1)
-def _remembered_reprs(values: tuple[float, ...]) -> tuple[str, ...]:
-    return tuple(map(float.__repr__, values))
-
-
-def _encode_scalar(value) -> str:
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if type(value) is float:
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
-    return _NAMED[value]
 
 
 def _emit(args, report: dict, csv_text: str | None = None) -> None:
@@ -342,12 +327,31 @@ def _fmt_num(value) -> str:
     return str(value)
 
 
-def _csv_rows(indices, values: list[dict]) -> list[str]:
-    """One line ``index,logmag,sign`` per value record; the ``_fmt_num`` of a
-    column of floats is one C-level call."""
-    logmags = list(map(itemgetter("logmag"), values))
-    mags = _reprs(logmags) if set(map(type, logmags)) == {float} else map(_fmt_num, logmags)
-    return [f"{i},{mag},{v['sign']}" for i, mag, v in zip(indices, mags, values)]
+def _column(records, key: str) -> serialize.Column:
+    return serialize.Column(map(itemgetter(key), records))
+
+
+def _csv_rows(indices, logmags: serialize.Column, signs) -> list[str]:
+    """One line ``index,logmag,sign`` per value. The ``_fmt_num`` of a column
+    of ints or of finite floats is its JSON text, ``logmags.texts``: made in
+    one C-level call, or already made by the report's text."""
+    kinds = set(map(type, logmags))
+    if kinds == {int} or (kinds == {float} and all(map(math.isfinite, logmags))):
+        mags = logmags.texts
+    else:
+        mags = map(_fmt_num, logmags)
+    return [f"{i},{mag},{sign}" for i, mag, sign in zip(indices, mags, signs)]
+
+
+def _family(witnesses) -> dict:
+    """The shape of a falsify report's witnesses, with a column of the
+    members' m, n and required constants' sign and logmag."""
+    if isinstance(witnesses, serialize.RecordColumns):
+        return witnesses.shape
+    constants = list(map(itemgetter("required_constant"), witnesses))
+    return {"m": _column(witnesses, "m"), "n": _column(witnesses, "n"),
+            "required_constant": {"sign": _column(constants, "sign"),
+                                  "logmag": _column(constants, "logmag")}}
 
 
 def emit_series(report: dict) -> str:
@@ -360,12 +364,15 @@ def emit_series(report: dict) -> str:
     lines = ["index,value_logmag,value_sign"]
     command = report.get("command")
     if command == "falsify":
-        witnesses = report["result"]["witnesses"]
-        lines += _csv_rows(map(sub, *(map(itemgetter(k), witnesses) for k in "mn")),
-                           list(map(itemgetter("required_constant"), witnesses)))
+        family = _family(report["result"]["witnesses"])
+        constant = family["required_constant"]
+        lines += _csv_rows(map(sub, family["m"], family["n"]), constant["logmag"],
+                           constant["sign"])
     elif command == "estimate" and report.get("kind") == "ned":
         profile = report["profile"]
-        lines += _csv_rows(count(profile["n_min"]), profile["values"])
+        values = profile["values"]
+        lines += _csv_rows(count(profile["n_min"]), _column(values, "logmag"),
+                           map(itemgetter("sign"), values))
     elif command == "estimate":
         for i, point in enumerate(report["result"]["grid"]):
             lines.append(f"{i},{_fmt_num(point['log_n_full'])},1")
@@ -472,7 +479,7 @@ def _run_falsify(args) -> int:
         "command": "falsify",
         "system": echo,
         "k_max": args.k_max,
-        "result": serialize.witness_report_to_json(rep),
+        "result": serialize.witness_report_columns(rep),
     }
     _emit(args, report)
     return 1 if rep.divergent else 0
@@ -564,7 +571,7 @@ def _run_gallery_claims(args) -> int:
                     "concept": claim.concept.value,
                     "schedule": claim.schedule,
                     "reproduced": ok,
-                    "detail": serialize.witness_report_to_json(rep),
+                    "detail": serialize.witness_report_columns(rep),
                 }
             )
         elif isinstance(claim, StrongInstabilityClaim):

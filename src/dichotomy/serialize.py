@@ -5,14 +5,20 @@ dictionaries are built in a fixed key order and floats go through Python's
 shortest-repr rules, so identical inputs produce byte-identical documents.
 Log-magnitudes serialize as JSON numbers; integer log-magnitudes are kept
 as integers (arbitrary precision survives the round trip), rationals are
-collapsed to float.
+collapsed to float. A witness family is also given by column
+(``witness_family``): the command line writes its text from the columns,
+and ``witness_report_to_json`` expands them into one record per member.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
+from json import dumps
+from json.encoder import encode_basestring_ascii
 
 from .certificates import (
     ConstantProfile,
@@ -154,17 +160,86 @@ def outcome_from_json(obj) -> VerificationOutcome:
     )
 
 
-def witness_report_to_json(rep: WitnessReport) -> dict:
-    """The report, with one witness record per family member written
-    straight from the columns; each record has its own direction list."""
-    direction = tuple(map(float, rep.direction))
+class Column(tuple):
+    """The values that one place of a record takes across a list of records,
+    in the shape of a ``RecordColumns``."""
+
+    @cached_property
+    def texts(self) -> list[str]:
+        """json's text of each value (each must be a JSON scalar): one
+        C-level ``dumps`` of the column, split, unless a value is a string,
+        whose text may hold the separator. Made once: a report's CSV reuses
+        the texts of the columns its JSON text wrote."""
+        if not self or str in set(map(type, self)):
+            return list(map(json_text, self))
+        return dumps(self)[1:-1].split(", ")
+
+
+@dataclass(frozen=True)
+class RecordColumns:
+    """``size`` records given by column: ``shape`` is one record (dicts,
+    lists and scalars) with a ``Column`` of ``size`` values at each place
+    where the records differ."""
+
+    size: int
+    shape: dict
+
+    def records(self) -> list[dict]:
+        """The records, each list and dict in them a new one."""
+        return list(_members(self.shape, self.size))
+
+
+def _members(value, size: int):
+    """The value at one place of a record shape, in each of ``size`` records."""
+    if type(value) is Column:
+        return value
+    if type(value) not in (dict, list):
+        return repeat(value, size)
+    places = value.values() if type(value) is dict else value
+    rows = zip(*[_members(v, size) for v in places]) if value else repeat((), size)
+    if type(value) is dict:
+        return [dict(zip(value, row)) for row in rows]
+    return list(map(list, rows))
+
+
+_NAMED = {None: "null", True: "true", False: "false"}
+
+
+def json_text(value) -> str:
+    """json's text of one JSON scalar (``json.dumps(value)``)."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    return _NAMED[value]
+
+
+def witness_family(rep: WitnessReport) -> RecordColumns:
+    """The witness records of a family, by column: the members' m, n and
+    required constants vary, the probe direction and side are shared."""
     logs = list(rep.required_logs)
     if set(map(type, logs)) == {float} and all(map(math.isfinite, logs)):
-        signs = repeat(1)
+        signs = repeat(1, len(logs))
     else:
         # LogScalar.from_log: a zero constant (log -inf) has sign 0
         signs = [0 if v == -math.inf else 1 for v in logs]
         logs = list(map(_num, logs))
+    return RecordColumns(len(logs), {
+        "m": Column(rep.ms),
+        "n": Column(rep.ns),
+        "direction": list(map(float, rep.direction)),
+        "required_constant": {"sign": Column(signs), "logmag": Column(logs)},
+        "side": "family",
+    })
+
+
+def witness_report_columns(rep: WitnessReport) -> dict:
+    """The report with its witnesses as ``witness_family(rep)``, the form the
+    command line writes as text."""
     return {
         "concept": rep.concept.value,
         "schedule": rep.schedule,
@@ -172,18 +247,16 @@ def witness_report_to_json(rep: WitnessReport) -> dict:
         "log_slope": rep.log_slope,
         "trial_alpha": rep.trial_alpha,
         "trial_beta": rep.trial_beta,
-        "witnesses": [
-            {
-                "m": m,
-                "n": n,
-                "direction": vector,
-                "required_constant": {"sign": sign, "logmag": logmag},
-                "side": "family",
-            }
-            for m, n, vector, sign, logmag in zip(
-                rep.ms, rep.ns, map(list, repeat(direction)), signs, logs)
-        ],
+        "witnesses": witness_family(rep),
     }
+
+
+def witness_report_to_json(rep: WitnessReport) -> dict:
+    """The report, with one witness record per family member; each record
+    has its own direction list."""
+    report = witness_report_columns(rep)
+    report["witnesses"] = report["witnesses"].records()
+    return report
 
 
 def witness_report_from_json(obj) -> WitnessReport:

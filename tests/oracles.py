@@ -48,7 +48,13 @@ from dichotomy.datko import (
     DatkoReport,
     _require_constant_projection,
 )
-from dichotomy.errors import IndexOrderError, LogOverflowError, NoDecayCertificateError
+from dichotomy.certificates import _profile_log
+from dichotomy.errors import (
+    IndexOrderError,
+    InvalidCertificateError,
+    LogOverflowError,
+    NoDecayCertificateError,
+)
 from dichotomy.logscalar import LogMag, ladd, lfloat, logaddexp_mag, lsub, rounding_scale
 from dichotomy.system import (
     _degenerate,
@@ -593,6 +599,21 @@ def rounding_scale_of(sys, lo, hi, alpha, weights) -> float:
     if not all(isinstance(v, float) or v == 0 for v in pre + list(weights)):
         scale *= 2
     return scale
+
+
+# -- certificates, one index at a time -------------------------------------------------
+
+
+def validate_loop(cert: DichotomyCertificate, window: WindowSpec) -> None:
+    """``cert.validate(window)`` for a nonuniform certificate, one profile
+    log per index: raises at the first n whose log is rejected or falls
+    below the one at n - 1."""
+    prev = None
+    for n in range(window.n_min, window.m_max + 1):
+        cur = _profile_log(cert.profile, n)
+        if prev is not None and cur < prev:
+            raise InvalidCertificateError(f"profile decreases at n={n}")
+        prev = cur
 
 
 # -- the pair and triplet forms, one pair or triplet at a time ------------------------

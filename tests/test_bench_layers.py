@@ -5,7 +5,7 @@ silently. The benchmark's instrumentation is imported from its file."""
 import importlib.util
 from pathlib import Path
 
-from dichotomy import checkers, system
+from dichotomy import checkers, cli, system
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -36,3 +36,19 @@ def test_traced_run_targets_resolve():
     with layers.Counters().installed():
         assert system.restricted_extremes is not before["restricted_extremes"]
     assert {attr: getattr(owner, attr) for owner, attr in counted} == before
+
+
+def test_traced_falsify_records_both_emission_spans(tmp_path):
+    """The report text of a falsify run reaches ``json.dumps`` through
+    ``cli.json`` and its CSV goes through ``cli.emit_series``: both are
+    traced points of the benchmark's span passes."""
+    layers = _load_layers()
+    recorder = layers.SpanRecorder(0)
+    argv = ["falsify", "--gallery", "ned_example", "--concept", "UED", "--schedule",
+            "odd_after_even", "--k-max", "40", "--alpha", "0.25",
+            "--report", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
+    with recorder.installed():
+        assert recorder.run_job("falsify", lambda: cli.main(argv)) == 1
+    names = [span[0] for span in recorder.spans]
+    assert names.count("emit.json") == 1 and names.count("emit.csv") == 1
+    assert "checkers.falsify" in names

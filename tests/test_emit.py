@@ -16,6 +16,7 @@ import math
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from dichotomy import (
     LogScalar,
     ProjectionFamily,
     SystemDescription,
+    WitnessReport,
     cli,
     falsify,
     make_example,
@@ -132,15 +134,26 @@ def test_uniform_records_take_the_column_path(records, depth):
 
 
 def _emitted(tmp_path, monkeypatch, argv, rc):
-    """Run the CLI with --report and --csv; return (report dict, report text,
-    CSV)."""
-    seen = []
-    emit = cli._emit
+    """Run the CLI with --report and --csv; return (report, report text,
+    CSV), the report as ``_emit`` got it but with each witness family, which
+    the CLI hands over by column, built by ``witness_report_to_json``."""
+    seen, families = [], []
+    emit, run = cli._emit, cli.falsify
     monkeypatch.setattr(cli, "_emit", lambda args, report, csv_text=None: (
         seen.append(report), emit(args, report, csv_text)))
+    monkeypatch.setattr(cli, "falsify", lambda *a, **kw: (
+        families.append(run(*a, **kw)), families[-1])[1])
     report, csv = tmp_path / "r.json", tmp_path / "r.csv"
     assert main([*argv, "--report", str(report), "--csv", str(csv)]) == rc
-    return seen[0], report.read_text(encoding="utf-8"), csv.read_text(encoding="utf-8")
+    tree = seen[0]
+    holders = [tree["result"]] if tree["command"] == "falsify" else [
+        claim["detail"] for claim in tree["claims"] if claim["type"] == "falsification"]
+    assert len(holders) == len(families)
+    for holder, rep in zip(holders, families):
+        assert isinstance(holder["witnesses"], serialize.RecordColumns)
+        holder.clear()
+        holder.update(serialize.witness_report_to_json(rep))
+    return tree, report.read_text(encoding="utf-8"), csv.read_text(encoding="utf-8")
 
 
 def _falsify_ned(tmp_path, monkeypatch, k_max):
@@ -202,13 +215,17 @@ DENSE = "[system]\ndim = 2\nsource = explicit\n" + "\n".join(
 ) + "\n[projection]\nmatrix = 1,0; 0,0\n"
 
 
+def _families(report) -> list:
+    """The witness reports in a falsify or gallery-claims report."""
+    return [report["result"]] if report["command"] == "falsify" else [
+        claim["detail"] for claim in report["claims"] if claim["type"] == "falsification"]
+
+
 def _logmags(report) -> set:
     """The kinds of the families' logmags: a type name, or "inf"/"-inf"."""
-    families = [report["result"]] if report["command"] == "falsify" else [
-        claim["detail"] for claim in report["claims"] if claim["type"] == "falsification"]
     return {v if isinstance(v, str) else type(v).__name__
-            for family in families for v in (w["required_constant"]["logmag"]
-                                             for w in family["witnesses"])}
+            for family in _families(report) for v in (w["required_constant"]["logmag"]
+                                                      for w in family["witnesses"])}
 
 
 TOWER = ["falsify", "--gallery", "ned_not_ed_example", "--concept", "ED", "--k-max", "200"]
@@ -235,6 +252,10 @@ def test_families_of_every_log_kind_are_json_dumps(tmp_path, monkeypatch, argv, 
     assert text == json.dumps(report, indent=2) + "\n"
     assert csv == _csv_loop(report)
     assert _logmags(report) == kinds
+    # the text reads back as the same families
+    for written, family in zip(_families(json.loads(text)), _families(report)):
+        parsed = serialize.witness_report_from_json(written)
+        assert serialize.witness_report_to_json(parsed) == family
 
 
 def int_family():
@@ -260,9 +281,78 @@ def test_exact_log_families_are_json_dumps(family, logs, kinds):
     rep = family()
     assert set(map(type, rep.required_logs)) == logs
     report = {"command": "falsify", "result": serialize.witness_report_to_json(rep)}
-    assert _dumps(report) == json.dumps(report, indent=2)
-    assert cli.emit_series(report) == _csv_loop(report)
+    by_column = {"command": "falsify", "result": serialize.witness_report_columns(rep)}
+    assert _dumps(by_column) == _dumps(report) == json.dumps(report, indent=2)
+    assert cli.emit_series(by_column) == cli.emit_series(report) == _csv_loop(report)
     assert _logmags(report) == kinds
+
+
+logs = st.one_of(
+    st.floats(),  # NaN and +-inf included
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+    st.integers(-(2**70), 2**70),
+    st.fractions(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(logs, min_size=1, max_size=6), st.lists(st.floats(), min_size=1, max_size=3),
+       st.data())
+@example([-0.0], [1.0], None)
+@example([-0.0, -0.0], [-0.0, 0.0], None)
+@example([0.0, -0.0, 0.0], [0.0], None)
+@example([-0.0, 1.5, -math.inf], [1.0, 0.0], None)
+@example([-0.0, Fraction(1, 3), 7], [0.5], None)
+@example([0.0, 0.0], [math.nan], None)  # a shared NaN is written once per record
+def test_family_columns_write_the_records(required, direction, data):
+    """A family written from its columns is the family written from its
+    records, for any logs, indices and probe."""
+    size = len(required)
+    ms = ns = range(size)  # the examples' members are the pairs (k, k)
+    if data is not None:
+        indices = st.lists(st.integers(-3, 2**70), min_size=size, max_size=size)
+        ms, ns = data.draw(indices), data.draw(indices)
+    rep = WitnessReport(Kind.UED, "s", tuple(ms), tuple(ns), tuple(direction), tuple(required),
+                        "bounded", 0.0, 0.5)
+    records = {"command": "falsify", "result": serialize.witness_report_to_json(rep)}
+    by_column = {"command": "falsify", "result": serialize.witness_report_columns(rep)}
+    assert _dumps(by_column) == _dumps(records) == json.dumps(records, indent=2)
+    assert cli.emit_series(by_column) == cli.emit_series(records) == _csv_loop(records)
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["falsify", "--gallery", "ned_example", "--concept", "UED", "--schedule",
+      "odd_after_even", "--k-max", "50", "--alpha", "0.25"], 1),
+    (["gallery-claims", "--name", "ned_not_ed_example"], 0),
+], ids=["falsify", "gallery-claims"])
+def test_cli_writes_families_without_a_record_per_member(tmp_path, monkeypatch, argv, rc):
+    def refused(*args):
+        raise AssertionError("a record built per member")
+
+    monkeypatch.setattr(serialize, "witness_report_to_json", refused)
+    monkeypatch.setattr(serialize.RecordColumns, "records", refused)
+    report, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    assert main([*argv, "--report", str(report), "--csv", str(csv)]) == rc
+    assert report.stat().st_size > 0 and csv.stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv, grids", [
+    (["estimate", "--gallery", "ued_example", "--kind", "ued", "--window", "0..30"],
+     lambda r: [r["result"]["grid"]]),
+    (["estimate", "--gallery", "ed_example", "--kind", "ed", "--strong", "--window", "0..30"],
+     lambda r: [r["result"]["grid"]]),
+    (["gallery-claims", "--name", "ed_example", "--window", "0..30"],
+     lambda r: [c["detail"]["grid"] for c in r["claims"] if c["type"] == "strong-instability"]),
+], ids=["estimate-ued", "estimate-ed-strong", "claims-ed"])
+def test_default_grid_reports_take_the_column_path(tmp_path, monkeypatch, argv, grids):
+    """The default grids are Python floats, which the column encoding takes
+    (it leaves numpy scalars to json.dumps)."""
+    seen = []
+    monkeypatch.setattr(cli, "_emit", lambda args, report, csv_text=None: seen.append(report))
+    main(argv)
+    found = grids(seen[0])
+    assert found and all(_records(grid, 2) is not None for grid in found)
+    assert all(type(p["alpha"]) is float for grid in found for p in grid)
 
 
 def test_emit_calls_dumps_through_cli_json(tmp_path, monkeypatch):
@@ -282,3 +372,18 @@ def test_emit_calls_dumps_through_cli_json(tmp_path, monkeypatch):
         {"a": [{"b": 1}], "c": "\x000"}, indent=2)
     assert len(calls) == 2
 
+
+
+def test_fallback_writes_families_as_records():
+    """A report whose text holds a placeholder falls back to json.dumps,
+    which writes a family as its records; a column json cannot write is left
+    to json.dumps to name."""
+    entry = make_example("sed_example")
+    rep = falsify(entry.system, entry.projection, Kind.UED,
+                  entry.schedule("odd_after_even"), range(6), alpha=1.0)
+    by_column = {"note": "\x000", "result": serialize.witness_report_columns(rep)}
+    records = {"note": "\x000", "result": serialize.witness_report_to_json(rep)}
+    assert _dumps(by_column) == json.dumps(records, indent=2)
+    odd = serialize.RecordColumns(2, {"a": serialize.Column([1, np.int64(2)])})
+    with pytest.raises(TypeError, match="int64"):
+        _dumps({"x": odd})

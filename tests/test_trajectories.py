@@ -48,7 +48,7 @@ def vectors(dim):
 def takes_float_form(sys_, coords, indices):
     pre, _ = sys_.diag_prefix(max(indices))
     return all(
-        isinstance(v, float) or (isinstance(v, int) and abs(v) <= _FLOAT_SAFE)
+        isinstance(v, float) or (isinstance(v, int) and abs(v) <= _FLOAT_SAFE // 2)
         for i in coords for v in (pre[i][k] for k in indices)
     )
 

@@ -31,6 +31,7 @@ from dichotomy import (
     Kind,
     LogScalar,
     OutOfRangeError,
+    Profile,
     ProjectionFamily,
     ScaledProfile,
     ShiftedPowerProfile,
@@ -51,7 +52,7 @@ from dichotomy.system import (
     check_pairs_compatibility,
     compatibility_defect,
 )
-from oracles import pair_loop
+from oracles import pair_loop, validate_loop
 
 BUDGETS = [1, 2**12, system._BLOCK_BYTES]  # one row per block, a few, the default
 
@@ -358,3 +359,54 @@ def test_profile_logs_raise_as_the_per_index_logs(profile, lo, hi):
 
     want = outcome(lambda: [profile.log_at(n) for n in range(lo, hi + 1)])
     assert outcome(lambda: profile.logs(lo, hi)) == want
+
+
+class Listed(Profile):
+    """Logs given as a list from n = 0 (any values, NaN too); out of range
+    past its end."""
+
+    def __init__(self, logs):
+        self.values = list(logs)
+
+    def log_at(self, n):
+        if not 0 <= n < len(self.values):
+            raise OutOfRangeError(f"no log at {n}")
+        return self.values[n]
+
+
+def raised(check):
+    try:
+        check()
+    except (InvalidCertificateError, OutOfRangeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("profile, lo, hi", [
+    *((p, 2, 21) for p in PROFILES),  # ShiftedPowerProfile(0.5, -2.0) decreases at n = 3
+    (ShiftedPowerProfile(-3.0, 1.0), 2, 9),  # the base is negative at n = 2
+    (ShiftedPowerProfile(0.0, math.inf), 1, 4),  # inf * log 1 is NaN at n = 1
+    (ShiftedPowerProfile(0.0, 1e308), 1, 4),  # +inf from n = 3
+    (ShiftedPowerProfile(0.0, 1e308), 1, 1),  # a window of one index
+    (Listed([0, 1, 0.5, 1]), 0, 9),  # a decrease at 2 before the range ends at 4
+    (Listed([0, 1, 2]), 0, 5),  # out of range at 3
+    (Listed([0, math.inf, -1.0]), 0, 2),  # +inf at 1 before the decrease at 2
+    (Listed([1, 0, math.nan]), 0, 2),  # a decrease at 1 before NaN at 2
+    (Listed([0, math.nan, -1.0]), 0, 2),  # NaN at 1: no decrease is seen across it
+    (Listed([-math.inf, -math.inf, 0, 2**70, 2**70 + 0.5]), 0, 4),  # zero values pass
+    (Listed([2**70 + 1, 2**70]), 0, 1),  # ints that round to one double
+])
+def test_validate_fails_where_the_per_index_loop_fails(profile, lo, hi):
+    cert = DichotomyCertificate(Kind.NED, alpha=0.5, profile=profile)
+    window = WindowSpec(lo, hi)
+    assert raised(lambda: cert.validate(window)) == raised(lambda: validate_loop(cert, window))
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.floats(), st.integers(-5, 5), st.integers(2**60, 2**61),
+                          st.fractions(max_denominator=5)), max_size=8),
+       st.integers(0, 9), st.integers(0, 9))
+def test_validate_fails_where_the_per_index_loop_fails_for_any_logs(logs, lo, width):
+    cert = DichotomyCertificate(Kind.NED, alpha=0.5, profile=Listed(logs))
+    window = WindowSpec(lo, lo + width)
+    assert raised(lambda: cert.validate(window)) == raised(lambda: validate_loop(cert, window))
