@@ -188,10 +188,10 @@ def _profile_log(profile: Profile, n: int) -> LogMag:
     return log
 
 
-def _check_nondecreasing(profile: Profile, lo: int, hi: int) -> None:
-    """Raise at the first n in lo..hi whose log ``_profile_log`` rejects or
-    that falls below the log at n - 1, reading the logs through
-    ``profile.logs`` in one pass."""
+def _check_nondecreasing(profile: Profile, lo: int, hi: int) -> list[LogMag]:
+    """The logs of lo..hi, read through ``profile.logs`` in one pass; raise
+    at the first n whose log ``_profile_log`` rejects or that falls below
+    the log at n - 1."""
     try:
         logs = profile.logs(lo, hi)
     except DichotomyError:
@@ -204,6 +204,7 @@ def _check_nondecreasing(profile: Profile, lo: int, hi: int) -> None:
         if log < prev:
             raise InvalidCertificateError(f"profile decreases at n={n}")
         prev = log
+    return logs
 
 
 # -- certificates -------------------------------------------------------------
@@ -237,6 +238,14 @@ class DichotomyCertificate:
             raise InvalidCertificateError(
                 f"strong certificate needs beta < alpha, got beta={self.beta}, alpha={self.alpha}"
             )
+
+    def weights(self, window: WindowSpec) -> list[LogMag]:
+        """``validate(window)``, then ``r_logs`` on the window; a profile's
+        logs are read once, by the check of ``validate``."""
+        self.validate()
+        if self.kind is Kind.NED:
+            return _check_nondecreasing(self.profile, window.n_min, window.m_max)
+        return self.r_logs(window.n_min, window.m_max)
 
     def log_n(self) -> float:
         return math.log(self.n_const) if self.n_const is not None else 0.0

@@ -42,8 +42,8 @@ from .errors import (
     OutOfRangeError,
     ScheduleOutOfRangeError,
 )
-from .logarray import EXACT_FORM, FLOAT_FORM, LogTable, as_floats
-from .logscalar import _FLOAT_SAFE, LogMag, LogScalar, ladd, lfloat, lsub, mixes_as_float
+from .logarray import LogArray, add, full, logaddexp, sub, times, where
+from .logscalar import LogMag, LogScalar, ladd, lfloat, lsub
 from .system import (
     ProjectionFamily,
     SystemDescription,
@@ -56,36 +56,34 @@ DEFAULT_LOG_TOL = 1e-9
 _TIE_BAND = 1e-12
 
 
-def _slacks(rhs, lhs, form) -> np.ndarray:
+def _slacks(rhs: LogArray, lhs: LogArray) -> np.ndarray:
     """Float values of log(rhs) - log(lhs), elementwise, with infinity
     conventions: a zero left side decides first, then an infinite right
     side, then an infinite left side."""
-    return _difference(rhs, lhs, form, [
-        (lhs == -math.inf, math.inf), (rhs == math.inf, math.inf),
-        (rhs == -math.inf, -math.inf), (lhs == math.inf, -math.inf),
+    a, b = rhs.values, lhs.values
+    return _difference(rhs, lhs, [
+        (b == -math.inf, math.inf), (a == math.inf, math.inf),
+        (a == -math.inf, -math.inf), (b == math.inf, -math.inf),
     ])
 
 
-def _difference(a, b, form, rules) -> np.ndarray:
-    """lfloat(lsub(a, b)) elementwise as float64, unless one of the (mask,
-    value) ``rules`` holds, the first one deciding; every entry with an
-    infinite operand meets a rule.
-
-    Every caller's rules agree with float subtraction wherever it is not
-    NaN (inf - inf), so the float form subtracts and applies the rules only
-    to the NaN entries."""
+def _difference(a: LogArray, b: LogArray, rules) -> np.ndarray:
+    """lfloat(lsub(a, b)) elementwise as float64 for arrays of one shape,
+    unless one of the (mask, value) ``rules`` holds, the first one deciding;
+    every entry with an infinite operand meets a rule. The rules agree with
+    float subtraction wherever it is not NaN (inf - inf), so where that is
+    ``lsub`` (float operands, no int subtracted) it runs on every entry."""
     masks, values = zip(*rules)
-    if form is FLOAT_FORM:
+    if not (a.exact or b.exact or b.ints is not None):
         with np.errstate(invalid="ignore"):
-            out = np.subtract(a, b)
+            out = a.values - b.values
         nan = np.isnan(out)
         if nan.any():
             out[nan] = np.select([mask[nan] for mask in masks], values, out[nan])
         return out
-    out = np.zeros(np.shape(a))
+    out = np.zeros(a.values.shape)
     open_ = ~np.logical_or.reduce(masks)
-    diff = form.sub(a[open_], b[open_])
-    out[open_] = as_floats(diff)
+    out[open_] = sub(a[open_], b[open_]).floats()
     return np.select(masks, values, out)
 
 
@@ -112,11 +110,14 @@ class _PairExtremes:
         return ext.direction_p, ext.direction_q
 
 
-def _validate(cert: DichotomyCertificate, window: WindowSpec, tol: float) -> None:
-    cert.validate(window)
+def _validate(cert: DichotomyCertificate, window: WindowSpec, tol: float) -> LogArray:
+    """Check the certificate on the window and the tolerance; the weights
+    r(n_min..m_max), a profile's logs read once (``cert.weights``)."""
+    weights = cert.weights(window)
     _check_rates(window, cert.alpha, cert.beta or 0.0)
     if not 0 <= tol < math.inf:  # NaN fails the comparison too
         raise InvalidCertificateError(f"tolerance must be finite and nonnegative, got {tol}")
+    return LogArray(weights)
 
 
 def _check_rates(window: WindowSpec, *rates: LogMag) -> None:
@@ -150,31 +151,24 @@ def verify_certificate(
     count and least slack are those of the loop over every pair in
     lexicographic (n, m) order, the P side of a pair before its Q side.
     """
-    _validate(cert, window, tol)
+    weights = _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
     lo, hi, alpha = window.n_min, window.m_max, cert.alpha
-    weights, floats = _weights(cert, lo, hi)
     kernel = _sweeps(sys, proj, lo, hi)
     ext = _PairExtremes(kernel)
     rows, min_slack = kernel.rows_to_scan(alpha, weights, tol)
-    w_of = {}
     for n in rows:
-        g, h = ext.row(n).row_logs  # m = n..end, one dtype for both
-        # the per-pair formula, in float64 when every operand is a float
-        form = FLOAT_FORM if floats and g.dtype != object else EXACT_FORM
-        if form.dtype not in w_of:
-            w_of[form.dtype] = np.array(weights, dtype=form.dtype)
-        w = w_of[form.dtype]
+        g, h = map(LogArray, ext.row(n).row_logs)  # m = n..end
         ms = np.arange(n, n + len(g))
-        gap = alpha * (ms - n).astype(form.dtype)
-        g, h = g.astype(form.dtype), h.astype(form.dtype)
-        # a trivial Q range (h = +inf) makes the right side +inf, unadded
-        rhs_q = np.full(len(h), math.inf, dtype=form.dtype)
-        live = h != math.inf
+        gap = times(alpha, ms - n)
+        live = np.flatnonzero(h.values != math.inf)
         with np.errstate(over="ignore"):
-            slack_p = _slacks(np.full(len(g), w[n - lo], dtype=form.dtype), form.add(gap, g), form)
-            rhs_q[live] = form.add(w[ms[live] - lo], h[live])
-            slack_q = _slacks(rhs_q, gap, form)
+            slack_p = _slacks(weights[np.full(len(g), n - lo)], add(gap, g))
+            rhs_q = add(weights[ms[live] - lo], h[live])
+            if len(live) < len(h):
+                # a trivial Q range (h = +inf) makes the right side +inf, unadded
+                rhs_q = full(len(h), math.inf).put(live, rhs_q)
+            slack_q = _slacks(rhs_q, gap)
         # min(slack_p, slack_q), the first of two equal ones
         worse = np.where(slack_q < slack_p, slack_q, slack_p)
         bad = np.flatnonzero(worse < -tol)
@@ -215,23 +209,19 @@ def verify_triplet_form(
     verdict, witness and count are those of the loop over every triplet in
     lexicographic (p, n, m) order.
     """
-    _validate(cert, window, tol)
+    weights = _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
     lo, hi, alpha = window.n_min, window.m_max, cert.alpha
-    weights, floats = _weights(cert, lo, hi)
     kernel = _sweeps(sys, proj, lo, hi)
     to_scan, min_slack = kernel.triplet_rows_to_scan(alpha, weights, tol)
     for p, ns in to_scan:
         row = kernel.row(p)
         k_of, m_of, rp, rq = row.triplet_ratios(ns)
-        # the per-triplet formula, in float64 when every operand is a float
-        form = FLOAT_FORM if floats and isinstance(rp, np.ndarray) else EXACT_FORM
-        w = np.array(weights, dtype=form.dtype)
-        gap = alpha * (m_of - k_of).astype(form.dtype)
-        rp, rq = (np.asarray(r, dtype=form.dtype) for r in (rp, rq))
+        rp, rq = LogArray(rp), LogArray(rq)
+        gap = times(alpha, m_of - k_of)
         with np.errstate(over="ignore"):
-            slack_p = _slacks(w[k_of - lo], form.add(gap, rp), form)
-            slack_q = _slacks(w[m_of - lo], form.add(gap, rq), form)
+            slack_p = _slacks(weights[k_of - lo], add(gap, rp))
+            slack_q = _slacks(weights[m_of - lo], add(gap, rq))
         # min(slack_p, slack_q), the first of two equal ones
         worse = np.where(slack_q < slack_p, slack_q, slack_p)
         bad = np.flatnonzero(worse < -tol)
@@ -239,7 +229,7 @@ def verify_triplet_form(
             t = int(bad[0])
             n, m = int(k_of[t]), int(m_of[t])
             side = "P" if slack_p[t] <= slack_q[t] else "Q"
-            ratio = (rp if side == "P" else rq).tolist()[t]
+            ratio = (rp if side == "P" else rq).item(t)
             offset = cert.scale_offset(n) if side == "P" else cert.scale_offset(m)
             required = lsub(ladd(alpha * (m - n), ratio), offset)
             return VerificationOutcome(
@@ -254,13 +244,6 @@ def verify_triplet_form(
         if len(worse) < sum(hi + 1 - n for n in ns):
             row.logs(hi)  # the row overflows before hi: raises
     return VerificationOutcome(True, None, _triplets_before(lo, hi, hi + 1, hi + 1), min_slack)
-
-
-def _weights(cert: DichotomyCertificate, lo: int, hi: int) -> tuple[list[LogMag], bool]:
-    """The weights r(lo..hi) of the certificate, and whether its rate and
-    every weight are floats."""
-    weights = cert.r_logs(lo, hi)
-    return weights, isinstance(cert.alpha, float) and all(isinstance(w, float) for w in weights)
 
 
 def _pairs_before(lo: int, hi: int, n: int) -> int:
@@ -335,9 +318,9 @@ class _GridTable:
     def min_log_n(self, alpha: float, beta: float, half: bool = False) -> float:
         if alpha != self.alpha:
             self.alpha = alpha
-            self.rows = as_floats(self.kernel.rows(alpha, self.hi))
-            self.rows_half = as_floats(self.kernel.rows(alpha, self.mid))
-            self.cols = as_floats(self.kernel.cols(alpha))
+            self.rows = self.kernel.rows(alpha, self.hi).floats()
+            self.rows_half = self.kernel.rows(alpha, self.mid).floats()
+            self.cols = self.kernel.cols(alpha).floats()
         rows = self.rows_half if half else self.rows
         index = self.index[:len(rows)]
         return max(
@@ -499,7 +482,7 @@ class WitnessSchedule:
         return tuple(float(v) for v in self.direction)
 
 
-def _family_norms(sys, proj, pairs, x) -> tuple[LogTable, LogTable]:
+def _family_norms(sys, proj, pairs, x) -> tuple[LogArray, LogArray]:
     """Log-magnitudes of the pairs (m, n) as two tables with one row per pair
     in order: (|P x|, |A_P x|) and (|Q x|, |A_Q x|); -inf marks a zero. One
     kernel spans the family and gives every pair in one call per side: the
@@ -570,7 +553,7 @@ def falsify(
     x = schedule.direction_vector(sys.dim)
     p_norms, q_norms = _family_norms(sys, proj, at, x)
     if concept is Kind.UED:
-        w_p = w_q = [0] * len(pairs)
+        w_p = w_q = np.zeros(len(pairs), dtype=int)
     elif concept is Kind.NED:
         w_p, w_q = zip(*[(_profile_log(profile, n), _profile_log(profile, m)) for m, n in pairs])
     else:
@@ -583,7 +566,7 @@ def falsify(
         ms=ms,
         ns=ns,
         direction=x,
-        required_logs=tuple(logs),
+        required_logs=tuple(logs.tolist()),
         trend=trend,
         log_slope=slope,
         trial_alpha=alpha,
@@ -626,63 +609,21 @@ def _check_pairs(sys: SystemDescription, pairs: list[tuple[int, int]], at: np.nd
             raise ScheduleOutOfRangeError(str(exc)) from exc
 
 
-def _required_logs(alpha, pairs, w_p, w_q, p_norms: LogTable, q_norms: LogTable) -> list[LogMag]:
+def _required_logs(alpha, pairs, w_p, w_q, p_norms: LogArray, q_norms: LogArray) -> LogArray:
     """Per pair (m, n) of a family, the log of the least constant:
     exp(alpha (m-n)) (|A_P x| + |Q x|) over w_P |P x| + w_Q |A_Q x|, from
     the weights' logs and the norm tables of ``_family_norms``; +inf where
-    the denominator is zero, else -inf where the numerator is.
-
-    One array pass per form, in the order of the scalar formula. A pair whose
-    rate and norms are floats, and whose weights mix with a float as a float
-    (``mixes_as_float``), takes the float form: each ``ladd`` of its formula
-    has a float operand and adds in floats. Every other pair takes the exact
-    form, which keeps the types."""
-    floats = (
-        isinstance(alpha, float) & _float_rows(p_norms) & _float_rows(q_norms)
-        & _mixing(w_p) & _mixing(w_q)
-    )
+    the denominator is zero, else -inf where the numerator is. One array
+    pass in the order of the scalar formula."""
     ms, ns = np.array(pairs).reshape(-1, 2).T
-    w_p, w_q = np.array(w_p, dtype=object), np.array(w_q, dtype=object)
-    out = np.empty(len(pairs), dtype=object)
-    for form, rows in ((FLOAT_FORM, np.flatnonzero(floats)), (EXACT_FORM, np.flatnonzero(~floats))):
-        if not rows.size:
-            continue
-        gap = alpha * (ms[rows] - ns[rows]).astype(form.dtype)
-        u, v = w_p[rows].astype(form.dtype), w_q[rows].astype(form.dtype)
-        (c, a), (b, d) = (
-            (t.values[rows].astype(float) if form is FLOAT_FORM else np.array(
-                [[t.item(r, 0), t.item(r, 1)] for r in rows.tolist()], dtype=object)).T
-            for t in (p_norms, q_norms)
-        )
-        # no log is +inf, so ladd with a -inf operand gives -inf, as the
-        # product of the magnitudes does
-        with np.errstate(over="ignore"):
-            numerator = form.add(gap, form.logaddexp(a, b))
-            denominator = form.logaddexp(form.add(u, c), form.add(v, d))
-            zero = denominator == -math.inf
-            required = form.sub(numerator, np.where(zero, 0.0, denominator))
-            out[rows] = np.where(zero, math.inf, required)
-    return out.tolist()
-
-
-def _mixing(values) -> np.ndarray:
-    """``mixes_as_float`` of each value, one array pass for floats or ints."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        if -_FLOAT_SAFE <= min(values) and max(values) <= _FLOAT_SAFE:
-            return np.ones(len(values), dtype=bool)
-        return np.abs(np.array(values, dtype=object)) <= _FLOAT_SAFE
-    if kinds <= {float}:
-        return np.ones(len(values), dtype=bool)
-    return np.fromiter(map(mixes_as_float, values), bool, len(values))
-
-
-def _float_rows(table: LogTable) -> np.ndarray:
-    """Per row, whether every entry is a float (none an int or a Fraction)."""
-    if table.values.dtype == object:
-        return np.array([all(type(v) is float for v in row) for row in table.values.tolist()],
-                        dtype=bool)
-    return np.ones(len(table.values), dtype=bool) if table.ints is None else ~table.ints.any(axis=1)
+    (c, a), (b, d) = ((t[:, 0], t[:, 1]) for t in (p_norms, q_norms))
+    # no log is +inf, so ladd with a -inf operand gives -inf, as the
+    # product of the magnitudes does
+    with np.errstate(over="ignore"):
+        numerator = add(times(alpha, ms - ns), logaddexp(a, b))
+        denominator = logaddexp(add(LogArray(w_p), c), add(LogArray(w_q), d))
+        zero = denominator.values == -math.inf
+        return where(zero, math.inf, sub(numerator, where(zero, 0.0, denominator)))
 
 
 def _fit_slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -699,15 +640,12 @@ def _classify_trend(ks: Sequence[int], logs: Sequence[LogMag]) -> tuple[str, flo
     when it has at least five members, its logs are nondecreasing, the last
     exceeds the first and the slope exceeds ``_TIE_BAND``.
 
-    Float logs are compared in one float64 pass. A family with an exact log
-    is compared exactly: two distinct ints above 2**53 can round to one
-    double, and a decrease between them must still count."""
-    if set(map(type, logs)) <= {float}:
-        ys = np.array(logs, dtype=float)
-        nondecreasing = bool(np.all(ys[1:] >= ys[:-1]))
-    else:
-        ys = np.array([lfloat(v) for v in logs], dtype=float)
-        nondecreasing = all(map(operator.ge, logs[1:], logs))
+    The logs are compared in their own form, exactly: two distinct ints
+    above 2**53 can round to one double, and a decrease between them must
+    still count."""
+    logs = LogArray(logs)
+    ys, v = logs.floats(), logs.values
+    nondecreasing = bool(np.all(v[1:] >= v[:-1]))
     finite = np.isfinite(ys)
     slope = 0.0
     if np.count_nonzero(finite) >= 2:
@@ -718,7 +656,7 @@ def _classify_trend(ks: Sequence[int], logs: Sequence[LogMag]) -> tuple[str, flo
                 # the sums overflowed: fit the logs scaled by their largest magnitude
                 scale = float(np.abs(ys).max())
                 slope = _fit_slope(xs, ys / scale) * scale
-    if len(logs) >= 5 and nondecreasing and logs[-1] > logs[0] and slope > _TIE_BAND:
+    if len(v) >= 5 and nondecreasing and v[-1] > v[0] and slope > _TIE_BAND:
         return "divergent", slope
     return "bounded", slope
 

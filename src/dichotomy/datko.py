@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -43,8 +42,8 @@ from .errors import (
     InvalidConstantsError,
     NoDecayCertificateError,
 )
-from .logarray import EXACT_FORM, FLOAT_FORM, LogTable
-from .logscalar import _FLOAT_SAFE, LogScalar
+from .logarray import LogArray, add, logaddexp, where
+from .logscalar import LogScalar
 from .system import ProjectionFamily, SystemDescription, _sweeps, check_compatibility
 
 HOLDS = "holds"
@@ -147,31 +146,24 @@ def _trajectories(sys, proj, part: str, window: WindowSpec, upto: int):
     return directions, table
 
 
-def _weighted_sums(table: LogTable, d: float, reverse: bool) -> LogTable:
+def _weighted_sums(table: LogArray, d: float, reverse: bool) -> LogArray:
     """Per row, acc[j] = log(exp(row[j]) + exp(d + acc[j +- 1])): taken over
     the columns in reverse, log sum_{t >= j} e^{d (t - j)} e^{row[t]}; in
     order, log sum_{t <= j} e^{d (j - t)} e^{row[t]}. All rows advance in
-    lockstep. A row's first finite term passes through unchanged, so an int
-    stays an int."""
-    values, form = table.values, table.form
-    if not len(values):
-        return table
+    lockstep, in the ufuncs of the table's form. A term added to an empty
+    sum (-inf) passes through unchanged, as ``logaddexp_mag`` passes it: an
+    int stays an int."""
+    (add, _, logaddexp), values = table.form, table.values
     out = np.empty_like(values)
     acc = np.full(len(values), -math.inf, dtype=values.dtype)
     step = -1 if reverse else 1
     with np.errstate(over="ignore"):
         for col, dst in zip(values.T[::step], out.T[::step]):
-            acc = form.logaddexp(col, form.add(acc, d), out=dst)
-    ints = table.ints
-    if ints is not None:
-        # an int entry stays one where the sum of the columns before it is -inf
-        rows, cols = np.nonzero(ints)
-        before = cols - step
-        inside = (before >= 0) & (before < values.shape[1])
-        ints = np.zeros_like(ints)
-        ints[rows, cols] = ~inside
-        ints[rows[inside], cols[inside]] = out[rows[inside], before[inside]] == -math.inf
-    return LogTable(out, ints)
+            acc = logaddexp(col, add(acc, d), out=dst)
+    # the sum before each term
+    edge = np.full((len(values), 1), -math.inf, dtype=values.dtype)
+    before = np.hstack([out[:, 1:], edge] if reverse else [edge, out[:, :-1]])
+    return where(before == -math.inf, table, out)
 
 
 # -- the three verifiers -----------------------------------------------------
@@ -291,45 +283,31 @@ def _side_reports(
         return []
     size = window.m_max - window.n_min + 1
     at = range(window.n_min, window.m_max + 1)
-    weights = [weight(j) for j in at]
-    terms = [tail(j) for j in at] if callable(tail) else []
-    if all(isinstance(v, float) for v in chain(weights, *terms)) and all(
-        map(_float_safe, (table, sums))
-    ):
-        form = FLOAT_FORM
-    else:
-        form = EXACT_FORM
-        table, sums = (LogTable(np.array(t.tolist(size), dtype=object)) for t in (table, sums))
     rows, cols = np.triu_indices(size)
-    anchor, lhs, ints = (
-        None if v is None else v[:, :size].reshape(-1, size, size)[:, rows, cols]
-        for v in (table.values, sums.values, sums.ints)
-    )
-    live = anchor != -math.inf
-
-    def at_live(column_values):
-        values = np.array(column_values, dtype=form.dtype)[cols]
-        return np.broadcast_to(values, anchor.shape)[live]
-
-    rhs, tails = (np.full(anchor.shape, -math.inf, dtype=form.dtype) for _ in range(2))
+    # per direction k, the points (row k * size + s, column j) of the triangle
+    at_k = np.arange(len(directions))[:, None] * size + rows
+    anchor, lhs = table[at_k, cols], sums[at_k, cols]
+    live = anchor.values != -math.inf
     with np.errstate(over="ignore"):
-        rhs[live] = form.add(at_live(weights), anchor[live])
+        # a weight plus a -inf anchor is -inf, as a dead point's right side
+        rhs = add(LogArray([weight(j) for j in at])[cols], anchor)
         if callable(tail):
-            r, offset = zip(*terms)
-            tails[live] = form.add(form.add(at_live(r), anchor[live]), at_live(offset))
+            r, offset = (LogArray(v)[cols] for v in zip(*map(tail, at)))
+            tails = where(live, add(add(r, where(live, anchor, 0.0)), offset), -math.inf)
         else:
-            tails[live] = tail
-        trunc = _slacks(rhs, lhs, form)
-        total = _slacks(rhs, form.logaddexp(lhs, tails), form)
+            tails = where(live, tail, -math.inf)
+        trunc = _slacks(rhs, lhs)
+        total = _slacks(rhs, logaddexp(lhs, tails))
         # the tail/right ratio: a zero tail decides first
-        tail_rhs = _difference(tails, rhs, form, [
-            (tails == -math.inf, -math.inf), (tails == math.inf, math.inf),
-            (rhs == math.inf, -math.inf), (rhs == -math.inf, math.inf),
+        t, v = tails.values, rhs.values
+        tail_rhs = _difference(tails, rhs, [
+            (t == -math.inf, -math.inf), (t == math.inf, math.inf),
+            (v == math.inf, -math.inf), (v == -math.inf, math.inf),
         ])
     violated = (trunc < -DEFAULT_LOG_TOL).any(axis=1)
     inconclusive = (total < -DEFAULT_LOG_TOL).any(axis=1)
     worst = np.where(np.isfinite(total), total, trunc).argmin(axis=1)
-    lhs, zero = LogTable(lhs, ints), LogScalar.zero()
+    zero = LogScalar.zero()
     reports = []
     for k, w in enumerate(worst.tolist()):
         seed, j = window.n_min + rows.item(w), window.n_min + cols.item(w)
@@ -348,10 +326,3 @@ def _side_reports(
             **fields,
         ))
     return reports
-
-
-def _float_safe(table: LogTable) -> bool:
-    """Whether ``ladd`` mixes every entry with a float as a float."""
-    return table.values.dtype == float and (
-        table.ints is None or bool((np.abs(table.values[table.ints]) <= _FLOAT_SAFE).all())
-    )

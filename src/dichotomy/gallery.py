@@ -26,8 +26,8 @@ from .certificates import (
 )
 from .checkers import WitnessSchedule
 from .errors import IndexOrderError, ParamOutOfRangeError, UnknownExampleError
-from .logarray import EXACT_FORM
-from .logscalar import _FLOAT_SAFE, LogMag, LogScalar
+from .logarray import LogArray, add
+from .logscalar import LogMag, LogScalar
 from .system import DiagonalClosedForm, ProjectionFamily, SystemDescription, positive_factors
 
 FIRST_COORDINATE = (True, False)
@@ -143,24 +143,16 @@ def raw_factor_log(name: str, params: Mapping | None, n: int) -> LogMag:
     return example.raw(merged, n, n).tolist()[0]
 
 
-def _diag_system(coord_logs: list[Callable[[int, int], np.ndarray]]) -> SystemDescription:
+def _diag_system(coord_logs: list[Callable[[int, int], LogArray]]) -> SystemDescription:
     """The diagonal system whose coordinate i has the positive factors
     exp(coord_logs[i](lo, hi)) on lo..hi."""
     coords = [(lambda f: (lambda lo, hi: positive_factors(f(lo, hi))))(f) for f in coord_logs]
     return SystemDescription(len(coords), DiagonalClosedForm.from_ranges(coords))
 
 
-def _shifted(shift: float, raw: np.ndarray) -> np.ndarray:
-    """ladd(shift, r) for every raw log r: float64 where ``ladd`` adds in
-    floats (float logs, ints within ``_FLOAT_SAFE``), else an object array."""
-    if raw.dtype == np.float64 or (raw.dtype != object and np.all(np.abs(raw) <= _FLOAT_SAFE)):
-        return shift + raw
-    return EXACT_FORM.add(shift, raw.astype(object))
-
-
-def _scaled(shift: float, raw, params) -> Callable[[int, int], np.ndarray]:
-    """lo, hi -> the entry's raw logs on lo..hi, each shifted by ``shift``."""
-    return lambda lo, hi: _shifted(shift, raw(params, lo, hi))
+def _scaled(shift: float, raw, params) -> Callable[[int, int], LogArray]:
+    """lo, hi -> ladd(shift, r) for each raw log r of the entry on lo..hi."""
+    return lambda lo, hi: add(shift, LogArray(raw(params, lo, hi)))
 
 
 def _constant(log: float) -> Callable[[int, int], np.ndarray]:

@@ -61,12 +61,6 @@ def lsub(a: LogMag, b: LogMag) -> LogMag:
     return ladd(a, -b)
 
 
-def mixes_as_float(x: LogMag) -> bool:
-    """Whether ``ladd`` adds ``x`` to a float in plain float arithmetic: true
-    for floats and for exact values within ``_FLOAT_SAFE``."""
-    return isinstance(x, float) or -_FLOAT_SAFE <= x <= _FLOAT_SAFE
-
-
 def rounding_scale(x: LogMag) -> float:
     """Largest magnitude with which ``x`` can enter float rounding in ``ladd``.
 
@@ -76,7 +70,7 @@ def rounding_scale(x: LogMag) -> float:
     """
     if isinstance(x, float) and not math.isfinite(x):
         return 0.0
-    return float(abs(x)) if mixes_as_float(x) else float(_FLOAT_SAFE)
+    return float(abs(x)) if isinstance(x, float) or abs(x) <= _FLOAT_SAFE else float(_FLOAT_SAFE)
 
 
 def lfloat(x: LogMag) -> float:

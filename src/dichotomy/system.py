@@ -24,7 +24,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -38,15 +37,19 @@ from .errors import (
     LogOverflowError,
     OutOfRangeError,
 )
-from .logarray import EXACT_FORM, FLOAT_FORM, LogTable, as_floats
-from .logscalar import (
-    _FLOAT_SAFE,
-    LogMag,
-    LogScalar,
-    lsub,
-    mixes_as_float,
-    rounding_scale,
+from .logarray import (
+    LogArray,
+    accumulate,
+    add,
+    concatenate,
+    full,
+    maximum,
+    segmented_max,
+    sub,
+    times,
+    where,
 )
+from .logscalar import LogMag, LogScalar, lsub
 
 DEFAULT_TOL_PROJ = 1e-9
 DEFAULT_TOL_COMPAT = 1e-9
@@ -64,10 +67,10 @@ class DiagonalClosedForm:
     factors a_i(lo), ..., a_i(hi) as two arrays, their log-magnitudes and
     their signs (-1, 0 or +1; 0 for a zero factor, whose log is ignored).
 
-    The logs are a float64 array, or an object array holding ``int``,
-    ``Fraction`` or ``float`` logs where they must stay exact (``ladd``
-    types). The constructor takes per-index functions n -> LogScalar and
-    wraps each one; ``from_ranges`` takes range functions.
+    The logs are a ``LogArray`` or an array that its constructor takes
+    (float64, or an object array of ``int``, ``Fraction`` or ``float`` logs).
+    The constructor takes per-index functions n -> LogScalar and wraps each
+    one; ``from_ranges`` takes range functions.
     """
 
     def __init__(self, entries: Sequence[Callable[[int], LogScalar]]):
@@ -91,21 +94,19 @@ def _nonempty(factors: Sequence[FactorRange]) -> tuple[FactorRange, ...]:
 
 
 def _per_index(entry: Callable[[int], LogScalar]) -> FactorRange:
-    """The range function of a per-index coefficient function; its logs are
-    float64 when every one is a float."""
+    """The range function of a per-index coefficient function."""
 
-    def factors(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def factors(lo: int, hi: int) -> tuple[LogArray, np.ndarray]:
         values = [entry(n) for n in range(lo, hi + 1)]
-        logs = [v.logmag for v in values]
-        dtype = float if all(isinstance(x, float) for x in logs) else object
-        return np.array(logs, dtype=dtype), np.array([v.sign for v in values])
+        return LogArray([v.logmag for v in values]), np.array([v.sign for v in values])
 
     return factors
 
 
-def positive_factors(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def positive_factors(logs) -> tuple[LogArray, np.ndarray]:
     """Factors exp(logs): positive, and zero where a log is -inf."""
-    return logs, (logs != -math.inf).astype(np.int8)
+    logs = LogArray(logs)
+    return logs, (logs.values != -math.inf).astype(np.int8)
 
 
 class ExplicitSequence:
@@ -145,9 +146,9 @@ class SystemDescription:
         self.coefficients = coefficients
         self.norm = "max" if self.is_diagonal else "spectral"
         # per-coordinate prefix data (diagonal systems)
-        self._prefix_mag: list[list[LogMag]] | None = None
-        self._prefix_neg: list[list[int]] | None = None
-        self._prefix_zero: list[list[int]] | None = None
+        self._prefix_mag: list[LogArray] | None = None
+        self._prefix_neg: list[np.ndarray] | None = None
+        self._prefix_zero: list[np.ndarray] | None = None
 
     @property
     def is_diagonal(self) -> bool:
@@ -181,9 +182,9 @@ class SystemDescription:
 
     def _ensure_prefix(self, upto: int) -> None:
         if self._prefix_mag is None:
-            self._prefix_mag = [[0] for _ in range(self.dim)]
-            self._prefix_neg = [[0] for _ in range(self.dim)]
-            self._prefix_zero = [[0] for _ in range(self.dim)]
+            self._prefix_mag = [LogArray(np.zeros(1, dtype=int))] * self.dim
+            self._prefix_neg = [np.zeros(1, dtype=int)] * self.dim
+            self._prefix_zero = [np.zeros(1, dtype=int)] * self.dim
         for i, factors in enumerate(self.coefficients.factors):
             mags, negs, zeros = self._prefix_mag[i], self._prefix_neg[i], self._prefix_zero[i]
             lo = len(mags)
@@ -191,69 +192,36 @@ class SystemDescription:
                 continue
             logs, signs = factors(lo, upto)
             nonzero = signs != 0
-            # steps[j]: the nonzero factors among lo..lo+j; a zero factor
-            # leaves the log-sum as it was
-            steps = np.cumsum(nonzero)
-            sums = _log_sums(mags[-1], logs[nonzero])
-            bad = _first_nonfinite(sums)
-            if bad is not None:
-                k = lo + int(np.flatnonzero(nonzero)[bad - 1])
+            # sums[j]: the log-sum after the first j nonzero factors among
+            # lo..upto, from the cached one; a zero factor leaves it as it was
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = accumulate(concatenate([mags[-1:], LogArray(logs)[nonzero]]))
+            bad = np.flatnonzero(sums.nonfinite())
+            if bad.size:
+                k = lo + int(np.flatnonzero(nonzero)[bad[0] - 1])
                 raise LogOverflowError(
                     f"coordinate {i}: the log-magnitude of the product of factors "
                     f"1..{k} is not a finite double"
                 )
-            chunk = sums[steps].tolist()
-            # before the first nonzero factor the log-sum is the cached value
-            # itself, which may be an int (the float sums hold float(it))
-            head = int(np.searchsorted(steps, 1))
-            chunk[:head] = [mags[-1]] * head
-            mags.extend(chunk)
-            negs.extend((negs[-1] + np.cumsum(signs < 0)).tolist())
-            zeros.extend((zeros[-1] + np.cumsum(~nonzero)).tolist())
+            self._prefix_mag[i] = concatenate([mags, sums[np.cumsum(nonzero)]])
+            self._prefix_neg[i] = np.concatenate([negs, negs[-1] + np.cumsum(signs < 0)])
+            self._prefix_zero[i] = np.concatenate([zeros, zeros[-1] + np.cumsum(~nonzero)])
 
-    def diag_prefix(self, upto: int) -> tuple[list[list[LogMag]], list[list[int]]]:
-        """Per-coordinate prefix log-sums and zero-factor counts on 0..upto.
-
-        The lists are the live cache (valid at least through ``upto``);
-        callers must not modify them.
-        """
+    def diag_prefix(self, upto: int) -> tuple[list[LogArray], list[np.ndarray]]:
+        """Per-coordinate prefix log-sums and zero-factor counts on 0..upto:
+        the live cache (valid at least through ``upto``), which callers must
+        not modify. A scan takes the part it reads with ``LogArray.pick``."""
         self._ensure_prefix(upto)
         return self._prefix_mag, self._prefix_zero
 
     def diag_factor(self, i: int, m: int, n: int) -> LogScalar:
         """Coordinate i of the evolution product over (n, m]."""
         self._ensure_prefix(m)
-        if self._prefix_zero[i][m] - self._prefix_zero[i][n] > 0:
+        zeros, negs, mags = self._prefix_zero[i], self._prefix_neg[i], self._prefix_mag[i]
+        if zeros[m] - zeros[n] > 0:
             return LogScalar.zero()
-        sign = -1 if (self._prefix_neg[i][m] - self._prefix_neg[i][n]) % 2 else 1
-        return LogScalar(sign, lsub(self._prefix_mag[i][m], self._prefix_mag[i][n]))
-
-
-def _log_sums(seed: LogMag, logs: np.ndarray) -> np.ndarray:
-    """seed and its running sums with logs, as ``ladd`` forms them in order.
-
-    Float64 logs added to a seed that mixes as a float take ``np.add``
-    (``ladd`` is then plain float addition, and ``accumulate`` adds in
-    order); any other logs an object array through ``ladd``, so exact logs
-    keep their types. Entry 0 is the seed, as a float in the float form.
-    """
-    if logs.dtype == np.float64 and mixes_as_float(seed):
-        sums = np.empty(logs.size + 1)
-        sums[0], sums[1:] = seed, logs
-        with np.errstate(over="ignore", invalid="ignore"):
-            return FLOAT_FORM.add.accumulate(sums)
-    sums = np.empty(logs.size + 1, dtype=object)
-    sums[0], sums[1:] = seed, logs
-    return EXACT_FORM.add.accumulate(sums)
-
-
-def _first_nonfinite(sums: np.ndarray) -> int | None:
-    """The first position of a non-finite float in ``sums``, if any."""
-    if sums.dtype == object:
-        bad = [j for j, x in enumerate(sums) if isinstance(x, float) and not math.isfinite(x)]
-    else:
-        bad = np.flatnonzero(~np.isfinite(sums))
-    return int(bad[0]) if len(bad) else None
+        sign = -1 if (negs[m] - negs[n]) % 2 else 1
+        return LogScalar(sign, lsub(mags.item(m), mags.item(n)))
 
 
 def _overflow(n: int, k: int) -> DenseOverflowError:
@@ -678,22 +646,20 @@ class _DenseSweeps:
         steps = np.arange(size, dtype=float)
         return growth, gain, steps - steps[:, None]
 
-    def rows(self, alpha: float, hi: int) -> np.ndarray:
+    def rows(self, alpha: float, hi: int) -> LogArray:
         """Row n = lo..hi: the largest alpha (m - n) + log growth_P(m, n)
         over n <= m <= hi; a lower bound on log R_P(n)."""
         growth, _, gap = self._pairs
         size = hi - self.lo + 1
-        return np.max(alpha * gap[:size, :size] + growth[:size, :size], axis=1)
+        return LogArray(np.max(alpha * gap[:size, :size] + growth[:size, :size], axis=1))
 
-    def cols(self, alpha: float) -> np.ndarray:
+    def cols(self, alpha: float) -> LogArray:
         """Column m = lo..hi: the largest alpha (m - n) - log min_gain_Q(m, n)
         over lo <= n <= m; a lower bound on log R_Q(m)."""
         _, gain, gap = self._pairs
-        return np.max(alpha * gap - gain, axis=0)
+        return LogArray(np.max(alpha * gap - gain, axis=0))
 
-    def rows_to_scan(
-        self, alpha: float, weights: Sequence[LogMag], tol: float
-    ) -> tuple[range, float]:
+    def rows_to_scan(self, alpha: float, weights, tol: float) -> tuple[range, float]:
         """Every row, and no least slack: the dense kernel keeps no running
         maxima that could clear a row without its pairs. The caller checks
         each row as one array over its ``row_logs``, and the rows come from
@@ -702,13 +668,13 @@ class _DenseSweeps:
         return range(self.lo, self.hi + 1), math.inf
 
     def triplet_rows_to_scan(
-        self, alpha: float, weights: Sequence[LogMag], tol: float
+        self, alpha: float, weights, tol: float
     ) -> tuple[list[tuple[int, range]], float]:
         """Every row of every seed, and no least slack, as ``rows_to_scan``."""
         hi = self.hi
         return [(p, range(p, hi + 1)) for p in range(self.lo, hi + 1)], math.inf
 
-    def trajectories(self, part: str, xs, seeds, at) -> LogTable:
+    def trajectories(self, part: str, xs, seeds, at) -> LogArray:
         """log |A(j, s) x| as in ``_DiagonalSweeps.trajectories``, for rows x
         in range P(s) or Q(s) (``part`` "P" or "Q"): one sweep per seed of
         its distinct rows, up to their last horizon."""
@@ -733,7 +699,7 @@ class _DenseSweeps:
             steps = at[rows] - seed
             picked = logs[[[column[k]] for k in keys], np.maximum(steps, 0)]
             out[rows] = np.where(steps >= 0, picked, -math.inf)
-        return LogTable(out)
+        return LogArray(out)
 
 
 class _DenseRow:
@@ -860,15 +826,11 @@ class _DiagonalSweeps:
     restarts; on the Q side a crossed zero factor makes the minimal gain 0
     and the excess +inf. Pairs with m = n are left out (their excess is 0
     on every nonempty range, the floor of every constant); callers account
-    for them. Each running maximum is one array pass per coordinate. When
-    every prefix log-sum of the window and every weight mixes with floats
-    as a float (``mixes_as_float``) and the rate is a float, ``ladd`` is
-    plain float arithmetic and the arrays take ``FLOAT_FORM``; otherwise
-    they take ``EXACT_FORM``, which combines the same terms in the same
-    order through ``ladd``/``lsub``, so ``int`` and ``Fraction`` logs stay
-    exact (float differences of large ones cancel). The window tables of
-    the running maxima are built on the first scan, so kernels that never
-    scan do not pay for them.
+    for them. Each running maximum is one ``LogArray`` pass per coordinate,
+    which combines the terms in the order of the per-pair formula and in
+    the form of its operands: the window's prefix log-sums, the rate and the
+    weights. The window's arrays are taken on the first scan, so kernels
+    that never scan do not pay for them.
     """
 
     def __init__(self, sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):
@@ -876,13 +838,12 @@ class _DiagonalSweeps:
         _require_mask_for_diagonal(sys, proj)
         self.dim, self.proj, self.lo, self.hi = sys.dim, proj, lo, hi
         self.pre, self.zeros = sys.diag_prefix(hi)
-        self._forms: dict[bool, tuple] = {}
 
     def factor_log(self, i: int, m: int, n: int) -> LogMag:
         """log |a_i(m) ... a_i(n+1)|; -inf once a zero factor is crossed."""
         if self.zeros[i][m] != self.zeros[i][n]:
             return -math.inf
-        return lsub(self.pre[i][m], self.pre[i][n])
+        return lsub(self.pre[i].item(m), self.pre[i].item(n))
 
     def row(self, n: int) -> "_DiagonalRow":
         return _DiagonalRow(self, n)
@@ -896,25 +857,10 @@ class _DiagonalSweeps:
     # -- running maxima over the window ----------------------------------------
 
     @cached_property
-    def window_pre(self) -> list[list[LogMag]]:
-        """The prefix log-sums of lo..hi, per coordinate."""
-        return [coord[self.lo:self.hi + 1] for coord in self.pre]
-
-    @cached_property
-    def _exact_pre(self) -> list[LogMag]:
-        return _exact(chain.from_iterable(self.window_pre))
-
-    @cached_property
-    def mixes(self) -> bool:
-        """Whether every prefix log-sum of the window mixes with floats as a float."""
-        return all(map(mixes_as_float, self._exact_pre))
-
-    @cached_property
-    def pre_scale(self) -> float:
-        """The largest ``rounding_scale`` of a prefix log-sum of the window."""
-        if self.mixes:
-            return float(np.abs(self._form(0.0)[1]).max())
-        return max(rounding_scale(v) for coord in self.window_pre for v in coord)
+    def window(self) -> list[LogArray]:
+        """The prefix log-sums of lo..hi per coordinate, each in the form
+        that its own values allow."""
+        return [pre.pick(slice(self.lo, self.hi + 1)) for pre in self.pre]
 
     @cached_property
     def in_p(self) -> np.ndarray:
@@ -940,88 +886,63 @@ class _DiagonalSweeps:
         return [min((b for b in bounds if b > first), default=size)
                 for bounds, first in zip(self.bounds, first_q)]
 
-    def _form(self, alpha: LogMag, weights: Sequence[LogMag] = ()):
-        """(indices, prefix sums, add, subtract) of the window in the form
-        that the rate and the weights allow."""
-        floats = (self.mixes and isinstance(alpha, float)
-                  and all(map(mixes_as_float, _exact(weights))))
-        if floats not in self._forms:
-            form = FLOAT_FORM if floats else EXACT_FORM
-            self._forms[floats] = (
-                np.arange(self.lo, self.hi + 1).astype(form.dtype),
-                np.array(self.window_pre, dtype=form.dtype),
-                form.add,
-                form.sub,
-            )
-        return self._forms[floats]
-
-    def rows(self, alpha: LogMag, hi: int, in_p: np.ndarray | None = None) -> np.ndarray:
+    def rows(self, alpha: LogMag, hi: int, in_p: np.ndarray | None = None) -> LogArray:
         """Row n = lo..hi: max over i in P(n) and n < m <= hi, with no zero
         factor of i in (n, m], of alpha (m - n) + pre_i[m] - pre_i[n];
         -inf when there is no such pair. A lower bound on log R_P(n).
         ``in_p`` replaces the flags of ``self.in_p``."""
-        index, pre, add, sub = self._form(alpha)
         size = hi - self.lo + 1
-        ax = alpha * index[:size]
-        out = np.full(size, -math.inf, dtype=pre.dtype)
-        flags = self.in_p if in_p is None else in_p
-        for pre_i, bounds, in_p in zip(pre[:, :size], self.bounds, flags):
-            if not in_p[:size].any():
-                continue
-            strict = _segmented_max(add(ax, pre_i), bounds, reverse=True)
-            out = np.maximum(out, np.where(in_p[:size], sub(sub(strict, ax), pre_i), -math.inf))
-        return out
+        ax, out = times(alpha, np.arange(self.lo, hi + 1)), None
+        for pre_i, bounds, in_p in zip(self.window, self.bounds,
+                                       self.in_p if in_p is None else in_p):
+            if np.count_nonzero(in_p[:size]):
+                pre_i = pre_i[:size]
+                strict = segmented_max(add(ax, pre_i), bounds, reverse=True)
+                out = _larger(out, _only(in_p[:size], sub(sub(strict, ax), pre_i)))
+        return full(size, -math.inf) if out is None else out
 
-    def q_rows(self, alpha: LogMag, weights: Sequence[LogMag],
-               in_p: np.ndarray | None = None) -> np.ndarray:
+    def q_rows(self, alpha: LogMag, weights, in_p: np.ndarray | None = None) -> LogArray:
         """Row n = lo..hi: max over j in Q(n) and n < m <= hi of
         alpha (m - n) - weights[m - lo] - (pre_j[m] - pre_j[n]); +inf when a
         zero factor of j lies in (n, hi]; -inf when there is no such pair.
         ``in_p`` replaces the flags of ``self.in_p``."""
-        index, pre, add, sub = self._form(alpha, weights)
-        ax = alpha * index
-        w = np.array(weights, dtype=pre.dtype)
-        out = np.full(len(ax), -math.inf, dtype=pre.dtype)
-        flags = self.in_p if in_p is None else in_p
-        for pre_i, bounds, in_p in zip(pre, self.bounds, flags):
-            if in_p.all():
-                continue
-            run = _segmented_max(sub(sub(ax, pre_i), w), bounds[-2:], reverse=True)
-            run[:bounds[-2]] = math.inf  # rows before the last stretch cross a zero factor
-            out = np.maximum(out, np.where(in_p, -math.inf, add(sub(run, ax), pre_i)))
-        return out
+        ax, out = times(alpha, np.arange(self.lo, self.hi + 1)), None
+        weights = LogArray(weights)
+        for pre_i, bounds, in_p in zip(self.window, self.bounds,
+                                       self.in_p if in_p is None else in_p):
+            if np.count_nonzero(in_p) < len(ax):
+                run = segmented_max(sub(sub(ax, pre_i), weights), bounds[-2:], reverse=True)
+                # rows before the last stretch cross a zero factor
+                run = run.put(slice(None, bounds[-2]), math.inf)
+                out = _larger(out, _only(~in_p, add(sub(run, ax), pre_i)))
+        return full(len(ax), -math.inf) if out is None else out
 
-    def cols(self, alpha: LogMag) -> np.ndarray:
+    def cols(self, alpha: LogMag) -> LogArray:
         """Column m = lo..hi: max over j and lo <= n < m with j in Q(n) of
         alpha (m - n) - (pre_j[m] - pre_j[n]); +inf once such a pair crosses
         a zero factor of j; -inf when there is no such pair. A lower bound
         on log R_Q(m)."""
-        index, pre, add, sub = self._form(alpha)
-        ax = alpha * index
-        out = np.full(len(ax), -math.inf, dtype=pre.dtype)
-        for pre_i, bounds, in_p, crossed in zip(pre, self.bounds, self.in_p, self.crossed):
-            if in_p.all():
-                continue
-            starts = np.where(in_p, -math.inf, sub(pre_i, ax))
-            before = _segmented_max(starts, bounds, reverse=False)
-            col = sub(add(before, ax), pre_i)
-            col[crossed:] = math.inf
-            out = np.maximum(out, col)
-        return out
+        ax, out = times(alpha, np.arange(self.lo, self.hi + 1)), None
+        for pre_i, bounds, in_p, crossed in zip(self.window, self.bounds, self.in_p, self.crossed):
+            if np.count_nonzero(in_p) < len(ax):
+                starts = _only(~in_p, sub(pre_i, ax))
+                before = segmented_max(starts, bounds, reverse=False)
+                col = sub(add(before, ax), pre_i)
+                out = _larger(out, col.put(slice(crossed, None), math.inf))
+        return full(len(ax), -math.inf) if out is None else out
 
-    def rows_to_scan(
-        self, alpha: LogMag, weights: Sequence[LogMag], tol: float
-    ) -> tuple[list[int], float]:
+    def rows_to_scan(self, alpha: LogMag, weights, tol: float) -> tuple[list[int], float]:
         """The rows lo..hi whose pairs may violate the certificate with the
         weights r(lo..hi), in order, and the least slack over the pairs of
         every other row (``_plan``); the caller rescans those rows, each as
         one array over its ``row_logs``, and reaches the pair scan's verdict
         and witness."""
+        weights = LogArray(weights)
         cutoff = tol - _ROUNDING_BOUND * self.scale(alpha, weights)
         over, excess = self._plan(alpha, weights, cutoff, tol)
         return (self.lo + np.flatnonzero(over)).tolist(), _least(excess[~over])
 
-    def _plan(self, alpha: LogMag, weights: Sequence[LogMag], cutoff: float, tol: float,
+    def _plan(self, alpha: LogMag, weights: LogArray, cutoff: float, tol: float,
               p_flags=None, q_flags=None) -> tuple[np.ndarray, np.ndarray]:
         """Row n = lo..hi: whether to rescan it, and the largest excess of its
         pairs over their weighted extremes, as floats.
@@ -1032,15 +953,13 @@ class _DiagonalSweeps:
         differently from the per-pair formula, so such an excess is flagged
         above ``cutoff``, within a rounding bound of ``tol``. The pair (n, n)
         has excess -r(n) in both, so it is flagged above ``tol`` itself."""
-        *_, sub = self._form(alpha, weights)
         g, q = self.rows(alpha, self.hi, p_flags), self.q_rows(alpha, weights, q_flags)
-        w = np.array(weights, dtype=q.dtype)
-        worst = np.maximum(sub(g, np.where(g != -math.inf, w, 0)), q)
-        diagonal = -as_floats(w)
-        return (worst > cutoff) | (diagonal > tol), np.maximum(as_floats(worst), diagonal)
+        worst = maximum(sub(g, where(g.values != -math.inf, weights, 0)), q)
+        diagonal = -weights.floats()
+        return (worst.values > cutoff) | (diagonal > tol), np.maximum(worst.floats(), diagonal)
 
     def triplet_rows_to_scan(
-        self, alpha: LogMag, weights: Sequence[LogMag], tol: float
+        self, alpha: LogMag, weights, tol: float
     ) -> tuple[list[tuple[int, list[int]]], float]:
         """Per seed p in order, the rows n whose triplets (p, n, m) may
         violate the certificate, and the least slack over the triplets of
@@ -1055,6 +974,7 @@ class _DiagonalSweeps:
         ``rows_to_scan``, with the triplet form's rounding bound.
         """
         lo, hi = self.lo, self.hi
+        weights = LogArray(weights)
         cutoff = tol - _TRIPLET_ROUNDING_BOUND * self.scale(alpha, weights)
         classes: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         out, least = [], math.inf
@@ -1087,21 +1007,19 @@ class _DiagonalSweeps:
             a = b
         return out
 
-    def scale(self, alpha: LogMag, weights: Sequence[LogMag]) -> float:
+    def scale(self, alpha: LogMag, weights) -> float:
         """The factor of ``_ROUNDING_BOUND`` in the cutoff of ``rows_to_scan``:
         |alpha| (hi + 1) plus the largest ``rounding_scale`` of a prefix sum
-        and of a weight, doubled when any of them is exact and nonzero."""
-        exact = _exact(weights)
-        if all(map(mixes_as_float, exact)):
-            w = np.array(weights, dtype=float)
-            w_scale = float(np.abs(w[np.isfinite(w)]).max(initial=0.0))
-        else:
-            w_scale = max(map(rounding_scale, weights))
-        scale = abs(alpha) * (self.hi + 1) + self.pre_scale + w_scale
-        exact_nonzero = any(v != 0 for v in self._exact_pre) or any(v != 0 for v in exact)
+        of the window and of a weight, doubled when any of them is exact and
+        nonzero."""
+        weights = LogArray(weights)
+        pre_scale = max(pre.rounding_scale() for pre in self.window)
+        scale = abs(alpha) * (self.hi + 1) + pre_scale + weights.rounding_scale()
+        exact_nonzero = any((a.exact_entries() & (a.values != 0)).any()
+                            for a in (*self.window, weights))
         return 2 * scale if exact_nonzero else scale
 
-    def trajectories(self, part: str, xs, seeds, at) -> LogTable:
+    def trajectories(self, part: str, xs, seeds, at) -> LogArray:
         """log |A(j, s) x| for each row x of ``xs`` and its seed s = seeds[k],
         at each horizon j of row k of ``at`` (shape (rows, J), or (J,) for
         every row); -inf where j < s. The rows are taken as given (``part``
@@ -1111,56 +1029,35 @@ class _DiagonalSweeps:
         broadcast over the table, unless x_i = 0 or a zero factor lies in
         (s, j]; a unit entry adds nothing, so an exact difference stays
         exact. Each entry is the first largest contribution. Only the prefix
-        entries at the seeds and horizons are read. The table is float64 when
-        each of them is a float or an int within half of ``_FLOAT_SAFE``:
-        then every difference of two of them, and every sum of such a
-        difference with a float, is what ``ladd`` forms in floats (``ints``
-        marks the entries that stay ints). Otherwise it is an object table.
+        entries at the seeds and horizons are read, in the form that their
+        own values allow.
         """
         xs, seeds, at = np.asarray(xs, dtype=float), np.asarray(seeds), np.asarray(at)
         shape = (len(xs), at.shape[-1])
+        best = full(shape, -math.inf)
         coords = [i for i in range(self.dim) if xs[:, i].any()]
         if not coords:
-            return LogTable(np.full(shape, -math.inf))
-        marks = np.concatenate([seeds.ravel(), at.ravel()])
-        read = np.zeros(int(marks.max()) + 1, dtype=bool)
-        read[marks] = True
-        where = np.cumsum(read) - 1  # the position of each read index among them
-        s_at, j_at = where[seeds][:, None], where[at]
-        keys = np.flatnonzero(read).tolist()
-        pres = [list(map(self.pre[i].__getitem__, keys)) for i in coords]
-        kinds = set().union(*(map(type, pre) for pre in pres))
-        floats = all(issubclass(t, (float, int)) for t in kinds) and all(
-            -_FLOAT_SAFE // 2 <= v <= _FLOAT_SAFE // 2
-            for pre in pres for v in filter(int.__instancecheck__, pre)
-        )
-        mixed = floats and not all(issubclass(t, float) for t in kinds)
-        form = FLOAT_FORM if floats else EXACT_FORM
+            return best
+        keys, where_ = np.unique(np.concatenate([seeds, at.ravel()]), return_inverse=True)
+        s_at, j_at = where_[:len(seeds), None], where_[len(seeds):].reshape(at.shape)
         # math.log of each distinct magnitude of the probes, not np.log: the
         # offsets keep the bits of the scalar formula
         mags, inverse = np.unique(np.abs(xs).ravel(), return_inverse=True)
         logs = np.array([math.log(v) if v else -math.inf for v in mags.tolist()])
         offs = logs[inverse].reshape(xs.shape)
-        best = np.full(shape, -math.inf, dtype=form.dtype)
-        ints = np.zeros(shape, dtype=bool)
         with np.errstate(over="ignore"):
-            for i, pre in zip(coords, pres):
-                zeros = np.array(list(map(self.zeros[i].__getitem__, keys)))
-                if mixed:
-                    flags = np.fromiter(map(int.__instancecheck__, pre), bool, len(pre))
-                pre = np.array(pre, dtype=form.dtype)
-                cand = form.sub(pre[j_at], pre[s_at])
+            for i in coords:
+                pre, zeros = self.pre[i].pick(keys), self.zeros[i][keys]
+                cand = sub(pre[j_at], pre[s_at])
                 off = offs[:, i:i + 1]
                 scaled = np.flatnonzero(np.isfinite(off) & (off != 0.0))
                 if scaled.size:
-                    cand[scaled] = form.add(cand[scaled], off[scaled])
+                    cand = cand.put(scaled, add(cand[scaled], off[scaled]))
                 better = (off > -math.inf) & (j_at >= s_at) & (zeros[j_at] == zeros[s_at])
                 if i != coords[0]:  # the first coordinate only meets -inf
-                    better &= cand > best
-                np.copyto(best, cand, where=better)
-                if mixed:
-                    np.copyto(ints, flags[j_at] & flags[s_at] & (off == 0.0), where=better)
-        return LogTable(best, ints if floats else None)
+                    better &= cand.values > best.values
+                best = where(better, cand, best)
+        return best
 
 
 class _DiagonalRow:
@@ -1195,28 +1092,23 @@ class _DiagonalRow:
         return g, h
 
     @cached_property
-    def row_logs(self) -> tuple[np.ndarray, np.ndarray]:
+    def row_logs(self) -> tuple[LogArray, LogArray]:
         """``logs(m)`` at m = n..hi as two arrays: per coordinate, the
         ``lsub`` of its prefix log-sums at m and n (-inf across a zero
-        factor), one array pass each. They are float64 when every prefix
-        log-sum that the row reads is a float, otherwise object arrays that
-        keep the types of ``logs``."""
-        sweeps, n = self.sweeps, self.n
-        hi = sweeps.hi
-        pres = {i: sweeps.pre[i][n:hi + 1] for i in self.p_coords + self.q_coords}
-        floats = set(map(type, chain.from_iterable(pres.values()))) <= {float}
-        form = FLOAT_FORM if floats else EXACT_FORM
+        factor), one array pass each, in the form of the window's arrays."""
+        sweeps, t = self.sweeps, self.n - self.sweeps.lo
+        size = sweeps.hi - self.n + 1
         logs = {}
-        for i, pre in pres.items():
-            pre, zeros = np.array(pre, dtype=form.dtype), np.array(sweeps.zeros[i][n:hi + 1])
-            logs[i] = np.where(zeros != zeros[0], -math.inf, form.sub(pre, pre[0]))
+        for i in self.p_coords + self.q_coords:
+            pre, zeros = sweeps.window[i][t:], sweeps.zeros[i][self.n:sweeps.hi + 1]
+            logs[i] = where(zeros != zeros[0], -math.inf, sub(pre, pre[:1]))
 
         def first_extreme(coords, empty, better):
             if not coords:
-                return np.full(hi - n + 1, empty, dtype=form.dtype)
+                return full(size, empty)
             out = logs[coords[0]]
             for i in coords[1:]:
-                out = np.where(better(logs[i], out), logs[i], out)
+                out = where(better(logs[i].values, out.values), logs[i], out)
             return out
 
         return (first_extreme(self.p_coords, -math.inf, np.greater),
@@ -1257,14 +1149,14 @@ class _DiagonalRow:
         -inf marks a trivial range."""
         return self._sup_ratio(m, k, "P")[0], self._sup_ratio(m, k, "Q")[0]
 
-    def triplet_ratios(self, ks) -> tuple[np.ndarray, np.ndarray, list[LogMag], list[LogMag]]:
+    def triplet_ratios(self, ks) -> tuple[np.ndarray, np.ndarray, LogArray, LogArray]:
         """``ratios(m, k)`` for each k of ``ks`` and m = k..hi in that order:
-        arrays of k and m, and one list of ratio logs per side."""
+        arrays of k and m, and one array of ratio logs per side."""
         hi = self.sweeps.hi
         ms = [(k, m) for k in ks for m in range(k, hi + 1)]
         pairs = [self.ratios(m, k) for k, m in ms]
         k_of, m_of = np.array(ms, dtype=int).reshape(-1, 2).T
-        return k_of, m_of, [r for r, _ in pairs], [r for _, r in pairs]
+        return k_of, m_of, LogArray([r for r, _ in pairs]), LogArray([r for _, r in pairs])
 
     def triplet_direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
         """Witness direction of a triplet: the first coordinate of the largest
@@ -1286,29 +1178,21 @@ _ROUNDING_BOUND = 8 * 2.0**-52
 _TRIPLET_ROUNDING_BOUND = 10 * 2.0**-52
 
 
+def _only(flags: np.ndarray, values: LogArray) -> LogArray:
+    """``values`` where ``flags`` hold, -inf elsewhere."""
+    return values if np.count_nonzero(flags) == flags.size else where(flags, values, -math.inf)
+
+
+def _larger(out: LogArray | None, values: LogArray) -> LogArray:
+    """``maximum(out, values)``; ``values`` itself while there is no ``out``
+    (the maximum with -inf, of which equal entries are -inf too)."""
+    return values if out is None else maximum(out, values)
+
+
 def _least(excess: np.ndarray) -> float:
     """The least slack of rows with these largest excesses; 0.0 - x, so a
     zero slack is +0.0, as the per-pair formula gives it."""
     return 0.0 - float(excess.max()) if excess.size else math.inf
-
-
-def _exact(values: Iterable[LogMag]) -> list[LogMag]:
-    """The values that are not floats."""
-    return [v for v in values if not isinstance(v, float)]
-
-
-def _segmented_max(values: np.ndarray, bounds: list[int], reverse: bool) -> np.ndarray:
-    """Per index, the maximum of ``values`` strictly after it (``reverse``)
-    or strictly before it within its stretch of ``bounds``; -inf when there
-    is none, and for indices before ``bounds[0]``."""
-    out = np.full_like(values, -math.inf)
-    for s, e in zip(bounds, bounds[1:]):
-        e = min(e, len(values))
-        if reverse:
-            out[s:e - 1] = np.maximum.accumulate(values[s + 1:e][::-1])[::-1]
-        else:
-            out[s + 1:e] = np.maximum.accumulate(values[s:e - 1])
-    return out
 
 
 def _sweeps(sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):

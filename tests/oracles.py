@@ -392,7 +392,7 @@ def side_reports_loop(
     ran before the array pass."""
     tol = DEFAULT_LOG_TOL
     size = window.m_max - window.n_min + 1
-    trajs, sums = table.tolist(size), sums.tolist(size)
+    trajs, sums = table[:, :size].tolist(), sums[:, :size].tolist()
     reports = []
     for k, direction in enumerate(directions):
         rows = slice(k * size, (k + 1) * size)
@@ -517,7 +517,8 @@ def _tail_rhs_log(tail_log: LogMag, rhs_log: LogMag) -> float:
 
 def _diagonal_window(sys, proj, lo, hi):
     pre, zeros = sys.diag_prefix(hi)
-    return pre, zeros, [proj.mask(n) for n in range(lo, hi + 1)]
+    return ([p.tolist() for p in pre], [z.tolist() for z in zeros],
+            [proj.mask(n) for n in range(lo, hi + 1)])
 
 
 def running_p_rows(sys, proj, lo, hi, alpha) -> list[LogMag]:
@@ -593,12 +594,36 @@ def rounding_scale_of(sys, lo, hi, alpha, weights) -> float:
     the window and of a weight, doubled when any of them is exact and
     nonzero; one value at a time."""
     pres, _ = sys.diag_prefix(hi)
-    pre = [v for coord in pres for v in coord[lo:hi + 1]]
+    pre = [v for coord in pres for v in coord[lo:hi + 1].tolist()]
     scale = abs(alpha) * (hi + 1) + max(map(rounding_scale, pre))
     scale += max(map(rounding_scale, weights))
     if not all(isinstance(v, float) or v == 0 for v in pre + list(weights)):
         scale *= 2
     return scale
+
+
+# -- the log array, one entry at a time -----------------------------------------------
+
+# object arrays through the scalar functions: what each entry of a
+# ``LogArray`` result must equal, in value and type
+EXACT_ADD = np.frompyfunc(ladd, 2, 1)
+EXACT_SUB = np.frompyfunc(lsub, 2, 1)
+EXACT_LOGADDEXP = np.frompyfunc(logaddexp_mag, 2, 1)
+
+
+def exact_segmented_max(values: list, bounds: list[int], reverse: bool) -> list:
+    """``logarray.segmented_max`` one entry at a time: per index, the
+    running maximum of the entries after it (``reverse``) or before it in
+    its stretch, each step as numpy's object maximum takes it (the first of
+    equal entries kept); -inf where there is none."""
+    out = [-math.inf] * len(values)
+    for s, e in zip(bounds, bounds[1:]):
+        e = min(e, len(values))
+        run = None
+        for k in range(e - 1, s, -1) if reverse else range(s, e - 1):
+            run = values[k] if run is None or not run >= values[k] else run
+            out[k - 1 if reverse else k + 1] = run
+    return out
 
 
 # -- certificates, one index at a time -------------------------------------------------

@@ -4,7 +4,9 @@ A name that leaves or joins this list is an API change: README states it,
 and this test is edited with it.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import dichotomy
 from dichotomy import LogScalar
@@ -49,3 +51,18 @@ def test_logscalar_surface():
         "__post_init__", "from_float", "from_log", "is_zero", "one",
         "positive_infinity", "to_float", "zero",
     ]
+
+
+def test_only_the_log_modules_name_the_form_choice():
+    # the float-or-exact choice of log arithmetic is made in logscalar and
+    # logarray alone; a kernel that names these has taken it back
+    names = {"_FLOAT_SAFE", "mixes_as_float", "FLOAT_FORM", "EXACT_FORM"}
+    named = {}
+    for path in sorted(Path(dichotomy.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in names:
+                named.setdefault(path.name, set()).add(name)
+    assert set(named) == {"logscalar.py", "logarray.py"}, named

@@ -196,7 +196,7 @@ def test_required_constants_match_the_member_loop(case, data):
     weight = st.sampled_from([0, 3, -math.inf, 2**20, Fraction(1, 3), 0.5, -1.25])
     w_p, w_q = (data.draw(st.lists(weight, min_size=len(pairs), max_size=len(pairs)))
                 for _ in "PQ")
-    got = _required_logs(alpha, pairs, w_p, w_q, *tables)
+    got = _required_logs(alpha, pairs, w_p, w_q, *tables).tolist()
     want = required_logs_loop(alpha, pairs, w_p, w_q, *tables)
     assert len(got) == len(want)
     assert all(same(a, b) for a, b in zip(got, want))

@@ -30,7 +30,8 @@ def built_in_steps(sys_, stops):
         pre, zeros = sys_.diag_prefix(upto)
         assert min(map(len, pre)) > upto and min(map(len, zeros)) > upto
     return [
-        (sys_._prefix_mag[i], sys_._prefix_neg[i], sys_._prefix_zero[i])
+        (sys_._prefix_mag[i].tolist(), sys_._prefix_neg[i].tolist(),
+         sys_._prefix_zero[i].tolist())
         for i in range(sys_.dim)
     ]
 

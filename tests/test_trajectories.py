@@ -31,10 +31,10 @@ from dichotomy import (
     verify_datko_ned,
     verify_datko_ued,
 )
-from dichotomy import datko
+from dichotomy import datko, logarray
 from dichotomy.checkers import _family_norms
 from dichotomy.cli import main
-from dichotomy.logarray import LogTable
+from dichotomy.logarray import LogArray
 from dichotomy.logscalar import _FLOAT_SAFE, logaddexp_mag
 from dichotomy.system import _sweeps
 
@@ -45,12 +45,13 @@ def vectors(dim):
     return st.lists(st.tuples(*[ENTRIES] * dim), min_size=1, max_size=4)
 
 
-def takes_float_form(sys_, coords, indices):
+def read_entries(sys_, coords, indices):
     pre, _ = sys_.diag_prefix(max(indices))
-    return all(
-        isinstance(v, float) or (isinstance(v, int) and abs(v) <= _FLOAT_SAFE // 2)
-        for i in coords for v in (pre[i][k] for k in indices)
-    )
+    return [v for i in coords for v in (pre[i].item(k) for k in indices)]
+
+
+def within(bound):
+    return lambda v: isinstance(v, float) or (isinstance(v, int) and abs(v) <= bound)
 
 
 @PROPERTY
@@ -68,8 +69,13 @@ def test_trajectory_table_matches_the_loop(case, data):
         assert all(same(a, b) for a, b in zip(row, want)), (x, seed)
         assert row[:seed - lo] == [-math.inf] * (seed - lo)
     coords = [i for i in range(dim) if any(x[i] for x in xs)]
-    floats = takes_float_form(sys_, coords, sorted(set(seeds) | set(at.tolist())))
-    assert (table.values.dtype == float) == floats
+    read = read_entries(sys_, coords, sorted(set(seeds) | set(at.tolist())))
+    # differences of ints within 2**15 stay within _FLOAT_SAFE: the float form
+    if all(map(within(_FLOAT_SAFE // 2), read)):
+        assert not table.exact
+    # an entry that the float form cannot hold: the object form
+    if not all(map(within(_FLOAT_SAFE), read)):
+        assert table.exact
 
 
 @PROPERTY
@@ -113,9 +119,9 @@ def test_lockstep_sums_match_the_loops(case, data):
             start = seeds[k % len(seeds)] - lo
             want = loop(trajs[k][start:], d)
             assert all(same(a, b) for a, b in zip(row[start:], want)), (k, reverse)
-        if table.values.dtype == float:
+        if not table.exact:
             # the float form repeats the exact arithmetic bit for bit
-            exact = datko._weighted_sums(LogTable(table.values.astype(object)), d, reverse)
+            exact = datko._weighted_sums(logarray.concatenate([table.objects()]), d, reverse)
             assert sums.values.tobytes() == exact.values.astype(float).tobytes()
 
 
@@ -126,14 +132,14 @@ def loop_trajectories(sys_, proj, part, window, upto):
     at = list(range(window.n_min, upto + 1))
     rows = [diagonal_lognorms(kernel, np.array(x)[:, None], s, at)[0]
             for x in directions for s in range(window.n_min, window.m_max + 1)]
-    return directions, LogTable(np.array(rows, dtype=object).reshape(len(rows), len(at)))
+    return directions, LogArray(np.array(rows, dtype=object).reshape(len(rows), len(at)))
 
 
 def loop_sums(table, d, reverse):
     """``datko._weighted_sums`` through the term-by-term loops."""
     loop = suffix_weighted if reverse else prefix_weighted
     rows = [loop(row, d) for row in table.tolist()]
-    return LogTable(np.array(rows, dtype=object).reshape(table.values.shape))
+    return LogArray(np.array(rows, dtype=object).reshape(table.values.shape))
 
 
 @PROPERTY

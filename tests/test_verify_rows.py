@@ -41,6 +41,7 @@ from dichotomy import (
     WindowSpec,
     make_example,
     verify_certificate,
+    verify_triplet_form,
 )
 from dichotomy import system
 from dichotomy.errors import InvalidCertificateError
@@ -400,6 +401,49 @@ def test_validate_fails_where_the_per_index_loop_fails(profile, lo, hi):
     cert = DichotomyCertificate(Kind.NED, alpha=0.5, profile=profile)
     window = WindowSpec(lo, hi)
     assert raised(lambda: cert.validate(window)) == raised(lambda: validate_loop(cert, window))
+
+
+class Counting(Profile):
+    """A profile that records which of its reads are called."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, []
+
+    def log_at(self, n):
+        self.calls.append("log_at")
+        return self.base.log_at(n)
+
+    def logs(self, lo, hi):
+        self.calls.append("logs")
+        return self.base.logs(lo, hi)
+
+
+@pytest.mark.parametrize("verify", [verify_certificate, verify_triplet_form])
+def test_verify_reads_the_profile_logs_once(verify):
+    # the window's logs are read once: validated, and then the weights
+    entry = make_example("ned_example")
+    claim = entry.claims[0].cert
+    profile = Counting(claim.profile)
+    cert = DichotomyCertificate(Kind.NED, alpha=claim.alpha, profile=profile)
+    assert verify(entry.system, entry.projection, cert, WindowSpec(2, 30)).holds
+    assert profile.calls == ["logs"]
+
+
+@pytest.mark.parametrize("profile, lo, hi", [
+    (ShiftedPowerProfile(0.5, -2.0), 2, 21),  # decreases at n = 3
+    (ShiftedPowerProfile(-3.0, 1.0), 2, 9),  # the base is negative at n = 2
+    (ShiftedPowerProfile(0.0, 1e308), 1, 9),  # +inf from n = 6
+    (Listed([0, 1, 0.5, 1]), 0, 9),  # a decrease at 2 before the range ends at 4
+    (Listed([0, math.inf, -1.0]), 0, 2),  # +inf at 1 before the decrease at 2
+    (Listed([0, math.nan, -1.0]), 0, 2),  # NaN at 1: no decrease is seen across it
+])
+def test_verify_fails_where_the_per_index_loop_fails(profile, lo, hi):
+    entry = make_example("ued_example")
+    cert = DichotomyCertificate(Kind.NED, alpha=0.5, profile=profile)
+    window = WindowSpec(lo, hi)
+    want = raised(lambda: validate_loop(cert, window))
+    assert want is not None
+    assert raised(lambda: verify_certificate(entry.system, entry.projection, cert, window)) == want
 
 
 @PROPERTY
