@@ -179,6 +179,7 @@ def sub(a, b) -> LogArray:
 
 
 def _sum(a: LogArray, b: LogArray, op: int) -> LogArray:
+    """``add`` (op 0) or ``sub`` (op 1)."""
     if not (a.exact or b.exact):
         out = FLOAT_FORM[op](a.values, b.values)
         if op and b.ints is not None:

@@ -1038,8 +1038,8 @@ class _DiagonalSweeps:
         coords = [i for i in range(self.dim) if xs[:, i].any()]
         if not coords:
             return best
-        keys, where_ = np.unique(np.concatenate([seeds, at.ravel()]), return_inverse=True)
-        s_at, j_at = where_[:len(seeds), None], where_[len(seeds):].reshape(at.shape)
+        keys, pos = np.unique(np.concatenate([seeds, at.ravel()]), return_inverse=True)
+        s_at, j_at = pos[:len(seeds), None], pos[len(seeds):].reshape(at.shape)
         # math.log of each distinct magnitude of the probes, not np.log: the
         # offsets keep the bits of the scalar formula
         mags, inverse = np.unique(np.abs(xs).ravel(), return_inverse=True)
