@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import count
-from typing import Iterator
+
+import numpy as np
 
 from .errors import DichotomyError, InvalidCertificateError, OutOfRangeError
 from .logscalar import LogMag, LogScalar, ladd, lfloat
@@ -48,18 +49,6 @@ class WindowSpec:
             raise ValueError("window start must be nonnegative")
         if self.n_min > self.m_max:
             raise ValueError(f"empty window: {self.n_min} > {self.m_max}")
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Lexicographic (n, m); this order fixes witness selection."""
-        for n in range(self.n_min, self.m_max + 1):
-            for m in range(n, self.m_max + 1):
-                yield n, m
-
-    def triplets(self) -> Iterator[tuple[int, int, int]]:
-        for p in range(self.n_min, self.m_max + 1):
-            for n in range(p, self.m_max + 1):
-                for m in range(n, self.m_max + 1):
-                    yield p, n, m
 
     def half(self) -> "WindowSpec":
         mid = self.n_min + (self.m_max - self.n_min) // 2
@@ -239,7 +228,7 @@ class DichotomyCertificate:
                 f"strong certificate needs beta < alpha, got beta={self.beta}, alpha={self.alpha}"
             )
 
-    def weights(self, window: WindowSpec) -> list[LogMag]:
+    def weights(self, window: WindowSpec) -> list[LogMag] | np.ndarray:
         """``validate(window)``, then ``r_logs`` on the window; a profile's
         logs are read once, by the check of ``validate``."""
         self.validate()
@@ -259,14 +248,15 @@ class DichotomyCertificate:
             return self.log_n()
         return self.log_n() + self.beta * k
 
-    def r_logs(self, lo: int, hi: int) -> list[LogMag]:
-        """``r_log(k)`` for k = lo..hi, in one pass."""
+    def r_logs(self, lo: int, hi: int) -> list[LogMag] | np.ndarray:
+        """``r_log(k)`` for k = lo..hi, in one pass: a profile's list, or a
+        float64 array of the same values."""
         if self.kind is Kind.NED:
             return self.profile.logs(lo, hi)
         if self.kind is Kind.UED:
-            return [self.log_n()] * (hi - lo + 1)
-        log_n, beta = self.log_n(), self.beta
-        return [log_n + beta * k for k in range(lo, hi + 1)]
+            return np.full(hi - lo + 1, self.log_n())
+        with np.errstate(over="ignore"):  # a float product overflows to inf, as in r_log
+            return self.log_n() + self.beta * np.arange(lo, hi + 1, dtype=float)
 
     def scale_offset(self, k: int) -> LogMag:
         """log(r(k) / N): the profile part of the weight at index k."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -174,7 +175,7 @@ def verify_certificate(
         bad = np.flatnonzero(worse < -tol)
         if bad.size:
             m = n + int(bad[0])
-            gap, (g, h) = alpha * (m - n), ext.logs(n, m)
+            gap, g, h = alpha * (m - n), g.item(m - n), h.item(m - n)
             if slack_p[m - n] < -tol:
                 side, slack, direction = "P", slack_p[m - n], ext.directions(n, m)[0]
                 required = lsub(ladd(gap, g), cert.scale_offset(n))
@@ -302,34 +303,6 @@ class ExponentialEstimate:
     table: tuple[GridPoint, ...]
 
 
-class _GridTable:
-    """Least log N of the weighted inequality at each (alpha, beta) point.
-
-    beta only shifts row n by -beta n and column m by -beta m, so the
-    demands of one rate serve every beta of it.
-    """
-
-    def __init__(self, sys, proj, window: WindowSpec):
-        self.kernel = _sweeps(sys, proj, window.n_min, window.m_max)
-        self.hi, self.mid = window.m_max, window.half().m_max
-        self.index = np.arange(window.n_min, window.m_max + 1, dtype=float)
-        self.alpha = None
-
-    def min_log_n(self, alpha: float, beta: float, half: bool = False) -> float:
-        if alpha != self.alpha:
-            self.alpha = alpha
-            self.rows = self.kernel.rows(alpha, self.hi).floats()
-            self.rows_half = self.kernel.rows(alpha, self.mid).floats()
-            self.cols = self.kernel.cols(alpha).floats()
-        rows = self.rows_half if half else self.rows
-        index = self.index[:len(rows)]
-        return max(
-            0.0,
-            float(np.max(rows - beta * index)),
-            float(np.max(self.cols[:len(rows)] - beta * index)),
-        )
-
-
 def _check_alphas(alpha_grid: Sequence[float]) -> None:
     # comparisons that NaN fails, so NaN and infinite entries are rejected
     if not all(0 < a < math.inf for a in alpha_grid):
@@ -338,28 +311,40 @@ def _check_alphas(alpha_grid: Sequence[float]) -> None:
 
 def _grid_search(sys, proj, window: WindowSpec, points) -> tuple[GridPoint, tuple[GridPoint, ...]]:
     """The grid row of every (alpha, beta) point (beta None: the uniform
-    inequality) and the best row: the least full-window constant, ties to
-    the larger alpha, then to the smaller beta.
+    inequality), the points of one rate next to each other, and the best
+    row: the least full-window constant, ties to the larger alpha, then to
+    the smaller beta.
 
-    The flag compares the minimal N on the half window against the full
-    window: growth under window doubling marks the candidate for
-    falsification rather than certification.
+    beta only shifts row n by -beta n and column m by -beta m, so each rate
+    takes one scan, and all its betas are one array over its demands. The
+    flag compares the minimal N on the half window against the full window:
+    growth under window doubling marks the candidate for falsification
+    rather than certification.
     """
-    table = _GridTable(sys, proj, window)
-    rows = []
-    best = None
-    for alpha, beta in points:
-        full = table.min_log_n(alpha, beta or 0.0)
-        half = table.min_log_n(alpha, beta or 0.0, half=True)
-        row = GridPoint(alpha, beta, full, half, full <= half + DEFAULT_LOG_TOL)
-        rows.append(row)
-        if best is None or full < best.log_n_full - _TIE_BAND:
-            best = row
-        elif abs(full - best.log_n_full) <= _TIE_BAND and (
-            alpha > best.alpha or (alpha == best.alpha and beta is not None and beta < best.beta)
-        ):
-            best = row
-    return best, tuple(rows)
+    kernel = _sweeps(sys, proj, window.n_min, window.m_max)
+    index = np.arange(window.n_min, window.m_max + 1, dtype=float)
+    sizes = (len(index), window.half().m_max - window.n_min + 1)  # full and half window
+    table, best = [], None
+    for alpha, group in groupby(points, key=operator.itemgetter(0)):
+        betas = [beta for _, beta in group]
+        shifts = np.array([beta or 0.0 for beta in betas])[:, None] * index
+        cols = kernel.cols(alpha).floats() - shifts
+        least = []  # per window and beta: max(0.0, max(rows - beta n), max(cols - beta m))
+        for size in sizes:
+            rows = kernel.rows(alpha, window.n_min + size - 1).floats() - shifts[:, :size]
+            peaks = zip(rows.max(axis=1).tolist(), cols[:, :size].max(axis=1).tolist())
+            least.append([max(0.0, p, q) for p, q in peaks])
+        for beta, full, half in zip(betas, *least):
+            point = GridPoint(alpha, beta, full, half, full <= half + DEFAULT_LOG_TOL)
+            table.append(point)
+            if best is None or full < best.log_n_full - _TIE_BAND:
+                best = point
+            elif abs(full - best.log_n_full) <= _TIE_BAND and (
+                alpha > best.alpha
+                or (alpha == best.alpha and beta is not None and beta < best.beta)
+            ):
+                best = point
+    return best, tuple(table)
 
 
 def estimate_ued(
@@ -677,11 +662,12 @@ def default_alpha_grid(
     if top == window.n_min and (sys.n_max is None or top < sys.n_max):
         top += 1  # a one-index window reads (n_min + 1, n_min) where the system declares it
     ends = [m for m in {top, top - 1} if m > window.n_min]
+    logs = []
     if ends:
         row = _sweeps(sys, proj, window.n_min, max(ends)).row(window.n_min)
+        logs = zip(ends, *(side.tolist() for side in row.logs_at(ends)))
     alpha_max = 0.0
-    for m in ends:
-        g, h = row.logs(m)
+    for m, g, h in logs:
         span = m - window.n_min
         cands = []
         if g != -math.inf:

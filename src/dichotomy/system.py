@@ -641,7 +641,7 @@ class _DenseSweeps:
         gain = np.full((size, size), np.inf)
         for k in range(size):
             row = self.row(lo + k)
-            row.logs(self.hi)  # an overflowed row raises at its first pair beyond its end
+            row._at(self.hi)  # an overflowed row raises at its first pair beyond its end
             growth[k, k:], gain[k, k:] = row.row_logs
         steps = np.arange(size, dtype=float)
         return growth, gain, steps - steps[:, None]
@@ -702,12 +702,53 @@ class _DenseSweeps:
         return LogArray(out)
 
 
-class _DenseRow:
+class _Row:
+    """The surface that the rows of both kernels share, over each row's own
+    ``logs_at`` and ``_ratios(i, j)`` (the ratios at the horizons
+    (n + i[t], n + j[t]) for every t): a row starts at ``n`` and ends at
+    ``end``, within the window's last index ``hi``."""
+
+    def _at(self, m: int) -> int:
+        if m > self.end:
+            raise _overflow(self.n, self.end + 1)
+        return m - self.n
+
+    def logs(self, m: int) -> tuple[LogMag, LogMag]:
+        """(log growth_P, log min_gain_Q) at (m, n); -inf / +inf mark trivial
+        ranges."""
+        growth, gain = self.logs_at([m])
+        return growth.item(0), gain.item(0)
+
+    def ratios(self, m: int, k: int) -> tuple[LogMag, LogMag]:
+        """(log ratio_P, log ratio_Q) between horizons k <= m, seeded at n;
+        -inf marks a trivial range."""
+        ratio_p, ratio_q = self._ratios(np.array([self._at(m)]), np.array([k - self.n]))
+        return LogArray(ratio_p).item(0), LogArray(ratio_q).item(0)
+
+    def triplet_ratios(self, ks):
+        """``ratios(m, k)`` for each k of ``ks`` (ascending, from n) and
+        m = k..hi in that order, as flat arrays (k, m, log ratio_P,
+        log ratio_Q), cut before the first m beyond ``end``."""
+        ks = np.asarray(ks, dtype=int)
+        counts = self.hi - ks + 1
+        if self.end < self.hi:  # the row overflows: the list ends in row ks[0]
+            ks, counts = ks[:1], np.clip(self.end - ks[:1] + 1, 0, None)
+        k_of = np.repeat(ks, counts)
+        m_of = k_of + np.arange(len(k_of)) - np.repeat(np.cumsum(counts) - counts, counts)
+        return k_of, m_of, *self._ratios(m_of - self.n, k_of - self.n)
+
+
+class _DenseRow(_Row):
     """Restricted images of ranges P(n) and Q(n) from n up to ``end``, the
     last index at which both are finite, and ``row_logs``, the (log
     growth_P, log min_gain_Q) of the pairs (m, n), m = n..end, as float64
     arrays (-inf / +inf for a trivial range). An overflow ends the row, and
-    only a request beyond its end raises."""
+    only a request beyond its end raises.
+
+    One SVD of the row per side, taken on the first ratio asked for, gives
+    every denominator of ``_ratios`` (X_k on the P side, Y_m on the Q side),
+    and one call gives the top singular values of all the X_m V S^-1 and
+    Y_k V S^-1."""
 
     def __init__(self, n: int, bp: np.ndarray, bq: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                  row_logs: tuple[np.ndarray, np.ndarray], hi: int):
@@ -715,17 +756,11 @@ class _DenseRow:
         self.row_logs = row_logs
         self.end, self.hi = n + len(xs) - 1, hi
 
-    def _at(self, m: int) -> int:
-        if m > self.end:
-            raise _overflow(self.n, self.end + 1)
-        return m - self.n
-
-    def logs(self, m: int) -> tuple[float, float]:
-        """(log growth_P, log min_gain_Q) at (m, n); -inf / +inf mark trivial
-        ranges."""
-        i = self._at(m)
+    def logs_at(self, ms) -> tuple[LogArray, LogArray]:
+        """``logs(m)`` at each m of ``ms`` as two arrays."""
+        at = [self._at(m) for m in ms]
         growth, gain = self.row_logs
-        return growth.item(i), gain.item(i)
+        return LogArray(growth[at]), LogArray(gain[at])
 
     def extremes(self, m: int) -> RestrictedExtremes:
         """Restricted extremes at (m, n) with their extremal directions."""
@@ -743,30 +778,8 @@ class _DenseRow:
             dir_q = tuple(float(x) for x in self.bq @ vt[k - 1])
         return RestrictedExtremes(growth, gain, dir_p, dir_q)
 
-    def ratios(self, m: int, k: int) -> tuple[float, float]:
-        """(log ratio_P, log ratio_Q) between horizons k <= m, seeded at n;
-        -inf marks a trivial range."""
-        ratio_p, ratio_q = self._ratios(np.array([self._at(m)]), np.array([k - self.n]))
-        return float(ratio_p[0]), float(ratio_q[0])
-
-    def triplet_ratios(self, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``ratios(m, k)`` for each k of ``ks`` (ascending, from n) and
-        m = k..hi in that order, as flat arrays (k, m, log ratio_P,
-        log ratio_Q), cut before the first m beyond ``end``.
-
-        One SVD of the row per side, taken on the first call, gives every
-        denominator (X_k on the P side, Y_m on the Q side), and one call
-        gives the top singular values of all the X_m V S^-1 and Y_k V S^-1."""
-        ks = np.asarray(ks, dtype=int)
-        counts = self.hi - ks + 1
-        if self.end < self.hi:  # the row overflows: the list ends in row ks[0]
-            ks, counts = ks[:1], np.clip(self.end - ks[:1] + 1, 0, None)
-        k_of = np.repeat(ks, counts)
-        m_of = k_of + np.arange(len(k_of)) - np.repeat(np.cumsum(counts) - counts, counts)
-        return k_of, m_of, *self._ratios(m_of - self.n, k_of - self.n)
-
     def _ratios(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``ratios`` at the horizons (n + i[t], n + j[t]) for every t. At
+        """The ratios at the horizons (n + i[t], n + j[t]) for every t. At
         equal horizons the ratio is 1 exactly, unless the image there is
         zero, as on a diagonal system."""
         ratio_p, ratio_q = np.full(len(j), -math.inf), np.full(len(j), -math.inf)
@@ -838,12 +851,6 @@ class _DiagonalSweeps:
         _require_mask_for_diagonal(sys, proj)
         self.dim, self.proj, self.lo, self.hi = sys.dim, proj, lo, hi
         self.pre, self.zeros = sys.diag_prefix(hi)
-
-    def factor_log(self, i: int, m: int, n: int) -> LogMag:
-        """log |a_i(m) ... a_i(n+1)|; -inf once a zero factor is crossed."""
-        if self.zeros[i][m] != self.zeros[i][n]:
-            return -math.inf
-        return lsub(self.pre[i].item(m), self.pre[i].item(n))
 
     def row(self, n: int) -> "_DiagonalRow":
         return _DiagonalRow(self, n)
@@ -1060,109 +1067,108 @@ class _DiagonalSweeps:
         return best
 
 
-class _DiagonalRow:
-    """Factor logs from the start index n, with the coordinates of P(n) and
-    Q(n); ties go to the first extremal coordinate."""
+class _DiagonalRow(_Row):
+    """The coordinates of P(n) and Q(n), and every quantity of the row read
+    off one table of factor logs (``_table``) at the horizons it needs: the
+    extremes, over the coordinates of a range, of the factors at a horizon,
+    and the ratios of the factors at two horizons. Ties go to the first
+    extremal coordinate."""
 
     def __init__(self, sweeps: _DiagonalSweeps, n: int):
         self.sweeps, self.n = sweeps, n
-        self.mask = sweeps.proj.mask(n)
-        self.p_coords = [i for i, b in enumerate(self.mask) if b]
-        self.q_coords = [i for i, b in enumerate(self.mask) if not b]
+        self.hi = self.end = sweeps.hi
+        mask = sweeps.proj.mask(n)
+        self.p_coords = [i for i, b in enumerate(mask) if b]
+        self.q_coords = [i for i, b in enumerate(mask) if not b]
 
-    def _extremes(self, m: int) -> tuple[LogMag, int | None, LogMag, int | None]:
-        """(log growth_P, its coordinate, log min_gain_Q, its coordinate)."""
-        factor, n = self.sweeps.factor_log, self.n
-        g, gi = -math.inf, None
-        for i in self.p_coords:
-            v = factor(i, m, n)
-            if gi is None or v > g:
-                g, gi = v, i
-        h, hi = math.inf, None
-        for i in self.q_coords:
-            v = factor(i, m, n)
-            if hi is None or v < h:
-                h, hi = v, i
-        return g, gi, h, hi
+    def _table(self, at) -> list[LogArray]:
+        """Per coordinate i, log |a_i(m) ... a_i(n+1)| at each horizon m >= n
+        of ``at``, a numpy index of the prefix entries: the ``lsub`` of the
+        prefix log-sums at m and n, -inf once a zero factor is crossed. Only
+        the prefix entries at n and at ``at`` are read, in the form that their
+        own values allow."""
+        n, sweeps = self.n, self.sweeps
+        with np.errstate(over="ignore"):
+            return [where(zeros[at] != zeros[n], -math.inf, sub(pre.pick(at), pre.pick(n)))
+                    for pre, zeros in zip(sweeps.pre, sweeps.zeros)]
 
-    def logs(self, m: int) -> tuple[LogMag, LogMag]:
-        """(log growth_P, log min_gain_Q) at (m, n); -inf / +inf mark trivial
-        ranges."""
-        g, _, h, _ = self._extremes(m)
-        return g, h
+    def _extremes_at(self, at) -> tuple[tuple[LogArray, np.ndarray], tuple[LogArray, np.ndarray]]:
+        """((log growth_P, its coordinate), (log min_gain_Q, its coordinate))
+        at the horizons of ``at``; -inf / +inf and -1 mark trivial ranges."""
+        table = self._table(at)
+        size = len(table[0])
+        return (_first_best([(i, table[i], True) for i in self.p_coords], size, -math.inf,
+                            np.greater),
+                _first_best([(i, table[i], True) for i in self.q_coords], size, math.inf,
+                            np.less))
+
+    def logs_at(self, ms) -> tuple[LogArray, LogArray]:
+        """``logs(m)`` at each m of ``ms`` (a numpy index) as two arrays."""
+        (growth, _), (gain, _) = self._extremes_at(ms)
+        return growth, gain
 
     @cached_property
     def row_logs(self) -> tuple[LogArray, LogArray]:
-        """``logs(m)`` at m = n..hi as two arrays: per coordinate, the
-        ``lsub`` of its prefix log-sums at m and n (-inf across a zero
-        factor), one array pass each, in the form of the window's arrays."""
-        sweeps, t = self.sweeps, self.n - self.sweeps.lo
-        size = sweeps.hi - self.n + 1
-        logs = {}
-        for i in self.p_coords + self.q_coords:
-            pre, zeros = sweeps.window[i][t:], sweeps.zeros[i][self.n:sweeps.hi + 1]
-            logs[i] = where(zeros != zeros[0], -math.inf, sub(pre, pre[:1]))
-
-        def first_extreme(coords, empty, better):
-            if not coords:
-                return full(size, empty)
-            out = logs[coords[0]]
-            for i in coords[1:]:
-                out = where(better(logs[i].values, out.values), logs[i], out)
-            return out
-
-        return (first_extreme(self.p_coords, -math.inf, np.greater),
-                first_extreme(self.q_coords, math.inf, np.less))
+        """``logs(m)`` at m = n..hi as two arrays."""
+        return self.logs_at(slice(self.n, self.hi + 1))
 
     def extremes(self, m: int) -> RestrictedExtremes:
         """Restricted extremes at (m, n) with their extremal directions."""
-        g, gi, h, hi = self._extremes(m)
+        (g, gi), (h, hi) = self._extremes_at([m])
         dim = self.sweeps.dim
         return RestrictedExtremes(
-            LogScalar.from_log(g),
-            LogScalar.from_log(h),
-            None if gi is None else _unit(dim, gi),
-            None if hi is None else _unit(dim, hi),
+            LogScalar.from_log(g.item(0)),
+            LogScalar.from_log(h.item(0)),
+            None if gi[0] < 0 else _unit(dim, int(gi[0])),
+            None if hi[0] < 0 else _unit(dim, int(hi[0])),
         )
 
-    def _sup_ratio(self, m: int, k: int, side: str) -> tuple[LogMag, int | None]:
-        """Largest ratio log over the coordinates of ``side`` (|A(m, n) e_i|
-        over |A(k, n) e_i| on P, the reverse on Q) and the first coordinate
-        attaining it among those with a nonzero denominator. A coordinate
-        alive at k but annihilated by m makes the Q ratio +inf."""
-        factor, n = self.sweeps.factor_log, self.n
-        best, best_i, unbounded = -math.inf, None, False
-        for i in self.p_coords if side == "P" else self.q_coords:
-            num, den = factor(i, m, n), factor(i, k, n)
-            if side == "Q":
-                num, den = den, num
-            if den == -math.inf:
-                unbounded = unbounded or num != -math.inf
-                continue
-            r = lsub(num, den) if num != -math.inf else -math.inf
-            if best_i is None or r > best:
-                best, best_i = r, i
-        return (math.inf if unbounded else best), best_i
-
-    def ratios(self, m: int, k: int) -> tuple[LogMag, LogMag]:
-        """(log ratio_P, log ratio_Q) between horizons k <= m, seeded at n;
-        -inf marks a trivial range."""
-        return self._sup_ratio(m, k, "P")[0], self._sup_ratio(m, k, "Q")[0]
-
-    def triplet_ratios(self, ks) -> tuple[np.ndarray, np.ndarray, LogArray, LogArray]:
-        """``ratios(m, k)`` for each k of ``ks`` and m = k..hi in that order:
-        arrays of k and m, and one array of ratio logs per side."""
-        hi = self.sweeps.hi
-        ms = [(k, m) for k in ks for m in range(k, hi + 1)]
-        pairs = [self.ratios(m, k) for k, m in ms]
-        k_of, m_of = np.array(ms, dtype=int).reshape(-1, 2).T
-        return k_of, m_of, LogArray([r for r, _ in pairs]), LogArray([r for _, r in pairs])
+    def _ratios(self, i: np.ndarray, j: np.ndarray) -> tuple[LogArray, LogArray]:
+        """The ratios at the horizons (n + i[t], n + j[t]) for every t, from
+        one table at the distinct horizons (``_coordinate_ratios``)."""
+        keys, pos = np.unique(self.n + np.concatenate([i, j]), return_inverse=True)
+        table = self._table(keys)
+        m_at, k_at = pos[:len(i)], pos[len(i):]
+        return (_coordinate_ratios(self.p_coords, table, m_at, k_at)[0],
+                _coordinate_ratios(self.q_coords, table, k_at, m_at)[0])
 
     def triplet_direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
         """Witness direction of a triplet: the first coordinate of the largest
         ratio of the side among those with a nonzero denominator."""
-        i = self._sup_ratio(m, k, side)[1]
-        return () if i is None else _unit(self.sweeps.dim, i)
+        table = self._table([m, k])  # entry 0 at m, entry 1 at k
+        num, den = (np.array([0]), np.array([1])) if side == "P" else (np.array([1]), np.array([0]))
+        coords = self.p_coords if side == "P" else self.q_coords
+        i = int(_coordinate_ratios(coords, table, num, den)[1][0])
+        return () if i < 0 else _unit(self.sweeps.dim, i)
+
+
+def _first_best(candidates, size: int, empty: float, better) -> tuple[LogArray, np.ndarray]:
+    """Per entry of ``size``, the best values of the (coordinate, values,
+    alive) ``candidates`` by the strict comparison ``better``, the first of
+    equal ones, among those alive there, and its coordinate; ``empty`` and
+    -1 where none is."""
+    out, arg = full(size, empty), np.full(size, -1)
+    for i, values, alive in candidates:
+        take = alive & ((arg < 0) | better(values.values, out.values))
+        out, arg = where(take, values, out), np.where(take, i, arg)
+    return out, arg
+
+
+def _coordinate_ratios(coords: list[int], table: list[LogArray], num: np.ndarray,
+                       den: np.ndarray) -> tuple[LogArray, np.ndarray]:
+    """The largest log table[i][num[t]] - table[i][den[t]] over the coords i
+    whose denominator is nonzero, and its first coordinate (``_first_best``);
+    +inf where a coordinate alive at the numerator's horizon is annihilated
+    at the denominator's."""
+    unbounded, candidates = np.zeros(len(num), dtype=bool), []
+    for i in coords:
+        top, bottom = table[i][num], table[i][den]
+        alive = bottom.values != -math.inf
+        unbounded |= ~alive & (top.values != -math.inf)
+        with np.errstate(over="ignore"):
+            candidates.append((i, sub(top, where(alive, bottom, 0.0)), alive))
+    best, arg = _first_best(candidates, len(num), -math.inf, np.greater)
+    return where(unbounded, math.inf, best), arg
 
 
 # How far the per-pair formula and the running-maximum form of one pair's

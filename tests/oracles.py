@@ -14,7 +14,10 @@ a time, in place of the verifiers' array pass. The diagonal prefix sums are
 built one factor at a time with ``ladd``, in place of the array build of
 ``SystemDescription._ensure_prefix``. A dense ratio is taken one pair of
 images at a time (``_sup_ratio``), in place of the dense rows' batched
-call. A witness family's trend is judged one member at a time
+call, and a diagonal factor log from two prefix entries at a time
+(``factor_log``), in place of the diagonal rows' table. A window's pairs
+and triplets are listed in lexicographic order (``window_pairs``,
+``window_triplets``). A witness family's trend is judged one member at a time
 (``classify_trend_loop``), in place of the array pass of
 ``checkers._classify_trend``, and the pair and triplet forms check one pair
 or triplet at a time (``pair_loop``, ``triplet_loop``), in place of the
@@ -273,7 +276,7 @@ def diagonal_lognorms(kernel, block, seed: int, at) -> list[list[LogMag]]:
         for j in at:
             best: LogMag = -math.inf
             for i, off in active:
-                f = kernel.factor_log(i, j, seed) if j >= seed else -math.inf
+                f = factor_log(kernel, i, j, seed) if j >= seed else -math.inf
                 if f == -math.inf:
                     continue
                 cand = ladd(f, off) if off != 0.0 else f
@@ -282,6 +285,14 @@ def diagonal_lognorms(kernel, block, seed: int, at) -> list[list[LogMag]]:
             traj.append(best)
         out.append(traj)
     return out
+
+
+def factor_log(kernel, i: int, m: int, n: int) -> LogMag:
+    """log |a_i(m) ... a_i(n+1)| from the diagonal kernel's prefix log-sums,
+    one ``lsub`` of two entries; -inf once a zero factor is crossed."""
+    if kernel.zeros[i][m] != kernel.zeros[i][n]:
+        return -math.inf
+    return lsub(kernel.pre[i].item(m), kernel.pre[i].item(n))
 
 
 def suffix_weighted(traj: list[LogMag], d: float) -> list[LogMag]:
@@ -644,6 +655,21 @@ def validate_loop(cert: DichotomyCertificate, window: WindowSpec) -> None:
 # -- the pair and triplet forms, one pair or triplet at a time ------------------------
 
 
+def window_pairs(window: WindowSpec):
+    """The pairs (n, m) of the window in lexicographic order, the order that
+    fixes witness selection."""
+    for n in range(window.n_min, window.m_max + 1):
+        for m in range(n, window.m_max + 1):
+            yield n, m
+
+
+def window_triplets(window: WindowSpec):
+    """The triplets (p, n, m) of the window in lexicographic order."""
+    for p in range(window.n_min, window.m_max + 1):
+        for n, m in window_pairs(WindowSpec(p, window.m_max)):
+            yield p, n, m
+
+
 def pair_loop(
     sys: SystemDescription,
     proj: ProjectionFamily,
@@ -713,7 +739,7 @@ def triplet_loop(
     row = None
     min_slack = math.inf
     checked = 0
-    for p, n, m in window.triplets():
+    for p, n, m in window_triplets(window):
         checked += 1
         if row is None or row.n != p:
             row = kernel.row(p)

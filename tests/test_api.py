@@ -66,3 +66,23 @@ def test_only_the_log_modules_name_the_form_choice():
             if name in names:
                 named.setdefault(path.name, set()).add(name)
     assert set(named) == {"logscalar.py", "logarray.py"}, named
+
+
+def test_only_diag_factor_names_the_scalar_log_arithmetic_in_system():
+    # the kernels read factor logs as arrays; a function of system.py that
+    # calls lsub or ladd would be a scalar twin of the diagonal row's table
+    tree = ast.parse((Path(dichotomy.__file__).parent / "system.py").read_text(encoding="utf-8"))
+    users = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name in {"lsub", "ladd"}:
+            users.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    assert users == {"SystemDescription.diag_factor"}, users

@@ -39,7 +39,7 @@ from dichotomy import (
 from dichotomy.logscalar import ladd
 from dichotomy.system import DiagonalClosedForm, _range_basis
 
-from oracles import _slack, evolution
+from oracles import _slack, evolution, window_pairs
 
 TOL = 1e-9
 MARGIN = 1e-6  # every pair's slack stays this far from -tol, so rounding cannot decide
@@ -65,7 +65,7 @@ def brute_logs(sys, proj, n, m):
 def brute_slacks(logs, cert, window):
     """[(n, m, slack_p, slack_q)] over the window in scan order."""
     out = []
-    for n, m in window.pairs():
+    for n, m in window_pairs(window):
         gap = cert.alpha * (m - n)
         g, h = logs(n, m)
         slack_p = _slack(cert.r_log(n), ladd(gap, g) if g != -math.inf else -math.inf)
@@ -93,7 +93,7 @@ def brute_needs(logs, alpha, window):
     """The minimal profile and the optimal uniform N, from every pair."""
     base = window.n_min
     raw = [0.0] * (window.m_max - base + 1)
-    for n, m in window.pairs():
+    for n, m in window_pairs(window):
         gap = alpha * (m - n)
         g, h = logs(n, m)
         if g != -math.inf:
@@ -110,7 +110,7 @@ def brute_needs(logs, alpha, window):
 def brute_min_log_n(logs, window, alpha, beta, half):
     m_hi = window.half().m_max if half else window.m_max
     best = 0.0
-    for n, m in window.pairs():
+    for n, m in window_pairs(window):
         if m > m_hi:
             continue
         g, h = logs(n, m)
@@ -219,7 +219,7 @@ def test_optimal_constant_and_minimal_profile_match_pair_formula(case, alpha):
 @given(dense_cases(), st.booleans())
 def test_estimate_grid_rows_match_pair_formula(case, strong):
     sys_, proj, window = case
-    logs = {(n, m): brute_logs(sys_, proj, n, m) for n, m in window.pairs()}
+    logs = {(n, m): brute_logs(sys_, proj, n, m) for n, m in window_pairs(window)}
     alphas = [0.1, 0.5, 1.0]
     uniform = estimate_ued(sys_, proj, window, alphas)
     expo = estimate_ed(sys_, proj, window, alphas, [0.0, 0.25, 0.5], strong=strong)

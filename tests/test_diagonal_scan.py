@@ -52,6 +52,7 @@ from oracles import (
     sdiv,
     smax,
     smul,
+    window_pairs,
 )
 
 # -- brute-force oracle ----------------------------------------------------------
@@ -78,7 +79,7 @@ def brute_verify(sys, proj, cert, window, tol):
     alpha = cert.alpha
     min_slack = math.inf
     pairs = 0
-    for n, m in window.pairs():
+    for n, m in window_pairs(window):
         pairs += 1
         gap = alpha * (m - n)
         g, h = brute_logs(sys, proj, n, m)
@@ -102,7 +103,7 @@ def brute_needs(sys, proj, alpha, window):
     base = window.n_min
     raw = [0] * (window.m_max - base + 1)
     best = 0
-    for n, m in window.pairs():
+    for n, m in window_pairs(window):
         gap = alpha * (m - n)
         g, h = brute_logs(sys, proj, n, m)
         if g != -math.inf:
@@ -198,7 +199,7 @@ def brute_grid_row(sys, proj, window, alpha, beta):
 
     def least(win):
         best = 0.0
-        for n, m in win.pairs():
+        for n, m in window_pairs(win):
             g, h = (lfloat(v) for v in brute_logs(sys, proj, n, m))
             best = max(best, alpha * (m - n) + g - beta * n, alpha * (m - n) - h - beta * m)
         return best
@@ -581,24 +582,32 @@ def test_kernel_matches_per_pair_formulas(case, data):
     kernel = _sweeps(sys_, proj, lo, hi)
     for n in range(lo, hi + 1):
         row = kernel.row(n)
+        row_g, row_h = (logs.tolist() for logs in row.row_logs)
+        assert len(row_g) == len(row_h) == hi - n + 1
         for m in range(n, hi + 1):
             g, h = brute_logs(sys_, proj, n, m)
             got_g, got_h = row.logs(m)
             assert same(got_g, g) and same(got_h, h)
+            assert same(row_g[m - n], got_g) and same(row_h[m - n], got_h)
             growth, gain, dir_p, dir_q = brute_extremes(sys_, proj, m, n)
             ext = row.extremes(m)
             assert same(ext.growth_p, growth) and same(ext.min_gain_q, gain)
             assert (ext.direction_p, ext.direction_q) == (unit(dim, dir_p), unit(dim, dir_q))
-    # the triplet ratios and witness directions of every seed p
+    # the triplet ratios and witness directions of every seed p, one pair of
+    # horizons at a time and all of the seed's triplets at once
     for p in range(lo, hi + 1):
         row = _sweeps(sys_, proj, p, hi).row(p)
-        for n in range(p, hi + 1):
-            for m in range(n, hi + 1):
-                ratio_p, ratio_q, wit_p, wit_q = brute_ratios(sys_, proj, m, n, p)
-                got_p, got_q = row.ratios(m, n)
-                assert same(got_p, ratio_p.logmag) and same(got_q, ratio_q.logmag)
-                assert row.triplet_direction(m, n, "P") == (unit(dim, wit_p) or ())
-                assert row.triplet_direction(m, n, "Q") == (unit(dim, wit_q) or ())
+        k_of, m_of, batch_p, batch_q = row.triplet_ratios(range(p, hi + 1))
+        triplets = [(n, m) for n in range(p, hi + 1) for m in range(n, hi + 1)]
+        assert list(zip(k_of.tolist(), m_of.tolist())) == triplets
+        batch_p, batch_q = batch_p.tolist(), batch_q.tolist()
+        for t, (n, m) in enumerate(triplets):
+            ratio_p, ratio_q, wit_p, wit_q = brute_ratios(sys_, proj, m, n, p)
+            got_p, got_q = row.ratios(m, n)
+            assert same(got_p, ratio_p.logmag) and same(got_q, ratio_q.logmag)
+            assert same(batch_p[t], ratio_p.logmag) and same(batch_q[t], ratio_q.logmag)
+            assert row.triplet_direction(m, n, "P") == (unit(dim, wit_p) or ())
+            assert row.triplet_direction(m, n, "Q") == (unit(dim, wit_q) or ())
     entries = st.sampled_from([0.0, 1.0, -1.0, 0.5, -3.25])
     vectors = [tuple(1.0 if j == i else 0.0 for j in range(dim)) for i in range(dim)]
     vectors += data.draw(st.lists(st.tuples(*[entries] * dim), min_size=1, max_size=3))

@@ -144,12 +144,14 @@ def test_arithmetic_matches_the_object_arrays(pair):
 @given(st.integers(1, 9).flatmap(log_lists), st.data())
 def test_running_passes_match_the_object_arrays(values, data):
     a = LogArray(values)
-    try:
-        want = EXACT_ADD.accumulate(objects(values))
-    except ValueError:
-        want = None
-    if want is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # the object reference sums floats in Python, which can reach +inf and raise
+    # the overflow flag that numpy reports after the loop, like the array form
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = EXACT_ADD.accumulate(objects(values))
+        except ValueError:
+            want = None
+        if want is not None:
             assert same(logarray.accumulate(a), want)
     cuts = sorted(data.draw(st.sets(st.integers(1, len(values)), max_size=3)))
     bounds = [data.draw(st.integers(0, 1)), *[c for c in cuts if c > 1], len(values)]

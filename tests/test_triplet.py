@@ -3,7 +3,7 @@
 ``verify_triplet_form`` checks one array of triplets per seed p: the dense
 kernel batches ``oracles._sup_ratio`` over a seed's rows, and the diagonal
 kernel clears whole rows with one running-maximum scan per coordinate class
-and rescans triplet by triplet only the rows that may violate. The oracle,
+and rescans, one array of triplets per seed, only the rows that may violate. The oracle,
 ``oracles.triplet_loop``, visits every triplet (p, n, m) in lexicographic
 order with one ``ratios`` call each. Verdict, witness and count must agree
 exactly; the least slack of a holding run exactly where the logs, the rate
