@@ -55,6 +55,9 @@ from .system import (
 
 DEFAULT_LOG_TOL = 1e-9
 _TIE_BAND = 1e-12
+# The largest (points x window) block of an estimate grid: 1 MiB per float64
+# array, so that a large window is scanned a few rates at a time
+_GRID_ENTRIES = 2**17
 
 
 def _slacks(rhs: LogArray, lhs: LogArray) -> np.ndarray:
@@ -315,35 +318,46 @@ def _grid_search(sys, proj, window: WindowSpec, points) -> tuple[GridPoint, tupl
     row: the least full-window constant, ties to the larger alpha, then to
     the smaller beta.
 
-    beta only shifts row n by -beta n and column m by -beta m, so each rate
-    takes one scan, and all its betas are one array over its demands. The
-    flag compares the minimal N on the half window against the full window:
-    growth under window doubling marks the candidate for falsification
-    rather than certification.
+    beta only shifts row n by -beta n and column m by -beta m, so the kernel
+    scans a block of rates at once: one ``cols`` call, and one ``rows`` call
+    per window. Each point is then its rate's row and column less beta
+    times the index, reduced as one array. A block holds as many rates as
+    keep its points within ``_GRID_ENTRIES`` entries: the default 32 x 16
+    grid is one block on windows of up to 256 indices. The flag compares
+    the minimal N on the half window against the full window: growth under
+    window doubling marks the candidate for falsification rather than
+    certification.
     """
     kernel = _sweeps(sys, proj, window.n_min, window.m_max)
     index = np.arange(window.n_min, window.m_max + 1, dtype=float)
     sizes = (len(index), window.half().m_max - window.n_min + 1)  # full and half window
+    groups = [(alpha, [beta for _, beta in group])
+              for alpha, group in groupby(points, key=operator.itemgetter(0))]
+    least = ([], [])  # per window and point: max(0.0, max(rows - beta n), max(cols - beta m))
+    step = max(1, _GRID_ENTRIES // (len(index) * max(len(betas) for _, betas in groups)))
+    for block in (groups[k:k + step] for k in range(0, len(groups), step)):
+        rates = [alpha for alpha, _ in block]
+        at = np.repeat(np.arange(len(block)), [len(betas) for _, betas in block])
+        shifts = np.array([beta or 0.0 for _, betas in block for beta in betas])[:, None] * index
+        cols = kernel.cols(rates).floats()[at] - shifts
+        for size, out in zip(sizes, least):
+            rows = kernel.rows(rates, window.n_min + size - 1).floats()[at] - shifts[:, :size]
+            p, q = rows.max(axis=1), cols[:, :size].max(axis=1)
+            # Python's max keeps the first of equal values, so -0.0 floors to 0.0
+            floor = np.where(p > 0.0, p, 0.0)
+            out += np.where(q > floor, q, floor).tolist()
     table, best = [], None
-    for alpha, group in groupby(points, key=operator.itemgetter(0)):
-        betas = [beta for _, beta in group]
-        shifts = np.array([beta or 0.0 for beta in betas])[:, None] * index
-        cols = kernel.cols(alpha).floats() - shifts
-        least = []  # per window and beta: max(0.0, max(rows - beta n), max(cols - beta m))
-        for size in sizes:
-            rows = kernel.rows(alpha, window.n_min + size - 1).floats() - shifts[:, :size]
-            peaks = zip(rows.max(axis=1).tolist(), cols[:, :size].max(axis=1).tolist())
-            least.append([max(0.0, p, q) for p, q in peaks])
-        for beta, full, half in zip(betas, *least):
-            point = GridPoint(alpha, beta, full, half, full <= half + DEFAULT_LOG_TOL)
-            table.append(point)
-            if best is None or full < best.log_n_full - _TIE_BAND:
-                best = point
-            elif abs(full - best.log_n_full) <= _TIE_BAND and (
-                alpha > best.alpha
-                or (alpha == best.alpha and beta is not None and beta < best.beta)
-            ):
-                best = point
+    keys = ((alpha, beta) for alpha, betas in groups for beta in betas)
+    for (alpha, beta), full, half in zip(keys, *least):
+        point = GridPoint(alpha, beta, full, half, full <= half + DEFAULT_LOG_TOL)
+        table.append(point)
+        if best is None or full < best.log_n_full - _TIE_BAND:
+            best = point
+        elif abs(full - best.log_n_full) <= _TIE_BAND and (
+            alpha > best.alpha
+            or (alpha == best.alpha and beta is not None and beta < best.beta)
+        ):
+            best = point
     return best, tuple(table)
 
 

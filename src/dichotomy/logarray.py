@@ -231,20 +231,25 @@ def where(cond, a, b) -> LogArray:
 
 
 def concatenate(arrays) -> LogArray:
+    """The arrays joined along their last axis."""
     arrays = [_lift(a) for a in arrays]
     if any(a.exact for a in arrays):
-        return _made(np.concatenate([a.objects() for a in arrays]))
-    return _made(np.concatenate([a.values for a in arrays]),
-                 _any(np.concatenate([_marks(a) for a in arrays])))
+        return _made(np.concatenate([a.objects() for a in arrays], axis=-1))
+    return _made(np.concatenate([a.values for a in arrays], axis=-1),
+                 _any(np.concatenate([_marks(a) for a in arrays], axis=-1)))
 
 
 def full(shape, value: float) -> LogArray:
     return _made(np.full(shape, value, dtype=float))
 
 
-def times(rate: LogMag, ks: np.ndarray) -> LogArray:
-    """rate * k for each int k of ``ks``, as Python multiplies them."""
-    return _made(rate * ks) if isinstance(rate, float) else LogArray(rate * ks.astype(object))
+def times(rate, ks: np.ndarray) -> LogArray:
+    """rate * k for each int k of ``ks``, as Python multiplies them; a
+    sequence of rates gives one row per rate."""
+    rates = np.asarray(rate, dtype=object)
+    if all(isinstance(r, float) for r in rates.flat):
+        return _made(np.multiply.outer(rates.astype(float), ks))
+    return LogArray(np.multiply.outer(rates, ks.astype(object)))
 
 
 def accumulate(a: LogArray) -> LogArray:
@@ -258,36 +263,43 @@ def accumulate(a: LogArray) -> LogArray:
 
 
 def segmented_max(a: LogArray, bounds: list[int], reverse: bool) -> LogArray:
-    """Per index of a one-dimensional array, the maximum of the entries
-    strictly after it (``reverse``) or strictly before it within its
-    stretch, the stretches starting at ``bounds`` (the last bound ends the
-    last one); -inf where there is none, and before ``bounds[0]``. Of equal
-    entries the first met is kept, as in ``maximum``."""
-    size, v = len(a), a.values
-    out = np.full(size, -math.inf, dtype=v.dtype)
+    """Per index along the last axis, the maximum of the entries strictly
+    after it (``reverse``) or strictly before it within its stretch, the
+    stretches starting at ``bounds`` (the last bound ends the last one);
+    -inf where there is none, and before ``bounds[0]``. Of equal entries the
+    first met is kept, as in ``maximum``. Each row of a two-dimensional
+    array is taken on its own."""
+    v = a.values
+    size = v.shape[-1]
+    out = np.full(v.shape, -math.inf, dtype=v.dtype)
     # of equal floats the first is taken by position where they may differ:
     # an int and a float, or 0.0 and -0.0
     ties = not a.exact and (a.ints is not None
                             or np.count_nonzero(v.view(np.int64) == _NEGATIVE_ZERO))
-    src = np.full(size, size) if ties else None
+    src = np.full(v.shape, size) if ties else None
     for s, e in zip(bounds, bounds[1:]):
         e = min(e, size)
         if s >= e:
             break
         if reverse:
-            peak = np.maximum.accumulate(v[s + 1:e][::-1])
-            out[s:e - 1] = peak[::-1]
+            peak = np.maximum.accumulate(v[..., s + 1:e][..., ::-1], axis=-1)
+            out[..., s:e - 1] = peak[..., ::-1]
             if ties:
-                src[s:e - 1] = e - 1 - _firsts(peak)[::-1]
+                src[..., s:e - 1] = e - 1 - _firsts(peak)[..., ::-1]
         else:
-            out[s + 1:e] = peak = np.maximum.accumulate(v[s:e - 1])
+            out[..., s + 1:e] = peak = np.maximum.accumulate(v[..., s:e - 1], axis=-1)
             if ties:
-                src[s + 1:e] = s + _firsts(peak)
-    return concatenate([a, full(1, -math.inf)])[src] if ties else _made(out)
+                src[..., s + 1:e] = s + _firsts(peak)
+    if not ties:
+        return _made(out)
+    padded = concatenate([a, full((*v.shape[:-1], 1), -math.inf)])
+    return _made(np.take_along_axis(padded.values, src, -1),
+                 None if padded.ints is None else _any(np.take_along_axis(padded.ints, src, -1)))
 
 
 def _firsts(peak: np.ndarray) -> np.ndarray:
-    """Per index of a running maximum, the first position where it is met."""
-    rises = np.ones(len(peak), dtype=bool)
-    rises[1:] = peak[1:] > peak[:-1]
-    return np.maximum.accumulate(np.where(rises, np.arange(len(peak)), 0))
+    """Per index of a running maximum along the last axis, the first
+    position where it is met."""
+    rises = np.ones(peak.shape, dtype=bool)
+    rises[..., 1:] = peak[..., 1:] > peak[..., :-1]
+    return np.maximum.accumulate(np.where(rises, np.arange(peak.shape[-1]), 0), axis=-1)

@@ -646,18 +646,21 @@ class _DenseSweeps:
         steps = np.arange(size, dtype=float)
         return growth, gain, steps - steps[:, None]
 
-    def rows(self, alpha: float, hi: int) -> LogArray:
+    def rows(self, alpha, hi: int) -> LogArray:
         """Row n = lo..hi: the largest alpha (m - n) + log growth_P(m, n)
-        over n <= m <= hi; a lower bound on log R_P(n)."""
+        over n <= m <= hi; a lower bound on log R_P(n). A sequence of rates
+        gives one such row per rate."""
         growth, _, gap = self._pairs
         size = hi - self.lo + 1
-        return LogArray(np.max(alpha * gap[:size, :size] + growth[:size, :size], axis=1))
+        growth, gap = growth[:size, :size], gap[:size, :size]
+        return _per_rate(alpha, lambda a: np.max(a * gap + growth, axis=1))
 
-    def cols(self, alpha: float) -> LogArray:
+    def cols(self, alpha) -> LogArray:
         """Column m = lo..hi: the largest alpha (m - n) - log min_gain_Q(m, n)
-        over lo <= n <= m; a lower bound on log R_Q(m)."""
+        over lo <= n <= m; a lower bound on log R_Q(m). A sequence of rates
+        gives one such row per rate."""
         _, gain, gap = self._pairs
-        return LogArray(np.max(alpha * gap - gain, axis=0))
+        return _per_rate(alpha, lambda a: np.max(a * gap - gain, axis=0))
 
     def rows_to_scan(self, alpha: float, weights, tol: float) -> tuple[range, float]:
         """Every row, and no least slack: the dense kernel keeps no running
@@ -700,6 +703,14 @@ class _DenseSweeps:
             picked = logs[[[column[k]] for k in keys], np.maximum(steps, 0)]
             out[rows] = np.where(steps >= 0, picked, -math.inf)
         return LogArray(out)
+
+
+def _per_rate(rate, scan) -> LogArray:
+    """``scan(rate)`` as a LogArray; for a sequence of rates, one row per
+    rate, each reduced on its own so that no table per rate is held."""
+    if np.ndim(rate) == 0:
+        return LogArray(scan(rate))
+    return LogArray(np.array([scan(a) for a in rate]))
 
 
 class _Row:
@@ -842,8 +853,9 @@ class _DiagonalSweeps:
     for them. Each running maximum is one ``LogArray`` pass per coordinate,
     which combines the terms in the order of the per-pair formula and in
     the form of its operands: the window's prefix log-sums, the rate and the
-    weights. The window's arrays are taken on the first scan, so kernels
-    that never scan do not pay for them.
+    weights. Given a column of rates, each pass runs on one row per rate,
+    by the same code. The window's arrays are taken on the first scan, so
+    kernels that never scan do not pay for them.
     """
 
     def __init__(self, sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):
@@ -893,11 +905,12 @@ class _DiagonalSweeps:
         return [min((b for b in bounds if b > first), default=size)
                 for bounds, first in zip(self.bounds, first_q)]
 
-    def rows(self, alpha: LogMag, hi: int, in_p: np.ndarray | None = None) -> LogArray:
+    def rows(self, alpha, hi: int, in_p: np.ndarray | None = None) -> LogArray:
         """Row n = lo..hi: max over i in P(n) and n < m <= hi, with no zero
         factor of i in (n, m], of alpha (m - n) + pre_i[m] - pre_i[n];
         -inf when there is no such pair. A lower bound on log R_P(n).
-        ``in_p`` replaces the flags of ``self.in_p``."""
+        ``in_p`` replaces the flags of ``self.in_p``. A sequence of rates
+        gives one such row per rate."""
         size = hi - self.lo + 1
         ax, out = times(alpha, np.arange(self.lo, hi + 1)), None
         for pre_i, bounds, in_p in zip(self.window, self.bounds,
@@ -906,7 +919,7 @@ class _DiagonalSweeps:
                 pre_i = pre_i[:size]
                 strict = segmented_max(add(ax, pre_i), bounds, reverse=True)
                 out = _larger(out, _only(in_p[:size], sub(sub(strict, ax), pre_i)))
-        return full(size, -math.inf) if out is None else out
+        return full(ax.values.shape, -math.inf) if out is None else out
 
     def q_rows(self, alpha: LogMag, weights, in_p: np.ndarray | None = None) -> LogArray:
         """Row n = lo..hi: max over j in Q(n) and n < m <= hi of
@@ -917,26 +930,26 @@ class _DiagonalSweeps:
         weights = LogArray(weights)
         for pre_i, bounds, in_p in zip(self.window, self.bounds,
                                        self.in_p if in_p is None else in_p):
-            if np.count_nonzero(in_p) < len(ax):
+            if not in_p.all():
                 run = segmented_max(sub(sub(ax, pre_i), weights), bounds[-2:], reverse=True)
                 # rows before the last stretch cross a zero factor
-                run = run.put(slice(None, bounds[-2]), math.inf)
+                run = run.put(np.s_[..., :bounds[-2]], math.inf)
                 out = _larger(out, _only(~in_p, add(sub(run, ax), pre_i)))
-        return full(len(ax), -math.inf) if out is None else out
+        return full(ax.values.shape, -math.inf) if out is None else out
 
-    def cols(self, alpha: LogMag) -> LogArray:
+    def cols(self, alpha) -> LogArray:
         """Column m = lo..hi: max over j and lo <= n < m with j in Q(n) of
         alpha (m - n) - (pre_j[m] - pre_j[n]); +inf once such a pair crosses
         a zero factor of j; -inf when there is no such pair. A lower bound
-        on log R_Q(m)."""
+        on log R_Q(m). A sequence of rates gives one such row per rate."""
         ax, out = times(alpha, np.arange(self.lo, self.hi + 1)), None
         for pre_i, bounds, in_p, crossed in zip(self.window, self.bounds, self.in_p, self.crossed):
-            if np.count_nonzero(in_p) < len(ax):
+            if not in_p.all():
                 starts = _only(~in_p, sub(pre_i, ax))
                 before = segmented_max(starts, bounds, reverse=False)
                 col = sub(add(before, ax), pre_i)
-                out = _larger(out, col.put(slice(crossed, None), math.inf))
-        return full(len(ax), -math.inf) if out is None else out
+                out = _larger(out, col.put(np.s_[..., crossed:], math.inf))
+        return full(ax.values.shape, -math.inf) if out is None else out
 
     def rows_to_scan(self, alpha: LogMag, weights, tol: float) -> tuple[list[int], float]:
         """The rows lo..hi whose pairs may violate the certificate with the

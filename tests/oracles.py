@@ -21,16 +21,20 @@ and triplets are listed in lexicographic order (``window_pairs``,
 (``classify_trend_loop``), in place of the array pass of
 ``checkers._classify_trend``, and the pair and triplet forms check one pair
 or triplet at a time (``pair_loop``, ``triplet_loop``), in place of the
-row arrays of the verifiers. Signed quantities are multiplied, divided,
-added and ordered by the functions of the first section, over the (sign,
-logmag) fields of a ``LogScalar`` record, which has no arithmetic of its
-own. None of this is on a path of the package.
+row arrays of the verifiers. The estimate grid is scanned one rate at a
+time and each point floored by Python's ``max`` (``grid_search_loop``), in
+place of the block scans of ``checkers._grid_search``. Signed quantities
+are multiplied, divided, added and ordered by the functions of the first
+section, over the (sign, logmag) fields of a ``LogScalar`` record, which
+has no arithmetic of its own. None of this is on a path of the package.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -43,7 +47,14 @@ from dichotomy import (
     WindowSpec,
     Witness,
 )
-from dichotomy.checkers import _TIE_BAND, DEFAULT_LOG_TOL, _fit_slope, _PairExtremes, _validate
+from dichotomy.checkers import (
+    _TIE_BAND,
+    DEFAULT_LOG_TOL,
+    GridPoint,
+    _fit_slope,
+    _PairExtremes,
+    _validate,
+)
 from dichotomy.datko import (
     HOLDS,
     INCONCLUSIVE,
@@ -763,6 +774,36 @@ def triplet_loop(
                 worse,
             )
     return VerificationOutcome(True, None, checked, min_slack)
+
+
+def grid_search_loop(sys, proj, window: WindowSpec, points):
+    """``checkers._grid_search`` one rate at a time: two ``rows`` calls and
+    one ``cols`` call per rate, all its betas as one array, and each point
+    floored by ``max(0.0, p, q)``."""
+    kernel = _sweeps(sys, proj, window.n_min, window.m_max)
+    index = np.arange(window.n_min, window.m_max + 1, dtype=float)
+    sizes = (len(index), window.half().m_max - window.n_min + 1)  # full and half window
+    table, best = [], None
+    for alpha, group in groupby(points, key=operator.itemgetter(0)):
+        betas = [beta for _, beta in group]
+        shifts = np.array([beta or 0.0 for beta in betas])[:, None] * index
+        cols = kernel.cols(alpha).floats() - shifts
+        least = []  # per window and beta: max(0.0, max(rows - beta n), max(cols - beta m))
+        for size in sizes:
+            rows = kernel.rows(alpha, window.n_min + size - 1).floats() - shifts[:, :size]
+            peaks = zip(rows.max(axis=1).tolist(), cols[:, :size].max(axis=1).tolist())
+            least.append([max(0.0, p, q) for p, q in peaks])
+        for beta, full, half in zip(betas, *least):
+            point = GridPoint(alpha, beta, full, half, full <= half + DEFAULT_LOG_TOL)
+            table.append(point)
+            if best is None or full < best.log_n_full - _TIE_BAND:
+                best = point
+            elif abs(full - best.log_n_full) <= _TIE_BAND and (
+                alpha > best.alpha
+                or (alpha == best.alpha and beta is not None and beta < best.beta)
+            ):
+                best = point
+    return best, tuple(table)
 
 
 def _sup_ratio(num: np.ndarray, den: np.ndarray, same_horizon: bool = False) -> float:

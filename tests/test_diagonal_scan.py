@@ -429,6 +429,17 @@ def test_array_scan_matches_the_running_maximum_loops(case, data):
                      (scan.q_rows(alpha, weights), exact.q_rows(alpha, weights))):
         if not got.exact:
             assert got.values.tobytes() == ref.values.astype(float).tobytes()
+    # a column of rates gives the one-rate rows stacked, in either form
+    column = [alpha, *data.draw(st.lists(rates(alpha), min_size=1, max_size=3))]
+    for kernel in (scan, exact):
+        for hi_ in (hi, window.half().m_max):
+            got = kernel.rows(column, hi_).tolist()
+            assert [typed(r) for r in got] == [typed(kernel.rows(a, hi_).tolist()) for a in column]
+        got = kernel.cols(column).tolist()
+        assert [typed(r) for r in got] == [typed(kernel.cols(a).tolist()) for a in column]
+        got = kernel.q_rows(column, weights).tolist()
+        assert [typed(r) for r in got] == [typed(kernel.q_rows(a, weights).tolist())
+                                           for a in column]
 
 
 @PROPERTY

@@ -160,6 +160,21 @@ def test_running_passes_match_the_object_arrays(values, data):
         assert same(got, exact_segmented_max(values, bounds, reverse)), reverse
 
 
+@PROPERTY
+@given(st.integers(1, 9).flatmap(lambda size: st.lists(log_lists(size), min_size=1,
+                                                       max_size=4)),
+       st.sets(st.integers(2, 8), max_size=3), st.integers(0, 1))
+@example([[0, 0.0, -0.0, 0], [0.0, -0.0, 0, 0.0]], set(), 0)  # int/float and signed-zero ties
+@example([[-0.0, 0.0, -0.0], [1.5, 1, 1.5]], {2}, 0)
+def test_segmented_max_takes_each_row_on_its_own(table, cuts, start):
+    size = len(table[0])
+    bounds = [start, *sorted(c for c in cuts if c < size), size]
+    for reverse in (True, False):
+        got = logarray.segmented_max(LogArray(table), bounds, reverse)
+        rows = [logarray.segmented_max(LogArray(row), bounds, reverse).tolist() for row in table]
+        assert reprs(got.tolist()) == reprs(rows), reverse
+
+
 # -- history independence ------------------------------------------------------------
 
 
