@@ -25,7 +25,7 @@ from itertools import count
 import numpy as np
 
 from .errors import DichotomyError, InvalidCertificateError, OutOfRangeError
-from .logscalar import LogMag, LogScalar, ladd, lfloat
+from .logscalar import LogMag, LogScalar, json_log, ladd
 
 
 class Kind(str, Enum):
@@ -164,7 +164,7 @@ class TabulatedProfile(Profile):
         return {
             "form": "tabulated",
             "n_min": self.n_min,
-            "values": [{"sign": v.sign, "logmag": lfloat(v.logmag)} for v in self.values],
+            "values": [{"sign": v.sign, "logmag": json_log(v.logmag)} for v in self.values],
         }
 
 

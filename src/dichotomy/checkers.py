@@ -109,10 +109,6 @@ class _PairExtremes:
         """(log growth_P, log min_gain_Q); -inf / +inf mark trivial ranges."""
         return self.row(n).logs(m)
 
-    def directions(self, n: int, m: int) -> tuple[tuple[float, ...] | None, tuple[float, ...] | None]:
-        ext = self.row(n).extremes(m)
-        return ext.direction_p, ext.direction_q
-
 
 def _validate(cert: DichotomyCertificate, window: WindowSpec, tol: float) -> LogArray:
     """Check the certificate on the window and the tolerance; the weights
@@ -180,14 +176,15 @@ def verify_certificate(
             m = n + int(bad[0])
             gap, g, h = alpha * (m - n), g.item(m - n), h.item(m - n)
             if slack_p[m - n] < -tol:
-                side, slack, direction = "P", slack_p[m - n], ext.directions(n, m)[0]
+                side, slack = "P", slack_p[m - n]
                 required = lsub(ladd(gap, g), cert.scale_offset(n))
             else:
-                side, slack, direction = "Q", slack_q[m - n], ext.directions(n, m)[1]
+                side, slack = "Q", slack_q[m - n]
                 required = lsub(lsub(gap, cert.scale_offset(m)), h)
             return VerificationOutcome(
                 False,
-                Witness(m, n, direction or (), LogScalar.from_log(required), side=side),
+                Witness(m, n, ext.row(n).direction(m, n, side), LogScalar.from_log(required),
+                        side=side),
                 _pairs_before(lo, hi, n) + m - n + 1,
                 float(slack),
             )
@@ -238,7 +235,7 @@ def verify_triplet_form(
             required = lsub(ladd(alpha * (m - n), ratio), offset)
             return VerificationOutcome(
                 False,
-                Witness(m, n, row.triplet_direction(m, n, side), LogScalar.from_log(required),
+                Witness(m, n, row.direction(m, n, side), LogScalar.from_log(required),
                         side=side),
                 _triplets_before(lo, hi, p, n) + m - n + 1,
                 float(worse[t]),

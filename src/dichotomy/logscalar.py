@@ -3,8 +3,9 @@
 A quantity is kept as its log-magnitude, so products such as
 ``exp((n+1) * (1 + 2**(n+1)))`` become sums that never overflow. The
 arithmetic is the functions below: ``ladd``/``lsub`` multiply and divide,
-``logaddexp_mag`` adds magnitudes, ``lfloat`` collapses a log to float; the
-array forms live in ``logarray``. A :class:`LogScalar` is the record that
+``logaddexp_mag`` adds magnitudes, ``lfloat`` collapses a log to float,
+``json_log`` writes one as a report value; the array forms live in
+``logarray``. A :class:`LogScalar` is the record that
 reports, witnesses, profiles and signed diagonal inputs carry: a sign and a
 log-magnitude, with no arithmetic of its own.
 
@@ -79,6 +80,16 @@ def lfloat(x: LogMag) -> float:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def json_log(x: LogMag):
+    """A log-magnitude as a JSON value: an int stays an int (of any size), a
+    Fraction collapses to float, +-inf become "inf" / "-inf"."""
+    if isinstance(x, Fraction):
+        return lfloat(x)
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
 
 
 def logaddexp_mag(a: LogMag, b: LogMag) -> LogMag:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from json import dumps
@@ -37,17 +36,9 @@ from .certificates import (
 from .checkers import ExponentialEstimate, GridPoint, UniformEstimate
 from .datko import DatkoReport
 from .errors import ConfigError
-from .logscalar import LogScalar, lfloat
+from .logscalar import LogScalar, json_log
 
 SCHEMA_VERSION = 1
-
-
-def _num(logmag):
-    if isinstance(logmag, Fraction):
-        return lfloat(logmag)
-    if isinstance(logmag, float) and math.isinf(logmag):
-        return "inf" if logmag > 0 else "-inf"
-    return logmag
 
 
 def _num_back(value):
@@ -59,7 +50,7 @@ def _num_back(value):
 
 
 def logscalar_to_json(x: LogScalar) -> dict:
-    return {"sign": x.sign, "logmag": _num(x.logmag)}
+    return {"sign": x.sign, "logmag": json_log(x.logmag)}
 
 
 def logscalar_from_json(obj) -> LogScalar:
@@ -147,7 +138,7 @@ def outcome_to_json(out: VerificationOutcome) -> dict:
     return {
         "verdict": "holds" if out.holds else "violated",
         "pairs_checked": out.pairs_checked,
-        "min_slack": _num(out.min_slack),
+        "min_slack": json_log(out.min_slack),
         "witness": witness_to_json(out.witness) if out.witness else None,
     }
 
@@ -227,7 +218,7 @@ def witness_family(rep: WitnessReport) -> RecordColumns:
     else:
         # LogScalar.from_log: a zero constant (log -inf) has sign 0
         signs = [0 if v == -math.inf else 1 for v in logs]
-        logs = list(map(_num, logs))
+        logs = list(map(json_log, logs))
     return RecordColumns(len(logs), {
         "m": Column(rep.ms),
         "n": Column(rep.ns),
@@ -283,8 +274,8 @@ def grid_point_to_json(pt: GridPoint) -> dict:
     return {
         "alpha": pt.alpha,
         "beta": pt.beta,
-        "log_n_full": _num(pt.log_n_full),
-        "log_n_half": _num(pt.log_n_half),
+        "log_n_full": json_log(pt.log_n_full),
+        "log_n_half": json_log(pt.log_n_half),
         "stable": pt.stable,
     }
 
@@ -351,7 +342,7 @@ def datko_report_to_json(rep: DatkoReport) -> dict:
         "tail_bound": logscalar_to_json(rep.tail_bound),
         "rhs": logscalar_to_json(rep.rhs),
         "checked": rep.checked,
-        "max_tail_rhs_log": _num(rep.max_tail_rhs_log),
+        "max_tail_rhs_log": json_log(rep.max_tail_rhs_log),
     }
 
 

@@ -687,8 +687,6 @@ class _DenseSweeps:
         for seed in dict.fromkeys(seeds.tolist()):
             rows = np.flatnonzero(seeds == seed)
             upto = int(at[rows].max())
-            if upto < seed:
-                continue
             # one column per distinct row, in order of first appearance
             keys = [xs[r].tobytes() for r in rows.tolist()]
             first = {}
@@ -810,12 +808,12 @@ class _DenseRow(_Row):
     def _svd_q(self):
         return np.linalg.svd(self.ys, full_matrices=False)
 
-    def triplet_direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
-        """Witness direction of a triplet: the extremal direction of the
-        restricted extremes at (m, n) for side "P", at (k, n) for side "Q"."""
-        if side == "P":
-            return self.extremes(m).direction_p or ()
-        return self.extremes(k).direction_q or ()
+    def direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
+        """Witness direction of the side's ratio between horizons k <= m: the
+        extremal direction of ``extremes(m)`` on either side, whatever k, so
+        every k names the pair form's witness (k = n)."""
+        ext = self.extremes(m)
+        return (ext.direction_p if side == "P" else ext.direction_q) or ()
 
 
 def _block_logs(images: np.ndarray, held: np.ndarray, width: int, which: int,
@@ -1105,20 +1103,14 @@ class _DiagonalRow(_Row):
             return [where(zeros[at] != zeros[n], -math.inf, sub(pre.pick(at), pre.pick(n)))
                     for pre, zeros in zip(sweeps.pre, sweeps.zeros)]
 
-    def _extremes_at(self, at) -> tuple[tuple[LogArray, np.ndarray], tuple[LogArray, np.ndarray]]:
-        """((log growth_P, its coordinate), (log min_gain_Q, its coordinate))
-        at the horizons of ``at``; -inf / +inf and -1 mark trivial ranges."""
-        table = self._table(at)
-        size = len(table[0])
-        return (_first_best([(i, table[i], True) for i in self.p_coords], size, -math.inf,
-                            np.greater),
-                _first_best([(i, table[i], True) for i in self.q_coords], size, math.inf,
-                            np.less))
-
     def logs_at(self, ms) -> tuple[LogArray, LogArray]:
         """``logs(m)`` at each m of ``ms`` (a numpy index) as two arrays."""
-        (growth, _), (gain, _) = self._extremes_at(ms)
-        return growth, gain
+        table = self._table(ms)
+        size = len(table[0])
+        return (_first_best([(i, table[i], True) for i in self.p_coords], size, -math.inf,
+                            np.greater)[0],
+                _first_best([(i, table[i], True) for i in self.q_coords], size, math.inf,
+                            np.less)[0])
 
     @cached_property
     def row_logs(self) -> tuple[LogArray, LogArray]:
@@ -1126,14 +1118,16 @@ class _DiagonalRow(_Row):
         return self.logs_at(slice(self.n, self.hi + 1))
 
     def extremes(self, m: int) -> RestrictedExtremes:
-        """Restricted extremes at (m, n) with their extremal directions."""
-        (g, gi), (h, hi) = self._extremes_at([m])
+        """Restricted extremes at (m, n): the coordinates of ``direction(m, n,
+        side)`` and the factors at m along them."""
+        table = self._table([m, self.n])  # entry 0 at m, entry 1 at n
+        ip, iq = (self._coordinate(table, side) for side in "PQ")
         dim = self.sweeps.dim
         return RestrictedExtremes(
-            LogScalar.from_log(g.item(0)),
-            LogScalar.from_log(h.item(0)),
-            None if gi[0] < 0 else _unit(dim, int(gi[0])),
-            None if hi[0] < 0 else _unit(dim, int(hi[0])),
+            LogScalar.from_log(-math.inf if ip < 0 else table[ip].item(0)),
+            LogScalar.from_log(math.inf if iq < 0 else table[iq].item(0)),
+            None if ip < 0 else _unit(dim, ip),
+            None if iq < 0 else _unit(dim, iq),
         )
 
     def _ratios(self, i: np.ndarray, j: np.ndarray) -> tuple[LogArray, LogArray]:
@@ -1145,14 +1139,17 @@ class _DiagonalRow(_Row):
         return (_coordinate_ratios(self.p_coords, table, m_at, k_at)[0],
                 _coordinate_ratios(self.q_coords, table, k_at, m_at)[0])
 
-    def triplet_direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
-        """Witness direction of a triplet: the first coordinate of the largest
-        ratio of the side among those with a nonzero denominator."""
-        table = self._table([m, k])  # entry 0 at m, entry 1 at k
-        num, den = (np.array([0]), np.array([1])) if side == "P" else (np.array([1]), np.array([0]))
-        coords = self.p_coords if side == "P" else self.q_coords
-        i = int(_coordinate_ratios(coords, table, num, den)[1][0])
+    def direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
+        """Witness direction of the side's ratio between horizons k <= m: its
+        first extremal coordinate, an unbounded ratio's included."""
+        i = self._coordinate(self._table([m, k]), side)
         return () if i < 0 else _unit(self.sweeps.dim, i)
+
+    def _coordinate(self, table: list[LogArray], side: str) -> int:
+        """The first coordinate of the side's largest ratio between the
+        horizons of entries 0 (m) and 1 (k) of ``table``; -1 for none."""
+        coords, num = (self.p_coords, 0) if side == "P" else (self.q_coords, 1)
+        return int(_coordinate_ratios(coords, table, [num], [1 - num])[1][0])
 
 
 def _first_best(candidates, size: int, empty: float, better) -> tuple[LogArray, np.ndarray]:
@@ -1167,21 +1164,19 @@ def _first_best(candidates, size: int, empty: float, better) -> tuple[LogArray, 
     return out, arg
 
 
-def _coordinate_ratios(coords: list[int], table: list[LogArray], num: np.ndarray,
-                       den: np.ndarray) -> tuple[LogArray, np.ndarray]:
+def _coordinate_ratios(coords: list[int], table: list[LogArray], num,
+                       den) -> tuple[LogArray, np.ndarray]:
     """The largest log table[i][num[t]] - table[i][den[t]] over the coords i
-    whose denominator is nonzero, and its first coordinate (``_first_best``);
-    +inf where a coordinate alive at the numerator's horizon is annihilated
-    at the denominator's."""
-    unbounded, candidates = np.zeros(len(num), dtype=bool), []
+    that are alive at either horizon, and its first coordinate
+    (``_first_best``): a coordinate alive at the numerator's horizon and
+    annihilated at the denominator's gives +inf there."""
+    candidates = []
     for i in coords:
         top, bottom = table[i][num], table[i][den]
-        alive = bottom.values != -math.inf
-        unbounded |= ~alive & (top.values != -math.inf)
+        alive = (top.values != -math.inf) | (bottom.values != -math.inf)
         with np.errstate(over="ignore"):
             candidates.append((i, sub(top, where(alive, bottom, 0.0)), alive))
-    best, arg = _first_best(candidates, len(num), -math.inf, np.greater)
-    return where(unbounded, math.inf, best), arg
+    return _first_best(candidates, len(num), -math.inf, np.greater)
 
 
 # How far the per-pair formula and the running-maximum form of one pair's

@@ -712,8 +712,8 @@ def pair_loop(
                 required = lsub(ladd(gap, g), cert.scale_offset(n))
                 return VerificationOutcome(
                     False,
-                    Witness(m, n, ext.directions(n, m)[0] or (), LogScalar.from_log(required),
-                            side="P"),
+                    Witness(m, n, ext.row(n).direction(m, n, "P"),
+                            LogScalar.from_log(required), side="P"),
                     checked,
                     slack_p,
                 )
@@ -725,8 +725,8 @@ def pair_loop(
                 required = lsub(lsub(gap, cert.scale_offset(m)), h)
                 return VerificationOutcome(
                     False,
-                    Witness(m, n, ext.directions(n, m)[1] or (), LogScalar.from_log(required),
-                            side="Q"),
+                    Witness(m, n, ext.row(n).direction(m, n, "Q"),
+                            LogScalar.from_log(required), side="Q"),
                     checked,
                     slack_q,
                 )
@@ -768,7 +768,7 @@ def triplet_loop(
             required = lsub(ladd(gap, bad), offset)
             return VerificationOutcome(
                 False,
-                Witness(m, n, row.triplet_direction(m, n, side), LogScalar.from_log(required),
+                Witness(m, n, row.direction(m, n, side), LogScalar.from_log(required),
                         side=side),
                 checked,
                 worse,

@@ -16,6 +16,7 @@ from dichotomy import (
     TabulatedProfile,
     TowerExponentProfile,
     WindowSpec,
+    default_alpha_grid,
     estimate_ed,
     estimate_ued,
     falsify,
@@ -364,3 +365,12 @@ def test_profile_validation_rejects_infinite_log():
     cert = DichotomyCertificate(Kind.NED, alpha=0.5, profile=bad)
     with pytest.raises(InvalidCertificateError, match="profile log is inf at n=1"):
         verify_certificate(entry.system, entry.projection, cert, WindowSpec(0, 1))
+
+
+def test_one_index_window_reads_the_next_pair_for_its_alpha_grid():
+    # the system declares no last index, so the window 3..3 reads the pair
+    # (4, 3), as the window 3..4 does, instead of falling back to alpha 1
+    entry = make_example("ued_example")
+    grid = default_alpha_grid(entry.system, entry.projection, WindowSpec(3, 3))
+    assert grid == default_alpha_grid(entry.system, entry.projection, WindowSpec(3, 4))
+    assert grid[-1] != 1.0

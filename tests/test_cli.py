@@ -7,7 +7,19 @@ from pathlib import Path
 import pytest
 
 import dichotomy
-from dichotomy import serialize
+from dichotomy import (
+    ConstantProfile,
+    DichotomyCertificate,
+    Kind,
+    LogScalar,
+    ScaledProfile,
+    ShiftedPowerProfile,
+    TabulatedProfile,
+    TowerExponentProfile,
+    serialize,
+)
+from dichotomy.config import parse_system_file
+from dichotomy.system import compatibility_defect
 from test_config import DIAGONAL, EXPLICIT, MALFORMED_FILES, system_file
 
 BASE = [sys.executable, "-m", "dichotomy"]
@@ -308,6 +320,22 @@ def test_report_roundtrip_reparses_identically(tmp_path):
     assert json.dumps(serialize.profile_series_to_json(parsed4)) == json.dumps(report4["profile"])
 
 
+@pytest.mark.parametrize("profile", [
+    ConstantProfile(2.0),
+    ShiftedPowerProfile(2.0, 1.5),
+    TowerExponentProfile(),
+    ScaledProfile(ShiftedPowerProfile(1.0, 2.0), -0.25),
+    # a zero value (log -inf) and an int log beyond float precision
+    TabulatedProfile(3, (LogScalar.zero(), LogScalar.from_log(2**70 + 1),
+                         LogScalar.from_log(0.5))),
+], ids=lambda p: p.describe()["form"])
+def test_ned_certificates_round_trip_every_profile_form(profile):
+    # strict JSON: every log is a number or "inf" / "-inf", as in a report
+    cert = DichotomyCertificate(Kind.NED, alpha=0.5, profile=profile)
+    text = json.dumps(serialize.certificate_to_json(cert), allow_nan=False)
+    assert serialize.certificate_from_json(json.loads(text)) == cert
+
+
 def test_estimate_grid_report(tmp_path):
     proc = run_cli(
         "estimate", "--gallery", "ued_example", "--kind", "ued",
@@ -324,6 +352,39 @@ def test_estimate_grid_report(tmp_path):
     report2 = json.loads(proc2.stdout)
     est2 = serialize.exponential_estimate_from_json(report2["result"])
     assert all(not p.stable for p in est2.table)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gallery", "ued_example", "--kind", "ued", "--alphas", "0.1,0.3,0.5", "--window", "0..40"],
+    ["--gallery", "ed_example", "--kind", "ed", "--window", "0..20"],
+])
+def test_estimate_grid_csv_has_one_row_per_grid_point(tmp_path, argv):
+    from dichotomy.cli import main
+
+    report, csv = tmp_path / "e.json", tmp_path / "e.csv"
+    main(["estimate", *argv, "--report", str(report), "--csv", str(csv)])
+    grid = json.loads(report.read_text(encoding="utf-8"))["result"]["grid"]
+    rows = csv.read_text(encoding="utf-8").splitlines()
+    assert len(grid) > 1
+    assert rows == ["index,value_logmag,value_sign"] + [
+        f"{i},{point['log_n_full']},1" for i, point in enumerate(grid)
+    ]
+
+
+def test_mask_change_across_a_nonzero_factor_is_incompatible(tmp_path, capsys):
+    from dichotomy.cli import main
+
+    # coordinate 0 leaves P at 3, but its factor a(3) = 0.5 does not annihilate it
+    text = system_file(DIAGONAL, "mask = 1,0\nmask@3 = 0,0")
+    sys_, proj, _ = parse_system_file(text)
+    assert [compatibility_defect(sys_, proj, n) for n in range(4)] == [0.0, 0.0, 0.5, 0.5]
+    path = tmp_path / "moving.cfg"
+    path.write_text(text, encoding="utf-8")
+    argv = ["verify", "--system", str(path), "--cert", "UED:N=1,alpha=0.1", "--window", "0..5"]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "IncompatibleProjectionError"
+    assert "at n=2 " in error["message"]
 
 
 def test_unknown_gallery_name_is_usage_error():

@@ -27,13 +27,16 @@ from dichotomy import (
     SystemDescription,
     TabulatedProfile,
     WindowSpec,
+    WitnessSchedule,
     estimate_ed,
     estimate_ued,
+    falsify,
     minimal_ned_profile,
     optimal_N_for_alpha,
     restricted_extremes,
     restricted_ratio_extremes,
     verify_certificate,
+    verify_datko_ued,
     verify_triplet_form,
 )
 from dichotomy.logscalar import ladd
@@ -361,6 +364,17 @@ def test_overflow_after_the_witness_keeps_the_witness():
     # a pair at or beyond the overflow still raises
     with pytest.raises(DenseOverflowError):
         restricted_extremes(sys_, proj, 2, 0)
+
+
+def test_trajectories_that_overflow_raise():
+    # every trajectory from 0 leaves the doubles at its second step
+    sys_ = SystemDescription(2, ExplicitSequence([1e200 * np.eye(2)] * 7))
+    proj = ProjectionFamily(2, matrix=[[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(DenseOverflowError, match=r"over \(0, 2\]"):
+        verify_datko_ued(sys_, proj, 0.1, 2.0, WindowSpec(0, 1), 5)
+    schedule = WitnessSchedule("from_zero", lambda k: (k, 0), 0)
+    with pytest.raises(DenseOverflowError, match=r"over \(0, 2\]"):
+        falsify(sys_, proj, Kind.UED, schedule, range(4))
 
 
 @pytest.mark.parametrize("seed", range(40))

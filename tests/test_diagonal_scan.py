@@ -141,7 +141,9 @@ def brute_extremes(sys, proj, m, n):
 def brute_ratios(sys, proj, m, n, p):
     """(ratio_P, ratio_Q, P witness coordinate, Q witness coordinate) of the
     triplet: the witness is the first coordinate of the largest ratio among
-    those with a nonzero denominator."""
+    those with a nonzero numerator or denominator, a nonzero numerator over
+    a zero denominator being an unbounded ratio (so an unbounded Q ratio's
+    witness is its first annihilated coordinate)."""
     mask = proj.mask(p)
     ratio = {"P": LogScalar.zero(), "Q": LogScalar.zero()}
     best = {"P": (None, None), "Q": (None, None)}
@@ -149,11 +151,9 @@ def brute_ratios(sys, proj, m, n, p):
         side = "P" if mask[i] else "Q"
         num = sabs(sys.diag_factor(i, m if side == "P" else n, p))
         den = sabs(sys.diag_factor(i, n if side == "P" else m, p))
-        if den.is_zero:
-            if side == "Q" and not num.is_zero:
-                ratio["Q"] = LogScalar.positive_infinity()
+        if den.is_zero and num.is_zero:
             continue
-        r = sdiv(num, den)
+        r = LogScalar.positive_infinity() if den.is_zero else sdiv(num, den)
         ratio[side] = smax(ratio[side], r)
         if best[side][0] is None or scmp(r, best[side][0]) > 0:
             best[side] = (r, i)
@@ -314,7 +314,8 @@ def test_verify_matches_pair_scan(case, data):
         assert (got.m, got.n, got.side) == (m, n, side)
         assert got.required_constant.logmag == required
         kernel = _sweeps(sys_, proj, window.n_min, window.m_max)
-        want_dir = checkers._PairExtremes(kernel).directions(n, m)[0 if side == "P" else 1]
+        ext = kernel.row(n).extremes(m)
+        want_dir = ext.direction_p if side == "P" else ext.direction_q
         assert got.direction == (want_dir or ())
         assert out.min_slack == min_slack
 
@@ -617,8 +618,8 @@ def test_kernel_matches_per_pair_formulas(case, data):
             got_p, got_q = row.ratios(m, n)
             assert same(got_p, ratio_p.logmag) and same(got_q, ratio_q.logmag)
             assert same(batch_p[t], ratio_p.logmag) and same(batch_q[t], ratio_q.logmag)
-            assert row.triplet_direction(m, n, "P") == (unit(dim, wit_p) or ())
-            assert row.triplet_direction(m, n, "Q") == (unit(dim, wit_q) or ())
+            assert row.direction(m, n, "P") == (unit(dim, wit_p) or ())
+            assert row.direction(m, n, "Q") == (unit(dim, wit_q) or ())
     entries = st.sampled_from([0.0, 1.0, -1.0, 0.5, -3.25])
     vectors = [tuple(1.0 if j == i else 0.0 for j in range(dim)) for i in range(dim)]
     vectors += data.draw(st.lists(st.tuples(*[entries] * dim), min_size=1, max_size=3))

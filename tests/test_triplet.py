@@ -11,15 +11,17 @@ and the weights are exact or dyadic, so that neither form rounds, and to
 1e-12 otherwise.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_dense_kernel import block_fixture, dense_cases
 from test_dense_kernel import certificates as dense_certificates
-from test_dense_kernel import dense_cases
-from test_diagonal_scan import PROPERTY, certificates, diagonal_cases, same
+from test_diagonal_scan import PROPERTY, certificates, diagonal_cases, same, unit
 
 from dichotomy import (
     DenseOverflowError,
@@ -34,8 +36,10 @@ from dichotomy import (
     verify_triplet_form,
 )
 from dichotomy import system
+from dichotomy.cli import main
+from dichotomy.logscalar import lsub
 from dichotomy.system import DiagonalClosedForm, _sweeps
-from oracles import _sup_ratio, triplet_loop
+from oracles import _sup_ratio, factor_log, triplet_loop
 
 
 def run(check, *args, **kw):
@@ -199,3 +203,101 @@ def test_diagonal_triplet_form_makes_no_per_triplet_ratio_call(monkeypatch):
     proj = ProjectionFamily(2, mask=(True, False))
     cert = DichotomyCertificate(Kind.UED, alpha=0.5, n_const=1.0)
     assert verify_triplet_form(sys_, proj, cert, WindowSpec(0, 20, triplet=True)).holds
+
+
+# -- the witness direction ----------------------------------------------------
+
+
+def coordinate_ratio(kernel, i, m, k, p, side):
+    """The side's ratio of coordinate i between horizons k <= m, seeded at p:
+    +inf where it is alive at the numerator's horizon and annihilated at the
+    denominator's, None where it is annihilated at both."""
+    top, bottom = (factor_log(kernel, i, h, p) for h in ((m, k) if side == "P" else (k, m)))
+    if top == bottom == -math.inf:
+        return None
+    return math.inf if bottom == -math.inf else lsub(top, bottom)
+
+
+def assert_pair_directions(row, m):
+    # the witness of the pair form (k = n) is the direction of the extremes
+    ext = row.extremes(m)
+    assert row.direction(m, row.n, "P") == (ext.direction_p or ())
+    assert row.direction(m, row.n, "Q") == (ext.direction_q or ())
+
+
+@PROPERTY
+@given(diagonal_cases())
+def test_diagonal_witness_is_the_first_coordinate_of_the_ratio(case):
+    # zero factors, masks that change across them, exact logs: the witness of
+    # every triplet is the first coordinate whose ratio is the side's ratio,
+    # an unbounded one included, and at p = n that of the extremes
+    _, sys_, proj, window, _ = case
+    lo, hi, dim = window.n_min, window.m_max, sys_.dim
+    kernel = _sweeps(sys_, proj, lo, hi)
+    for p in range(lo, hi + 1):
+        row, mask = kernel.row(p), proj.mask(p)
+        for k in range(p, hi + 1):
+            for m in range(k, hi + 1):
+                if k == p:
+                    assert_pair_directions(row, m)
+                for side, ratio in zip("PQ", row.ratios(m, k)):
+                    coords = [i for i in range(dim) if mask[i] == (side == "P")]
+                    first = next((i for i in coords
+                                  if coordinate_ratio(kernel, i, m, k, p, side) == ratio), None)
+                    assert row.direction(m, k, side) == (unit(dim, first) or ())
+
+
+@st.composite
+def block_cases(draw):
+    span = draw(st.integers(0, 8))
+    sys_, proj = block_fixture(draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 5)), span,
+                               (0.80, 0.85), (1.15, 1.20))
+    return sys_, proj, WindowSpec(0, span)
+
+
+@PROPERTY
+@given(st.one_of(block_cases(), dense_cases()))
+def test_dense_witness_is_the_direction_of_the_extremes(case):
+    # both sides read at the horizon m, whatever the triplet's k
+    sys_, proj, window = case
+    lo, hi = window.n_min, window.m_max
+    kernel = _sweeps(sys_, proj, lo, hi)
+    for p in range(lo, hi + 1):
+        row = kernel.row(p)
+        for m in range(p, hi + 1):
+            assert_pair_directions(row, m)
+            for k in range(p, m + 1):
+                for side in "PQ":
+                    assert row.direction(m, k, side) == row.direction(m, p, side)
+
+
+DENSE_DIAGONAL = "[system]\ndim = 3\nsource = explicit\n" + "".join(
+    f"A{k} = 0.5,0,0; 0,1.01,0; 0,0,3\n" for k in range(7)
+) + "[projection]\nmask = 1,0,0\n"
+
+
+@pytest.mark.parametrize("text, cert, window, want", [
+    # a zero factor annihilates coordinate 1 at 7, where the Q ratio of
+    # coordinate 2 is only e^-1.7
+    (None, "UED:N=5,alpha=0.1", "0..8", (7, 5, "Q", [0.0, 1.0, 0.0], "inf")),
+    # written densely: the slow Q coordinate, not the fast one
+    (DENSE_DIAGONAL, "UED:N=1,alpha=0.5", "0..6", (1, 0, "Q", [0.0, 1.0, 0.0], 0.49005)),
+])
+def test_both_verify_forms_name_the_same_witness(tmp_path, text, cert, window, want):
+    path = Path(__file__).parent / "golden" / "zeros.cfg"
+    if text is not None:
+        path = tmp_path / "system.cfg"
+        path.write_text(text, encoding="utf-8")
+    witnesses = []
+    for flags in ([], ["--triplet"]):
+        report = tmp_path / "report.json"
+        argv = ["verify", "--system", str(path), "--cert", cert, "--window", window, *flags]
+        assert main([*argv, "--report", str(report)]) == 1
+        witnesses.append(json.loads(report.read_text(encoding="utf-8"))["result"]["witness"])
+    assert witnesses[0] == witnesses[1]
+    w = witnesses[0]
+    m, n, side, direction, logmag = want
+    assert (w["m"], w["n"], w["side"]) == (m, n, side)
+    assert [abs(v) for v in w["direction"]] == direction  # the SVD picks the sign
+    got = w["required_constant"]["logmag"]
+    assert got == logmag if isinstance(logmag, str) else math.isclose(got, logmag, abs_tol=1e-5)
