@@ -137,13 +137,14 @@ class ScaledProfile(Profile):
     """A base profile multiplied by a fixed positive factor (log-domain)."""
 
     base: Profile
-    log_factor: float
+    log_factor: LogMag
 
     def log_at(self, n: int) -> LogMag:
         return ladd(self.base.log_at(n), self.log_factor)
 
     def describe(self) -> dict:
-        return {"form": "scaled", "log_factor": self.log_factor, "base": self.base.describe()}
+        return {"form": "scaled", "log_factor": json_log(self.log_factor),
+                "base": self.base.describe()}
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .errors import (
     OutOfRangeError,
     ScheduleOutOfRangeError,
 )
-from .logarray import LogArray, add, full, logaddexp, sub, times, where
+from .logarray import LogArray, add, full, logaddexp, neg, sub, times, where
 from .logscalar import LogMag, LogScalar, ladd, lfloat, lsub
 from .system import (
     ProjectionFamily,
@@ -146,52 +146,25 @@ def verify_certificate(
     A pair violates when its log-domain slack drops below -tol. The
     reported witness carries the extremal direction and the exact minimal
     constant that would repair the inequality at that pair. The pairs (n, m)
-    of a row are checked as one array over the row's logs, and only in the
-    rows that the kernel's ``rows_to_scan`` returns; the verdict, witness,
-    count and least slack are those of the loop over every pair in
-    lexicographic (n, m) order, the P side of a pair before its Q side.
+    of a row are checked as one block (``_scan``) over the row's logs, and
+    only in the rows that the kernel's ``rows_to_scan`` returns; the
+    verdict, witness, count and least slack are those of the loop over
+    every pair in lexicographic (n, m) order, the P side of a pair first.
     """
     weights = _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
-    lo, hi, alpha = window.n_min, window.m_max, cert.alpha
+    lo, hi = window.n_min, window.m_max
     kernel = _sweeps(sys, proj, lo, hi)
     ext = _PairExtremes(kernel)
-    rows, min_slack = kernel.rows_to_scan(alpha, weights, tol)
-    for n in rows:
-        g, h = map(LogArray, ext.row(n).row_logs)  # m = n..end
-        ms = np.arange(n, n + len(g))
-        gap = times(alpha, ms - n)
-        live = np.flatnonzero(h.values != math.inf)
-        with np.errstate(over="ignore"):
-            slack_p = _slacks(weights[np.full(len(g), n - lo)], add(gap, g))
-            rhs_q = add(weights[ms[live] - lo], h[live])
-            if len(live) < len(h):
-                # a trivial Q range (h = +inf) makes the right side +inf, unadded
-                rhs_q = full(len(h), math.inf).put(live, rhs_q)
-            slack_q = _slacks(rhs_q, gap)
-        # min(slack_p, slack_q), the first of two equal ones
-        worse = np.where(slack_q < slack_p, slack_q, slack_p)
-        bad = np.flatnonzero(worse < -tol)
-        if bad.size:
-            m = n + int(bad[0])
-            gap, g, h = alpha * (m - n), g.item(m - n), h.item(m - n)
-            if slack_p[m - n] < -tol:
-                side, slack = "P", slack_p[m - n]
-                required = lsub(ladd(gap, g), cert.scale_offset(n))
-            else:
-                side, slack = "Q", slack_q[m - n]
-                required = lsub(lsub(gap, cert.scale_offset(m)), h)
-            return VerificationOutcome(
-                False,
-                Witness(m, n, ext.row(n).direction(m, n, side), LogScalar.from_log(required),
-                        side=side),
-                _pairs_before(lo, hi, n) + m - n + 1,
-                float(slack),
-            )
-        min_slack = min(min_slack, float(worse[np.argmin(worse)]))
-        if len(worse) < hi - n + 1:
-            ext.logs(n, hi)  # the row overflows before hi: raises
-    return VerificationOutcome(True, None, _pairs_before(lo, hi, hi + 1), min_slack)
+    rows, min_slack = kernel.rows_to_scan(cert.alpha, weights, tol)
+
+    def blocks():
+        for n in rows:
+            g, h = map(LogArray, ext.row(n).row_logs)  # m = n..end
+            yield n, np.full(len(g), n), np.arange(n, n + len(g)), g, neg(h), hi - n + 1
+
+    return _scan(ext, cert, window, tol, weights, blocks(), min_slack,
+                 lambda p, n: _pairs_before(lo, hi, n))
 
 
 def verify_triplet_form(
@@ -205,46 +178,68 @@ def verify_triplet_form(
 
     Equivalent to the pair form on the induced window (the pair form is the
     p = n slice); kept separate so the equivalence itself can be tested.
-    The triplets (p, n, m) of a seed p are checked as one array, and only in
-    the rows n that the kernel's ``triplet_rows_to_scan`` returns; the
-    verdict, witness and count are those of the loop over every triplet in
-    lexicographic (p, n, m) order.
+    The triplets (p, n, m) of a seed p are checked as one block (``_scan``),
+    and only in the rows n that the kernel's ``triplet_rows_to_scan``
+    returns; the verdict, witness and count are those of the loop over every
+    triplet in lexicographic (p, n, m) order, the P side of a triplet first.
     """
     weights = _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
-    lo, hi, alpha = window.n_min, window.m_max, cert.alpha
+    lo, hi = window.n_min, window.m_max
     kernel = _sweeps(sys, proj, lo, hi)
-    to_scan, min_slack = kernel.triplet_rows_to_scan(alpha, weights, tol)
-    for p, ns in to_scan:
-        row = kernel.row(p)
-        k_of, m_of, rp, rq = row.triplet_ratios(ns)
-        rp, rq = LogArray(rp), LogArray(rq)
-        gap = times(alpha, m_of - k_of)
+    ext = _PairExtremes(kernel)
+    to_scan, min_slack = kernel.triplet_rows_to_scan(cert.alpha, weights, tol)
+    blocks = ((p, *ext.row(p).triplet_ratios(ns), sum(hi + 1 - n for n in ns))
+              for p, ns in to_scan)
+    return _scan(ext, cert, window, tol, weights, blocks, min_slack,
+                 lambda p, n: _triplets_before(lo, hi, p, n))
+
+
+def _scan(ext: _PairExtremes, cert: DichotomyCertificate, window: WindowSpec, tol: float,
+          weights: LogArray, blocks, min_slack: float, before) -> VerificationOutcome:
+    """The check of both verify forms over ``blocks`` (seed, ks, ms,
+    log ratio_P, log ratio_Q, size): the seed row's ratios between horizons
+    ks[t] <= ms[t], ``size`` entries due, cut at the row's end. The slacks
+    are log r(k) - (alpha (m - k) + ratio_P) and (log r(m) - ratio_Q) -
+    alpha (m - k), +inf where ratio_Q is -inf; the first entry below -tol is
+    the witness, P before Q, counted by ``before(seed, k)``."""
+    lo, hi, alpha = window.n_min, window.m_max, cert.alpha
+    for seed, ks, ms, ratio_p, ratio_q, size in blocks:
+        ratio_p, ratio_q = LogArray(ratio_p), LogArray(ratio_q)
+        gap = times(alpha, ms - ks)
+        live = np.flatnonzero(ratio_q.values != -math.inf)
         with np.errstate(over="ignore"):
-            slack_p = _slacks(weights[k_of - lo], add(gap, rp))
-            slack_q = _slacks(weights[m_of - lo], add(gap, rq))
+            slack_p = _slacks(weights[ks - lo], add(gap, ratio_p))
+            rhs_q = sub(weights[ms[live] - lo], ratio_q[live])
+            if len(live) < len(ratio_q):
+                # a trivial Q range makes the right side +inf, unsubtracted
+                rhs_q = full(len(ratio_q), math.inf).put(live, rhs_q)
+            slack_q = _slacks(rhs_q, gap)
         # min(slack_p, slack_q), the first of two equal ones
         worse = np.where(slack_q < slack_p, slack_q, slack_p)
         bad = np.flatnonzero(worse < -tol)
         if bad.size:
             t = int(bad[0])
-            n, m = int(k_of[t]), int(m_of[t])
-            side = "P" if slack_p[t] <= slack_q[t] else "Q"
-            ratio = (rp if side == "P" else rq).item(t)
-            offset = cert.scale_offset(n) if side == "P" else cert.scale_offset(m)
-            required = lsub(ladd(alpha * (m - n), ratio), offset)
+            n, m = int(ks[t]), int(ms[t])
+            gap = alpha * (m - n)
+            if slack_p[t] < -tol:
+                side, slack = "P", slack_p[t]
+                required = lsub(ladd(gap, ratio_p.item(t)), cert.scale_offset(n))
+            else:
+                side, slack = "Q", slack_q[t]
+                required = ladd(lsub(gap, cert.scale_offset(m)), ratio_q.item(t))
             return VerificationOutcome(
                 False,
-                Witness(m, n, row.direction(m, n, side), LogScalar.from_log(required),
+                Witness(m, n, ext.row(seed).direction(m, n, side), LogScalar.from_log(required),
                         side=side),
-                _triplets_before(lo, hi, p, n) + m - n + 1,
-                float(worse[t]),
+                before(seed, n) + m - n + 1,
+                float(slack),
             )
         if worse.size:
             min_slack = min(min_slack, float(worse[np.argmin(worse)]))
-        if len(worse) < sum(hi + 1 - n for n in ns):
-            row.logs(hi)  # the row overflows before hi: raises
-    return VerificationOutcome(True, None, _triplets_before(lo, hi, hi + 1, hi + 1), min_slack)
+        if len(worse) < size:
+            ext.logs(seed, hi)  # the row overflows before hi: raises
+    return VerificationOutcome(True, None, before(hi + 1, hi + 1), min_slack)
 
 
 def _pairs_before(lo: int, hi: int, n: int) -> int:

@@ -195,6 +195,11 @@ def _sum(a: LogArray, b: LogArray, op: int) -> LogArray:
     return _exact(EXACT_FORM[op], a, b)
 
 
+def neg(a: LogArray) -> LogArray:
+    """The negation of each entry, exactly and in the entry's own type."""
+    return _made(-a.values, a.ints)
+
+
 def logaddexp(a, b) -> LogArray:
     """``logaddexp_mag`` of each pair of entries: where one is -inf it gives
     the other unchanged, an int or -0.0 included."""

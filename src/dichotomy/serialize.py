@@ -73,7 +73,7 @@ def profile_from_json(desc) -> Profile:
     if form == "tower_exponent":
         return TowerExponentProfile()
     if form == "scaled":
-        return ScaledProfile(profile_from_json(desc["base"]), float(desc["log_factor"]))
+        return ScaledProfile(profile_from_json(desc["base"]), _num_back(desc["log_factor"]))
     if form == "tabulated":
         values = tuple(
             LogScalar(int(v["sign"]), _num_back(v["logmag"])) for v in desc["values"]

@@ -809,11 +809,32 @@ class _DenseRow(_Row):
         return np.linalg.svd(self.ys, full_matrices=False)
 
     def direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
-        """Witness direction of the side's ratio between horizons k <= m: the
-        extremal direction of ``extremes(m)`` on either side, whatever k, so
-        every k names the pair form's witness (k = n)."""
-        ext = self.extremes(m)
-        return (ext.direction_p if side == "P" else ext.direction_q) or ()
+        """Witness direction of the side's ratio between horizons k <= m. At
+        k = n one image is the orthonormal start basis, and the direction is
+        that of ``extremes(m)``; at k = m, where the ratio is 1, the top
+        right singular vector of the image. Otherwise, as in ``_sup_ratios``:
+        with the denominator image U S V^T and w the top right singular
+        vector of the numerator image times V S^-1, the basis times
+        V S^-1 w, normalised, or the direction that a degenerate
+        denominator kills."""
+        if k == self.n:
+            ext = self.extremes(m)
+            return (ext.direction_p if side == "P" else ext.direction_q) or ()
+        basis = self.bp if side == "P" else self.bq
+        if not basis.shape[1]:
+            return ()
+        images, (_, s, vt) = (self.xs, self._svd_p) if side == "P" else (self.ys, self._svd_q)
+        i, j = self._at(m), k - self.n
+        num, den = (i, j) if side == "P" else (j, i)
+        if k == m:
+            z = vt[num, 0]
+        elif _degenerate(s[den:den + 1], images.shape[1:])[0]:
+            z = vt[den, -1]
+        else:
+            w = np.linalg.svd(images[num] @ vt[den].T / s[den])[2][0]
+            z = vt[den].T @ (w / s[den])
+            z /= np.linalg.norm(z)
+        return tuple(float(x) for x in basis @ z)
 
 
 def _block_logs(images: np.ndarray, held: np.ndarray, width: int, which: int,

@@ -741,8 +741,8 @@ def triplet_loop(
     tol: float = DEFAULT_LOG_TOL,
 ) -> VerificationOutcome:
     """``verify_triplet_form`` as the loop over every triplet (p, n, m) in
-    lexicographic order: one kernel row per seed p, one ``ratios`` call and
-    two ``_slack`` calls per triplet."""
+    lexicographic order, the P side before the Q side: one kernel row per
+    seed p, one ``ratios`` call and two ``_slack`` calls per triplet."""
     _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
     alpha = cert.alpha
@@ -757,21 +757,21 @@ def triplet_loop(
         rp, rq = row.ratios(m, n)
         gap = alpha * (m - n)
         slack_p = _slack(cert.r_log(n), ladd(gap, rp) if rp != -math.inf else -math.inf)
-        slack_q = _slack(cert.r_log(m), ladd(gap, rq) if rq != -math.inf else -math.inf)
+        slack_q = _slack(lsub(cert.r_log(m), rq) if rq != -math.inf else math.inf, gap)
         worse = min(slack_p, slack_q)
         if worse < min_slack:
             min_slack = worse
         if worse < -tol:
-            side = "P" if slack_p <= slack_q else "Q"
-            bad = rp if side == "P" else rq
-            offset = cert.scale_offset(n) if side == "P" else cert.scale_offset(m)
-            required = lsub(ladd(gap, bad), offset)
+            if slack_p < -tol:
+                side, slack, required = "P", slack_p, lsub(ladd(gap, rp), cert.scale_offset(n))
+            else:
+                side, slack, required = "Q", slack_q, ladd(lsub(gap, cert.scale_offset(m)), rq)
             return VerificationOutcome(
                 False,
                 Witness(m, n, row.direction(m, n, side), LogScalar.from_log(required),
                         side=side),
                 checked,
-                worse,
+                slack,
             )
     return VerificationOutcome(True, None, checked, min_slack)
 

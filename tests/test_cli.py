@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -325,6 +326,9 @@ def test_report_roundtrip_reparses_identically(tmp_path):
     ShiftedPowerProfile(2.0, 1.5),
     TowerExponentProfile(),
     ScaledProfile(ShiftedPowerProfile(1.0, 2.0), -0.25),
+    # a zero factor, and an int log factor beyond float precision
+    pytest.param(ScaledProfile(ConstantProfile(2.0), -math.inf), id="scaled-zero"),
+    pytest.param(ScaledProfile(ConstantProfile(2.0), 2**70 + 1), id="scaled-bigint"),
     # a zero value (log -inf) and an int log beyond float precision
     TabulatedProfile(3, (LogScalar.zero(), LogScalar.from_log(2**70 + 1),
                          LogScalar.from_log(0.5))),

@@ -33,6 +33,7 @@ from dichotomy import (
     SystemDescription,
     WindowSpec,
     make_example,
+    verify_certificate,
     verify_triplet_form,
 )
 from dichotomy import system
@@ -258,7 +259,10 @@ def block_cases(draw):
 @PROPERTY
 @given(st.one_of(block_cases(), dense_cases()))
 def test_dense_witness_is_the_direction_of_the_extremes(case):
-    # both sides read at the horizon m, whatever the triplet's k
+    # at k = p the direction of the extremes at m; beyond, a direction that
+    # attains the side's ratio between the horizons k and m, within 1e-9
+    # relative (1e-9 on its log), or within the rounding of its denominator
+    # image times the direction, which grows with that image's condition
     sys_, proj, window = case
     lo, hi = window.n_min, window.m_max
     kernel = _sweeps(sys_, proj, lo, hi)
@@ -266,14 +270,48 @@ def test_dense_witness_is_the_direction_of_the_extremes(case):
         row = kernel.row(p)
         for m in range(p, hi + 1):
             assert_pair_directions(row, m)
-            for k in range(p, m + 1):
-                for side in "PQ":
-                    assert row.direction(m, k, side) == row.direction(m, p, side)
+            for k in range(p + 1, m + 1):
+                for side, ratio in zip("PQ", row.ratios(m, k)):
+                    if ratio == -math.inf:  # a trivial range
+                        continue
+                    basis, images = (row.bp, row.xs) if side == "P" else (row.bq, row.ys)
+                    top, bottom = (m, k) if side == "P" else (k, m)
+                    z = basis.T @ np.array(row.direction(m, k, side))
+                    num, den = (np.linalg.norm(images[h - p] @ z) for h in (top, bottom))
+                    tol = max(1e-9, 1e-13 * np.linalg.cond(images[bottom - p]))
+                    assert math.isclose(math.log(num) - math.log(den), ratio,
+                                        rel_tol=0.0, abs_tol=tol)
+
+
+def test_dense_triplet_witness_attains_the_ratio_beyond_the_seed():
+    # seeded at 0, the P ratio between the horizons 1 and 2 is 1 along
+    # coordinate 0 and 0.6 along coordinate 1, where the growth at 2 peaks
+    mats = [np.eye(3), np.diag([0.1, 0.5, 3.0])] + [np.diag([1.0, 0.6, 3.0])] * 2
+    sys_ = SystemDescription(3, ExplicitSequence(mats))
+    proj = ProjectionFamily(3, matrix=np.diag([1.0, 1.0, 0.0]))
+    cert = DichotomyCertificate(Kind.UED, alpha=0.1, n_const=1.0)
+    for window in (WindowSpec(0, 3), WindowSpec(0, 3, triplet=True)):
+        check = verify_triplet_form if window.triplet else verify_certificate
+        w = check(sys_, proj, cert, window).witness
+        assert (w.m, w.n, w.side) == (2, 1, "P")
+        assert [abs(v) for v in w.direction] == [1.0, 0.0, 0.0]  # the SVD picks the sign
+    # A(2) kills Q coordinate 1: an unbounded Q ratio between the horizons 1
+    # and 2 names it
+    mats = [np.eye(3), np.diag([0.5, 2.0, 3.0]), np.diag([0.5, 0.0, 3.0])]
+    sys_ = SystemDescription(3, ExplicitSequence(mats))
+    proj = ProjectionFamily(3, matrix=np.diag([1.0, 0.0, 0.0]))
+    row = _sweeps(sys_, proj, 0, 2).row(0)
+    assert row.ratios(2, 1)[1] == math.inf
+    assert [abs(v) for v in row.direction(2, 1, "Q")] == [0.0, 1.0, 0.0]
 
 
 DENSE_DIAGONAL = "[system]\ndim = 3\nsource = explicit\n" + "".join(
     f"A{k} = 0.5,0,0; 0,1.01,0; 0,0,3\n" for k in range(7)
 ) + "[projection]\nmask = 1,0,0\n"
+BOTH_SIDES = (
+    "[system]\ndim = 2\nsource = diagonal\ncoord0 = linear_exponent: sigma=0, tau=-0.5\n"
+    "coord1 = linear_exponent: sigma=0, tau=0.1\n[projection]\nmask = 1,0\n"
+)
 
 
 @pytest.mark.parametrize("text, cert, window, want", [
@@ -282,6 +320,8 @@ DENSE_DIAGONAL = "[system]\ndim = 3\nsource = explicit\n" + "".join(
     (None, "UED:N=5,alpha=0.1", "0..8", (7, 5, "Q", [0.0, 1.0, 0.0], "inf")),
     # written densely: the slow Q coordinate, not the fast one
     (DENSE_DIAGONAL, "UED:N=1,alpha=0.5", "0..6", (1, 0, "Q", [0.0, 1.0, 0.0], 0.49005)),
+    # both sides violate at (1, 0): the P side is named first
+    (BOTH_SIDES, "UED:N=1,alpha=1", "0..5", (1, 0, "P", [1.0, 0.0], 0.5)),
 ])
 def test_both_verify_forms_name_the_same_witness(tmp_path, text, cert, window, want):
     path = Path(__file__).parent / "golden" / "zeros.cfg"
@@ -301,3 +341,36 @@ def test_both_verify_forms_name_the_same_witness(tmp_path, text, cert, window, w
     assert [abs(v) for v in w["direction"]] == direction  # the SVD picks the sign
     got = w["required_constant"]["logmag"]
     assert got == logmag if isinstance(logmag, str) else math.isclose(got, logmag, abs_tol=1e-5)
+
+
+@st.composite
+def both_forms_cases(draw):
+    """A diagonal, dense or block system with a UED or ED certificate, and
+    whether the system is diagonal."""
+    def ued_or_ed(cert):
+        return cert.kind in (Kind.UED, Kind.ED)
+
+    if draw(st.booleans()):
+        kind, sys_, proj, window, alpha = draw(diagonal_cases())
+        return sys_, proj, window, draw(certificates(kind, alpha, window).filter(ued_or_ed)), True
+    sys_, proj, window = draw(st.one_of(dense_cases(), block_cases()))
+    return sys_, proj, window, draw(dense_certificates(window).filter(ued_or_ed)), False
+
+
+@PROPERTY
+@given(both_forms_cases())
+def test_a_pair_witness_in_the_first_row_is_the_triplet_witness(case):
+    # the triplets (n_min, n_min, m) come first and are the pairs of row
+    # n_min, checked by the same rule, the P side first; on a diagonal system
+    # their ratios are the pair extremes bit for bit
+    sys_, proj, window, cert, diagonal = case
+    pair = run(verify_certificate, sys_, proj, cert, window)
+    if isinstance(pair, tuple) or pair.holds or pair.witness.n != window.n_min:
+        return
+    trip = verify_triplet_form(sys_, proj, cert,
+                               WindowSpec(window.n_min, window.m_max, triplet=True))
+    g, w = pair.witness, trip.witness
+    assert (w.m, w.n, w.side, w.direction) == (g.m, g.n, g.side, g.direction)
+    if diagonal:
+        assert same(w.required_constant, g.required_constant)
+        assert same(trip.min_slack, pair.min_slack)
