@@ -43,7 +43,7 @@ from .errors import (
     OutOfRangeError,
     ScheduleOutOfRangeError,
 )
-from .logarray import LogArray, add, full, logaddexp, neg, sub, times, where
+from .logarray import LogArray, add, logaddexp, neg, sub, times, where
 from .logscalar import LogMag, LogScalar, ladd, lfloat, lsub
 from .system import (
     ProjectionFamily,
@@ -207,13 +207,11 @@ def _scan(ext: _PairExtremes, cert: DichotomyCertificate, window: WindowSpec, to
     for seed, ks, ms, ratio_p, ratio_q, size in blocks:
         ratio_p, ratio_q = LogArray(ratio_p), LogArray(ratio_q)
         gap = times(alpha, ms - ks)
-        live = np.flatnonzero(ratio_q.values != -math.inf)
+        live = ratio_q.values != -math.inf
         with np.errstate(over="ignore"):
             slack_p = _slacks(weights[ks - lo], add(gap, ratio_p))
-            rhs_q = sub(weights[ms[live] - lo], ratio_q[live])
-            if len(live) < len(ratio_q):
-                # a trivial Q range makes the right side +inf, unsubtracted
-                rhs_q = full(len(ratio_q), math.inf).put(live, rhs_q)
+            # a trivial Q range makes the right side +inf, unsubtracted
+            rhs_q = where(live, sub(weights[ms - lo], where(live, ratio_q, 0.0)), math.inf)
             slack_q = _slacks(rhs_q, gap)
         # min(slack_p, slack_q), the first of two equal ones
         worse = np.where(slack_q < slack_p, slack_q, slack_p)

@@ -76,21 +76,6 @@ class LogArray:
         allow: part of an object array may take the float form."""
         return LogArray(self.values[index]) if self.exact else self[index]
 
-    def put(self, index, other) -> LogArray:
-        """A copy with the entries at a numpy index replaced by ``other``."""
-        other = _lift(other)
-        if self.exact or other.exact:
-            values = self.objects().copy()
-            values[index] = other.objects()
-            return _made(values)
-        values = self.values.copy()
-        values[index] = other.values
-        if self.ints is None and other.ints is None:
-            return _made(values)
-        ints = _marks(self).copy()
-        ints[index] = _marks(other)
-        return _made(values, _any(ints))
-
     def item(self, *index) -> LogMag:
         """One entry as a Python number."""
         value = self.values.item(*index)

@@ -490,29 +490,49 @@ def restricted_ratio_extremes(
     return RatioExtremes(*map(LogScalar.from_log, logs))
 
 
-def _degenerate(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Per row of singular values (largest first) of a matrix of ``shape``:
-    whether the matrix kills some direction, to rounding."""
-    return s[:, -1] <= s[:, 0] * max(shape) * np.finfo(float).eps
+def _killed(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Per singular value (largest first along the last axis) of a matrix of
+    ``shape``: whether the matrix kills its direction, to rounding."""
+    return s <= s[..., :1] * max(shape) * np.finfo(float).eps
 
 
 def _sup_ratios(out: np.ndarray, images: np.ndarray, svd, num: np.ndarray, den: np.ndarray):
     """log sup over z of |images[num[t]] z| / |images[den[t]] z| into
-    ``out[t]`` for every t, in one batched call; ``svd`` is the reduced SVD
-    of every image. With den = U S V^T the ratio is the top singular value
-    of num V S^-1. Unlike the pencil of the normal equations, whose error
-    grows with cond(den)^2, the rounding grows with cond(den). Where den
-    kills some direction the ratio is unbounded, unless num is zero."""
+    ``out[t]`` for every t; ``svd`` is the reduced SVD of every image. With
+    den = U S V^T the ratio is the top singular value of num V S^-1, one
+    batched call for every den that kills no direction. Unlike the pencil of
+    the normal equations, whose error grows with cond(den)^2, the rounding
+    grows with cond(den). The others take ``_ratio`` one at a time."""
     _, s, vt = svd
-    bad = _degenerate(s, images.shape[1:])[den]
-    if bad.any():
-        empty = np.linalg.norm(images, 2, axis=(1, 2))[num[bad]] == 0.0
-        out[bad] = np.where(empty, -math.inf, math.inf)
+    bad = _killed(s, images.shape[1:])[den, -1]
+    for t in np.flatnonzero(bad).tolist():
+        out[t] = _ratio(images[num[t]], s[den[t]], vt[den[t]])[0]
     ok = np.flatnonzero(~bad)
     if ok.size:
         a, b = num[ok], den[ok]
         stack = (images[a] @ vt[b].transpose(0, 2, 1)) / s[b][:, None, :]
         out[ok] = _log_values(np.linalg.svd(stack, compute_uv=False)[:, 0])
+
+
+def _ratio(num: np.ndarray, s: np.ndarray, vt: np.ndarray):
+    """(log sup over z of |num z| / |den z|, a unit z that attains it) for one
+    pair of images, with den = U S V^T. A direction v that den kills
+    (``_killed``) takes no part when |num v| is within the same share of
+    |num|, as a coordinate annihilated at both horizons of a diagonal ratio;
+    otherwise the ratio is unbounded, and the v with the largest |num v|
+    attains it. Over the others, the ratio is the top singular value of
+    num V S^-1, attained at V S^-1 w, normalised, with w the top right
+    singular vector."""
+    killed = _killed(s, num.shape)
+    leak = np.linalg.norm(num @ vt[killed].T, axis=0)
+    if (leak > np.linalg.norm(num, 2) * max(num.shape) * np.finfo(float).eps).any():
+        return math.inf, vt[killed][np.argmax(leak)]
+    if killed.all():  # den is zero, and num is too, to rounding
+        return -math.inf, vt[0]
+    v, s = vt[~killed], s[~killed]
+    _, top, wt = np.linalg.svd(num @ v.T / s)
+    z = v.T @ (wt[0] / s)
+    return _log_values(top[:1])[0], z / np.linalg.norm(z)
 
 
 class _DenseSweeps:
@@ -757,7 +777,7 @@ class _DenseRow(_Row):
     One SVD of the row per side, taken on the first ratio asked for, gives
     every denominator of ``_ratios`` (X_k on the P side, Y_m on the Q side),
     and one call gives the top singular values of all the X_m V S^-1 and
-    Y_k V S^-1."""
+    Y_k V S^-1 whose denominator kills no direction (``_sup_ratios``)."""
 
     def __init__(self, n: int, bp: np.ndarray, bq: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                  row_logs: tuple[np.ndarray, np.ndarray], hi: int):
@@ -772,20 +792,12 @@ class _DenseRow(_Row):
         return LogArray(growth[at]), LogArray(gain[at])
 
     def extremes(self, m: int) -> RestrictedExtremes:
-        """Restricted extremes at (m, n) with their extremal directions."""
-        i = self._at(m)
-        growth, dir_p = LogScalar.zero(), None
-        if self.bp.shape[1]:
-            _, s, vt = np.linalg.svd(self.xs[i])
-            growth = LogScalar.from_float(float(s[0]))
-            dir_p = tuple(float(x) for x in self.bp @ vt[0])
-        gain, dir_q = LogScalar.positive_infinity(), None
-        if self.bq.shape[1]:
-            _, s, vt = np.linalg.svd(self.ys[i])
-            k = self.bq.shape[1]
-            gain = LogScalar.from_float(float(s[k - 1]))
-            dir_q = tuple(float(x) for x in self.bq @ vt[k - 1])
-        return RestrictedExtremes(growth, gain, dir_p, dir_q)
+        """Restricted extremes at (m, n): ``logs(m)`` and the directions of
+        ``direction(m, n, side)``."""
+        growth, gain = self.logs(m)
+        return RestrictedExtremes(LogScalar.from_log(growth), LogScalar.from_log(gain),
+                                  self.direction(m, self.n, "P") or None,
+                                  self.direction(m, self.n, "Q") or None)
 
     def _ratios(self, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ratios at the horizons (n + i[t], n + j[t]) for every t. At
@@ -810,30 +822,22 @@ class _DenseRow(_Row):
 
     def direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
         """Witness direction of the side's ratio between horizons k <= m. At
-        k = n one image is the orthonormal start basis, and the direction is
-        that of ``extremes(m)``; at k = m, where the ratio is 1, the top
-        right singular vector of the image. Otherwise, as in ``_sup_ratios``:
-        with the denominator image U S V^T and w the top right singular
-        vector of the numerator image times V S^-1, the basis times
-        V S^-1 w, normalised, or the direction that a degenerate
-        denominator kills."""
-        if k == self.n:
-            ext = self.extremes(m)
-            return (ext.direction_p if side == "P" else ext.direction_q) or ()
+        k = n one image is the orthonormal start basis: the top (P) or least
+        (Q) right singular vector of the image at m. At k = m, where the
+        ratio is 1, the top right singular vector of the image. Otherwise
+        the direction of ``_ratio``. Each is mapped through the basis."""
+        i, j = self._at(m), k - self.n
         basis = self.bp if side == "P" else self.bq
         if not basis.shape[1]:
             return ()
-        images, (_, s, vt) = (self.xs, self._svd_p) if side == "P" else (self.ys, self._svd_q)
-        i, j = self._at(m), k - self.n
+        images, svd = (self.xs, self._svd_p) if side == "P" else (self.ys, self._svd_q)
         num, den = (i, j) if side == "P" else (j, i)
-        if k == m:
-            z = vt[num, 0]
-        elif _degenerate(s[den:den + 1], images.shape[1:])[0]:
-            z = vt[den, -1]
+        if k == self.n:
+            z = np.linalg.svd(images[i])[2][0 if side == "P" else basis.shape[1] - 1]
+        elif k == m:
+            z = svd[2][num, 0]
         else:
-            w = np.linalg.svd(images[num] @ vt[den].T / s[den])[2][0]
-            z = vt[den].T @ (w / s[den])
-            z /= np.linalg.norm(z)
+            z = _ratio(images[num], svd[1][den], svd[2][den])[1]
         return tuple(float(x) for x in basis @ z)
 
 
@@ -945,14 +949,14 @@ class _DiagonalSweeps:
         alpha (m - n) - weights[m - lo] - (pre_j[m] - pre_j[n]); +inf when a
         zero factor of j lies in (n, hi]; -inf when there is no such pair.
         ``in_p`` replaces the flags of ``self.in_p``."""
-        ax, out = times(alpha, np.arange(self.lo, self.hi + 1)), None
-        weights = LogArray(weights)
+        index, out = np.arange(self.hi - self.lo + 1), None
+        ax, weights = times(alpha, self.lo + index), LogArray(weights)
         for pre_i, bounds, in_p in zip(self.window, self.bounds,
                                        self.in_p if in_p is None else in_p):
             if not in_p.all():
                 run = segmented_max(sub(sub(ax, pre_i), weights), bounds[-2:], reverse=True)
                 # rows before the last stretch cross a zero factor
-                run = run.put(np.s_[..., :bounds[-2]], math.inf)
+                run = where(index < bounds[-2], math.inf, run)
                 out = _larger(out, _only(~in_p, add(sub(run, ax), pre_i)))
         return full(ax.values.shape, -math.inf) if out is None else out
 
@@ -961,13 +965,14 @@ class _DiagonalSweeps:
         alpha (m - n) - (pre_j[m] - pre_j[n]); +inf once such a pair crosses
         a zero factor of j; -inf when there is no such pair. A lower bound
         on log R_Q(m). A sequence of rates gives one such row per rate."""
-        ax, out = times(alpha, np.arange(self.lo, self.hi + 1)), None
+        index, out = np.arange(self.hi - self.lo + 1), None
+        ax = times(alpha, self.lo + index)
         for pre_i, bounds, in_p, crossed in zip(self.window, self.bounds, self.in_p, self.crossed):
             if not in_p.all():
                 starts = _only(~in_p, sub(pre_i, ax))
                 before = segmented_max(starts, bounds, reverse=False)
                 col = sub(add(before, ax), pre_i)
-                out = _larger(out, col.put(np.s_[..., crossed:], math.inf))
+                out = _larger(out, where(index >= crossed, math.inf, col))
         return full(ax.values.shape, -math.inf) if out is None else out
 
     def rows_to_scan(self, alpha: LogMag, weights, tol: float) -> tuple[list[int], float]:
@@ -1058,45 +1063,44 @@ class _DiagonalSweeps:
                             for a in (*self.window, weights))
         return 2 * scale if exact_nonzero else scale
 
+    def factor_logs(self, i: int, at, seeds) -> LogArray:
+        """log |a_i(m) ... a_i(s+1)| for each horizon m >= s of ``at`` and seed
+        s of ``seeds``, numpy indices of the prefix entries that broadcast
+        together: the ``lsub`` of the prefix log-sums at m and s, -inf once a
+        zero factor is crossed. Only the prefix entries at ``at`` and
+        ``seeds`` are read, in the form that their own values allow."""
+        pre, zeros = self.pre[i], self.zeros[i]
+        crossed = zeros[at] != zeros[seeds]
+        with np.errstate(over="ignore"):
+            logs = sub(pre.pick(at), pre.pick(seeds))
+        return where(crossed, -math.inf, logs) if crossed.any() else logs
+
     def trajectories(self, part: str, xs, seeds, at) -> LogArray:
         """log |A(j, s) x| for each row x of ``xs`` and its seed s = seeds[k],
         at each horizon j of row k of ``at`` (shape (rows, J), or (J,) for
         every row); -inf where j < s. The rows are taken as given (``part``
         is not applied).
 
-        Coordinate i contributes pre_i[j] - pre_i[s] + log |x_i|, one
-        broadcast over the table, unless x_i = 0 or a zero factor lies in
-        (s, j]; a unit entry adds nothing, so an exact difference stays
-        exact. Each entry is the first largest contribution. Only the prefix
-        entries at the seeds and horizons are read, in the form that their
-        own values allow.
+        Coordinate i contributes its ``factor_logs`` plus log |x_i|, one
+        broadcast over the table, unless x_i = 0; a unit entry adds nothing,
+        so an exact difference stays exact. Each entry is the first largest
+        contribution (``_first_best``).
         """
-        xs, seeds, at = np.asarray(xs, dtype=float), np.asarray(seeds), np.asarray(at)
-        shape = (len(xs), at.shape[-1])
-        best = full(shape, -math.inf)
-        coords = [i for i in range(self.dim) if xs[:, i].any()]
-        if not coords:
-            return best
-        keys, pos = np.unique(np.concatenate([seeds, at.ravel()]), return_inverse=True)
-        s_at, j_at = pos[:len(seeds), None], pos[len(seeds):].reshape(at.shape)
+        xs, seeds, at = np.asarray(xs, dtype=float), np.asarray(seeds)[:, None], np.asarray(at)
         # math.log of each distinct magnitude of the probes, not np.log: the
         # offsets keep the bits of the scalar formula
         mags, inverse = np.unique(np.abs(xs).ravel(), return_inverse=True)
         logs = np.array([math.log(v) if v else -math.inf for v in mags.tolist()])
         offs = logs[inverse].reshape(xs.shape)
-        with np.errstate(over="ignore"):
-            for i in coords:
-                pre, zeros = self.pre[i].pick(keys), self.zeros[i][keys]
-                cand = sub(pre[j_at], pre[s_at])
-                off = offs[:, i:i + 1]
-                scaled = np.flatnonzero(np.isfinite(off) & (off != 0.0))
-                if scaled.size:
-                    cand = cand.put(scaled, add(cand[scaled], off[scaled]))
-                better = (off > -math.inf) & (j_at >= s_at) & (zeros[j_at] == zeros[s_at])
-                if i != coords[0]:  # the first coordinate only meets -inf
-                    better &= cand.values > best.values
-                best = where(better, cand, best)
-        return best
+        candidates = []
+        for i in np.flatnonzero(xs.any(axis=0)).tolist():
+            off = offs[:, i:i + 1]
+            cand, scaled = self.factor_logs(i, at, seeds), np.isfinite(off) & (off != 0.0)
+            if scaled.any():
+                with np.errstate(over="ignore"):
+                    cand = where(scaled, add(cand, np.where(scaled, off, 0.0)), cand)
+            candidates.append((i, cand, (off > -math.inf) & (at >= seeds)))
+        return _first_best(candidates, (len(xs), at.shape[-1]), -math.inf, np.greater)[0]
 
 
 class _DiagonalRow(_Row):
@@ -1114,15 +1118,9 @@ class _DiagonalRow(_Row):
         self.q_coords = [i for i, b in enumerate(mask) if not b]
 
     def _table(self, at) -> list[LogArray]:
-        """Per coordinate i, log |a_i(m) ... a_i(n+1)| at each horizon m >= n
-        of ``at``, a numpy index of the prefix entries: the ``lsub`` of the
-        prefix log-sums at m and n, -inf once a zero factor is crossed. Only
-        the prefix entries at n and at ``at`` are read, in the form that their
-        own values allow."""
-        n, sweeps = self.n, self.sweeps
-        with np.errstate(over="ignore"):
-            return [where(zeros[at] != zeros[n], -math.inf, sub(pre.pick(at), pre.pick(n)))
-                    for pre, zeros in zip(sweeps.pre, sweeps.zeros)]
+        """Per coordinate, its ``factor_logs`` at each horizon m >= n of
+        ``at``, a numpy index of the prefix entries, seeded at n."""
+        return [self.sweeps.factor_logs(i, at, self.n) for i in range(self.sweeps.dim)]
 
     def logs_at(self, ms) -> tuple[LogArray, LogArray]:
         """``logs(m)`` at each m of ``ms`` (a numpy index) as two arrays."""
@@ -1173,12 +1171,13 @@ class _DiagonalRow(_Row):
         return int(_coordinate_ratios(coords, table, [num], [1 - num])[1][0])
 
 
-def _first_best(candidates, size: int, empty: float, better) -> tuple[LogArray, np.ndarray]:
+def _first_best(candidates, size, empty: float, better) -> tuple[LogArray, np.ndarray]:
     """Per entry of ``size``, the best values of the (coordinate, values,
     alive) ``candidates`` by the strict comparison ``better``, the first of
     equal ones, among those alive there, and its coordinate; ``empty`` and
-    -1 where none is."""
-    out, arg = full(size, empty), np.full(size, -1)
+    -1 where none is. The coordinates are int32: on a trajectory table an
+    int64 array doubled the cost of a call."""
+    out, arg = full(size, empty), np.full(size, -1, dtype=np.int32)
     for i, values, alive in candidates:
         take = alive & ((arg < 0) | better(values.values, out.values))
         out, arg = where(take, values, out), np.where(take, i, arg)

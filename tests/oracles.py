@@ -71,7 +71,6 @@ from dichotomy.errors import (
 )
 from dichotomy.logscalar import LogMag, ladd, lfloat, logaddexp_mag, lsub, rounding_scale
 from dichotomy.system import (
-    _degenerate,
     _overflow,
     _require_mask_for_diagonal,
     _sweeps,
@@ -807,17 +806,26 @@ def grid_search_loop(sys, proj, window: WindowSpec, points):
 
 
 def _sup_ratio(num: np.ndarray, den: np.ndarray, same_horizon: bool = False) -> float:
-    """log sup over z of |num z| / |den z|, one pair of images at a time: the
-    top singular value of num V S^-1, with den = U S V^T, unless den kills
-    some direction (``_degenerate``); then the ratio is unbounded unless num
-    is zero. Images at the same horizon have the ratio 1, unless they are
-    zero. The dense kernel batches this over a seed's row."""
+    """log sup over z of |num z| / |den z|, one pair of images at a time.
+    With den = U S V^T, a direction v that den kills (a singular value at
+    most max(shape) eps times the largest) takes no part when |num v| is at
+    most max(shape) eps |num|, and makes the ratio unbounded otherwise; over
+    the other directions the ratio is the top singular value of num V S^-1.
+    Images at the same horizon have the ratio 1, unless they are zero. The
+    dense kernel batches this over a seed's row."""
     if same_horizon:
         return -math.inf if float(np.linalg.norm(num, 2)) == 0.0 else 0.0
     _, s, vt = np.linalg.svd(den, full_matrices=False)
-    if _degenerate(s[None], den.shape)[0]:
-        return -math.inf if float(np.linalg.norm(num, 2)) == 0.0 else math.inf
-    top = float(np.linalg.svd((num @ vt.T) / s, compute_uv=False)[0])
+    share = max(den.shape) * np.finfo(float).eps
+    killed = s <= s[0] * share
+    if not killed.any():
+        top = float(np.linalg.svd((num @ vt.T) / s, compute_uv=False)[0])
+    elif (np.linalg.norm(num @ vt[killed].T, axis=0) > np.linalg.norm(num, 2) * share).any():
+        return math.inf
+    elif killed.all():
+        return -math.inf
+    else:
+        top = float(np.linalg.svd((num @ vt[~killed].T) / s[~killed])[1][0])
     return math.log(top) if top > 0 else -math.inf
 
 
