@@ -25,6 +25,7 @@ from . import serialize
 from .certificates import Kind, WindowSpec
 from .checkers import (
     WitnessSchedule,
+    _check_rates,
     default_alpha_grid,
     default_beta_grid,
     estimate_ed,
@@ -42,7 +43,7 @@ from .datko import (
     verify_datko_ned,
     verify_datko_ued,
 )
-from .errors import ConfigError, DichotomyError
+from .errors import ConfigError, DichotomyError, InvalidConstantsError
 from .gallery import (
     _EXAMPLES,
     CertificateClaim,
@@ -504,6 +505,12 @@ def _run_datko(args) -> int:
         big_d = parse_number(args.big_d, field="D") if args.big_d else None
         c_weight = parse_number(args.c_weight, field="c") if args.c_weight else 0.0
         s_profile = parse_profile_spec(args.s_profile) if args.s_profile else None
+    # the weights form c * j and the tail's weights beta * j, as verify's rates do
+    if form == "ed" and isinstance(c_weight, float) and not math.isfinite(
+            c_weight * (window.m_max + 1)):
+        raise InvalidConstantsError(f"need c * (m_max + 1) a finite double, got c={c_weight}")
+    if tail_cert is not None:
+        _check_rates(window, tail_cert.beta or 0.0)
     if form == "ned":
         if s_profile is None:
             raise ConfigError("the nonuniform form needs --s-profile or --from-cert")

@@ -289,8 +289,9 @@ def _side_reports(
     anchor, lhs = table[at_k, cols], sums[at_k, cols]
     live = anchor.values != -math.inf
     with np.errstate(over="ignore"):
-        # a weight plus a -inf anchor is -inf, as a dead point's right side
-        rhs = add(LogArray([weight(j) for j in at])[cols], anchor)
+        # a dead point's right side is -inf, also under a +inf weight
+        rhs = where(live, add(LogArray([weight(j) for j in at])[cols], where(live, anchor, 0.0)),
+                    -math.inf)
         if callable(tail):
             r, offset = (LogArray(v)[cols] for v in zip(*map(tail, at)))
             tails = where(live, add(add(r, where(live, anchor, 0.0)), offset), -math.inf)

@@ -496,43 +496,42 @@ def _killed(s: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return s <= s[..., :1] * max(shape) * np.finfo(float).eps
 
 
-def _sup_ratios(out: np.ndarray, images: np.ndarray, svd, num: np.ndarray, den: np.ndarray):
+def _sup_ratios(out: np.ndarray, images: np.ndarray, svd, num, den, witness=False):
     """log sup over z of |images[num[t]] z| / |images[den[t]] z| into
-    ``out[t]`` for every t; ``svd`` is the reduced SVD of every image. With
-    den = U S V^T the ratio is the top singular value of num V S^-1, one
-    batched call for every den that kills no direction. Unlike the pencil of
-    the normal equations, whose error grows with cond(den)^2, the rounding
-    grows with cond(den). The others take ``_ratio`` one at a time."""
+    ``out[t]`` for every t, with den = U S V^T from ``svd`` (the reduced SVD of
+    every image), one batched call per number r of directions den keeps (the
+    killed ones, ``_killed``, are a suffix of V). A killed v takes no part if
+    |num v| is within the same share of |num|, as a coordinate annihilated at
+    both horizons of a diagonal ratio; else the ratio is unbounded. Over the
+    kept ones it is the top singular value of num V_r S_r^-1 (-inf if r = 0),
+    whose rounding grows with cond(den), not its square. Returns the unit z
+    that attain them: that v with the largest |num v|, or V_r S_r^-1 w,
+    normalised, w the top right singular vector, if r < len(V) or ``witness``."""
     _, s, vt = svd
-    bad = _killed(s, images.shape[1:])[den, -1]
-    for t in np.flatnonzero(bad).tolist():
-        out[t] = _ratio(images[num[t]], s[den[t]], vt[den[t]])[0]
-    ok = np.flatnonzero(~bad)
-    if ok.size:
-        a, b = num[ok], den[ok]
-        stack = (images[a] @ vt[b].transpose(0, 2, 1)) / s[b][:, None, :]
-        out[ok] = _log_values(np.linalg.svd(stack, compute_uv=False)[:, 0])
-
-
-def _ratio(num: np.ndarray, s: np.ndarray, vt: np.ndarray):
-    """(log sup over z of |num z| / |den z|, a unit z that attains it) for one
-    pair of images, with den = U S V^T. A direction v that den kills
-    (``_killed``) takes no part when |num v| is within the same share of
-    |num|, as a coordinate annihilated at both horizons of a diagonal ratio;
-    otherwise the ratio is unbounded, and the v with the largest |num v|
-    attains it. Over the others, the ratio is the top singular value of
-    num V S^-1, attained at V S^-1 w, normalised, with w the top right
-    singular vector."""
-    killed = _killed(s, num.shape)
-    leak = np.linalg.norm(num @ vt[killed].T, axis=0)
-    if (leak > np.linalg.norm(num, 2) * max(num.shape) * np.finfo(float).eps).any():
-        return math.inf, vt[killed][np.argmax(leak)]
-    if killed.all():  # den is zero, and num is too, to rounding
-        return -math.inf, vt[0]
-    v, s = vt[~killed], s[~killed]
-    _, top, wt = np.linalg.svd(num @ v.T / s)
-    z = v.T @ (wt[0] / s)
-    return _log_values(top[:1])[0], z / np.linalg.norm(z)
+    width = s.shape[-1]
+    kept = np.count_nonzero(~_killed(s, images.shape[1:]), axis=-1)[den]
+    zs = np.empty((len(num), width))
+    for r in np.unique(kept).tolist() if kept.min(initial=width) < width else [width]:
+        at = np.flatnonzero(kept == r)
+        if r < width:
+            x, v = images[num[at]], vt[den[at]]
+            leak = np.linalg.norm(x @ v[:, r:].transpose(0, 2, 1), axis=1)
+            share = np.linalg.norm(x, 2, axis=(1, 2)) * max(x.shape[1:]) * np.finfo(float).eps
+            unbounded = (leak > share[:, None]).any(axis=1)
+            out[at] = np.where(unbounded, math.inf, -math.inf)  # -inf: den and num are zero
+            zs[at] = v[np.arange(len(at)), np.where(unbounded, r + leak.argmax(axis=1), 0)]
+            at = at[~unbounded]
+        if not r:
+            continue
+        b = den[at]
+        stack = (images[num[at]] @ vt[b, :r].transpose(0, 2, 1)) / s[b, None, :r]
+        if r == width and not witness:
+            out[at] = _log_values(np.linalg.svd(stack, compute_uv=False)[:, 0])
+            continue
+        _, top, wt = np.linalg.svd(stack)
+        z = vt[b, :r].transpose(0, 2, 1) @ (wt[:, 0] / s[b, :r])[..., None]
+        out[at], zs[at] = _log_values(top[:, 0]), (z / np.sqrt(z.transpose(0, 2, 1) @ z))[..., 0]
+    return zs
 
 
 class _DenseSweeps:
@@ -716,7 +715,7 @@ class _DenseSweeps:
             images = self.sweep(part, xs[list(first.values())].T, seed, upto)
             if len(images) <= upto - seed:
                 raise _overflow(seed, seed + len(images))
-            logs = np.array([_log_values(c) for c in np.linalg.norm(images, axis=1).T])
+            logs = _log_norms(images).T
             steps = at[rows] - seed
             picked = logs[[[column[k]] for k in keys], np.maximum(steps, 0)]
             out[rows] = np.where(steps >= 0, picked, -math.inf)
@@ -775,9 +774,9 @@ class _DenseRow(_Row):
     only a request beyond its end raises.
 
     One SVD of the row per side, taken on the first ratio asked for, gives
-    every denominator of ``_ratios`` (X_k on the P side, Y_m on the Q side),
-    and one call gives the top singular values of all the X_m V S^-1 and
-    Y_k V S^-1 whose denominator kills no direction (``_sup_ratios``)."""
+    every denominator of ``_ratios`` (X_k on the P side, Y_m on the Q side)
+    and the witnesses at k = n and k = m; ``_sup_ratios`` batches the top
+    singular values of all the X_m V S^-1 and Y_k V S^-1."""
 
     def __init__(self, n: int, bp: np.ndarray, bq: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                  row_logs: tuple[np.ndarray, np.ndarray], hi: int):
@@ -822,22 +821,20 @@ class _DenseRow(_Row):
 
     def direction(self, m: int, k: int, side: str) -> tuple[float, ...]:
         """Witness direction of the side's ratio between horizons k <= m. At
-        k = n one image is the orthonormal start basis: the top (P) or least
-        (Q) right singular vector of the image at m. At k = m, where the
-        ratio is 1, the top right singular vector of the image. Otherwise
-        the direction of ``_ratio``. Each is mapped through the basis."""
+        k = n one image is the orthonormal start basis, and at k = m the ratio
+        is 1: the row's own SVD gives the top (for Q at k = n, the least)
+        right singular vector of the image at m. Otherwise the witness of
+        ``_sup_ratios``. Each is mapped through the basis."""
         i, j = self._at(m), k - self.n
         basis = self.bp if side == "P" else self.bq
         if not basis.shape[1]:
             return ()
         images, svd = (self.xs, self._svd_p) if side == "P" else (self.ys, self._svd_q)
         num, den = (i, j) if side == "P" else (j, i)
-        if k == self.n:
-            z = np.linalg.svd(images[i])[2][0 if side == "P" else basis.shape[1] - 1]
-        elif k == m:
-            z = svd[2][num, 0]
+        if k in (self.n, m):
+            z = svd[2][i, -1 if side == "Q" and k == self.n else 0]
         else:
-            z = _ratio(images[num], svd[1][den], svd[2][den])[1]
+            z = _sup_ratios(np.empty(1), images, svd, np.array([num]), np.array([den]), True)[0]
         return tuple(float(x) for x in basis @ z)
 
 
@@ -854,6 +851,26 @@ def _block_logs(images: np.ndarray, held: np.ndarray, width: int, which: int,
 
 def _log_values(values: np.ndarray) -> list[float]:
     return [math.log(v) if v > 0 else -math.inf for v in values.tolist()]
+
+
+# the norms whose squares neither overflow nor underflow
+_SQUARES = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
+
+
+def _log_norms(images: np.ndarray) -> np.ndarray:
+    """log |x| of the columns x of each finite image: the plain norm's log
+    within ``_SQUARES``, elsewhere that of x scaled by its largest magnitude
+    plus the log of that magnitude."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(images, axis=1)
+    logs = np.reshape(_log_values(norms.ravel()), norms.shape)
+    off = ~((norms >= _SQUARES[0]) & (norms <= _SQUARES[1]))
+    if off.any():
+        x = images.transpose(0, 2, 1)[off]
+        top = np.abs(x).max(axis=1)
+        scaled = np.linalg.norm(x / np.where(top > 0, top, 1.0)[:, None], axis=1)
+        logs[off] = np.add(_log_values(top), _log_values(scaled))
+    return logs
 
 
 class _DiagonalSweeps:

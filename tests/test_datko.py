@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from dichotomy import (
     verify_datko_ued,
 )
 from dichotomy import datko
+from dichotomy.config import parse_system_file
 from dichotomy.logscalar import lfloat
 
 from oracles import datko_lhs, projected_sum, sadd, scmp, side_reports_loop
@@ -329,3 +331,46 @@ def test_nonuniform_right_side_must_stay_below_infinity(profile):
     entry = make_example("ned_example")
     with pytest.raises(InvalidCertificateError, match=r"profile log is (inf|nan) at n="):
         verify_datko_ned(entry.system, entry.projection, 0.3, profile, WindowSpec(0, 10), 30)
+
+
+# coordinate 0 has a zero factor at every even index after 0, so its points
+# seeded before one are dead from there on
+ZERO_FACTORS = """[system]
+dim = 2
+source = diagonal
+coord0 = parity: even=0, odd=0.5
+coord1 = const: value=2
+
+[projection]
+mask = 1,0
+"""
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--gallery", "ued_example", "--c-weight", "1e308", "--d", "0.25", "--window", "0..3",
+      "--cert", "UED:N=1,alpha=0.5"], "InvalidConstantsError"),
+    (["--system", "{file}", "--c-weight", "1e308", "--d", "0.1", "--window", "0..4",
+      "--cert", "UED:N=1,alpha=0.5"], "InvalidConstantsError"),
+    (["--gallery", "ued_example", "--c-weight", "0.1", "--d", "0.25", "--window", "0..3",
+      "--cert", "ED:N=1,alpha=0.5,beta=1e308"], "InvalidCertificateError"),
+])
+def test_weights_whose_rate_overflows_over_the_window_are_rejected(tmp_path, argv, error):
+    # c j (or the tail's beta j) is +inf from some index of the window on: the
+    # check held at every live point, and a dead point's slack was NaN
+    from dichotomy.cli import main
+
+    system, report = tmp_path / "system.cfg", tmp_path / "error.json"
+    system.write_text(ZERO_FACTORS, encoding="utf-8")
+    argv = [a.format(file=system) for a in argv]
+    assert main(["datko", "--form", "ed", "--D", "2", "--m-trunc", "10", *argv,
+                 "--report", str(report)]) == 2
+    assert json.loads(report.read_text())["error"]["type"] == error
+
+
+def test_a_dead_point_stays_dead_under_an_infinite_weight():
+    # the library takes c = 1e308 as the CLI does not: +inf plus the -inf
+    # trajectory of a dead point is -inf, not NaN
+    sys_, proj, _ = parse_system_file(ZERO_FACTORS)
+    reports = verify_datko_ed(sys_, proj, 0.1, 1e308, 2.0, WindowSpec(0, 4), 10, cert=UED_QUAD)
+    assert overall_verdict(reports) == "holds"
+    assert all(not math.isnan(r.rhs.logmag) for r in reports)

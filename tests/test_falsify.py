@@ -393,3 +393,20 @@ def test_nonuniform_trial_profile_must_stay_below_infinity(profile):
     with pytest.raises(InvalidCertificateError, match=r"profile log is (inf|nan) at n="):
         falsify(entry.system, entry.projection, Kind.NED, entry.schedule("odd_after_even"),
                 range(20), profile=profile)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_dense_trajectory_norms_neither_overflow_nor_underflow(scale):
+    # |A(k + 1, k) x| = scale, whose square overflows or underflows a double:
+    # the dense family reported an infinite or a zero required constant
+    factors = [1.0] + [scale] * 3
+    diagonal = SystemDescription(2, DiagonalClosedForm(
+        [lambda n: LogScalar.from_float(factors[n])] * 2))
+    dense = SystemDescription(2, ExplicitSequence([f * np.eye(2) for f in factors]))
+    proj = ProjectionFamily(2, mask=(True, False))
+    schedule = WitnessSchedule("adjacent", lambda k: (k + 1, k), 0)
+    logs = [[w.required_constant.logmag for w in falsify(sys_, proj, Kind.UED, schedule,
+                                                         range(3)).witnesses]
+            for sys_ in (diagonal, dense)]
+    assert all(math.isfinite(v) for v in logs[1])
+    assert np.allclose(logs[1], logs[0], rtol=0.0, atol=1e-12)

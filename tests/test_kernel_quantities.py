@@ -85,6 +85,31 @@ def test_a_direction_killed_at_both_horizons_takes_no_part():
     assert math.isclose(row.ratios(3, 2)[0], math.log(0.5))
 
 
+def test_degenerate_denominators_take_the_batched_calls(monkeypatch):
+    # diag(0.5, 0.5, 2) whose second factor is zero at one index: every
+    # image of P after it kills a direction, and its ratios are taken in one
+    # batched call per number of directions kept, not one SVD per ratio (the
+    # per-ratio path made 2,176 calls here, against 136 with the factor 0.25)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    cert = parse_certificate_spec("UED:N=1,alpha=0.1")
+    window = WindowSpec(0, 30, triplet=True)
+    outcomes = []
+    for factor in (0.0, 0.25):
+        diags = [(1.0, 1.0, 1.0)] + [(0.5, factor if k == 15 else 0.5, 2.0) for k in range(1, 31)]
+        table = [[LogScalar.from_float(d[i]) for d in diags] for i in range(3)]
+        diagonal, dense, proj = diagonal_and_dense(table, [(True, True, False)])
+        calls.clear()
+        outcomes.append(verify_triplet_form(dense, proj, cert, window))
+        outcomes.append(len(calls))
+        outcomes.append(verify_triplet_form(diagonal, proj, cert, window))
+    degenerate, calls_degenerate, diagonal, twin, calls_twin, _ = outcomes
+    assert calls_degenerate <= 2 * calls_twin
+    for out in (degenerate, diagonal, twin):
+        assert (out.holds, out.pairs_checked, out.min_slack) == (True, 5456, 0.0)
+
+
 @st.composite
 def zero_factor_cases(draw):
     """A 2- or 3-dimensional diagonal system with zero factors, written
