@@ -150,21 +150,37 @@ def verify_certificate(
     only in the rows that the kernel's ``rows_to_scan`` returns; the
     verdict, witness, count and least slack are those of the loop over
     every pair in lexicographic (n, m) order, the P side of a pair first.
+    A dense kernel may instead return the short pairs of every row, which
+    decide a holding verdict; they are checked as one block, and if one of
+    them violates, every row is.
     """
     weights = _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
     lo, hi = window.n_min, window.m_max
     kernel = _sweeps(sys, proj, lo, hi)
     ext = _PairExtremes(kernel)
-    rows, min_slack = kernel.rows_to_scan(cert.alpha, weights, tol)
+    rows, min_slack, short = kernel.rows_to_scan(cert.alpha, weights, tol)
+
+    def count(p, n):
+        return _pairs_before(lo, hi, n)
+
+    if short is not None:
+        from ._dense_plan import debug  # already loaded by rows_to_scan
+
+        block = (None, short.ns, short.ms, short.growth, -short.gain, len(short.ns))
+        out = _scan(ext, cert, window, tol, weights, [block], min_slack, count)
+        if out is not None:
+            debug("dense pair plan: block length %d certifies; %d short pairs swept",
+                  short.length, len(short.ns))
+            return out
+        debug("dense pair plan: full scan, a short pair violates")
 
     def blocks():
-        for n in rows:
+        for n in rows if short is None else range(lo, hi + 1):
             g, h = map(LogArray, ext.row(n).row_logs)  # m = n..end
             yield n, np.full(len(g), n), np.arange(n, n + len(g)), g, neg(h), hi - n + 1
 
-    return _scan(ext, cert, window, tol, weights, blocks(), min_slack,
-                 lambda p, n: _pairs_before(lo, hi, n))
+    return _scan(ext, cert, window, tol, weights, blocks(), min_slack, count)
 
 
 def verify_triplet_form(
@@ -202,7 +218,8 @@ def _scan(ext: _PairExtremes, cert: DichotomyCertificate, window: WindowSpec, to
     ks[t] <= ms[t], ``size`` entries due, cut at the row's end. The slacks
     are log r(k) - (alpha (m - k) + ratio_P) and (log r(m) - ratio_Q) -
     alpha (m - k), +inf where ratio_Q is -inf; the first entry below -tol is
-    the witness, P before Q, counted by ``before(seed, k)``."""
+    the witness, P before Q, counted by ``before(seed, k)``. A block of short
+    pairs (seed None) has no witness: a violation there returns None."""
     lo, hi, alpha = window.n_min, window.m_max, cert.alpha
     for seed, ks, ms, ratio_p, ratio_q, size in blocks:
         ratio_p, ratio_q = LogArray(ratio_p), LogArray(ratio_q)
@@ -217,6 +234,8 @@ def _scan(ext: _PairExtremes, cert: DichotomyCertificate, window: WindowSpec, to
         worse = np.where(slack_q < slack_p, slack_q, slack_p)
         bad = np.flatnonzero(worse < -tol)
         if bad.size:
+            if seed is None:
+                return None
             t = int(bad[0])
             n, m = int(ks[t]), int(ms[t])
             gap = alpha * (m - n)

@@ -43,7 +43,7 @@ from .datko import (
     verify_datko_ned,
     verify_datko_ued,
 )
-from .errors import ConfigError, DichotomyError, InvalidConstantsError
+from .errors import ConfigError, DichotomyError
 from .gallery import (
     _EXAMPLES,
     CertificateClaim,
@@ -505,10 +505,7 @@ def _run_datko(args) -> int:
         big_d = parse_number(args.big_d, field="D") if args.big_d else None
         c_weight = parse_number(args.c_weight, field="c") if args.c_weight else 0.0
         s_profile = parse_profile_spec(args.s_profile) if args.s_profile else None
-    # the weights form c * j and the tail's weights beta * j, as verify's rates do
-    if form == "ed" and isinstance(c_weight, float) and not math.isfinite(
-            c_weight * (window.m_max + 1)):
-        raise InvalidConstantsError(f"need c * (m_max + 1) a finite double, got c={c_weight}")
+    # the tail's weights form beta * j, as verify's rates do
     if tail_cert is not None:
         _check_rates(window, tail_cert.beta or 0.0)
     if form == "ned":

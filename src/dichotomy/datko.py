@@ -225,6 +225,9 @@ def verify_datko_ed(
         raise InvalidConstantsError(f"need finite d > 0, got {d}")
     if not 0 <= c < math.inf:
         raise InvalidConstantsError(f"need finite c >= 0, got {c}")
+    # the weights form c * j, as verify's rates do
+    if isinstance(c, float) and not math.isfinite(c * (window.m_max + 1)):
+        raise InvalidConstantsError(f"need c * (m_max + 1) a finite double, got c={c}")
     if not 1 <= big_d < math.inf:
         raise InvalidConstantsError(f"need finite D >= 1, got {big_d}")
     if strong and not c < d:

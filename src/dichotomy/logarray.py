@@ -27,6 +27,12 @@ EXACT_FORM = tuple(np.frompyfunc(f, 2, 1) for f in (ladd, lsub, logaddexp_mag))
 _NEGATIVE_ZERO = np.array(-0.0).view(np.int64)
 
 
+def _log_values(values: np.ndarray) -> list[float]:
+    """math.log of each value of a float array as a list, -inf where it is
+    not positive."""
+    return [math.log(v) if v > 0 else -math.inf for v in values.tolist()]
+
+
 class LogArray:
     """Log-magnitudes in a numpy array of either form (see the module)."""
 

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .logarray import (
     LogArray,
+    _log_values,
     accumulate,
     add,
     concatenate,
@@ -559,9 +560,9 @@ class _DenseSweeps:
         sys.check_pair(hi, lo)
         self.lo, self.hi = lo, hi
         self.projections = np.array([proj.matrix(k) for k in range(lo, hi + 1)])
-        coeffs = np.array([sys.coefficient(k) for k in range(lo, hi + 1)])
-        pa = self.projections @ coeffs
-        self.steps = {"P": pa, "Q": coeffs - pa}
+        self.coeffs = np.array([sys.coefficient(k) for k in range(lo, hi + 1)])
+        pa = self.projections @ self.coeffs
+        self.steps = {"P": pa, "Q": self.coeffs - pa}
         self._bases: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self._block: list[_DenseRow] = []
 
@@ -681,13 +682,19 @@ class _DenseSweeps:
         _, gain, gap = self._pairs
         return _per_rate(alpha, lambda a: np.max(a * gap - gain, axis=0))
 
-    def rows_to_scan(self, alpha: float, weights, tol: float) -> tuple[range, float]:
-        """Every row, and no least slack: the dense kernel keeps no running
-        maxima that could clear a row without its pairs. The caller checks
-        each row as one array over its ``row_logs``, and the rows come from
+    def rows_to_scan(self, alpha: float, weights, tol: float):
+        """The rows to check to hi, no least slack, and the short pairs of
+        every row (``_dense_plan.short_pairs``) or None. With short pairs
+        there is no such row: the caller checks the short pairs as one
+        block, and every row if one of them violates. Without, it checks
+        every row as one array over its ``row_logs``; the rows come from
         blocks built in order, so a scan that stops early sweeps few rows
         beyond it."""
-        return range(self.lo, self.hi + 1), math.inf
+        # imported here, so that ``import dichotomy`` does not compile it
+        from ._dense_plan import short_pairs
+
+        short = short_pairs(self, alpha, weights, tol)
+        return range(self.lo, self.hi + 1) if short is None else [], math.inf, short
 
     def triplet_rows_to_scan(
         self, alpha: float, weights, tol: float
@@ -849,10 +856,6 @@ def _block_logs(images: np.ndarray, held: np.ndarray, width: int, which: int,
     return np.array(_log_values(s[:, which]))
 
 
-def _log_values(values: np.ndarray) -> list[float]:
-    return [math.log(v) if v > 0 else -math.inf for v in values.tolist()]
-
-
 # the norms whose squares neither overflow nor underflow
 _SQUARES = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
 
@@ -992,16 +995,16 @@ class _DiagonalSweeps:
                 out = _larger(out, where(index >= crossed, math.inf, col))
         return full(ax.values.shape, -math.inf) if out is None else out
 
-    def rows_to_scan(self, alpha: LogMag, weights, tol: float) -> tuple[list[int], float]:
+    def rows_to_scan(self, alpha: LogMag, weights, tol: float) -> tuple[list[int], float, None]:
         """The rows lo..hi whose pairs may violate the certificate with the
-        weights r(lo..hi), in order, and the least slack over the pairs of
-        every other row (``_plan``); the caller rescans those rows, each as
-        one array over its ``row_logs``, and reaches the pair scan's verdict
-        and witness."""
+        weights r(lo..hi), in order, the least slack over the pairs of every
+        other row (``_plan``), and no short pairs (``_DenseSweeps``); the
+        caller rescans those rows, each as one array over its ``row_logs``,
+        and reaches the pair scan's verdict and witness."""
         weights = LogArray(weights)
         cutoff = tol - _ROUNDING_BOUND * self.scale(alpha, weights)
         over, excess = self._plan(alpha, weights, cutoff, tol)
-        return (self.lo + np.flatnonzero(over)).tolist(), _least(excess[~over])
+        return (self.lo + np.flatnonzero(over)).tolist(), _least(excess[~over]), None
 
     def _plan(self, alpha: LogMag, weights: LogArray, cutoff: float, tol: float,
               p_flags=None, q_flags=None) -> tuple[np.ndarray, np.ndarray]:

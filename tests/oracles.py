@@ -688,16 +688,21 @@ def pair_loop(
     tol: float = DEFAULT_LOG_TOL,
 ) -> VerificationOutcome:
     """``verify_certificate`` as the loop over the pairs (n, m) of the rows
-    that the kernel's ``rows_to_scan`` returns, in lexicographic order, the
-    P side before the Q side: one ``logs`` call and two ``_slack`` calls per
-    pair, from the least slack of the rows it clears."""
+    that the diagonal kernel's ``rows_to_scan`` returns, or of every row of
+    a dense system, in lexicographic order, the P side before the Q side:
+    one ``logs`` call and two ``_slack`` calls per pair, from the least
+    slack of the rows it clears. The dense short pairs are not read: this
+    loop is the O(W^2) scan that they replace."""
     _validate(cert, window, tol)
     check_compatibility(sys, proj, window.n_min, window.m_max)
     lo, hi, alpha = window.n_min, window.m_max, cert.alpha
     weights = [cert.r_log(k) for k in range(lo, hi + 1)]
     kernel = _sweeps(sys, proj, lo, hi)
     ext = _PairExtremes(kernel)
-    rows, min_slack = kernel.rows_to_scan(alpha, weights, tol)
+    if sys.is_diagonal:
+        rows, min_slack, _ = kernel.rows_to_scan(alpha, weights, tol)
+    else:
+        rows, min_slack = range(lo, hi + 1), math.inf
     for n in rows:
         before = sum(hi - k + 1 for k in range(lo, n))  # the pairs of the rows before n
         for m in range(n, hi + 1):

@@ -313,15 +313,13 @@ def test_int_trajectory_logs_beyond_the_float_safe_range():
 
 
 def test_overflowing_weight_matches_the_loop_reference():
-    # c j overflows to +inf from j = 2 on, so the right side is +inf at
-    # points whose tail bound is finite
+    # c j overflows to +inf from j = 2 on: the library rejects c, as the CLI
+    # does, before any point is checked
     entry = make_example("ued_example")
-
-    def run():
-        return verify_datko_ed(entry.system, entry.projection, 0.25, 1e308, 2.0,
-                               WindowSpec(0, 6), 20, cert=UED_QUAD)
-
-    assert repr(run()) == repr(loop_reports(run))
+    with pytest.raises(InvalidConstantsError,
+                       match=r"need c \* \(m_max \+ 1\) a finite double, got c=1e\+308"):
+        verify_datko_ed(entry.system, entry.projection, 0.25, 1e308, 2.0,
+                        WindowSpec(0, 6), 20, cert=UED_QUAD)
 
 
 @pytest.mark.parametrize("profile", BAD_PROFILES)
@@ -368,9 +366,11 @@ def test_weights_whose_rate_overflows_over_the_window_are_rejected(tmp_path, arg
 
 
 def test_a_dead_point_stays_dead_under_an_infinite_weight():
-    # the library takes c = 1e308 as the CLI does not: +inf plus the -inf
-    # trajectory of a dead point is -inf, not NaN
+    # the library takes a tail certificate whose weight beta j is +inf from
+    # j = 2 on, as the CLI does not: +inf plus the -inf trajectory of a dead
+    # point is -inf, not NaN
     sys_, proj, _ = parse_system_file(ZERO_FACTORS)
-    reports = verify_datko_ed(sys_, proj, 0.1, 1e308, 2.0, WindowSpec(0, 4), 10, cert=UED_QUAD)
-    assert overall_verdict(reports) == "holds"
+    cert = DichotomyCertificate(Kind.ED, alpha=0.5, n_const=1.0, beta=1e308)
+    reports = verify_datko_ed(sys_, proj, 0.1, 0.1, 2.0, WindowSpec(0, 4), 10, cert=cert)
+    assert all(not math.isnan(r.tail_bound.logmag) for r in reports)
     assert all(not math.isnan(r.rhs.logmag) for r in reports)

@@ -10,8 +10,11 @@ are written once with ``bench/inputs.py``. Then every job of
 ``bench/jobs.py`` (the three workloads and the dense rounding probe) runs
 through each tree's own ``dichotomy.cli.main``, one child process per tree.
 The job lists come from the ``bench/`` next to this script, which is only
-read. The script lists every report, CSV and exit status that differs
-between the trees and exits 1, or exits 0 when all are byte-identical.
+read. Beside them run a few large-window dense pair verifies, holding and
+violated, on fixtures built by ``bench/inputs.py::dense_fixture`` (``LARGE``):
+windows where the dense kernel checks a few short pairs per row. The script
+lists every report, CSV and exit status that differs between the trees and
+exits 1, or exits 0 when all are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,8 +28,34 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+# the large-window dense fixtures: (name, dimension, window 0..W), and the
+# certificates verified on each, one holding and one violated
+LARGE = [("dense4-w400", 4, 400), ("dense16-w120", 16, 120)]
+LARGE_CERTS = {"holds": "UED:N=1,alpha=0.05", "violated": "UED:N=1,alpha=0.3"}
+
+
+def write_large(directory: Path, seed: int) -> None:
+    """Write the ``LARGE`` fixtures for ``seed`` as ``--system`` files."""
+    import numpy as np
+
+    import inputs
+
+    for name, dim, w in LARGE:
+        rng = np.random.default_rng([seed, dim, w])
+        mats, proj, _, _ = inputs.dense_fixture(rng, dim, w, inputs.DENSE_C, inputs.DENSE_BIG_C)
+        (directory / f"{name}.ini").write_text(inputs.explicit_system_text(mats, proj),
+                                               encoding="utf-8")
+
+
+def large_jobs(directory: Path) -> list[SimpleNamespace]:
+    """The verify jobs of the ``LARGE`` fixtures written to ``directory``."""
+    return [SimpleNamespace(name=f"{name}-{verdict}", csv=False,
+                            argv=["verify", "--system", str(directory / f"{name}.ini"),
+                                  "--cert", cert, "--window", f"0..{w}"])
+            for name, _, w in LARGE for verdict, cert in LARGE_CERTS.items()]
 
 
 def run_tree(tree: Path, label: str, work: Path, seeds: list[int]) -> None:
@@ -40,6 +69,7 @@ def run_tree(tree: Path, label: str, work: Path, seeds: list[int]) -> None:
         manifest = json.loads((work / f"seed{seed}" / "inputs" / "manifest.json").read_text())
         lists = {name: build(manifest) for name, build in jobs.BUILDERS.items()}
         lists["probe"] = [jobs.probe_job(manifest)]
+        lists["large"] = large_jobs(work / f"seed{seed}" / "inputs")
         out = work / f"seed{seed}" / label
         statuses = {}
         for workload, job_list in lists.items():
@@ -97,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         for seed in args.seeds:
             (work / f"seed{seed}" / "inputs").mkdir(parents=True)
             inputs.write_inputs(work / f"seed{seed}" / "inputs", seed)
+            write_large(work / f"seed{seed}" / "inputs", seed)
         for label, tree in (("base", args.base), ("head", args.head)):
             subprocess.run([sys.executable, __file__, str(tree), str(tree), "--seeds", *seeds,
                             "--run", label, str(work)], check=True, env=env)
