@@ -25,7 +25,6 @@ from . import serialize
 from .certificates import Kind, WindowSpec
 from .checkers import (
     WitnessSchedule,
-    _check_rates,
     default_alpha_grid,
     default_beta_grid,
     estimate_ed,
@@ -505,9 +504,6 @@ def _run_datko(args) -> int:
         big_d = parse_number(args.big_d, field="D") if args.big_d else None
         c_weight = parse_number(args.c_weight, field="c") if args.c_weight else 0.0
         s_profile = parse_profile_spec(args.s_profile) if args.s_profile else None
-    # the tail's weights form beta * j, as verify's rates do
-    if tail_cert is not None:
-        _check_rates(window, tail_cert.beta or 0.0)
     if form == "ned":
         if s_profile is None:
             raise ConfigError("the nonuniform form needs --s-profile or --from-cert")

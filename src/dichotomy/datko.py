@@ -18,6 +18,17 @@ Infinite P sums are truncated at M_trunc; the remainder is covered by a
 geometric tail bound derived from a decay certificate with alpha > d.
 Without a certificate the tail is unknown and a passing truncated check is
 reported as inconclusive rather than holds.
+
+Each side checks every point (seed s, index j), s <= j, of the window, and
+reports the first point of least slack in (seed, index) order. Each sum is
+one running ``logaddexp`` along a trajectory (``weighted_sums``). A dense
+system builds the trajectory of every seed direction from every seed: a
+table of O(W M) entries. On a diagonal system the seed's factor cancels
+from every slack, so one point per index decides the side
+(``_DiagonalSweeps.datko_points``), in O(W + M): the P side at the index's
+first live seed, the Q side at n_min. The sums form d * t, the weights c * j
+and the tail's weights beta * j, so a d, c or beta whose product with the
+last index is not a finite double is rejected.
 """
 
 from __future__ import annotations
@@ -35,14 +46,14 @@ from .certificates import (
     WindowSpec,
     _profile_log,
 )
-from .checkers import DEFAULT_LOG_TOL, _difference, _slacks
+from .checkers import DEFAULT_LOG_TOL, _check_rates, _difference, _slacks
 from .errors import (
     DecayGapError,
     IndexOrderError,
     InvalidConstantsError,
     NoDecayCertificateError,
 )
-from .logarray import LogArray, add, logaddexp, where
+from .logarray import LogArray, add, logaddexp, weighted_sums, where
 from .logscalar import LogScalar
 from .system import ProjectionFamily, SystemDescription, _sweeps, check_compatibility
 
@@ -146,24 +157,27 @@ def _trajectories(sys, proj, part: str, window: WindowSpec, upto: int):
     return directions, table
 
 
-def _weighted_sums(table: LogArray, d: float, reverse: bool) -> LogArray:
-    """Per row, acc[j] = log(exp(row[j]) + exp(d + acc[j +- 1])): taken over
-    the columns in reverse, log sum_{t >= j} e^{d (t - j)} e^{row[t]}; in
-    order, log sum_{t <= j} e^{d (j - t)} e^{row[t]}. All rows advance in
-    lockstep, in the ufuncs of the table's form. A term added to an empty
-    sum (-inf) passes through unchanged, as ``logaddexp_mag`` passes it: an
-    int stays an int."""
-    (add, _, logaddexp), values = table.form, table.values
-    out = np.empty_like(values)
-    acc = np.full(len(values), -math.inf, dtype=values.dtype)
-    step = -1 if reverse else 1
-    with np.errstate(over="ignore"):
-        for col, dst in zip(values.T[::step], out.T[::step]):
-            acc = logaddexp(col, add(acc, d), out=dst)
-    # the sum before each term
-    edge = np.full((len(values), 1), -math.inf, dtype=values.dtype)
-    before = np.hstack([out[:, 1:], edge] if reverse else [edge, out[:, :-1]])
-    return where(before == -math.inf, table, out)
+def _table_points(sys, proj, part: str, window: WindowSpec, upto: int, d):
+    """Every point (seed s, index j) of the side's triangle n_min <= s <= j
+    <= m_max, in (seed, index) order, from one table of trajectories and
+    their weighted sums (``weighted_sums``, each row shifted from its seed):
+    the directions, the seeds, the columns j - n_min, and per direction the
+    trajectories and sums at the points."""
+    directions, table = _trajectories(sys, proj, part, window, upto)
+    size = window.m_max - window.n_min + 1
+    sums = weighted_sums(table, d, part == "P", np.tile(np.arange(size), len(directions)))
+    rows, cols = np.triu_indices(size)
+    at = np.arange(len(directions))[:, None] * size + rows
+    return directions, window.n_min + rows, cols, table[at, cols], sums[at, cols]
+
+
+def _side_points(sys, proj, part: str, window: WindowSpec, upto: int, d):
+    """The points that decide the side, as ``_table_points`` gives them: on
+    a diagonal system one per index (``_DiagonalSweeps.datko_points``), else
+    the whole table."""
+    if sys.is_diagonal:
+        return _sweeps(sys, proj, window.n_min, upto).datko_points(part, d, window.m_max)
+    return _table_points(sys, proj, part, window, upto, d)
 
 
 # -- the three verifiers -----------------------------------------------------
@@ -242,8 +256,13 @@ def _run_summation(
 ) -> list[DatkoReport]:
     if m_trunc < window.m_max:
         raise IndexOrderError(f"truncation {m_trunc} below window end {window.m_max}")
+    # the sums form d * t, as the weights form c * j
+    if isinstance(d, float) and not math.isfinite(d * (m_trunc + 1)):
+        raise InvalidConstantsError(f"need d * (m_trunc + 1) a finite double, got d={d}")
     if cert is not None:
         cert.validate()
+        # the tail's weights form beta * j, as verify's rates do
+        _check_rates(window, cert.beta or 0.0)
         if d >= cert.alpha:
             raise NoDecayCertificateError(
                 f"certificate decay alpha={cert.alpha} does not dominate d={d}"
@@ -258,50 +277,39 @@ def _run_summation(
             return cert.r_log(j), (d - cert.alpha) * (m_trunc + 1 - j) + log_geom
 
     fields = dict(form=form, d=d, c=c)
-    directions, table = _trajectories(sys, proj, "P", window, m_trunc)
-    reports = _side_reports(
-        "P", directions, table, _weighted_sums(table, d, reverse=True),
-        weight, tail, window, restart, **fields,
-    )
-    directions, table = _trajectories(sys, proj, "Q", window, window.m_max)
-    return reports + _side_reports(
-        "Q", directions, table, _weighted_sums(table, d, reverse=False),
-        weight, -math.inf, window, True, **fields,
-    )
+    reports = _side_reports("P", *_side_points(sys, proj, "P", window, m_trunc, d),
+                            weight, tail, window, restart, **fields)
+    return reports + _side_reports("Q", *_side_points(sys, proj, "Q", window, window.m_max, d),
+                                   weight, -math.inf, window, True, **fields)
 
 
 def _side_reports(
-    side, directions, table, sums, weight, tail, window, restart, **fields
+    side, directions, seeds, cols, trajs, sums, weight, tail, window, restart, **fields
 ) -> list[DatkoReport]:
     """One report per direction of a side, every point in one array pass.
 
-    Row (direction, seed s) and column j - n_min of ``table`` and ``sums``
-    hold a point's trajectory and weighted sum, for s <= j <= m_max; its
-    triple is (j, s, s) if ``restart``, else (j, j, s). The right side is
-    weight(j) + traj; where traj is finite the tail is r(j) + traj +
-    offset(j) from ``tail(j)``, or else the constant log ``tail`` (+inf
-    when unknown, -inf for none).
+    Point k of direction i has seed ``seeds[i, k]`` (or ``seeds[k]``), index
+    j = n_min + ``cols[k]``, trajectory ``trajs[i, k]`` and weighted sum
+    ``sums[i, k]``; its triple is (j, s, s) if ``restart``, else (j, j, s).
+    The right side is weight(j) + traj; the tail is r(j) + traj + offset(j)
+    from ``tail(j)``, or else the constant log ``tail`` (+inf when unknown,
+    -inf for none) where traj is finite. The worst point is the first of
+    least slack; ``checked`` counts the whole triangle s <= j.
     """
     if not directions:
         return []
     size = window.m_max - window.n_min + 1
     at = range(window.n_min, window.m_max + 1)
-    rows, cols = np.triu_indices(size)
-    # per direction k, the points (row k * size + s, column j) of the triangle
-    at_k = np.arange(len(directions))[:, None] * size + rows
-    anchor, lhs = table[at_k, cols], sums[at_k, cols]
-    live = anchor.values != -math.inf
+    seeds = np.broadcast_to(seeds, trajs.values.shape)
     with np.errstate(over="ignore"):
-        # a dead point's right side is -inf, also under a +inf weight
-        rhs = where(live, add(LogArray([weight(j) for j in at])[cols], where(live, anchor, 0.0)),
-                    -math.inf)
+        rhs = add(LogArray([weight(j) for j in at])[cols], trajs)
         if callable(tail):
             r, offset = (LogArray(v)[cols] for v in zip(*map(tail, at)))
-            tails = where(live, add(add(r, where(live, anchor, 0.0)), offset), -math.inf)
+            tails = add(add(r, trajs), offset)
         else:
-            tails = where(live, tail, -math.inf)
-        trunc = _slacks(rhs, lhs)
-        total = _slacks(rhs, logaddexp(lhs, tails))
+            tails = where(trajs.values != -math.inf, tail, -math.inf)
+        trunc = _slacks(rhs, sums)
+        total = _slacks(rhs, logaddexp(sums, tails))
         # the tail/right ratio: a zero tail decides first
         t, v = tails.values, rhs.values
         tail_rhs = _difference(tails, rhs, [
@@ -314,8 +322,8 @@ def _side_reports(
     zero = LogScalar.zero()
     reports = []
     for k, w in enumerate(worst.tolist()):
-        seed, j = window.n_min + rows.item(w), window.n_min + cols.item(w)
-        total_sum = LogScalar.from_log(lhs.item(k, w))
+        seed, j = seeds.item(k, w), window.n_min + cols.item(w)
+        total_sum = LogScalar.from_log(sums.item(k, w))
         reports.append(DatkoReport(
             side=side,
             direction=directions[k],
@@ -325,7 +333,7 @@ def _side_reports(
             lhs_q_sum=zero if side == "P" else total_sum,
             tail_bound=LogScalar.from_log(tails.item(k, w)),
             rhs=LogScalar.from_log(rhs.item(k, w)),
-            checked=len(rows),
+            checked=size * (size + 1) // 2,
             max_tail_rhs_log=tail_rhs[k].max().item(),
             **fields,
         ))

@@ -8,9 +8,9 @@ computed one coordinate and one index at a time with ``ladd``/``lsub``, in
 place of the arrays of the diagonal kernel (``_DiagonalSweeps.rows``,
 ``q_rows``, ``cols``, and the rounding scale of its ``rows_to_scan``). Diagonal trajectories are read one coordinate
 and one index at a time, and the Datko suffix and forward sums are
-accumulated one term at a time, in place of the kernel's table and the
-verifiers' lockstep sums. The Datko side reports are evaluated one point at
-a time, in place of the verifiers' array pass. The diagonal prefix sums are
+accumulated one term at a time, in place of the kernel's table and
+``logarray.weighted_sums``. The Datko side reports are evaluated one point
+at a time, in place of the verifiers' array pass. The diagonal prefix sums are
 built one factor at a time with ``ladd``, in place of the array build of
 ``SystemDescription._ensure_prefix``. A dense ratio is taken one pair of
 images at a time (``_sup_ratio``), in place of the dense rows' batched
@@ -306,23 +306,33 @@ def factor_log(kernel, i: int, m: int, n: int) -> LogMag:
 
 
 def suffix_weighted(traj: list[LogMag], d: float) -> list[LogMag]:
-    """R[t] = log sum_{s >= t} exp(d (s - t)) exp(traj[s]) (same indexing)."""
-    out: list[LogMag] = []
-    acc: LogMag = -math.inf
-    for t in reversed(traj):
-        acc = logaddexp_mag(t, ladd(acc, d))
-        out.append(acc)
-    out.reverse()
-    return out
+    """R[t] = log sum_{s >= t} exp(d (s - t)) exp(traj[s]) (same indexing),
+    one term at a time in the form of ``logarray.weighted_sums``."""
+    return _shifted_sums(traj, d, reverse=True)
 
 
 def prefix_weighted(traj: list[LogMag], d: float) -> list[LogMag]:
-    """S[t] = log sum_{s <= t} exp(d (t - s)) exp(traj[s]) (same indexing)."""
-    out: list[LogMag] = []
+    """S[t] = log sum_{s <= t} exp(d (t - s)) exp(traj[s]) (same indexing),
+    one term at a time in the form of ``logarray.weighted_sums``."""
+    return _shifted_sums(traj, d, reverse=False)
+
+
+def _shifted_sums(traj: list[LogMag], d: float, reverse: bool) -> list[LogMag]:
+    """The running ``logaddexp_mag`` of traj[k] + rate k (rate = d in
+    reverse, -d in order), less rate k; a term added to an empty sum is
+    taken as it is."""
+    rate = d if reverse else -d
+    order = range(len(traj) - 1, -1, -1) if reverse else range(len(traj))
+    sums: list[LogMag] = [-math.inf] * len(traj)
     acc: LogMag = -math.inf
-    for t in traj:
-        acc = logaddexp_mag(t, ladd(acc, d))
-        out.append(acc)
+    for k in order:
+        acc = logaddexp_mag(acc, ladd(traj[k], rate * k))
+        sums[k] = lsub(acc, rate * k)
+    out = []
+    for k in range(len(traj)):
+        before = k + 1 if reverse else k - 1
+        empty = not 0 <= before < len(traj) or sums[before] == -math.inf
+        out.append(traj[k] if empty else sums[k])
     return out
 
 
@@ -407,121 +417,71 @@ def datko_lhs(
 
 
 def side_reports_loop(
-    side, directions, table, sums, weight, tail, window, restart, **fields
+    side, directions, seeds, cols, trajs, sums, weight, tail, window, restart, **fields
 ) -> list[DatkoReport]:
     """``datko._side_reports`` one point at a time: the loops the verifiers
-    ran before the array pass."""
-    tol = DEFAULT_LOG_TOL
+    ran before the array pass, over the points they are given."""
+    if not directions:
+        return []
+    seeds = np.broadcast_to(seeds, trajs.values.shape).tolist()
     size = window.m_max - window.n_min + 1
-    trajs, sums = table[:, :size].tolist(), sums[:, :size].tolist()
-    reports = []
-    for k, direction in enumerate(directions):
-        rows = slice(k * size, (k + 1) * size)
-        if side == "P":
-            reports.append(_p_side_report(
-                window, tol, weight, tail, restart, direction, trajs[rows], sums[rows], fields
-            ))
-        else:
-            reports.append(_q_side_report(
-                window, tol, weight, direction, trajs[rows], sums[rows], fields
-            ))
-    return reports
+    return [_side_report_loop(side, window, weight, tail, restart, direction,
+                              list(zip(seed_row, cols.tolist(), traj_row, sum_row)),
+                              size * (size + 1) // 2, fields)
+            for direction, seed_row, traj_row, sum_row
+            in zip(directions, seeds, trajs.tolist(), sums.tolist())]
 
 
-def _p_side_report(window, tol, weight, tail, restart, direction, trajs, suffixes, fields):
-    """The P-side report of one direction from its trajectories and suffix
-    sums, row s - n_min and column j - n_min."""
+def _side_report_loop(side, window, weight, tail, restart, direction, points, checked, fields):
+    """The report of one direction from its points (seed, column j - n_min,
+    trajectory, weighted sum), in order: the first of least slack is the
+    worst."""
+    tol = DEFAULT_LOG_TOL
     worst_slack = math.inf
-    worst = None
-    worst_vals = None
+    worst = worst_vals = None
     max_tail_rhs = -math.inf
-    checked = 0
-    any_violated = False
-    any_inconclusive = False
-    for seed in range(window.n_min, window.m_max + 1):
-        traj, suffix = trajs[seed - window.n_min], suffixes[seed - window.n_min]
-        for check_at in range(seed, window.m_max + 1):
-            triple = (check_at, seed, seed) if restart else (check_at, check_at, seed)
-            checked += 1
-            col = check_at - window.n_min
-            lhs = suffix[col]
-            anchor = traj[col]
-            rhs = ladd(weight(check_at), anchor) if anchor != -math.inf else -math.inf
-            if anchor == -math.inf:
-                tail_log = -math.inf
-            elif callable(tail):
-                r, offset = tail(check_at)
-                tail_log = ladd(ladd(r, anchor), offset)
-            else:
-                tail_log = tail
-            combined = math.inf if tail_log == math.inf else logaddexp_mag(lhs, tail_log)
-            trunc_slack = _slack(rhs, lhs)
-            total_slack = _slack(rhs, combined)
-            if trunc_slack < -tol:
-                any_violated = True
-            elif total_slack < -tol:
-                any_inconclusive = True
-            track = total_slack if math.isfinite(total_slack) else trunc_slack
-            if worst is None or track < worst_slack:
-                worst_slack = track
-                worst = triple
-                worst_vals = (lhs, tail_log, rhs)
-            tr = _tail_rhs_log(tail_log, rhs)
-            if tr > max_tail_rhs:
-                max_tail_rhs = tr
+    any_violated = any_inconclusive = False
+    for seed, col, anchor, lhs in points:
+        check_at = window.n_min + col
+        triple = (check_at, seed, seed) if restart else (check_at, check_at, seed)
+        rhs = ladd(weight(check_at), anchor) if anchor != -math.inf else -math.inf
+        if anchor == -math.inf:
+            tail_log = -math.inf
+        elif callable(tail):
+            r, offset = tail(check_at)
+            tail_log = ladd(ladd(r, anchor), offset)
+        else:
+            tail_log = tail
+        combined = math.inf if tail_log == math.inf else logaddexp_mag(lhs, tail_log)
+        trunc_slack = _slack(rhs, lhs)
+        total_slack = _slack(rhs, combined)
+        if trunc_slack < -tol:
+            any_violated = True
+        elif total_slack < -tol:
+            any_inconclusive = True
+        track = total_slack if math.isfinite(total_slack) else trunc_slack
+        if worst is None or track < worst_slack:
+            worst_slack = track
+            worst = triple
+            worst_vals = (lhs, tail_log, rhs)
+        tr = _tail_rhs_log(tail_log, rhs)
+        if tr > max_tail_rhs:
+            max_tail_rhs = tr
     verdict = VIOLATED if any_violated else (INCONCLUSIVE if any_inconclusive else HOLDS)
     lhs, tail_log, rhs = worst_vals
+    total_sum = LogScalar.from_log(lhs)
     return DatkoReport(
-        side="P",
+        side=side,
         direction=direction,
         verdict=verdict,
         worst=worst,
-        lhs_p_sum=LogScalar.from_log(lhs),
-        lhs_q_sum=LogScalar.zero(),
+        lhs_p_sum=total_sum if side == "P" else LogScalar.zero(),
+        lhs_q_sum=LogScalar.zero() if side == "P" else total_sum,
         tail_bound=LogScalar.from_log(tail_log) if tail_log != math.inf
         else LogScalar.positive_infinity(),
         rhs=LogScalar.from_log(rhs),
         checked=checked,
         max_tail_rhs_log=max_tail_rhs,
-        **fields,
-    )
-
-
-def _q_side_report(window, tol, weight, direction, trajs, sums, fields):
-    """The Q-side report of one direction from its trajectories and forward
-    sums, row n - n_min and column m - n_min."""
-    worst_slack = math.inf
-    worst = None
-    worst_vals = None
-    checked = 0
-    any_violated = False
-    for n in range(window.n_min, window.m_max + 1):
-        traj, acc_row = trajs[n - window.n_min], sums[n - window.n_min]
-        for m in range(n, window.m_max + 1):
-            col = m - window.n_min
-            acc = acc_row[col]
-            checked += 1
-            anchor = traj[col]
-            rhs = ladd(weight(m), anchor) if anchor != -math.inf else -math.inf
-            slack = _slack(rhs, acc)
-            if slack < -tol:
-                any_violated = True
-            if worst is None or slack < worst_slack:
-                worst_slack = slack
-                worst = (m, n, n)
-                worst_vals = (acc, rhs)
-    lhs, rhs = worst_vals
-    return DatkoReport(
-        side="Q",
-        direction=direction,
-        verdict=VIOLATED if any_violated else HOLDS,
-        worst=worst,
-        lhs_p_sum=LogScalar.zero(),
-        lhs_q_sum=LogScalar.from_log(lhs),
-        tail_bound=LogScalar.zero(),
-        rhs=LogScalar.from_log(rhs),
-        checked=checked,
-        max_tail_rhs_log=-math.inf,
         **fields,
     )
 

@@ -366,11 +366,13 @@ def test_weights_whose_rate_overflows_over_the_window_are_rejected(tmp_path, arg
 
 
 def test_a_dead_point_stays_dead_under_an_infinite_weight():
-    # the library takes a tail certificate whose weight beta j is +inf from
-    # j = 2 on, as the CLI does not: +inf plus the -inf trajectory of a dead
-    # point is -inf, not NaN
+    # a tail certificate whose weight beta j is +inf from j = 2 on, and a d
+    # whose shift d t is +inf: the library rejects both before any point is
+    # checked, so no weight or shift of a live or dead point is +inf
     sys_, proj, _ = parse_system_file(ZERO_FACTORS)
     cert = DichotomyCertificate(Kind.ED, alpha=0.5, n_const=1.0, beta=1e308)
-    reports = verify_datko_ed(sys_, proj, 0.1, 0.1, 2.0, WindowSpec(0, 4), 10, cert=cert)
-    assert all(not math.isnan(r.tail_bound.logmag) for r in reports)
-    assert all(not math.isnan(r.rhs.logmag) for r in reports)
+    with pytest.raises(InvalidCertificateError, match=r"rate 1e\+308 overflows"):
+        verify_datko_ed(sys_, proj, 0.1, 0.1, 2.0, WindowSpec(0, 4), 10, cert=cert)
+    with pytest.raises(InvalidConstantsError,
+                       match=r"need d \* \(m_trunc \+ 1\) a finite double, got d=1e\+308"):
+        verify_datko_ued(sys_, proj, 1e308, 2.0, WindowSpec(0, 4), 10)

@@ -2,21 +2,30 @@
 
 The diagonal kernel gives a whole table of trajectory log-norms in one call,
 the witness families read every pair of a family from it, and the Datko
-verifiers accumulate their weighted sums for all seeds in lockstep and check
-every point of a side in one array pass. The references in ``oracles`` are
-the per-element loops: one coordinate and one index at a time, one term at a
-time, one point at a time. Values and Python types must agree
-exactly (``same``), because a report prints an int 0 and a float 0.0
-differently.
+verifiers take each weighted sum as one running ``logaddexp`` along a row
+and check every point of a side in one array pass. The references in
+``oracles`` are the per-element loops: one coordinate and one index at a
+time, one term at a time, one point at a time. Values and Python types must
+agree exactly (``same``), because a report prints an int 0 and a float 0.0
+differently. The diagonal Datko pass, one point per index, is compared with
+the table of every point, the oracle of small diagonal windows.
 """
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import diagonal_lognorms, prefix_weighted, side_reports_loop, suffix_weighted
+from oracles import (
+    _slack,
+    diagonal_lognorms,
+    prefix_weighted,
+    side_reports_loop,
+    suffix_weighted,
+)
 from test_diagonal_scan import PROPERTY, diagonal_cases, same
 
 from dichotomy import (
@@ -31,11 +40,12 @@ from dichotomy import (
     verify_datko_ned,
     verify_datko_ued,
 )
-from dichotomy import datko, logarray
+from dichotomy import datko, logarray, system
 from dichotomy.checkers import _family_norms
 from dichotomy.cli import main
 from dichotomy.logarray import LogArray
-from dichotomy.logscalar import _FLOAT_SAFE, logaddexp_mag
+from dichotomy.config import parse_system_file
+from dichotomy.logscalar import _FLOAT_SAFE, logaddexp_mag, rounding_scale
 from dichotomy.system import _sweeps
 
 ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 0.5, -3.25])
@@ -112,16 +122,17 @@ def test_lockstep_sums_match_the_loops(case, data):
     seeds = list(range(lo, hi + 1))
     rows = [x for x in xs for _ in seeds]
     table = kernel.trajectories("P", rows, seeds * len(xs), np.arange(lo, hi + 1))
+    starts = np.tile(np.arange(hi - lo + 1), len(xs))
     trajs = table.tolist()
     for reverse, loop in ((True, suffix_weighted), (False, prefix_weighted)):
-        sums = datko._weighted_sums(table, d, reverse)
-        for k, row in enumerate(sums.tolist()):
-            start = seeds[k % len(seeds)] - lo
+        sums = logarray.weighted_sums(table, d, reverse, starts)
+        for k, (row, start) in enumerate(zip(sums.tolist(), starts.tolist())):
             want = loop(trajs[k][start:], d)
             assert all(same(a, b) for a, b in zip(row[start:], want)), (k, reverse)
         if not table.exact:
             # the float form repeats the exact arithmetic bit for bit
-            exact = datko._weighted_sums(logarray.concatenate([table.objects()]), d, reverse)
+            exact = logarray.weighted_sums(logarray.concatenate([table.objects()]), d, reverse,
+                                           starts)
             assert sums.values.tobytes() == exact.values.astype(float).tobytes()
 
 
@@ -135,16 +146,18 @@ def loop_trajectories(sys_, proj, part, window, upto):
     return directions, LogArray(np.array(rows, dtype=object).reshape(len(rows), len(at)))
 
 
-def loop_sums(table, d, reverse):
-    """``datko._weighted_sums`` through the term-by-term loops."""
+def loop_sums(table, d, reverse, starts):
+    """``logarray.weighted_sums`` through the term-by-term loops, from each
+    row's start; the entries before it are -inf, and no point reads them."""
     loop = suffix_weighted if reverse else prefix_weighted
-    rows = [loop(row, d) for row in table.tolist()]
+    rows = [[-math.inf] * s + loop(row[s:], d) for row, s in zip(table.tolist(), starts.tolist())]
     return LogArray(np.array(rows, dtype=object).reshape(table.values.shape))
 
 
-@PROPERTY
-@given(diagonal_cases(), st.data())
-def test_datko_reports_match_the_loop_reference(case, data):
+def datko_run(case, data):
+    """A verifier run on the case's system, with its mask at n_min (or all
+    of one side), a drawn form, d, window and tail certificate (or none),
+    truncated at the case's m_max; and the d, window and truncation."""
     _, sys_, proj, window, alpha = case
     mask = data.draw(st.sampled_from(["case", "P only", "Q only"]))
     if mask == "case":
@@ -176,13 +189,110 @@ def test_datko_reports_match_the_loop_reference(case, data):
 
         def run():
             return verify_datko_ned(sys_, proj, d, profile, window, m_trunc, cert=cert)
-    got = repr(run())
+    return run, d, window, m_trunc
+
+
+def table_reports(run):
+    """A verifier run with the table of every (seed, index) point in place
+    of the diagonal pass, as dense systems take it."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datko, "_trajectories", loop_trajectories)
-        patch.setattr(datko, "_weighted_sums", loop_sums)
+        patch.setattr(datko, "_side_points", datko._table_points)
+        return run()
+
+
+@PROPERTY
+@given(diagonal_cases(), st.data())
+def test_datko_reports_match_the_loop_reference(case, data):
+    # the table pass on a diagonal system, the oracle of the diagonal pass,
+    # and the array pass over the diagonal pass's points
+    run = datko_run(case, data)[0]
+    got, got_table = repr(run()), repr(table_reports(run))
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(datko, "_side_reports", side_reports_loop)
-        want = repr(run())
-    assert got == want
+        assert got == repr(run())
+        patch.setattr(datko, "_trajectories", loop_trajectories)
+        patch.setattr(datko, "weighted_sums", loop_sums)
+        want = repr(table_reports(run))
+    assert got_table == want
+
+
+# coordinate 0 has a zero factor at every even index after 0
+PARITY_ZEROS = """[system]
+dim = 2
+source = diagonal
+coord0 = parity: even=0, odd=0.5
+coord1 = const: value=2
+
+[projection]
+mask = 1,0
+"""
+
+
+def parity_cases():
+    return st.builds(
+        lambda n_min, w, mask: ("float", parse_system_file(PARITY_ZEROS)[0],
+                                ProjectionFamily(2, mask=mask), WindowSpec(n_min, n_min + w), 0.8),
+        st.integers(0, 3), st.integers(0, 11), st.sampled_from([(True, False), (False, True)]))
+
+
+@settings(PROPERTY, derandomize=True)
+@given(st.one_of(diagonal_cases(), parity_cases()), st.data())
+def test_diagonal_datko_pass_matches_the_table_pass(case, data):
+    # one point per index at its first live seed against every point: the
+    # same verdicts, counts and tail ratios, and the same worst triple, or a
+    # worst triple of the table that ties with it within rounding, where the
+    # slacks of two seeds of one index (P), or of two indices, are equal in
+    # exact arithmetic; at the same triple the values are the same, bit for
+    # bit and type for type
+    run, d, window, m_trunc = datko_run(case, data)
+    got, want = run(), table_reports(run)
+    pre, _ = case[1].diag_prefix(m_trunc)
+    scale = (1 + abs(d) * (m_trunc + 1) + max(p.rounding_scale() for p in pre)
+             + max(_rounding(r) for r in got + want))
+    bound = 2.0**-44 * scale
+    assert [r.side for r in got] == [r.side for r in want]
+    for g, w in zip(got, want):
+        assert (g.direction, g.verdict, g.checked) == (w.direction, w.verdict, w.checked)
+        assert g.max_tail_rhs_log == pytest.approx(w.max_tail_rhs_log, rel=0, abs=bound)
+        if g.worst == w.worst:
+            assert repr(replace(g, max_tail_rhs_log=0)) == repr(replace(w, max_tail_rhs_log=0))
+        else:
+            assert _tracked(w) <= _tracked(g) <= _tracked(w) + bound, (g, w)
+
+
+def _sums(report):
+    return report.lhs_p_sum if report.side == "P" else report.lhs_q_sum
+
+
+def _tracked(report) -> float:
+    """The slack that picks the worst point, from a report's fields."""
+    rhs, lhs, tail = report.rhs.logmag, _sums(report).logmag, report.tail_bound.logmag
+    total = _slack(rhs, logaddexp_mag(lhs, tail) if tail != math.inf else math.inf)
+    return total if math.isfinite(total) else _slack(rhs, lhs)
+
+
+def _rounding(report) -> float:
+    return max(rounding_scale(v.logmag) for v in (report.rhs, _sums(report), report.tail_bound))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_stretch_sums_match_each_stretch_on_its_own(exact):
+    # stretches of every length from 1 to 9 and one of 40, padded into tables
+    # by powers of two: each stretch's sums are its own, bit for bit
+    rng = np.random.default_rng(5)
+    lengths = [1, 2, 3, 4, 5, 7, 8, 9, 40, 1, 6]
+    bounds = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    values = rng.normal(0, 3, bounds[-1]).tolist()
+    values[3] = values[20] = -math.inf  # dead terms inside stretches
+    if exact:
+        values[5] = 2**70  # an int beyond the float-safe range: the object form
+    a = LogArray(values)
+    assert a.exact == exact
+    for d, reverse in ((0.0, True), (0.3, True), (0.3, False)):
+        got = system._stretch_sums(a, bounds, d, reverse).tolist()
+        want = [v for s, e in zip(bounds, bounds[1:])
+                for v in logarray.weighted_sums(a[s:e], d, reverse).tolist()]
+        assert all(same(x, y) for x, y in zip(got, want)) and len(got) == len(want)
 
 
 def test_numpy_logaddexp_matches_logaddexp_mag():
@@ -197,10 +307,13 @@ def test_numpy_logaddexp_matches_logaddexp_mag():
 
 
 def test_datko_overflowing_weight_is_quiet(tmp_path, capsys):
-    # d = 1e308 overflows the weighted sums to +inf; numpy must not warn
+    # d = 1e308 overflows the shift d t of the weighted sums: the command
+    # rejects it with exit status 2 and its one error line, and numpy must
+    # not warn
     report = tmp_path / "report.json"
     rc = main(["datko", "--gallery", "ued_example", "--form", "ued", "--D", "4",
                "--d", "1e308", "--window", "0..3", "--m-trunc", "10", "--report", str(report)])
-    assert rc == 1
-    assert capsys.readouterr().err == ""
-    assert '"verdict": "violated"' in report.read_text()
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: InvalidConstantsError: need d * (m_trunc + 1) a finite double, got d=1e+308\n")
+    assert json.loads(report.read_text())["error"]["type"] == "InvalidConstantsError"

@@ -12,7 +12,9 @@ through each tree's own ``dichotomy.cli.main``, one child process per tree.
 The job lists come from the ``bench/`` next to this script, which is only
 read. Beside them run a few large-window dense pair verifies, holding and
 violated, on fixtures built by ``bench/inputs.py::dense_fixture`` (``LARGE``):
-windows where the dense kernel checks a few short pairs per row. The script
+windows where the dense kernel checks a few short pairs per row; and the
+``datko`` runs of two gallery certificates on a large window
+(``LARGE_DATKO``), which the diagonal summation pass takes. The script
 lists every report, CSV and exit status that differs between the trees and
 exits 1, or exits 0 when all are byte-identical.
 """
@@ -35,6 +37,12 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # certificates verified on each, one holding and one violated
 LARGE = [("dense4-w400", 4, 400), ("dense16-w120", 16, 120)]
 LARGE_CERTS = {"holds": "UED:N=1,alpha=0.05", "violated": "UED:N=1,alpha=0.3"}
+# the large-window diagonal Datko runs: (gallery entry, certificate, d) on the
+# window 0..400, truncated at 4000
+LARGE_DATKO = [
+    ("ned_example", "NED:alpha=0.6931471805599453,profile=power:2:1", 0.34657359027997264),
+    ("ed_example", "ED:N=2.718281828459045,alpha=0.5,beta=1.0", 0.25),
+]
 
 
 def write_large(directory: Path, seed: int) -> None:
@@ -51,11 +59,17 @@ def write_large(directory: Path, seed: int) -> None:
 
 
 def large_jobs(directory: Path) -> list[SimpleNamespace]:
-    """The verify jobs of the ``LARGE`` fixtures written to ``directory``."""
-    return [SimpleNamespace(name=f"{name}-{verdict}", csv=False,
-                            argv=["verify", "--system", str(directory / f"{name}.ini"),
-                                  "--cert", cert, "--window", f"0..{w}"])
-            for name, _, w in LARGE for verdict, cert in LARGE_CERTS.items()]
+    """The verify jobs of the ``LARGE`` fixtures written to ``directory``,
+    and the ``LARGE_DATKO`` runs."""
+    verifies = [SimpleNamespace(name=f"{name}-{verdict}", csv=False,
+                                argv=["verify", "--system", str(directory / f"{name}.ini"),
+                                      "--cert", cert, "--window", f"0..{w}"])
+                for name, _, w in LARGE for verdict, cert in LARGE_CERTS.items()]
+    return verifies + [
+        SimpleNamespace(name=f"datko-{name}-w400", csv=False,
+                        argv=["datko", "--gallery", name, "--from-cert", cert, "--d", repr(d),
+                              "--window", "0..400", "--m-trunc", "4000"])
+        for name, cert, d in LARGE_DATKO]
 
 
 def run_tree(tree: Path, label: str, work: Path, seeds: list[int]) -> None:
