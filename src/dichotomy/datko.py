@@ -20,15 +20,19 @@ Without a certificate the tail is unknown and a passing truncated check is
 reported as inconclusive rather than holds.
 
 Each side checks every point (seed s, index j), s <= j, of the window, and
-reports the first point of least slack in (seed, index) order. Each sum is
-one running ``logaddexp`` along a trajectory (``weighted_sums``). A dense
-system builds the trajectory of every seed direction from every seed: a
-table of O(W M) entries. On a diagonal system the seed's factor cancels
-from every slack, so one point per index decides the side
-(``_DiagonalSweeps.datko_points``), in O(W + M): the P side at the index's
-first live seed, the Q side at n_min. The sums form d * t, the weights c * j
-and the tail's weights beta * j, so a d, c or beta whose product with the
-last index is not a finite double is rejected.
+reports the first point of least slack in (seed, index) order. A dense
+system builds the trajectory of every seed direction from every seed, a
+table of O(W M) entries, and runs its weighted sums over the columns in
+lockstep (``_weighted_sums``). On a diagonal system the seed's factor
+cancels from every slack, so one point per index decides the side
+(``_datko_diagonal``), in O(W + M) and with no loop over the columns: the
+P side at the index's first live seed, the Q side at n_min. Where the
+slacks of several seeds are equal in exact arithmetic, the table picks one
+by rounding and the diagonal pass the first; a diagonal window whose table
+holds at most ``_TABLE_ENTRIES`` entries per direction keeps the table, so
+its reports are those of every point on its own row. The sums form d * t,
+the weights c * j and the tail's weights beta * j, so a d, c or beta whose
+product with the last index is not a finite double is rejected.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .errors import (
     InvalidConstantsError,
     NoDecayCertificateError,
 )
-from .logarray import LogArray, add, logaddexp, weighted_sums, where
+from .logarray import LogArray, add, logaddexp, where
 from .logscalar import LogScalar
 from .system import ProjectionFamily, SystemDescription, _sweeps, check_compatibility
 
@@ -157,26 +161,54 @@ def _trajectories(sys, proj, part: str, window: WindowSpec, upto: int):
     return directions, table
 
 
+def _weighted_sums(table: LogArray, d: float, reverse: bool) -> LogArray:
+    """Per row, acc[j] = log(exp(row[j]) + exp(d + acc[j +- 1])): taken over
+    the columns in reverse, log sum_{t >= j} e^{d (t - j)} e^{row[t]}; in
+    order, log sum_{t <= j} e^{d (j - t)} e^{row[t]}. All rows advance in
+    lockstep, in the ufuncs of the table's form. A term added to an empty
+    sum (-inf) passes through unchanged, as ``logaddexp_mag`` passes it: an
+    int stays an int."""
+    (add, _, logaddexp), values = table.form, table.values
+    out = np.empty_like(values)
+    acc = np.full(len(values), -math.inf, dtype=values.dtype)
+    step = -1 if reverse else 1
+    with np.errstate(over="ignore"):
+        for col, dst in zip(values.T[::step], out.T[::step]):
+            acc = logaddexp(col, add(acc, d), out=dst)
+    # the sum before each term
+    edge = np.full((len(values), 1), -math.inf, dtype=values.dtype)
+    before = np.hstack([out[:, 1:], edge] if reverse else [edge, out[:, :-1]])
+    return where(before == -math.inf, table, out)
+
+
 def _table_points(sys, proj, part: str, window: WindowSpec, upto: int, d):
     """Every point (seed s, index j) of the side's triangle n_min <= s <= j
     <= m_max, in (seed, index) order, from one table of trajectories and
-    their weighted sums (``weighted_sums``, each row shifted from its seed):
-    the directions, the seeds, the columns j - n_min, and per direction the
-    trajectories and sums at the points."""
+    their weighted sums (``_weighted_sums``): the directions, the seeds, the
+    columns j - n_min, and per direction the trajectories and sums at the
+    points."""
     directions, table = _trajectories(sys, proj, part, window, upto)
     size = window.m_max - window.n_min + 1
-    sums = weighted_sums(table, d, part == "P", np.tile(np.arange(size), len(directions)))
+    sums = _weighted_sums(table, d, part == "P")
     rows, cols = np.triu_indices(size)
     at = np.arange(len(directions))[:, None] * size + rows
     return directions, window.n_min + rows, cols, table[at, cols], sums[at, cols]
 
 
+# a diagonal window whose table holds at most this many entries per
+# direction keeps the table
+_TABLE_ENTRIES = 1 << 12
+
+
 def _side_points(sys, proj, part: str, window: WindowSpec, upto: int, d):
     """The points that decide the side, as ``_table_points`` gives them: on
-    a diagonal system one per index (``_DiagonalSweeps.datko_points``), else
-    the whole table."""
-    if sys.is_diagonal:
-        return _sweeps(sys, proj, window.n_min, upto).datko_points(part, d, window.m_max)
+    a diagonal system whose table would hold more than ``_TABLE_ENTRIES``
+    entries per direction, one per index (``_datko_diagonal``), else the
+    whole table."""
+    size = window.m_max - window.n_min + 1
+    if sys.is_diagonal and size * (upto - window.n_min + 1) > _TABLE_ENTRIES:
+        from ._datko_diagonal import datko_points
+        return datko_points(_sweeps(sys, proj, window.n_min, upto), part, d, window.m_max)
     return _table_points(sys, proj, part, window, upto, d)
 
 

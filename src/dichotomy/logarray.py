@@ -263,27 +263,6 @@ def accumulate(a: LogArray) -> LogArray:
     return _made(EXACT_FORM[0].accumulate(a.objects()))
 
 
-def weighted_sums(a: LogArray, rate, reverse: bool, starts=0) -> LogArray:
-    """Along the last axis, log sum_{t >= j} e^{rate (t - j) + a[t]} at each j
-    (``reverse``), or log sum_{t <= j} e^{rate (j - t) + a[t]}: one running
-    ``logaddexp`` of a[t] + rate (t - s) (of a[t] - rate (t - s) in order),
-    less the same shift at j, where s is the row's entry of ``starts``, the
-    first index where its terms may lie. A term added to an empty sum (-inf)
-    passes through unchanged, as ``logaddexp_mag`` passes it: an int stays
-    an int. The shift overflows unless rate * (length + 1) is finite."""
-    steps = np.arange(a.values.shape[-1]) - np.asarray(starts)[..., None]
-    shift = times(rate if reverse else -rate, steps)
-    with np.errstate(over="ignore"):
-        terms = add(a, shift)
-        v = terms.values[..., ::-1] if reverse else terms.values
-        acc = terms.form[2].accumulate(v, axis=-1)
-        out = sub(_made(acc[..., ::-1] if reverse else acc), shift)
-    empty = out.values == -math.inf
-    edge = np.ones((*empty.shape[:-1], 1), dtype=bool)
-    before = np.concatenate([empty[..., 1:], edge] if reverse else [edge, empty[..., :-1]], -1)
-    return where(before, a, out)
-
-
 def segmented_max(a: LogArray, bounds: list[int], reverse: bool) -> LogArray:
     """Per index along the last axis, the maximum of the entries strictly
     after it (``reverse``) or strictly before it within its stretch, the

@@ -21,7 +21,7 @@ choice is recorded in the ``norm`` field.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -48,7 +48,6 @@ from .logarray import (
     segmented_max,
     sub,
     times,
-    weighted_sums,
     where,
 )
 from .logscalar import LogMag, LogScalar, lsub
@@ -591,6 +590,14 @@ class _DenseSweeps:
                     out[t, t] = starts[t]
         return out
 
+    def sweep(self, part: str, start: np.ndarray, n: int, upto: int) -> np.ndarray:
+        """Images of the columns of ``start`` (a block in range P(n) or Q(n),
+        ``part`` "P" or "Q") at k = n..upto, entry k - n of one stack, cut
+        before the first index whose image is not finite."""
+        out = self.images(part, start[None], n, upto)[:, 0]
+        finite = np.isfinite(out).all(axis=(1, 2))
+        return out if finite.all() else out[: int(np.argmin(finite))]
+
     def row(self, n: int) -> "_DenseRow":
         block = self._block
         if not block or not block[0].n <= n <= block[-1].n:
@@ -698,43 +705,27 @@ class _DenseSweeps:
 
     def trajectories(self, part: str, xs, seeds, at) -> LogArray:
         """log |A(j, s) x| as in ``_DiagonalSweeps.trajectories``, for rows x
-        in range P(s) or Q(s) (``part`` "P" or "Q"). Each seed's distinct rows
-        are the columns of its start block, swept up to its last horizon;
-        seeds that follow one another by 1 with equal blocks and last
-        horizons are swept together (``images``), as many as fit in
-        ``_BLOCK_BYTES``. A seed whose images leave the doubles by its last
-        horizon raises, the first in order."""
+        in range P(s) or Q(s) (``part`` "P" or "Q"): one sweep per seed of
+        its distinct rows, up to their last horizon."""
         xs, seeds = np.asarray(xs, dtype=float), np.asarray(seeds)
         at = np.broadcast_to(at, (len(xs), np.shape(at)[-1]))
         out = np.full(at.shape, -math.inf)
-        runs: list[list] = []
         for seed in dict.fromkeys(seeds.tolist()):
             rows = np.flatnonzero(seeds == seed)
+            upto = int(at[rows].max())
             # one column per distinct row, in order of first appearance
             keys = [xs[r].tobytes() for r in rows.tolist()]
             first = {}
             for r, k in zip(rows.tolist(), keys):
                 first.setdefault(k, r)
             column = {k: c for c, k in enumerate(first)}
-            block, upto = xs[list(first.values())].T, int(at[rows].max())
-            run = runs[-1] if runs else None
-            if (run and (run[-1][0], run[-1][2]) == (seed - 1, upto)
-                    and run[0][1].tobytes() == block.tobytes()
-                    and len(run) < _BLOCK_BYTES // (8 * block.size * (upto - run[0][0] + 1))):
-                run.append((seed, block, upto, rows, [column[k] for k in keys]))
-            else:
-                runs.append([(seed, block, upto, rows, [column[k] for k in keys])])
-        for run in runs:
-            s, last = run[0][0], run[0][2]
-            images = self.images(part, np.array([r[1] for r in run]), s, last)
-            for j, (seed, _, upto, rows, cols) in enumerate(run):
-                mine = images[j:upto - s + 1, j]
-                finite = np.isfinite(mine).all(axis=(1, 2))
-                if not finite.all():
-                    raise _overflow(seed, seed + int(np.argmin(finite)))
-                steps = at[rows] - seed
-                picked = _log_norms(mine).T[np.array(cols)[:, None], np.maximum(steps, 0)]
-                out[rows] = np.where(steps >= 0, picked, -math.inf)
+            images = self.sweep(part, xs[list(first.values())].T, seed, upto)
+            if len(images) <= upto - seed:
+                raise _overflow(seed, seed + len(images))
+            logs = _log_norms(images).T
+            steps = at[rows] - seed
+            picked = logs[[[column[k]] for k in keys], np.maximum(steps, 0)]
+            out[rows] = np.where(steps >= 0, picked, -math.inf)
         return LogArray(out)
 
 
@@ -1130,63 +1121,6 @@ class _DiagonalSweeps:
                     cand = where(scaled, add(cand, np.where(scaled, off, 0.0)), cand)
             candidates.append((i, cand, (off > -math.inf) & (at >= seeds)))
         return _first_best(candidates, (len(xs), at.shape[-1]), -math.inf, np.greater)[0]
-
-    def datko_points(self, part: str, d: LogMag, hi: int):
-        """The Datko points of each coordinate i of P(lo) or Q(lo) (``part``)
-        at j = lo..hi, one per j, as ``datko._table_points`` gives the whole
-        triangle.
-
-        The trajectory of e_i seeded at s is pre_i[j] - pre_i[s] until a zero
-        factor, so pre_i[s] cancels from every slack. The P slack, whose sum
-        runs over t = j..self.hi, is the same at every live seed s <= j (and
-        +inf at a dead one), so j is taken at its first live seed f(j), the
-        start of its stretch between zero factors (or lo). The Q slack, whose
-        sum runs over t = s..j, is least at the first seed lo: its sum holds
-        every term of a later seed's, and its right side is 0 once a zero
-        factor lies in (lo, j]. Either is the first point of least slack in
-        (seed, index) order. The trajectories and their ``weighted_sums`` are
-        the table's for the rows seeded at f(j) (at lo), bit for bit: each
-        stretch of P (the window of Q) is summed on its own, every
-        coordinate's at once (``_stretch_sums``), in O(dim (self.hi - lo)).
-        """
-        lo, size = self.lo, hi - self.lo + 1
-        row = self.row(lo)
-        coords = row.p_coords if part == "P" else row.q_coords
-        if not coords:
-            return [], None, None, None, None
-        trajs, bounds, offsets, firsts = [], [0], [], []
-        for i in coords:
-            # P: the stretches that start in the window, to their ends; Q: the window
-            ends = self.bounds[i]
-            ends = ends[:bisect_left(ends, size) + 1] if part == "P" else [0, size]
-            first = np.repeat(ends[:-1], np.diff(ends))
-            trajs.append(self.factor_logs(i, lo + np.arange(len(first)), lo + first))
-            offsets.append(bounds[-1])
-            bounds += [offsets[-1] + e for e in ends[1:]]
-            firsts.append(first[:size])
-        trajs = concatenate(trajs)
-        sums = _stretch_sums(trajs, bounds, d, part == "P")
-        at = np.array(offsets)[:, None] + np.arange(size)
-        return ([_unit(self.dim, i) for i in coords], lo + np.array(firsts), np.arange(size),
-                trajs[at], sums[at])
-
-
-def _stretch_sums(a: LogArray, bounds: list[int], rate: LogMag, reverse: bool) -> LogArray:
-    """``weighted_sums`` of each stretch [bounds[k], bounds[k + 1]) of ``a``
-    on its own, shifted from its start: the stretches are the rows of
-    tables padded with -inf, one per power of two of their lengths, so that
-    the tables hold fewer than twice the entries."""
-    starts, lengths = np.array(bounds[:-1]), np.diff(bounds)
-    widths = 1 << np.frexp(lengths - 1)[1]
-    parts, places = [], []
-    for width in np.unique(widths).tolist():
-        rows = np.flatnonzero(widths == width)
-        place = starts[rows, None] + np.arange(width)
-        held = place < (starts + lengths)[rows, None]
-        table = where(held, a[np.where(held, place, 0)], -math.inf)
-        parts.append(weighted_sums(table, rate, reverse)[held])
-        places.append(place[held])
-    return concatenate(parts)[np.argsort(np.concatenate(places))]
 
 
 class _DiagonalRow(_Row):

@@ -8,9 +8,9 @@ computed one coordinate and one index at a time with ``ladd``/``lsub``, in
 place of the arrays of the diagonal kernel (``_DiagonalSweeps.rows``,
 ``q_rows``, ``cols``, and the rounding scale of its ``rows_to_scan``). Diagonal trajectories are read one coordinate
 and one index at a time, and the Datko suffix and forward sums are
-accumulated one term at a time, in place of the kernel's table and
-``logarray.weighted_sums``. The Datko side reports are evaluated one point
-at a time, in place of the verifiers' array pass. The diagonal prefix sums are
+accumulated one term at a time, in place of the kernel's table and the
+verifiers' lockstep sums. The Datko side reports are evaluated one point at
+a time, in place of the verifiers' array pass. The diagonal prefix sums are
 built one factor at a time with ``ladd``, in place of the array build of
 ``SystemDescription._ensure_prefix``. A dense ratio is taken one pair of
 images at a time (``_sup_ratio``), in place of the dense rows' batched
@@ -306,33 +306,23 @@ def factor_log(kernel, i: int, m: int, n: int) -> LogMag:
 
 
 def suffix_weighted(traj: list[LogMag], d: float) -> list[LogMag]:
-    """R[t] = log sum_{s >= t} exp(d (s - t)) exp(traj[s]) (same indexing),
-    one term at a time in the form of ``logarray.weighted_sums``."""
-    return _shifted_sums(traj, d, reverse=True)
+    """R[t] = log sum_{s >= t} exp(d (s - t)) exp(traj[s]) (same indexing)."""
+    out: list[LogMag] = []
+    acc: LogMag = -math.inf
+    for t in reversed(traj):
+        acc = logaddexp_mag(t, ladd(acc, d))
+        out.append(acc)
+    out.reverse()
+    return out
 
 
 def prefix_weighted(traj: list[LogMag], d: float) -> list[LogMag]:
-    """S[t] = log sum_{s <= t} exp(d (t - s)) exp(traj[s]) (same indexing),
-    one term at a time in the form of ``logarray.weighted_sums``."""
-    return _shifted_sums(traj, d, reverse=False)
-
-
-def _shifted_sums(traj: list[LogMag], d: float, reverse: bool) -> list[LogMag]:
-    """The running ``logaddexp_mag`` of traj[k] + rate k (rate = d in
-    reverse, -d in order), less rate k; a term added to an empty sum is
-    taken as it is."""
-    rate = d if reverse else -d
-    order = range(len(traj) - 1, -1, -1) if reverse else range(len(traj))
-    sums: list[LogMag] = [-math.inf] * len(traj)
+    """S[t] = log sum_{s <= t} exp(d (t - s)) exp(traj[s]) (same indexing)."""
+    out: list[LogMag] = []
     acc: LogMag = -math.inf
-    for k in order:
-        acc = logaddexp_mag(acc, ladd(traj[k], rate * k))
-        sums[k] = lsub(acc, rate * k)
-    out = []
-    for k in range(len(traj)):
-        before = k + 1 if reverse else k - 1
-        empty = not 0 <= before < len(traj) or sums[before] == -math.inf
-        out.append(traj[k] if empty else sums[k])
+    for t in traj:
+        acc = logaddexp_mag(t, ladd(acc, d))
+        out.append(acc)
     return out
 
 

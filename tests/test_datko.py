@@ -297,10 +297,11 @@ def test_dense_reports_match_the_loop_reference():
         assert repr(reports) == repr(loop_reports(run))
 
 
-def test_int_trajectory_logs_beyond_the_float_safe_range():
+def test_int_trajectory_logs_beyond_the_float_safe_range(monkeypatch):
     # every prefix log-sum is an int within 2^16, so the trajectory table is
     # float64, but A(2, 1) has the int log 120000: ``ladd`` adds it to a float
-    # weight in Fraction arithmetic, and the array pass must too
+    # weight in Fraction arithmetic, and the array pass must too, over the
+    # table's points and over the diagonal pass's (no table is small enough)
     logs = [0, -60000, 120000, -1]
     sys_ = SystemDescription(1, DiagonalClosedForm([lambda n: LogScalar(1, logs[n])]))
     proj = ProjectionFamily(1, mask=(True,))
@@ -309,6 +310,8 @@ def test_int_trajectory_logs_beyond_the_float_safe_range():
     def run():
         return verify_datko_ued(sys_, proj, 0.1, 4.0, WindowSpec(1, 2), 3, cert=cert)
 
+    assert repr(run()) == repr(loop_reports(run))
+    monkeypatch.setattr(datko, "_TABLE_ENTRIES", 0)
     assert repr(run()) == repr(loop_reports(run))
 
 

@@ -346,14 +346,14 @@ def test_tower_family_reads_masks_once_per_index(monkeypatch, constant):
 def test_dense_family_sweeps_stop_at_the_last_horizon(monkeypatch, schedule):
     sys_, proj = commuting_system(3, 3, 1, 30)
     steps = {"P": 0, "Q": 0}
-    images = system._DenseSweeps.images
+    sweep = system._DenseSweeps.sweep
 
-    def counted(self, part, starts, s, upto):
-        # row j starts at s + j and is advanced to upto
-        steps[part] += sum(upto - s - j for j in range(len(starts)))
-        return images(self, part, starts, s, upto)
+    def counted(self, part, start, n, upto):
+        images = sweep(self, part, start, n, upto)
+        steps[part] += len(images) - 1
+        return images
 
-    monkeypatch.setattr(system._DenseSweeps, "images", counted)
+    monkeypatch.setattr(system._DenseSweeps, "sweep", counted)
     ks = range(15)
     falsify(sys_, proj, Kind.UED, schedule, ks)
     last: dict[int, int] = {}

@@ -8,12 +8,11 @@ and check every point of a side in one array pass. The references in
 time, one term at a time, one point at a time. Values and Python types must
 agree exactly (``same``), because a report prints an int 0 and a float 0.0
 differently. The diagonal Datko pass, one point per index, is compared with
-the table of every point, the oracle of small diagonal windows.
+the table of every point, which small diagonal windows keep.
 """
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from dichotomy import (
     verify_datko_ned,
     verify_datko_ued,
 )
-from dichotomy import datko, logarray, system
+from dichotomy import _datko_diagonal, datko, logarray
 from dichotomy.checkers import _family_norms
 from dichotomy.cli import main
 from dichotomy.logarray import LogArray
@@ -122,18 +121,31 @@ def test_lockstep_sums_match_the_loops(case, data):
     seeds = list(range(lo, hi + 1))
     rows = [x for x in xs for _ in seeds]
     table = kernel.trajectories("P", rows, seeds * len(xs), np.arange(lo, hi + 1))
-    starts = np.tile(np.arange(hi - lo + 1), len(xs))
     trajs = table.tolist()
     for reverse, loop in ((True, suffix_weighted), (False, prefix_weighted)):
-        sums = logarray.weighted_sums(table, d, reverse, starts)
-        for k, (row, start) in enumerate(zip(sums.tolist(), starts.tolist())):
+        sums = datko._weighted_sums(table, d, reverse)
+        for k, row in enumerate(sums.tolist()):
+            start = seeds[k % len(seeds)] - lo
             want = loop(trajs[k][start:], d)
             assert all(same(a, b) for a, b in zip(row[start:], want)), (k, reverse)
+            # the shifted running sum of the diagonal pass, from the seed
+            shifted = _datko_diagonal.weighted_sums(LogArray(trajs[k][start:]), d, reverse)
+            assert all(close(a, b, d, len(want)) for a, b in zip(shifted.tolist(), want)), (
+                k, reverse)
         if not table.exact:
             # the float form repeats the exact arithmetic bit for bit
-            exact = logarray.weighted_sums(logarray.concatenate([table.objects()]), d, reverse,
-                                           starts)
+            exact = datko._weighted_sums(logarray.concatenate([table.objects()]), d, reverse)
             assert sums.values.tobytes() == exact.values.astype(float).tobytes()
+
+
+def close(a, b, d, length) -> bool:
+    """Two floats within 2^-44 times their rounding scale, that of the
+    shifts d t and of the values; an exact log (or -inf) equal, type for
+    type."""
+    if type(a) is not float or type(b) is not float or not math.isfinite(a + b):
+        return same(a, b)
+    scale = 1 + abs(d) * (length + 1) + max(rounding_scale(a), rounding_scale(b))
+    return abs(a - b) <= 2.0**-44 * scale
 
 
 def loop_trajectories(sys_, proj, part, window, upto):
@@ -146,11 +158,10 @@ def loop_trajectories(sys_, proj, part, window, upto):
     return directions, LogArray(np.array(rows, dtype=object).reshape(len(rows), len(at)))
 
 
-def loop_sums(table, d, reverse, starts):
-    """``logarray.weighted_sums`` through the term-by-term loops, from each
-    row's start; the entries before it are -inf, and no point reads them."""
+def loop_sums(table, d, reverse):
+    """``datko._weighted_sums`` through the term-by-term loops."""
     loop = suffix_weighted if reverse else prefix_weighted
-    rows = [[-math.inf] * s + loop(row[s:], d) for row, s in zip(table.tolist(), starts.tolist())]
+    rows = [loop(row, d) for row in table.tolist()]
     return LogArray(np.array(rows, dtype=object).reshape(table.values.shape))
 
 
@@ -192,28 +203,28 @@ def datko_run(case, data):
     return run, d, window, m_trunc
 
 
-def table_reports(run):
-    """A verifier run with the table of every (seed, index) point in place
-    of the diagonal pass, as dense systems take it."""
+def diagonal_reports(run):
+    """A verifier run with the diagonal pass, one point per index, at every
+    window size (small windows keep the table)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datko, "_side_points", datko._table_points)
+        patch.setattr(datko, "_TABLE_ENTRIES", 0)
         return run()
 
 
 @PROPERTY
 @given(diagonal_cases(), st.data())
 def test_datko_reports_match_the_loop_reference(case, data):
-    # the table pass on a diagonal system, the oracle of the diagonal pass,
-    # and the array pass over the diagonal pass's points
+    # the case's windows are small: the table of every point, against the
+    # loops; then the array pass over the diagonal pass's points
     run = datko_run(case, data)[0]
-    got, got_table = repr(run()), repr(table_reports(run))
+    got, got_diagonal = repr(run()), repr(diagonal_reports(run))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(datko, "_side_reports", side_reports_loop)
-        assert got == repr(run())
+        assert got_diagonal == repr(diagonal_reports(run))
         patch.setattr(datko, "_trajectories", loop_trajectories)
-        patch.setattr(datko, "weighted_sums", loop_sums)
-        want = repr(table_reports(run))
-    assert got_table == want
+        patch.setattr(datko, "_weighted_sums", loop_sums)
+        want = repr(run())
+    assert got == want
 
 
 # coordinate 0 has a zero factor at every even index after 0
@@ -239,13 +250,13 @@ def parity_cases():
 @given(st.one_of(diagonal_cases(), parity_cases()), st.data())
 def test_diagonal_datko_pass_matches_the_table_pass(case, data):
     # one point per index at its first live seed against every point: the
-    # same verdicts, counts and tail ratios, and the same worst triple, or a
-    # worst triple of the table that ties with it within rounding, where the
-    # slacks of two seeds of one index (P), or of two indices, are equal in
-    # exact arithmetic; at the same triple the values are the same, bit for
-    # bit and type for type
+    # same verdicts, counts and tail ratios within rounding; the same worst
+    # triple with the same values within rounding (exact logs equal, type
+    # for type), or a worst triple of the table whose slack ties with it
+    # within rounding, where the slacks of two seeds of one index (P), or of
+    # two indices, are equal in exact arithmetic
     run, d, window, m_trunc = datko_run(case, data)
-    got, want = run(), table_reports(run)
+    got, want = diagonal_reports(run), run()
     pre, _ = case[1].diag_prefix(m_trunc)
     scale = (1 + abs(d) * (m_trunc + 1) + max(p.rounding_scale() for p in pre)
              + max(_rounding(r) for r in got + want))
@@ -254,10 +265,11 @@ def test_diagonal_datko_pass_matches_the_table_pass(case, data):
     for g, w in zip(got, want):
         assert (g.direction, g.verdict, g.checked) == (w.direction, w.verdict, w.checked)
         assert g.max_tail_rhs_log == pytest.approx(w.max_tail_rhs_log, rel=0, abs=bound)
+        assert _tracked(g) == pytest.approx(_tracked(w), rel=0, abs=bound), (g, w)
         if g.worst == w.worst:
-            assert repr(replace(g, max_tail_rhs_log=0)) == repr(replace(w, max_tail_rhs_log=0))
-        else:
-            assert _tracked(w) <= _tracked(g) <= _tracked(w) + bound, (g, w)
+            for field in ("lhs_p_sum", "lhs_q_sum", "tail_bound", "rhs"):
+                a, b = getattr(g, field), getattr(w, field)
+                assert a.sign == b.sign and close(a.logmag, b.logmag, 0.0, 0), (field, g, w)
 
 
 def _sums(report):
@@ -289,9 +301,9 @@ def test_stretch_sums_match_each_stretch_on_its_own(exact):
     a = LogArray(values)
     assert a.exact == exact
     for d, reverse in ((0.0, True), (0.3, True), (0.3, False)):
-        got = system._stretch_sums(a, bounds, d, reverse).tolist()
+        got = _datko_diagonal.stretch_sums(a, bounds, d, reverse).tolist()
         want = [v for s, e in zip(bounds, bounds[1:])
-                for v in logarray.weighted_sums(a[s:e], d, reverse).tolist()]
+                for v in _datko_diagonal.weighted_sums(a[s:e], d, reverse).tolist()]
         assert all(same(x, y) for x, y in zip(got, want)) and len(got) == len(want)
 
 
