@@ -33,8 +33,8 @@ def weighted_sums(a: LogArray, rate: LogMag, reverse: bool) -> LogArray:
     order), less the same shift at j; the shift overflows unless rate *
     (length + 1) is finite. The exact form takes the running acc =
     ``logaddexp_mag``(a[t], ``ladd``(acc, rate)) of ``datko._weighted_sums``,
-    one Python call per entry either way. A term added to an empty sum
-    (-inf) passes through unchanged: an int stays an int."""
+    one Python call per entry, so its sums are the table's. A term added to
+    an empty sum (-inf) passes through unchanged: an int stays an int."""
     if a.exact:
         step = np.frompyfunc(lambda acc, x: logaddexp_mag(x, ladd(acc, rate)), 2, 1)
         v = a.objects()

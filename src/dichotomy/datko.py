@@ -28,9 +28,9 @@ cancels from every slack, so one point per index decides the side
 (``_datko_diagonal``), in O(W + M) and with no loop over the columns: the
 P side at the index's first live seed, the Q side at n_min. Where the
 slacks of several seeds are equal in exact arithmetic, the table picks one
-by rounding and the diagonal pass the first; a diagonal window whose table
-holds at most ``_TABLE_ENTRIES`` entries per direction keeps the table, so
-its reports are those of every point on its own row. The sums form d * t,
+by rounding and the diagonal pass the first; a side whose table holds at
+most ``_TABLE_ENTRIES`` entries per direction keeps the table on a diagonal
+system too, so its reports are those of every point on its own row. The sums form d * t,
 the weights c * j and the tail's weights beta * j, so a d, c or beta whose
 product with the last index is not a finite double is rejected.
 """
@@ -195,8 +195,8 @@ def _table_points(sys, proj, part: str, window: WindowSpec, upto: int, d):
     return directions, window.n_min + rows, cols, table[at, cols], sums[at, cols]
 
 
-# a diagonal window whose table holds at most this many entries per
-# direction keeps the table
+# a side whose table holds at most this many entries per direction keeps it
+# on a diagonal system too
 _TABLE_ENTRIES = 1 << 12
 
 
