@@ -30,9 +30,11 @@ P side at the index's first live seed, the Q side at n_min. Where the
 slacks of several seeds are equal in exact arithmetic, the table picks one
 by rounding and the diagonal pass the first; a side whose table holds at
 most ``_TABLE_ENTRIES`` entries per direction keeps the table on a diagonal
-system too, so its reports are those of every point on its own row. The sums form d * t,
-the weights c * j and the tail's weights beta * j, so a d, c or beta whose
-product with the last index is not a finite double is rejected.
+system too, so its reports are those of every point on its own row.
+
+The sums form d * t, the weights c * j and the tail's weights beta * j, so
+a d, c or beta whose product with the last index is not a finite double is
+rejected.
 """
 
 from __future__ import annotations
