@@ -56,12 +56,13 @@ def stretch_sums(a: LogArray, bounds: list[int], rate: LogMag, reverse: bool) ->
     """``weighted_sums`` of each stretch [bounds[k], bounds[k + 1]) of ``a``
     on its own: the stretches are the rows of tables padded with -inf, one
     per power of two of their lengths, so that the tables hold fewer than
-    twice the entries."""
+    twice the entries; a table of one stretch is as wide as it."""
     starts, lengths = np.array(bounds[:-1]), np.diff(bounds)
     widths = 1 << np.frexp(lengths - 1)[1]
     parts, places = [], []
     for width in np.unique(widths).tolist():
         rows = np.flatnonzero(widths == width)
+        width = int(lengths[rows[0]]) if len(rows) == 1 else width
         place = starts[rows, None] + np.arange(width)
         held = place < (starts + lengths)[rows, None]
         table = where(held, a[np.where(held, place, 0)], -math.inf)

@@ -462,19 +462,25 @@ def minimal_ned_profile(
 class WitnessSchedule:
     """A parameterized family of pairs plus a probe direction.
 
-    ``pair_fn`` maps the family parameter k to (m, n); the direction is a
-    coordinate index or an explicit vector used at time n.
+    ``pair_fn`` maps the family parameter k to (m, n), or ``affine`` =
+    ((a, b), (c, d)) gives (a k + b, c k + d), as arrays over a range of k in
+    ``falsify`` (every built-in schedule); the direction is a coordinate
+    index or an explicit vector used at time n.
     """
 
     name: str
-    pair_fn: Callable[[int], tuple[int, int]]
+    pair_fn: Callable[[int], tuple[int, int]] | None
     direction: int | tuple[float, ...]
     default_alpha: float = 0.5
     default_beta: float = 0.0
     description: str = ""
+    affine: tuple[tuple[int, int], tuple[int, int]] | None = None
 
     def pair_at(self, k: int) -> tuple[int, int]:
-        return self.pair_fn(k)
+        if self.affine is None:
+            return self.pair_fn(k)
+        (a, b), (c, d) = self.affine
+        return a * k + b, c * k + d
 
     def direction_vector(self, dim: int) -> tuple[float, ...]:
         if isinstance(self.direction, int):
@@ -545,27 +551,26 @@ def falsify(
             raise InvalidCertificateError("trial beta must be finite")
     elif concept is Kind.NED and profile is None:
         raise InvalidCertificateError("falsifying the nonuniform concept needs a trial profile")
-    ks = _family_parameters(k_values)
-    pairs = list(map(schedule.pair_at, ks))
-    ms, ns = zip(*pairs)
-    at = np.array((ms, ns)).T
-    _check_pairs(sys, pairs, at)
+    ks, at, ms, ns = _family_pairs(schedule, k_values)
+    _check_pairs(sys, ms, ns, at)
     # the family forms alpha (m - n) and beta m; float overflow must not
     # decide a required constant
-    m, n = pairs[int(np.argmax(at[:, 0] - at[:, 1]))]
-    _check_product(alpha, m - n, f"(m - n) at (m, n) = ({m}, {n})")
+    i = int(np.argmax(at[:, 0] - at[:, 1]))
+    _check_product(alpha, ms[i] - ns[i], f"(m - n) at (m, n) = ({ms[i]}, {ns[i]})")
     if concept in (Kind.ED, Kind.SED):
-        top = pairs[int(np.argmax(at[:, 0]))][0]
+        top = ms[int(np.argmax(at[:, 0]))]
         _check_product(beta, top, f"m at m = {top}")
-    check_pairs_compatibility(sys, proj, pairs)
+    check_pairs_compatibility(sys, proj, ms, ns)
     x = schedule.direction_vector(sys.dim)
     p_norms, q_norms = _family_norms(sys, proj, at, x)
     if concept is Kind.UED:
-        w_p = w_q = np.zeros(len(pairs), dtype=int)
+        w_p = w_q = np.zeros(len(at), dtype=int)
     elif concept is Kind.NED:
-        w_p, w_q = zip(*[(_profile_log(profile, n), _profile_log(profile, m)) for m, n in pairs])
+        # n before m, member by member: the first log rejected is named
+        w = [_profile_log(profile, k) for k in at[:, ::-1].ravel().tolist()]
+        w_p, w_q = w[0::2], w[1::2]
     else:
-        w_p, w_q = [beta * n for _, n in pairs], [beta * m for m, _ in pairs]
+        w_p, w_q = times(beta, at[:, 1]), times(beta, at[:, 0])
     logs = _required_logs(alpha, at, w_p, w_q, p_norms, q_norms)
     trend, slope = _classify_trend(ks, logs)
     return WitnessReport(
@@ -582,10 +587,29 @@ def falsify(
     )
 
 
+def _family_pairs(schedule: WitnessSchedule, k_values: Iterable[int]):
+    """The parameters in increasing order, the pairs as rows (m, n) and the
+    members' m and n as tuples: for an affine schedule over a range within
+    +-2**62 (m - n fits int64) as int64 arrays, else by ``pair_at``."""
+    r, affine = k_values, schedule.affine
+    if type(r) is range and r.step > 0 and r and affine is not None:
+        ends = [r[0], r[-1]] + [a * k + b for a, b in affine for k in (r[0], r[-1])]
+        if max(map(abs, ends)) < 2**62:
+            ks = np.arange(r.start, r.stop, r.step)
+            at = ks[:, None] * np.array(affine)[:, 0] + np.array(affine)[:, 1]
+            return ks, at, tuple(at[:, 0].tolist()), tuple(at[:, 1].tolist())
+    ks = _family_parameters(k_values)
+    ms, ns = zip(*map(schedule.pair_at, ks))
+    return ks, np.array((ms, ns)).T, ms, ns
+
+
 def _family_parameters(k_values: Iterable[int]) -> list[int]:
     """The distinct family parameters in increasing order; a value that
-    ``operator.index`` refuses (0.5, say) is named, not truncated."""
-    values = list(k_values)
+    ``operator.index`` refuses (0.5, say), or too many to list, is named."""
+    try:
+        values = list(k_values)
+    except OverflowError:
+        raise ScheduleOutOfRangeError(f"family parameter range {k_values} is too long") from None
     try:
         ks = sorted(set(map(operator.index, values)))
     except TypeError:
@@ -601,14 +625,14 @@ def _family_parameters(k_values: Iterable[int]) -> list[int]:
     return ks
 
 
-def _check_pairs(sys: SystemDescription, pairs: list[tuple[int, int]], at: np.ndarray) -> None:
+def _check_pairs(sys: SystemDescription, ms, ns, at: np.ndarray) -> None:
     """Find, in one array pass over the rows (m, n) of ``at``, the first pair
-    with m < n, n < 0 or m beyond the system's last index; that pair raises
-    the error that checking the pairs one by one raises."""
+    with m < n, n < 0 or m beyond the system's last index; that pair (of
+    ``ms`` and ``ns``) raises the error that checking them one by one raises."""
     bad = (at[:, 0] < at[:, 1]) | (at[:, 1] < 0)
     if sys.n_max is not None:
         bad |= at[:, 0] > sys.n_max
-    for m, n in (pairs[i] for i in np.flatnonzero(bad)[:1]):
+    for m, n in ((ms[i], ns[i]) for i in np.flatnonzero(bad)[:1]):
         if m < n or n < 0:
             raise ScheduleOutOfRangeError(f"schedule produced invalid pair (m, n) = ({m}, {n})")
         try:

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from itertools import chain, count, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, sub
 from pathlib import Path
@@ -53,12 +53,11 @@ from .gallery import (
 )
 _GALLERY_PARAM_FLAGS = tuple(dict.fromkeys(k for ex in _EXAMPLES.values() for k in ex.defaults))
 
+# m = a k + b, n = c k + d as ((a, b), (c, d))
 _GENERIC_SCHEDULES = {
-    "odd_after_even": lambda: WitnessSchedule(
-        "odd_after_even", lambda k: (2 * k + 1, 2 * k), 0
-    ),
-    "adjacent": lambda: WitnessSchedule("adjacent", lambda k: (k + 1, k), 0),
-    "from_start": lambda: WitnessSchedule("from_start", lambda k: (k, 0), 0),
+    "odd_after_even": ((2, 1), (2, 0)),
+    "adjacent": ((1, 1), (1, 0)),
+    "from_start": ((1, 0), (0, 0)),
 }
 
 
@@ -164,14 +163,15 @@ def _resolve_system(args):
 # shape, and a list whose records share the first record's shape (the same
 # keys in the same order, lists of the same lengths, scalars in the same
 # places) from the columns read out of its records. Each column's texts take
-# one C-level call (``Column.texts``), or none when every record has the same
-# text there (a family's probe direction, say, a literal of the template);
-# then the template's literal pieces and the columns are interleaved in one
-# ``str.join``. The rest of the report goes through ``json.dumps`` with a
-# placeholder string for each such list, and the lists are spliced in, so the
-# text is that of ``json.dumps(report, indent=2)`` with each
-# ``RecordColumns`` written as its records. A column keeps its texts: a
-# family's CSV reuses those of its log column.
+# one C-level call (a %-format of ints, else ``Column.texts``), or none when
+# every record has the same text there (a family's probe direction, say, a
+# literal of the template); the template's literal pieces and the columns
+# are interleaved by slice assignment and joined in one ``str.join``. The
+# rest of the report goes through ``json.dumps`` with a placeholder string
+# for each such list, and the lists are spliced in, so the text is that of
+# ``json.dumps(report, indent=2)`` with each ``RecordColumns`` written as its
+# records. A column keeps its texts: a family's CSV reuses those of its log
+# column.
 
 _INDENT = "  "
 # marks a column's place in a record template; the literal pieces are JSON
@@ -237,19 +237,28 @@ def _column_text(proto, col: list, size: int, depth: int) -> str | None:
     ``[proto]``. None when a value has another shape."""
     if not size:
         return "[]"
-    columns: list[Sequence[str]] = []
+    columns: list[Sequence] = []
     template = _template(proto, col, depth + 1, columns)
     if template is None:
         return None
     sep = ",\n" + _INDENT * (depth + 1)
     pieces = template.split(_SLOT)
     pieces[-1] += sep
-    # per record: literal piece, column entry, literal piece, ..., last piece
-    parts = [repeat(pieces[0])]
+    # per record: literal piece, column text, literal piece, ..., last piece
+    parts = [[pieces[0]] * size]
     for column, piece in zip(columns, pieces[1:]):
-        parts += (column, repeat(piece))
-    body = "".join(chain.from_iterable(zip(*parts))) if columns else pieces[0] * size
+        parts += (column, [piece] * size)
+    body = "".join(_interleaved(parts))
     return "[" + sep[1:] + body[:-len(sep)] + "\n" + _INDENT * depth + "]"
+
+
+def _interleaved(columns: list[Sequence]) -> list:
+    """The values of equally long columns, record by record."""
+    width = len(columns)
+    out = [None] * (width * len(columns[0]))
+    for i, column in enumerate(columns):
+        out[i::width] = column
+    return out
 
 
 def _template(proto, col: list, depth: int, columns: list[Sequence[str]]) -> str | None:
@@ -267,7 +276,7 @@ def _template(proto, col: list, depth: int, columns: list[Sequence[str]]) -> str
             return None
         if len(kinds) == 1 and _repeated(col):
             return serialize.json_text(col[0])  # a literal piece of the template
-        columns.append(col.texts)
+        columns.append(_int_texts(col) if kinds == {int} else col.texts)
         return _SLOT
     if type(proto) is dict:
         keys = tuple(proto)
@@ -295,6 +304,11 @@ def _template(proto, col: list, depth: int, columns: list[Sequence[str]]) -> str
             return None
         parts.append(inner + name + sub)
     return open_ + ",".join(parts) + "\n" + _INDENT * depth + close
+
+
+def _int_texts(ints: Sequence[int]) -> list[str]:
+    """The text of each int, from one %-format."""
+    return ("%d\n" * len(ints) % tuple(ints)).split("\n")[:-1]
 
 
 def _repeated(values: Sequence) -> bool:
@@ -331,16 +345,17 @@ def _column(records, key: str) -> serialize.Column:
     return serialize.Column(map(itemgetter(key), records))
 
 
-def _csv_rows(indices, logmags: serialize.Column, signs) -> list[str]:
-    """One line ``index,logmag,sign`` per value. The ``_fmt_num`` of a column
-    of ints or of finite floats is its JSON text, ``logmags.texts``: made in
-    one C-level call, or already made by the report's text."""
+def _csv_rows(indices, logmags: serialize.Column, signs) -> str:
+    """The lines ``index,logmag,sign`` of the values, one %-format over the
+    columns. The ``_fmt_num`` of a column of ints is its %d; that of a column
+    of finite floats is its JSON text, ``logmags.texts``: made in one C-level
+    call, or already made by the report's text."""
     kinds = set(map(type, logmags))
-    if kinds == {int} or (kinds == {float} and all(map(math.isfinite, logmags))):
-        mags = logmags.texts
-    else:
-        mags = map(_fmt_num, logmags)
-    return [f"{i},{mag},{sign}" for i, mag, sign in zip(indices, mags, signs)]
+    mags, line = logmags, "%d,%d,%d\n"
+    if kinds != {int}:
+        finite = kinds == {float} and all(map(math.isfinite, logmags))
+        mags, line = logmags.texts if finite else list(map(_fmt_num, logmags)), "%d,%s,%d\n"
+    return line * len(logmags) % tuple(_interleaved([list(indices), mags, list(signs)]))
 
 
 def _family(witnesses) -> dict:
@@ -361,26 +376,26 @@ def emit_series(report: dict) -> str:
     profile reports emit one row per index n. Other reports produce a
     header-only file.
     """
-    lines = ["index,value_logmag,value_sign"]
+    lines = ["index,value_logmag,value_sign\n"]
     command = report.get("command")
     if command == "falsify":
         family = _family(report["result"]["witnesses"])
         constant = family["required_constant"]
-        lines += _csv_rows(map(sub, family["m"], family["n"]), constant["logmag"],
-                           constant["sign"])
+        lines.append(_csv_rows(map(sub, family["m"], family["n"]), constant["logmag"],
+                               constant["sign"]))
     elif command == "estimate" and report.get("kind") == "ned":
         profile = report["profile"]
         values = profile["values"]
-        lines += _csv_rows(count(profile["n_min"]), _column(values, "logmag"),
-                           map(itemgetter("sign"), values))
+        lines.append(_csv_rows(range(profile["n_min"], profile["n_min"] + len(values)),
+                               _column(values, "logmag"), map(itemgetter("sign"), values)))
     elif command == "estimate":
         for i, point in enumerate(report["result"]["grid"]):
-            lines.append(f"{i},{_fmt_num(point['log_n_full'])},1")
+            lines.append(f"{i},{_fmt_num(point['log_n_full'])},1\n")
     elif command == "verify" and report["result"].get("witness"):
         w = report["result"]["witness"]
         req = w["required_constant"]
-        lines.append(f"{w['m'] - w['n']},{_fmt_num(req['logmag'])},{req['sign']}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{w['m'] - w['n']},{_fmt_num(req['logmag'])},{req['sign']}\n")
+    return "".join(lines)
 
 
 # -- subcommand runners ----------------------------------------------------------
@@ -462,7 +477,8 @@ def _run_falsify(args) -> int:
     if entry is not None and args.schedule in entry.schedules:
         schedule = entry.schedules[args.schedule]
     elif args.schedule in _GENERIC_SCHEDULES:
-        schedule = _GENERIC_SCHEDULES[args.schedule]()
+        schedule = WitnessSchedule(args.schedule, None, 0,
+                                   affine=_GENERIC_SCHEDULES[args.schedule])
     else:
         raise ConfigError(f"unknown schedule {args.schedule!r}")
     if args.coord is not None:

@@ -163,8 +163,8 @@ def _odd_after_even(rate: float, description: str) -> dict[str, WitnessSchedule]
     """The schedule of pairs (2k+1, 2k) along the first coordinate."""
     return {
         "odd_after_even": WitnessSchedule(
-            "odd_after_even", lambda k: (2 * k + 1, 2 * k), 0, default_alpha=rate,
-            description=description,
+            "odd_after_even", None, 0, default_alpha=rate, description=description,
+            affine=((2, 1), (2, 0)),
         )
     }
 
@@ -311,19 +311,20 @@ def _build_tower(name, p) -> dict:
     schedules = {
         # the three regimes of e^alpha * c: balanced (= 1), above 1, below 1
         "tower_balanced": WitnessSchedule(
-            "tower_balanced", lambda k: (2 * k + 2, 2 * k + 1), 0,
-            default_alpha=alpha, default_beta=1.0,
+            "tower_balanced", None, 0, default_alpha=alpha, default_beta=1.0,
             description="adjacent pairs at odd start, trial rate matching the drift",
+            affine=((2, 2), (2, 1)),
         ),
         "tower_expanding": WitnessSchedule(
-            "tower_expanding", lambda k: (2 * k + 2, 2), 0,
-            default_alpha=alpha + 0.5, default_beta=1.0,
+            "tower_expanding", None, 0, default_alpha=alpha + 0.5, default_beta=1.0,
             description="even horizon growing from n = 2, trial rate above the drift",
+            affine=((2, 2), (0, 2)),
         ),
         "tower_contracting": WitnessSchedule(
-            "tower_contracting", lambda k: (2 * k + 2, 2 * k + 1), 0,
+            "tower_contracting", None, 0,
             default_alpha=alpha * 0.5 if alpha > 0 else 0.25, default_beta=1.0,
             description="adjacent pairs at odd start, trial rate below the drift",
+            affine=((2, 2), (2, 1)),
         ),
     }
     return dict(

@@ -21,6 +21,7 @@ slack of order one must stay meaningful even at log-magnitudes of order
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -37,25 +38,38 @@ def ladd(a: LogMag, b: LogMag) -> LogMag:
     """Add two log-magnitudes without losing exactness.
 
     float+float stays float; exact+exact stays exact; a mix is promoted to
-    Fraction unless the exact side is small (see ``_FLOAT_SAFE``).
+    Fraction unless the exact side is small (see ``_FLOAT_SAFE``). Exact
+    sums are taken from the operands' integer ratios (a finite float's is
+    exact): the cross products over one ``Fraction``.
     """
-    if isinstance(a, float):
-        if not math.isfinite(a):
-            if isinstance(b, float) and math.isinf(b) and (b > 0) != (a > 0):
-                raise ValueError("indeterminate inf - inf log-magnitude")
-            return a
-        if isinstance(b, float):
-            return a + b
-        if -_FLOAT_SAFE <= b <= _FLOAT_SAFE:
-            return a + float(b)
-        return Fraction(a) + b
+    if not isinstance(a, float):
+        if not isinstance(b, float):
+            if type(a) is not Fraction is not type(b):
+                return a + b
+            (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+            return Fraction(an * bd + bn * ad, ad * bd)
+        a, b = b, a  # the float first: the sum is the same either way
+    if not math.isfinite(a):
+        if isinstance(b, float) and math.isinf(b) and (b > 0) != (a > 0):
+            raise ValueError("indeterminate inf - inf log-magnitude")
+        return a
     if isinstance(b, float):
-        if not math.isfinite(b):
-            return b
-        if -_FLOAT_SAFE <= a <= _FLOAT_SAFE:
-            return float(a) + b
-        return a + Fraction(b)
-    return a + b
+        return a + b
+    bn, bd = _ratio(b)
+    if -_FLOAT_SAFE * bd <= bn <= _FLOAT_SAFE * bd:
+        return a + bn / bd  # a + float(b)
+    an, ad = a.as_integer_ratio()
+    return Fraction(an * bd + bn * ad, ad * bd)
+
+
+def _ratio(x: LogMag) -> tuple[int, int]:
+    """An exact value or a finite float as (numerator, denominator) ints (a
+    numpy integer as an int, whose products cannot overflow)."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, (float, Fraction)):
+        return x.as_integer_ratio()
+    return operator.index(x), 1
 
 
 def lsub(a: LogMag, b: LogMag) -> LogMag:

@@ -212,8 +212,9 @@ def json_text(value) -> str:
 def witness_family(rep: WitnessReport) -> RecordColumns:
     """The witness records of a family, by column: the members' m, n and
     required constants vary, the probe direction and side are shared."""
-    logs = list(rep.required_logs)
-    if set(map(type, logs)) == {float} and all(map(math.isfinite, logs)):
+    logs = rep.required_logs
+    # floats of a finite sum are finite (an overflow takes the slower form)
+    if set(map(type, logs)) == {float} and math.isfinite(sum(logs)):
         signs = repeat(1, len(logs))
     else:
         # LogScalar.from_log: a zero constant (log -inf) has sign 0

@@ -360,25 +360,26 @@ def check_compatibility(
 ) -> None:
     """Raise unless the family is idempotent and commutes with the dynamics
     on [n_lo, m_hi]."""
-    check_pairs_compatibility(sys, proj, [(m_hi, n_lo)])
+    check_pairs_compatibility(sys, proj, [m_hi], [n_lo])
 
 
 def check_pairs_compatibility(
     sys: SystemDescription,
     proj: ProjectionFamily,
-    pairs: Sequence[tuple[int, int]],
+    ms: Sequence[int],
+    ns: Sequence[int],
 ) -> None:
     """Raise unless the family is idempotent at every index of the ranges
-    [n, m] of the pairs (m, n) and commutes with the dynamics at every index
-    of their ranges [n, m). Each index is checked once, and none that lies
-    between the ranges; a diagonal system with a constant mask commutes
-    everywhere."""
+    [n, m] of the pairs (ms[i], ns[i]) and commutes with the dynamics at
+    every index of their ranges [n, m). Each index is checked once, and none
+    that lies between the ranges; a diagonal system with a constant mask
+    commutes everywhere."""
     if not proj.is_mask:  # a mask is idempotent
-        for lo, hi in _merged((n, m) for m, n in pairs):
+        for lo, hi in _merged(zip(ns, ms)):
             proj.validate(lo, hi)
     if sys.is_diagonal and proj.is_mask and proj.constant:
         return
-    for lo, hi in _merged((n, m - 1) for m, n in pairs):
+    for lo, hi in _merged((n, m - 1) for m, n in zip(ms, ns)):
         for k in range(lo, hi + 1) if sys.is_diagonal else _unscreened(sys, proj, lo, hi):
             d = compatibility_defect(sys, proj, k)
             if d > DEFAULT_TOL_COMPAT:

@@ -9,6 +9,7 @@ arithmetic on the same log-magnitudes, so witnesses, required constants,
 trend and slope must agree bit for bit.
 """
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -22,6 +23,7 @@ from test_diagonal_scan import PROPERTY, diagonal_cases, same
 
 from dichotomy import (
     ConstantProfile,
+    DichotomyError,
     DiagonalClosedForm,
     ExplicitSequence,
     IncompatibleProjectionError,
@@ -33,18 +35,20 @@ from dichotomy import (
     ScheduleOutOfRangeError,
     SystemDescription,
     TabulatedProfile,
+    gallery_names,
     make_example,
 )
-from dichotomy import system
+from dichotomy import serialize, system
 from dichotomy.certificates import Witness
 from dichotomy.checkers import (
     WitnessSchedule,
     _classify_trend,
     _family_norms,
+    _family_pairs,
     _required_logs,
     falsify,
 )
-from dichotomy.cli import main
+from dichotomy.cli import _GENERIC_SCHEDULES, _dumps, main
 from dichotomy.system import _sweeps, check_compatibility
 from oracles import classify_trend_loop, required_logs_loop, sadd, sdiv, smul
 
@@ -410,3 +414,127 @@ def test_dense_trajectory_norms_neither_overflow_nor_underflow(scale):
             for sys_ in (diagonal, dense)]
     assert all(math.isfinite(v) for v in logs[1])
     assert np.allclose(logs[1], logs[0], rtol=0.0, atol=1e-12)
+
+
+# -- affine schedules: a range's pairs as arrays -------------------------------------
+
+# the pairs of each built-in schedule, as the gallery and the command line
+# describe them
+DOCUMENTED = {
+    "odd_after_even": lambda k: (2 * k + 1, 2 * k),
+    "tower_balanced": lambda k: (2 * k + 2, 2 * k + 1),
+    "tower_contracting": lambda k: (2 * k + 2, 2 * k + 1),
+    "tower_expanding": lambda k: (2 * k + 2, 2),
+    "adjacent": lambda k: (k + 1, k),
+    "from_start": lambda k: (k, 0),
+}
+BUILT_IN = [(name, make_example(name).schedule(s))
+            for name in gallery_names() for s in make_example(name).schedules] + [
+    ("cli", WitnessSchedule(name, None, 0, affine=affine))
+    for name, affine in _GENERIC_SCHEDULES.items()]
+
+
+def callable_twin(schedule):
+    """The schedule with its documented pairs as a callable."""
+    return dataclasses.replace(schedule, pair_fn=DOCUMENTED[schedule.name], affine=None)
+
+
+def outcome(*args, **kwargs):
+    """The report text of ``falsify``, or the type and text of the error it raises."""
+    try:
+        return _dumps(serialize.witness_report_columns(falsify(*args, **kwargs)))
+    except DichotomyError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entry, schedule", BUILT_IN, ids=[f"{e}-{s.name}" for e, s in BUILT_IN])
+def test_built_in_schedules_give_their_pairs_as_arrays(monkeypatch, entry, schedule):
+    want = [DOCUMENTED[schedule.name](k) for k in range(301)]
+    assert [schedule.pair_at(k) for k in range(301)] == want
+    ks, at, ms, ns = _family_pairs(schedule, range(301))
+    assert ks.tolist() == list(range(301))
+    assert at.dtype == np.int64 and at.tolist() == [list(p) for p in want]
+    assert (ms, ns) == tuple(zip(*want))
+    assert all(type(v) is int for v in ms + ns)
+    if entry != "cli":
+        # the whole family without one pair_at call, and as the callable gives it
+        sys_, proj = make_example(entry).system, make_example(entry).projection
+        concept = Kind.ED if entry == "ned_not_ed_example" else Kind.UED
+        twin = callable_twin(schedule)
+        want = outcome(sys_, proj, concept, twin, range(40))
+        monkeypatch.setattr(WitnessSchedule, "pair_at", lambda *a: pytest.fail("pair_at called"))
+        assert outcome(sys_, proj, concept, schedule, range(40)) == want
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.data())
+def test_affine_families_match_their_callable(seed, dim, data):
+    # a dense system of indices 0..12 (a constant or a varying projection),
+    # pairs that may leave it or have m < n: the same report, or the same error
+    sys_, proj = commuting_system(seed, dim, data.draw(st.integers(0, dim)), 12)
+    if data.draw(st.booleans()):
+        fixed = proj.matrix(0)
+        proj = ProjectionFamily(dim, matrix=lambda n: fixed)
+    affine = data.draw(st.tuples(*[st.tuples(st.integers(-1, 2), st.integers(-1, 4))] * 2))
+    start = data.draw(st.integers(-2, 6))
+    ks = range(start, start + data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3)))
+    concept = data.draw(st.sampled_from([Kind.UED, Kind.NED, Kind.ED]))
+    schedule = WitnessSchedule("drawn", None, 0, affine=affine)
+    twin = WitnessSchedule("drawn", lambda k: (affine[0][0] * k + affine[0][1],
+                                               affine[1][0] * k + affine[1][1]), 0)
+    profile = ConstantProfile(0.5)
+    assert (outcome(sys_, proj, concept, schedule, ks, profile=profile)
+            == outcome(sys_, proj, concept, twin, ks, profile=profile))
+
+
+def test_an_invalid_pair_is_named_as_by_the_callable():
+    entry = make_example("ned_example")
+    for affine in (((1, 0), (1, 1)), ((1, -3), (0, 0)), ((1, 0), (1, -2))):
+        schedule = WitnessSchedule("bad", None, 0, affine=affine)
+        twin = WitnessSchedule("bad", schedule.pair_at, 0)
+        got = outcome(entry.system, entry.projection, Kind.UED, schedule, range(5))
+        assert got == outcome(entry.system, entry.projection, Kind.UED, twin, range(5))
+        assert got[0] is ScheduleOutOfRangeError
+
+
+def test_parameters_that_are_no_range_keep_their_rules():
+    # unsorted values and duplicates are sorted and merged; 0.5 and '3' are named
+    entry = make_example("ned_example")
+    schedule = entry.schedule("odd_after_even")
+    args = entry.system, entry.projection, Kind.UED, schedule
+    rep = falsify(*args, [5, 1, 3, 3, 0], alpha=0.25)
+    assert rep.ms == (1, 3, 7, 11)
+    assert rep == falsify(*args, [0, 1, 3, 5], alpha=0.25)
+    full = falsify(*args, range(6), alpha=0.25)
+    assert rep.required_logs == tuple(full.required_logs[k] for k in (0, 1, 3, 5))
+    for bad in ([0, 0.5], [1, "3"]):
+        assert outcome(*args, bad) == outcome(entry.system, entry.projection, Kind.UED,
+                                              callable_twin(schedule), bad)
+        assert outcome(*args, bad)[0] is ScheduleOutOfRangeError
+
+
+def test_pairs_beyond_int64_take_the_member_path():
+    # in int64, 2 k + 1 would wrap past 2**63 to a negative m; the pairs are
+    # those of the callable, and the first is named beyond the system
+    sys_, proj = commuting_system(1, 2, 1, 12)
+    schedule = make_example("ned_example").schedule("odd_after_even")
+    from_start = WitnessSchedule("from_start", None, 0, affine=_GENERIC_SCHEDULES["from_start"])
+    for schedule, ks, m in ((schedule, range(2**62 - 3, 2**62), 2**63 - 5),
+                            (schedule, range(2**63, 2**63 + 2), 2**64 + 1),
+                            (schedule, [2**62, 2**70], 2**63 + 1),
+                            # m = 2**63 beside n = 0: numpy makes the pairs floats
+                            (from_start, range(2**63, 2**63 + 2), 2**63)):
+        got = outcome(sys_, proj, Kind.UED, schedule, ks)
+        assert got == outcome(sys_, proj, Kind.UED, callable_twin(schedule), ks)
+        assert got == (ScheduleOutOfRangeError, f"index {m} beyond declared range 12")
+
+
+def test_a_huge_k_max_is_a_configuration_of_too_many_members(tmp_path):
+    # listing range(10**30 + 1) raised a bare OverflowError
+    report = tmp_path / "error.json"
+    argv = ["falsify", "--gallery", "ned_example", "--concept", "UED", "--schedule",
+            "adjacent", "--k-max", str(10**30), "--report", str(report)]
+    assert main(argv) == 2
+    error = json.loads(report.read_text())["error"]
+    assert error["type"] == "ScheduleOutOfRangeError"
+    assert "too long" in error["message"]

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from dichotomy.logscalar import (
     ladd,
     lfloat,
     logaddexp_mag,
+    lsub,
 )
 from oracles import sadd, scmp, sdiv, smul, sneg, ssub
 
@@ -161,3 +163,71 @@ def test_promotion_keeps_comparisons_exact(big, small):
     b = LogScalar.from_log(math.log(small))
     assert (scmp(a, b) < 0) == (big < math.log(small))
     assert isinstance(lfloat(a.logmag), float)
+
+
+# -- ladd and lsub against the Fraction arithmetic of their first form ----------
+
+
+def ladd_rule(a, b):
+    """``ladd`` as first written: an exact operand beyond 2**16 meets a float
+    as ``Fraction(float)``, and sums holding a Fraction go through
+    ``Fraction.__add__``."""
+    if isinstance(a, float):
+        if not math.isfinite(a):
+            if isinstance(b, float) and math.isinf(b) and (b > 0) != (a > 0):
+                raise ValueError("indeterminate inf - inf log-magnitude")
+            return a
+        if isinstance(b, float):
+            return a + b
+        if -(2**16) <= b <= 2**16:
+            return a + float(b)
+        return Fraction(a) + b
+    if isinstance(b, float):
+        if not math.isfinite(b):
+            return b
+        if -(2**16) <= a <= 2**16:
+            return float(a) + b
+        return a + Fraction(b)
+    return a + b
+
+
+def outcome(f, a, b):
+    """What ``f(a, b)`` gives: its value, or the type of what it raises."""
+    try:
+        return f(a, b)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc)
+
+
+LIMIT = 2**16
+LOG_OPERANDS = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan, 0.1, -1.5, 1e300,
+        np.float64(0.5), 0, LIMIT, LIMIT + 1, -LIMIT, -LIMIT - 1, 3**50, -(3**50),
+        True, False, np.int64(7), np.int64(LIMIT + 1), np.int64(-(2**40)),
+        Fraction(1, 3), Fraction(-1, 3), Fraction(2**80, 3), Fraction(-(2**80), 3),
+        Fraction(3, 8), Fraction(2**70 + 1, 2**10), Fraction(7, 2**20), Fraction(2**20),
+    ]),
+    st.floats(),
+    st.integers(-2 * LIMIT, 2 * LIMIT),
+    st.integers(-(2**90), 2**90),
+    st.builds(np.int64, st.integers(-(2**40), 2**40)),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**70)),
+)
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(LOG_OPERANDS, LOG_OPERANDS)
+@example(0.1, np.int64(2**62))
+@example(np.int64(2**62), Fraction(1, 3))
+def test_ladd_and_lsub_keep_the_fraction_rule(a, b):
+    # the sums through integer ratios give the value and the type of the
+    # rule; a Fraction in lowest terms, so the same numerator and denominator
+    for got, want in ((outcome(ladd, a, b), outcome(ladd_rule, a, b)),
+                      (outcome(lsub, a, b), outcome(lambda x, y: ladd_rule(x, -y), a, b))):
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+        if isinstance(want, Fraction):
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert type(got.numerator) is int and type(got.denominator) is int

@@ -253,7 +253,7 @@ def per_index_check(sys_, proj, pairs):
 
 def stacked_check(sys_, proj, pairs):
     try:
-        check_pairs_compatibility(sys_, proj, pairs)
+        check_pairs_compatibility(sys_, proj, *zip(*pairs))
     except (IncompatibleProjectionError, OutOfRangeError) as exc:
         return type(exc), str(exc)
     return None

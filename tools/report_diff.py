@@ -14,9 +14,11 @@ read. Beside them run a few large-window dense pair verifies, holding and
 violated, on fixtures built by ``bench/inputs.py::dense_fixture`` (``LARGE``):
 windows where the dense kernel checks a few short pairs per row; and the
 ``datko`` runs of two gallery certificates on a large window
-(``LARGE_DATKO``), which the diagonal summation pass takes. The script
-lists every report, CSV and exit status that differs between the trees and
-exits 1, or exits 0 when all are byte-identical.
+(``LARGE_DATKO``), which the diagonal summation pass takes; and runs at
+sizes the benchmark never reaches (``LARGE_RUNS``): long witness families
+and a window whose exact logs pass 2**16. The script lists every report,
+CSV and exit status that differs between the trees and exits 1, or exits 0
+when all are byte-identical.
 """
 
 from __future__ import annotations
@@ -44,6 +46,23 @@ LARGE_DATKO = [
     ("ed_example", "ED:N=2.718281828459045,alpha=0.5,beta=1.0", 0.25),
 ]
 
+# runs at sizes beyond the benchmark's: (name, argv, whether a CSV is
+# written), with the CPU time of one run in process on a shared 2-CPU x86-64
+# machine (the whole script, both trees and two seeds, takes about 12 s)
+LARGE_RUNS = [
+    # a falsify report of 100,001 members and its CSV: 0.4 s
+    ("falsify-ned-k100000", ["falsify", "--gallery", "ned_example", "--concept", "UED",
+                             "--schedule", "odd_after_even", "--alpha", "0.25",
+                             "--k-max", "100000"], True),
+    # 2,001 members over the tower's exact int logs (up to 1,200 digits): 0.05 s
+    ("falsify-tower-k2000", ["falsify", "--gallery", "ned_not_ed_example", "--concept", "ED",
+                             "--schedule", "tower_expanding", "--k-max", "2000"], True),
+    # exact prefix log-sums past 2**16 (Fractions of a float and an int): 0.4 s
+    ("verify-sed-w70000", ["verify", "--gallery", "sed_example",
+                           "--cert", "SED:N=2.718281828459045,alpha=2.0,beta=1.0",
+                           "--window", "0..70000"], False),
+]
+
 
 def write_large(directory: Path, seed: int) -> None:
     """Write the ``LARGE`` fixtures for ``seed`` as ``--system`` files."""
@@ -60,7 +79,7 @@ def write_large(directory: Path, seed: int) -> None:
 
 def large_jobs(directory: Path) -> list[SimpleNamespace]:
     """The verify jobs of the ``LARGE`` fixtures written to ``directory``,
-    and the ``LARGE_DATKO`` runs."""
+    the ``LARGE_DATKO`` runs and the ``LARGE_RUNS``."""
     verifies = [SimpleNamespace(name=f"{name}-{verdict}", csv=False,
                                 argv=["verify", "--system", str(directory / f"{name}.ini"),
                                       "--cert", cert, "--window", f"0..{w}"])
@@ -69,7 +88,8 @@ def large_jobs(directory: Path) -> list[SimpleNamespace]:
         SimpleNamespace(name=f"datko-{name}-w400", csv=False,
                         argv=["datko", "--gallery", name, "--from-cert", cert, "--d", repr(d),
                               "--window", "0..400", "--m-trunc", "4000"])
-        for name, cert, d in LARGE_DATKO]
+        for name, cert, d in LARGE_DATKO] + [
+        SimpleNamespace(name=name, argv=argv, csv=csv) for name, argv, csv in LARGE_RUNS]
 
 
 def run_tree(tree: Path, label: str, work: Path, seeds: list[int]) -> None:
