@@ -60,6 +60,7 @@ from .errors import (
     NoDecayCertificateError,
     OutOfRangeError,
     ParamOutOfRangeError,
+    RunTooLargeError,
     ScheduleOutOfRangeError,
     UnknownExampleError,
 )

@@ -32,9 +32,10 @@ def weighted_sums(a: LogArray, rate: LogMag, reverse: bool) -> LogArray:
     takes one running ``logaddexp`` of a[t] + rate t (of a[t] - rate t in
     order), less the same shift at j; the shift overflows unless rate *
     (length + 1) is finite. The exact form takes the running acc =
-    ``logaddexp_mag``(a[t], ``ladd``(acc, rate)) of ``datko._weighted_sums``,
-    one Python call per entry, so its sums are the table's. A term added to
-    an empty sum (-inf) passes through unchanged: an int stays an int."""
+    ``logaddexp_mag``(a[t], ``ladd``(acc, rate)), one Python call per entry,
+    which rounds only a bounded log1p term per step: the shift's rounding
+    would move the last bits of exact sums. A term added to an empty sum
+    (-inf) passes through unchanged: an int stays an int."""
     if a.exact:
         step = np.frompyfunc(lambda acc, x: logaddexp_mag(x, ladd(acc, rate)), 2, 1)
         v = a.objects()

@@ -42,7 +42,7 @@ from .datko import (
     verify_datko_ned,
     verify_datko_ued,
 )
-from .errors import ConfigError, DichotomyError
+from .errors import ConfigError, DichotomyError, RunTooLargeError
 from .gallery import (
     _EXAMPLES,
     CertificateClaim,
@@ -644,7 +644,11 @@ def main(argv=None) -> int:
         # unreadable inputs and unwritable outputs are configuration errors
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except DichotomyError as exc:
+    except (DichotomyError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            # numpy refuses an array too large for the machine: an error,
+            # never a verdict
+            exc = RunTooLargeError("out of memory" + (f": {exc}" if str(exc) else ""))
         # numerical failures still produce a report naming the error
         report = {
             "schema_version": serialize.SCHEMA_VERSION,

@@ -20,17 +20,18 @@ Without a certificate the tail is unknown and a passing truncated check is
 reported as inconclusive rather than holds.
 
 Each side checks every point (seed s, index j), s <= j, of the window, and
-reports the first point of least slack in (seed, index) order. A dense
-system builds the trajectory of every seed direction from every seed, a
-table of O(W M) entries, and runs its weighted sums over the columns in
-lockstep (``_weighted_sums``). On a diagonal system the seed's factor
-cancels from every slack, so one point per index decides the side
+reports the first point of least slack in (seed, index) order, with one
+algorithm per representation. A dense system builds the trajectory of every
+seed direction from every seed, a table of O(W M) entries, and runs its
+weighted sums over the columns in lockstep (``_weighted_sums``). A diagonal
+system, at every window size, checks one point per index
 (``_datko_diagonal``), in O(W + M) and with no loop over the columns: the
-P side at the index's first live seed, the Q side at n_min. Where the
-slacks of several seeds are equal in exact arithmetic, the table picks one
-by rounding and the diagonal pass the first; a side whose table holds at
-most ``_TABLE_ENTRIES`` entries per direction keeps the table on a diagonal
-system too, so its reports are those of every point on its own row.
+seed's factor cancels from every slack, so the P side is decided at the
+index's first live seed and the Q side at n_min. So, among points whose
+slacks are equal in exact arithmetic, a diagonal report names the first in
+(seed, index) order. Dense seeds are range bases whose slacks are computed
+one by one in floats: where two tie, rounding still picks the one named,
+until the dense kernel carries a bound on its rounding.
 
 The sums form d * t, the weights c * j and the tail's weights beta * j, so
 a d, c or beta whose product with the last index is not a finite double is
@@ -197,18 +198,12 @@ def _table_points(sys, proj, part: str, window: WindowSpec, upto: int, d):
     return directions, window.n_min + rows, cols, table[at, cols], sums[at, cols]
 
 
-# a side whose table holds at most this many entries per direction keeps it
-# on a diagonal system too
-_TABLE_ENTRIES = 1 << 12
-
-
 def _side_points(sys, proj, part: str, window: WindowSpec, upto: int, d):
     """The points that decide the side, as ``_table_points`` gives them: on
-    a diagonal system whose table would hold more than ``_TABLE_ENTRIES``
-    entries per direction, one per index (``_datko_diagonal``), else the
-    whole table."""
-    size = window.m_max - window.n_min + 1
-    if sys.is_diagonal and size * (upto - window.n_min + 1) > _TABLE_ENTRIES:
+    a diagonal system, at every window size, one per index, the first of
+    its least slack in exact arithmetic (``_datko_diagonal``); on a dense
+    one the whole table, where rounding breaks a tie between seeds."""
+    if sys.is_diagonal:
         from ._datko_diagonal import datko_points
         return datko_points(_sweeps(sys, proj, window.n_min, upto), part, d, window.m_max)
     return _table_points(sys, proj, part, window, upto, d)

@@ -69,6 +69,10 @@ class ParamOutOfRangeError(DichotomyError):
     """A built-in example parameter lies outside its admissible range."""
 
 
+class RunTooLargeError(DichotomyError):
+    """A run needed more memory than the process could allocate."""
+
+
 class ConfigError(DichotomyError):
     """A configuration file or CLI argument could not be interpreted."""
 

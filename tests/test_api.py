@@ -22,7 +22,8 @@ def test_package_exports():
         "IndexOrderError", "InvalidCertificateError", "InvalidConstantsError",
         "InvalidProjectionError", "Kind", "LogOverflowError", "LogScalar",
         "NoDecayCertificateError", "OutOfRangeError", "ParamOutOfRangeError",
-        "Profile", "ProjectionFamily", "RestrictedExtremes", "ScaledProfile",
+        "Profile", "ProjectionFamily", "RestrictedExtremes", "RunTooLargeError",
+        "ScaledProfile",
         "ScheduleOutOfRangeError", "ShiftedPowerProfile",
         "StrongInstabilityClaim", "SummationConstants", "SystemDescription",
         "TabulatedProfile", "TowerExponentProfile", "UniformEstimate",

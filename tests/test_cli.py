@@ -447,6 +447,39 @@ matrix = 1,0; 0,0
     assert report["error"]["type"] == "DenseOverflowError"
 
 
+def test_a_run_too_large_for_memory_is_an_error(tmp_path):
+    # numpy refuses the 6.94 EiB array of the family's parameters at once, so
+    # nothing is allocated: exit status 2 and the error report, not the
+    # traceback and exit status 1 of an uncaught exception
+    proc = run_cli(
+        "falsify", "--gallery", "ned_example", "--concept", "UED",
+        "--schedule", "odd_after_even", "--k-max", "1000000000000000000",
+        "--report", str(tmp_path / "e.json"),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    error = json.loads((tmp_path / "e.json").read_text())["error"]
+    assert error["type"] == "RunTooLargeError"
+    assert error["message"].startswith("out of memory: Unable to allocate 6.94 EiB")
+
+
+def test_memory_error_in_a_kernel_is_an_error(tmp_path, capsys, monkeypatch):
+    from dichotomy import datko
+    from dichotomy.cli import main
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(datko, "_side_points", exhausted)
+    report = tmp_path / "e.json"
+    assert main(["datko", "--gallery", "ued_example", "--from-cert", "UED:N=1,alpha=0.5",
+                 "--d", "0.25", "--window", "0..10", "--m-trunc", "20",
+                 "--report", str(report)]) == 2
+    assert capsys.readouterr().err == "error: RunTooLargeError: out of memory\n"
+    assert json.loads(report.read_text())["error"] == {
+        "type": "RunTooLargeError", "message": "out of memory"}
+
+
 def test_non_finite_projection_is_reported(tmp_path):
     for entry in ("nan", "inf"):
         path = tmp_path / f"{entry}.cfg"

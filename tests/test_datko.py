@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 
@@ -276,6 +277,16 @@ def loop_reports(run):
         return run()
 
 
+@contextlib.contextmanager
+def table_pass():
+    """Every Datko side through the table of every point, the dense
+    algorithm, on a diagonal system too: the oracle of the diagonal pass.
+    Yields the patch, which may replace more."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datko, "_side_points", datko._table_points)
+        yield patch
+
+
 def test_dense_reports_match_the_loop_reference():
     # P contracts by 1/2 and Q expands by 2 at each step, in a rotated frame
     c, s = math.cos(0.3), math.sin(0.3)
@@ -297,11 +308,11 @@ def test_dense_reports_match_the_loop_reference():
         assert repr(reports) == repr(loop_reports(run))
 
 
-def test_int_trajectory_logs_beyond_the_float_safe_range(monkeypatch):
+def test_int_trajectory_logs_beyond_the_float_safe_range():
     # every prefix log-sum is an int within 2^16, so the trajectory table is
     # float64, but A(2, 1) has the int log 120000: ``ladd`` adds it to a float
     # weight in Fraction arithmetic, and the array pass must too, over the
-    # table's points and over the diagonal pass's (no table is small enough)
+    # diagonal pass's points and over the table's
     logs = [0, -60000, 120000, -1]
     sys_ = SystemDescription(1, DiagonalClosedForm([lambda n: LogScalar(1, logs[n])]))
     proj = ProjectionFamily(1, mask=(True,))
@@ -311,8 +322,24 @@ def test_int_trajectory_logs_beyond_the_float_safe_range(monkeypatch):
         return verify_datko_ued(sys_, proj, 0.1, 4.0, WindowSpec(1, 2), 3, cert=cert)
 
     assert repr(run()) == repr(loop_reports(run))
-    monkeypatch.setattr(datko, "_TABLE_ENTRIES", 0)
-    assert repr(run()) == repr(loop_reports(run))
+    with table_pass():
+        assert repr(run()) == repr(loop_reports(run))
+
+
+@pytest.mark.parametrize("m_trunc", [30, 400])
+def test_tower_names_the_first_of_its_tied_seeds(tmp_path, m_trunc):
+    # the P slacks of seeds 0 and 1 at index 1 are equal in exact arithmetic
+    # and 6e-16 apart in floats: the report names seed 0, the first, whether
+    # a table of the side would hold 11 x 31 or 11 x 401 entries per direction
+    from dichotomy.cli import main
+
+    report = tmp_path / "report.json"
+    assert main(["datko", "--gallery", "ned_not_ed_example", "--window", "0..10",
+                 "--d", "0.5", "--from-cert", "NED:alpha=1,profile=tower",
+                 "--m-trunc", str(m_trunc), "--report", str(report)]) == 0
+    reports = json.loads(report.read_text())["reports"]
+    assert [(r["side"], tuple(r["worst"].values())) for r in reports] == [
+        ("P", (1, 1, 0)), ("Q", (0, 0, 0))]
 
 
 def test_overflowing_weight_matches_the_loop_reference():

@@ -23,6 +23,7 @@ from test_diagonal_scan import PROPERTY, diagonal_cases, same
 
 from dichotomy import (
     ConstantProfile,
+    DichotomyCertificate,
     DichotomyError,
     DiagonalClosedForm,
     ExplicitSequence,
@@ -35,8 +36,10 @@ from dichotomy import (
     ScheduleOutOfRangeError,
     SystemDescription,
     TabulatedProfile,
+    WindowSpec,
     gallery_names,
     make_example,
+    verify_certificate,
 )
 from dichotomy import serialize, system
 from dichotomy.certificates import Witness
@@ -295,6 +298,22 @@ def test_trend_compares_exact_logs_exactly():
     assert _classify_trend(range(5), [float(v) for v in logs])[0] == "divergent"
     assert _classify_trend(range(5), logs) == classify_trend_loop(range(5), logs)
     assert _classify_trend(range(5), logs)[0] == "bounded"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the trend test calls a family that rises to a finite limit divergent")
+def test_a_bounded_family_is_not_divergent():
+    # P: log a_j = -0.5 + 2^-j, Q: log a_j = 1. The family's required logs
+    # are 0, 0.5, 0.75, ..., all at most 1, and a uniform constant holds on
+    # a long window; yet the family rises, so the trend test calls it divergent
+    sys_ = SystemDescription(2, DiagonalClosedForm([
+        lambda j: LogScalar(1, -0.5 + 2.0**-j), lambda j: LogScalar(1, 1.0)]))
+    proj = ProjectionFamily(2, mask=(True, False))
+    cert = DichotomyCertificate(Kind.UED, alpha=0.5, n_const=math.exp(2.01))
+    assert verify_certificate(sys_, proj, cert, WindowSpec(0, 10000)).holds
+    report = falsify(sys_, proj, Kind.UED, WitnessSchedule("from_start", lambda k: (k, 0), 0),
+                     range(60), alpha=0.5)
+    assert not report.divergent
 
 
 # -- compatibility and cost --------------------------------------------------------

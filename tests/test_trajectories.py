@@ -8,7 +8,8 @@ and check every point of a side in one array pass. The references in
 time, one term at a time, one point at a time. Values and Python types must
 agree exactly (``same``), because a report prints an int 0 and a float 0.0
 differently. The diagonal Datko pass, one point per index, is compared with
-the table of every point, which small diagonal windows keep.
+the table of every point, which only dense systems take outside the tests
+(``test_datko.table_pass``).
 """
 
 import json
@@ -25,6 +26,7 @@ from oracles import (
     side_reports_loop,
     suffix_weighted,
 )
+from test_datko import table_pass
 from test_diagonal_scan import PROPERTY, diagonal_cases, same
 
 from dichotomy import (
@@ -203,28 +205,42 @@ def datko_run(case, data):
     return run, d, window, m_trunc
 
 
-def diagonal_reports(run):
-    """A verifier run with the diagonal pass, one point per index, at every
-    window size (small windows keep the table)."""
+@PROPERTY
+@given(diagonal_cases(), st.data())
+def test_datko_reports_match_the_loop_reference(case, data):
+    # the array pass over the diagonal pass's points, against the loops;
+    # then the table of every point, against the loops
+    run = datko_run(case, data)[0]
+    got = repr(run())
+    with table_pass():
+        got_table = repr(run())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datko, "_TABLE_ENTRIES", 0)
-        return run()
+        patch.setattr(datko, "_side_reports", side_reports_loop)
+        assert got == repr(run())
+    with table_pass() as patch:
+        patch.setattr(datko, "_side_reports", side_reports_loop)
+        patch.setattr(datko, "_trajectories", loop_trajectories)
+        patch.setattr(datko, "_weighted_sums", loop_sums)
+        want = repr(run())
+    assert got_table == want
 
 
 @PROPERTY
 @given(diagonal_cases(), st.data())
-def test_datko_reports_match_the_loop_reference(case, data):
-    # the case's windows are small: the table of every point, against the
-    # loops; then the array pass over the diagonal pass's points
-    run = datko_run(case, data)[0]
-    got, got_diagonal = repr(run()), repr(diagonal_reports(run))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(datko, "_side_reports", side_reports_loop)
-        assert got_diagonal == repr(diagonal_reports(run))
-        patch.setattr(datko, "_trajectories", loop_trajectories)
-        patch.setattr(datko, "_weighted_sums", loop_sums)
-        want = repr(run())
-    assert got == want
+def test_diagonal_reports_name_the_first_tied_seed(case, data):
+    # the P slack of index j is the same at every live seed, so a report
+    # names j's first live seed: n_min or the index of a zero factor, with no
+    # zero factor in (seed, j]; the Q slack is least at n_min
+    run, _, window, _ = datko_run(case, data)
+    sys_ = case[1]
+    for report in run():
+        j, seed = report.worst[0], report.worst[2]
+        if report.side == "Q":
+            assert seed == window.n_min, report
+            continue
+        i = int(np.flatnonzero(report.direction)[0])
+        assert not sys_.diag_factor(i, j, seed).is_zero, report
+        assert seed == window.n_min or sys_.diag_factor(i, seed, seed - 1).is_zero, report
 
 
 # coordinate 0 has a zero factor at every even index after 0
@@ -256,7 +272,9 @@ def test_diagonal_datko_pass_matches_the_table_pass(case, data):
     # within rounding, where the slacks of two seeds of one index (P), or of
     # two indices, are equal in exact arithmetic
     run, d, window, m_trunc = datko_run(case, data)
-    got, want = diagonal_reports(run), run()
+    got = run()
+    with table_pass():
+        want = run()
     pre, _ = case[1].diag_prefix(m_trunc)
     scale = (1 + abs(d) * (m_trunc + 1) + max(p.rounding_scale() for p in pre)
              + max(_rounding(r) for r in got + want))
