@@ -10,9 +10,9 @@ seed n_min: its sum holds every term of a later seed's, and its right side
 is 0 once a zero factor lies in (n_min, j]. Either is the first point of
 least slack in (seed, index) order, in exact arithmetic.
 
-Each sum is one running ``logaddexp`` along its stretch (``weighted_sums``),
-with no loop over the columns. Imported when a diagonal Datko check first
-needs it.
+Each stretch is summed by ``datko.weighted_sums``, the routine that sums
+the dense table's rows: one running ``logaddexp``, with no loop over the
+columns. Imported when a diagonal Datko check first needs it.
 """
 
 from __future__ import annotations
@@ -22,35 +22,9 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .logarray import LogArray, _made, add, concatenate, sub, times, where
-from .logscalar import LogMag, ladd, logaddexp_mag
-
-
-def weighted_sums(a: LogArray, rate: LogMag, reverse: bool) -> LogArray:
-    """Along the last axis, log sum_{t >= j} e^{rate (t - j) + a[t]} at each j
-    (``reverse``), or log sum_{t <= j} e^{rate (j - t) + a[t]}. The float form
-    takes one running ``logaddexp`` of a[t] + rate t (of a[t] - rate t in
-    order), less the same shift at j; the shift overflows unless rate *
-    (length + 1) is finite. The exact form takes the running acc =
-    ``logaddexp_mag``(a[t], ``ladd``(acc, rate)), one Python call per entry,
-    which rounds only a bounded log1p term per step: the shift's rounding
-    would move the last bits of exact sums. A term added to an empty sum
-    (-inf) passes through unchanged: an int stays an int."""
-    if a.exact:
-        step = np.frompyfunc(lambda acc, x: logaddexp_mag(x, ladd(acc, rate)), 2, 1)
-        v = a.objects()
-        acc = step.accumulate(v[..., ::-1] if reverse else v, axis=-1, dtype=object)
-        return _made(acc[..., ::-1] if reverse else acc)
-    shift = times(rate if reverse else -rate, np.arange(a.values.shape[-1]))
-    with np.errstate(over="ignore"):
-        terms = add(a, shift)
-        v = terms.values[..., ::-1] if reverse else terms.values
-        acc = terms.form[2].accumulate(v, axis=-1)
-        out = sub(_made(acc[..., ::-1] if reverse else acc), shift)
-    empty = out.values == -math.inf
-    edge = np.ones((*empty.shape[:-1], 1), dtype=bool)
-    before = np.concatenate([empty[..., 1:], edge] if reverse else [edge, empty[..., :-1]], -1)
-    return where(before, a, out)
+from .datko import weighted_sums
+from .logarray import LogArray, concatenate, where
+from .logscalar import LogMag
 
 
 def stretch_sums(a: LogArray, bounds: list[int], rate: LogMag, reverse: bool) -> LogArray:

@@ -21,17 +21,18 @@ reported as inconclusive rather than holds.
 
 Each side checks every point (seed s, index j), s <= j, of the window, and
 reports the first point of least slack in (seed, index) order, with one
-algorithm per representation. A dense system builds the trajectory of every
-seed direction from every seed, a table of O(W M) entries, and runs its
-weighted sums over the columns in lockstep (``_weighted_sums``). A diagonal
-system, at every window size, checks one point per index
-(``_datko_diagonal``), in O(W + M) and with no loop over the columns: the
-seed's factor cancels from every slack, so the P side is decided at the
-index's first live seed and the Q side at n_min. So, among points whose
-slacks are equal in exact arithmetic, a diagonal report names the first in
-(seed, index) order. Dense seeds are range bases whose slacks are computed
-one by one in floats: where two tie, rounding still picks the one named,
-until the dense kernel carries a bound on its rounding.
+algorithm per representation and one summation routine for both
+(``weighted_sums``: a running ``logaddexp`` along the last axis, with no
+loop over the columns). A dense system builds the trajectory of every seed
+direction from every seed, a table of O(W M) entries, and sums its rows. A
+diagonal system, at every window size, checks one point per index
+(``_datko_diagonal``), in O(W + M): the seed's factor cancels from every
+slack, so the P side is decided at the index's first live seed and the Q
+side at n_min. So, among points whose slacks are equal in exact arithmetic,
+a diagonal report names the first in (seed, index) order. Dense seeds are
+range bases whose slacks are computed one by one in floats: where two tie,
+rounding still picks the one named, until the dense kernel carries a bound
+on its rounding.
 
 The sums form d * t, the weights c * j and the tail's weights beta * j, so
 a d, c or beta whose product with the last index is not a finite double is
@@ -60,8 +61,8 @@ from .errors import (
     InvalidConstantsError,
     NoDecayCertificateError,
 )
-from .logarray import LogArray, add, logaddexp, where
-from .logscalar import LogScalar
+from .logarray import LogArray, _made, add, logaddexp, sub, times, where
+from .logscalar import LogMag, LogScalar, ladd, logaddexp_mag
 from .system import ProjectionFamily, SystemDescription, _sweeps, check_compatibility
 
 HOLDS = "holds"
@@ -114,6 +115,11 @@ class SummationConstants:
     s_profile: Profile | None = None
 
 
+def _log_geometric(d, alpha) -> float:
+    """log sum_{k >= 0} e^{(d - alpha) k} = -log(1 - e^{d - alpha}), for d < alpha."""
+    return -math.log1p(-math.exp(d - alpha))
+
+
 def certificate_to_datko(cert: DichotomyCertificate, d: float) -> SummationConstants:
     """Map certificate constants to summation constants (necessity direction).
 
@@ -124,7 +130,7 @@ def certificate_to_datko(cert: DichotomyCertificate, d: float) -> SummationConst
     cert.validate()
     if d >= cert.alpha:
         raise DecayGapError(f"need d < alpha, got d={d}, alpha={cert.alpha}")
-    log_factor = -math.log1p(-math.exp(d - cert.alpha))
+    log_factor = _log_geometric(d, cert.alpha)
     if cert.kind is Kind.NED:
         return SummationConstants(
             form="nonuniform", d=d, s_profile=ScaledProfile(cert.profile, log_factor)
@@ -164,35 +170,42 @@ def _trajectories(sys, proj, part: str, window: WindowSpec, upto: int):
     return directions, table
 
 
-def _weighted_sums(table: LogArray, d: float, reverse: bool) -> LogArray:
-    """Per row, acc[j] = log(exp(row[j]) + exp(d + acc[j +- 1])): taken over
-    the columns in reverse, log sum_{t >= j} e^{d (t - j)} e^{row[t]}; in
-    order, log sum_{t <= j} e^{d (j - t)} e^{row[t]}. All rows advance in
-    lockstep, in the ufuncs of the table's form. A term added to an empty
-    sum (-inf) passes through unchanged, as ``logaddexp_mag`` passes it: an
-    int stays an int."""
-    (add, _, logaddexp), values = table.form, table.values
-    out = np.empty_like(values)
-    acc = np.full(len(values), -math.inf, dtype=values.dtype)
-    step = -1 if reverse else 1
+def weighted_sums(a: LogArray, rate: LogMag, reverse: bool) -> LogArray:
+    """Along the last axis, log sum_{t >= j} e^{rate (t - j) + a[t]} at each j
+    (``reverse``), or log sum_{t <= j} e^{rate (j - t) + a[t]}. The float form
+    takes one running ``logaddexp`` of a[t] + rate t (of a[t] - rate t in
+    order), less the same shift at j; the shift overflows unless rate *
+    (length + 1) is finite. The exact form takes the running acc =
+    ``logaddexp_mag``(a[t], ``ladd``(acc, rate)), one Python call per entry,
+    which rounds only a bounded log1p term per step: the shift's rounding
+    would move the last bits of exact sums. A term added to an empty sum
+    (-inf) passes through unchanged: an int stays an int."""
+    if a.exact:
+        step = np.frompyfunc(lambda acc, x: logaddexp_mag(x, ladd(acc, rate)), 2, 1)
+        v = a.objects()
+        acc = step.accumulate(v[..., ::-1] if reverse else v, axis=-1, dtype=object)
+        return _made(acc[..., ::-1] if reverse else acc)
+    shift = times(rate if reverse else -rate, np.arange(a.values.shape[-1]))
     with np.errstate(over="ignore"):
-        for col, dst in zip(values.T[::step], out.T[::step]):
-            acc = logaddexp(col, add(acc, d), out=dst)
-    # the sum before each term
-    edge = np.full((len(values), 1), -math.inf, dtype=values.dtype)
-    before = np.hstack([out[:, 1:], edge] if reverse else [edge, out[:, :-1]])
-    return where(before == -math.inf, table, out)
+        terms = add(a, shift)
+        v = terms.values[..., ::-1] if reverse else terms.values
+        acc = terms.form[2].accumulate(v, axis=-1)
+        out = sub(_made(acc[..., ::-1] if reverse else acc), shift)
+    empty = out.values == -math.inf
+    edge = np.ones((*empty.shape[:-1], 1), dtype=bool)
+    before = np.concatenate([empty[..., 1:], edge] if reverse else [edge, empty[..., :-1]], -1)
+    return where(before, a, out)
 
 
 def _table_points(sys, proj, part: str, window: WindowSpec, upto: int, d):
     """Every point (seed s, index j) of the side's triangle n_min <= s <= j
-    <= m_max, in (seed, index) order, from one table of trajectories and
-    their weighted sums (``_weighted_sums``): the directions, the seeds, the
-    columns j - n_min, and per direction the trajectories and sums at the
-    points."""
+    <= m_max, in (seed, index) order, from one table of trajectories, a row
+    per seed direction and seed, and their ``weighted_sums`` along the rows:
+    the directions, the seeds, the columns j - n_min, and per direction the
+    trajectories and sums at the points."""
     directions, table = _trajectories(sys, proj, part, window, upto)
     size = window.m_max - window.n_min + 1
-    sums = _weighted_sums(table, d, part == "P")
+    sums = weighted_sums(table, d, part == "P")
     rows, cols = np.triu_indices(size)
     at = np.arange(len(directions))[:, None] * size + rows
     return directions, window.n_min + rows, cols, table[at, cols], sums[at, cols]
@@ -300,7 +313,7 @@ def _run_summation(
     _require_constant_projection(proj, window.n_min, m_trunc)
     tail = math.inf
     if cert is not None:
-        log_geom = -math.log1p(-math.exp(d - cert.alpha))
+        log_geom = _log_geometric(d, cert.alpha)
 
         def tail(j):
             return cert.r_log(j), (d - cert.alpha) * (m_trunc + 1 - j) + log_geom

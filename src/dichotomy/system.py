@@ -591,14 +591,6 @@ class _DenseSweeps:
                     out[t, t] = starts[t]
         return out
 
-    def sweep(self, part: str, start: np.ndarray, n: int, upto: int) -> np.ndarray:
-        """Images of the columns of ``start`` (a block in range P(n) or Q(n),
-        ``part`` "P" or "Q") at k = n..upto, entry k - n of one stack, cut
-        before the first index whose image is not finite."""
-        out = self.images(part, start[None], n, upto)[:, 0]
-        finite = np.isfinite(out).all(axis=(1, 2))
-        return out if finite.all() else out[: int(np.argmin(finite))]
-
     def row(self, n: int) -> "_DenseRow":
         block = self._block
         if not block or not block[0].n <= n <= block[-1].n:
@@ -720,9 +712,10 @@ class _DenseSweeps:
             for r, k in zip(rows.tolist(), keys):
                 first.setdefault(k, r)
             column = {k: c for c, k in enumerate(first)}
-            images = self.sweep(part, xs[list(first.values())].T, seed, upto)
-            if len(images) <= upto - seed:
-                raise _overflow(seed, seed + len(images))
+            images = self.images(part, xs[list(first.values())].T[None], seed, upto)[:, 0]
+            finite = np.isfinite(images).all(axis=(1, 2))
+            if not finite.all():
+                raise _overflow(seed, seed + int(np.argmin(finite)))
             logs = _log_norms(images).T
             steps = at[rows] - seed
             picked = logs[[[column[k]] for k in keys], np.maximum(steps, 0)]

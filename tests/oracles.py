@@ -9,8 +9,8 @@ place of the arrays of the diagonal kernel (``_DiagonalSweeps.rows``,
 ``q_rows``, ``cols``, and the rounding scale of its ``rows_to_scan``). Diagonal trajectories are read one coordinate
 and one index at a time, and the Datko suffix and forward sums are
 accumulated one term at a time, in place of the kernel's table and the
-verifiers' lockstep sums. The Datko side reports are evaluated one point at
-a time, in place of the verifiers' array pass. The diagonal prefix sums are
+verifiers' running sums (``datko.weighted_sums``). The Datko side reports
+are evaluated one point at a time, in place of the verifiers' array pass. The diagonal prefix sums are
 built one factor at a time with ``ladd``, in place of the array build of
 ``SystemDescription._ensure_prefix``. A dense ratio is taken one pair of
 images at a time (``_sup_ratio``), in place of the dense rows' batched

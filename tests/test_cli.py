@@ -40,6 +40,16 @@ def run_cli(*args, check=None):
     return proc
 
 
+def test_start_up_imports_stay_lazy():
+    # each benchmark job's set-up imports the command line; the modules below
+    # load only when a run needs them, and ``logging`` never from the package
+    code = ("import sys, dichotomy, dichotomy.cli; "
+            "print(' '.join(m for m in ('dichotomy._dense_plan', 'dichotomy._datko_diagonal', "
+            "'logging') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
 def test_verify_holds_exit_zero():
     proc = run_cli(
         "verify", "--gallery", "ued_example", "--cert", "UED:N=1,alpha=0.5",

@@ -1,6 +1,9 @@
 import contextlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +310,45 @@ def test_dense_reports_match_the_loop_reference():
         assert overall_verdict(reports) == verdict
         assert repr(reports) == repr(loop_reports(run))
 
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name):
+    """A module of the benchmark, imported once from its file (and only
+    read); registered first, as its dataclasses need."""
+    key = f"bench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, BENCH / f"{name}.py")
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_datko_matches_the_block_closed_form(tmp_path, seed, dim):
+    # every unit vector of range P is stretched by the product of the block
+    # scalars c_k, and of range Q by that of the C_k: all seeds of a side tie
+    # in exact arithmetic, and the oracle accepts any point of the tie band
+    from dichotomy.cli import main
+
+    inputs, oracle = _bench_module("inputs"), _bench_module("oracle")
+    w, m_trunc, d = 8, 30, 0.02
+    rng = np.random.default_rng([seed, dim])
+    mats, proj, cs, big_cs = inputs.dense_fixture(rng, dim, m_trunc, inputs.DENSE_C,
+                                                  inputs.DENSE_BIG_C)
+    system = tmp_path / "dense.ini"
+    system.write_text(inputs.explicit_system_text(mats, proj), encoding="utf-8")
+    cert = oracle.Cert("UED", 0.05)
+    out = tmp_path / "report.json"
+    logs = oracle.CoordLogs.dense(cs, big_cs, m_trunc, m_trunc)
+    want = oracle.datko(logs, cert, d, w, m_trunc)
+    status = {"holds": 0, "violated": 1, "inconclusive-tail": 3}[want[0]]
+    assert main(["datko", "--system", str(system), "--from-cert", cert.spec(), "--d", repr(d),
+                 "--window", f"0..{w}", "--m-trunc", str(m_trunc), "--report", str(out)]) == status
+    report = json.loads(out.read_text())
+    assert oracle.check_datko(report, *want, dim // 2, dim - dim // 2) == []
 
 def test_int_trajectory_logs_beyond_the_float_safe_range():
     # every prefix log-sum is an int within 2^16, so the trajectory table is

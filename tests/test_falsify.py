@@ -369,14 +369,14 @@ def test_tower_family_reads_masks_once_per_index(monkeypatch, constant):
 def test_dense_family_sweeps_stop_at_the_last_horizon(monkeypatch, schedule):
     sys_, proj = commuting_system(3, 3, 1, 30)
     steps = {"P": 0, "Q": 0}
-    sweep = system._DenseSweeps.sweep
+    images = system._DenseSweeps.images
 
-    def counted(self, part, start, n, upto):
-        images = sweep(self, part, start, n, upto)
-        steps[part] += len(images) - 1
-        return images
+    def counted(self, part, starts, s, upto):
+        out = images(self, part, starts, s, upto)
+        steps[part] += len(out) - 1
+        return out
 
-    monkeypatch.setattr(system._DenseSweeps, "sweep", counted)
+    monkeypatch.setattr(system._DenseSweeps, "images", counted)
     ks = range(15)
     falsify(sys_, proj, Kind.UED, schedule, ks)
     last: dict[int, int] = {}

@@ -183,3 +183,19 @@ def test_claims_inventory():
     assert fal.concept is Kind.UED
     strong = make_example("ed_example").claims[1]
     assert isinstance(strong, StrongInstabilityClaim)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_certificate_claims_hold_at_verify_m_max(name):
+    # each entry's certificates hold on its largest advertised window, up to
+    # the float drift of the prefix sums (the ned slack is -7e-10 at 10^5)
+    from dichotomy import CertificateClaim, WindowSpec, verify_certificate
+    from dichotomy.checkers import DEFAULT_LOG_TOL
+
+    entry = make_example(name)
+    window = WindowSpec(0, entry.verify_m_max)
+    for claim in entry.claims:
+        if isinstance(claim, CertificateClaim):
+            outcome = verify_certificate(entry.system, entry.projection, claim.cert, window)
+            assert outcome.holds, (name, claim.cert, outcome.witness)
+            assert outcome.min_slack >= -DEFAULT_LOG_TOL, (name, outcome.min_slack)

@@ -18,7 +18,10 @@ windows where the dense kernel checks a few short pairs per row; and the
 sizes the benchmark never reaches (``LARGE_RUNS``): long witness families
 and a window whose exact logs pass 2**16. The script lists every report,
 CSV and exit status that differs between the trees and exits 1, or exits 0
-when all are byte-identical.
+when all are byte-identical. Under each differing file it names what moved:
+each JSON path whose value differs, as ``reports[4].worst.n: 3 -> 0`` (a
+job's exit status in ``status.json`` the same way), or a CSV's first
+differing line numbers.
 """
 
 from __future__ import annotations
@@ -126,8 +129,56 @@ def run_tree(tree: Path, label: str, work: Path, seeds: list[int]) -> None:
         (out / "status.json").write_text(json.dumps(statuses, indent=1, sort_keys=True))
 
 
+# the moved JSON fields printed per file, the characters of a value printed,
+# and the differing CSV line numbers printed per file
+FIELD_LINES, VALUE_CHARS, CSV_LINES = 50, 60, 5
+ABSENT = object()
+
+
+def _text(value) -> str:
+    """A JSON value on one line, cut to ``VALUE_CHARS`` characters."""
+    if value is ABSENT:
+        return "(absent)"
+    text = json.dumps(value)
+    return text if len(text) <= VALUE_CHARS else text[:VALUE_CHARS - 3] + "..."
+
+
+def field_diff(base, head, path: str = "") -> list[str]:
+    """``path: base -> head`` for each JSON path whose value differs between
+    two parsed JSON values, in document order; a key or list entry on one
+    side only reads ``(absent)`` on the other."""
+    if isinstance(base, dict) and isinstance(head, dict):
+        return [line for key in dict.fromkeys([*base, *head])
+                for line in field_diff(base.get(key, ABSENT), head.get(key, ABSENT),
+                                       f"{path}.{key}" if path else key)]
+    if isinstance(base, list) and isinstance(head, list):
+        return [line for i in range(max(len(base), len(head)))
+                for line in field_diff(base[i] if i < len(base) else ABSENT,
+                                       head[i] if i < len(head) else ABSENT, f"{path}[{i}]")]
+    if base is not ABSENT and head is not ABSENT and json.dumps(base) == json.dumps(head):
+        return []
+    return [f"{path or '(root)'}: {_text(base)} -> {_text(head)}"]
+
+
+def moved(a: Path, b: Path) -> list[str]:
+    """What moved between two differing files of one name: the first
+    differing lines of a CSV, else the fields of a JSON report or status
+    file."""
+    if a.suffix == ".csv":
+        base, head = a.read_text().splitlines(), b.read_text().splitlines()
+        lines = [k + 1 for k in range(max(len(base), len(head))) if base[k:k + 1] != head[k:k + 1]]
+        shown = ", ".join(map(str, lines[:CSV_LINES]))
+        more = f" and {len(lines) - CSV_LINES} more" if len(lines) > CSV_LINES else ""
+        return [f"lines {shown}{more} (base {len(base)} lines, head {len(head)})"]
+    fields = field_diff(json.loads(a.read_text()), json.loads(b.read_text()))
+    if len(fields) > FIELD_LINES:
+        fields[FIELD_LINES:] = [f"... and {len(fields) - FIELD_LINES} more fields"]
+    return fields or ["no field moved (key order or number text)"]
+
+
 def differences(base: Path, head: Path) -> list[str]:
-    """The files below ``base`` and ``head`` that differ or exist in one only."""
+    """The files below ``base`` and ``head`` that differ or exist in one only,
+    one entry each, with what moved on indented lines below its name."""
     names = sorted({p.relative_to(root).as_posix() for root in (base, head)
                     for p in root.rglob("*") if p.is_file()})
     out = []
@@ -136,7 +187,7 @@ def differences(base: Path, head: Path) -> list[str]:
         if not (a.is_file() and b.is_file()):
             out.append(f"{name}: only in {'head' if b.is_file() else 'base'}")
         elif a.read_bytes() != b.read_bytes():
-            out.append(f"{name}: differs")
+            out.append("\n    ".join([f"{name}: differs", *moved(a, b)]))
     return out
 
 
