@@ -54,6 +54,7 @@ from .system import (
 )
 
 DEFAULT_LOG_TOL = 1e-9
+ALPHA_POINTS, BETA_POINTS = 32, 16  # the sizes of the default estimate grids
 _TIE_BAND = 1e-12
 # The largest (points x window) block of an estimate grid: 1 MiB per float64
 # array, so that a large window is scanned a few rates at a time
@@ -700,7 +701,7 @@ def default_alpha_grid(
     sys: SystemDescription,
     proj: ProjectionFamily,
     window: WindowSpec,
-    count: int = 32,
+    count: int = ALPHA_POINTS,
 ) -> list[float]:
     """Log-spaced decay rates up to a one-pair spectral-gap estimate."""
     if count < 1:
@@ -730,7 +731,7 @@ def default_alpha_grid(
     return grid
 
 
-def default_beta_grid(alpha_max: float, count: int = 16) -> list[float]:
+def default_beta_grid(alpha_max: float, count: int = BETA_POINTS) -> list[float]:
     if count < 1:
         raise EmptyFeasibleSetError(f"beta grid needs at least one point, got {count}")
     _check_alphas([alpha_max])

@@ -24,6 +24,9 @@ from typing import Sequence
 from . import serialize
 from .certificates import Kind, WindowSpec
 from .checkers import (
+    ALPHA_POINTS,
+    BETA_POINTS,
+    DEFAULT_LOG_TOL,
     WitnessSchedule,
     default_alpha_grid,
     default_beta_grid,
@@ -81,16 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--cert", required=True, help="e.g. UED:N=1,alpha=0.5")
     p_verify.add_argument("--window", required=True, help="e.g. 0..50")
     p_verify.add_argument("--triplet", action="store_true", help="scan the three-index form")
-    p_verify.add_argument("--tol", default="1e-9", help="log-domain tolerance")
+    p_verify.add_argument("--tol", default=str(DEFAULT_LOG_TOL), help="log-domain tolerance")
 
     p_est = sub.add_parser("estimate", help="search constants on a grid")
     add_source(p_est)
     p_est.add_argument("--kind", choices=("ued", "ed", "ned"), required=True)
     p_est.add_argument("--window", required=True)
     p_est.add_argument("--alphas", help="comma-separated decay rates")
-    p_est.add_argument("--alpha-points", type=int, default=32)
+    p_est.add_argument("--alpha-points", type=int, default=ALPHA_POINTS)
     p_est.add_argument("--betas", help="comma-separated growth weights (ed)")
-    p_est.add_argument("--beta-points", type=int, default=16)
+    p_est.add_argument("--beta-points", type=int, default=BETA_POINTS)
     p_est.add_argument("--strong", action="store_true", help="restrict to beta < alpha")
     p_est.add_argument("--alpha", help="fixed rate for the minimal profile (ned)")
 

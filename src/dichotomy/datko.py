@@ -148,12 +148,9 @@ def _require_constant_projection(proj, n_lo, n_hi) -> None:
     """Summation scans assume a constant projection; raise unless it is."""
     if proj.constant:
         return
-    base = proj.matrix(n_lo)
-    for k in range(n_lo, n_hi + 1):
-        if not np.allclose(proj.matrix(k), base, atol=1e-12):
-            raise InvalidConstantsError(
-                "summation checks require a constant projection family"
-            )
+    window = proj.matrices(n_lo, n_hi)
+    if not np.allclose(window, window[0], atol=1e-12):
+        raise InvalidConstantsError("summation checks require a constant projection family")
 
 
 def _trajectories(sys, proj, part: str, window: WindowSpec, upto: int):

@@ -24,7 +24,7 @@ from .certificates import (
     ShiftedPowerProfile,
     TowerExponentProfile,
 )
-from .checkers import WitnessSchedule
+from .checkers import ALPHA_POINTS, BETA_POINTS, WitnessSchedule
 from .errors import IndexOrderError, ParamOutOfRangeError, UnknownExampleError
 from .logarray import LogArray, add
 from .logscalar import LogMag, LogScalar
@@ -57,8 +57,8 @@ class StrongInstabilityClaim:
     """Every strong grid pair (beta < alpha) is expected to be unstable."""
 
     window_m_max: int
-    alpha_points: int = 32
-    beta_points: int = 16
+    alpha_points: int = ALPHA_POINTS
+    beta_points: int = BETA_POINTS
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ The evolution operator from time n to time m >= n is the left-ordered
 product ``A(m) * ... * A(n+1)`` (the identity when m = n), so coefficient
 index 0 never enters a product. Two coefficient representations coexist:
 
-* ``ExplicitSequence``: dense real matrices stored as doubles, valid on a
-  declared index range, with overflow detection on products.
+* ``ExplicitSequence``: dense real matrices A(0), ..., A(n_max), valid on
+  that declared index range, as one read-only float64 array of shape
+  (n_max + 1, d, d) that is checked once and that every dense kernel slices
+  its window from, with overflow detection on products.
 * ``DiagonalClosedForm``: one range function per coordinate, valid for
   every index, that gives the factors of a stretch of indices as arrays of
   log-magnitudes and signs, so magnitudes like exp(n * 2**n) remain exactly
@@ -111,27 +113,35 @@ def positive_factors(logs) -> tuple[LogArray, np.ndarray]:
 
 
 class ExplicitSequence:
-    """Dense coefficients A(0), ..., A(n_max) as double matrices."""
+    """Dense coefficients A(0), ..., A(n_max) as one read-only float64 array
+    of shape (n_max + 1, d, d), checked once; a float64 array of that shape
+    is not copied."""
 
     def __init__(self, matrices: Sequence):
-        mats = [np.asarray(m, dtype=float) for m in matrices]
-        if not mats:
+        try:
+            mats = np.asarray(matrices, dtype=float)
+        except ValueError:  # ragged, unless an entry is no number: that raises here
+            [np.asarray(m, dtype=float) for m in matrices]
+            raise ValueError(_SQUARE) from None
+        if not len(mats):
             raise ValueError("empty coefficient list")
-        d = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (d, d):
-                raise ValueError("coefficient matrices must share a square shape")
-            if not np.all(np.isfinite(m)):
-                raise DenseOverflowError("non-finite entry in a declared coefficient")
-        self.matrices = mats
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValueError(_SQUARE)
+        if not np.isfinite(mats).all():
+            raise DenseOverflowError("non-finite entry in a declared coefficient")
+        self.matrices = mats.view()
+        self.matrices.flags.writeable = False
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     @property
     def n_max(self) -> int:
         return len(self.matrices) - 1
+
+
+_SQUARE = "coefficient matrices must share a square shape"
 
 
 class SystemDescription:
@@ -245,46 +255,46 @@ class ProjectionFamily:
         if (mask is None) == (matrix is None):
             raise ValueError("exactly one of mask or matrix is required")
         self.dim = dim
-        self._mask = None
-        self._matrix = None
-        self.constant = not callable(mask if matrix is None else matrix)
-        if mask is not None:
-            if callable(mask):
-                self._mask = mask
-            else:
-                fixed = tuple(bool(b) for b in mask)
-                if len(fixed) != dim:
-                    raise ValueError("mask length must equal dim")
-                self._mask = lambda n: fixed
-        else:
-            if callable(matrix):
-                self._matrix = matrix
-            else:
-                fixed_m = _finite(np.asarray(matrix, dtype=float))
-                if fixed_m.shape != (dim, dim):
-                    raise ValueError("projection matrix must be dim x dim")
-                self._matrix = lambda n: fixed_m
+        self.is_mask = matrix is None
+        rule = mask if self.is_mask else matrix
+        self.constant = not callable(rule)
+        self._rule = self._checked(rule) if self.constant else rule
 
-    @property
-    def is_mask(self) -> bool:
-        return self._mask is not None
+    def _checked(self, value):
+        """A mask value as a tuple of ``dim`` bools, or a matrix value as a
+        finite ``dim`` x ``dim`` float array; raise for anything else."""
+        if self.is_mask:
+            mask = tuple(bool(b) for b in value)
+            if len(mask) != self.dim:
+                raise ValueError("mask length must equal dim")
+            return mask
+        matrix = np.asarray(value, dtype=float)
+        if not np.isfinite(matrix).all():
+            raise InvalidProjectionError("non-finite entry in a projection matrix")
+        if matrix.shape != (self.dim, self.dim):
+            raise ValueError("projection matrix must be dim x dim")
+        return matrix
+
+    def _at(self, n: int):
+        return self._rule if self.constant else self._checked(self._rule(n))
 
     def mask(self, n: int) -> tuple[bool, ...]:
-        if self._mask is None:
+        if not self.is_mask:
             raise TypeError("matrix-specified projection has no coordinate mask")
-        if self.constant:
-            return self._mask(n)
-        got = tuple(bool(b) for b in self._mask(n))
-        if len(got) != self.dim:
-            raise ValueError("mask length must equal dim")
-        return got
+        return self._at(n)
 
     def matrix(self, n: int) -> np.ndarray:
-        if self._mask is not None:
-            return np.diag([1.0 if b else 0.0 for b in self.mask(n)])
+        if self.is_mask:
+            return np.diag([1.0 if b else 0.0 for b in self._at(n)])
+        return self._at(n)
+
+    def matrices(self, lo: int, hi: int) -> np.ndarray:
+        """P(lo), ..., P(hi) as one (hi - lo + 1, dim, dim) array: a constant
+        family's one matrix broadcast (read-only, not copied), or one checked
+        call of the rule per index."""
         if self.constant:
-            return self._matrix(n)
-        return _finite(np.asarray(self._matrix(n), dtype=float))
+            return np.broadcast_to(self.matrix(lo), (hi - lo + 1, self.dim, self.dim))
+        return np.array([self.matrix(k) for k in range(lo, hi + 1)])
 
     def complement_matrix(self, n: int) -> np.ndarray:
         return np.eye(self.dim) - self.matrix(n)
@@ -292,39 +302,23 @@ class ProjectionFamily:
     def split(self, n: int, x) -> tuple[np.ndarray, np.ndarray]:
         """(P(n) x, Q(n) x); a mask copies the entries of x into the parts."""
         x = np.asarray(x, dtype=float)
-        if self._mask is not None:
+        if self.is_mask:
             mask = self.mask(n)
             return np.where(mask, x, 0.0), np.where(mask, 0.0, x)
         return self.matrix(n) @ x, self.complement_matrix(n) @ x
 
-    def idempotence_defect(self, n: int) -> float:
-        if self._mask is not None:
-            return 0.0
-        p = self.matrix(n)
-        return float(np.linalg.norm(p @ p - p, 2))
-
     def validate(self, n_lo: int, n_hi: int) -> None:
-        """Raise unless P(n) is idempotent for n_lo <= n <= n_hi; each
-        distinct matrix is checked once."""
-        if self._mask is not None:
+        """Raise unless P(n) is idempotent for n_lo <= n <= n_hi, naming the
+        first n that fails; each distinct matrix is checked once."""
+        if self.is_mask:
             return
         seen = set()
-        for n in range(n_lo, n_hi + 1):
-            key = self.matrix(n).tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            d = self.idempotence_defect(n)
-            if not d <= DEFAULT_TOL_PROJ:
-                raise InvalidProjectionError(f"projection at n={n} fails idempotence by {d:.3e}")
-            if self.constant:
-                return
-
-
-def _finite(matrix: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(matrix)):
-        raise InvalidProjectionError("non-finite entry in a projection matrix")
-    return matrix
+        for n, p in enumerate(self.matrices(n_lo, n_lo if self.constant else n_hi), n_lo):
+            if p.tobytes() not in seen:
+                seen.add(p.tobytes())
+                d = float(np.linalg.norm(p @ p - p, 2))
+                if not d <= DEFAULT_TOL_PROJ:
+                    raise InvalidProjectionError(f"projection at n={n} fails idempotence by {d:.3e}")
 
 
 def _require_mask_for_diagonal(sys: SystemDescription, proj: ProjectionFamily) -> None:
@@ -398,8 +392,8 @@ def _unscreened(sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int
     first, last = max(lo, 0), min(hi, sys.n_max - 1)
     passed = np.zeros(hi - lo + 1, dtype=bool)
     if first <= last:
-        a = np.array(sys.coefficients.matrices[first + 1:last + 2])
-        p = np.array([proj.matrix(k) for k in range(first, last + 2)])
+        a = sys.coefficients.matrices[first + 1:last + 2]
+        p = proj.matrices(first, last + 1)
         frobenius = np.linalg.norm(a @ p[:-1] - p[1:] @ a, axis=(1, 2))
         passed[first - lo:last - lo + 1] = frobenius <= DEFAULT_TOL_COMPAT / 2
     return (lo + np.flatnonzero(~passed)).tolist()
@@ -560,8 +554,8 @@ class _DenseSweeps:
     def __init__(self, sys: SystemDescription, proj: ProjectionFamily, lo: int, hi: int):
         sys.check_pair(hi, lo)
         self.lo, self.hi = lo, hi
-        self.projections = np.array([proj.matrix(k) for k in range(lo, hi + 1)])
-        self.coeffs = np.array([sys.coefficient(k) for k in range(lo, hi + 1)])
+        self.projections = proj.matrices(lo, hi)
+        self.coeffs = sys.coefficients.matrices[lo:hi + 1]
         pa = self.projections @ self.coeffs
         self.steps = {"P": pa, "Q": self.coeffs - pa}
         self._bases: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}

@@ -61,6 +61,19 @@ def test_verify_holds_exit_zero():
     assert report["result"]["pairs_checked"] == 1326
 
 
+def test_module_entry_point_writes_the_report_of_main(capsys):
+    # ``python -m dichotomy`` runs ``__main__``, whose exit status and report
+    # are those of ``cli.main``
+    from dichotomy.cli import main
+
+    argv = ["verify", "--gallery", "ued_example", "--cert", "UED:N=1,alpha=0.5",
+            "--window", "0..50"]
+    proc = subprocess.run(BASE + argv, capture_output=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+
 def test_verify_violated_exit_one():
     run_cli(
         "verify", "--gallery", "ned_example", "--cert", "UED:N=100,alpha=0.01",
@@ -560,6 +573,17 @@ OVERFLOWING_RATES = [
 ]
 
 
+def _with_system_file(tmp_path, argv):
+    """``argv`` with the text that follows "--system" written to a file in
+    ``tmp_path`` and replaced by its path."""
+    if "--system" not in argv:
+        return argv
+    at = argv.index("--system") + 1
+    path = tmp_path / "system.cfg"
+    path.write_text(argv[at], encoding="utf-8")
+    return [*argv[:at], str(path), *argv[at + 1:]]
+
+
 def _error_report(tmp_path, argv):
     from dichotomy.cli import main
 
@@ -647,12 +671,8 @@ def _error_report(tmp_path, argv):
 def test_invalid_inputs_are_reported(tmp_path, capsys, argv, error):
     from dichotomy.cli import main
 
-    source = ["--gallery", "ued_example"]
-    if "--system" in argv:
-        at = argv.index("--system") + 1
-        path = tmp_path / "system.cfg"
-        path.write_text(argv[at], encoding="utf-8")
-        argv, source = [*argv[:at], str(path), *argv[at + 1:]], []
+    source = [] if "--system" in argv else ["--gallery", "ued_example"]
+    argv = _with_system_file(tmp_path, argv)
     if argv[0] != "falsify":
         source += ["--window", "0..10"]
     if error == "ConfigError":
@@ -716,3 +736,93 @@ def test_non_idempotent_projection_is_reported(tmp_path):
     path.write_text(NON_IDEMPOTENT, encoding="utf-8")
     argv = ["verify", "--system", str(path), "--cert", "UED:N=10,alpha=0.1", "--window", "0..1"]
     assert _error_report(tmp_path, argv) == "InvalidProjectionError"
+
+
+VERIFY = ["verify", "--cert", "UED:N=1,alpha=0.5", "--window", "0..10"]
+GALLERY = ["--gallery", "ued_example"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # certificates
+        (["verify", "--cert", "UED:N=1,alpha", "--window", "0..10", *GALLERY],
+         "field 'cert': expected key=value in certificate, got 'alpha'"),
+        # system files: "--system" is followed by the file's text
+        ([*VERIFY, "--system", "[system]\nsource\n"], "line 2: expected key = value"),
+        ([*VERIFY, "--system", system_file(EXPLICIT.replace("A1 = 2,0; 0,3", "A1 = 2,0"))],
+         "line 5: field 'A1': expected 2 rows, got 1"),
+        ([*VERIFY, "--system", system_file(EXPLICIT.replace("A1 = 2,0; 0,3", "A1 = 2,0; 3"))],
+         "line 5: field 'A1': expected 2 entries per row"),
+        ([*VERIFY, "--system", system_file(DIAGONAL, "mask = 1")],
+         "line 8: field 'mask': mask needs 2 entries"),
+        ([*VERIFY, "--system", system_file(DIAGONAL, "mask = 1,2")],
+         "line 8: field 'mask': mask entries must be 0 or 1, got '2'"),
+        ([*VERIFY, "--system", system_file(DIAGONAL.replace("const:", "wobble:"))],
+         "line 4: field 'coord0': unknown diagonal form 'wobble'"),
+        ([*VERIFY, "--system", system_file(DIAGONAL.replace("value=0.5", "value"))],
+         "line 4: field 'coord0': expected key=value, got ' value'"),
+        ([*VERIFY, "--system", system_file(DIAGONAL.replace("value=0.5", "x=0.5"))],
+         "line 4: field 'coord0': const form needs value="),
+        ([*VERIFY, "--system", system_file(DIAGONAL.replace("const: value=0.5", "parity: even=1"))],
+         "line 4: field 'coord0': parity form needs even= and odd="),
+        ([*VERIFY, "--system", "[projection]\nmask = 1,0\n"], "missing [system] section"),
+        ([*VERIFY, "--system", "[system]\nsource = gallery\n"],
+         "gallery source needs name = <entry>"),
+        ([*VERIFY, "--system", "[system]\nname = nope\n"],
+         "line 2: field 'name': unknown gallery entry 'nope'; known: "),
+        ([*VERIFY, "--system", system_file("source = explicit\nA0 = 1")],
+         "explicit source needs dim = <positive integer>"),
+        ([*VERIFY, "--system", system_file(DIAGONAL.replace("dim = 2", "dim = two"))],
+         "line 2: field 'dim': dim must be an integer, got 'two'"),
+        ([*VERIFY, "--system", system_file(EXPLICIT + "\nB2 = 1,0; 0,1")],
+         "line 6: field 'B2': unexpected key 'B2' in explicit system"),
+        ([*VERIFY, "--system", system_file("dim = 2\nsource = explicit")],
+         "explicit source needs at least A0 = ..."),
+        ([*VERIFY, "--system", system_file(DIAGONAL + "\nfoo = 1")],
+         "line 6: field 'foo': unexpected key 'foo' in diagonal system"),
+        ([*VERIFY, "--system", system_file(DIAGONAL.split("\ncoord1")[0])],
+         "diagonal source needs coord1 = <form>"),
+        ([*VERIFY, "--system", system_file("dim = 2\nsource = weird")],
+         "unknown source 'weird'; expected gallery, explicit or diagonal"),
+        ([*VERIFY, "--system", system_file(DIAGONAL, "mask@1 = 1,0")],
+         "projection section needs mask = ... or matrix = ..."),
+        # command-line arguments
+        ([*VERIFY, *GALLERY, "--system", system_file(DIAGONAL)],
+         "give either --gallery or --system, not both"),
+        (VERIFY, "a system is required: --gallery NAME or --system FILE"),
+        (["estimate", "--kind", "ned", "--window", "0..10", *GALLERY],
+         "estimate --kind ned needs --alpha"),
+        (["falsify", "--concept", "XYZ", "--schedule", "from_start", *GALLERY],
+         "unknown concept 'XYZ'"),
+        (["falsify", "--concept", "UED", "--schedule", "nope", *GALLERY],
+         "unknown schedule 'nope'"),
+        (["datko", "--d", "0.1", "--window", "0..10", *GALLERY],
+         "datko needs --form or --from-cert"),
+        (["datko", "--form", "ned", "--d", "0.1", "--window", "0..10", *GALLERY],
+         "the nonuniform form needs --s-profile or --from-cert"),
+        (["datko", "--form", "ued", "--d", "0.1", "--window", "0..10", *GALLERY],
+         "the uniform form needs --D or --from-cert"),
+        (["datko", "--form", "ed", "--d", "0.1", "--window", "0..10", *GALLERY],
+         "the exponential form needs --D or --from-cert"),
+    ],
+)
+def test_configuration_errors_name_their_cause(tmp_path, capsys, argv, message):
+    from dichotomy.cli import main
+
+    assert main(_with_system_file(tmp_path, argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}")
+    assert "Traceback" not in err
+
+
+def test_gallery_system_file_is_echoed(tmp_path, capsys):
+    from dichotomy.cli import main
+
+    path = tmp_path / "g.cfg"
+    path.write_text("[system]\nsource = gallery\nname = ned_example\nb = 1/2\n", encoding="utf-8")
+    assert main(["verify", "--system", str(path), "--cert",
+                 "NED:alpha=0.6931471805599453,profile=power:2:1", "--window", "0..10"]) == 0
+    echo = json.loads(capsys.readouterr().out)["system"]
+    assert echo["file"] == str(path) and echo["gallery"] == "ned_example"
+    assert echo["params"]["b"] == 0.5

@@ -5,6 +5,7 @@ import pytest
 
 from dichotomy import (
     DegenerateRangeError,
+    DenseOverflowError,
     DiagonalClosedForm,
     ExplicitSequence,
     IncompatibleProjectionError,
@@ -238,8 +239,6 @@ def test_projection_validation():
 
 
 def test_dense_products_detect_overflow():
-    from dichotomy import DenseOverflowError
-
     big = np.diag([1e200, 1e-200])
     sys_ = SystemDescription(2, ExplicitSequence([np.eye(2), big, big]))
     with pytest.raises(DenseOverflowError):
@@ -276,3 +275,115 @@ def test_diagonal_closed_form_with_zero_entry():
     sys_ = SystemDescription(2, DiagonalClosedForm(coords))
     assert evolution(sys_, 3, 0).diag[0].is_zero
     assert not evolution(sys_, 1, 0).diag[0].is_zero
+
+
+def _read(family, n=0):
+    """Both per-index reads and the window read of a projection family."""
+    family.matrix(n)
+    family.matrices(n, n + 1)
+
+
+EYE = np.eye(2)
+SQUARE = "coefficient matrices must share a square shape"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # coefficients
+        (lambda: DiagonalClosedForm([]), ValueError, "need at least one coordinate function"),
+        (lambda: ExplicitSequence([]), ValueError, "empty coefficient list"),
+        (lambda: ExplicitSequence([EYE, np.eye(3)]), ValueError, SQUARE),
+        (lambda: ExplicitSequence([EYE, [[1.0, 2.0]]]), ValueError, SQUARE),
+        (lambda: ExplicitSequence([np.ones((2, 3))]), ValueError, SQUARE),
+        (lambda: ExplicitSequence([1.0, 2.0]), ValueError, SQUARE),
+        (lambda: ExplicitSequence([EYE, [["a", "b"], ["c", "d"]]]), ValueError,
+         "could not convert string to float: 'a'"),
+        (lambda: ExplicitSequence([EYE, [[1.0, math.inf], [0.0, 1.0]]]), DenseOverflowError,
+         "non-finite entry in a declared coefficient"),
+        (lambda: ExplicitSequence([[[1.0, math.nan], [0.0, 1.0]]]), DenseOverflowError,
+         "non-finite entry in a declared coefficient"),
+        # systems
+        (lambda: SystemDescription(0, ExplicitSequence([EYE])), ValueError,
+         "dimension must be positive"),
+        (lambda: SystemDescription(3, ExplicitSequence([EYE])), ValueError,
+         "coefficient dimension does not match dim"),
+        (lambda: make_example("ued_example").system.coefficient(0), TypeError,
+         "diagonal systems expose coefficients per coordinate"),
+        (lambda: two_factor_system().coefficient(3), OutOfRangeError,
+         "coefficient index 3 outside 0..2"),
+        (lambda: two_factor_system().coefficient(-1), OutOfRangeError,
+         "coefficient index -1 outside 0..2"),
+        # projection families, fixed and per index
+        (lambda: ProjectionFamily(2), ValueError, "exactly one of mask or matrix is required"),
+        (lambda: ProjectionFamily(2, mask=(True, False), matrix=EYE), ValueError,
+         "exactly one of mask or matrix is required"),
+        (lambda: ProjectionFamily(2, mask=(True,)), ValueError, "mask length must equal dim"),
+        (lambda: ProjectionFamily(2, mask=lambda n: (True,)).mask(0), ValueError,
+         "mask length must equal dim"),
+        (lambda: _read(ProjectionFamily(2, mask=lambda n: (True, False, True))), ValueError,
+         "mask length must equal dim"),
+        (lambda: ProjectionFamily(2, matrix=np.eye(3)), ValueError,
+         "projection matrix must be dim x dim"),
+        (lambda: _read(ProjectionFamily(2, matrix=lambda n: np.eye(3))), ValueError,
+         "projection matrix must be dim x dim"),
+        (lambda: ProjectionFamily(2, matrix=[[1.0, math.nan], [0.0, 0.0]]),
+         InvalidProjectionError, "non-finite entry in a projection matrix"),
+        (lambda: _read(ProjectionFamily(2, matrix=lambda n: [[math.inf, 0.0], [0.0, 0.0]])),
+         InvalidProjectionError, "non-finite entry in a projection matrix"),
+        (lambda: ProjectionFamily(2, matrix=EYE).mask(0), TypeError,
+         "matrix-specified projection has no coordinate mask"),
+        # index checks
+        (lambda: compatibility_defect(two_factor_system(), ProjectionFamily(2, matrix=EYE), -1),
+         OutOfRangeError, "negative index -1"),
+        (lambda: restricted_ratio_extremes(two_factor_system(), ProjectionFamily(2, matrix=EYE),
+                                           1, 2, 0),
+         IndexOrderError, r"need m >= n >= p >= 0, got \(1, 2, 0\)"),
+    ],
+)
+def test_bad_inputs_raise_their_documented_errors(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_a_callable_projection_is_checked_at_its_first_read():
+    # a wrong shape fails at the family's read, not as a matmul error inside a kernel
+    sys_ = two_factor_system()
+    proj = ProjectionFamily(2, matrix=lambda n: np.eye(3))
+    with pytest.raises(ValueError, match="^projection matrix must be dim x dim$"):
+        restricted_extremes(sys_, proj, 2, 0)
+
+
+def test_dense_coefficients_are_one_read_only_array():
+    mats = np.stack([EYE, 2.0 * EYE, 3.0 * EYE])
+    sys_ = SystemDescription(2, ExplicitSequence(mats))
+    stored = sys_.coefficients.matrices
+    assert type(stored) is np.ndarray and stored.dtype == np.float64 and stored.shape == (3, 2, 2)
+    assert not stored.flags.writeable
+    assert np.shares_memory(stored, mats)  # a float64 (K, d, d) array is not copied
+    assert mats.flags.writeable  # and the caller's array is left as it was
+    with pytest.raises(ValueError):
+        sys_.coefficient(1)[0, 0] = 5.0
+    assert sys_.coefficient(1).tolist() == [[2.0, 0.0], [0.0, 2.0]]
+    # a list of matrices becomes one array too
+    listed = two_factor_system().coefficients.matrices
+    assert type(listed) is np.ndarray and listed.shape == (3, 2, 2) and not listed.flags.writeable
+
+
+def test_projection_windows_match_the_per_index_reads():
+    fixed = ProjectionFamily(2, matrix=[[1.0, 1.0], [0.0, 0.0]])
+    window = fixed.matrices(3, 7)
+    assert window.shape == (5, 2, 2) and not window.flags.writeable
+    assert np.shares_memory(window, fixed.matrix(0))  # broadcast, not copied
+    per_index = ProjectionFamily(2, mask=lambda n: (n % 2 == 0, True))
+    assert per_index.matrices(3, 6).tolist() == [per_index.matrix(n).tolist() for n in range(3, 7)]
+
+
+def test_projection_validation_names_the_first_failing_index():
+    half = [[1.0, 0.0], [0.0, 0.5]]
+    proj = ProjectionFamily(2, matrix=lambda n: half if n in (4, 6) else EYE)
+    proj.validate(0, 3)
+    with pytest.raises(InvalidProjectionError, match="^projection at n=4 fails idempotence"):
+        proj.validate(2, 9)
+    with pytest.raises(InvalidProjectionError, match="^projection at n=6 fails idempotence"):
+        proj.validate(5, 9)
