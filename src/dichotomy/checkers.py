@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -286,8 +286,10 @@ def optimal_N_for_alpha(
 ) -> LogScalar:
     """Least N making the uniform inequality hold everywhere on the window:
     the maximum over pairs of both reduced ratios, floored at 1, which is
-    the last value of the minimal nonuniform profile."""
-    return minimal_ned_profile(sys, proj, alpha, window).values[-1]
+    the last value of the minimal nonuniform profile (the value its running
+    maximum keeps: the first maximum, in the profile's order)."""
+    rows, cols = _profile_bounds(sys, proj, alpha, window)
+    return LogScalar.from_log(max(chain((0,), chain.from_iterable(zip(rows, cols)))))
 
 
 @dataclass(frozen=True)
@@ -443,17 +445,22 @@ def minimal_ned_profile(
     by a running maximum give the least admissible profile (floored at 1,
     which every index with nontrivial ranges forces at m = n anyway).
     """
+    running: LogMag = 0
+    values = []
+    for row, col in zip(*_profile_bounds(sys, proj, alpha, window)):
+        running = max(running, row, col)
+        values.append(LogScalar.from_log(running))
+    return TabulatedProfile(window.n_min, tuple(values))
+
+
+def _profile_bounds(sys, proj, alpha, window) -> tuple[list, list]:
+    """Each index's row and column logs, after the profile's checks."""
     if not 0 < alpha < math.inf:
         raise InvalidCertificateError(f"alpha must be positive and finite, got {alpha}")
     _check_rates(window, alpha)
     check_compatibility(sys, proj, window.n_min, window.m_max)
     kernel = _sweeps(sys, proj, window.n_min, window.m_max)
-    running: LogMag = 0
-    values = []
-    for row, col in zip(kernel.rows(alpha, window.m_max).tolist(), kernel.cols(alpha).tolist()):
-        running = max(running, row, col)
-        values.append(LogScalar.from_log(running))
-    return TabulatedProfile(window.n_min, tuple(values))
+    return kernel.rows(alpha, window.m_max).tolist(), kernel.cols(alpha).tolist()
 
 
 # -- falsification -------------------------------------------------------------

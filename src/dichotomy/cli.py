@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter, sub
 from pathlib import Path
 from typing import Sequence
@@ -163,24 +162,21 @@ def _resolve_system(args):
 # generator steps per value. Lists of records are encoded by column instead:
 # a ``serialize.RecordColumns`` (a falsify report's witness family, written
 # straight from the kernel's columns, with no record per member) from its
-# shape, and a list whose records share the first record's shape (the same
-# keys in the same order, lists of the same lengths, scalars in the same
-# places) from the columns read out of its records. Each column's texts take
-# one C-level call (a %-format of ints, else ``Column.texts``), or none when
-# every record has the same text there (a family's probe direction, say, a
-# literal of the template); the template's literal pieces and the columns
-# are interleaved by slice assignment and joined in one ``str.join``. The
-# rest of the report goes through ``json.dumps`` with a placeholder string
-# for each such list, and the lists are spliced in, so the text is that of
-# ``json.dumps(report, indent=2)`` with each ``RecordColumns`` written as its
-# records. A column keeps its texts: a family's CSV reuses those of its log
-# column.
+# shape, and a list whose records share the first record's shape from the
+# columns read out of its records. json writes one record's template: the
+# shape with a slot string at each place whose texts differ between records
+# and the one value where they do not (a family's probe direction, say).
+# Each column's texts take one C-level call; the template's pieces and the
+# columns are interleaved and joined in one ``str.join``. The rest of the
+# report goes through ``json.dumps`` with a placeholder string for each such
+# list, and the lists are spliced in. A column keeps its texts: a family's
+# CSV reuses those of its log column.
 
 _INDENT = "  "
-# marks a column's place in a record template; the literal pieces are JSON
-# punctuation, indentation, ASCII-escaped keys and the text of repeated
-# scalars, which never hold it
-_SLOT = "\x00"
+# marks a column's place in a record's shape; a key or a text equal to it
+# sends its list to json.dumps, so it is longer than those tests/test_emit.py
+# draws, which keeps their lists on the column path
+_SLOT = "\x00column\x00"
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
@@ -189,14 +185,13 @@ def _dumps(report) -> str:
     records, with lists of records encoded by column."""
     lists: list[str] = []
     text = json.dumps(_cut(report, 0, lists), indent=2)
-    marks = [encode_basestring_ascii(_placeholder(j)) for j in range(len(lists))]
+    marks = [serialize.dumps(_placeholder(j)) for j in range(len(lists))]
     if any(text.count(mark) != 1 for mark in marks):
         return json.dumps(report, indent=2, default=serialize.RecordColumns.records)
+    # each mark occurs once, so they come in _cut's order, which is json's
     pieces = []
     for mark, encoded in zip(marks, lists):
-        head, found, text = text.partition(mark)
-        if not found:
-            return json.dumps(report, indent=2, default=serialize.RecordColumns.records)
+        head, _, text = text.partition(mark)
         pieces += (head, encoded)
     pieces.append(text)
     return "".join(pieces)
@@ -212,42 +207,39 @@ def _cut(value, depth: int, lists: list[str]):
     to ``lists``."""
     if isinstance(value, dict):
         return {k: _cut(v, depth + 1, lists) for k, v in value.items()}
-    if isinstance(value, serialize.RecordColumns):
-        encoded = _column_text(value.shape, [value.shape], value.size, depth)
-        if encoded is None:  # a value json cannot write: json.dumps names it
-            return [_cut(v, depth + 1, lists) for v in value.records()]
-    elif isinstance(value, (list, tuple)):
-        encoded = _records(value, depth)
-        if encoded is None:
-            return [_cut(v, depth + 1, lists) for v in value]
-    else:
+    if not isinstance(value, (list, tuple, serialize.RecordColumns)):
         return value
+    encoded = _records(value, depth)
+    if encoded is None:  # json.dumps names a value of a RecordColumns it cannot write
+        items = value.records() if isinstance(value, serialize.RecordColumns) else value
+        return [_cut(v, depth + 1, lists) for v in items]
     lists.append(encoded)
     return _placeholder(len(lists) - 1)
 
 
 def _records(items, depth: int) -> str | None:
-    """The text of a list of records that share the first one's shape, or
-    None for any other list."""
-    if not items or type(items[0]) is not dict:
+    """The text, at nesting ``depth``, of a ``RecordColumns`` or of a list of
+    records that share the first one's shape; None for any other list."""
+    if isinstance(items, serialize.RecordColumns):
+        proto, col, size = items.shape, [items.shape], items.size
+    elif items and type(items[0]) is dict:
+        proto, col, size = items[0], list(items), len(items)
+    else:
         return None
-    return _column_text(items[0], list(items), len(items), depth)
-
-
-def _column_text(proto, col: list, size: int, depth: int) -> str | None:
-    """The text of ``size`` records at nesting ``depth``: the records ``col``
-    shaped as ``proto``, or a ``RecordColumns``' shape as ``proto`` and
-    ``[proto]``. None when a value has another shape."""
     if not size:
         return "[]"
-    columns: list[Sequence] = []
-    template = _template(proto, col, depth + 1, columns)
-    if template is None:
+    columns: list[Sequence[str]] = []
+    try:
+        shape = _slotted(proto, col, columns)
+    except ValueError:  # a value of another shape
         return None
     sep = ",\n" + _INDENT * (depth + 1)
-    pieces = template.split(_SLOT)
+    template = serialize.dumps(shape, indent=2).replace("\n", sep[1:])
+    pieces = template.split(serialize.dumps(_SLOT))
+    if len(pieces) != len(columns) + 1:  # a key or a repeated text is the slot
+        return None
     pieces[-1] += sep
-    # per record: literal piece, column text, literal piece, ..., last piece
+    # per record: piece, column text, piece, ..., last piece
     parts = [[pieces[0]] * size]
     for column, piece in zip(columns, pieces[1:]):
         parts += (column, [piece] * size)
@@ -264,49 +256,30 @@ def _interleaved(columns: list[Sequence]) -> list:
     return out
 
 
-def _template(proto, col: list, depth: int, columns: list[Sequence[str]]) -> str | None:
-    """The text of the values ``col`` at nesting ``depth``, shaped as
-    ``proto``, with ``_SLOT`` at each scalar place whose texts differ between
-    records (they go to ``columns``). A ``Column`` in ``proto`` stands for
-    its values, one per record. None when a value has another shape."""
+def _slotted(proto, col: list, columns: list[Sequence[str]]):
+    """``proto`` with ``_SLOT`` at each scalar place whose texts differ
+    between the records ``col`` (they go to ``columns``), and the one value
+    at each place where they do not. A ``Column`` in ``proto`` stands for
+    its values, one per record. ValueError when a value has another shape."""
     if type(proto) in _SCALARS:
         col = serialize.Column(col)
     elif type(proto) is serialize.Column:
         col = proto
     kinds = set(map(type, col))
-    if type(col) is serialize.Column:
-        if not kinds <= _SCALARS:
-            return None
+    if type(col) is serialize.Column and kinds <= _SCALARS:
         if len(kinds) == 1 and _repeated(col):
-            return serialize.json_text(col[0])  # a literal piece of the template
+            return col[0]
         columns.append(_int_texts(col) if kinds == {int} else col.texts)
         return _SLOT
-    if type(proto) is dict:
-        keys = tuple(proto)
-        if kinds != {dict} or not all(type(k) is str for k in keys) or not all(
-            map(keys.__eq__, map(tuple, col))
-        ):
-            return None
-        names = [encode_basestring_ascii(k) + ": " for k in keys]
-        open_, close = "{", "}"
-    elif type(proto) in (list, tuple):
-        keys = range(len(proto))
-        if not kinds <= {list, tuple} or set(map(len, col)) != {len(proto)}:
-            return None
-        names = [""] * len(proto)
-        open_, close = "[", "]"
-    else:
-        return None
-    if not keys:
-        return open_ + close
-    inner = "\n" + _INDENT * (depth + 1)
-    parts = []
-    for key, name in zip(keys, names):
-        sub = _template(proto[key], list(map(itemgetter(key), col)), depth + 1, columns)
-        if sub is None:
-            return None
-        parts.append(inner + name + sub)
-    return open_ + ",".join(parts) + "\n" + _INDENT * depth + close
+    if type(proto) is dict and kinds == {dict} and all(type(k) is str for k in proto) and all(
+        map(tuple(proto).__eq__, map(tuple, col))
+    ):
+        return {k: _slotted(v, list(map(itemgetter(k), col)), columns) for k, v in proto.items()}
+    if type(proto) in (list, tuple) and kinds <= {list, tuple} and (
+        set(map(len, col)) == {len(proto)}
+    ):
+        return [_slotted(v, list(map(itemgetter(i), col)), columns) for i, v in enumerate(proto)]
+    raise ValueError("another shape")
 
 
 def _int_texts(ints: Sequence[int]) -> list[str]:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from json import dumps
-from json.encoder import encode_basestring_ascii
 
 from .certificates import (
     ConstantProfile,
@@ -158,11 +157,12 @@ class Column(tuple):
     @cached_property
     def texts(self) -> list[str]:
         """json's text of each value (each must be a JSON scalar): one
-        C-level ``dumps`` of the column, split, unless a value is a string,
-        whose text may hold the separator. Made once: a report's CSV reuses
-        the texts of the columns its JSON text wrote."""
+        C-level ``dumps`` of the column, split, or one ``dumps`` per value
+        when a value is a string, whose text may hold the separator. Made
+        once: a report's CSV reuses the texts of the columns its JSON text
+        wrote."""
         if not self or str in set(map(type, self)):
-            return list(map(json_text, self))
+            return list(map(dumps, self))
         return dumps(self)[1:-1].split(", ")
 
 
@@ -191,22 +191,6 @@ def _members(value, size: int):
     if type(value) is dict:
         return [dict(zip(value, row)) for row in rows]
     return list(map(list, rows))
-
-
-_NAMED = {None: "null", True: "true", False: "false"}
-
-
-def json_text(value) -> str:
-    """json's text of one JSON scalar (``json.dumps(value)``)."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if type(value) is float:
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
-    return _NAMED[value]
 
 
 def witness_family(rep: WitnessReport) -> RecordColumns:

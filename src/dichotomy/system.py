@@ -114,12 +114,11 @@ def positive_factors(logs) -> tuple[LogArray, np.ndarray]:
 
 class ExplicitSequence:
     """Dense coefficients A(0), ..., A(n_max) as one read-only float64 array
-    of shape (n_max + 1, d, d), checked once; a float64 array of that shape
-    is not copied."""
+    of shape (n_max + 1, d, d): a copy of the input, checked once."""
 
     def __init__(self, matrices: Sequence):
         try:
-            mats = np.asarray(matrices, dtype=float)
+            mats = np.array(matrices, dtype=float)
         except ValueError:  # ragged, unless an entry is no number: that raises here
             [np.asarray(m, dtype=float) for m in matrices]
             raise ValueError(_SQUARE) from None
@@ -129,8 +128,8 @@ class ExplicitSequence:
             raise ValueError(_SQUARE)
         if not np.isfinite(mats).all():
             raise DenseOverflowError("non-finite entry in a declared coefficient")
-        self.matrices = mats.view()
-        self.matrices.flags.writeable = False
+        mats.flags.writeable = False
+        self.matrices = mats
 
     @property
     def dim(self) -> int:
@@ -262,17 +261,19 @@ class ProjectionFamily:
 
     def _checked(self, value):
         """A mask value as a tuple of ``dim`` bools, or a matrix value as a
-        finite ``dim`` x ``dim`` float array; raise for anything else."""
+        read-only copy, a finite ``dim`` x ``dim`` float array; raise for
+        anything else."""
         if self.is_mask:
             mask = tuple(bool(b) for b in value)
             if len(mask) != self.dim:
                 raise ValueError("mask length must equal dim")
             return mask
-        matrix = np.asarray(value, dtype=float)
+        matrix = np.array(value, dtype=float)
         if not np.isfinite(matrix).all():
             raise InvalidProjectionError("non-finite entry in a projection matrix")
         if matrix.shape != (self.dim, self.dim):
             raise ValueError("projection matrix must be dim x dim")
+        matrix.flags.writeable = False
         return matrix
 
     def _at(self, n: int):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from dichotomy import (
+    DiagonalClosedForm,
     DichotomyCertificate,
     EmptyFeasibleSetError,
     ExplicitSequence,
     InvalidCertificateError,
     Kind,
+    LogScalar,
     ProjectionFamily,
     ScheduleOutOfRangeError,
     ShiftedPowerProfile,
@@ -109,6 +111,32 @@ def test_optimal_constant_grows_without_uniformity():
     # beating the contraction-side demand 1 + log(c1) + (2k + 2) = 2k - 1 - 2
     assert lfloat(short.logmag) == pytest.approx(19.0)
     assert lfloat(long.logmag) == pytest.approx(39.0)
+
+
+def _diagonal(*coords):
+    return SystemDescription(len(coords), DiagonalClosedForm(list(coords)))
+
+
+@pytest.mark.parametrize("system, mask, alpha, hi", [
+    (lambda: make_example("sed_example").system, (True, False), 1.0, 40),
+    (lambda: _diagonal(lambda n: LogScalar.from_log(-1), lambda n: LogScalar.from_log(3)),
+     (True, False), 2, 30),
+    (lambda: make_example("ned_not_ed_example").system, (True, False), 0.5, 30),
+    (lambda: SystemDescription(2, ExplicitSequence(
+        [np.diag([0.5 + 0.01 * k, 2.0 + k % 3]) for k in range(40)])), None, 0.25, 39),
+    (lambda: _diagonal(
+        lambda n: LogScalar.zero() if n % 2 == 0 else LogScalar.from_log(-0.5),
+        lambda n: LogScalar.zero() if n % 3 == 0 else LogScalar.from_log(1.5)),
+     (True, False), 0.25, 30),
+], ids=["float", "int-rate", "tower", "dense", "zero-factors"])
+def test_optimal_constant_is_the_profiles_last_value(system, mask, alpha, hi):
+    sys_ = system()
+    proj = (ProjectionFamily(2, mask=mask) if mask else
+            ProjectionFamily(2, matrix=[[1.0, 0.0], [0.0, 0.0]]))
+    window = WindowSpec(0, hi)
+    best = optimal_N_for_alpha(sys_, proj, alpha, window)
+    last = minimal_ned_profile(sys_, proj, alpha, window).values[-1]
+    assert best == last and type(best.logmag) is type(last.logmag)
 
 
 def test_estimate_uniform_stable_on_quadratic():

@@ -121,8 +121,21 @@ trees = st.recursive(
 @example([{"x": math.nan}, {"x": math.nan}])
 @example([{"x": math.inf}, {"x": math.inf}])
 @example([{"x": "\x00"}, {"x": "\x00"}])
+# a key, or a text every record repeats, equal to the template's slot string
+@example([{cli._SLOT: 1}, {cli._SLOT: 2}])
+@example([{"a": cli._SLOT, "b": 1}, {"a": cli._SLOT, "b": 2}])
 def test_column_encoding_equals_json_dumps(tree):
     assert _dumps(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("family, by_column", [
+    (serialize.RecordColumns(2, {"a": serialize.Column([1, 2]), "s": cli._SLOT}), False),
+    (serialize.RecordColumns(0, {"a": serialize.Column([]), "s": "family"}), True),
+], ids=["slot-literal", "empty"])
+def test_record_columns_at_the_edges_equal_json_dumps(family, by_column):
+    assert (_records(family, 1) is not None) == by_column
+    report = {"x": family}
+    assert _dumps(report) == json.dumps(report, indent=2, default=serialize.RecordColumns.records)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,22 +5,27 @@ import pytest
 
 from dichotomy import (
     DegenerateRangeError,
+    DichotomyCertificate,
     DenseOverflowError,
     DiagonalClosedForm,
     ExplicitSequence,
     IncompatibleProjectionError,
     IndexOrderError,
     InvalidProjectionError,
+    Kind,
     LogScalar,
     OutOfRangeError,
     ProjectionFamily,
     SystemDescription,
+    WindowSpec,
     compatibility_defect,
     make_example,
     restricted_extremes,
     restricted_ratio_extremes,
+    verify_certificate,
 )
 from dichotomy.logscalar import lfloat, lsub
+from dichotomy.serialize import outcome_to_json
 
 from oracles import evolution, projected_evolution, smul
 
@@ -360,7 +365,7 @@ def test_dense_coefficients_are_one_read_only_array():
     stored = sys_.coefficients.matrices
     assert type(stored) is np.ndarray and stored.dtype == np.float64 and stored.shape == (3, 2, 2)
     assert not stored.flags.writeable
-    assert np.shares_memory(stored, mats)  # a float64 (K, d, d) array is not copied
+    assert not np.shares_memory(stored, mats)  # a copy: the caller keeps its own array
     assert mats.flags.writeable  # and the caller's array is left as it was
     with pytest.raises(ValueError):
         sys_.coefficient(1)[0, 0] = 5.0
@@ -368,6 +373,25 @@ def test_dense_coefficients_are_one_read_only_array():
     # a list of matrices becomes one array too
     listed = two_factor_system().coefficients.matrices
     assert type(listed) is np.ndarray and listed.shape == (3, 2, 2) and not listed.flags.writeable
+
+
+def test_dense_inputs_do_not_follow_later_writes_to_the_callers_arrays():
+    """The inputs are checked once, so what was checked is what is read."""
+    mats = np.stack([EYE, np.diag([2.0, 0.5]), np.diag([2.0, 0.5])])
+    matrix = np.diag([1.0, 0.0])
+    sys_ = SystemDescription(2, ExplicitSequence(mats))
+    proj = ProjectionFamily(2, matrix=matrix)
+    cert = DichotomyCertificate(Kind.UED, 0.5, n_const=2.0)
+
+    def seen():
+        outcome = verify_certificate(sys_, proj, cert, WindowSpec(0, 2))
+        return sys_.coefficient(1).tolist(), proj.matrix(0).tolist(), outcome_to_json(outcome)
+
+    before = seen()
+    mats[1, 0, 0] = math.inf
+    matrix[1, 1] = math.nan
+    assert seen() == before
+    assert before[:2] == ([[2.0, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_projection_windows_match_the_per_index_reads():
